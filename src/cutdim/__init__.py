@@ -62,6 +62,7 @@ from .oracle import (
     PointCache,
     Unbounded,
     enumerate_lattice,
+    make_provider,
     oracle_maximize,
 )
 from .rational import rat, rat_decimal, rat_str
@@ -120,6 +121,7 @@ __all__ = [
     "face_hull",
     "impact_protocol",
     "load_config",
+    "make_provider",
     "normalize_cut",
     "oracle_maximize",
     "parse_cuts",

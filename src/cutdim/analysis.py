@@ -36,13 +36,11 @@ from .hull import AffineHullResult, EquationSystem, HullInterrupted, affine_hull
 from .linalg import Vector, dot, vector
 from .model import Inequality, MipInstance, evaluate, normalize_cut
 from .oracle import (
-    BruteForceOracle,
     Infeasible,
-    MipOracle,
     Optimal,
     OracleInconclusive,
-    PointCache,
     Unbounded,
+    make_provider,
     oracle_maximize,
 )
 from .rational import rat, rat_ceil
@@ -95,7 +93,6 @@ def classify_cut(
     provider,
     cut: Inequality,
     base: Optional[AffineHullResult] = None,
-    cache=None,
     tolerance=DEFAULT_TOLERANCE,
     compute_face_dimension: bool = True,
     face_query_budget: Optional[int] = None,
@@ -106,8 +103,9 @@ def classify_cut(
     `base` (the affine hull result for P) is required to compute face
     dimensions; without it a supporting verdict is returned with
     face_dimension left as None.  One oracle query decides the verdict;
-    supporting cuts spend further queries on the face run.  Zero
-    coefficient rows are decided by the sign of beta alone, query free.
+    supporting cuts spend further queries on the face run, which probes
+    the provider's cache.  Zero coefficient rows are decided by the sign
+    of beta alone, query free.
     """
     tolerance = rat(tolerance)
     if tolerance < 0:
@@ -138,7 +136,7 @@ def classify_cut(
             cut, Verdict.NON_SUPPORTING, beta_true, -math.inf, face_dimension=-1
         )
     if beta_true == math.inf:
-        witness = maximizer if maximizer is not None else _any_point(provider, cache)
+        witness = maximizer if maximizer is not None else _any_point(provider)
         certificate = _violating_point(a, beta, witness, ray)
         return CutClassification(
             cut, Verdict.INVALID, beta_true, math.inf, certificate=certificate
@@ -158,7 +156,6 @@ def classify_cut(
             provider,
             base,
             tightened,
-            cache=cache,
             query_budget=face_query_budget,
             time_budget=face_time_budget if face_time_budget is not None else 600.0,
         )
@@ -174,9 +171,9 @@ def classify_cut(
     )
 
 
-def _any_point(provider, cache) -> Vector:
-    if cache is not None:
-        pts = cache.points()
+def _any_point(provider) -> Vector:
+    if provider.cache is not None:
+        pts = provider.cache.points()
         if pts:
             return pts[0]
     response = oracle_maximize(provider, [0] * provider.n)
@@ -237,7 +234,6 @@ def impact_protocol(
     cuts: Sequence[Inequality],
     node_limit: Optional[int] = None,
     time_limit: Optional[float] = 60.0,
-    full_solve_time_limit: Optional[float] = None,
 ) -> ImpactReport:
     """Closed-gap strength measurement for a batch of cuts.
 
@@ -246,11 +242,11 @@ def impact_protocol(
     the smallest node count any completed run needed.  Cuts that cut off
     the optimum are flagged invalid-cut and skipped; runs stopped by the
     time limit before the budget are flagged short-trace and read at
-    their last node.
+    their last node.  The reference solve for the optimum has no limit.
     """
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be at least 1")
-    full = solve_mip(inst, options=SolveOptions(time_limit=full_solve_time_limit))
+    full = solve_mip(inst)
     if full.status is not SolveStatus.OPTIMAL:
         raise AnalysisError(f"reference solve ended {full.status.value}, not optimal")
     z_star, x_star = full.primal_value, full.best_point
@@ -477,13 +473,11 @@ def analyze_instance(
     tolerance=DEFAULT_TOLERANCE,
     oracle_time_limit: Optional[float] = 60.0,
     oracle_node_limit: Optional[int] = None,
-    hull_query_budget: Optional[int] = None,
     hull_time_budget: Optional[float] = 600.0,
     face_time_budget: Optional[float] = 600.0,
     run_impact: bool = True,
     impact_node_limit: Optional[int] = None,
     impact_time_limit: Optional[float] = 60.0,
-    impact_full_solve_time_limit: Optional[float] = None,
     jobs: int = 1,
     verify_oracle: bool = True,
 ) -> InstanceAnalysis:
@@ -495,40 +489,30 @@ def analyze_instance(
     sense without dim P) and propagates HullInterrupted; per-cut
     interruptions are recorded as failures instead.
 
-    Each cut is classified against a frozen snapshot of the point cache
-    taken after the hull run, so results do not depend on `jobs` or on
-    scheduling; with jobs > 1 the classifications run on worker threads.
+    Each cut gets its own provider whose cache starts as a copy of the
+    hull run's and collects that cut's own points, so its face run can
+    probe them, and results do not depend on `jobs` or on scheduling;
+    with jobs > 1 the classifications run on worker threads.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if engine not in ("solver", "lattice"):
-        raise ValueError(f"unknown engine {engine!r}")
+    provider = make_provider(
+        inst,
+        engine,
+        verify=verify_oracle,
+        time_limit=oracle_time_limit,
+        node_limit=oracle_node_limit,
+    )
     cuts = tuple(c if c.normalized else normalize_cut(c) for c in cuts)
 
-    cache = PointCache(inst, verify=verify_oracle)
-    if engine == "solver":
-        provider = MipOracle(
-            inst, cache=cache, time_limit=oracle_time_limit, node_limit=oracle_node_limit
-        )
-    else:
-        provider = BruteForceOracle(inst, cache=cache)
-
-    base = affine_hull(
-        provider,
-        cache=cache,
-        query_budget=hull_query_budget,
-        time_budget=hull_time_budget,
-    )
-    frozen = cache.snapshot()
+    base = affine_hull(provider, time_budget=hull_time_budget)
 
     def classify_one(cut: Inequality):
-        local = frozen.snapshot()
         try:
             cls = classify_cut(
-                provider,
+                provider.with_cache(provider.cache.snapshot()),
                 cut,
                 base=base,
-                cache=local,
                 tolerance=tolerance,
                 face_time_budget=face_time_budget,
             )
@@ -563,7 +547,6 @@ def analyze_instance(
                     cuts,
                     node_limit=impact_node_limit,
                     time_limit=impact_time_limit,
-                    full_solve_time_limit=impact_full_solve_time_limit,
                 )
             except AnalysisError as exc:
                 impact_error = str(exc)

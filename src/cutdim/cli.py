@@ -22,9 +22,8 @@ from . import fileio
 from .analysis import AnalysisError, analyze_instance, impact_protocol
 from .config import RunConfig, load_config
 from .hull import HullInterrupted, affine_hull
-from .model import MipInstance
 from .mps import MpsParseError
-from .oracle import BruteForceOracle, MipOracle, OracleError, PointCache
+from .oracle import OracleError, make_provider
 from .rational import rat, rat_decimal, rat_str
 from .selftest import run_all
 
@@ -110,24 +109,17 @@ def _configure(args: argparse.Namespace) -> RunConfig:
     return load_config(path=path, overrides=overrides)
 
 
-def _provider(inst: MipInstance, cfg: RunConfig):
-    cache = PointCache(inst, verify=cfg.verify_oracle)
-    if cfg.engine == "lattice":
-        return BruteForceOracle(inst, cache=cache), cache
-    oracle = MipOracle(
+def _cmd_dim(args, cfg: RunConfig) -> int:
+    inst = fileio.read_instance(args.instance)
+    provider = make_provider(
         inst,
-        cache=cache,
+        cfg.engine,
+        verify=cfg.verify_oracle,
         time_limit=cfg.solve_time_limit,
         node_limit=cfg.solve_node_limit,
     )
-    return oracle, cache
-
-
-def _cmd_dim(args, cfg: RunConfig) -> int:
-    inst = fileio.read_instance(args.instance)
-    provider, cache = _provider(inst, cfg)
     try:
-        hull = affine_hull(provider, cache=cache, time_budget=cfg.hull_time_budget)
+        hull = affine_hull(provider, time_budget=cfg.hull_time_budget)
     except HullInterrupted as exc:
         print(
             f"interrupted: dim in [{exc.dim_lower}, {exc.dim_upper}] "

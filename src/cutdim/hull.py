@@ -11,9 +11,10 @@ affine hull is pinned down exactly:
     dim P = |X| - 1,   aff(P) = aff(X) = {x : D.x = e}.
 
 A bounded nonempty run costs exactly 2(n - r0) oracle calls, where r0
-is the number of valid equations supplied up front.  A point cache can
-substitute for the two calls of a round whenever some already-known
-feasible point (for face runs: on the face) escapes the current aff(X).
+is the number of valid equations supplied up front.  The provider's
+point cache can substitute for the two calls of a round whenever some
+already-known feasible point (for face runs: on the face) escapes the
+current aff(X); a provider without a cache gives a cold run.
 
 Face dimension runs reuse the machinery unchanged: restrict the oracle
 to the face's hyperplane, start from the base system plus the face
@@ -42,7 +43,6 @@ from .oracle import (
     Infeasible,
     Optimal,
     OracleInconclusive,
-    PointCache,
     Unbounded,
     cache_probe,
     oracle_maximize,
@@ -78,7 +78,7 @@ class EquationSystem:
     rhs: Vector
 
     @classmethod
-    def empty(cls, n: int) -> "EquationSystem":
+    def empty(cls) -> "EquationSystem":
         return cls(rows=(), rhs=())
 
     def __len__(self) -> int:
@@ -156,7 +156,6 @@ def select_direction(
 def affine_hull(
     provider,
     initial_equations: Optional[EquationSystem] = None,
-    cache: Optional[PointCache] = None,
     face: Optional[Inequality] = None,
     query_budget: Optional[int] = None,
     time_budget: Optional[float] = DEFAULT_TIME_BUDGET,
@@ -165,13 +164,13 @@ def affine_hull(
     """Dimension and affine hull of the provider's feasible set.
 
     `initial_equations` must be valid for the set and independent; they
-    reduce the number of rounds one for one.  `cache`, when given, is
-    probed before each round (restricted to `face` if set) and a hit
-    replaces both oracle calls of the round.  The query budget defaults
-    to the worst case of a cold run, 2(n - r0).
+    reduce the number of rounds one for one.  The provider's cache, when
+    it has one, is probed before each round (restricted to `face` if
+    set) and a hit replaces both oracle calls of the round.  The query
+    budget defaults to the worst case of a cold run, 2(n - r0).
     """
     n = provider.n
-    eqs = initial_equations if initial_equations is not None else EquationSystem.empty(n)
+    eqs = initial_equations if initial_equations is not None else EquationSystem.empty()
     if len(eqs) and rank(eqs.rows) != len(eqs):
         raise ValueError("initial equations must be linearly independent")
     if len(eqs) > n:
@@ -180,6 +179,7 @@ def affine_hull(
     if query_budget is None:
         query_budget = max(1, 2 * (n - initial_count))
     deadline = time.monotonic() + time_budget if time_budget is not None else None
+    cache = provider.cache
 
     points: list[Vector] = []
     queries = 0
@@ -343,7 +343,6 @@ def face_hull(
     provider,
     base: AffineHullResult,
     cut: Inequality,
-    cache: Optional[PointCache] = None,
     query_budget: Optional[int] = None,
     time_budget: Optional[float] = DEFAULT_TIME_BUDGET,
     check_invariants: bool = False,
@@ -353,8 +352,7 @@ def face_hull(
     `base` is the affine hull result for P itself; its equations are
     valid on the face and seed the run.  The cut equation is added
     unless its row already lies in the span of the base system.  The
-    point cache is shared with the base run but probed only for points
-    on the face.
+    provider's cache is probed only for points on the face.
     """
     eqs = base.equations
     if not is_in_span(cut.coefficients, eqs.rows):
@@ -363,7 +361,6 @@ def face_hull(
     return affine_hull(
         face_provider,
         initial_equations=eqs,
-        cache=cache,
         face=cut,
         query_budget=query_budget,
         time_budget=time_budget,

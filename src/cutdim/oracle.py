@@ -7,19 +7,21 @@ that contract, one backed by the exact branch-and-bound solver and one
 by explicit lattice enumeration (small instances; it doubles as the
 reference implementation in tests).
 
-Every optimal point an oracle returns is remembered in a PointCache.
-Later runs, in particular face dimension runs for other cuts, can often
-pull an affinely independent point straight from the cache instead of
-paying two oracle calls.
+A provider owns its PointCache: every optimal point it returns is
+remembered there, and hull and face runs probe the same cache, where an
+affinely independent point found by an earlier query can stand in for
+two oracle calls.  `make_provider` builds the provider for an engine
+name, cache attached.
 
-Responses are verified on every query (feasibility, objective value,
-ray directions); a failed check raises OracleSoundnessError rather than
-letting a wrong point silently corrupt a dimension.  Set
-VERIFY_RESPONSES to False to skip the checks.
+With `verify` on (the default), every response is checked exactly
+(feasibility, objective value, ray directions) and so is every cache
+insert; a failed check raises OracleSoundnessError rather than letting
+a wrong point silently corrupt a dimension.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import threading
@@ -30,8 +32,6 @@ from .linalg import Vector, dot, vector
 from .model import Inequality, MipInstance, evaluate
 from .rational import rat
 from .solver import SolveOptions, SolveStatus, solve_mip
-
-VERIFY_RESPONSES = True
 
 MAX_LATTICE_POINTS = 10**6
 
@@ -104,9 +104,8 @@ class PointCache:
             return tuple(self._points)
 
     def snapshot(self) -> "PointCache":
-        """Independent copy; concurrent analyses probe a frozen view."""
-        clone = PointCache(self._instance, verify=False)
-        clone._verify = self._verify
+        """Independent copy: later inserts into either one stay private."""
+        clone = PointCache(self._instance, verify=self._verify)
         with self._lock:
             clone._points = list(self._points)
             clone._seen = set(self._seen)
@@ -161,7 +160,7 @@ def oracle_maximize(provider, w: Sequence) -> OracleResponse:
     if len(w) != provider.n:
         raise OracleError(f"direction has {len(w)} entries, oracle expects {provider.n}")
     response = provider.solve(w)
-    if VERIFY_RESPONSES:
+    if provider.verify:
         _verify_response(provider, w, response)
     if provider.cache is not None:
         if isinstance(response, Optimal):
@@ -209,41 +208,55 @@ def _verify_response(provider, w, response) -> None:
                 raise OracleSoundnessError("unbounded witness leaves the face hyperplane")
 
 
-class MipOracle:
-    """Oracle backed by the exact branch-and-bound solver.
+class _Provider:
+    """What both providers share.
 
-    `equations` restrict the feasible set to a hyperplane intersection;
-    `restrict` stacks one more, sharing instance and cache, which is how
-    face dimension runs are built.
+    A provider holds its instance, the face equations it is restricted
+    to, its cache (None for a cold provider), its verify switch and its
+    own query count.  `restrict` and `with_cache` return shallow copies,
+    so the instance, limits and switch carry over unchanged.
     """
 
-    def __init__(
-        self,
-        instance: MipInstance,
-        cache: Optional[PointCache] = None,
-        equations: Sequence = (),
-        time_limit: Optional[float] = 60.0,
-        node_limit: Optional[int] = None,
-    ):
-        self.instance = instance
-        self.cache = cache
-        self.equations = tuple((vector(a), rat(b)) for a, b in equations)
-        self.time_limit = time_limit
-        self.node_limit = node_limit
-        self.query_count = 0
+    instance: MipInstance
+    cache: Optional[PointCache]
+    verify: bool
+    equations: tuple = ()
+    query_count: int = 0
 
     @property
     def n(self) -> int:
         return self.instance.num_vars
 
-    def restrict(self, coefficients: Sequence, beta) -> "MipOracle":
-        return MipOracle(
-            self.instance,
-            cache=self.cache,
-            equations=self.equations + ((vector(coefficients), rat(beta)),),
-            time_limit=self.time_limit,
-            node_limit=self.node_limit,
-        )
+    def with_cache(self, cache: Optional[PointCache]):
+        """The same provider feeding and probing `cache` instead."""
+        clone = copy.copy(self)
+        clone.cache = cache
+        clone.query_count = 0
+        return clone
+
+    def restrict(self, coefficients: Sequence, beta):
+        """The same provider on the hyperplane a.x = beta, same cache."""
+        clone = self.with_cache(self.cache)
+        clone.equations = self.equations + ((vector(coefficients), rat(beta)),)
+        return clone
+
+
+class MipOracle(_Provider):
+    """Oracle backed by the exact branch-and-bound solver."""
+
+    def __init__(
+        self,
+        instance: MipInstance,
+        cache: Optional[PointCache] = None,
+        time_limit: Optional[float] = 60.0,
+        node_limit: Optional[int] = None,
+        verify: bool = True,
+    ):
+        self.instance = instance
+        self.cache = cache
+        self.time_limit = time_limit
+        self.node_limit = node_limit
+        self.verify = verify
 
     def solve(self, w: Vector) -> OracleResponse:
         result = solve_mip(
@@ -267,43 +280,31 @@ class MipOracle:
         )
 
 
-class BruteForceOracle:
+class BruteForceOracle(_Provider):
     """Oracle by explicit lattice enumeration.
 
     Only for pure-integer instances whose bounding box holds at most
     MAX_LATTICE_POINTS points; the feasible set is enumerated once and
     every query is an exact argmax scan in lexicographic point order.
+    Restricted copies filter the enumerated points, never redo them.
     """
 
     def __init__(
         self,
         instance: MipInstance,
         cache: Optional[PointCache] = None,
-        equations: Sequence = (),
-        _points: Optional[tuple] = None,
+        verify: bool = True,
     ):
         self.instance = instance
         self.cache = cache
-        self.equations = tuple((vector(a), rat(b)) for a, b in equations)
-        self.query_count = 0
-        if _points is not None:
-            self.points = _points
-        else:
-            self.points = tuple(enumerate_lattice(instance))
-        for coeffs, beta in self.equations:
-            self.points = tuple(p for p in self.points if dot(coeffs, p) == beta)
-
-    @property
-    def n(self) -> int:
-        return self.instance.num_vars
+        self.verify = verify
+        self.points = tuple(enumerate_lattice(instance))
 
     def restrict(self, coefficients: Sequence, beta) -> "BruteForceOracle":
-        return BruteForceOracle(
-            self.instance,
-            cache=self.cache,
-            equations=self.equations + ((vector(coefficients), rat(beta)),),
-            _points=self.points,
-        )
+        clone = super().restrict(coefficients, beta)
+        a, b = clone.equations[-1]
+        clone.points = tuple(p for p in self.points if dot(a, p) == b)
+        return clone
 
     def solve(self, w: Vector) -> OracleResponse:
         if not self.points:
@@ -316,6 +317,30 @@ class BruteForceOracle:
                 best = v
                 best_point = p
         return Optimal(vector(best_point), rat(best))
+
+
+def make_provider(
+    inst: MipInstance,
+    engine: str = "solver",
+    *,
+    verify: bool = True,
+    time_limit: Optional[float] = 60.0,
+    node_limit: Optional[int] = None,
+):
+    """The provider for `engine` ("solver" or "lattice") with a fresh cache.
+
+    `verify` switches both the response checks and the cache-insert
+    checks.  The limits bound each solver query; lattice scans ignore
+    them.  For a cold provider, call `.with_cache(None)` on the result.
+    """
+    cache = PointCache(inst, verify=verify)
+    if engine == "solver":
+        return MipOracle(
+            inst, cache=cache, time_limit=time_limit, node_limit=node_limit, verify=verify
+        )
+    if engine == "lattice":
+        return BruteForceOracle(inst, cache=cache, verify=verify)
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 def enumerate_lattice(instance: MipInstance) -> list[tuple]:

@@ -24,7 +24,7 @@ from .analysis import (
 from .hull import affine_hull
 from .linalg import affine_rank, dot
 from .model import Inequality, MipInstance, build_instance, normalize_cut
-from .oracle import BruteForceOracle, MipOracle, PointCache, enumerate_lattice
+from .oracle import BruteForceOracle, enumerate_lattice, make_provider
 from .rational import rat
 from .solver import SolveStatus, solve_mip
 
@@ -126,7 +126,7 @@ def suite_query_count(rng: random.Random, rounds: int = 25) -> SuiteResult:
         inst = random_instance(rng, name=f"qc{i}")
         n = inst.num_vars
         provider = BruteForceOracle(inst)
-        hull = affine_hull(provider, cache=None)
+        hull = affine_hull(provider)
         if hull.oracle_queries != 2 * n:
             result.failures.append(f"round {i}: {hull.oracle_queries} queries, wanted {2 * n}")
         if len(hull.points) + len(hull.equations) != n + 1:
@@ -141,8 +141,7 @@ def suite_dimension(rng: random.Random, rounds: int = 20) -> SuiteResult:
     for i in range(rounds):
         inst = random_instance(rng, name=f"dim{i}", require_nonempty=False)
         truth = affine_rank(enumerate_lattice(inst))
-        cache = PointCache(inst)
-        hull = affine_hull(MipOracle(inst, cache=cache, time_limit=None), cache=cache)
+        hull = affine_hull(make_provider(inst, "solver", time_limit=None))
         if hull.dimension != truth:
             result.failures.append(f"round {i}: dim {hull.dimension}, rank says {truth}")
     return result
@@ -154,13 +153,12 @@ def suite_classification(rng: random.Random, rounds: int = 8, cuts_per: int = 3)
     for i in range(rounds):
         inst = random_instance(rng, max_vars=4, name=f"cls{i}")
         points = enumerate_lattice(inst)
-        cache = PointCache(inst)
-        provider = MipOracle(inst, cache=cache, time_limit=None)
-        base = affine_hull(provider, cache=cache)
+        provider = make_provider(inst, "solver", time_limit=None)
+        base = affine_hull(provider)
         for j in range(cuts_per):
             cut = random_cut(rng, points, inst.num_vars, rng.choice((-1, 0, 1)))
             want_verdict, want_dim = lattice_classification(points, normalize_cut(cut), rat(1, 10000))
-            got = classify_cut(provider, cut, base=base, cache=cache)
+            got = classify_cut(provider, cut, base=base)
             if got.verdict is not want_verdict:
                 result.failures.append(
                     f"round {i}.{j}: verdict {got.verdict.value}, wanted {want_verdict.value}"

@@ -23,7 +23,13 @@ from cutdim.fileio import read_instance
 from cutdim.hull import HullInterrupted, affine_hull
 from cutdim.linalg import affine_rank, dot
 from cutdim.model import Inequality, build_instance
-from cutdim.oracle import BruteForceOracle, MipOracle, PointCache, enumerate_lattice
+from cutdim.oracle import (
+    BruteForceOracle,
+    MipOracle,
+    PointCache,
+    enumerate_lattice,
+    make_provider,
+)
 from cutdim.rational import rat
 from cutdim.selftest import lattice_classification, random_cut, random_instance
 from cutdim.solver import SolveOptions, SolveStatus, solve_mip
@@ -55,16 +61,15 @@ def test_dimension_and_cut_verdicts_match_enumeration():
     start = time.monotonic()
     for i, inst in enumerate(hundred_instances()):
         points = enumerate_lattice(inst)
-        cache = PointCache(inst)
-        provider = MipOracle(inst, cache=cache, time_limit=None)
-        base = affine_hull(provider, cache=cache)
+        provider = make_provider(inst, time_limit=None)
+        base = affine_hull(provider)
         assert base.dimension == affine_rank(points), inst.name
 
         rng = random.Random(ACC_SEED + 7 * i)
         for j in range(5):
             offset = rng.choice((-1, 0, 1))
             cut = random_cut(rng, points, inst.num_vars, offset, label=f"c{j}")
-            got = classify_cut(provider, cut, base=base, cache=cache)
+            got = classify_cut(provider, cut, base=base)
             want_verdict, want_dim = lattice_classification(
                 points, got.cut, rat(1, 10000)
             )
@@ -85,19 +90,18 @@ def test_known_polytope_fixtures():
             lower_bounds=[0] * n,
             upper_bounds=[1] * n,
         )
-        cache = PointCache(cube)
-        provider = MipOracle(cube, cache=cache, time_limit=None)
-        base = affine_hull(provider, cache=cache)
+        provider = make_provider(cube, time_limit=None)
+        base = affine_hull(provider)
         assert base.dimension == n
         assert len(base.equations) == 0
 
         facet = classify_cut(
-            provider, Inequality([1] + [0] * (n - 1), 1), base=base, cache=cache
+            provider, Inequality([1] + [0] * (n - 1), 1), base=base
         )
         assert facet.verdict is Verdict.SUPPORTING
         assert facet.face_dimension == n - 1
 
-        vertex = classify_cut(provider, Inequality([1] * n, n), base=base, cache=cache)
+        vertex = classify_cut(provider, Inequality([1] * n, n), base=base)
         assert vertex.verdict is Verdict.SUPPORTING
         assert vertex.face_dimension == 0
 
@@ -136,7 +140,7 @@ def test_desk_scale_benchmark_dimensions(name, expected):
     cache = PointCache(inst, verify=False)
     provider = MipOracle(inst, cache=cache, time_limit=None)
     try:
-        hull = affine_hull(provider, cache=cache, time_budget=1800.0)
+        hull = affine_hull(provider, time_budget=1800.0)
     except HullInterrupted as exc:
         pytest.skip(
             f"inconclusive: 30 min budget hit, dim in [{exc.dim_lower}, {exc.dim_upper}]"

@@ -15,10 +15,10 @@ from cutdim.analysis import (
     impact_protocol,
     relative_dimension_bin,
 )
-from cutdim.hull import affine_hull
+from cutdim.hull import affine_hull, face_hull
 from cutdim.linalg import dot
 from cutdim.model import Inequality, build_instance, evaluate
-from cutdim.oracle import MipOracle, PointCache, enumerate_lattice
+from cutdim.oracle import MipOracle, enumerate_lattice, make_provider
 from cutdim.rational import rat
 from cutdim.selftest import lattice_classification, random_instance
 
@@ -49,10 +49,8 @@ def binary_knapsack():
 
 def square_setup():
     inst = square()
-    cache = PointCache(inst)
-    provider = MipOracle(inst, cache=cache)
-    base = affine_hull(provider, cache=cache)
-    return provider, base, cache
+    provider = make_provider(inst)
+    return provider, affine_hull(provider)
 
 
 def test_beta_true_fixtures():
@@ -67,35 +65,32 @@ def test_beta_true_fixtures():
 
 
 def test_classify_trio():
-    provider, base, cache = square_setup()
+    provider, base = square_setup()
 
-    weak = classify_cut(provider, Inequality([1, 1], 3), base=base, cache=cache)
+    weak = classify_cut(provider, Inequality([1, 1], 3), base=base)
     assert weak.verdict is Verdict.NON_SUPPORTING
     assert weak.beta_true == 2
     assert weak.face_dimension is None
 
-    bad = classify_cut(
-        provider, Inequality([1, 1], rat("1.99")), base=base, cache=cache
-    )
+    bad = classify_cut(provider, Inequality([1, 1], rat("1.99")), base=base)
     assert bad.verdict is Verdict.INVALID
     assert bad.certificate is not None
     assert evaluate(bad.cut, bad.certificate) > 0  # certificate violates the cut
     assert square().is_feasible_point(bad.certificate)
 
-    tight = classify_cut(provider, Inequality([1, 1], 2), base=base, cache=cache)
+    tight = classify_cut(provider, Inequality([1, 1], 2), base=base)
     assert tight.verdict is Verdict.SUPPORTING
     assert tight.face_dimension == 0  # the vertex (1,1)
     assert tight.tightened.rhs == 2
 
 
 def test_tolerance_band_tightens():
-    provider, base, cache = square_setup()
+    provider, base = square_setup()
     # beta inside (beta_true - tol, beta_true + tol]: treated as supporting
     near = classify_cut(
         provider,
         Inequality([1, 1], 2 + rat(1, 20000)),
         base=base,
-        cache=cache,
     )
     assert near.verdict is Verdict.SUPPORTING
     assert near.tightened.rhs == 2  # rhs replaced by beta_true
@@ -104,7 +99,6 @@ def test_tolerance_band_tightens():
         provider,
         Inequality([1, 1], 2 - rat(1, 20000)),
         base=base,
-        cache=cache,
     )
     assert below.verdict is Verdict.SUPPORTING
 
@@ -112,33 +106,32 @@ def test_tolerance_band_tightens():
         provider,
         Inequality([1, 1], 2 - rat(2, 10000)),
         base=base,
-        cache=cache,
     )
     assert outside.verdict is Verdict.INVALID
 
 
 def test_normalization_applied_before_comparison():
-    provider, base, cache = square_setup()
+    provider, base = square_setup()
     # 2x + 2y <= 4 is the tight cut scaled by 2
-    cls = classify_cut(provider, Inequality([2, 2], 4), base=base, cache=cache)
+    cls = classify_cut(provider, Inequality([2, 2], 4), base=base)
     assert cls.verdict is Verdict.SUPPORTING
     assert cls.cut.coefficients == (rat(1), rat(1))
     assert cls.beta_true == 2
 
 
 def test_zero_coefficient_cuts():
-    provider, base, cache = square_setup()
+    provider, base = square_setup()
     before = provider.query_count
 
-    flat = classify_cut(provider, Inequality([0, 0], 0), base=base, cache=cache)
+    flat = classify_cut(provider, Inequality([0, 0], 0), base=base)
     assert flat.verdict is Verdict.SUPPORTING
     assert flat.is_degenerate
     assert flat.face_dimension == base.dimension  # face is P itself
 
-    weak = classify_cut(provider, Inequality([0, 0], 5), base=base, cache=cache)
+    weak = classify_cut(provider, Inequality([0, 0], 5), base=base)
     assert weak.verdict is Verdict.NON_SUPPORTING
 
-    bad = classify_cut(provider, Inequality([0, 0], -1), base=base, cache=cache)
+    bad = classify_cut(provider, Inequality([0, 0], -1), base=base)
     assert bad.verdict is Verdict.INVALID
 
     # the sign of the rhs decides; the oracle is never consulted
@@ -194,14 +187,13 @@ def test_classification_matches_brute_force():
     for i in range(20):
         inst = random_instance(rng, max_vars=4, name=f"bf{i}")
         points = enumerate_lattice(inst)
-        cache = PointCache(inst)
-        provider = MipOracle(inst, cache=cache)
-        base = affine_hull(provider, cache=cache)
+        provider = make_provider(inst)
+        base = affine_hull(provider)
         for _ in range(3):
             a = [rng.randint(-5, 5) for _ in range(inst.num_vars)]
             beta = max(dot(a, p) for p in points) + rng.choice((-1, 0, 1))
             cut = Inequality(a, beta)
-            got = classify_cut(provider, cut, base=base, cache=cache)
+            got = classify_cut(provider, cut, base=base)
             want_verdict, want_dim = lattice_classification(
                 points, got.cut, rat(1, 10000)
             )
@@ -350,6 +342,32 @@ def test_analyze_instance_pipeline():
     assert analysis.face_dimensions() == [1, -1]
     hist = analysis.histogram()
     assert sum(w for _, w in hist) == 1
+
+
+def test_face_run_probes_its_own_cuts_points():
+    rng = random.Random(0)
+    weights = [rng.randint(2, 9) for _ in range(4)]
+    inst = build_instance(
+        name="knap4",
+        constraint_matrix=[weights],
+        rhs=[sum(weights) // 2],
+        objective=weights,
+        integer_vars=range(4),
+        lower_bounds=[0] * 4,
+        upper_bounds=[1] * 4,
+    )
+    beta = max(sum(p) for p in enumerate_lattice(inst))
+    cut = Inequality([1] * 4, beta)
+    analysis = analyze_instance(inst, [cut], engine="solver", run_impact=False)
+    (cls,) = analysis.classifications
+    face = cls.face_result
+    # the cut's own beta_true maximizer lies on the face and saves a round
+    assert face.cache_hits >= 1
+    assert face.oracle_queries == 4
+    cold_provider = MipOracle(inst)
+    cold = face_hull(cold_provider, affine_hull(cold_provider), cls.tightened)
+    assert cold.cache_hits == 0
+    assert face.dimension == cold.dimension
 
 
 def test_analyze_instance_jobs_do_not_change_results():

@@ -12,7 +12,7 @@ from cutdim.hull import (
 )
 from cutdim.linalg import affine_rank, dot, rank, vec_sub
 from cutdim.model import Inequality, build_instance
-from cutdim.oracle import BruteForceOracle, MipOracle, PointCache, enumerate_lattice
+from cutdim.oracle import BruteForceOracle, MipOracle, enumerate_lattice, make_provider
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
 
@@ -118,14 +118,14 @@ def test_unbounded_set_dimension():
 
 def test_initial_equations_reduce_queries():
     inst = diagonal_segment()
-    eqs = EquationSystem.empty(2).with_equation([1, -1], 0)
+    eqs = EquationSystem.empty().with_equation([1, -1], 0)
     hull = affine_hull(MipOracle(inst), initial_equations=eqs)
     assert hull.dimension == 1
     assert hull.oracle_queries == 2  # one round instead of two
 
 
 def test_invalid_initial_equation_detected():
-    eqs = EquationSystem.empty(3).with_equation([1, 0, 0], 7)  # x1=7 is false on the cube
+    eqs = EquationSystem.empty().with_equation([1, 0, 0], 7)  # x1=7 is false on the cube
     with pytest.raises(InvalidInitialEquationsError):
         affine_hull(MipOracle(cube()), initial_equations=eqs)
 
@@ -139,16 +139,16 @@ def test_query_budget_interrupt_carries_interval():
 
 
 def test_select_direction_fixtures():
-    d = select_direction([], EquationSystem.empty(2), 2)
+    d = select_direction([], EquationSystem.empty(), 2)
     assert d is not None and sum(1 for v in d if v != 0) == 1  # sparsest: a unit
 
     d = select_direction(
-        [(rat(0), rat(0)), (rat(1), rat(0))], EquationSystem.empty(2), 2
+        [(rat(0), rat(0)), (rat(1), rat(0))], EquationSystem.empty(), 2
     )
     assert d is not None
     assert d[0] == 0 and d[1] != 0  # orthogonal to aff(X) = x-axis
 
-    eqs = EquationSystem.empty(2).with_equation([0, 1], 0)
+    eqs = EquationSystem.empty().with_equation([0, 1], 0)
     d = select_direction([(rat(0), rat(0))], eqs, 2)
     assert d is not None
     assert d[1] == 0 and d[0] != 0  # e2 spans D already
@@ -156,33 +156,30 @@ def test_select_direction_fixtures():
 
 def test_face_hull_fixtures():
     inst = cube()
-    cache = PointCache(inst)
-    provider = MipOracle(inst, cache=cache)
-    base = affine_hull(provider, cache=cache)
+    provider = make_provider(inst)
+    base = affine_hull(provider)
 
-    facet = face_hull(provider, base, Inequality([1, 0, 0], 1), cache=cache)
+    facet = face_hull(provider, base, Inequality([1, 0, 0], 1))
     assert facet.dimension == 2
 
-    vertex = face_hull(provider, base, Inequality([1, 1, 1], 3), cache=cache)
+    vertex = face_hull(provider, base, Inequality([1, 1, 1], 3))
     assert vertex.dimension == 0
 
     # implied equation: face equals P itself
     seg = diagonal_segment()
-    seg_cache = PointCache(seg)
-    seg_provider = MipOracle(seg, cache=seg_cache)
-    seg_base = affine_hull(seg_provider, cache=seg_cache)
-    full = face_hull(seg_provider, seg_base, Inequality([1, -1], 0), cache=seg_cache)
+    seg_provider = make_provider(seg)
+    seg_base = affine_hull(seg_provider)
+    full = face_hull(seg_provider, seg_base, Inequality([1, -1], 0))
     assert full.dimension == seg_base.dimension == 1
 
 
 def test_cache_cuts_queries_but_not_answers():
     inst = cube()
-    cache = PointCache(inst)
-    provider = MipOracle(inst, cache=cache)
-    base = affine_hull(provider, cache=cache)
+    provider = make_provider(inst)
+    base = affine_hull(provider)
     cut = Inequality([1, 0, 0], 1)
-    warm = face_hull(provider, base, cut, cache=cache)
-    cold = face_hull(MipOracle(inst), base, cut, cache=None)
+    warm = face_hull(provider, base, cut)
+    cold = face_hull(MipOracle(inst), base, cut)
     assert warm.dimension == cold.dimension == 2
     assert warm.oracle_queries + warm.cache_hits <= cold.oracle_queries + 1
 
@@ -192,7 +189,7 @@ def test_equations_valid_on_all_points():
     for i in range(25):
         inst = random_instance(rng, name=f"eq{i}", require_nonempty=False)
         points = enumerate_lattice(inst)
-        hull = affine_hull(BruteForceOracle(inst), cache=None)
+        hull = affine_hull(BruteForceOracle(inst))
         assert hull.dimension == affine_rank(points), f"case {i}"
         for row, value in zip(hull.equations.rows, hull.equations.rhs):
             for p in points:
@@ -218,12 +215,11 @@ def test_sandwich_property():
     for i in range(15):
         inst = random_instance(rng, max_vars=4, name=f"sand{i}")
         points = enumerate_lattice(inst)
-        cache = PointCache(inst)
-        provider = MipOracle(inst, cache=cache)
-        base = affine_hull(provider, cache=cache)
+        provider = make_provider(inst)
+        base = affine_hull(provider)
         a = [rng.randint(-4, 4) for _ in range(inst.num_vars)]
         beta = max(dot(a, p) for p in points)
-        face = face_hull(provider, base, Inequality(a, beta), cache=cache)
+        face = face_hull(provider, base, Inequality(a, beta))
         assert -1 <= face.dimension <= base.dimension
         implied = base.equations.implies(a, beta)
         assert (face.dimension == base.dimension) == implied

@@ -15,6 +15,7 @@ from cutdim.oracle import (
     Unbounded,
     cache_probe,
     enumerate_lattice,
+    make_provider,
     oracle_maximize,
 )
 from cutdim.rational import rat
@@ -98,6 +99,42 @@ def test_soundness_guard_rejects_bad_points():
     cache = PointCache(knapsack())
     with pytest.raises(OracleSoundnessError):
         cache.add((1, 1))  # violates the knapsack row
+
+
+class MisreportingOracle(MipOracle):
+    """Answers every query with a feasible point and a value it does not have."""
+
+    def solve(self, w):
+        return Optimal((rat(0), rat(0)), rat(7))
+
+
+def test_verify_switch_reaches_response_checks():
+    with pytest.raises(OracleSoundnessError):
+        oracle_maximize(MisreportingOracle(knapsack()), [1, 1])
+    resp = oracle_maximize(MisreportingOracle(knapsack(), verify=False), [1, 1])
+    assert resp.value == 7
+
+
+def test_make_provider_engines_and_verify_switch():
+    solver = make_provider(knapsack(), "solver", time_limit=5.0, node_limit=9)
+    assert isinstance(solver, MipOracle) and solver.verify
+    assert (solver.time_limit, solver.node_limit) == (5.0, 9)
+    lattice = make_provider(knapsack(), "lattice", verify=False)
+    assert isinstance(lattice, BruteForceOracle) and not lattice.verify
+    lattice.cache.add((1, 1))  # infeasible, but insert checks are off too
+    with pytest.raises(ValueError, match="engine"):
+        make_provider(knapsack(), "simplex")
+
+
+def test_with_cache_keeps_settings_and_counts_apart():
+    provider = make_provider(square(), "lattice")
+    oracle_maximize(provider, [1, 1])
+    local = provider.with_cache(provider.cache.snapshot())
+    oracle_maximize(local, [-1, -1])
+    assert local.points is provider.points  # no second enumeration
+    assert (provider.query_count, local.query_count) == (1, 1)
+    assert len(provider.cache) == 1 and len(local.cache) == 2
+    assert provider.with_cache(None).cache is None
 
 
 def test_restrict_stacks_equations():
