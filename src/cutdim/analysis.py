@@ -32,7 +32,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .hull import AffineHullResult, EquationSystem, HullInterrupted, affine_hull, face_hull
+from .hull import (
+    DEFAULT_TIME_BUDGET,
+    AffineHullResult,
+    EquationSystem,
+    HullInterrupted,
+    affine_hull,
+    face_hull,
+)
 from .linalg import Vector, dot, vector
 from .model import Inequality, MipInstance, evaluate, normalize_cut
 from .oracle import (
@@ -94,9 +101,7 @@ def classify_cut(
     cut: Inequality,
     base: Optional[AffineHullResult] = None,
     tolerance=DEFAULT_TOLERANCE,
-    compute_face_dimension: bool = True,
-    face_query_budget: Optional[int] = None,
-    face_time_budget: Optional[float] = None,
+    face_time_budget: Optional[float] = DEFAULT_TIME_BUDGET,
 ) -> CutClassification:
     """Classify one cut against the provider's feasible set P.
 
@@ -151,14 +156,8 @@ def classify_cut(
     tightened = dataclasses.replace(cut, rhs=beta_true, normalized=cut.normalized)
     face_dimension = None
     face_result = None
-    if compute_face_dimension and base is not None:
-        face_result = face_hull(
-            provider,
-            base,
-            tightened,
-            query_budget=face_query_budget,
-            time_budget=face_time_budget if face_time_budget is not None else 600.0,
-        )
+    if base is not None:
+        face_result = face_hull(provider, base, tightened, time_budget=face_time_budget)
         face_dimension = face_result.dimension
     return CutClassification(
         cut,

@@ -76,7 +76,7 @@ class PointCache:
     """Feasible points seen so far, in first-seen order.
 
     Thread safe; `points()` returns an immutable snapshot.  When built
-    with an instance, every insert is checked exactly against it, so a
+    with an instance, every new point is checked exactly against it, so a
     cache can never launder an infeasible point into a dimension proof.
     """
 
@@ -90,11 +90,11 @@ class PointCache:
     def add(self, point: Sequence) -> bool:
         """Insert a point; returns True when it was new."""
         pt = vector(point)
-        if self._verify and not self._instance.is_feasible_point(pt):
-            raise OracleSoundnessError(f"cached point is infeasible: {pt}")
         with self._lock:
             if pt in self._seen:
                 return False
+            if self._verify and not self._instance.is_feasible_point(pt):
+                raise OracleSoundnessError(f"cached point is infeasible: {pt}")
             self._seen.add(pt)
             self._points.append(pt)
             return True

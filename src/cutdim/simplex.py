@@ -5,11 +5,15 @@ arithmetic on a dense tableau.  Bland's smallest-index rule makes every
 run finite and deterministic; there is no scaling, no tolerance and no
 degeneracy heuristic to tune.
 
-Bounds are folded into the standard form by substitution: variables with
-a finite lower bound are shifted, variables bounded only from above are
-reflected, free variables are split into a difference of two nonnegative
-variables.  Artificial variables are introduced only for rows whose
-slack cannot serve as the initial basis.
+Bounds are folded into the standard form by one substitution table that
+writes each variable as  x_j = shift_j + sum(sign * y_col)  over
+nonnegative columns y: a variable with a finite lower bound l is l + y,
+one bounded only from above by u is u - y, a free one is y' - y''.  A
+doubly bounded variable also gets the row  y <= u - l.  The same table
+substitutes every row and the objective, and maps the optimal point
+(with the shifts) and an unbounded ray (without them) back to x-space.
+Artificial variables are introduced only for rows whose slack cannot
+serve as the initial basis.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .linalg import Vector, vector
+from .linalg import Vector, dot, vector
 from .rational import ZERO, rat
 
 
@@ -63,75 +67,53 @@ def solve_lp(
         if lo is not None and hi is not None and lo > hi:
             return LPResult(LPStatus.INFEASIBLE)
 
-    # variable substitutions to nonnegative standard form
-    trans = []
+    # x_j = shift_j + sum(sign * y_col for col, sign in terms_j), y >= 0
+    subst = []
     ncols = 0
-    extra_rows = []  # upper-bound rows for doubly bounded variables
-    for j in range(n):
-        lo, hi = lower[j], upper[j]
+    caps = []  # (col, hi - lo): upper-bound rows of doubly bounded variables
+    for lo, hi in zip(lower, upper):
         if lo is not None:
-            trans.append(("shift", ncols, rat(lo)))
+            subst.append((rat(lo), ((ncols, 1),)))
             if hi is not None:
-                extra_rows.append((j, rat(hi) - rat(lo)))
+                caps.append((ncols, rat(hi) - rat(lo)))
             ncols += 1
         elif hi is not None:
-            trans.append(("neg", ncols, rat(hi)))
+            subst.append((rat(hi), ((ncols, -1),)))
             ncols += 1
         else:
-            trans.append(("free", ncols, ncols + 1))
+            subst.append((ZERO, ((ncols, 1), (ncols + 1, -1))))
             ncols += 2
 
-    def transform_row(row, b):
-        """Substitute variables; returns (coeffs over y, adjusted rhs)."""
+    def substitute(row):
+        """Coefficients of a.x over y, and the constant a.shift."""
         out = [ZERO] * ncols
-        rhs = rat(b)
-        for j, a in enumerate(row):
+        offset = ZERO
+        for (shift, terms), a in zip(subst, row):
             a = rat(a)
             if a == 0:
                 continue
-            t = trans[j]
-            if t[0] == "shift":
-                out[t[1]] += a
-                rhs -= a * t[2]
-            elif t[0] == "neg":
-                out[t[1]] -= a
-                rhs -= a * t[2]
-            else:
-                out[t[1]] += a
-                out[t[2]] -= a
-        return out, rhs
+            for col, sign in terms:
+                out[col] += sign * a
+            offset += a * shift
+        return out, offset
 
     rows = []  # (coeffs, rhs, is_eq)
     for row, b in zip(ineq_rows, ineq_rhs, strict=True):
         if len(row) != n:
             raise ValueError("constraint row length mismatch")
-        coeffs, rhs = transform_row(row, b)
-        rows.append((coeffs, rhs, False))
-    for j, cap in extra_rows:
+        coeffs, offset = substitute(row)
+        rows.append((coeffs, rat(b) - offset, False))
+    for col, cap in caps:
         coeffs = [ZERO] * ncols
-        coeffs[trans[j][1]] = rat(1)
+        coeffs[col] = rat(1)
         rows.append((coeffs, cap, False))
     for row, b in zip(eq_rows, eq_rhs, strict=True):
         if len(row) != n:
             raise ValueError("equation row length mismatch")
-        coeffs, rhs = transform_row(row, b)
-        rows.append((coeffs, rhs, True))
+        coeffs, offset = substitute(row)
+        rows.append((coeffs, rat(b) - offset, True))
 
-    cy = [ZERO] * ncols
-    obj_offset = ZERO
-    for j, a in enumerate(c):
-        if a == 0:
-            continue
-        t = trans[j]
-        if t[0] == "shift":
-            cy[t[1]] += a
-            obj_offset += a * t[2]
-        elif t[0] == "neg":
-            cy[t[1]] -= a
-            obj_offset += a * t[2]
-        else:
-            cy[t[1]] += a
-            cy[t[2]] -= a
+    cy, _ = substitute(c)
 
     tableau, basis, art_cols, total_cols = _build_tableau(rows, ncols)
 
@@ -157,17 +139,14 @@ def solve_lp(
     z.append(ZERO)
 
     status, pc = _optimize(tableau, basis, z, eligible)
-    yvals = _basic_solution(tableau, basis, total_cols)
-    value = _objective_value(cy, yvals) + obj_offset
-    point = _map_point(yvals, trans, n)
+    point = _map(_basic_solution(tableau, basis, total_cols), subst, shifted=True)
     if status is LPStatus.OPTIMAL:
-        return LPResult(LPStatus.OPTIMAL, point=point, value=value)
+        return LPResult(LPStatus.OPTIMAL, point=point, value=dot(c, point))
     ray_y = [ZERO] * total_cols
     ray_y[pc] = rat(1)
     for i, bcol in enumerate(basis):
         ray_y[bcol] = -tableau[i][pc]
-    ray = _map_ray(ray_y, trans, n)
-    return LPResult(LPStatus.UNBOUNDED, point=point, ray=ray)
+    return LPResult(LPStatus.UNBOUNDED, point=point, ray=_map(ray_y, subst, shifted=False))
 
 
 def _build_tableau(rows, ncols):
@@ -301,31 +280,9 @@ def _basic_solution(tableau, basis, total_cols):
     return y
 
 
-def _objective_value(cy, yvals):
-    return sum((a * b for a, b in zip(cy, yvals)), ZERO)
-
-
-def _map_point(yvals, trans, n) -> Vector:
-    out = []
-    for j in range(n):
-        t = trans[j]
-        if t[0] == "shift":
-            out.append(t[2] + yvals[t[1]])
-        elif t[0] == "neg":
-            out.append(t[2] - yvals[t[1]])
-        else:
-            out.append(yvals[t[1]] - yvals[t[2]])
-    return tuple(out)
-
-
-def _map_ray(ray_y, trans, n) -> Vector:
-    out = []
-    for j in range(n):
-        t = trans[j]
-        if t[0] == "shift":
-            out.append(ray_y[t[1]])
-        elif t[0] == "neg":
-            out.append(-ray_y[t[1]])
-        else:
-            out.append(ray_y[t[1]] - ray_y[t[2]])
-    return tuple(out)
+def _map(y, subst, shifted) -> Vector:
+    """Back to x-space: a point keeps the shifts, a ray drops them."""
+    return tuple(
+        sum((sign * y[col] for col, sign in terms), shift if shifted else ZERO)
+        for shift, terms in subst
+    )

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .linalg import Vector, dot, integerize, vector
-from .model import Inequality, MipInstance
+from .model import MipInstance
 from .rational import is_integral, rat, rat_floor
 from .simplex import LPStatus, solve_lp
 
@@ -40,8 +40,9 @@ class SolveStatus(Enum):
 class SolveOptions:
     """Knobs for one solve.
 
-    extra_constraints are appended to the instance rows (this is how a
-    cut enters a run); extra_equations restrict to a hyperplane, which
+    extra_constraints are Inequality objects appended to the instance
+    rows (this is how a cut enters a run); extra_equations are
+    (coefficients, value) pairs that restrict to a hyperplane, which
     face dimension runs use.  An incumbent seeds the primal bound and
     must be feasible.  Limits of None mean unlimited.
     """
@@ -93,23 +94,7 @@ def solve_mip(
             f"objective has {len(obj)} entries, instance has {inst.num_vars} variables"
         )
 
-    rows = list(inst.constraint_matrix)
-    rhs = list(inst.rhs)
-    for cut in options.extra_constraints:
-        coeffs = cut.coefficients if isinstance(cut, Inequality) else vector(cut[0])
-        cut_rhs = cut.rhs if isinstance(cut, Inequality) else rat(cut[1])
-        if len(coeffs) != inst.num_vars:
-            raise ValueError("extra constraint length mismatch")
-        rows.append(coeffs)
-        rhs.append(cut_rhs)
-    eq_rows = []
-    eq_rhs = []
-    for coeffs, value in options.extra_equations:
-        coeffs = vector(coeffs)
-        if len(coeffs) != inst.num_vars:
-            raise ValueError("extra equation length mismatch")
-        eq_rows.append(coeffs)
-        eq_rhs.append(rat(value))
+    rows, rhs, eq_rows, eq_rhs = _stack_rows(inst, options)
 
     primal = -math.inf
     best: Optional[Vector] = None
@@ -162,7 +147,7 @@ def solve_mip(
 
         if lp.status is LPStatus.UNBOUNDED:
             # only possible at the root: child regions are subsets
-            return _resolve_unbounded(inst, rows, rhs, eq_rows, eq_rhs, lp, deadline, node_count)
+            return _resolve_unbounded(inst, options, lp, deadline, node_count)
 
         if lp.status is LPStatus.OPTIMAL:
             val, point = lp.value, lp.point
@@ -229,32 +214,25 @@ def _replace_bound(node: _Node, j: int, lower=None, upper=None):
     return tuple(lo), tuple(hi)
 
 
-def _resolve_unbounded(inst, rows, rhs, eq_rows, eq_rhs, lp, deadline, node_count):
+def _resolve_unbounded(inst, options, lp, deadline, node_count):
     """Root LP is unbounded: decide between UNBOUNDED and INFEASIBLE.
 
     For rational data the recession cones of the relaxation and of the
     mixed-integer hull coincide, so an unbounded relaxation plus any
     feasible mixed-integer point certifies an unbounded problem.  The
-    probe solves the same instance with a zero objective; its nodes are
+    probe solves the same rows with a zero objective; its nodes are
     bookkeeping of the probe, not of this solve.
     """
     remaining = None
     if deadline is not None:
         remaining = max(0.0, deadline - time.monotonic())
-    probe_inst = MipInstance(
-        name=inst.name,
-        num_vars=inst.num_vars,
-        constraint_matrix=tuple(rows),
-        rhs=tuple(rhs),
-        objective=vector([0] * inst.num_vars),
-        integer_vars=inst.integer_vars,
-        lower_bounds=inst.lower_bounds,
-        upper_bounds=inst.upper_bounds,
-    )
     probe = solve_mip(
-        probe_inst,
+        inst,
+        objective=[0] * inst.num_vars,
         options=SolveOptions(
-            extra_equations=tuple(zip(eq_rows, eq_rhs)), time_limit=remaining
+            extra_constraints=options.extra_constraints,
+            extra_equations=options.extra_equations,
+            time_limit=remaining,
         ),
     )
     if probe.status is SolveStatus.TIME_LIMIT:
@@ -286,23 +264,32 @@ def _resolve_unbounded(inst, rows, rhs, eq_rows, eq_rhs, lp, deadline, node_coun
     )
 
 
-def solve_lp_relaxation(
-    inst: MipInstance,
-    objective: Optional[Sequence] = None,
-    extra_constraints: Sequence = (),
-    extra_equations: Sequence = (),
-):
-    """LP relaxation of the instance, integrality dropped."""
-    obj = vector(objective) if objective is not None else inst.objective
+def _stack_rows(inst: MipInstance, options: SolveOptions):
+    """Instance rows plus the extra cuts, and the extra equation rows.
+
+    Returns (rows, rhs, eq_rows, eq_rhs); every LP of a run reads these.
+    """
     rows = list(inst.constraint_matrix)
     rhs = list(inst.rhs)
-    for cut in extra_constraints:
-        if isinstance(cut, Inequality):
-            rows.append(cut.coefficients)
-            rhs.append(cut.rhs)
-        else:
-            rows.append(vector(cut[0]))
-            rhs.append(rat(cut[1]))
-    eq_rows = [vector(coeffs) for coeffs, _ in extra_equations]
-    eq_rhs = [rat(v) for _, v in extra_equations]
-    return solve_lp(obj, rows, rhs, eq_rows, eq_rhs, inst.lower_bounds, inst.upper_bounds)
+    for cut in options.extra_constraints:
+        if len(cut.coefficients) != inst.num_vars:
+            raise ValueError("extra constraint length mismatch")
+        rows.append(cut.coefficients)
+        rhs.append(cut.rhs)
+    eq_rows = []
+    eq_rhs = []
+    for coeffs, value in options.extra_equations:
+        coeffs = vector(coeffs)
+        if len(coeffs) != inst.num_vars:
+            raise ValueError("extra equation length mismatch")
+        eq_rows.append(coeffs)
+        eq_rhs.append(rat(value))
+    return rows, rhs, eq_rows, eq_rhs
+
+
+def solve_lp_relaxation(inst: MipInstance):
+    """LP relaxation of the instance, integrality dropped."""
+    rows, rhs, eq_rows, eq_rhs = _stack_rows(inst, SolveOptions())
+    return solve_lp(
+        inst.objective, rows, rhs, eq_rows, eq_rhs, inst.lower_bounds, inst.upper_bounds
+    )

@@ -344,6 +344,19 @@ def test_analyze_instance_pipeline():
     assert sum(w for _, w in hist) == 1
 
 
+def test_face_time_budget_none_means_no_limit(monkeypatch):
+    budgets = []
+
+    def spy(*args, **kwargs):
+        budgets.append(kwargs["time_budget"])
+        return face_hull(*args, **kwargs)
+
+    monkeypatch.setattr("cutdim.analysis.face_hull", spy)
+    cuts = [Inequality([1, 1], 1, label="tight")]
+    analyze_instance(binary_knapsack(), cuts, face_time_budget=None, run_impact=False)
+    assert budgets == [None]
+
+
 def test_face_run_probes_its_own_cuts_points():
     rng = random.Random(0)
     weights = [rng.randint(2, 9) for _ in range(4)]

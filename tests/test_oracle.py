@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cutdim.linalg import dot
-from cutdim.model import Inequality, build_instance
+from cutdim.model import Inequality, MipInstance, build_instance
 from cutdim.oracle import (
     BruteForceOracle,
     Infeasible,
@@ -99,6 +99,23 @@ def test_soundness_guard_rejects_bad_points():
     cache = PointCache(knapsack())
     with pytest.raises(OracleSoundnessError):
         cache.add((1, 1))  # violates the knapsack row
+
+
+def test_cache_checks_each_new_point_once(monkeypatch):
+    calls = []
+    check = MipInstance.is_feasible_point
+
+    def counting(self, point):
+        calls.append(point)
+        return check(self, point)
+
+    monkeypatch.setattr(MipInstance, "is_feasible_point", counting)
+    cache = PointCache(knapsack())
+    assert cache.add((1, 0)) and len(calls) == 1
+    assert cache.add((1, 0)) is False and len(calls) == 1  # held: not checked again
+    with pytest.raises(OracleSoundnessError):
+        cache.add((1, 1))
+    assert len(calls) == 2 and len(cache) == 1
 
 
 class MisreportingOracle(MipOracle):

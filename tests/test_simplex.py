@@ -48,6 +48,28 @@ def test_equalities_and_free_variables():
     assert res.point[0] <= res.point[1]
 
 
+def test_reflected_and_free_variables_optimal_point():
+    # x <= 3 (no lower bound), y free; max -2x + y, x >= -1, y <= x - 3.
+    # On y = x - 3 the objective is -x - 3, so (-1, -4) is the unique optimum.
+    res = solve_lp([-2, 1], [[-1, 0], [-1, 1]], [1, -3], lower=[None, None], upper=[3, None])
+    assert res.status is LPStatus.OPTIMAL
+    assert res.point == (rat(-1), rat(-4))
+    assert res.value == -2
+
+
+def test_reflected_and_free_variables_ray():
+    # x <= 3 (no lower bound), y free, x = y; max -x - y is unbounded and
+    # every improving recession direction is a positive multiple of (-1, -1).
+    res = solve_lp(
+        [-1, -1], eq_rows=[[1, -1]], eq_rhs=[0], lower=[None, None], upper=[3, None]
+    )
+    assert res.status is LPStatus.UNBOUNDED and res.value is None
+    (rx, ry) = res.ray
+    assert rx < 0 and rx == ry
+    x, y = res.point
+    assert x == y and x <= 3
+
+
 def test_crossing_bounds_infeasible():
     res = solve_lp([1], [], [], lower=[2], upper=[1])
     assert res.status is LPStatus.INFEASIBLE

@@ -67,6 +67,31 @@ def test_unbounded_instance_returns_ray():
     assert res.ray is not None and res.ray[0] > 0
 
 
+def test_unbounded_root_probe_carries_extra_rows():
+    # x free with x >= 0, y in {0, 1}: the root LP is unbounded along x
+    inst = build_instance(
+        name="halfline",
+        constraint_matrix=[[-1, 0]],
+        rhs=[0],
+        objective=[1, 0],
+        integer_vars=(1,),
+        lower_bounds=[None, 0],
+        upper_bounds=[None, 1],
+    )
+    half = rat(1, 2)
+
+    def solve(**extra):
+        return solve_mip(inst, options=SolveOptions(**extra))
+
+    res = solve()
+    assert res.status is SolveStatus.UNBOUNDED and res.ray == (1, 0)
+    assert solve(extra_equations=(((0, 1), half),)).status is SolveStatus.INFEASIBLE
+    pair = (Inequality([0, 1], half), Inequality([0, -1], -half))
+    assert solve(extra_constraints=pair).status is SolveStatus.INFEASIBLE
+    res = solve(extra_constraints=(Inequality([0, 1], 0),))
+    assert res.status is SolveStatus.UNBOUNDED and res.best_point[1] == 0
+
+
 def test_trace_contract():
     inst = knapsack()
     res = solve_mip(inst)
