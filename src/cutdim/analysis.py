@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+from .config import RunConfig
 from .hull import (
     DEFAULT_TIME_BUDGET,
     AffineHullResult,
@@ -468,20 +469,14 @@ class InstanceAnalysis:
 def analyze_instance(
     inst: MipInstance,
     cuts: Sequence[Inequality] = (),
-    engine: str = "solver",
-    tolerance=DEFAULT_TOLERANCE,
-    oracle_time_limit: Optional[float] = 60.0,
-    oracle_node_limit: Optional[int] = None,
-    hull_time_budget: Optional[float] = 600.0,
-    face_time_budget: Optional[float] = 600.0,
+    config: Optional[RunConfig] = None,
     run_impact: bool = True,
-    impact_node_limit: Optional[int] = None,
-    impact_time_limit: Optional[float] = 60.0,
-    jobs: int = 1,
-    verify_oracle: bool = True,
 ) -> InstanceAnalysis:
     """Run the whole study pipeline on one instance.
 
+    `config` (default `RunConfig()`) sets the engine, the tolerance, the
+    limits of every hull, face and solve run, and `jobs`; its
+    `solve_time_limit` caps each oracle solve and each impact run alike.
     Order: affine hull of P, then one classification per cut (face
     dimension included), then the strength protocol over all cuts.
     An interrupted base hull run is fatal (nothing downstream makes
@@ -493,18 +488,18 @@ def analyze_instance(
     probe them, and results do not depend on `jobs` or on scheduling;
     with jobs > 1 the classifications run on worker threads.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    config = RunConfig() if config is None else config
+    config.validate()
     provider = make_provider(
         inst,
-        engine,
-        verify=verify_oracle,
-        time_limit=oracle_time_limit,
-        node_limit=oracle_node_limit,
+        config.engine,
+        verify=config.verify_oracle,
+        time_limit=config.solve_time_limit,
+        node_limit=config.solve_node_limit,
     )
     cuts = tuple(c if c.normalized else normalize_cut(c) for c in cuts)
 
-    base = affine_hull(provider, time_budget=hull_time_budget)
+    base = affine_hull(provider, time_budget=config.hull_time_budget)
 
     def classify_one(cut: Inequality):
         try:
@@ -512,8 +507,8 @@ def analyze_instance(
                 provider.with_cache(provider.cache.snapshot()),
                 cut,
                 base=base,
-                tolerance=tolerance,
-                face_time_budget=face_time_budget,
+                tolerance=config.tolerance,
+                face_time_budget=config.face_time_budget,
             )
             return cls, ""
         except HullInterrupted as exc:
@@ -524,10 +519,10 @@ def analyze_instance(
         except OracleInconclusive as exc:
             return None, f"oracle gave up: {exc}"
 
-    if jobs > 1 and len(cuts) > 1:
+    if config.jobs > 1 and len(cuts) > 1:
         import concurrent.futures
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(classify_one, cuts))
     else:
         outcomes = [classify_one(c) for c in cuts]
@@ -544,8 +539,8 @@ def analyze_instance(
                 impact = impact_protocol(
                     inst,
                     cuts,
-                    node_limit=impact_node_limit,
-                    time_limit=impact_time_limit,
+                    node_limit=config.impact_node_limit,
+                    time_limit=config.solve_time_limit,
                 )
             except AnalysisError as exc:
                 impact_error = str(exc)

@@ -14,6 +14,7 @@ reported, never a traceback), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Optional, Sequence
@@ -24,29 +25,22 @@ from .config import RunConfig, load_config
 from .hull import HullInterrupted, affine_hull
 from .mps import MpsParseError
 from .oracle import OracleError, make_provider
-from .rational import rat, rat_decimal, rat_str
+from .rational import rat_decimal, rat_str
 from .selftest import run_all
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", metavar="FILE", help="JSON config file")
-    group.add_argument("--tolerance", type=rat, help="classification slack (default 1/10000)")
-    group.add_argument("--hull-time-budget", type=float, metavar="SEC")
-    group.add_argument("--face-time-budget", type=float, metavar="SEC")
-    group.add_argument("--solve-time-limit", type=float, metavar="SEC")
-    group.add_argument("--solve-node-limit", type=int, metavar="N")
-    group.add_argument("--impact-node-limit", type=int, metavar="N")
-    group.add_argument("--jobs", type=int, metavar="N", help="concurrent cut analyses")
-    group.add_argument("--output", metavar="FILE", help="report destination")
-    group.add_argument("--format", dest="output_format", choices=("json", "csv"))
-    group.add_argument("--engine", choices=("solver", "lattice"))
-    group.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip independent rechecking of oracle answers",
-    )
-    group.add_argument("--seed", type=int, help="seed for the selftest generators")
+    for f in dataclasses.fields(RunConfig):
+        meta = f.metadata
+        takes = (
+            {"action": "store_const", "const": meta["const"]}
+            if "const" in meta
+            else {"metavar": "VALUE"}
+        )
+        flag = meta.get("flag", "--" + f.name.replace("_", "-"))
+        group.add_argument(flag, dest=f.name, help=meta["help"], **takes)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,25 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args: argparse.Namespace) -> RunConfig:
-    overrides = {}
-    for name in (
-        "tolerance",
-        "hull_time_budget",
-        "face_time_budget",
-        "solve_time_limit",
-        "solve_node_limit",
-        "impact_node_limit",
-        "jobs",
-        "output",
-        "output_format",
-        "engine",
-        "seed",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "no_verify", False):
-        overrides["verify_oracle"] = False
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
     path = args.config or os.environ.get("CUTDIM_CONFIG")
     return load_config(path=path, overrides=overrides)
 
@@ -118,15 +94,7 @@ def _cmd_dim(args, cfg: RunConfig) -> int:
         time_limit=cfg.solve_time_limit,
         node_limit=cfg.solve_node_limit,
     )
-    try:
-        hull = affine_hull(provider, time_budget=cfg.hull_time_budget)
-    except HullInterrupted as exc:
-        print(
-            f"interrupted: dim in [{exc.dim_lower}, {exc.dim_upper}] "
-            f"after {exc.queries} queries ({exc})",
-            file=sys.stderr,
-        )
-        return 1
+    hull = affine_hull(provider, time_budget=cfg.hull_time_budget)
     print(
         f"dim = {hull.dimension}, queries = {hull.oracle_queries}, "
         f"equations = {len(hull.equations)}"
@@ -139,21 +107,7 @@ def _cmd_dim(args, cfg: RunConfig) -> int:
 def _analyze(args, cfg: RunConfig, run_impact: bool):
     inst = fileio.read_instance(args.instance)
     cuts = fileio.read_cuts(args.cuts, inst.num_vars)
-    return analyze_instance(
-        inst,
-        cuts,
-        engine=cfg.engine,
-        tolerance=cfg.tolerance,
-        oracle_time_limit=cfg.solve_time_limit,
-        oracle_node_limit=cfg.solve_node_limit,
-        hull_time_budget=cfg.hull_time_budget,
-        face_time_budget=cfg.face_time_budget,
-        run_impact=run_impact,
-        impact_node_limit=cfg.impact_node_limit,
-        impact_time_limit=cfg.solve_time_limit,
-        jobs=cfg.jobs,
-        verify_oracle=cfg.verify_oracle,
-    )
+    return analyze_instance(inst, cuts, cfg, run_impact=run_impact)
 
 
 def _print_cut_table(analysis) -> None:
@@ -175,6 +129,10 @@ def _print_cut_table(analysis) -> None:
                 dim,
             )
         )
+    _print_table(rows)
+
+
+def _print_table(rows) -> None:
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
@@ -189,14 +147,7 @@ def _write_or_print(analysis, cfg: RunConfig) -> None:
 
 
 def _cmd_classify(args, cfg: RunConfig) -> int:
-    try:
-        analysis = _analyze(args, cfg, run_impact=False)
-    except HullInterrupted as exc:
-        print(
-            f"interrupted: dim in [{exc.dim_lower}, {exc.dim_upper}] ({exc})",
-            file=sys.stderr,
-        )
-        return 1
+    analysis = _analyze(args, cfg, run_impact=False)
     print(f"{analysis.name}: dim(P) = {analysis.dimension}")
     _print_cut_table(analysis)
     _write_or_print(analysis, cfg)
@@ -226,21 +177,12 @@ def _cmd_impact(args, cfg: RunConfig) -> int:
         gap = "-" if rec.gap is None else rat_str(rec.gap)
         dec = "" if rec.gap is None else rat_decimal(rec.gap)
         rows.append((label, rec.solve_status, str(rec.nodes), gap, dec, rec.flag))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+    _print_table(rows)
     return 0
 
 
 def _cmd_analyze(args, cfg: RunConfig) -> int:
-    try:
-        analysis = _analyze(args, cfg, run_impact=True)
-    except HullInterrupted as exc:
-        print(
-            f"interrupted: dim in [{exc.dim_lower}, {exc.dim_upper}] ({exc})",
-            file=sys.stderr,
-        )
-        return 1
+    analysis = _analyze(args, cfg, run_impact=True)
     budget = "-" if analysis.impact is None else str(analysis.impact.node_budget)
     print(
         f"{analysis.name}: dim(P) = {analysis.dimension}, N = {budget}, "
@@ -304,6 +246,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
+        return 1
+    except HullInterrupted as exc:
+        print(
+            f"interrupted: dim in [{exc.dim_lower}, {exc.dim_upper}] "
+            f"after {exc.queries} queries ({exc})",
+            file=sys.stderr,
+        )
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,9 @@
 Precedence, lowest to highest: built-in defaults, config file (JSON),
 CUTDIM_* environment variables, explicit overrides (CLI flags).  Every
 field can come from any layer; unknown keys in a config file are
-rejected so typos do not silently fall back to defaults.
+rejected so typos do not silently fall back to defaults.  Each field
+carries one parser that reads its value from any layer (a JSON scalar,
+environment text or flag text) and checks its range.
 """
 
 from __future__ import annotations
@@ -19,70 +21,109 @@ from .rational import rat
 ENV_PREFIX = "CUTDIM_"
 
 
+def _whole(raw) -> int:
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    try:
+        if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValueError(f"expected a whole number, not {raw!r}")
+
+
+def _checked(parse, ok, requirement: str):
+    def parse_checked(raw):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"must be {requirement}, not {raw!r}")
+        return value
+
+    return parse_checked
+
+
+def _or_none(parse):
+    """`parse`, with null, empty text and `none` meaning no limit."""
+    return lambda raw: None if raw in (None, "", "none") else parse(raw)
+
+
+def _path(raw) -> Optional[str]:
+    if raw is not None and not isinstance(raw, str):
+        raise ValueError(f"expected a path, not {raw!r}")
+    return raw or None
+
+
+def _one_of(kind: str, *choices: str):
+    def parse(raw) -> str:
+        if raw not in choices:
+            raise ValueError(f"unknown {kind} {raw!r}, expected {' or '.join(choices)}")
+        return raw
+
+    return parse
+
+
+def _on_off(raw) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    word = raw.lower() if isinstance(raw, str) else None
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected on or off, not {raw!r}")
+
+
+_RATIONAL = _checked(rat, lambda v: v >= 0, "nonnegative")
+_SECONDS = _or_none(_checked(float, lambda v: v > 0, "positive seconds or none"))
+_COUNT = _checked(_whole, lambda v: v >= 1, "at least 1")
+_NODES = _or_none(_COUNT)
+
+
+def _setting(default, parse, help: str, **cli):
+    """A field with its parser and flag help.
+
+    `cli` spells out a flag other than `--` plus the field name with
+    dashes (`flag=`), or one that passes a fixed text (`const=`).
+    """
+    return dataclasses.field(default=default, metadata={"parse": parse, "help": help, **cli})
+
+
 @dataclass
 class RunConfig:
-    tolerance: object = rat(1, 10000)  # cut classification slack
-    hull_time_budget: float = 600.0  # seconds per affine hull run
-    face_time_budget: float = 600.0  # seconds per face dimension run
-    solve_time_limit: float = 60.0  # seconds per oracle / impact solve
-    solve_node_limit: Optional[int] = None  # nodes per oracle solve
-    impact_node_limit: Optional[int] = None  # cap on the shared node budget
-    jobs: int = 1  # concurrent cut analyses
-    output: Optional[str] = None  # report path; None prints to stdout
-    output_format: str = "json"  # json | csv
-    engine: str = "solver"  # solver | lattice
-    verify_oracle: bool = True  # recheck every oracle answer
-    seed: int = 2024  # generator seed for the selftest suites
+    tolerance: object = _setting(rat(1, 10000), _RATIONAL, "cut classification slack")
+    hull_time_budget: Optional[float] = _setting(600.0, _SECONDS, "seconds per hull run, or none")
+    face_time_budget: Optional[float] = _setting(600.0, _SECONDS, "seconds per face run, or none")
+    solve_time_limit: Optional[float] = _setting(60.0, _SECONDS, "seconds per solve, or none")
+    solve_node_limit: Optional[int] = _setting(None, _NODES, "nodes per oracle solve, or none")
+    impact_node_limit: Optional[int] = _setting(None, _NODES, "cap on the node budget N, or none")
+    jobs: int = _setting(1, _COUNT, "concurrent cut analyses")
+    output: Optional[str] = _setting(None, _path, "report path; unset prints to stdout")
+    output_format: str = _setting(
+        "json", _one_of("output format", "json", "csv"), "json or csv", flag="--format"
+    )
+    engine: str = _setting("solver", _one_of("engine", "solver", "lattice"), "solver or lattice")
+    verify_oracle: bool = _setting(
+        True, _on_off, "skip rechecking oracle answers", flag="--no-verify", const="off"
+    )
+    seed: int = _setting(2024, _whole, "generator seed for the selftest suites")
 
     def validate(self) -> None:
-        if rat(self.tolerance) < 0:
-            raise ValueError("tolerance must be nonnegative")
-        for name in ("hull_time_budget", "face_time_budget", "solve_time_limit"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("solve_node_limit", "impact_node_limit"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.engine not in ("solver", "lattice"):
-            raise ValueError(f"unknown engine {self.engine!r}")
+        """Re-run every field's parser on the current values."""
+        for f in dataclasses.fields(self):
+            _parse(f, getattr(self, f.name), f.name)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
-def _coerce(name: str, raw):
-    """Parse one field from text (env var or JSON scalar)."""
+def _parse(f: dataclasses.Field, raw, where: str):
+    """Read one field's raw value; an error names `where` it came from."""
     if isinstance(raw, str):
         raw = raw.strip()
-    if name == "tolerance":
-        return rat(raw)
-    if name in ("hull_time_budget", "face_time_budget", "solve_time_limit"):
-        if raw in (None, "", "none"):
-            return None
-        return float(raw)
-    if name in ("solve_node_limit", "impact_node_limit"):
-        if raw in (None, "", "none"):
-            return None
-        return int(raw)
-    if name in ("jobs", "seed"):
-        return int(raw)
-    if name == "verify_oracle":
-        if isinstance(raw, bool):
-            return raw
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot read {raw!r} as a boolean")
-    if name == "output":
-        return raw or None
-    return raw
+    try:
+        return f.metadata["parse"](raw)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def load_config(
@@ -104,26 +145,18 @@ def load_config(
         for key, value in doc.items():
             if key not in _FIELDS:
                 raise ValueError(f"{path}: unknown config key {key!r}")
-            try:
-                setattr(cfg, key, _coerce(key, value))
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}: {key}: {exc}") from exc
+            setattr(cfg, key, _parse(_FIELDS[key], value, f"{path}: {key}"))
 
     env = os.environ if env is None else env
-    for name in _FIELDS:
+    for name, f in _FIELDS.items():
         var = ENV_PREFIX + name.upper()
         if var in env:
-            try:
-                setattr(cfg, name, _coerce(name, env[var]))
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{var}: {exc}") from exc
+            setattr(cfg, name, _parse(f, env[var], var))
 
-    if overrides:
-        for key, value in overrides.items():
-            if key not in _FIELDS:
-                raise ValueError(f"unknown config field {key!r}")
-            if value is not None:
-                setattr(cfg, key, value)
+    for key, value in (overrides or {}).items():
+        if key not in _FIELDS:
+            raise ValueError(f"unknown config field {key!r}")
+        if value is not None:
+            setattr(cfg, key, _parse(_FIELDS[key], value, key))
 
-    cfg.validate()
     return cfg

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 from .linalg import (
     Matrix,
     Vector,
-    affine_rank,
     dot,
     is_in_span,
     orthogonal_complement_basis,
@@ -88,9 +87,6 @@ class EquationSystem:
         return EquationSystem(
             rows=self.rows + (vector(coefficients),), rhs=self.rhs + (rat(value),)
         )
-
-    def satisfied_by(self, point: Sequence) -> bool:
-        return all(dot(row, point) == b for row, b in zip(self.rows, self.rhs))
 
     def violated_row(self, point: Sequence) -> Optional[int]:
         for i, (row, b) in enumerate(zip(self.rows, self.rhs)):
@@ -159,7 +155,6 @@ def affine_hull(
     face: Optional[Inequality] = None,
     query_budget: Optional[int] = None,
     time_budget: Optional[float] = DEFAULT_TIME_BUDGET,
-    check_invariants: bool = False,
 ) -> AffineHullResult:
     """Dimension and affine hull of the provider's feasible set.
 
@@ -267,7 +262,6 @@ def affine_hull(
                 if hit is not None:
                     checked_append(hit)
                     cache_hits += 1
-                    _check_progress(points, eqs, check_invariants)
                     continue
             else:
                 first = cache_probe(cache, d, face=face)
@@ -277,7 +271,6 @@ def affine_hull(
                         checked_append(first)
                         checked_append(partner)
                         cache_hits += 1
-                        _check_progress(points, eqs, check_invariants)
                         continue
 
         resp_max = query(d)
@@ -290,7 +283,6 @@ def affine_hull(
             if not points:
                 checked_append(witness)
             checked_append(escape)
-            _check_progress(points, eqs, check_invariants)
             continue
 
         x_plus, v_plus = resp_max.point, resp_max.value
@@ -304,7 +296,6 @@ def affine_hull(
             else:
                 _, escape = escape_from_ray(resp_min, gamma, d)
             checked_append(escape)
-            _check_progress(points, eqs, check_invariants)
             continue
 
         x_minus = resp_min.point
@@ -322,30 +313,15 @@ def affine_hull(
                 checked_append(x_plus)
             else:
                 checked_append(x_minus)
-        _check_progress(points, eqs, check_invariants)
 
     return AffineHullResult(len(points) - 1, tuple(points), eqs, queries, cache_hits)
-
-
-def _check_progress(points, eqs, enabled: bool) -> None:
-    if not enabled:
-        return
-    if affine_rank(points) != len(points) - 1:
-        raise AssertionError("points are not affinely independent")
-    if len(eqs) and rank(eqs.rows) != len(eqs):
-        raise AssertionError("equation rows are not independent")
-    for p in points:
-        if not eqs.satisfied_by(p):
-            raise AssertionError("a kept point violates the equation system")
 
 
 def face_hull(
     provider,
     base: AffineHullResult,
     cut: Inequality,
-    query_budget: Optional[int] = None,
     time_budget: Optional[float] = DEFAULT_TIME_BUDGET,
-    check_invariants: bool = False,
 ) -> AffineHullResult:
     """Dimension of the face {x in P : a.x = rhs} of a supporting cut.
 
@@ -362,7 +338,5 @@ def face_hull(
         face_provider,
         initial_equations=eqs,
         face=cut,
-        query_budget=query_budget,
         time_budget=time_budget,
-        check_invariants=check_invariants,
     )

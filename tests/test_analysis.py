@@ -15,6 +15,7 @@ from cutdim.analysis import (
     impact_protocol,
     relative_dimension_bin,
 )
+from cutdim.config import RunConfig
 from cutdim.hull import affine_hull, face_hull
 from cutdim.linalg import dot
 from cutdim.model import Inequality, build_instance, evaluate
@@ -144,7 +145,7 @@ def test_degenerate_cuts_are_tallied_apart():
         Inequality([0, 0], 0, label="flat"),
         Inequality([1, 1], 2, label="tight"),
     ]
-    analysis = analyze_instance(inst, cuts, impact_time_limit=None)
+    analysis = analyze_instance(inst, cuts, RunConfig(solve_time_limit=None))
     assert analysis.degenerate == 1
     assert analysis.analyzed_count == 1
     assert analysis.failed_invalid == 0
@@ -330,7 +331,7 @@ def test_analyze_instance_pipeline():
         Inequality([1, 1], 3, label="loose", category="cg"),
         Inequality([1, 0], rat(1, 2), label="bad", category="manual"),
     ]
-    analysis = analyze_instance(inst, cuts, impact_time_limit=None)
+    analysis = analyze_instance(inst, cuts, RunConfig(solve_time_limit=None))
     assert analysis.dimension == 2
     assert analysis.analyzed_count == 2
     assert analysis.analyzed_by_category == {"cg": 2}
@@ -353,7 +354,9 @@ def test_face_time_budget_none_means_no_limit(monkeypatch):
 
     monkeypatch.setattr("cutdim.analysis.face_hull", spy)
     cuts = [Inequality([1, 1], 1, label="tight")]
-    analyze_instance(binary_knapsack(), cuts, face_time_budget=None, run_impact=False)
+    analyze_instance(
+        binary_knapsack(), cuts, RunConfig(face_time_budget=None), run_impact=False
+    )
     assert budgets == [None]
 
 
@@ -371,7 +374,7 @@ def test_face_run_probes_its_own_cuts_points():
     )
     beta = max(sum(p) for p in enumerate_lattice(inst))
     cut = Inequality([1] * 4, beta)
-    analysis = analyze_instance(inst, [cut], engine="solver", run_impact=False)
+    analysis = analyze_instance(inst, [cut], RunConfig(engine="solver"), run_impact=False)
     (cls,) = analysis.classifications
     face = cls.face_result
     # the cut's own beta_true maximizer lies on the face and saves a round
@@ -393,8 +396,8 @@ def test_analyze_instance_jobs_do_not_change_results():
         cuts.append(
             Inequality(a, max(dot(a, p) for p in points) + rng.choice((0, 1)), label=f"c{j}")
         )
-    serial = analyze_instance(inst, cuts, jobs=1, impact_time_limit=None)
-    threaded = analyze_instance(inst, cuts, jobs=4, impact_time_limit=None)
+    serial = analyze_instance(inst, cuts, RunConfig(jobs=1, solve_time_limit=None))
+    threaded = analyze_instance(inst, cuts, RunConfig(jobs=4, solve_time_limit=None))
     assert serial.dimension == threaded.dimension
     assert serial.classifications == threaded.classifications
     assert serial.impact == threaded.impact

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
-from cutdim.cli import main
+from cutdim.cli import _build_parser, _configure, main
+from cutdim.config import RunConfig, load_config
 from cutdim.fileio import write_instance
 from cutdim.model import build_instance
 
@@ -230,3 +232,89 @@ def test_tolerance_flag_changes_verdict(square_path, tmp_path, capsys):
     assert main(["classify", square_path, str(cuts), "--tolerance", "1/50"]) == 0
     out = capsys.readouterr().out
     assert "supporting" in out and "invalid" not in out
+
+
+def test_malformed_config_value_is_a_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify_oracle": 1}))
+    assert main(["selftest", "--config", str(cfg)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dim", "classify", "analyze"])
+def test_interrupted_hull_reports_bracket(square_path, trio_path, tmp_path, capsys, command):
+    report = tmp_path / "report.json"
+    argv = [command, square_path] + ([] if command == "dim" else [trio_path])
+    argv += ["--hull-time-budget", "1e-9", "--output", str(report)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("interrupted: dim in [-1, 2] after 0 queries (")
+    assert not report.exists()
+
+
+SUBCOMMAND_POSITIONALS = {
+    "dim": ["instance"],
+    "classify": ["instance", "cuts"],
+    "impact": ["instance", "cuts"],
+    "analyze": ["instance", "cuts"],
+    "histogram": ["reports"],
+    "selftest": [],
+}
+
+
+def _subparsers():
+    (action,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    return action.choices
+
+
+def test_option_strings_of_every_subcommand():
+    options = {
+        "-h", "--help", "--config", "--tolerance", "--hull-time-budget",
+        "--face-time-budget", "--solve-time-limit", "--solve-node-limit",
+        "--impact-node-limit", "--jobs", "--output", "--format", "--engine",
+        "--no-verify", "--seed",
+    }  # fmt: skip
+    subparsers = _subparsers()
+    assert sorted(subparsers) == sorted(SUBCOMMAND_POSITIONALS)
+    for name, parser in subparsers.items():
+        strings = {s for a in parser._actions for s in a.option_strings}
+        positionals = [a.dest for a in parser._actions if not a.option_strings]
+        assert strings == options, name
+        assert positionals == SUBCOMMAND_POSITIONALS[name], name
+
+
+TEXTS = {
+    "tolerance": ["1/50", "0.25"],
+    "hull_time_budget": ["none", "2.5"],
+    "face_time_budget": ["none", "30"],
+    "solve_time_limit": ["none", "7"],
+    "solve_node_limit": ["none", "250"],
+    "impact_node_limit": ["none", "9"],
+    "jobs": ["3"],
+    "output": ["r.json"],
+    "output_format": ["csv"],
+    "engine": ["lattice"],
+    "verify_oracle": ["off"],
+    "seed": ["11", "-4"],
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+def test_flag_env_and_file_read_the_same_text(field, tmp_path, monkeypatch):
+    (action,) = [a for a in _subparsers()["selftest"]._actions if a.dest == field]
+    for text in TEXTS[field]:
+        if action.const is not None:
+            assert action.const == text  # a flag that takes no value passes this text
+            argv = [action.option_strings[0]]
+        else:
+            argv = [action.option_strings[0], text]
+        from_flag = _configure(_build_parser().parse_args(["selftest"] + argv))
+        monkeypatch.setenv("CUTDIM_" + field.upper(), text)
+        from_env = load_config()
+        monkeypatch.delenv("CUTDIM_" + field.upper())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: text}))
+        from_file = load_config(str(path))
+        values = {getattr(c, field) for c in (from_flag, from_env, from_file)}
+        assert len(values) == 1, (field, text, values)

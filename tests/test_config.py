@@ -91,3 +91,23 @@ def test_validate_on_mutated_config():
 def test_malformed_env_value_names_the_variable():
     with pytest.raises(ValueError, match="CUTDIM_JOBS"):
         load_config(env={"CUTDIM_JOBS": "many"})
+
+
+@pytest.mark.parametrize("value", [1, None, "maybe"])
+def test_verify_oracle_takes_only_on_off(tmp_path, value):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"verify_oracle": value}))
+    with pytest.raises(ValueError, match="verify_oracle"):
+        load_config(str(path))
+    assert load_config(env={"CUTDIM_VERIFY_ORACLE": "0"}).verify_oracle is False
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("jobs", 2.7), ("solve_node_limit", 2.5), ("jobs", True), ("output", 5)],
+)
+def test_non_whole_numbers_and_non_paths_rejected(tmp_path, field, value):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({field: value}))
+    with pytest.raises(ValueError, match=field):
+        load_config(str(path))

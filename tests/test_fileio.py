@@ -6,6 +6,7 @@ import random
 import pytest
 
 from cutdim.analysis import analyze_instance, build_histogram
+from cutdim.config import RunConfig
 from cutdim.fileio import (
     ParseError,
     analysis_to_csv,
@@ -43,7 +44,7 @@ def square_analysis(**kwargs):
         Inequality([1, 1], rat("1.99"), label="bad"),
         Inequality([1, 1], 2, label="tight"),
     ]
-    return analyze_instance(square(), cuts, impact_time_limit=None, **kwargs)
+    return analyze_instance(square(), cuts, RunConfig(solve_time_limit=None, **kwargs))
 
 
 def test_instance_json_round_trip():
@@ -184,7 +185,7 @@ def test_csv_report_shape():
 
 
 def test_report_without_cuts_is_summary_only():
-    analysis = analyze_instance(square(), [], impact_time_limit=None)
+    analysis = analyze_instance(square(), [], RunConfig(solve_time_limit=None))
     lines = analysis_to_csv(analysis).splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("summary,square,2,")
@@ -195,7 +196,7 @@ def test_report_without_cuts_is_summary_only():
 
 def test_degenerate_cuts_excluded_from_report_bins():
     cuts = [Inequality([0, 0], 0, label="flat"), Inequality([1, 1], 2, label="tight")]
-    analysis = analyze_instance(square(), cuts, impact_time_limit=None)
+    analysis = analyze_instance(square(), cuts, RunConfig(solve_time_limit=None))
     doc = json.loads(analysis_to_json(analysis))
     assert doc["summary"]["degenerate"] == 1
     flat = doc["cuts"][0]
@@ -243,6 +244,6 @@ def test_load_histogram_items_and_csv(tmp_path):
 
 
 def test_write_report_rejects_unknown_format(tmp_path):
-    analysis = analyze_instance(square(), [], impact_time_limit=None)
+    analysis = analyze_instance(square(), [], RunConfig(solve_time_limit=None))
     with pytest.raises(ValueError, match="unknown report format"):
         write_report(analysis, str(tmp_path / "r.xml"), fmt="xml")

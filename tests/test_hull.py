@@ -189,16 +189,25 @@ def test_equations_valid_on_all_points():
     for i in range(25):
         inst = random_instance(rng, name=f"eq{i}", require_nonempty=False)
         points = enumerate_lattice(inst)
-        hull = affine_hull(BruteForceOracle(inst))
-        assert hull.dimension == affine_rank(points), f"case {i}"
-        for row, value in zip(hull.equations.rows, hull.equations.rhs):
-            for p in points:
-                assert dot(row, p) == value, f"case {i}: equation violated"
-        # X affinely independent with |X| = dim + 1
-        if hull.dimension >= 0:
-            assert len(hull.points) == hull.dimension + 1
-            assert affine_rank(hull.points) == hull.dimension
-            assert rank(hull.equations.rows) == len(hull.equations)
+        # a cold run, then a cached run and a face run whose rounds can hit the cache
+        cached = make_provider(inst, "lattice")
+        base = affine_hull(cached)
+        runs = [(affine_hull(BruteForceOracle(inst)), points), (base, points)]
+        if points:
+            c = inst.objective
+            top = max(dot(c, p) for p in points)
+            face = face_hull(cached, base, Inequality(c, top))
+            runs.append((face, [p for p in points if dot(c, p) == top]))
+        for hull, on_set in runs:
+            assert hull.dimension == affine_rank(on_set), f"case {i}"
+            for row, value in zip(hull.equations.rows, hull.equations.rhs):
+                for p in on_set:
+                    assert dot(row, p) == value, f"case {i}: equation violated"
+            # X affinely independent with |X| = dim + 1
+            if hull.dimension >= 0:
+                assert len(hull.points) == hull.dimension + 1
+                assert affine_rank(hull.points) == hull.dimension
+                assert rank(hull.equations.rows) == len(hull.equations)
 
 
 def test_reproducibility():
