@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 
 from .config import RunConfig
 from .hull import (
-    DEFAULT_TIME_BUDGET,
     AffineHullResult,
     EquationSystem,
     HullInterrupted,
@@ -54,9 +53,6 @@ from .oracle import (
 from .rational import rat, rat_ceil
 from .simplex import LPStatus
 from .solver import SolveOptions, SolveStatus, solve_lp_relaxation, solve_mip
-
-DEFAULT_TOLERANCE = rat(1, 10000)
-
 
 class Verdict(Enum):
     INVALID = "invalid"
@@ -101,8 +97,8 @@ def classify_cut(
     provider,
     cut: Inequality,
     base: Optional[AffineHullResult] = None,
-    tolerance=DEFAULT_TOLERANCE,
-    face_time_budget: Optional[float] = DEFAULT_TIME_BUDGET,
+    tolerance=RunConfig.tolerance,
+    face_time_budget: Optional[float] = RunConfig.face_time_budget,
 ) -> CutClassification:
     """Classify one cut against the provider's feasible set P.
 
@@ -232,8 +228,8 @@ class ImpactReport:
 def impact_protocol(
     inst: MipInstance,
     cuts: Sequence[Inequality],
-    node_limit: Optional[int] = None,
-    time_limit: Optional[float] = 60.0,
+    node_limit: Optional[int] = RunConfig.impact_node_limit,
+    time_limit: Optional[float] = RunConfig.solve_time_limit,
 ) -> ImpactReport:
     """Closed-gap strength measurement for a batch of cuts.
 
@@ -360,6 +356,22 @@ def relative_dimension_bin(k: int, d: int) -> DimensionBin:
     return DimensionBin.percent((20 * k) // (d - 1))
 
 
+def binned_face_dimension(
+    verdict: Optional[Verdict], degenerate: bool, face_dimension: Optional[int]
+) -> Optional[int]:
+    """The face dimension a cut adds to the histogram, None if it adds none.
+
+    Failed (no verdict), invalid and degenerate cuts are out;
+    non-supporting cuts count as the empty face (-1); a supporting cut
+    without a computed face dimension cannot be binned and is skipped.
+    """
+    if verdict is None or verdict is Verdict.INVALID or degenerate:
+        return None
+    if verdict is Verdict.NON_SUPPORTING:
+        return -1
+    return face_dimension
+
+
 def build_histogram(items: Sequence) -> list:
     """Aggregate (dim P, [face dims]) pairs into weighted bins.
 
@@ -444,20 +456,13 @@ class InstanceAnalysis:
         return sum(1 for cls in self.classifications if cls is not None and cls.is_degenerate)
 
     def face_dimensions(self) -> list[int]:
-        """Face dimensions of the successfully analyzed cuts.
-
-        Non-supporting cuts contribute the empty face (-1); invalid,
-        degenerate and failed cuts contribute nothing.
-        """
-        dims = []
-        for cls in self.classifications:
-            if cls is None or cls.verdict is Verdict.INVALID or cls.is_degenerate:
-                continue
-            if cls.verdict is Verdict.NON_SUPPORTING:
-                dims.append(-1)
-            elif cls.face_dimension is not None:
-                dims.append(cls.face_dimension)
-        return dims
+        """Face dimensions of the cuts the histogram counts, in cut order."""
+        dims = (
+            binned_face_dimension(cls.verdict, cls.is_degenerate, cls.face_dimension)
+            for cls in self.classifications
+            if cls is not None
+        )
+        return [k for k in dims if k is not None]
 
     def histogram(self) -> list:
         dims = self.face_dimensions()

@@ -250,7 +250,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HullInterrupted as exc:
         print(
             f"interrupted: dim in [{exc.dim_lower}, {exc.dim_upper}] "
-            f"after {exc.queries} queries ({exc})",
+            f"after {exc.queries} queries ({exc.reason})",
             file=sys.stderr,
         )
         return 1

@@ -31,6 +31,7 @@ from .analysis import (
     ImpactReport,
     InstanceAnalysis,
     Verdict,
+    binned_face_dimension,
     relative_dimension_bin,
 )
 from .model import Inequality, MipInstance, build_instance, normalize_cut
@@ -181,15 +182,10 @@ def read_cuts(path: str, num_vars: int) -> list[Inequality]:
 
 def _cut_bin_label(analysis: InstanceAnalysis, cls: Optional[CutClassification]) -> Optional[str]:
     """Histogram bin for one classified cut, None when it is excluded."""
-    if cls is None or cls.verdict is Verdict.INVALID or cls.is_degenerate:
+    if cls is None or analysis.dimension < 0:
         return None
-    if analysis.dimension < 0:
-        return None
-    if cls.verdict is Verdict.NON_SUPPORTING:
-        return relative_dimension_bin(-1, analysis.dimension).label
-    if cls.face_dimension is None:
-        return None
-    return relative_dimension_bin(cls.face_dimension, analysis.dimension).label
+    k = binned_face_dimension(cls.verdict, cls.is_degenerate, cls.face_dimension)
+    return None if k is None else relative_dimension_bin(k, analysis.dimension).label
 
 
 def _impact_lookup(impact: Optional[ImpactReport], position: int):
@@ -375,22 +371,17 @@ def write_report(analysis: InstanceAnalysis, path: str, fmt: str = "json") -> No
 def histogram_items_from_report(doc: dict) -> Optional[tuple]:
     """(dimension, face dims) from one parsed JSON report, None if no cuts qualify.
 
-    Invalid, degenerate and failed cuts are excluded; non-supporting
-    cuts count as empty faces; supporting cuts without a computed face
-    dimension cannot be binned and are skipped.
+    The cuts counted are those `analysis.binned_face_dimension` keeps.
     """
     d = doc.get("dimension")
     if d is None or d < 0:
         return None
     dims = []
     for cut in doc.get("cuts", ()):
-        verdict = cut.get("verdict")
-        if verdict is None or verdict == Verdict.INVALID.value or cut.get("degenerate"):
-            continue
-        if verdict == Verdict.NON_SUPPORTING.value:
-            dims.append(-1)
-        elif cut.get("face_dimension") is not None:
-            dims.append(cut["face_dimension"])
+        verdict = None if cut.get("verdict") is None else Verdict(cut["verdict"])
+        k = binned_face_dimension(verdict, cut.get("degenerate"), cut.get("face_dimension"))
+        if k is not None:
+            dims.append(k)
     if not dims:
         return None
     return (d, dims)

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .config import RunConfig
 from .linalg import (
     Matrix,
     Vector,
@@ -48,8 +49,6 @@ from .oracle import (
 )
 from .rational import rat, rat_str
 
-DEFAULT_TIME_BUDGET = 600.0
-
 
 class HullError(RuntimeError):
     pass
@@ -62,8 +61,11 @@ class InvalidInitialEquationsError(HullError):
 class HullInterrupted(HullError):
     """Budget ran out mid-run; carries the bracketing interval for dim P."""
 
-    def __init__(self, message: str, dim_lower: int, dim_upper: int, queries: int):
-        super().__init__(message)
+    def __init__(self, reason: str, dim_lower: int, dim_upper: int, queries: int):
+        super().__init__(
+            f"{reason}; dimension is in [{dim_lower}, {dim_upper}] after {queries} queries"
+        )
+        self.reason = reason
         self.dim_lower = dim_lower
         self.dim_upper = dim_upper
         self.queries = queries
@@ -154,7 +156,7 @@ def affine_hull(
     initial_equations: Optional[EquationSystem] = None,
     face: Optional[Inequality] = None,
     query_budget: Optional[int] = None,
-    time_budget: Optional[float] = DEFAULT_TIME_BUDGET,
+    time_budget: Optional[float] = RunConfig.hull_time_budget,
 ) -> AffineHullResult:
     """Dimension and affine hull of the provider's feasible set.
 
@@ -180,17 +182,8 @@ def affine_hull(
     queries = 0
     cache_hits = 0
 
-    def interval():
-        return max(len(points) - 1, -1), n - len(eqs)
-
     def interrupted(reason: str):
-        lo, hi = interval()
-        return HullInterrupted(
-            f"{reason}; dimension is in [{lo}, {hi}] after {queries} queries",
-            dim_lower=lo,
-            dim_upper=hi,
-            queries=queries,
-        )
+        return HullInterrupted(reason, max(len(points) - 1, -1), n - len(eqs), queries)
 
     def query(w):
         nonlocal queries
@@ -321,7 +314,7 @@ def face_hull(
     provider,
     base: AffineHullResult,
     cut: Inequality,
-    time_budget: Optional[float] = DEFAULT_TIME_BUDGET,
+    time_budget: Optional[float] = RunConfig.face_time_budget,
 ) -> AffineHullResult:
     """Dimension of the face {x in P : a.x = rhs} of a supporting cut.
 

@@ -28,6 +28,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from .config import RunConfig
 from .linalg import Vector, dot, vector
 from .model import Inequality, MipInstance, evaluate
 from .rational import rat
@@ -80,7 +81,9 @@ class PointCache:
     cache can never launder an infeasible point into a dimension proof.
     """
 
-    def __init__(self, instance: Optional[MipInstance] = None, verify: bool = True):
+    def __init__(
+        self, instance: Optional[MipInstance] = None, verify: bool = RunConfig.verify_oracle
+    ):
         self._instance = instance
         self._verify = verify and instance is not None
         self._lock = threading.Lock()
@@ -248,9 +251,9 @@ class MipOracle(_Provider):
         self,
         instance: MipInstance,
         cache: Optional[PointCache] = None,
-        time_limit: Optional[float] = 60.0,
-        node_limit: Optional[int] = None,
-        verify: bool = True,
+        time_limit: Optional[float] = RunConfig.solve_time_limit,
+        node_limit: Optional[int] = RunConfig.solve_node_limit,
+        verify: bool = RunConfig.verify_oracle,
     ):
         self.instance = instance
         self.cache = cache
@@ -293,7 +296,7 @@ class BruteForceOracle(_Provider):
         self,
         instance: MipInstance,
         cache: Optional[PointCache] = None,
-        verify: bool = True,
+        verify: bool = RunConfig.verify_oracle,
     ):
         self.instance = instance
         self.cache = cache
@@ -321,11 +324,11 @@ class BruteForceOracle(_Provider):
 
 def make_provider(
     inst: MipInstance,
-    engine: str = "solver",
+    engine: str = RunConfig.engine,
     *,
-    verify: bool = True,
-    time_limit: Optional[float] = 60.0,
-    node_limit: Optional[int] = None,
+    verify: bool = RunConfig.verify_oracle,
+    time_limit: Optional[float] = RunConfig.solve_time_limit,
+    node_limit: Optional[int] = RunConfig.solve_node_limit,
 ):
     """The provider for `engine` ("solver" or "lattice") with a fresh cache.
 

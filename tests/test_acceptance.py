@@ -1,82 +1,67 @@
 """End-to-end acceptance gate: one test per advertised guarantee.
 
-Every test here restates a headline property of the toolkit with its
-tolerance spelled out, against independently computed ground truth
-(lattice enumeration, affine rank of enumerated points).  Wall-clock
-budgets are asserted where the guarantee includes one.
+The randomized guarantees are the `cutdim selftest` suites, run here on
+the larger corpora named in ACCEPTANCE_CORPORA; each suite checks its
+answers against independently computed ground truth (lattice
+enumeration, affine rank of enumerated points).  Wall-clock budgets are
+asserted where the guarantee includes one.
 """
 
-import random
 import time
 
 import pytest
 
-from cutdim.analysis import (
-    Verdict,
-    build_histogram,
-    classify_cut,
-    closed_gap,
-    impact_protocol,
-    relative_dimension_bin,
-)
+from cutdim.analysis import Verdict, classify_cut
 from cutdim.fileio import read_instance
 from cutdim.hull import HullInterrupted, affine_hull
-from cutdim.linalg import affine_rank, dot
 from cutdim.model import Inequality, build_instance
-from cutdim.oracle import (
-    BruteForceOracle,
-    MipOracle,
-    PointCache,
-    enumerate_lattice,
-    make_provider,
+from cutdim.oracle import MipOracle, PointCache, make_provider
+from cutdim.selftest import (
+    ALL_SUITES,
+    suite_classification,
+    suite_dimension,
+    suite_histogram,
+    suite_impact,
+    suite_query_count,
+    suite_solver,
 )
-from cutdim.rational import rat
-from cutdim.selftest import lattice_classification, random_cut, random_instance
-from cutdim.solver import SolveOptions, SolveStatus, solve_mip
 
 from helpers import miplib_file
 
-ACC_SEED = 1009
+# Query count and classification share one corpus: 100 nonempty
+# instances with n in [2,6], coefficients in [-5,5] and box [0,3]^n.
+ACCEPTANCE_CORPORA = {
+    suite_query_count: dict(seed=1009, rounds=100),
+    suite_classification: dict(seed=1009, rounds=100, max_vars=6, cuts_per=5),
+    suite_impact: dict(seed=1013, rounds=20, max_vars=5),
+    suite_solver: dict(seed=1019, rounds=200, max_vars=5),
+    suite_histogram: dict(seed=1021, rounds=50, max_instances=9, max_dim=12),
+    suite_dimension: dict(seed=1031),  # selftest size
+}
 
 
-def hundred_instances():
-    """The fixed corpus shared by the first two gates: n in [2,6],
-    coefficients in [-5,5], box [0,3]^n, non-empty."""
-    rng = random.Random(ACC_SEED)
-    return [random_instance(rng, name=f"acc{i}") for i in range(100)]
+def run_suite(suite, within=None):
+    start = time.monotonic()
+    result = suite(**ACCEPTANCE_CORPORA[suite])
+    assert result.failures == []
+    if within is not None:
+        assert time.monotonic() - start < within
+
+
+def test_every_suite_has_an_acceptance_corpus():
+    assert set(ACCEPTANCE_CORPORA) == set(ALL_SUITES)
 
 
 def test_affine_hull_uses_exactly_two_n_queries_cold():
-    start = time.monotonic()
-    for inst in hundred_instances():
-        hull = affine_hull(BruteForceOracle(inst))  # no cache anywhere
-        n = inst.num_vars
-        assert hull.oracle_queries == 2 * n, inst.name
-        assert hull.cache_hits == 0
-        assert len(hull.points) + len(hull.equations) == n + 1, inst.name
-    assert time.monotonic() - start < 60.0
+    run_suite(suite_query_count, within=60.0)
 
 
 def test_dimension_and_cut_verdicts_match_enumeration():
-    start = time.monotonic()
-    for i, inst in enumerate(hundred_instances()):
-        points = enumerate_lattice(inst)
-        provider = make_provider(inst, time_limit=None)
-        base = affine_hull(provider)
-        assert base.dimension == affine_rank(points), inst.name
+    run_suite(suite_classification, within=600.0)
 
-        rng = random.Random(ACC_SEED + 7 * i)
-        for j in range(5):
-            offset = rng.choice((-1, 0, 1))
-            cut = random_cut(rng, points, inst.num_vars, offset, label=f"c{j}")
-            got = classify_cut(provider, cut, base=base)
-            want_verdict, want_dim = lattice_classification(
-                points, got.cut, rat(1, 10000)
-            )
-            assert got.verdict is want_verdict, f"{inst.name} cut {j}"
-            if want_verdict is Verdict.SUPPORTING:
-                assert got.face_dimension == want_dim, f"{inst.name} cut {j}"
-    assert time.monotonic() - start < 600.0
+
+def test_solver_hull_dimension_matches_enumeration():
+    run_suite(suite_dimension)
 
 
 def test_known_polytope_fixtures():
@@ -149,75 +134,12 @@ def test_desk_scale_benchmark_dimensions(name, expected):
 
 
 def test_strength_protocol_properties():
-    rng = random.Random(1013)
-    for i in range(20):
-        inst = random_instance(rng, max_vars=5, name=f"imp{i}")
-        points = enumerate_lattice(inst)
-        cuts = [
-            random_cut(rng, points, inst.num_vars, rng.choice((0, 1)), label=f"c{j}")
-            for j in range(3)
-        ]
-        report = impact_protocol(inst, cuts, time_limit=None)
-
-        # determinism: same N, same bounds, same gaps
-        assert impact_protocol(inst, cuts, time_limit=None) == report
-
-        for rec in (report.baseline, *report.runs):
-            assert rec.gap is not None
-            assert 0 <= rec.gap <= 1
-
-        # the reported baseline gap is reproducible from a raw solver run
-        raw = solve_mip(inst, options=SolveOptions(incumbent=report.optimum))
-        z0 = raw.trace[report.node_budget - 1][1]
-        assert closed_gap(z0, report.z_lp, report.z_star) == report.baseline.gap
-
-        # along any run's trace the closed gap never moves backwards
-        for cut in cuts:
-            run = solve_mip(
-                inst,
-                options=SolveOptions(
-                    incumbent=report.optimum, extra_constraints=(cut,)
-                ),
-            )
-            gaps = [closed_gap(z, report.z_lp, report.z_star) for _, z in run.trace]
-            assert all(a <= b for a, b in zip(gaps, gaps[1:]))
+    run_suite(suite_impact)
 
 
 def test_histogram_boundaries_and_mass():
-    assert relative_dimension_bin(-1, 7).label == "empty"
-    assert relative_dimension_bin(7, 7).label == "inf"
-    assert relative_dimension_bin(6, 7).label == "100%"
-    assert relative_dimension_bin(20, 41).label == "[50%,55%)"  # 20/40 = 0.5
-
-    rng = random.Random(1021)
-    for _ in range(50):
-        items = []
-        for _ in range(rng.randint(1, 9)):
-            d = rng.randint(0, 12)
-            items.append((d, [rng.randint(-1, d) for _ in range(rng.randint(1, 5))]))
-        weights = [w for _, w in build_histogram(items)]
-        assert sum(weights) == 1  # exact rational identity
+    run_suite(suite_histogram)
 
 
 def test_solver_agrees_with_enumeration():
-    rng = random.Random(1019)
-    start = time.monotonic()
-    for i in range(200):
-        inst = random_instance(rng, max_vars=5, name=f"s{i}", require_nonempty=False)
-        points = enumerate_lattice(inst)
-        result = solve_mip(inst)
-        if not points:
-            assert result.status is SolveStatus.INFEASIBLE, inst.name
-            continue
-        best = max(dot(inst.objective, p) for p in points)
-        assert result.status is SolveStatus.OPTIMAL, inst.name
-        assert result.primal_value == best, inst.name
-
-        bounds = [z for _, z in result.trace]
-        assert all(a >= b for a, b in zip(bounds, bounds[1:])), inst.name
-
-        seeded_point = points[rng.randrange(len(points))]
-        seeded = solve_mip(inst, options=SolveOptions(incumbent=seeded_point))
-        assert seeded.primal_value >= dot(inst.objective, seeded_point), inst.name
-        assert seeded.primal_value == best, inst.name
-    assert time.monotonic() - start < 300.0
+    run_suite(suite_solver, within=300.0)

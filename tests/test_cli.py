@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from cutdim import selftest
 from cutdim.cli import _build_parser, _configure, main
 from cutdim.config import RunConfig, load_config
 from cutdim.fileio import write_instance
@@ -189,6 +190,18 @@ def test_selftest_command(capsys):
     assert out.count(": ok") == 6
 
 
+def test_selftest_reports_a_failing_suite(capsys, monkeypatch):
+    def broken(seed):
+        return selftest.SuiteResult("query-count", 1, ["round 0: 3 queries, wanted 4"])
+
+    monkeypatch.setattr(selftest, "ALL_SUITES", (broken,) + selftest.ALL_SUITES[1:])
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "query-count: FAILED [1 rounds] (1 failures)"
+    assert lines[1] == "  round 0: 3 queries, wanted 4"
+    assert len(lines) == 7 and all(": ok [" in line for line in lines[2:])
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["dim", "/nonexistent/instance.json"]) == 2
     assert "file not found" in capsys.readouterr().err
@@ -250,6 +263,7 @@ def test_interrupted_hull_reports_bracket(square_path, trio_path, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("interrupted: dim in [-1, 2] after 0 queries (")
+    assert captured.err.count("[-1, 2]") == 1
     assert not report.exists()
 
 

@@ -1,8 +1,12 @@
+import inspect
 import json
 
 import pytest
 
+from cutdim.analysis import classify_cut, impact_protocol
 from cutdim.config import RunConfig, load_config
+from cutdim.hull import affine_hull, face_hull
+from cutdim.oracle import BruteForceOracle, MipOracle, PointCache, make_provider
 from cutdim.rational import rat
 
 
@@ -17,6 +21,31 @@ def test_defaults():
     assert cfg.engine == "solver"
     assert cfg.verify_oracle is True
     assert cfg.seed == 2024
+
+
+@pytest.mark.parametrize(
+    "function, parameter, setting",
+    [
+        (affine_hull, "time_budget", "hull_time_budget"),
+        (face_hull, "time_budget", "face_time_budget"),
+        (classify_cut, "tolerance", "tolerance"),
+        (classify_cut, "face_time_budget", "face_time_budget"),
+        (impact_protocol, "time_limit", "solve_time_limit"),
+        (impact_protocol, "node_limit", "impact_node_limit"),
+        (MipOracle, "time_limit", "solve_time_limit"),
+        (MipOracle, "node_limit", "solve_node_limit"),
+        (MipOracle, "verify", "verify_oracle"),
+        (BruteForceOracle, "verify", "verify_oracle"),
+        (PointCache, "verify", "verify_oracle"),
+        (make_provider, "engine", "engine"),
+        (make_provider, "time_limit", "solve_time_limit"),
+        (make_provider, "node_limit", "solve_node_limit"),
+        (make_provider, "verify", "verify_oracle"),
+    ],
+)
+def test_library_defaults_are_the_run_defaults(function, parameter, setting):
+    default = inspect.signature(function).parameters[parameter].default
+    assert default == getattr(RunConfig(), setting)
 
 
 def test_precedence_file_env_overrides(tmp_path):
