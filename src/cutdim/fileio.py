@@ -84,8 +84,8 @@ def instance_from_json(text: str) -> MipInstance:
     missing = {"name", "objective", "constraint_matrix", "rhs"} - doc.keys()
     if missing:
         raise ParseError(f"instance document lacks keys: {sorted(missing)}")
-    n = len(doc["objective"])
     try:
+        n = len(doc["objective"])
         return build_instance(
             name=doc["name"],
             constraint_matrix=doc["constraint_matrix"],
@@ -373,7 +373,11 @@ def histogram_items_from_report(doc: dict) -> Optional[tuple]:
 
     The cuts counted are those `analysis.binned_face_dimension` keeps.
     """
+    if not isinstance(doc, dict):
+        raise ParseError("a report must be a JSON object")
     d = doc.get("dimension")
+    if d is not None and type(d) is not int:
+        raise ParseError(f"dimension {d!r} is not a whole number")
     if d is None or d < 0:
         return None
     dims = []
@@ -392,10 +396,9 @@ def load_histogram_items(paths: Sequence[str]) -> list:
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+                item = histogram_items_from_report(json.load(fh))
+            except (json.JSONDecodeError, ParseError) as exc:
                 raise ParseError(f"{path}: not a JSON report: {exc}") from exc
-        item = histogram_items_from_report(doc)
         if item is not None:
             items.append(item)
     return items

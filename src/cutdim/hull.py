@@ -13,12 +13,12 @@ affine hull is pinned down exactly:
 A bounded nonempty run costs exactly 2(n - r0) oracle calls, where r0
 is the number of valid equations supplied up front.  The provider's
 point cache can substitute for the two calls of a round whenever some
-already-known feasible point (for face runs: on the face) escapes the
-current aff(X); a provider without a cache gives a cold run.
+already-known feasible point escapes the current aff(X); a provider
+without a cache gives a cold run.
 
 Face dimension runs reuse the machinery unchanged: restrict the oracle
-to the face's hyperplane, start from the base system plus the face
-equation, and filter cache probes to points lying on the face.
+to the face's hyperplane (its cache then holds only points on the face)
+and start from the base system plus the face equation.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .linalg import (
     vec_add_scaled,
     vector,
 )
-from .model import Inequality, evaluate
+from .model import Inequality
 from .oracle import (
     Infeasible,
     Optimal,
@@ -154,7 +154,6 @@ def select_direction(
 def affine_hull(
     provider,
     initial_equations: Optional[EquationSystem] = None,
-    face: Optional[Inequality] = None,
     query_budget: Optional[int] = None,
     time_budget: Optional[float] = RunConfig.hull_time_budget,
 ) -> AffineHullResult:
@@ -162,9 +161,9 @@ def affine_hull(
 
     `initial_equations` must be valid for the set and independent; they
     reduce the number of rounds one for one.  The provider's cache, when
-    it has one, is probed before each round (restricted to `face` if
-    set) and a hit replaces both oracle calls of the round.  The query
-    budget defaults to the worst case of a cold run, 2(n - r0).
+    it has one, is probed before each round and a hit replaces both
+    oracle calls of the round.  The query budget defaults to the worst
+    case of a cold run, 2(n - r0).
     """
     n = provider.n
     eqs = initial_equations if initial_equations is not None else EquationSystem.empty()
@@ -215,11 +214,8 @@ def affine_hull(
         if witness is None:
             if points:
                 witness = points[0]
-            elif cache is not None:
-                for p in cache.points():
-                    if face is None or evaluate(face, p) == 0:
-                        witness = p
-                        break
+            elif cache is not None and len(cache):
+                witness = cache.points()[0]
         if witness is None:
             w_resp = query(vector([0] * n))
             if not isinstance(w_resp, Optimal):
@@ -249,22 +245,16 @@ def affine_hull(
 
         gamma = dot(d, points[0]) if points else None
 
-        if cache is not None:
-            if points:
-                hit = cache_probe(cache, d, gamma=gamma, face=face)
-                if hit is not None:
-                    checked_append(hit)
-                    cache_hits += 1
-                    continue
-            else:
-                first = cache_probe(cache, d, face=face)
-                if first is not None:
-                    partner = cache_probe(cache, d, gamma=dot(d, first), face=face)
-                    if partner is not None:
-                        checked_append(first)
-                        checked_append(partner)
-                        cache_hits += 1
-                        continue
+        if cache is not None and len(cache):
+            # with no point yet, the first cached point plays points[0]
+            first = points[0] if points else cache.points()[0]
+            hit = cache_probe(cache, d, gamma=dot(d, first))
+            if hit is not None:
+                if not points:
+                    checked_append(first)
+                checked_append(hit)
+                cache_hits += 1
+                continue
 
         resp_max = query(d)
         if isinstance(resp_max, Infeasible):
@@ -321,15 +311,10 @@ def face_hull(
     `base` is the affine hull result for P itself; its equations are
     valid on the face and seed the run.  The cut equation is added
     unless its row already lies in the span of the base system.  The
-    provider's cache is probed only for points on the face.
+    restricted provider's cache holds only points on the face.
     """
     eqs = base.equations
     if not is_in_span(cut.coefficients, eqs.rows):
         eqs = eqs.with_equation(cut.coefficients, cut.rhs)
     face_provider = provider.restrict(cut.coefficients, cut.rhs)
-    return affine_hull(
-        face_provider,
-        initial_equations=eqs,
-        face=cut,
-        time_budget=time_budget,
-    )
+    return affine_hull(face_provider, initial_equations=eqs, time_budget=time_budget)

@@ -9,7 +9,7 @@ decided, never estimated.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .rational import ZERO, rat
 
@@ -155,23 +155,3 @@ def affine_rank(points: Sequence[Sequence]) -> int:
     base = pts[0]
     return rank([vec_sub(p, base) for p in pts[1:]])
 
-
-def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
-    """One exact solution of rows . x = rhs, or None when inconsistent.
-
-    Free variables are set to zero.
-    """
-    rows = list(rows)
-    if len(rows) != len(rhs):
-        raise LinAlgError("system shape mismatch")
-    if not rows:
-        return ()
-    n = len(rows[0])
-    aug = [list(r) + [rat(b)] for r, b in zip(rows, rhs)]
-    rref, pivots = _echelon(aug)
-    if n in pivots:
-        return None  # pivot in the rhs column: inconsistent
-    x = [ZERO] * n
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = rref[row_idx][n]
-    return tuple(x)

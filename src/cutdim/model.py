@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -90,7 +91,7 @@ def build_instance(
         constraint_matrix=mat,
         rhs=vector(rhs),
         objective=obj,
-        integer_vars=frozenset(int(i) for i in integer_vars),
+        integer_vars=frozenset(operator.index(i) for i in integer_vars),
         lower_bounds=coerce_bounds(lower_bounds, None),
         upper_bounds=coerce_bounds(upper_bounds, None),
     )

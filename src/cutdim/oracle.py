@@ -8,15 +8,17 @@ by explicit lattice enumeration (small instances; it doubles as the
 reference implementation in tests).
 
 A provider owns its PointCache: every optimal point it returns is
-remembered there, and hull and face runs probe the same cache, where an
-affinely independent point found by an earlier query can stand in for
-two oracle calls.  `make_provider` builds the provider for an engine
-name, cache attached.
+remembered there, and hull runs probe it, where an affinely independent
+point found by an earlier query can stand in for two oracle calls.  A
+restricted provider (a face run's) starts its own cache from the
+parent's points on the face, so every cached point lies in the feasible
+set of the provider that holds it.  `make_provider` builds the provider
+for an engine name, cache attached.
 
-With `verify` on (the default), every response is checked exactly
-(feasibility, objective value, ray directions) and so is every cache
-insert; a failed check raises OracleSoundnessError rather than letting
-a wrong point silently corrupt a dimension.
+With `verify` on (the default), every response is checked exactly, once
+(feasibility, objective value, ray directions), before its point reaches
+the cache; a failed check raises OracleSoundnessError rather than
+letting a wrong point silently corrupt a dimension.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 from .config import RunConfig
 from .linalg import Vector, dot, vector
-from .model import Inequality, MipInstance, evaluate
+from .model import MipInstance
 from .rational import rat
 from .solver import SolveOptions, SolveStatus, solve_mip
 
@@ -76,16 +78,12 @@ OracleResponse = Union[Optimal, Unbounded, Infeasible]
 class PointCache:
     """Feasible points seen so far, in first-seen order.
 
-    Thread safe; `points()` returns an immutable snapshot.  When built
-    with an instance, every new point is checked exactly against it, so a
-    cache can never launder an infeasible point into a dimension proof.
+    Thread safe; `points()` returns an immutable snapshot.  The cache
+    checks nothing: `oracle_maximize`, its one writer, verifies each
+    point before inserting it.
     """
 
-    def __init__(
-        self, instance: Optional[MipInstance] = None, verify: bool = RunConfig.verify_oracle
-    ):
-        self._instance = instance
-        self._verify = verify and instance is not None
+    def __init__(self):
         self._lock = threading.Lock()
         self._points: list[Vector] = []
         self._seen: set[Vector] = set()
@@ -96,8 +94,6 @@ class PointCache:
         with self._lock:
             if pt in self._seen:
                 return False
-            if self._verify and not self._instance.is_feasible_point(pt):
-                raise OracleSoundnessError(f"cached point is infeasible: {pt}")
             self._seen.add(pt)
             self._points.append(pt)
             return True
@@ -106,49 +102,28 @@ class PointCache:
         with self._lock:
             return tuple(self._points)
 
+    def filtered(self, keep) -> "PointCache":
+        """Independent copy of the points that pass `keep`, in order."""
+        clone = PointCache()
+        clone._points = [p for p in self.points() if keep(p)]
+        clone._seen = set(clone._points)
+        return clone
+
     def snapshot(self) -> "PointCache":
         """Independent copy: later inserts into either one stay private."""
-        clone = PointCache(self._instance, verify=self._verify)
-        with self._lock:
-            clone._points = list(self._points)
-            clone._seen = set(self._seen)
-        return clone
+        return self.filtered(lambda p: True)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._points)
 
-    def __contains__(self, point) -> bool:
-        with self._lock:
-            return vector(point) in self._seen
 
-
-def cache_probe(cache: PointCache, d: Sequence, gamma=None, face: Optional[Inequality] = None):
-    """Look for a cached point proving progress along direction d.
-
-    With `gamma` given, returns the first cached point whose d-value
-    differs from gamma.  Without it, returns the first point that is
-    part of a pair with distinct d-values (the caller re-probes with
-    that point's value to get the partner).  `face` restricts the view
-    to points lying on the face's hyperplane.  Returns None when the
-    cache cannot help.
-    """
-    d = vector(d)
-    pts = cache.points()
-    if face is not None:
-        pts = tuple(p for p in pts if evaluate(face, p) == 0)
-    if gamma is not None:
-        gamma = rat(gamma)
-        for p in pts:
-            if dot(d, p) != gamma:
-                return p
-        return None
-    if not pts:
-        return None
-    first_value = dot(d, pts[0])
-    for p in pts[1:]:
-        if dot(d, p) != first_value:
-            return pts[0]
+def cache_probe(cache: PointCache, d: Sequence, gamma):
+    """The first cached point whose d-value differs from gamma, or None."""
+    d, gamma = vector(d), rat(gamma)
+    for p in cache.points():
+        if dot(d, p) != gamma:
+            return p
     return None
 
 
@@ -211,6 +186,11 @@ def _verify_response(provider, w, response) -> None:
                 raise OracleSoundnessError("unbounded witness leaves the face hyperplane")
 
 
+def _on_hyperplane(a: Vector, beta):
+    """The test a.x == beta, by which a restricted provider keeps points."""
+    return lambda p: dot(a, p) == beta
+
+
 class _Provider:
     """What both providers share.
 
@@ -238,9 +218,16 @@ class _Provider:
         return clone
 
     def restrict(self, coefficients: Sequence, beta):
-        """The same provider on the hyperplane a.x = beta, same cache."""
-        clone = self.with_cache(self.cache)
-        clone.equations = self.equations + ((vector(coefficients), rat(beta)),)
+        """The same provider on the hyperplane a.x = beta.
+
+        Its cache starts with the parent's cached points on the
+        hyperplane and keeps its own inserts; a cold provider stays cold.
+        """
+        a, b = vector(coefficients), rat(beta)
+        clone = self.with_cache(
+            None if self.cache is None else self.cache.filtered(_on_hyperplane(a, b))
+        )
+        clone.equations = self.equations + ((a, b),)
         return clone
 
 
@@ -305,8 +292,7 @@ class BruteForceOracle(_Provider):
 
     def restrict(self, coefficients: Sequence, beta) -> "BruteForceOracle":
         clone = super().restrict(coefficients, beta)
-        a, b = clone.equations[-1]
-        clone.points = tuple(p for p in self.points if dot(a, p) == b)
+        clone.points = tuple(filter(_on_hyperplane(*clone.equations[-1]), self.points))
         return clone
 
     def solve(self, w: Vector) -> OracleResponse:
@@ -332,11 +318,11 @@ def make_provider(
 ):
     """The provider for `engine` ("solver" or "lattice") with a fresh cache.
 
-    `verify` switches both the response checks and the cache-insert
-    checks.  The limits bound each solver query; lattice scans ignore
-    them.  For a cold provider, call `.with_cache(None)` on the result.
+    `verify` switches the response checks.  The limits bound each solver
+    query; lattice scans ignore them.  For a cold provider, call
+    `.with_cache(None)` on the result.
     """
-    cache = PointCache(inst, verify=verify)
+    cache = PointCache()
     if engine == "solver":
         return MipOracle(
             inst, cache=cache, time_limit=time_limit, node_limit=node_limit, verify=verify

@@ -296,7 +296,11 @@ ALL_SUITES: tuple = (
 def run_all(seed: int, report: Optional[Callable[[str], None]] = None) -> list[SuiteResult]:
     results = []
     for suite in ALL_SUITES:
-        outcome = suite(seed)
+        try:
+            outcome = suite(seed)
+        except Exception as exc:  # a crash is that suite's failure, not the run's
+            name = suite.__name__.removeprefix("suite_").replace("_", "-")
+            outcome = SuiteResult(name, 0, [f"raised {type(exc).__name__}: {exc}"])
         results.append(outcome)
         if report is not None:
             report(outcome.line())

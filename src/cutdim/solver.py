@@ -253,6 +253,9 @@ def _resolve_unbounded(inst, options, lp, deadline, node_count):
             node_count=node_count,
             trace=((node_count, -math.inf),),
         )
+    ray = integerize(lp.ray)
+    if dot(ray, lp.ray) < 0:  # integerize made a negative leading entry positive
+        ray = tuple(-v for v in ray)
     return SolveResult(
         status=SolveStatus.UNBOUNDED,
         best_point=probe.best_point,
@@ -260,7 +263,7 @@ def _resolve_unbounded(inst, options, lp, deadline, node_count):
         dual_bound=math.inf,
         node_count=node_count,
         trace=((node_count, math.inf),),
-        ray=integerize(lp.ray),
+        ray=ray,
     )
 
 

@@ -122,7 +122,7 @@ def test_desk_scale_benchmark_dimensions(name, expected):
     if path is None:
         pytest.skip(f"benchmark file {name}.mps not on disk")
     inst = read_instance(path, fmt="mps")
-    cache = PointCache(inst, verify=False)
+    cache = PointCache()
     provider = MipOracle(inst, cache=cache, time_limit=None)
     try:
         hull = affine_hull(provider, time_budget=1800.0)

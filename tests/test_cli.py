@@ -96,6 +96,21 @@ def test_dim_prints_equations(tmp_path, capsys):
     assert out.splitlines()[1].startswith("  ")  # the equation, indented
 
 
+def test_dim_of_a_set_unbounded_below(tmp_path, capsys):
+    # x integer and free with x <= 1: the -x query returns the ray (-1,)
+    ceiling = build_instance(
+        name="ceiling",
+        constraint_matrix=[[1]],
+        rhs=[1],
+        objective=[1],
+        integer_vars=(0,),
+    )
+    path = tmp_path / "ceiling.json"
+    write_instance(ceiling, str(path))
+    assert main(["dim", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("dim = 1, ")
+
+
 def test_dim_lattice_engine_agrees(square_path, capsys):
     assert main(["dim", square_path, "--engine", "lattice"]) == 0
     assert capsys.readouterr().out.startswith("dim = 2, ")
@@ -200,6 +215,30 @@ def test_selftest_reports_a_failing_suite(capsys, monkeypatch):
     assert lines[0] == "query-count: FAILED [1 rounds] (1 failures)"
     assert lines[1] == "  round 0: 3 queries, wanted 4"
     assert len(lines) == 7 and all(": ok [" in line for line in lines[2:])
+
+
+def test_selftest_reports_a_raising_suite(capsys, monkeypatch):
+    def suite_query_count(seed):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(selftest, "ALL_SUITES", (suite_query_count,) + selftest.ALL_SUITES[1:])
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "query-count: FAILED [0 rounds] (1 failures)"
+    assert lines[1] == "  raised ZeroDivisionError: division by zero"
+    assert len(lines) == 7 and all(": ok [" in line for line in lines[2:])
+
+
+@pytest.mark.parametrize(
+    "report",
+    [[{"dimension": 2, "cuts": []}], {"dimension": "3", "cuts": []}],
+    ids=["list", "text-dimension"],
+)
+def test_histogram_of_a_malformed_report_is_a_parse_error(report, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["histogram", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -6,7 +6,7 @@ import pytest
 from cutdim.analysis import classify_cut, impact_protocol
 from cutdim.config import RunConfig, load_config
 from cutdim.hull import affine_hull, face_hull
-from cutdim.oracle import BruteForceOracle, MipOracle, PointCache, make_provider
+from cutdim.oracle import BruteForceOracle, MipOracle, make_provider
 from cutdim.rational import rat
 
 
@@ -36,7 +36,6 @@ def test_defaults():
         (MipOracle, "node_limit", "solve_node_limit"),
         (MipOracle, "verify", "verify_oracle"),
         (BruteForceOracle, "verify", "verify_oracle"),
-        (PointCache, "verify", "verify_oracle"),
         (make_provider, "engine", "engine"),
         (make_provider, "time_limit", "solve_time_limit"),
         (make_provider, "node_limit", "solve_node_limit"),

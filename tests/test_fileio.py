@@ -81,6 +81,15 @@ def test_instance_json_round_trip_random():
             '{"name": "x", "objective": [1], "constraint_matrix": [], "rhs": [1]}',
             "malformed instance",
         ),
+        (
+            '{"name": "x", "objective": 5, "constraint_matrix": [], "rhs": []}',
+            "malformed instance",
+        ),
+        (
+            '{"name": "x", "objective": [1], "constraint_matrix": [], "rhs": [],'
+            ' "integer_vars": [0.5]}',
+            "malformed instance",
+        ),
     ],
 )
 def test_instance_json_errors(text, fragment):

@@ -10,7 +10,6 @@ from cutdim.linalg import (
     is_in_span,
     orthogonal_complement_basis,
     rank,
-    solve_linear_system,
     vector,
 )
 from cutdim.rational import rat
@@ -101,14 +100,6 @@ def test_integerize():
     assert integerize([rat(1, 2), rat(-1, 3)]) == vector([3, -2])
     assert integerize([rat(-1, 2)]) == vector([1])  # leading entry positive
     assert integerize([0, 0]) == vector([0, 0])
-
-
-def test_solve_linear_system():
-    x = solve_linear_system([[1, 1], [1, -1]], [3, 1])
-    assert x == vector([2, 1])
-    assert solve_linear_system([[1, 1], [2, 2]], [1, 3]) is None  # inconsistent
-    x = solve_linear_system([[1, 1]], [2])  # underdetermined: free vars at 0
-    assert x is not None and dot([1, 1], x) == 2
 
 
 def test_dimension_mismatch():

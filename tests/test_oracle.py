@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cutdim.linalg import dot
-from cutdim.model import Inequality, MipInstance, build_instance
+from cutdim.model import MipInstance, build_instance
 from cutdim.oracle import (
     BruteForceOracle,
     Infeasible,
@@ -85,7 +85,7 @@ def test_unbounded_response_with_ray():
 
 
 def test_query_counting_and_cache_population():
-    cache = PointCache(knapsack())
+    cache = PointCache()
     oracle = MipOracle(knapsack(), cache=cache)
     oracle_maximize(oracle, [5, 4])
     oracle_maximize(oracle, [-1, -1])
@@ -95,13 +95,21 @@ def test_query_counting_and_cache_population():
         assert knapsack().is_feasible_point(p)
 
 
+class InfeasibleOracle(MipOracle):
+    """Answers every query with (1, 1), which violates the knapsack row."""
+
+    def solve(self, w):
+        return Optimal((rat(1), rat(1)), dot(w, (1, 1)))
+
+
 def test_soundness_guard_rejects_bad_points():
-    cache = PointCache(knapsack())
-    with pytest.raises(OracleSoundnessError):
-        cache.add((1, 1))  # violates the knapsack row
+    oracle = InfeasibleOracle(knapsack(), cache=PointCache())
+    with pytest.raises(OracleSoundnessError, match="violates the instance"):
+        oracle_maximize(oracle, [1, 1])
+    assert len(oracle.cache) == 0  # the check runs before the insert
 
 
-def test_cache_checks_each_new_point_once(monkeypatch):
+def test_feasibility_checked_once_per_optimal_response(monkeypatch):
     calls = []
     check = MipInstance.is_feasible_point
 
@@ -110,12 +118,13 @@ def test_cache_checks_each_new_point_once(monkeypatch):
         return check(self, point)
 
     monkeypatch.setattr(MipInstance, "is_feasible_point", counting)
-    cache = PointCache(knapsack())
-    assert cache.add((1, 0)) and len(calls) == 1
-    assert cache.add((1, 0)) is False and len(calls) == 1  # held: not checked again
-    with pytest.raises(OracleSoundnessError):
-        cache.add((1, 1))
-    assert len(calls) == 2 and len(cache) == 1
+    provider = make_provider(knapsack(), "lattice")
+    for w in ([5, 4], [-1, -1], [5, 4]):  # two new points, then a held one
+        oracle_maximize(provider, w)
+    assert len(calls) == 3 and len(provider.cache) == 2
+    unchecked = make_provider(knapsack(), "lattice", verify=False)
+    oracle_maximize(unchecked, [5, 4])
+    assert len(calls) == 3 and len(unchecked.cache) == 1
 
 
 class MisreportingOracle(MipOracle):
@@ -138,7 +147,7 @@ def test_make_provider_engines_and_verify_switch():
     assert (solver.time_limit, solver.node_limit) == (5.0, 9)
     lattice = make_provider(knapsack(), "lattice", verify=False)
     assert isinstance(lattice, BruteForceOracle) and not lattice.verify
-    lattice.cache.add((1, 1))  # infeasible, but insert checks are off too
+    lattice.cache.add((1, 1))  # infeasible: the cache itself checks nothing
     with pytest.raises(ValueError, match="engine"):
         make_provider(knapsack(), "simplex")
 
@@ -235,37 +244,39 @@ def test_oracle_agreement():
 
 
 def test_cache_probe_modes():
-    inst = square()
-    cache = PointCache(inst)
-    assert cache_probe(cache, [1, 0]) is None  # empty cache
+    cache = PointCache()
+    assert cache_probe(cache, [1, 0], gamma=rat(0)) is None  # empty cache
 
     cache.add((0, 0))
+    assert cache_probe(cache, [1, 0], gamma=rat(0)) is None  # no d-value differs
     cache.add((1, 1))
-    # pair mode: two cached points with distinct d-values
-    assert cache_probe(cache, [1, 0]) is not None
-    # gamma mode: a point with d.p != gamma
-    p = cache_probe(cache, [1, 0], gamma=rat(0))
-    assert p is not None and dot([1, 0], p) != 0
-    # face restriction: only (1,1) lies on x+y=2, one point cannot witness
-    face = Inequality([1, 1], 2)
-    assert cache_probe(cache, [1, 0], face=face) is None
-    # with gamma given, the single on-face point can witness
-    p = cache_probe(cache, [1, 0], gamma=rat(0), face=face)
-    assert p == (rat(1), rat(1))
+    cache.add((1, 0))
+    # the first point with d.p != gamma, in first-seen order
+    assert cache_probe(cache, [1, 0], gamma=rat(0)) == (rat(1), rat(1))
+    assert cache_probe(cache, [0, 1], gamma=rat(1)) == (rat(0), rat(0))
 
 
-def test_cache_probe_face_points_lie_on_face():
+def test_restrict_keeps_the_parents_points_on_the_face():
     rng = random.Random(47)
     inst = random_instance(rng, name="probe")
-    cache = PointCache(inst)
-    for p in enumerate_lattice(inst):
-        cache.add(p)
+    provider = make_provider(inst, "lattice")
+    for _ in range(12):
+        oracle_maximize(provider, [rng.randint(-3, 3) for _ in range(inst.num_vars)])
+    held = provider.cache.points()
     a = [rng.randint(-3, 3) for _ in range(inst.num_vars)]
-    beta = max(dot(a, p) for p in cache.points())
-    face = Inequality(a, beta)
-    p = cache_probe(cache, [1] * inst.num_vars, gamma=rat(10**9), face=face)
-    if p is not None:
-        assert dot(a, p) == beta
+    beta = max(dot(a, p) for p in held)
+    face = provider.restrict(a, beta)
+    on_face = tuple(p for p in held if dot(a, p) == beta)
+    assert face.cache.points() == on_face and on_face
+    assert face.points == tuple(p for p in provider.points if dot(a, p) == beta)
+
+    for _ in range(12):
+        oracle_maximize(face, [rng.randint(-3, 3) for _ in range(inst.num_vars)])
+    new = face.cache.points()[len(on_face):]
+    assert face.cache.points()[: len(on_face)] == on_face
+    assert new and all(dot(a, p) == beta and p not in held for p in new)
+    assert provider.cache.points() == held  # face points stay out of the parent
+    assert provider.with_cache(None).restrict(a, beta).cache is None  # cold stays cold
 
 
 def test_enumerate_lattice_guards():
@@ -282,7 +293,7 @@ def test_enumerate_lattice_guards():
 
 
 def test_snapshot_isolation():
-    cache = PointCache(square())
+    cache = PointCache()
     cache.add((0, 0))
     clone = cache.snapshot()
     cache.add((1, 1))

@@ -67,6 +67,19 @@ def test_unbounded_instance_returns_ray():
     assert res.ray is not None and res.ray[0] > 0
 
 
+def test_unbounded_ray_keeps_its_sign():
+    # x integer and free with x <= 1: minimizing x is unbounded along -x
+    inst = build_instance(
+        name="ceiling",
+        constraint_matrix=[[1]],
+        rhs=[1],
+        objective=[1],
+        integer_vars=(0,),
+    )
+    res = solve_mip(inst, objective=[-1])
+    assert res.status is SolveStatus.UNBOUNDED and res.ray == (-1,)
+
+
 def test_unbounded_root_probe_carries_extra_rows():
     # x free with x >= 0, y in {0, 1}: the root LP is unbounded along x
     inst = build_instance(
