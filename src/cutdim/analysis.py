@@ -44,7 +44,6 @@ from .linalg import Vector, dot, vector
 from .model import Inequality, MipInstance, evaluate, normalize_cut
 from .oracle import (
     Infeasible,
-    Optimal,
     OracleInconclusive,
     Unbounded,
     make_provider,
@@ -83,7 +82,8 @@ class CutClassification:
 def compute_beta_true(provider, coefficients: Sequence):
     """max{a.x : x in P} with sentinels: -inf empty, +inf unbounded.
 
-    Returns (value, maximizer-or-None, ray-or-None).
+    Returns (value, point, ray): the maximizer, or the unbounded
+    answer's witness and ray; None for what the answer lacks.
     """
     response = oracle_maximize(provider, vector(coefficients))
     if isinstance(response, Infeasible):
@@ -130,7 +130,7 @@ def classify_cut(
             face_dimension=None if base is None else base.dimension,
         )
 
-    beta_true, maximizer, ray = compute_beta_true(provider, a)
+    beta_true, point, ray = compute_beta_true(provider, a)
 
     if beta_true == -math.inf:
         # P is empty: every cut is vacuously valid and touches nothing
@@ -138,15 +138,14 @@ def classify_cut(
             cut, Verdict.NON_SUPPORTING, beta_true, -math.inf, face_dimension=-1
         )
     if beta_true == math.inf:
-        witness = maximizer if maximizer is not None else _any_point(provider)
-        certificate = _violating_point(a, beta, witness, ray)
+        certificate = _violating_point(a, beta, point, ray)
         return CutClassification(
             cut, Verdict.INVALID, beta_true, math.inf, certificate=certificate
         )
 
     diff = beta_true - beta
     if diff > tolerance:
-        return CutClassification(cut, Verdict.INVALID, beta_true, diff, certificate=maximizer)
+        return CutClassification(cut, Verdict.INVALID, beta_true, diff, certificate=point)
     if diff < -tolerance:
         return CutClassification(cut, Verdict.NON_SUPPORTING, beta_true, diff)
 
@@ -167,21 +166,8 @@ def classify_cut(
     )
 
 
-def _any_point(provider) -> Vector:
-    if provider.cache is not None:
-        pts = provider.cache.points()
-        if pts:
-            return pts[0]
-    response = oracle_maximize(provider, [0] * provider.n)
-    if not isinstance(response, Optimal):
-        raise AnalysisError("no feasible point available for a certificate")
-    return response.point
-
-
 def _violating_point(a, beta, witness, ray) -> Vector:
     """Walk the ray far enough that the cut is violated by at least 1."""
-    if ray is None:
-        return witness
     rate = dot(a, ray)
     if rate <= 0:
         raise AnalysisError("certificate ray does not violate the cut")

@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 from . import fileio
 from .analysis import AnalysisError, analyze_instance, impact_protocol
 from .config import RunConfig, load_config
-from .hull import HullInterrupted, affine_hull
+from .hull import HullInterrupted
 from .mps import MpsParseError
-from .oracle import OracleError, make_provider
+from .oracle import OracleError
 from .rational import rat_decimal, rat_str
 from .selftest import run_all
 
@@ -86,20 +86,12 @@ def _configure(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_dim(args, cfg: RunConfig) -> int:
-    inst = fileio.read_instance(args.instance)
-    provider = make_provider(
-        inst,
-        cfg.engine,
-        verify=cfg.verify_oracle,
-        time_limit=cfg.solve_time_limit,
-        node_limit=cfg.solve_node_limit,
-    )
-    hull = affine_hull(provider, time_budget=cfg.hull_time_budget)
+    analysis = analyze_instance(fileio.read_instance(args.instance), (), cfg)
     print(
-        f"dim = {hull.dimension}, queries = {hull.oracle_queries}, "
-        f"equations = {len(hull.equations)}"
+        f"dim = {analysis.dimension}, queries = {analysis.hull_queries}, "
+        f"equations = {len(analysis.equations)}"
     )
-    for line in hull.equations.render():
+    for line in analysis.equations.render():
         print(f"  {line}")
     return 0
 
@@ -112,22 +104,12 @@ def _analyze(args, cfg: RunConfig, run_impact: bool):
 
 def _print_cut_table(analysis) -> None:
     rows = [("label", "category", "verdict", "beta", "beta_true", "face_dim")]
-    for cut, cls, failure in zip(
-        analysis.cuts, analysis.classifications, analysis.failures
-    ):
-        if cls is None:
-            rows.append((cut.label, cut.category, "failed", rat_str(cut.rhs), "-", failure))
-            continue
-        dim = "-" if cls.face_dimension is None else str(cls.face_dimension)
+    for r in fileio.cut_records(analysis):
+        # a failed cut shows its failure in the face_dim column
+        cells = (r["beta_true"], r["failure"] or r["face_dimension"])
         rows.append(
-            (
-                cut.label,
-                cut.category,
-                cls.verdict.value,
-                rat_str(cut.rhs),
-                rat_str(cls.beta_true),
-                dim,
-            )
+            (r["label"], r["category"], r["verdict"] or "failed", r["beta"])
+            + tuple("-" if c is None else str(c) for c in cells)
         )
     _print_table(rows)
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from typing import Optional, Sequence
 
 from .analysis import (
-    CutClassification,
-    ImpactReport,
     InstanceAnalysis,
     Verdict,
     binned_face_dimension,
@@ -180,18 +179,41 @@ def read_cuts(path: str, num_vars: int) -> list[Inequality]:
         return parse_cuts(fh.read(), num_vars)
 
 
-def _cut_bin_label(analysis: InstanceAnalysis, cls: Optional[CutClassification]) -> Optional[str]:
-    """Histogram bin for one classified cut, None when it is excluded."""
-    if cls is None or analysis.dimension < 0:
-        return None
-    k = binned_face_dimension(cls.verdict, cls.is_degenerate, cls.face_dimension)
-    return None if k is None else relative_dimension_bin(k, analysis.dimension).label
+def cut_records(analysis: InstanceAnalysis) -> list[dict]:
+    """One record per cut, in cut order, with None for what is absent.
 
-
-def _impact_lookup(impact: Optional[ImpactReport], position: int):
-    if impact is None or position >= len(impact.runs):
-        return None
-    return impact.runs[position]
+    The JSON report writes these records as they are; the CSV report
+    and the CLI table render them.  The impact keys (closed gap, nodes,
+    solve status, flag) are present only when the strength protocol ran.
+    """
+    runs = () if analysis.impact is None else analysis.impact.runs
+    records = []
+    for cut, cls, failure, run in itertools.zip_longest(
+        analysis.cuts, analysis.classifications, analysis.failures, runs
+    ):
+        k = None
+        if cls is not None and analysis.dimension >= 0:
+            k = binned_face_dimension(cls.verdict, cls.is_degenerate, cls.face_dimension)
+        record = {
+            "label": cut.label,
+            "category": cut.category,
+            "verdict": None if cls is None else cls.verdict.value,
+            "degenerate": False if cls is None else cls.is_degenerate,
+            "failure": failure or None,
+            "beta": rat_str(cut.rhs),
+            "beta_true": None if cls is None else _num_out(cls.beta_true),
+            "gap_to_true": None if cls is None else _num_out(cls.gap_to_true),
+            "face_dimension": None if cls is None else cls.face_dimension,
+            "bin": None if k is None else relative_dimension_bin(k, analysis.dimension).label,
+        }
+        if run is not None:
+            record["closed_gap"] = _num_out(run.gap)
+            record["closed_gap_decimal"] = None if run.gap is None else rat_decimal(run.gap)
+            record["nodes"] = run.nodes
+            record["solve_status"] = run.solve_status
+            record["flag"] = run.flag
+        records.append(record)
+    return records
 
 
 def analysis_to_json(analysis: InstanceAnalysis) -> str:
@@ -220,7 +242,7 @@ def analysis_to_json(analysis: InstanceAnalysis) -> str:
             "degenerate": analysis.degenerate,
             "node_budget": None if analysis.impact is None else analysis.impact.node_budget,
         },
-        "cuts": [],
+        "cuts": cut_records(analysis),
         "histogram": [
             {"bin": b.label, "weight": rat_str(w), "weight_decimal": rat_decimal(w)}
             for b, w in analysis.histogram()
@@ -241,29 +263,6 @@ def analysis_to_json(analysis: InstanceAnalysis) -> str:
         }
     if analysis.impact_error:
         doc["impact_error"] = analysis.impact_error
-    for position, (cut, cls) in enumerate(zip(analysis.cuts, analysis.classifications)):
-        run = _impact_lookup(analysis.impact, position)
-        entry = {
-            "label": cut.label,
-            "category": cut.category,
-            "verdict": None if cls is None else cls.verdict.value,
-            "degenerate": False if cls is None else cls.is_degenerate,
-            "failure": analysis.failures[position] or None,
-            "beta": rat_str(cut.rhs),
-            "beta_true": None if cls is None else _num_out(cls.beta_true),
-            "gap_to_true": None if cls is None else _num_out(cls.gap_to_true),
-            "face_dimension": None if cls is None else cls.face_dimension,
-            "bin": _cut_bin_label(analysis, cls),
-        }
-        if run is not None:
-            entry["closed_gap"] = _num_out(run.gap)
-            entry["closed_gap_decimal"] = (
-                rat_decimal(run.gap) if run.gap is not None else None
-            )
-            entry["nodes"] = run.nodes
-            entry["solve_status"] = run.solve_status
-            entry["flag"] = run.flag
-        doc["cuts"].append(entry)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -316,33 +315,18 @@ def analysis_to_csv(analysis: InstanceAnalysis) -> str:
             "flag": analysis.impact_error,
         }
     )
-    for position, (cut, cls) in enumerate(zip(analysis.cuts, analysis.classifications)):
-        run = _impact_lookup(analysis.impact, position)
-        failure = analysis.failures[position]
-        writer.writerow(
-            {
-                "row": "cut",
-                "instance": analysis.name,
-                "dimension": analysis.dimension,
-                "label": cut.label,
-                "category": cut.category,
-                "verdict": "failed" if cls is None else cls.verdict.value,
-                "beta": rat_str(cut.rhs),
-                "beta_true": "" if cls is None else _num_out(cls.beta_true),
-                "gap_to_true": "" if cls is None else _num_out(cls.gap_to_true),
-                "face_dimension": ""
-                if cls is None or cls.face_dimension is None
-                else cls.face_dimension,
-                "bin": _cut_bin_label(analysis, cls) or "",
-                "closed_gap": "" if run is None or run.gap is None else rat_str(run.gap),
-                "closed_gap_decimal": ""
-                if run is None or run.gap is None
-                else rat_decimal(run.gap),
-                "nodes": "" if run is None else run.nodes,
-                "solve_status": "" if run is None else run.solve_status,
-                "flag": failure if run is None else (run.flag or failure),
-            }
+    for record in cut_records(analysis):
+        failure = record.pop("failure")
+        row = {key: "" if value is None else value for key, value in record.items()}
+        row.update(
+            row="cut",
+            instance=analysis.name,
+            dimension=analysis.dimension,
+            verdict=record["verdict"] or "failed",
+            degenerate="",  # in CSV the summary row's count
+            flag=record.get("flag") or failure or "",
         )
+        writer.writerow(row)
     for b, w in analysis.histogram():
         writer.writerow(
             {
@@ -378,15 +362,24 @@ def histogram_items_from_report(doc: dict) -> Optional[tuple]:
     d = doc.get("dimension")
     if d is not None and type(d) is not int:
         raise ParseError(f"dimension {d!r} is not a whole number")
-    if d is None or d < 0:
-        return None
+    cuts = doc.get("cuts", [])
+    if not isinstance(cuts, list) or not all(isinstance(cut, dict) for cut in cuts):
+        raise ParseError("cuts must be a list of JSON objects")
     dims = []
-    for cut in doc.get("cuts", ()):
-        verdict = None if cut.get("verdict") is None else Verdict(cut["verdict"])
-        k = binned_face_dimension(verdict, cut.get("degenerate"), cut.get("face_dimension"))
+    for cut in cuts:
+        face_dimension = cut.get("face_dimension")
+        if face_dimension is not None and type(face_dimension) is not int:
+            raise ParseError(f"face_dimension {face_dimension!r} is not a whole number")
+        if type(cut.get("degenerate", False)) is not bool:
+            raise ParseError(f"degenerate {cut['degenerate']!r} is not true or false")
+        try:
+            verdict = None if cut.get("verdict") is None else Verdict(cut["verdict"])
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+        k = binned_face_dimension(verdict, cut.get("degenerate"), face_dimension)
         if k is not None:
             dims.append(k)
-    if not dims:
+    if d is None or d < 0 or not dims:
         return None
     return (d, dims)
 

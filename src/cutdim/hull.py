@@ -3,10 +3,13 @@
 The algorithm maintains a set X of affinely independent feasible points
 and a system D.x = e of independent equations valid for the feasible
 set P.  Each round picks a direction d orthogonal to aff(X) and outside
-the row span of D, then maximizes d and -d over P.  Equal optima prove
-a new valid equation; distinct optima supply a point that leaves
-aff(X).  Either way |X| + rows(D) grows, and when it reaches n + 1 the
-affine hull is pinned down exactly:
+the row span of D, then maximizes d and -d over P.  While X is empty,
+the first answer seeds it (a maximizer, or an unbounded answer's
+witness), and gamma = d.x on X.  Then one chain decides the round: an
+unbounded answer supplies witness + t*ray, a point off d.x = gamma;
+equal optima prove a new valid equation; distinct optima supply the
+one of them off d.x = gamma.  Either way |X| + rows(D) grows, and when
+it reaches n + 1 the affine hull is pinned down exactly:
 
     dim P = |X| - 1,   aff(P) = aff(X) = {x : D.x = e}.
 
@@ -120,10 +123,6 @@ class AffineHullResult:
     oracle_queries: int
     cache_hits: int
 
-    @property
-    def is_empty(self) -> bool:
-        return self.dimension < 0
-
 
 def select_direction(
     points: Sequence[Vector], equations: EquationSystem, n: int
@@ -149,6 +148,16 @@ def select_direction(
         return (len(support), support, v)
 
     return min(eligible, key=key)
+
+
+def escape_from_ray(resp: Unbounded, d: Vector, gamma) -> Vector:
+    """The point witness + t*ray, t in {1, 2}, whose d-value is not gamma."""
+    # d moves strictly along the ray, so at most one step size lands on gamma
+    for t in (1, 2):
+        candidate = vec_add_scaled(resp.witness, t, resp.ray)
+        if dot(d, candidate) != gamma:
+            return candidate
+    raise AssertionError("ray failed to escape gamma at t in {1, 2}")
 
 
 def affine_hull(
@@ -182,7 +191,7 @@ def affine_hull(
     cache_hits = 0
 
     def interrupted(reason: str):
-        return HullInterrupted(reason, max(len(points) - 1, -1), n - len(eqs), queries)
+        return HullInterrupted(reason, len(points) - 1, n - len(eqs), queries)
 
     def query(w):
         nonlocal queries
@@ -208,26 +217,6 @@ def affine_hull(
             raise AssertionError("feasible point violates an equation proved this run")
         points.append(vector(point))
 
-    def escape_from_ray(resp: Unbounded, gamma, d):
-        """A point of the set with d-value different from gamma."""
-        witness = resp.witness
-        if witness is None:
-            if points:
-                witness = points[0]
-            elif cache is not None and len(cache):
-                witness = cache.points()[0]
-        if witness is None:
-            w_resp = query(vector([0] * n))
-            if not isinstance(w_resp, Optimal):
-                raise AssertionError("feasibility probe after an unbounded ray")
-            witness = w_resp.point
-        # d moves strictly along the ray, so at most one step size lands on gamma
-        for t in (1, 2):
-            candidate = vec_add_scaled(witness, t, resp.ray)
-            if gamma is None or dot(d, candidate) != gamma:
-                return witness, candidate
-        raise AssertionError("ray failed to escape gamma at t in {1, 2}")
-
     while len(points) + len(eqs) < n + 1:
         if deadline is not None and time.monotonic() > deadline:
             raise interrupted("time budget exhausted")
@@ -243,8 +232,6 @@ def affine_hull(
                 continue
             raise AssertionError("zero objective cannot be unbounded")
 
-        gamma = dot(d, points[0]) if points else None
-
         if cache is not None and len(cache):
             # with no point yet, the first cached point plays points[0]
             first = points[0] if points else cache.points()[0]
@@ -258,44 +245,27 @@ def affine_hull(
 
         resp_max = query(d)
         if isinstance(resp_max, Infeasible):
-            if points or len(eqs) > initial_count:
+            if points:
                 raise AssertionError("oracle reported infeasible after feasible points")
             return AffineHullResult(-1, (), eqs, queries, cache_hits)
+        if not points:
+            # the first answer seeds X: its point, or the witness of its ray
+            checked_append(resp_max.point if isinstance(resp_max, Optimal) else resp_max.witness)
+        gamma = dot(d, points[0])
         if isinstance(resp_max, Unbounded):
-            witness, escape = escape_from_ray(resp_max, gamma, d)
-            if not points:
-                checked_append(witness)
-            checked_append(escape)
+            checked_append(escape_from_ray(resp_max, d, gamma))
             continue
-
-        x_plus, v_plus = resp_max.point, resp_max.value
         resp_min = query(tuple(-c for c in d))
         if isinstance(resp_min, Infeasible):
             raise AssertionError("infeasible after an optimal response")
         if isinstance(resp_min, Unbounded):
-            if not points:
-                checked_append(x_plus)
-                _, escape = escape_from_ray(resp_min, dot(d, x_plus), d)
-            else:
-                _, escape = escape_from_ray(resp_min, gamma, d)
-            checked_append(escape)
-            continue
-
-        x_minus = resp_min.point
-        v_minus = -resp_min.value  # min of d.x
-
-        if v_plus == v_minus:
-            eqs = eqs.with_equation(d, v_plus)
-            if not points:
-                checked_append(x_plus)
-        elif not points:
-            checked_append(x_plus)
-            checked_append(x_minus)
+            checked_append(escape_from_ray(resp_min, d, gamma))
+        elif resp_max.value == -resp_min.value:
+            eqs = eqs.with_equation(d, resp_max.value)
+        elif dot(d, resp_max.point) != gamma:
+            checked_append(resp_max.point)
         else:
-            if dot(d, x_plus) != gamma:
-                checked_append(x_plus)
-            else:
-                checked_append(x_minus)
+            checked_append(resp_min.point)
 
     return AffineHullResult(len(points) - 1, tuple(points), eqs, queries, cache_hits)
 

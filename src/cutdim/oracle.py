@@ -2,7 +2,9 @@
 
 The dimension algorithm only ever talks to an oracle: give it a
 direction w, get back either a maximizer, an unboundedness certificate
-(ray plus feasible witness), or infeasibility.  Two providers implement
+(an improving ray and, always, a feasible witness point), or
+infeasibility, so every answer but infeasibility names a point of the
+set.  Two providers implement
 that contract, one backed by the exact branch-and-bound solver and one
 by explicit lattice enumeration (small instances; it doubles as the
 reference implementation in tests).
@@ -16,9 +18,10 @@ set of the provider that holds it.  `make_provider` builds the provider
 for an engine name, cache attached.
 
 With `verify` on (the default), every response is checked exactly, once
-(feasibility, objective value, ray directions), before its point reaches
-the cache; a failed check raises OracleSoundnessError rather than
-letting a wrong point silently corrupt a dimension.
+(feasibility of its point or witness, objective value, ray directions),
+before its point reaches the cache; a failed check raises
+OracleSoundnessError rather than letting a wrong point silently corrupt
+a dimension.
 """
 
 from __future__ import annotations
@@ -63,8 +66,10 @@ class Optimal:
 
 @dataclass(frozen=True)
 class Unbounded:
+    """Certificate that w is unbounded: a ray improving w and a feasible witness."""
+
     ray: Vector
-    witness: Optional[Vector] = None  # feasible point, when the solver has one
+    witness: Vector
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,7 @@ def oracle_maximize(provider, w: Sequence) -> OracleResponse:
     """One oracle query: maximize w over the provider's feasible set.
 
     Validates the direction, verifies the response when enabled, and
-    feeds optimal points (and unbounded witnesses) into the provider's
+    feeds optimal points and unbounded witnesses into the provider's
     cache.  All query accounting goes through here.
     """
     w = vector(w)
@@ -140,11 +145,8 @@ def oracle_maximize(provider, w: Sequence) -> OracleResponse:
     response = provider.solve(w)
     if provider.verify:
         _verify_response(provider, w, response)
-    if provider.cache is not None:
-        if isinstance(response, Optimal):
-            provider.cache.add(response.point)
-        elif isinstance(response, Unbounded) and response.witness is not None:
-            provider.cache.add(response.witness)
+    if provider.cache is not None and not isinstance(response, Infeasible):
+        provider.cache.add(response.point if isinstance(response, Optimal) else response.witness)
     provider.query_count += 1
     return response
 
@@ -178,12 +180,11 @@ def _verify_response(provider, w, response) -> None:
     for coeffs, _ in provider.equations:
         if dot(coeffs, ray) != 0:
             raise OracleSoundnessError("ray leaves the face hyperplane")
-    if witness is not None:
-        if not inst.is_feasible_point(witness):
-            raise OracleSoundnessError("unbounded witness is infeasible")
-        for coeffs, beta in provider.equations:
-            if dot(coeffs, witness) != beta:
-                raise OracleSoundnessError("unbounded witness leaves the face hyperplane")
+    if not inst.is_feasible_point(witness):
+        raise OracleSoundnessError("unbounded witness is infeasible")
+    for coeffs, beta in provider.equations:
+        if dot(coeffs, witness) != beta:
+            raise OracleSoundnessError("unbounded witness leaves the face hyperplane")
 
 
 def _on_hyperplane(a: Vector, beta):

@@ -231,8 +231,26 @@ def test_selftest_reports_a_raising_suite(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "report",
-    [[{"dimension": 2, "cuts": []}], {"dimension": "3", "cuts": []}],
-    ids=["list", "text-dimension"],
+    [
+        [{"dimension": 2, "cuts": []}],
+        {"dimension": "3", "cuts": []},
+        {"dimension": 2, "cuts": [1]},
+        {"dimension": 2, "cuts": {"x": 1}},
+        {"dimension": 2, "cuts": [{"verdict": "supporting", "face_dimension": "1"}]},
+        {"dimension": 2, "cuts": [{"verdict": "tight", "face_dimension": 1}]},
+        {"dimension": 2, "cuts": [{"verdict": "non-supporting", "degenerate": "no"}]},
+        {"dimension": -1, "cuts": [1]},
+    ],
+    ids=[
+        "list",
+        "text-dimension",
+        "number-cut",
+        "object-cuts",
+        "text-face-dimension",
+        "verdict",
+        "text-degenerate",
+        "empty-set-number-cut",
+    ],
 )
 def test_histogram_of_a_malformed_report_is_a_parse_error(report, tmp_path, capsys):
     path = tmp_path / "report.json"

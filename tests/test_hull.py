@@ -116,6 +116,31 @@ def test_unbounded_set_dimension():
     assert hull.dimension == 1  # escape point recovered from the ray
 
 
+@pytest.mark.parametrize(
+    "bounds, points, queries",
+    [
+        # both maxima are unbounded: the first witness seeds X
+        ({"lower_bounds": [0, 0]}, [(0, 0), (1, 0), (0, 1)], 2),
+        # both minima are unbounded: the first maximizer seeds X
+        ({"upper_bounds": [0, 0]}, [(0, 0), (-1, 0), (0, -1)], 4),
+    ],
+    ids=["x,y>=0", "x,y<=0"],
+)
+def test_unbounded_quadrant_fixtures(bounds, points, queries):
+    quadrant = build_instance(
+        name="quadrant",
+        constraint_matrix=[],
+        rhs=[],
+        objective=[0, 0],
+        integer_vars=(0, 1),
+        **bounds,
+    )
+    hull = affine_hull(MipOracle(quadrant))
+    assert hull.points == tuple(tuple(map(rat, p)) for p in points)
+    assert len(hull.equations) == 0
+    assert (hull.dimension, hull.oracle_queries, hull.cache_hits) == (2, queries, 0)
+
+
 def test_initial_equations_reduce_queries():
     inst = diagonal_segment()
     eqs = EquationSystem.empty().with_equation([1, -1], 0)

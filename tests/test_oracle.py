@@ -84,6 +84,33 @@ def test_unbounded_response_with_ray():
     assert resp.ray == (1,)
 
 
+def test_unbounded_answer_requires_a_witness():
+    with pytest.raises(TypeError):
+        Unbounded((1,))
+
+
+class BadWitnessOracle(MipOracle):
+    """Answers every query with the ray (1,) from the infeasible point (-1,)."""
+
+    def solve(self, w):
+        return Unbounded((rat(1),), (rat(-1),))
+
+
+def test_soundness_guard_rejects_bad_witnesses():
+    halfline = build_instance(
+        name="halfline",
+        constraint_matrix=[],
+        rhs=[],
+        objective=[1],
+        integer_vars=(0,),
+        lower_bounds=[0],
+    )
+    oracle = BadWitnessOracle(halfline, cache=PointCache())
+    with pytest.raises(OracleSoundnessError, match="witness is infeasible"):
+        oracle_maximize(oracle, [1])
+    assert len(oracle.cache) == 0
+
+
 def test_query_counting_and_cache_population():
     cache = PointCache()
     oracle = MipOracle(knapsack(), cache=cache)
