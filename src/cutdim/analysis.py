@@ -224,11 +224,12 @@ def impact_protocol(
     the smallest node count any completed run needed.  Cuts that cut off
     the optimum are flagged invalid-cut and skipped; runs stopped by the
     time limit before the budget are flagged short-trace and read at
-    their last node.  The reference solve for the optimum has no limit.
+    their last node.  The reference solve for the optimum has the same
+    time limit and no node limit; if it stops short, AnalysisError.
     """
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be at least 1")
-    full = solve_mip(inst)
+    full = solve_mip(inst, options=SolveOptions(time_limit=time_limit))
     if full.status is not SolveStatus.OPTIMAL:
         raise AnalysisError(f"reference solve ended {full.status.value}, not optimal")
     z_star, x_star = full.primal_value, full.best_point

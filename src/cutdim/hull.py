@@ -99,12 +99,6 @@ class EquationSystem:
                 return i
         return None
 
-    def implies(self, coefficients: Sequence, value) -> bool:
-        """True when a.x = value holds on every solution of the system."""
-        aug_rows = [row + (b,) for row, b in zip(self.rows, self.rhs)]
-        candidate = tuple(vector(coefficients)) + (rat(value),)
-        return is_in_span(candidate, aug_rows)
-
     def render(self) -> list[str]:
         out = []
         for row, b in zip(self.rows, self.rhs):
@@ -136,18 +130,17 @@ def select_direction(
     """
     pts = list(points)
     diffs = [tuple(p - q for p, q in zip(x, pts[0])) for x in pts[1:]]
-    complement = orthogonal_complement_basis(diffs, n)
-    eligible = [v for v in complement if not is_in_span(v, equations.rows)]
-    if not eligible:
-        if pts:
-            raise AssertionError("no direction left although |X|+rows(D) <= n")
-        return None
 
     def key(v):
         support = tuple(j for j, c in enumerate(v) if c != 0)
         return (len(support), support, v)
 
-    return min(eligible, key=key)
+    for v in sorted(orthogonal_complement_basis(diffs, n), key=key):
+        if not is_in_span(v, equations.rows):
+            return v
+    if pts:
+        raise AssertionError("no direction left although |X|+rows(D) <= n")
+    return None
 
 
 def escape_from_ray(resp: Unbounded, d: Vector, gamma) -> Vector:

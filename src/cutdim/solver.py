@@ -11,6 +11,12 @@ are pruned by bound before their LP is solved are discarded uncounted.
 After every counted node the current dual bound (max of primal value and
 best open node bound) is appended to a trace, which is what the cut
 impact protocol reads at a fixed node budget.
+
+An unbounded root LP does not end the search.  The same loop then looks
+for any feasible point with a zero objective, starting again from the
+root, so the root LP is counted twice (nodes 1 and 2) and the node and
+time limits bound this search like any other.  Until it finds a point
+or proves the set empty, the trace reads +inf.
 """
 
 from __future__ import annotations
@@ -121,6 +127,7 @@ def solve_mip(
     trace: list[tuple] = []
     dual = math.inf
     status: Optional[SolveStatus] = None
+    ray: Optional[Vector] = None
     int_vars = sorted(inst.integer_vars)
 
     def open_bound():
@@ -146,10 +153,18 @@ def solve_mip(
         lp = solve_lp(obj, rows, rhs, eq_rows, eq_rhs, node.lower, node.upper)
 
         if lp.status is LPStatus.UNBOUNDED:
-            # only possible at the root: child regions are subsets
-            return _resolve_unbounded(inst, options, lp, deadline, node_count)
-
-        if lp.status is LPStatus.OPTIMAL:
+            # Only possible at the root: child regions are subsets.  For
+            # rational data the recession cones of the relaxation and of
+            # the mixed-integer hull coincide, so any feasible point
+            # certifies an unbounded problem.  Search for one with a zero
+            # objective from a fresh root; the first point found ends it.
+            ray = integerize(lp.ray)
+            if dot(ray, lp.ray) < 0:  # integerize made a negative leading entry positive
+                ray = tuple(-v for v in ray)
+            obj = (rat(0),) * inst.num_vars
+            primal, best = -math.inf, None
+            heapq.heappush(heap, node)
+        elif lp.status is LPStatus.OPTIMAL:
             val, point = lp.value, lp.point
             if val > primal:
                 frac_var = _pick_branch_variable(point, int_vars)
@@ -172,11 +187,17 @@ def solve_mip(
                     )
 
         dual = max(primal, open_bound())
+        if ray is not None and dual != -math.inf:
+            dual = math.inf  # unbounded unless the search proves P empty
         trace.append((node_count, dual))
 
     if status is None:
-        status = SolveStatus.OPTIMAL if best is not None else SolveStatus.INFEASIBLE
-        dual = primal if best is not None else -math.inf
+        if best is None:
+            status, dual = SolveStatus.INFEASIBLE, -math.inf
+        elif ray is not None:
+            status, primal, dual = SolveStatus.UNBOUNDED, math.inf, math.inf
+        else:
+            status, dual = SolveStatus.OPTIMAL, primal
 
     return SolveResult(
         status=status,
@@ -185,6 +206,7 @@ def solve_mip(
         dual_bound=dual,
         node_count=node_count,
         trace=tuple(trace),
+        ray=ray if status is SolveStatus.UNBOUNDED else None,
     )
 
 
@@ -212,59 +234,6 @@ def _replace_bound(node: _Node, j: int, lower=None, upper=None):
     if upper is not None:
         hi[j] = upper
     return tuple(lo), tuple(hi)
-
-
-def _resolve_unbounded(inst, options, lp, deadline, node_count):
-    """Root LP is unbounded: decide between UNBOUNDED and INFEASIBLE.
-
-    For rational data the recession cones of the relaxation and of the
-    mixed-integer hull coincide, so an unbounded relaxation plus any
-    feasible mixed-integer point certifies an unbounded problem.  The
-    probe solves the same rows with a zero objective; its nodes are
-    bookkeeping of the probe, not of this solve.
-    """
-    remaining = None
-    if deadline is not None:
-        remaining = max(0.0, deadline - time.monotonic())
-    probe = solve_mip(
-        inst,
-        objective=[0] * inst.num_vars,
-        options=SolveOptions(
-            extra_constraints=options.extra_constraints,
-            extra_equations=options.extra_equations,
-            time_limit=remaining,
-        ),
-    )
-    if probe.status is SolveStatus.TIME_LIMIT:
-        return SolveResult(
-            status=SolveStatus.TIME_LIMIT,
-            best_point=None,
-            primal_value=-math.inf,
-            dual_bound=math.inf,
-            node_count=node_count,
-            trace=((node_count, math.inf),),
-        )
-    if probe.status is SolveStatus.INFEASIBLE:
-        return SolveResult(
-            status=SolveStatus.INFEASIBLE,
-            best_point=None,
-            primal_value=-math.inf,
-            dual_bound=-math.inf,
-            node_count=node_count,
-            trace=((node_count, -math.inf),),
-        )
-    ray = integerize(lp.ray)
-    if dot(ray, lp.ray) < 0:  # integerize made a negative leading entry positive
-        ray = tuple(-v for v in ray)
-    return SolveResult(
-        status=SolveStatus.UNBOUNDED,
-        best_point=probe.best_point,
-        primal_value=math.inf,
-        dual_bound=math.inf,
-        node_count=node_count,
-        trace=((node_count, math.inf),),
-        ray=ray,
-    )
 
 
 def _stack_rows(inst: MipInstance, options: SolveOptions):

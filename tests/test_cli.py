@@ -151,6 +151,16 @@ def test_impact_infeasible_instance(tmp_path, capsys):
     assert "impact protocol failed" in err
 
 
+def test_impact_reference_solve_obeys_time_limit(tmp_path, capsys):
+    path = tmp_path / "knap.json"
+    write_instance(knapsack(), str(path))
+    cuts = tmp_path / "cuts.txt"
+    cuts.write_text("strong, 1, 1, ≤ 3\n")
+    assert main(["impact", str(path), str(cuts), "--solve-time-limit", "1e-9"]) == 1
+    err = capsys.readouterr().err
+    assert "reference solve ended time_limit, not optimal" in err
+
+
 def test_analyze_writes_json_report(square_path, trio_path, tmp_path, capsys):
     report = tmp_path / "report.json"
     rc = main(["analyze", square_path, trio_path, "--output", str(report)])

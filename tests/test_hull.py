@@ -255,5 +255,5 @@ def test_sandwich_property():
         beta = max(dot(a, p) for p in points)
         face = face_hull(provider, base, Inequality(a, beta))
         assert -1 <= face.dimension <= base.dimension
-        implied = base.equations.implies(a, beta)
-        assert (face.dimension == base.dimension) == implied
+        whole = all(dot(a, p) == beta for p in points)
+        assert (face.dimension == base.dimension) == whole

@@ -20,6 +20,7 @@ from cutdim.oracle import (
 )
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
+from cutdim.solver import SolveStatus
 
 
 def knapsack():
@@ -210,6 +211,20 @@ def test_inconclusive_on_limits():
     oracle = MipOracle(inst, time_limit=0.5)
     with pytest.raises(OracleInconclusive):
         oracle_maximize(oracle, [1, 0])
+
+
+def test_inconclusive_on_node_limit_with_unbounded_root():
+    # 2x - 2y = 1 has no integer point; the relaxation is unbounded along (1, 1)
+    inst = build_instance(
+        name="strip",
+        constraint_matrix=[[2, -2], [-2, 2]],
+        rhs=[1, -1],
+        objective=[1, 0],
+        integer_vars=(0, 1),
+    )
+    with pytest.raises(OracleInconclusive) as info:
+        oracle_maximize(MipOracle(inst, node_limit=50), [1, 0])
+    assert info.value.status is SolveStatus.NODE_LIMIT
 
 
 def test_brute_force_oracle_fixtures():

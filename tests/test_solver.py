@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -25,6 +27,13 @@ def knapsack():
         lower_bounds=[0, 0],
         upper_bounds=[1, 1],
     )
+
+
+def assert_trace_contract(res):
+    assert [i for i, _ in res.trace] == list(range(1, res.node_count + 1))
+    bounds = [b for _, b in res.trace]
+    assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))  # non-increasing
+    assert bounds[-1] == res.dual_bound
 
 
 def test_knapsack_optimum():
@@ -98,20 +107,57 @@ def test_unbounded_root_probe_carries_extra_rows():
 
     res = solve()
     assert res.status is SolveStatus.UNBOUNDED and res.ray == (1, 0)
-    assert solve(extra_equations=(((0, 1), half),)).status is SolveStatus.INFEASIBLE
+    res = solve(extra_equations=(((0, 1), half),))
+    assert res.status is SolveStatus.INFEASIBLE and res.node_count > 2
+    assert_trace_contract(res)
+    assert res.trace[0][1] == math.inf and res.dual_bound == -math.inf
     pair = (Inequality([0, 1], half), Inequality([0, -1], -half))
     assert solve(extra_constraints=pair).status is SolveStatus.INFEASIBLE
     res = solve(extra_constraints=(Inequality([0, 1], 0),))
     assert res.status is SolveStatus.UNBOUNDED and res.best_point[1] == 0
 
 
-def test_trace_contract():
-    inst = knapsack()
+def strip():
+    # 2x - 2y = 1 has no integer point; the relaxation is unbounded along (1, 1)
+    return build_instance(
+        name="strip",
+        constraint_matrix=[[2, -2], [-2, 2]],
+        rhs=[1, -1],
+        objective=[1, 0],
+        integer_vars=(0, 1),
+    )
+
+
+def test_unbounded_root_search_obeys_node_limit():
+    start = time.monotonic()
+    res = solve_mip(strip(), options=SolveOptions(node_limit=50, time_limit=5.0))
+    assert time.monotonic() - start < 1.0
+    assert res.status is SolveStatus.NODE_LIMIT and res.node_count == 50
+    assert res.best_point is None and res.ray is None
+    assert res.primal_value == -math.inf and res.dual_bound == math.inf
+
+
+def test_unbounded_root_trace_contract():
+    # x >= 1 and 1 <= 7x - 4y <= 2: the zero-objective search branches
+    # before it finds a point, so the root is counted twice plus the tree
+    inst = build_instance(
+        name="slope",
+        constraint_matrix=[[-1, 0], [7, -4], [-7, 4]],
+        rhs=[-1, 2, -1],
+        objective=[1, 0],
+        integer_vars=(0, 1),
+    )
     res = solve_mip(inst)
-    assert [i for i, _ in res.trace] == list(range(1, res.node_count + 1))
-    bounds = [b for _, b in res.trace]
-    assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))  # non-increasing
-    assert bounds[-1] == res.primal_value  # solved to optimality
+    assert res.status is SolveStatus.UNBOUNDED and res.node_count > 2
+    assert inst.is_feasible_point(res.best_point) and res.ray == (4, 7)
+    assert_trace_contract(res)
+    assert {b for _, b in res.trace} == {math.inf}
+
+
+def test_trace_contract():
+    res = solve_mip(knapsack())
+    assert_trace_contract(res)
+    assert res.dual_bound == res.primal_value  # solved to optimality
 
 
 def test_determinism():
