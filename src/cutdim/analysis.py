@@ -112,7 +112,7 @@ def classify_cut(
     tolerance = rat(tolerance)
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
-    cut = cut if cut.normalized else normalize_cut(cut)
+    cut = normalize_cut(cut)
     a, beta = cut.coefficients, cut.rhs
 
     if all(c == 0 for c in a):
@@ -149,7 +149,7 @@ def classify_cut(
     if diff < -tolerance:
         return CutClassification(cut, Verdict.NON_SUPPORTING, beta_true, diff)
 
-    tightened = dataclasses.replace(cut, rhs=beta_true, normalized=cut.normalized)
+    tightened = dataclasses.replace(cut, rhs=beta_true)
     face_dimension = None
     face_result = None
     if base is not None:
@@ -242,7 +242,7 @@ def impact_protocol(
     options = SolveOptions(incumbent=x_star, node_limit=node_limit, time_limit=time_limit)
     results = [("", "", solve_mip(inst, options=options))]
     for cut in cuts:
-        cut_n = cut if cut.normalized else normalize_cut(cut)
+        cut_n = normalize_cut(cut)
         if evaluate(cut_n, x_star) > 0:
             results.append((cut.label, cut.category, None))
             continue
@@ -489,7 +489,7 @@ def analyze_instance(
         time_limit=config.solve_time_limit,
         node_limit=config.solve_node_limit,
     )
-    cuts = tuple(c if c.normalized else normalize_cut(c) for c in cuts)
+    cuts = tuple(normalize_cut(c) for c in cuts)
 
     base = affine_hull(provider, time_budget=config.hull_time_budget)
 

@@ -226,6 +226,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"file error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 1

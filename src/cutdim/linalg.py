@@ -53,6 +53,17 @@ def vec_add_scaled(u: Sequence, t, v: Sequence) -> Vector:
     return tuple(a + t * b for a, b in zip(u, v))
 
 
+def pivot(rows: list[list], r: int, c: int) -> None:
+    """Gauss-Jordan step in place: a unit at (r, c), zeros elsewhere in column c."""
+    inv = 1 / rows[r][c]
+    prow = [v * inv for v in rows[r]]
+    rows[r] = prow
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, prow)]
+
+
 def _echelon(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form. Returns (rref rows, pivot columns)."""
     work = [[rat(v) for v in row] for row in rows]
@@ -72,12 +83,7 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
         if best is None:
             continue
         work[r], work[best] = work[best], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivot(work, r, c)
         pivots.append(c)
         r += 1
     return work, pivots

@@ -133,15 +133,13 @@ class Inequality:
     """A linear inequality a.x <= rhs.
 
     `label` is free text (cut name); `category` an optional tag such as
-    the generating cut class.  `normalized` records that the coefficient
-    vector has max-norm 1.
+    the generating cut class.
     """
 
     coefficients: Vector
     rhs: object
     label: str = ""
     category: str = ""
-    normalized: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", vector(self.coefficients))
@@ -168,7 +166,6 @@ def normalize_cut(cut: Inequality) -> Inequality:
         cut,
         coefficients=tuple(c / m for c in cut.coefficients),
         rhs=cut.rhs / m,
-        normalized=True,
     )
 
 

@@ -13,7 +13,10 @@ doubly bounded variable also gets the row  y <= u - l.  The same table
 substitutes every row and the objective, and maps the optimal point
 (with the shifts) and an unbounded ray (without them) back to x-space.
 Artificial variables are introduced only for rows whose slack cannot
-serve as the initial basis.
+serve as the initial basis; their columns come last and are deleted
+once phase one has found a feasible basis.  The objective being
+optimized is the tableau's last row, so a pivot is one
+`linalg.pivot` step plus the basis update.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .linalg import Vector, dot, vector
+from .linalg import Vector, dot, pivot, vector
 from .rational import ZERO, rat
 
 
@@ -115,34 +118,28 @@ def solve_lp(
 
     cy, _ = substitute(c)
 
-    tableau, basis, art_cols, total_cols = _build_tableau(rows, ncols)
+    tableau, basis, art_base = _build_tableau(rows, ncols)
+    if not _phase_one(tableau, basis, art_base):
+        return LPResult(LPStatus.INFEASIBLE)
 
-    if art_cols:
-        feasible = _phase_one(tableau, basis, art_cols, total_cols)
-        if not feasible:
-            return LPResult(LPStatus.INFEASIBLE)
-
-    eligible = [True] * total_cols
-    for col in art_cols:
-        eligible[col] = False
-
-    z = [ZERO] * total_cols
-    for col, v in enumerate(cy):
-        z[col] = v
+    # phase two: the tableau has art_base columns plus the rhs, and the
+    # objective's reduced costs become its last row; that row's rhs slot
+    # is never read, the value is recomputed from the point
+    z = cy + [ZERO] * (art_base + 1 - ncols)
     for i, bcol in enumerate(basis):
         f = z[bcol]
         if f != 0:
-            row = tableau[i]
-            z = [a - f * b for a, b in zip(z, row)]
-    # trailing slot mirrors the rhs column so pivots can update z in lockstep;
-    # the objective value is recomputed from the final point instead
-    z.append(ZERO)
+            z = [a - f * b for a, b in zip(z, tableau[i])]
+    tableau.append(z)
 
-    status, pc = _optimize(tableau, basis, z, eligible)
-    point = _map(_basic_solution(tableau, basis, total_cols), subst, shifted=True)
-    if status is LPStatus.OPTIMAL:
+    pc = _optimize(tableau, basis)
+    y = [ZERO] * art_base
+    for i, bcol in enumerate(basis):
+        y[bcol] = tableau[i][-1]
+    point = _map(y, subst, shifted=True)
+    if pc is None:
         return LPResult(LPStatus.OPTIMAL, point=point, value=dot(c, point))
-    ray_y = [ZERO] * total_cols
+    ray_y = [ZERO] * art_base
     ray_y[pc] = rat(1)
     for i, bcol in enumerate(basis):
         ray_y[bcol] = -tableau[i][pc]
@@ -152,132 +149,107 @@ def solve_lp(
 def _build_tableau(rows, ncols):
     """Standard-form tableau with slacks, sign-normalized rhs, artificials.
 
-    Returns (tableau rows [coeffs..., rhs], basis, artificial cols, width).
+    Returns (tableau rows [coeffs..., rhs], basis, first artificial col);
+    the artificial columns are contiguous and come last.
     """
     nslack = sum(1 for _, _, is_eq in rows if not is_eq)
-    slack_base = ncols
     art_base = ncols + nslack
-    prepared = []  # (coeffs incl slack, rhs, natural_basic or None)
-    slack_idx = 0
-    art_needed = []
+    prepared = []  # (coeffs incl slack, rhs, natural basic col or None)
+    slack = ncols
     for coeffs, rhs, is_eq in rows:
         coeffs = list(coeffs) + [ZERO] * nslack
         basic = None
         if not is_eq:
-            col = slack_base + slack_idx
-            slack_idx += 1
-            coeffs[col] = rat(1)
-            basic = col
+            coeffs[slack] = rat(1)
+            basic = slack
+            slack += 1
         if rhs < 0:
             coeffs = [-v for v in coeffs]
             rhs = -rhs
             basic = None  # slack coefficient is now -1
-        prepared.append([coeffs, rhs, basic])
-        art_needed.append(basic is None)
+        prepared.append((coeffs, rhs, basic))
 
-    total_cols = art_base + sum(art_needed)
+    nart = sum(1 for _, _, basic in prepared if basic is None)
     tableau = []
     basis = []
-    art_cols = []
-    next_art = art_base
-    for (coeffs, rhs, basic), needs_art in zip(prepared, art_needed):
-        row = coeffs + [ZERO] * (total_cols - len(coeffs)) + [rhs]
-        if needs_art:
-            row[next_art] = rat(1)
-            basic = next_art
-            art_cols.append(next_art)
-            next_art += 1
+    art = art_base
+    for coeffs, rhs, basic in prepared:
+        row = coeffs + [ZERO] * nart + [rhs]
+        if basic is None:
+            row[art] = rat(1)
+            basic = art
+            art += 1
         tableau.append(row)
         basis.append(basic)
-    return tableau, basis, art_cols, total_cols
+    return tableau, basis, art_base
 
 
-def _phase_one(tableau, basis, art_cols, total_cols) -> bool:
-    """Minimize the artificial sum; True when it reaches zero."""
-    art_set = set(art_cols)
-    z = [ZERO] * (total_cols + 1)
-    for col in art_cols:
-        z[col] = rat(-1)
-    for i, bcol in enumerate(basis):
-        if bcol in art_set:
-            row = tableau[i]
-            z = [a + b for a, b in zip(z, row)]
-    eligible = [True] * total_cols
-    status, _ = _optimize(tableau, basis, z, eligible)
-    if status is not LPStatus.OPTIMAL:
+def _phase_one(tableau, basis, art_base) -> bool:
+    """Minimize the artificial sum; True when it reaches zero.
+
+    On success the artificials have left the basis, rows they leave
+    behind as redundant are dropped and the artificial columns deleted.
+    """
+    art_rows = [i for i, bcol in enumerate(basis) if bcol >= art_base]
+    if not art_rows:
+        return True
+    width = len(tableau[0])
+    z = [ZERO] * art_base + [rat(-1)] * (width - 1 - art_base) + [ZERO]
+    for i in art_rows:
+        z = [a + b for a, b in zip(z, tableau[i])]
+    tableau.append(z)
+    if _optimize(tableau, basis) is not None:
         raise AssertionError("phase one cannot be unbounded")
-    art_sum = sum((tableau[i][-1] for i, b in enumerate(basis) if b in art_set), ZERO)
-    if art_sum != 0:
+    # the rhs slot of the objective row holds the artificial sum
+    if tableau.pop()[-1] != 0:
         return False
     # drive leftover artificials out of the basis at level zero
     drop = []
-    for i in range(len(tableau)):
-        if basis[i] not in art_set:
+    for i, row in enumerate(tableau):
+        if basis[i] < art_base:
             continue
-        pivot_col = None
-        for col in range(total_cols):
-            if col not in art_set and tableau[i][col] != 0:
-                pivot_col = col
-                break
+        pivot_col = next((col for col in range(art_base) if row[col] != 0), None)
         if pivot_col is None:
             drop.append(i)  # redundant row
         else:
-            _pivot(tableau, basis, z, i, pivot_col)
+            pivot(tableau, i, pivot_col)
+            basis[i] = pivot_col
     for i in reversed(drop):
         del tableau[i]
         del basis[i]
+    for row in tableau:
+        del row[art_base:-1]
     return True
 
 
-def _optimize(tableau, basis, z, eligible):
-    """Bland-rule simplex loop. Returns (status, entering col or None)."""
-    ncols = len(eligible)
+def _optimize(tableau, basis) -> Optional[int]:
+    """Bland-rule simplex loop on the objective in the last tableau row.
+
+    Returns None at an optimum, or the entering column along which the
+    objective is unbounded.
+    """
     while True:
-        pc = None
-        for j in range(ncols):
-            if eligible[j] and z[j] > 0:
-                pc = j
-                break
+        z = tableau[-1]
+        pc = next((j for j in range(len(z) - 1) if z[j] > 0), None)
         if pc is None:
-            return LPStatus.OPTIMAL, None
+            return None
         pr = None
         best_ratio = None
-        for i, row in enumerate(tableau):
-            coeff = row[pc]
+        for i, bcol in enumerate(basis):
+            coeff = tableau[i][pc]
             if coeff > 0:
-                ratio = row[-1] / coeff
+                ratio = tableau[i][-1] / coeff
                 if (
                     best_ratio is None
                     or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[pr])
+                    or (ratio == best_ratio and bcol < basis[pr])
                 ):
                     best_ratio = ratio
                     pr = i
         if pr is None:
-            return LPStatus.UNBOUNDED, pc
-        _pivot(tableau, basis, z, pr, pc)
-
-
-def _pivot(tableau, basis, z, pr, pc):
-    piv = tableau[pr][pc]
-    inv = 1 / piv
-    prow = [v * inv for v in tableau[pr]]
-    tableau[pr] = prow
-    for i, row in enumerate(tableau):
-        if i != pr and row[pc] != 0:
-            f = row[pc]
-            tableau[i] = [a - f * b for a, b in zip(row, prow)]
-    f = z[pc]
-    if f != 0:
-        z[:] = [a - f * b for a, b in zip(z, prow)]
-    basis[pr] = pc
-
-
-def _basic_solution(tableau, basis, total_cols):
-    y = [ZERO] * total_cols
-    for i, bcol in enumerate(basis):
-        y[bcol] = tableau[i][-1]
-    return y
+            return pc
+        pivot(tableau, pr, pc)
+        basis[pr] = pc
 
 
 def _map(y, subst, shifted) -> Vector:

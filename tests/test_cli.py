@@ -274,6 +274,19 @@ def test_missing_file_is_usage_error(capsys):
     assert "file not found" in capsys.readouterr().err
 
 
+def test_output_to_a_directory_is_usage_error(square_path, tmp_path, capsys):
+    cuts = tmp_path / "cuts.txt"
+    cuts.write_text("c, 1, 1, 1\n")
+    assert main(["classify", square_path, str(cuts), "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"file error: {tmp_path}: " in err and "Traceback" not in err
+
+
+def test_histogram_of_a_directory_is_usage_error(tmp_path, capsys):
+    assert main(["histogram", str(tmp_path)]) == 2
+    assert f"file error: {tmp_path}: " in capsys.readouterr().err
+
+
 def test_malformed_cuts_are_parse_errors(square_path, tmp_path, capsys):
     cuts = tmp_path / "cuts.txt"
     cuts.write_text("c1, 1, 2\n")  # wrong coefficient count for n=2

@@ -116,7 +116,7 @@ def test_read_write_dispatch(tmp_path):
 
 def test_parse_cuts_grammar():
     cuts = parse_cuts("c1, 1, 1, ≤ 2", 2)
-    assert cuts == [Inequality([1, 1], 2, label="c1", normalized=True)]
+    assert cuts == [Inequality([1, 1], 2, label="c1")]
     # the relation may also be its own field, or absent
     assert parse_cuts("c1, 1, 1, <=, 2", 2) == cuts
     assert parse_cuts("c1, 1, 1, 2", 2) == cuts
