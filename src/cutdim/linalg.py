@@ -1,14 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of rationals and matrices are tuples of row tuples;
-both are immutable so they can be shared freely between threads.  All
-eliminations run in exact arithmetic, so rank and span questions are
-decided, never estimated.
+both are immutable so they can be shared freely between threads.
+
+Eliminations run on rows of Python ints: `int_row` scales a rational
+row to coprime integers, and `pivot`, the one elimination step, keeps
+every row a positive multiple of the row exact rational Gauss-Jordan
+would give (fraction-free, after Edmonds and Bareiss).  Signs, zero
+patterns and ratios within a row therefore read as in the rational
+form, and rank and span questions are decided, never estimated.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .rational import ZERO, rat
@@ -53,20 +58,46 @@ def vec_add_scaled(u: Sequence, t, v: Sequence) -> Vector:
     return tuple(a + t * b for a, b in zip(u, v))
 
 
-def pivot(rows: list[list], r: int, c: int) -> None:
-    """Gauss-Jordan step in place: a unit at (r, c), zeros elsewhere in column c."""
-    inv = 1 / rows[r][c]
-    prow = [v * inv for v in rows[r]]
-    rows[r] = prow
+def int_row(values: Sequence) -> list[int]:
+    """The positive multiple of a row of ints and rationals whose entries
+    are coprime integers; a zero row stays zero."""
+    den = lcm(*(v.denominator for v in values))
+    return _primitive([v.numerator * (den // v.denominator) for v in values])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def pivot(rows: list[list[int]], r: int, c: int) -> None:
+    """Fraction-free Gauss-Jordan step in place: clear column c from every
+    integer row but r.
+
+    Row r is made positive at c and every row comes out coprime and a
+    positive multiple of the row the rational step (a unit at (r, c))
+    gives.  A row that is zero at c is left as it is.
+    """
+    prow = rows[r]
+    if prow[c] < 0:
+        prow = [-v for v in prow]
+    prow = rows[r] = _primitive(prow)
+    p = prow[c]
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [a - f * b for a, b in zip(row, prow)]
+        f = row[c]
+        if f and i != r:
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
 
 
-def _echelon(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form. Returns (rref rows, pivot columns)."""
-    work = [[rat(v) for v in row] for row in rows]
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form as integer rows. Returns (rows, pivot columns).
+
+    The reduced form is unique, so the first nonzero row serves as pivot.
+    Row k is a positive multiple of the rational form's row k.
+    """
+    work = [int_row([rat(v) for v in row]) for row in rows]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -75,11 +106,7 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     for c in range(ncols):
         if r == len(work):
             break
-        # partial pivot by largest magnitude keeps entries small-ish
-        best = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0 and (best is None or abs(work[i][c]) > abs(work[best][c])):
-                best = i
+        best = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if best is None:
             continue
         work[r], work[best] = work[best], work[r]
@@ -147,8 +174,8 @@ def orthogonal_complement_basis(vectors: Sequence[Sequence], n: int) -> list[Vec
             continue
         y = [ZERO] * n
         y[free] = rat(1)
-        for row_idx, pc in enumerate(pivots):
-            y[pc] = -rref[row_idx][free]
+        for row, pc in zip(rref, pivots):
+            y[pc] = rat(-row[free], row[pc])
         basis.append(integerize(y))
     return basis
 

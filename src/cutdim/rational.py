@@ -2,11 +2,13 @@
 
 Every number that enters the toolkit is converted to an exact rational at
 the boundary and stays exact from then on; no floats are ever produced by
-internal arithmetic.  The backend is gmpy2's ``mpq`` when available (much
-faster on elimination and pivoting workloads) with ``fractions.Fraction``
-as a pure-Python fallback.  Both expose ``.numerator``/``.denominator``
-and hash consistently with each other and with ``int``, so the two
-backends are interchangeable.
+internal arithmetic.  The backend is gmpy2's ``mpq`` when available, with
+``fractions.Fraction`` as a pure-Python fallback.  Eliminations and the
+simplex do not pivot on these scalars: they run on rows of Python ints
+(`linalg.pivot`), so the backend only sets the speed of the rational work
+around them (dot products, point checks, reading results back).  Both
+expose ``.numerator``/``.denominator`` and hash consistently with each
+other and with ``int``, so the two backends are interchangeable.
 
 ``math.inf`` / ``-math.inf`` are used as sentinels for absent bounds and
 for unbounded optima; they are never operated on arithmetically, only
@@ -55,6 +57,8 @@ def rat(value: RationalLike, den: RationalLike | None = None):
     exponent ("0.1", "2.5e-3"); all are parsed exactly, never via float.
     """
     if den is not None:
+        if isinstance(value, int) and isinstance(den, int):
+            return _make(value, den)
         return _make(rat(value), rat(den))
     if isinstance(value, type(ZERO)):
         return value

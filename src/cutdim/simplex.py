@@ -17,15 +17,24 @@ serve as the initial basis; their columns come last and are deleted
 once phase one has found a feasible basis.  The objective being
 optimized is the tableau's last row, so a pivot is one
 `linalg.pivot` step plus the basis update.
+
+The tableau holds Python ints.  Each row is scaled to coprime integers
+once, when the tableau is built, and `linalg.pivot` keeps every row a
+positive multiple of the rational tableau's row.  Pricing reads signs,
+the ratio test cross-multiplies, and the basic solution and ray are read
+back as a row's rhs (or entering column) over its basic entry, so the
+pivots, and every result, are those of the rational tableau.  Rationals
+appear only at the boundary: the input rows and the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import Vector, dot, pivot, vector
+from .linalg import Vector, dot, int_row, pivot, vector
 from .rational import ZERO, rat
 
 
@@ -76,112 +85,113 @@ def solve_lp(
     caps = []  # (col, hi - lo): upper-bound rows of doubly bounded variables
     for lo, hi in zip(lower, upper):
         if lo is not None:
-            subst.append((rat(lo), ((ncols, 1),)))
+            subst.append((_exact(lo), ((ncols, 1),)))
             if hi is not None:
-                caps.append((ncols, rat(hi) - rat(lo)))
+                caps.append((ncols, _exact(hi) - _exact(lo)))
             ncols += 1
         elif hi is not None:
-            subst.append((rat(hi), ((ncols, -1),)))
+            subst.append((_exact(hi), ((ncols, -1),)))
             ncols += 1
         else:
-            subst.append((ZERO, ((ncols, 1), (ncols + 1, -1))))
+            subst.append((0, ((ncols, 1), (ncols + 1, -1))))
             ncols += 2
 
-    def substitute(row):
-        """Coefficients of a.x over y, and the constant a.shift."""
-        out = [ZERO] * ncols
-        offset = ZERO
+    def substitute(row, b=0):
+        """(coeffs of a.x over y, rhs b - a.shift, scale): both times the
+        scale that clears the denominators of a and b, so the coeffs are
+        ints, and so is the rhs unless a shift is fractional."""
+        row = [rat(a) for a in row]
+        b = rat(b)
+        scale = lcm(b.denominator, *(a.denominator for a in row))
+        out = [0] * ncols
+        rhs = b.numerator * (scale // b.denominator)
         for (shift, terms), a in zip(subst, row):
-            a = rat(a)
-            if a == 0:
-                continue
-            for col, sign in terms:
-                out[col] += sign * a
-            offset += a * shift
-        return out, offset
+            if a:
+                a = a.numerator * (scale // a.denominator)
+                for col, sign in terms:
+                    out[col] += sign * a
+                if shift:
+                    rhs -= a * shift
+        return out, rhs, scale
 
-    rows = []  # (coeffs, rhs, is_eq)
+    rows = []  # (coeffs, rhs, scale, is_eq)
     for row, b in zip(ineq_rows, ineq_rhs, strict=True):
         if len(row) != n:
             raise ValueError("constraint row length mismatch")
-        coeffs, offset = substitute(row)
-        rows.append((coeffs, rat(b) - offset, False))
+        rows.append((*substitute(row, b), False))
     for col, cap in caps:
-        coeffs = [ZERO] * ncols
-        coeffs[col] = rat(1)
-        rows.append((coeffs, cap, False))
+        coeffs = [0] * ncols
+        coeffs[col] = 1
+        rows.append((coeffs, cap, 1, False))
     for row, b in zip(eq_rows, eq_rhs, strict=True):
         if len(row) != n:
             raise ValueError("equation row length mismatch")
-        coeffs, offset = substitute(row)
-        rows.append((coeffs, rat(b) - offset, True))
+        rows.append((*substitute(row, b), True))
 
-    cy, _ = substitute(c)
+    cy, _, _ = substitute(c)
 
     tableau, basis, art_base = _build_tableau(rows, ncols)
     if not _phase_one(tableau, basis, art_base):
         return LPResult(LPStatus.INFEASIBLE)
 
-    # phase two: the tableau has art_base columns plus the rhs, and the
-    # objective's reduced costs become its last row; that row's rhs slot
-    # is never read, the value is recomputed from the point
-    z = cy + [ZERO] * (art_base + 1 - ncols)
-    for i, bcol in enumerate(basis):
-        f = z[bcol]
-        if f != 0:
-            z = [a - f * b for a, b in zip(z, tableau[i])]
-    tableau.append(z)
+    # phase two: the objective's reduced costs become the last row; its
+    # rhs slot is never read, the value is recomputed from the point
+    tableau.append(int_row(cy + [0] * (art_base + 1 - ncols)))
+    _price_out(tableau, basis)
 
     pc = _optimize(tableau, basis)
     y = [ZERO] * art_base
-    for i, bcol in enumerate(basis):
-        y[bcol] = tableau[i][-1]
+    for row, bcol in zip(tableau, basis):
+        y[bcol] = rat(row[-1], row[bcol])
     point = _map(y, subst, shifted=True)
     if pc is None:
         return LPResult(LPStatus.OPTIMAL, point=point, value=dot(c, point))
     ray_y = [ZERO] * art_base
     ray_y[pc] = rat(1)
-    for i, bcol in enumerate(basis):
-        ray_y[bcol] = -tableau[i][pc]
+    for row, bcol in zip(tableau, basis):
+        ray_y[bcol] = rat(-row[pc], row[bcol])
     return LPResult(LPStatus.UNBOUNDED, point=point, ray=_map(ray_y, subst, shifted=False))
 
 
 def _build_tableau(rows, ncols):
-    """Standard-form tableau with slacks, sign-normalized rhs, artificials.
+    """Integer standard-form tableau with slacks, rhs >= 0, artificials.
 
-    Returns (tableau rows [coeffs..., rhs], basis, first artificial col);
-    the artificial columns are contiguous and come last.
+    A row (coeffs, rhs, scale, is_eq) is its rational row times scale, so
+    its slack entry is scale (-scale once the row is negated for a
+    negative rhs) and its artificial entry is scale; the tableau row
+    [coeffs..., rhs] is `int_row` of the whole.  Returns (tableau, basis,
+    first artificial col); the artificial columns come last.
     """
-    nslack = sum(1 for _, _, is_eq in rows if not is_eq)
+    nslack = sum(1 for *_, is_eq in rows if not is_eq)
+    nart = sum(1 for _, rhs, _, is_eq in rows if is_eq or rhs < 0)
     art_base = ncols + nslack
-    prepared = []  # (coeffs incl slack, rhs, natural basic col or None)
-    slack = ncols
-    for coeffs, rhs, is_eq in rows:
-        coeffs = list(coeffs) + [ZERO] * nslack
-        basic = None
-        if not is_eq:
-            coeffs[slack] = rat(1)
-            basic = slack
-            slack += 1
-        if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-            basic = None  # slack coefficient is now -1
-        prepared.append((coeffs, rhs, basic))
-
-    nart = sum(1 for _, _, basic in prepared if basic is None)
     tableau = []
     basis = []
+    slack = ncols
     art = art_base
-    for coeffs, rhs, basic in prepared:
-        row = coeffs + [ZERO] * nart + [rhs]
-        if basic is None:
-            row[art] = rat(1)
-            basic = art
+    for coeffs, rhs, scale, is_eq in rows:
+        sign = -1 if rhs < 0 else 1
+        if sign < 0:
+            coeffs = [-v for v in coeffs]
+        row = coeffs + [0] * (nslack + nart) + [sign * rhs]
+        if not is_eq:
+            row[slack] = sign * scale
+            if sign > 0:
+                basis.append(slack)
+            slack += 1
+        if is_eq or sign < 0:
+            row[art] = scale
+            basis.append(art)
             art += 1
-        tableau.append(row)
-        basis.append(basic)
+        tableau.append(int_row(row))
     return tableau, basis, art_base
+
+
+def _price_out(tableau, basis) -> None:
+    """Clear the basic columns from the objective in the last row."""
+    for i, bcol in enumerate(basis):
+        if tableau[-1][bcol] != 0:
+            pivot(tableau, i, bcol)
 
 
 def _phase_one(tableau, basis, art_base) -> bool:
@@ -190,14 +200,11 @@ def _phase_one(tableau, basis, art_base) -> bool:
     On success the artificials have left the basis, rows they leave
     behind as redundant are dropped and the artificial columns deleted.
     """
-    art_rows = [i for i, bcol in enumerate(basis) if bcol >= art_base]
-    if not art_rows:
+    if all(bcol < art_base for bcol in basis):
         return True
     width = len(tableau[0])
-    z = [ZERO] * art_base + [rat(-1)] * (width - 1 - art_base) + [ZERO]
-    for i in art_rows:
-        z = [a + b for a, b in zip(z, tableau[i])]
-    tableau.append(z)
+    tableau.append([0] * art_base + [-1] * (width - 1 - art_base) + [0])
+    _price_out(tableau, basis)
     if _optimize(tableau, basis) is not None:
         raise AssertionError("phase one cannot be unbounded")
     # the rhs slot of the objective row holds the artificial sum
@@ -225,8 +232,10 @@ def _phase_one(tableau, basis, art_base) -> bool:
 def _optimize(tableau, basis) -> Optional[int]:
     """Bland-rule simplex loop on the objective in the last tableau row.
 
-    Returns None at an optimum, or the entering column along which the
-    objective is unbounded.
+    Only signs are read and ratios are compared by cross-multiplying, so
+    the integer rows pick the pivots the rational tableau would.  Returns
+    None at an optimum, or the entering column along which the objective
+    is unbounded.
     """
     while True:
         z = tableau[-1]
@@ -234,22 +243,27 @@ def _optimize(tableau, basis) -> Optional[int]:
         if pc is None:
             return None
         pr = None
-        best_ratio = None
         for i, bcol in enumerate(basis):
-            coeff = tableau[i][pc]
-            if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and bcol < basis[pr])
-                ):
-                    best_ratio = ratio
-                    pr = i
+            row = tableau[i]
+            if row[pc] <= 0:
+                continue
+            if pr is None:
+                pr = i
+                continue
+            best = tableau[pr]
+            lhs, rhs = row[-1] * best[pc], best[-1] * row[pc]
+            if lhs < rhs or (lhs == rhs and bcol < basis[pr]):
+                pr = i
         if pr is None:
             return pc
         pivot(tableau, pr, pc)
         basis[pr] = pc
+
+
+def _exact(value):
+    """`value` as an int when it is integral, else as a rational."""
+    q = rat(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _map(y, subst, shifted) -> Vector:

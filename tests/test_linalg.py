@@ -1,14 +1,20 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutdim.linalg import (
     LinAlgError,
     affine_rank,
     dot,
+    int_row,
     integerize,
     is_in_span,
     orthogonal_complement_basis,
+    pivot,
     rank,
     vector,
 )
@@ -109,3 +115,64 @@ def test_dimension_mismatch():
         dot([1, 2], [1])
     with pytest.raises(LinAlgError):
         matrix([[1, 2], [1]])
+
+
+def _reference_pivot(rows, r, c):
+    """Plain Fraction Gauss-Jordan step: a unit at (r, c)."""
+    prow = [v / rows[r][c] for v in rows[r]]
+    rows[r] = prow
+    for i, row in enumerate(rows):
+        if i != r:
+            rows[i] = [a - row[c] * b for a, b in zip(row, prow)]
+
+
+def _assert_scaled(ints, ref, coprime=True):
+    """`ints` is a positive multiple of the rational row `ref`, in ints."""
+    assert all(type(v) is int for v in ints)
+    if coprime:
+        assert gcd(*ints) == (1 if any(ref) else 0)
+    if any(ref):
+        j = next(j for j, v in enumerate(ref) if v != 0)
+        scale = Fraction(ints[j]) / ref[j]
+        assert scale > 0
+        assert ints == [scale * v for v in ref]
+    else:
+        assert not any(ints)
+
+
+_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _matrix_and_pivots(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_FRACTIONS, min_size=n, max_size=n), min_size=m, max_size=m))
+    factors = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    steps = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), max_size=6))
+    return rows, factors, steps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_matrix_and_pivots())
+def test_integer_pivot_matches_fraction_gauss_jordan(case):
+    """int_row and pivot against plain Fraction Gauss-Jordan: rows stay
+    positive multiples, the rows a step writes are coprime, and the
+    pivot entry is positive.  Input rows start as multiples of their
+    int_row, so the pivot row's own reduction is exercised too."""
+    rows, factors, steps = case
+    ref = [list(row) for row in rows]
+    work = []
+    for row, k in zip(rows, factors):
+        ints = int_row(row)
+        _assert_scaled(ints, row)
+        work.append([k * v for v in ints])
+    for r, c in steps:
+        if ref[r][c] == 0:
+            continue
+        written = {i for i, row in enumerate(ref) if i == r or row[c] != 0}
+        _reference_pivot(ref, r, c)
+        pivot(work, r, c)
+        assert work[r][c] > 0
+        for i, (ints, row) in enumerate(zip(work, ref)):
+            _assert_scaled(ints, row, coprime=i in written)
