@@ -58,11 +58,18 @@ def vec_add_scaled(u: Sequence, t, v: Sequence) -> Vector:
     return tuple(a + t * b for a, b in zip(u, v))
 
 
+def int_scale(values: Sequence) -> tuple[list[int], int]:
+    """(ints, den) for a row of ints and rationals: den is the lcm of the
+    entries' denominators and ints the entries times den, so the row is
+    exactly ints / den."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def int_row(values: Sequence) -> list[int]:
     """The positive multiple of a row of ints and rationals whose entries
     are coprime integers; a zero row stays zero."""
-    den = lcm(*(v.denominator for v in values))
-    return _primitive([v.numerator * (den // v.denominator) for v in values])
+    return _primitive(int_scale(values)[0])
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -6,18 +6,27 @@ An instance is the maximization problem
 
 with every coefficient an exact rational.  Instances and inequalities are
 frozen; analyses never mutate problem data.
+
+An instance also keeps one integer view of its rows, `integer_rows`,
+built on first use: each row a.x <= b scaled by the lcm d of its
+coefficients' denominators, as the ints d.a and the cap floor(d.b).  An
+integral point satisfies the row exactly when its int dot product with
+d.a is at most the cap.  `is_feasible_point` reads the view for points
+whose entries are all integral, and the lattice engine
+(`oracle.enumerate_lattice`) tests every box point against it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, Vector, dot, matrix, vector
-from .rational import rat, rat_str
+from .linalg import Matrix, Vector, dot, int_scale, matrix, vector
+from .rational import rat, rat_floor, rat_str
 
 
 @dataclass(frozen=True)
@@ -39,13 +48,34 @@ class MipInstance:
     def is_pure_integer(self) -> bool:
         return len(self.integer_vars) == self.num_vars
 
+    @functools.cached_property
+    def integer_rows(self) -> tuple:
+        """The rows as (ints, cap) pairs, for integral points.
+
+        Row a.x <= b becomes d.a, integers, and cap = floor(d.b), where d
+        is the lcm of the row's denominators: an integral x satisfies the
+        row exactly when (d.a).x <= cap.
+        """
+        out = []
+        for row, b in zip(self.constraint_matrix, self.rhs):
+            ints, den = int_scale(row)
+            out.append((tuple(ints), rat_floor(b * den)))
+        return tuple(out)
+
     def is_feasible_point(self, point: Sequence) -> bool:
-        """Exact feasibility check against rows, bounds and integrality."""
+        """Exact feasibility check against rows, bounds and integrality.
+
+        The rows of a point whose entries are all integral are checked in
+        ints against `integer_rows`; any other point takes the rational rows.
+        """
         if len(point) != self.num_vars:
             return False
-        for row, b in zip(self.constraint_matrix, self.rhs):
-            if dot(row, point) > b:
+        if all(v.denominator == 1 for v in point):
+            x = [v.numerator for v in point]
+            if any(sum(map(operator.mul, a, x)) > cap for a, cap in self.integer_rows):
                 return False
+        elif any(dot(row, point) > b for row, b in zip(self.constraint_matrix, self.rhs)):
+            return False
         for j, v in enumerate(point):
             lo, hi = self.lower_bounds[j], self.upper_bounds[j]
             if lo is not None and v < lo:

@@ -7,7 +7,11 @@ infeasibility, so every answer but infeasibility names a point of the
 set.  Two providers implement
 that contract, one backed by the exact branch-and-bound solver and one
 by explicit lattice enumeration (small instances; it doubles as the
-reference implementation in tests).
+reference implementation in tests).  The lattice engine's arithmetic
+is on Python ints: its points are integer tuples, enumeration tests
+them against the instance's integer rows (`MipInstance.integer_rows`),
+and scans and hyperplane filters scale their direction to ints once
+and take int dot products.
 
 A provider owns its PointCache: every optimal point it returns is
 remembered there, and hull runs probe it, where an affinely independent
@@ -29,12 +33,13 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .config import RunConfig
-from .linalg import Vector, dot, vector
+from .linalg import Vector, dot, int_scale, vector
 from .model import MipInstance
 from .rational import rat
 from .solver import SolveOptions, SolveStatus, solve_mip
@@ -188,8 +193,15 @@ def _verify_response(provider, w, response) -> None:
 
 
 def _on_hyperplane(a: Vector, beta):
-    """The test a.x == beta, by which a restricted provider keeps points."""
-    return lambda p: dot(a, p) == beta
+    """The test a.x == beta, by which a restricted provider keeps points.
+
+    `a` is scaled to ints d.a once and compared with d.beta, so on
+    lattice points the test is an int dot product; when d.beta is not an
+    integer it keeps no lattice point.
+    """
+    ints, den = int_scale(a)
+    target = beta * den
+    return lambda p: sum(map(operator.mul, ints, p)) == target
 
 
 class _Provider:
@@ -275,9 +287,11 @@ class BruteForceOracle(_Provider):
     """Oracle by explicit lattice enumeration.
 
     Only for pure-integer instances whose bounding box holds at most
-    MAX_LATTICE_POINTS points; the feasible set is enumerated once and
-    every query is an exact argmax scan in lexicographic point order.
-    Restricted copies filter the enumerated points, never redo them.
+    MAX_LATTICE_POINTS points; the feasible set is enumerated once, as
+    tuples of ints, and every query is an exact argmax scan in
+    lexicographic point order.  A scan scales w to ints once and takes
+    int dot products; the first maximal point wins.  Restricted copies
+    filter the enumerated points with int dot products, never redo them.
     """
 
     def __init__(
@@ -299,14 +313,13 @@ class BruteForceOracle(_Provider):
     def solve(self, w: Vector) -> OracleResponse:
         if not self.points:
             return Infeasible()
-        best = None
-        best_point = None
-        for p in self.points:
-            v = sum(wi * pi for wi, pi in zip(w, p))
-            if best is None or v > best:
-                best = v
-                best_point = p
-        return Optimal(vector(best_point), rat(best))
+        ints, den = int_scale(w)
+
+        def value(p):
+            return sum(map(operator.mul, ints, p))
+
+        p = max(self.points, key=value)  # the first maximal point
+        return Optimal(vector(p), rat(value(p), den))
 
 
 def make_provider(
@@ -334,7 +347,11 @@ def make_provider(
 
 
 def enumerate_lattice(instance: MipInstance) -> list[tuple]:
-    """All feasible points of a boxed pure-integer instance, lex order."""
+    """All feasible points of a boxed pure-integer instance, lex order.
+
+    Points are tuples of ints, each box point tested against the
+    instance's integer rows with int dot products.
+    """
     n = instance.num_vars
     if not instance.is_pure_integer():
         raise ValueError("lattice enumeration needs a pure-integer instance")
@@ -350,10 +367,9 @@ def enumerate_lattice(instance: MipInstance) -> list[tuple]:
         if size > MAX_LATTICE_POINTS:
             raise ValueError(f"bounding box exceeds {MAX_LATTICE_POINTS} lattice points")
         ranges.append(range(lo_i, hi_i + 1))
-    rows = instance.constraint_matrix
-    rhs = instance.rhs
-    out = []
-    for pt in itertools.product(*ranges):
-        if all(dot(row, pt) <= b for row, b in zip(rows, rhs)):
-            out.append(pt)
-    return out
+    rows = instance.integer_rows
+    return [
+        pt
+        for pt in itertools.product(*ranges)
+        if all(sum(map(operator.mul, a, pt)) <= cap for a, cap in rows)
+    ]

@@ -3,10 +3,13 @@
 Every number that enters the toolkit is converted to an exact rational at
 the boundary and stays exact from then on; no floats are ever produced by
 internal arithmetic.  The backend is gmpy2's ``mpq`` when available, with
-``fractions.Fraction`` as a pure-Python fallback.  Eliminations and the
-simplex do not pivot on these scalars: they run on rows of Python ints
-(`linalg.pivot`), so the backend only sets the speed of the rational work
-around them (dot products, point checks, reading results back).  Both
+``fractions.Fraction`` as a pure-Python fallback.  Eliminations, the
+simplex and lattice scans do not run on these scalars: eliminations and
+the simplex pivot on rows of Python ints (`linalg.pivot`), and the
+lattice engine enumerates, scans and filters with int dot products
+(`MipInstance.integer_rows`), as does the row check of an integral
+point.  So the backend only sets the speed of the rational work around
+them (dot products, other point checks, reading results back).  Both
 expose ``.numerator``/``.denominator`` and hash consistently with each
 other and with ``int``, so the two backends are interchangeable.
 

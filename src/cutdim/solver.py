@@ -17,6 +17,11 @@ for any feasible point with a zero objective, starting again from the
 root, so the root LP is counted twice (nodes 1 and 2) and the node and
 time limits bound this search like any other.  Until it finds a point
 or proves the set empty, the trace reads +inf.
+
+Before any node, each extra equation row whose variables are all
+integer is scaled to ints; when their gcd does not divide the scaled
+right-hand side, the row has no integer solution (Bezout) and the run
+ends INFEASIBLE with no node solved.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .linalg import Vector, dot, integerize, vector
+from .linalg import Vector, dot, int_scale, integerize, vector
 from .model import MipInstance
 from .rational import is_integral, rat, rat_floor
 from .simplex import LPStatus, solve_lp
@@ -122,7 +127,8 @@ def solve_mip(
     root = _Node(
         _node_key(math.inf, 0, counter), math.inf, 0, inst.lower_bounds, inst.upper_bounds
     )
-    heapq.heappush(heap, root)
+    if not _gcd_excludes(inst, eq_rows, eq_rhs):
+        heapq.heappush(heap, root)
     node_count = 0
     trace: list[tuple] = []
     dual = math.inf
@@ -208,6 +214,22 @@ def solve_mip(
         trace=tuple(trace),
         ray=ray if status is SolveStatus.UNBOUNDED else None,
     )
+
+
+def _gcd_excludes(inst: MipInstance, eq_rows, eq_rhs) -> bool:
+    """True when an equation row on integer variables only has no integer
+    solution: the gcd of its scaled coefficients does not divide its
+    scaled right-hand side.  Zero rows are left to the LP."""
+    for row, b in zip(eq_rows, eq_rhs):
+        ints, den = int_scale(row)
+        g = math.gcd(*ints)
+        if (
+            g
+            and b.numerator * den % (g * b.denominator)  # b * den is no multiple of g
+            and all(v == 0 or j in inst.integer_vars for j, v in enumerate(ints))
+        ):
+            return True
+    return False
 
 
 def _pick_branch_variable(point, int_vars) -> Optional[int]:

@@ -3,7 +3,10 @@
 The reference LP solver here deliberately avoids the package's own
 linear algebra: it enumerates candidate vertices with a plain
 Fraction-based Gaussian elimination, so a simplex bug cannot hide
-behind shared code.  Instance generators are reused from the package's
+behind shared code.  The lattice twin (`fraction_lattice`,
+`fraction_argmax`, `fraction_on_hyperplane`) enumerates, scans and
+filters with Fraction sums on the instance's own rows, apart from the
+integer rows the lattice engine reads.  Instance generators are reused from the package's
 selftest module (they are data producers, not implementations under
 test).
 """
@@ -11,6 +14,7 @@ test).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -72,6 +76,36 @@ def reference_lp(objective, rows, rhs, lower, upper):
             best_value = value
             best_point = point
     return best_value, best_point
+
+
+def fraction_lattice(instance) -> list:
+    """Feasible points of a boxed pure-integer instance, lex order, by
+    Fraction row sums: the lattice engine's enumeration without its
+    integer rows."""
+    ranges = [
+        range(math.ceil(Fraction(lo)), math.floor(Fraction(hi)) + 1)
+        for lo, hi in zip(instance.lower_bounds, instance.upper_bounds)
+    ]
+    rows = [([Fraction(a) for a in row], Fraction(b))
+            for row, b in zip(instance.constraint_matrix, instance.rhs)]
+    return [p for p in itertools.product(*ranges)
+            if all(sum(a * x for a, x in zip(row, p)) <= b for row, b in rows)]
+
+
+def fraction_argmax(points, w):
+    """(first maximal point in the given order, its value) by Fraction
+    sums, or (None, None) for no points."""
+    best = best_point = None
+    for p in points:
+        v = sum(Fraction(wi) * x for wi, x in zip(w, p))
+        if best is None or v > best:
+            best, best_point = v, p
+    return best_point, best
+
+
+def fraction_on_hyperplane(points, a, beta) -> list:
+    """The points with a.p == beta, by Fraction sums, in order."""
+    return [p for p in points if sum(Fraction(ai) * x for ai, x in zip(a, p)) == Fraction(beta)]
 
 
 def random_boxed_lp(rng, max_vars: int = 4, max_rows: int = 4):

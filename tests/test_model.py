@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cutdim.linalg import vector
+from cutdim.linalg import int_scale, vector
 from cutdim.model import (
     Inequality,
     build_instance,
@@ -87,6 +87,61 @@ def test_is_feasible_point():
     assert inst.is_feasible_point([0, 1])
     assert not inst.is_feasible_point([1, 1])  # 2+3 > 4
     assert not inst.is_feasible_point([rat(1, 2), 0])  # fractional integer var
+
+
+def fractional_rows():
+    # x0/2 + x1/3 <= 5/6 scales to 3x0 + 2x1 <= 5; x0/2 + x1/3 <= 3/4 to 3x0 + 2x1 <= 4
+    return build_instance(
+        name="fractional",
+        constraint_matrix=[[rat(1, 2), rat(1, 3)], [rat(1, 2), rat(1, 3)]],
+        rhs=[rat(5, 6), rat(3, 4)],
+        objective=[1, 1],
+        integer_vars=(1,),
+        lower_bounds=[0, 0],
+        upper_bounds=[3, 3],
+    )
+
+
+def test_is_feasible_point_at_a_fractional_rhs():
+    inst = fractional_rows()
+    assert inst.integer_rows == (((3, 2), 5), ((3, 2), 4))
+    assert inst.is_feasible_point([0, 2])  # 3*0 + 2*2 = 4: the cap of 3/4 * 6
+    assert not inst.is_feasible_point([1, 1])  # 5: one unit past that cap
+    exact = build_instance(
+        name="exact",
+        constraint_matrix=[[rat(1, 2), rat(1, 3)]],
+        rhs=[rat(5, 6)],
+        objective=[1, 1],
+        integer_vars=(0, 1),
+    )
+    assert exact.is_feasible_point([1, 1])  # exactly on the boundary
+    assert not exact.is_feasible_point([1, 2])  # 7/6, one unit of x1 outside
+    # a point with a non-integral entry takes the rational rows
+    assert inst.is_feasible_point([rat(1, 2), 1])  # 7/12 <= 3/4
+    assert inst.is_feasible_point([rat(3, 2), 0])  # 3/4, on the boundary
+    assert not inst.is_feasible_point([rat(7, 4), 0])  # 7/8 > 3/4
+
+
+def test_is_feasible_point_reads_ints_and_fractions_alike():
+    inst = fractional_rows()
+    for x0 in range(-1, 5):
+        for x1 in range(-1, 5):
+            want = inst.is_feasible_point([x0, x1])
+            assert inst.is_feasible_point(vector([x0, x1])) == want
+            assert inst.is_feasible_point([rat(x0), x1]) == want
+            assert want == (0 <= x0 <= 3 and 0 <= x1 <= 3 and 3 * x0 + 2 * x1 <= 4)
+
+
+def test_integer_view_is_built_once_per_instance(monkeypatch):
+    calls = []
+    monkeypatch.setattr("cutdim.model.int_scale", lambda row: calls.append(row) or int_scale(row))
+    inst = fractional_rows()
+    for x in ([0, 2], [1, 1], [2, 0], [0, 0]):
+        inst.is_feasible_point(x)
+    assert inst.integer_rows is inst.integer_rows
+    assert len(calls) == inst.num_constraints
+    fractional_rows().is_feasible_point([0, 0])  # a new instance builds its own
+    assert len(calls) == 2 * inst.num_constraints
 
 
 def test_normalize_cut_fixtures():

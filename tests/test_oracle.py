@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutdim.linalg import dot
 from cutdim.model import MipInstance, build_instance
@@ -21,6 +24,7 @@ from cutdim.oracle import (
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
 from cutdim.solver import SolveStatus
+from helpers import fraction_argmax, fraction_lattice, fraction_on_hyperplane
 
 
 def knapsack():
@@ -342,3 +346,91 @@ def test_snapshot_isolation():
     assert len(clone) == 1 and len(cache) == 2
     clone.add((0, 1))
     assert len(cache) == 2
+
+
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_BOUNDS = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+# a few values drawn often, so that ties among maximizers are common
+_DIRECTION_ENTRIES = st.sampled_from([rat(-3, 2), rat(-1), rat(-1, 3), rat(0), rat(1, 2)]) | _COEFFS
+
+
+@st.composite
+def _lattice_case(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    lower = draw(st.lists(_BOUNDS, min_size=n, max_size=n))
+    upper = [lo + draw(st.fractions(0, 3, max_denominator=2)) for lo in lower]
+    inst = build_instance(
+        name="diff",
+        constraint_matrix=draw(
+            st.lists(st.lists(_COEFFS, min_size=n, max_size=n), min_size=m, max_size=m)
+        ),
+        rhs=draw(st.lists(st.fractions(-3, 4, max_denominator=6), min_size=m, max_size=m)),
+        objective=[0] * n,
+        integer_vars=range(n),
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+    directions = draw(
+        st.lists(st.lists(_DIRECTION_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=4)
+    )
+    a = draw(st.lists(_COEFFS, min_size=n, max_size=n))
+    k = draw(st.integers(-4, 4))
+    return inst, directions, a, k
+
+
+def _check_scans(provider, points, directions):
+    for w in directions:
+        resp = oracle_maximize(provider, w)
+        point, value = fraction_argmax(points, w)
+        if point is None:
+            assert isinstance(resp, Infeasible)
+            continue
+        assert isinstance(resp, Optimal)
+        assert resp.point == point and resp.value == value
+        # the first maximizer in enumeration order is the lexicographic first
+        assert point == min(p for p in points if dot(w, p) == value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_lattice_case())
+def test_integer_lattice_engine_matches_fraction_twin(case):
+    """enumerate_lattice, solve, restrict and the cache filter against the
+    Fraction twin, point for point, on fractional rows, bounds and
+    directions; a hyperplane whose scaled rhs is fractional keeps none."""
+    inst, directions, a, k = case
+    points = fraction_lattice(inst)
+    assert enumerate_lattice(inst) == points
+    provider = make_provider(inst, "lattice")
+    assert provider.points == tuple(points)
+    _check_scans(provider, points, directions)
+
+    den = math.lcm(*(c.denominator for c in a))
+    held = provider.cache.points()
+    betas = [rat(2 * k + 1, 2 * den)]  # d.beta = k + 1/2
+    if points:
+        betas.append(dot(a, points[k % len(points)]))
+    for beta in betas:
+        face = provider.restrict(a, beta)
+        on_face = fraction_on_hyperplane(points, a, beta)
+        assert face.points == tuple(on_face)
+        assert face.cache.points() == tuple(fraction_on_hyperplane(held, a, beta))
+        if (beta * den).denominator != 1:
+            assert not on_face and not face.cache.points()
+        _check_scans(face, on_face, directions)
+
+
+def test_gcd_test_answers_an_empty_face():
+    # 2x0 + x1 - 2x2 + x3 = -1/2 has no integer point: scaled by 2 its
+    # coefficients have gcd 2, which does not divide -1
+    inst = build_instance(
+        name="bezout",
+        constraint_matrix=[],
+        rhs=[],
+        objective=[1, 0, 0, 0],
+        integer_vars=range(4),
+        lower_bounds=[0] * 4,
+    )
+    face = MipOracle(inst, node_limit=50).restrict([2, 1, -2, 1], rat(-1, 2))
+    for w in ([1, 1, 1, 1], [-1, -1, -1, -1]):
+        assert isinstance(oracle_maximize(face, w), Infeasible)

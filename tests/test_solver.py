@@ -90,15 +90,15 @@ def test_unbounded_ray_keeps_its_sign():
 
 
 def test_unbounded_root_probe_carries_extra_rows():
-    # x free with x >= 0, y in {0, 1}: the root LP is unbounded along x
+    # x free with x >= 0, y and z in {0, 1}: the root LP is unbounded along x
     inst = build_instance(
         name="halfline",
-        constraint_matrix=[[-1, 0]],
+        constraint_matrix=[[-1, 0, 0]],
         rhs=[0],
-        objective=[1, 0],
-        integer_vars=(1,),
-        lower_bounds=[None, 0],
-        upper_bounds=[None, 1],
+        objective=[1, 0, 0],
+        integer_vars=(1, 2),
+        lower_bounds=[None, 0, 0],
+        upper_bounds=[None, 1, 1],
     )
     half = rat(1, 2)
 
@@ -106,14 +106,16 @@ def test_unbounded_root_probe_carries_extra_rows():
         return solve_mip(inst, options=SolveOptions(**extra))
 
     res = solve()
-    assert res.status is SolveStatus.UNBOUNDED and res.ray == (1, 0)
-    res = solve(extra_equations=(((0, 1), half),))
+    assert res.status is SolveStatus.UNBOUNDED and res.ray == (1, 0, 0)
+    # y = z and y + z = 1 meet only at y = z = 1/2; each row alone has
+    # integer points, so no gcd test decides them and branching must
+    res = solve(extra_equations=(((0, 1, -1), 0), ((0, 1, 1), 1)))
     assert res.status is SolveStatus.INFEASIBLE and res.node_count > 2
     assert_trace_contract(res)
     assert res.trace[0][1] == math.inf and res.dual_bound == -math.inf
-    pair = (Inequality([0, 1], half), Inequality([0, -1], -half))
+    pair = (Inequality([0, 1, 0], half), Inequality([0, -1, 0], -half))
     assert solve(extra_constraints=pair).status is SolveStatus.INFEASIBLE
-    res = solve(extra_constraints=(Inequality([0, 1], 0),))
+    res = solve(extra_constraints=(Inequality([0, 1, 0], 0),))
     assert res.status is SolveStatus.UNBOUNDED and res.best_point[1] == 0
 
 
@@ -233,3 +235,32 @@ def test_nontermination_guard():
     )
     res = solve_mip(inst, options=SolveOptions(time_limit=1.0))
     assert res.status is SolveStatus.TIME_LIMIT
+
+
+def test_gcd_test_proves_an_equation_without_integer_points():
+    # 2x0 + x1 - 2x2 + x3 = -1/2 scales to 4x0 + 2x1 - 4x2 + 2x3 = -1,
+    # and gcd 2 does not divide -1: no integer point, whatever the bounds
+    eq = (((2, 1, -2, 1), rat(-1, 2)),)
+    inst = build_instance(
+        name="bezout",
+        constraint_matrix=[],
+        rhs=[],
+        objective=[1, 0, 0, 0],
+        integer_vars=range(4),
+        lower_bounds=[0] * 4,
+    )
+    res = solve_mip(inst, options=SolveOptions(extra_equations=eq, node_limit=50))
+    assert res.status is SolveStatus.INFEASIBLE
+    assert (res.node_count, res.trace, res.best_point) == (0, (), None)
+    assert res.primal_value == res.dual_bound == -math.inf
+    # a continuous x3 meets the row, and the search runs as before
+    mixed = build_instance(
+        name="bezout-mixed",
+        constraint_matrix=[],
+        rhs=[],
+        objective=[1, 0, 0, 0],
+        integer_vars=range(3),
+        lower_bounds=[0] * 4,
+    )
+    res = solve_mip(mixed, options=SolveOptions(extra_equations=eq, node_limit=50))
+    assert res.status is SolveStatus.UNBOUNDED and res.node_count > 0
