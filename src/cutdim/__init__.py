@@ -66,7 +66,7 @@ from .oracle import (
     oracle_maximize,
 )
 from .rational import rat, rat_decimal, rat_str
-from .simplex import LPResult, LPStatus, solve_lp
+from .simplex import LinearProgram, LPResult, LPStatus, solve_lp
 from .solver import (
     SolveOptions,
     SolveResult,
@@ -91,6 +91,7 @@ __all__ = [
     "Infeasible",
     "InstanceAnalysis",
     "InvalidInitialEquationsError",
+    "LinearProgram",
     "LPResult",
     "LPStatus",
     "MipInstance",

@@ -16,7 +16,10 @@ Cut strength is measured by closed gap under a fixed node budget: solve
 the instance once per cut with the cut added, the true optimum as
 incumbent, and read every run's dual bound at N, the smallest node
 count any run needed.  The closed gap is (z_N - z_lp) / (z_star - z_lp),
-1 when the root relaxation is already tight.
+1 when the root relaxation is already tight.  The reference solve for
+the optimum, the root relaxation and the run without a cut share one
+compiled LP (`simplex.LinearProgram`), so no LP is solved twice among
+them.
 
 Face dimensions aggregate into a histogram over relative dimension
 k/(dim P - 1) with three sentinel bins: empty face, dimension exactly
@@ -50,7 +53,7 @@ from .oracle import (
     oracle_maximize,
 )
 from .rational import rat, rat_ceil
-from .simplex import LPStatus
+from .simplex import LinearProgram, LPStatus
 from .solver import SolveOptions, SolveStatus, solve_lp_relaxation, solve_mip
 
 class Verdict(Enum):
@@ -226,21 +229,26 @@ def impact_protocol(
     time limit before the budget are flagged short-trace and read at
     their last node.  The reference solve for the optimum has the same
     time limit and no node limit; if it stops short, AnalysisError.
+
+    The reference solve, z_lp (its root LP) and the baseline run solve
+    the same rows and objective, so they share one compiled program, and
+    an LP one of them solved is not solved again.
     """
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be at least 1")
-    full = solve_mip(inst, options=SolveOptions(time_limit=time_limit))
+    program = LinearProgram(inst.objective, inst.constraint_matrix, inst.rhs)
+    full = solve_mip(inst, options=SolveOptions(time_limit=time_limit), program=program)
     if full.status is not SolveStatus.OPTIMAL:
         raise AnalysisError(f"reference solve ended {full.status.value}, not optimal")
     z_star, x_star = full.primal_value, full.best_point
 
-    relax = solve_lp_relaxation(inst)
+    relax = solve_lp_relaxation(inst, program)
     if relax.status is not LPStatus.OPTIMAL:
         raise AnalysisError("relaxation not optimal although the instance is")
     z_lp = relax.value
 
     options = SolveOptions(incumbent=x_star, node_limit=node_limit, time_limit=time_limit)
-    results = [("", "", solve_mip(inst, options=options))]
+    results = [("", "", solve_mip(inst, options=options, program=program))]
     for cut in cuts:
         cut_n = normalize_cut(cut)
         if evaluate(cut_n, x_star) > 0:

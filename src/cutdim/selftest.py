@@ -10,6 +10,7 @@ test suite and the benchmark corpus.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -24,7 +25,7 @@ from .analysis import (
 )
 from .config import RunConfig
 from .hull import affine_hull
-from .linalg import affine_rank, dot
+from .linalg import affine_rank, dot, int_scale
 from .model import Inequality, MipInstance, build_instance
 from .oracle import BruteForceOracle, enumerate_lattice, make_provider
 from .rational import rat
@@ -203,7 +204,8 @@ def suite_solver(seed: int, rounds: int = 40, max_vars: int = 6) -> SuiteResult:
             result.check(res.status is SolveStatus.INFEASIBLE,
                          f"round {i}: {res.status.value} on an empty set")
             continue
-        truth = max(dot(inst.objective, p) for p in points)
+        ints, den = int_scale(inst.objective)
+        truth = rat(max(sum(map(operator.mul, ints, p)) for p in points), den)
         result.check(res.status is SolveStatus.OPTIMAL and res.primal_value == truth,
                      f"round {i}: {res.status.value} value {res.primal_value}, wanted {truth}")
         bounds = [b for _, b in res.trace]

@@ -5,36 +5,42 @@ arithmetic on a dense tableau.  Bland's smallest-index rule makes every
 run finite and deterministic; there is no scaling, no tolerance and no
 degeneracy heuristic to tune.
 
+A `LinearProgram` holds c, A, b, E and f, compiled once, and is solved
+under one bound vector (l, u) at a time; branch and bound solves one
+program at every node of a run, and `solve_lp` is a program solved once.
 Bounds are folded into the standard form by one substitution table that
 writes each variable as  x_j = shift_j + sum(sign * y_col)  over
 nonnegative columns y: a variable with a finite lower bound l is l + y,
 one bounded only from above by u is u - y, a free one is y' - y''.  A
-doubly bounded variable also gets the row  y <= u - l.  The same table
-substitutes every row and the objective, and maps the optimal point
-(with the shifts) and an unbounded ray (without them) back to x-space.
-Artificial variables are introduced only for rows whose slack cannot
-serve as the initial basis; their columns come last and are deleted
-once phase one has found a feasible basis.  The objective being
-optimized is the tableau's last row, so a pivot is one
+doubly bounded variable also gets the row  y <= u - l.  The table, and
+every row and the objective rewritten over y, depend only on which
+bounds are finite, so they are built once per such pattern; a solve
+computes the shifts, the right-hand sides and the cap rows.  The table
+maps the optimal point (with the shifts) and an unbounded ray (without
+them) back to x-space.  Artificial variables are introduced only for
+rows whose slack cannot serve as the initial basis; their columns come
+last and are deleted once phase one has found a feasible basis.  The
+objective being optimized is the tableau's last row, so a pivot is one
 `linalg.pivot` step plus the basis update.
 
-The tableau holds Python ints.  Each row is scaled to coprime integers
-once, when the tableau is built, and `linalg.pivot` keeps every row a
-positive multiple of the rational tableau's row.  Pricing reads signs,
-the ratio test cross-multiplies, and the basic solution and ray are read
-back as a row's rhs (or entering column) over its basic entry, so the
-pivots, and every result, are those of the rational tableau.  Rationals
-appear only at the boundary: the input rows and the results.
+The tableau holds Python ints.  Each row is scaled to ints once, when
+the program is built, and written into a tableau as coprime integers,
+the form `int_row` gives; `linalg.pivot` keeps every row a positive
+multiple of the rational tableau's row.  Pricing reads signs, the ratio
+test cross-multiplies, and the basic solution and ray are read back as a
+row's rhs (or entering column) over its basic entry, an int when the
+division is exact, so the pivots, and every result, are those of the
+rational tableau.  Rationals appear only at the boundary: the input rows,
+fractional bounds and the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import Vector, dot, int_row, pivot, vector
+from .linalg import Vector, int_row, int_scale, pivot, vector
 from .rational import ZERO, rat
 
 
@@ -68,123 +74,264 @@ def solve_lp(
     lower: Optional[Sequence] = None,
     upper: Optional[Sequence] = None,
 ) -> LPResult:
-    c = vector(objective)
-    n = len(c)
-    lower = list(lower) if lower is not None else [None] * n
-    upper = list(upper) if upper is not None else [None] * n
-    if len(lower) != n or len(upper) != n:
-        raise ValueError("bound vectors must match the variable count")
-    for j in range(n):
-        lo, hi = lower[j], upper[j]
-        if lo is not None and hi is not None and lo > hi:
+    """One solve of a program that is not solved again: compile and solve."""
+    return LinearProgram(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs).solve(lower, upper)
+
+
+@dataclass(frozen=True)
+class _Form:
+    """The standard form of a program for one pattern of finite bounds.
+
+    `terms[j]` writes x_j over the y columns as ((col, sign), ...);
+    `caps` lists (j, col) for each doubly bounded variable.  `ineq` and
+    `eq` hold, per row, its y-space ints, their negation and the row's
+    scale.  `objective` is the phase-two row's y-space part, coprime.
+    """
+
+    terms: tuple
+    ncols: int
+    caps: tuple
+    ineq: tuple
+    eq: tuple
+    objective: list
+
+
+class LinearProgram:
+    """max c.x  s.t.  A.x <= b,  E.x = f, compiled once, solved under many
+    bound vectors.
+
+    Each row is scaled to ints once, as (d.a, d.b, d) with d the lcm of
+    its denominators.  The substitution table and the y-space rows depend
+    only on which bounds are finite, so they are built once per pattern.
+    `solve` then writes one node's tableau straight from them: only the
+    shifts, the rhs and the cap rows change between bound vectors.  Its
+    results are remembered by bound vector, so solves that share a
+    program share their answers.
+    """
+
+    def __init__(
+        self,
+        objective: Sequence,
+        ineq_rows: Sequence[Sequence] = (),
+        ineq_rhs: Sequence = (),
+        eq_rows: Sequence[Sequence] = (),
+        eq_rhs: Sequence = (),
+    ):
+        self.data = _program_data(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs)
+        c, a, b, e, f = self.data
+        self.num_vars = n = len(c)
+        if any(len(row) != n for row in a):
+            raise ValueError("constraint row length mismatch")
+        if any(len(row) != n for row in e):
+            raise ValueError("equation row length mismatch")
+        self.ineq_scaled = tuple(_scale_row(row, rhs) for row, rhs in zip(a, b))
+        self.eq_scaled = tuple(_scale_row(row, rhs) for row, rhs in zip(e, f))
+        self._objective = int_scale(c)
+        self._forms: dict = {}
+        self._results: dict = {}
+
+    def built_for(self, objective, ineq_rows=(), ineq_rhs=(), eq_rows=(), eq_rhs=()) -> bool:
+        """True when this program has exactly these rows and objective."""
+        return self.data == _program_data(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs)
+
+    def solve(self, lower: Optional[Sequence] = None, upper: Optional[Sequence] = None) -> LPResult:
+        """The LP under bounds lower <= x <= upper (None: no bound)."""
+        n = self.num_vars
+        lower = _bounds(lower, n)
+        upper = _bounds(upper, n)
+        if len(lower) != n or len(upper) != n:
+            raise ValueError("bound vectors must match the variable count")
+        key = (lower, upper)
+        result = self._results.get(key)
+        if result is None:
+            result = self._results[key] = self._solve(lower, upper)
+        return result
+
+    def _solve(self, lower: tuple, upper: tuple) -> LPResult:
+        for lo, hi in zip(lower, upper):
+            if lo is not None and hi is not None and lo > hi:
+                return LPResult(LPStatus.INFEASIBLE)
+        pattern = tuple((lo is not None, hi is not None) for lo, hi in zip(lower, upper))
+        form = self._forms.get(pattern)
+        if form is None:
+            form = self._forms[pattern] = self._compile(pattern)
+        shifts = [
+            lo if lo is not None else hi if hi is not None else 0
+            for lo, hi in zip(lower, upper)
+        ]
+        tableau, basis, art_base = _build_tableau(
+            form,
+            [_shifted_rhs(row, shifts) for row in self.ineq_scaled],
+            [upper[j] - lower[j] for j, _ in form.caps],
+            [_shifted_rhs(row, shifts) for row in self.eq_scaled],
+        )
+        if not _phase_one(tableau, basis, art_base):
             return LPResult(LPStatus.INFEASIBLE)
 
-    # x_j = shift_j + sum(sign * y_col for col, sign in terms_j), y >= 0
-    subst = []
-    ncols = 0
-    caps = []  # (col, hi - lo): upper-bound rows of doubly bounded variables
-    for lo, hi in zip(lower, upper):
-        if lo is not None:
-            subst.append((_exact(lo), ((ncols, 1),)))
-            if hi is not None:
-                caps.append((ncols, _exact(hi) - _exact(lo)))
-            ncols += 1
-        elif hi is not None:
-            subst.append((_exact(hi), ((ncols, -1),)))
-            ncols += 1
-        else:
-            subst.append((0, ((ncols, 1), (ncols + 1, -1))))
-            ncols += 2
+        # phase two: the objective's reduced costs become the last row; its
+        # rhs slot is never read, the value is taken from the point
+        tableau.append(form.objective + [0] * (art_base + 1 - form.ncols))
+        _price_out(tableau, basis)
 
-    def substitute(row, b=0):
-        """(coeffs of a.x over y, rhs b - a.shift, scale): both times the
-        scale that clears the denominators of a and b, so the coeffs are
-        ints, and so is the rhs unless a shift is fractional."""
-        row = [rat(a) for a in row]
-        b = rat(b)
-        scale = lcm(b.denominator, *(a.denominator for a in row))
-        out = [0] * ncols
-        rhs = b.numerator * (scale // b.denominator)
-        for (shift, terms), a in zip(subst, row):
-            if a:
-                a = a.numerator * (scale // a.denominator)
-                for col, sign in terms:
-                    out[col] += sign * a
-                if shift:
-                    rhs -= a * shift
-        return out, rhs, scale
+        pc = _optimize(tableau, basis)
+        y = [0] * art_base
+        for row, bcol in zip(tableau, basis):
+            q, r = divmod(row[-1], row[bcol])
+            y[bcol] = q if r == 0 else rat(row[-1], row[bcol])
+        x = [
+            sum((sign * y[col] for col, sign in terms), shift)
+            for shift, terms in zip(shifts, form.terms)
+        ]
+        point = tuple(rat(v) for v in x)
+        if pc is None:
+            ints, den = self._objective
+            value = rat(sum(a * v for a, v in zip(ints, x) if a), den)
+            return LPResult(LPStatus.OPTIMAL, point=point, value=value)
+        ray_y = [ZERO] * art_base
+        ray_y[pc] = rat(1)
+        for row, bcol in zip(tableau, basis):
+            ray_y[bcol] = rat(-row[pc], row[bcol])
+        ray = tuple(sum((sign * ray_y[col] for col, sign in terms), ZERO) for terms in form.terms)
+        return LPResult(LPStatus.UNBOUNDED, point=point, ray=ray)
 
-    rows = []  # (coeffs, rhs, scale, is_eq)
-    for row, b in zip(ineq_rows, ineq_rhs, strict=True):
-        if len(row) != n:
-            raise ValueError("constraint row length mismatch")
-        rows.append((*substitute(row, b), False))
-    for col, cap in caps:
-        coeffs = [0] * ncols
-        coeffs[col] = 1
-        rows.append((coeffs, cap, 1, False))
-    for row, b in zip(eq_rows, eq_rhs, strict=True):
-        if len(row) != n:
-            raise ValueError("equation row length mismatch")
-        rows.append((*substitute(row, b), True))
+    def _compile(self, pattern) -> _Form:
+        """The substitution table and y-space rows of one bound pattern.
 
-    cy, _, _ = substitute(c)
+        x_j = shift_j + sum(sign * y_col for col, sign in terms_j), y >= 0:
+        lower bound l gives l + y, upper bound u only gives u - y, and a
+        free variable y' - y''; a doubly bounded one also gets a cap row.
+        """
+        terms = []
+        caps = []
+        ncols = 0
+        for j, (has_lo, has_hi) in enumerate(pattern):
+            if has_lo:
+                terms.append(((ncols, 1),))
+                if has_hi:
+                    caps.append((j, ncols))
+                ncols += 1
+            elif has_hi:
+                terms.append(((ncols, -1),))
+                ncols += 1
+            else:
+                terms.append(((ncols, 1), (ncols + 1, -1)))
+                ncols += 2
 
-    tableau, basis, art_base = _build_tableau(rows, ncols)
-    if not _phase_one(tableau, basis, art_base):
-        return LPResult(LPStatus.INFEASIBLE)
+        def over_y(ints):
+            out = [0] * ncols
+            for col_terms, v in zip(terms, ints):
+                if v:
+                    for col, sign in col_terms:
+                        out[col] += sign * v
+            return out
 
-    # phase two: the objective's reduced costs become the last row; its
-    # rhs slot is never read, the value is recomputed from the point
-    tableau.append(int_row(cy + [0] * (art_base + 1 - ncols)))
-    _price_out(tableau, basis)
+        def rows(scaled):
+            out = []
+            for ints, _, _, scale in scaled:
+                coeffs = over_y(ints)
+                out.append((coeffs, [-v for v in coeffs], scale))
+            return tuple(out)
 
-    pc = _optimize(tableau, basis)
-    y = [ZERO] * art_base
-    for row, bcol in zip(tableau, basis):
-        y[bcol] = rat(row[-1], row[bcol])
-    point = _map(y, subst, shifted=True)
-    if pc is None:
-        return LPResult(LPStatus.OPTIMAL, point=point, value=dot(c, point))
-    ray_y = [ZERO] * art_base
-    ray_y[pc] = rat(1)
-    for row, bcol in zip(tableau, basis):
-        ray_y[bcol] = rat(-row[pc], row[bcol])
-    return LPResult(LPStatus.UNBOUNDED, point=point, ray=_map(ray_y, subst, shifted=False))
+        return _Form(
+            terms=tuple(terms),
+            ncols=ncols,
+            caps=tuple(caps),
+            ineq=rows(self.ineq_scaled),
+            eq=rows(self.eq_scaled),
+            objective=int_row(over_y(self._objective[0])),
+        )
 
 
-def _build_tableau(rows, ncols):
+def _program_data(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs) -> tuple:
+    """(c, A, b, E, f) as tuples of exact rationals."""
+    if len(ineq_rows) != len(ineq_rhs) or len(eq_rows) != len(eq_rhs):
+        raise ValueError("each row needs one right-hand side")
+    return (
+        vector(objective),
+        tuple(vector(row) for row in ineq_rows),
+        vector(ineq_rhs),
+        tuple(vector(row) for row in eq_rows),
+        vector(eq_rhs),
+    )
+
+
+def _scale_row(row, rhs) -> tuple:
+    """(d.a, its nonzeros as (j, v), d.b, d) with d the lcm of the
+    denominators of a and b, so both are ints."""
+    ints, d = int_scale((*row, rhs))
+    *coeffs, b = ints
+    return coeffs, tuple((j, v) for j, v in enumerate(coeffs) if v), b, d
+
+
+def _shifted_rhs(scaled, shifts):
+    """d.b - (d.a).shift: an int, or a rational when a shift is one."""
+    _, nonzeros, b, _ = scaled
+    for j, v in nonzeros:
+        if shifts[j]:
+            b -= v * shifts[j]
+    return b
+
+
+def _bounds(values, n) -> tuple:
+    if values is None:
+        return (None,) * n
+    return tuple(None if v is None else _exact(v) for v in values)
+
+
+def _build_tableau(form: _Form, ineq_rhs, caps, eq_rhs):
     """Integer standard-form tableau with slacks, rhs >= 0, artificials.
 
-    A row (coeffs, rhs, scale, is_eq) is its rational row times scale, so
-    its slack entry is scale (-scale once the row is negated for a
-    negative rhs) and its artificial entry is scale; the tableau row
-    [coeffs..., rhs] is `int_row` of the whole.  Returns (tableau, basis,
-    first artificial col); the artificial columns come last.
+    Rows come in the order inequalities, caps, equations.  A row is its
+    rational row times its scale d: slack entry d (-d once the row is
+    negated for a negative rhs), artificial entry d.  With an integral
+    rhs that row is already coprime, the row `int_row` gives: a prime p
+    dividing d divides no d.a_j whose denominator holds all of d's
+    factors p, and if that is b's denominator instead, p does not divide
+    d.b nor, with integral shifts, the rhs d.b - (d.a).shift.  A
+    rational rhs (a fractional shift or cap) goes through `int_row`.
+    Returns (tableau, basis, first artificial col); the artificial
+    columns come last.
     """
-    nslack = sum(1 for *_, is_eq in rows if not is_eq)
-    nart = sum(1 for _, rhs, _, is_eq in rows if is_eq or rhs < 0)
+    ncols = form.ncols
+    nslack = len(form.ineq) + len(caps)
+    nart = len(form.eq) + sum(1 for rhs in ineq_rhs if rhs < 0)
     art_base = ncols + nslack
+    pad = [0] * (nslack + nart)
     tableau = []
     basis = []
     slack = ncols
     art = art_base
-    for coeffs, rhs, scale, is_eq in rows:
-        sign = -1 if rhs < 0 else 1
-        if sign < 0:
-            coeffs = [-v for v in coeffs]
-        row = coeffs + [0] * (nslack + nart) + [sign * rhs]
-        if not is_eq:
-            row[slack] = sign * scale
-            if sign > 0:
-                basis.append(slack)
-            slack += 1
-        if is_eq or sign < 0:
+    for (coeffs, negated, scale), rhs in zip(form.ineq, ineq_rhs):
+        if rhs < 0:
+            row = negated + pad + [-rhs]
+            row[slack] = -scale
             row[art] = scale
             basis.append(art)
             art += 1
-        tableau.append(int_row(row))
+        else:
+            row = coeffs + pad + [rhs]
+            row[slack] = scale
+            basis.append(slack)
+        slack += 1
+        tableau.append(_coprime(row, rhs))
+    for (_, col), cap in zip(form.caps, caps):
+        row = [0] * (art_base + nart) + [cap]
+        row[col] = row[slack] = 1
+        basis.append(slack)
+        slack += 1
+        tableau.append(_coprime(row, cap))
+    for (coeffs, negated, scale), rhs in zip(form.eq, eq_rhs):
+        row = (negated + pad + [-rhs]) if rhs < 0 else (coeffs + pad + [rhs])
+        row[art] = scale
+        basis.append(art)
+        art += 1
+        tableau.append(_coprime(row, rhs))
     return tableau, basis, art_base
+
+
+def _coprime(row, rhs):
+    """A tableau row as coprime ints: as it is when its rhs is an int."""
+    return row if isinstance(rhs, int) else int_row(row)
 
 
 def _price_out(tableau, basis) -> None:
@@ -264,11 +411,3 @@ def _exact(value):
     """`value` as an int when it is integral, else as a rational."""
     q = rat(value)
     return q.numerator if q.denominator == 1 else q
-
-
-def _map(y, subst, shifted) -> Vector:
-    """Back to x-space: a point keeps the shifts, a ray drops them."""
-    return tuple(
-        sum((sign * y[col] for col, sign in terms), shift if shifted else ZERO)
-        for shift, terms in subst
-    )

@@ -18,10 +18,16 @@ root, so the root LP is counted twice (nodes 1 and 2) and the node and
 time limits bound this search like any other.  Until it finds a point
 or proves the set empty, the trace reads +inf.
 
+Every LP of a run reads the same rows and objective; only the bounds
+change from node to node.  A run therefore compiles one
+`simplex.LinearProgram` and solves it at each node, or is handed one by
+a caller that solves the same rows and objective more than once (the
+impact protocol), so that their LPs are solved once between them.
+
 Before any node, each extra equation row whose variables are all
-integer is scaled to ints; when their gcd does not divide the scaled
-right-hand side, the row has no integer solution (Bezout) and the run
-ends INFEASIBLE with no node solved.
+integer is read in its scaled ints from the program; when their gcd does
+not divide the scaled right-hand side, the row has no integer solution
+(Bezout) and the run ends INFEASIBLE with no node solved.
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .linalg import Vector, dot, int_scale, integerize, vector
+from .linalg import Vector, dot, integerize, vector
 from .model import MipInstance
 from .rational import is_integral, rat, rat_floor
-from .simplex import LPStatus, solve_lp
+from .simplex import LinearProgram, LPStatus, solve_lp
 
 
 class SolveStatus(Enum):
@@ -96,8 +102,13 @@ def solve_mip(
     inst: MipInstance,
     objective: Optional[Sequence] = None,
     options: Optional[SolveOptions] = None,
+    program: Optional[LinearProgram] = None,
 ) -> SolveResult:
-    """Maximize `objective` (default: the instance objective) over `inst`."""
+    """Maximize `objective` (default: the instance objective) over `inst`.
+
+    `program`, when given, must have been built for this run's rows and
+    objective (ValueError otherwise); its remembered LPs are reused.
+    """
     options = options or SolveOptions()
     obj = vector(objective) if objective is not None else inst.objective
     if len(obj) != inst.num_vars:
@@ -106,6 +117,7 @@ def solve_mip(
         )
 
     rows, rhs, eq_rows, eq_rhs = _stack_rows(inst, options)
+    program = _program(program, obj, rows, rhs, eq_rows, eq_rhs)
 
     primal = -math.inf
     best: Optional[Vector] = None
@@ -127,7 +139,7 @@ def solve_mip(
     root = _Node(
         _node_key(math.inf, 0, counter), math.inf, 0, inst.lower_bounds, inst.upper_bounds
     )
-    if not _gcd_excludes(inst, eq_rows, eq_rhs):
+    if not _gcd_excludes(inst, program):
         heapq.heappush(heap, root)
     node_count = 0
     trace: list[tuple] = []
@@ -156,7 +168,7 @@ def solve_mip(
 
         node = heapq.heappop(heap)
         node_count += 1
-        lp = solve_lp(obj, rows, rhs, eq_rows, eq_rhs, node.lower, node.upper)
+        lp = program.solve(node.lower, node.upper)
 
         if lp.status is LPStatus.UNBOUNDED:
             # Only possible at the root: child regions are subsets.  For
@@ -167,7 +179,7 @@ def solve_mip(
             ray = integerize(lp.ray)
             if dot(ray, lp.ray) < 0:  # integerize made a negative leading entry positive
                 ray = tuple(-v for v in ray)
-            obj = (rat(0),) * inst.num_vars
+            program = LinearProgram((0,) * inst.num_vars, rows, rhs, eq_rows, eq_rhs)
             primal, best = -math.inf, None
             heapq.heappush(heap, node)
         elif lp.status is LPStatus.OPTIMAL:
@@ -216,20 +228,24 @@ def solve_mip(
     )
 
 
-def _gcd_excludes(inst: MipInstance, eq_rows, eq_rhs) -> bool:
+def _gcd_excludes(inst: MipInstance, program: LinearProgram) -> bool:
     """True when an equation row on integer variables only has no integer
-    solution: the gcd of its scaled coefficients does not divide its
-    scaled right-hand side.  Zero rows are left to the LP."""
-    for row, b in zip(eq_rows, eq_rhs):
-        ints, den = int_scale(row)
+    solution: the gcd of its scaled coefficients d.a does not divide its
+    scaled right-hand side d.b.  Zero rows are left to the LP."""
+    for ints, nonzeros, b, _ in program.eq_scaled:
         g = math.gcd(*ints)
-        if (
-            g
-            and b.numerator * den % (g * b.denominator)  # b * den is no multiple of g
-            and all(v == 0 or j in inst.integer_vars for j, v in enumerate(ints))
-        ):
+        if g and b % g and all(j in inst.integer_vars for j, _ in nonzeros):
             return True
     return False
+
+
+def _program(program, objective, rows, rhs, eq_rows, eq_rhs) -> LinearProgram:
+    """`program` checked against a run's rows and objective, or a new one."""
+    if program is None:
+        return LinearProgram(objective, rows, rhs, eq_rows, eq_rhs)
+    if not program.built_for(objective, rows, rhs, eq_rows, eq_rhs):
+        raise ValueError("the program was built for other rows or another objective")
+    return program
 
 
 def _pick_branch_variable(point, int_vars) -> Optional[int]:
@@ -281,9 +297,16 @@ def _stack_rows(inst: MipInstance, options: SolveOptions):
     return rows, rhs, eq_rows, eq_rhs
 
 
-def solve_lp_relaxation(inst: MipInstance):
-    """LP relaxation of the instance, integrality dropped."""
+def solve_lp_relaxation(inst: MipInstance, program: Optional[LinearProgram] = None):
+    """LP relaxation of the instance, integrality dropped.
+
+    With `program` (built for the instance rows and objective) this is
+    its root LP, remembered if a run on it has solved that already.
+    """
     rows, rhs, eq_rows, eq_rhs = _stack_rows(inst, SolveOptions())
-    return solve_lp(
-        inst.objective, rows, rhs, eq_rows, eq_rhs, inst.lower_bounds, inst.upper_bounds
-    )
+    if program is None:
+        return solve_lp(
+            inst.objective, rows, rhs, eq_rows, eq_rhs, inst.lower_bounds, inst.upper_bounds
+        )
+    program = _program(program, inst.objective, rows, rhs, eq_rows, eq_rhs)
+    return program.solve(inst.lower_bounds, inst.upper_bounds)

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from cutdim import analysis
 from cutdim.analysis import (
     AnalysisError,
     DimensionBin,
@@ -22,6 +24,8 @@ from cutdim.model import Inequality, build_instance, evaluate
 from cutdim.oracle import MipOracle, enumerate_lattice, make_provider
 from cutdim.rational import rat
 from cutdim.selftest import lattice_classification, random_instance
+from cutdim.simplex import LinearProgram
+from cutdim.solver import SolveOptions, solve_lp_relaxation, solve_mip
 
 
 def square():
@@ -267,6 +271,92 @@ def test_impact_determinism_and_node_budget():
     assert first == second
     completed = [r.nodes for r in (first.baseline, *first.runs) if r.gap is not None]
     assert first.node_budget == max(1, min(completed))
+
+
+def stein9():
+    """Steiner-triple covering on the 12 lines of AG(2,3): min sum x with
+    sum x >= 1 on each line, x binary; point (i, j) is variable 3i + j."""
+    lines = {
+        tuple(sorted(3 * ((i + t * di) % 3) + (j + t * dj) % 3 for t in range(3)))
+        for i, j in itertools.product(range(3), repeat=2)
+        for di, dj in ((0, 1), (1, 0), (1, 1), (1, 2))
+    }
+    return build_instance(
+        name="stein9",
+        constraint_matrix=[[-1 if j in line else 0 for j in range(9)] for line in sorted(lines)],
+        rhs=[-1] * len(lines),
+        objective=[-1] * 9,
+        integer_vars=range(9),
+        lower_bounds=[0] * 9,
+        upper_bounds=[1] * 9,
+    )
+
+
+def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
+    inst = stein9()
+    cuts = [
+        Inequality([-1, -1, -2, 0, -1, 0, -1, 0, 0], -3, label="cov"),
+        Inequality([-1] * 9, -6, label="sum6"),  # cuts off every optimum
+    ]
+    solved = []  # (program, lower, upper) of every LP actually solved
+    solve = LinearProgram._solve
+
+    def counted_solve(program, lower, upper):
+        solved.append((program, lower, upper))
+        return solve(program, lower, upper)
+
+    calls = []  # (solve_mip's program, LPs it solved, its result)
+
+    def counted_mip(inst, objective=None, options=None, program=None):
+        start = len(solved)
+        result = solve_mip(inst, objective, options, program)
+        calls.append((program, solved[start:], result))
+        return result
+
+    relaxations = []
+
+    def counted_relaxation(inst, program=None):
+        start = len(solved)
+        result = solve_lp_relaxation(inst, program)
+        relaxations.append(solved[start:])
+        return result
+
+    monkeypatch.setattr(LinearProgram, "_solve", counted_solve)
+    monkeypatch.setattr(analysis, "solve_mip", counted_mip)
+    monkeypatch.setattr(analysis, "solve_lp_relaxation", counted_relaxation)
+    report = impact_protocol(inst, cuts, time_limit=None)
+
+    (reference, reference_lps, full), (shared, baseline_lps, _), (cut_program, _, _) = calls
+    assert shared is reference and cut_program is None
+    # the reference solve solves one LP per node; z_lp and the baseline
+    # then solve none that it solved
+    assert len(reference_lps) == full.node_count > 1
+    assert relaxations == [[]]
+    seen = {(lower, upper) for _, lower, upper in reference_lps}
+    assert not seen & {(lower, upper) for _, lower, upper in baseline_lps}
+
+    # the same report when every run compiles its own program
+    monkeypatch.setattr(
+        analysis, "solve_mip",
+        lambda inst, objective=None, options=None, program=None: solve_mip(inst, objective, options),
+    )
+    monkeypatch.setattr(analysis, "solve_lp_relaxation", lambda inst, program=None: solve_lp_relaxation(inst))
+    assert impact_protocol(inst, cuts, time_limit=None) == report
+
+
+def test_solve_mip_rejects_a_program_for_other_rows():
+    inst = stein9()
+    program = LinearProgram(inst.objective, inst.constraint_matrix, inst.rhs)
+    cut = SolveOptions(extra_constraints=(Inequality([-1] * 9, -4),))
+    with pytest.raises(ValueError):
+        solve_mip(inst, options=cut, program=program)
+    with pytest.raises(ValueError):
+        solve_mip(inst, objective=[1] * 9, program=program)
+    with pytest.raises(ValueError):
+        solve_mip(inst, options=SolveOptions(extra_equations=(([1] * 9, 3),)), program=program)
+    with pytest.raises(ValueError):
+        solve_lp_relaxation(binary_knapsack(), program)
+    assert solve_mip(inst, program=program) == solve_mip(inst)
 
 
 def test_dimension_bins():

@@ -2,10 +2,15 @@ import hashlib
 import random
 from fractions import Fraction
 
-from cutdim.linalg import dot, is_in_span, orthogonal_complement_basis, rank
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cutdim import simplex
+from cutdim.linalg import dot, int_row, is_in_span, orthogonal_complement_basis, rank
 from cutdim.rational import rat, rat_str
 from cutdim.selftest import random_instance
-from cutdim.simplex import LPStatus, solve_lp
+from cutdim.simplex import LinearProgram, LPStatus, solve_lp
 from cutdim.solver import solve_mip
 
 from helpers import random_boxed_lp, reference_lp
@@ -213,3 +218,92 @@ def test_results_are_pinned():
     for line in _pinned_corpus_lines():
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+_VALUES = tuple(Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/3", "1", "3/2", "2"))
+
+
+@st.composite
+def _reuse_case(draw):
+    """A program and a sequence of bound vectors for it.
+
+    Variables are boxed (b), lower-bounded (l), reflected (r) or free
+    (f); each bound vector takes one of a few such patterns, with its own
+    bound values, which may be fractional, so a pattern comes back with
+    other shifts.  A boxed variable's upper bound may cross its lower.
+    """
+    n = draw(st.integers(1, 3))
+    value = st.sampled_from(_VALUES)
+    row = st.lists(value, min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=3))
+    rhs = [draw(st.sampled_from(_VALUES + (3, 5))) for _ in rows]
+    eq_rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=2))
+    eq_rhs = [draw(value) for _ in eq_rows]
+    if eq_rows and draw(st.booleans()):  # a dependent, consistent equation
+        eq_rows.append([a + b for a, b in zip(eq_rows[0], eq_rows[-1])])
+        eq_rhs.append(eq_rhs[0] + eq_rhs[-1])
+    objective = draw(row)
+    kinds = draw(st.lists(st.text("blrf", min_size=n, max_size=n), min_size=1, max_size=3))
+    bounds = []
+    for _ in range(draw(st.integers(2, 7))):
+        lower, upper = [], []
+        for kind in draw(st.sampled_from(kinds)):
+            lo = draw(value)
+            hi = lo + draw(st.sampled_from((Fraction(-1, 2), 0, Fraction(1, 2), 1, 3)))
+            lower.append(lo if kind in "bl" else None)
+            upper.append(hi if kind in "br" else None)
+        bounds.append((tuple(lower), tuple(upper)))
+    return objective, rows, rhs, eq_rows, eq_rhs, bounds
+
+
+def _checked(phase_one, price_out):
+    """`simplex._phase_one` and `_price_out`, first checking that every row
+    of a new tableau, and each objective row as it enters, is the coprime
+    integer row `int_row` gives, with rhs >= 0 in the constraint rows."""
+
+    def checked_phase_one(tableau, basis, art_base):
+        assert all(row == int_row(row) and row[-1] >= 0 for row in tableau)
+        return phase_one(tableau, basis, art_base)
+
+    def checked_price_out(tableau, basis):
+        assert tableau[-1] == int_row(tableau[-1])
+        return price_out(tableau, basis)
+
+    return checked_phase_one, checked_price_out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_reuse_case())
+def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
+    objective, rows, rhs, eq_rows, eq_rhs, bounds = case
+    program = LinearProgram(objective, rows, rhs, eq_rows, eq_rhs)
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        phase_one, price_out = _checked(simplex._phase_one, simplex._price_out)
+        mp.setattr(simplex, "_phase_one", phase_one)
+        mp.setattr(simplex, "_price_out", price_out)
+        for lower, upper in bounds:
+            got = program.solve(lower, upper)
+            assert got == solve_lp(objective, rows, rhs, eq_rows, eq_rhs, lower, upper)
+            results.append(got)
+            if None not in lower + upper and all(lo <= hi for lo, hi in zip(lower, upper)):
+                # boxed: an independent vertex enumeration, equations as two rows
+                value, _ = reference_lp(
+                    objective,
+                    rows + eq_rows + [[-a for a in r] for r in eq_rows],
+                    rhs + eq_rhs + [-b for b in eq_rhs],
+                    lower,
+                    upper,
+                )
+                assert got.value == value
+                assert (got.status is LPStatus.OPTIMAL) == (value is not None)
+    # one compiled form per pattern of finite bounds, whatever the values
+    patterns = {
+        tuple((lo is not None, hi is not None) for lo, hi in zip(lower, upper))
+        for lower, upper in bounds
+        if all(lo is None or hi is None or lo <= hi for lo, hi in zip(lower, upper))
+    }
+    assert len(program._forms) == len(patterns)
+    # a bound vector solved before is answered from memory
+    for (lower, upper), result in zip(bounds, results):
+        assert program.solve(list(lower), list(upper)) is result
