@@ -236,7 +236,7 @@ def impact_protocol(
     """
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be at least 1")
-    program = LinearProgram(inst.objective, inst.constraint_matrix, inst.rhs)
+    program = LinearProgram(inst.objective, inst.integer_rows)
     full = solve_mip(inst, options=SolveOptions(time_limit=time_limit), program=program)
     if full.status is not SolveStatus.OPTIMAL:
         raise AnalysisError(f"reference solve ended {full.status.value}, not optimal")

@@ -3,12 +3,17 @@
 Vectors are tuples of rationals and matrices are tuples of row tuples;
 both are immutable so they can be shared freely between threads.
 
-Eliminations run on rows of Python ints: `int_row` scales a rational
-row to coprime integers, and `pivot`, the one elimination step, keeps
-every row a positive multiple of the row exact rational Gauss-Jordan
-would give (fraction-free, after Edmonds and Bareiss).  Signs, zero
-patterns and ratios within a row therefore read as in the rational
-form, and rank and span questions are decided, never estimated.
+Integer data has one form per kind.  A constraint row a.x <= b (or
+= b) is held as `scaled_row` gives it, (d.a, d.b, d) with d the lcm of
+the denominators of a and b, so a point X/D satisfies it exactly when
+(d.a).X <= (d.b).D.  Eliminations run on rows of Python ints: `int_row`
+scales a rational row to coprime integers, and `pivot`, the one
+elimination step, keeps every row a positive multiple of the row exact
+rational Gauss-Jordan would give (fraction-free, after Edmonds and
+Bareiss).  Signs, zero patterns and ratios within a row therefore read
+as in the rational form, and rank and span questions are decided, never
+estimated.  Complement directions are read straight off those integer
+rows as coprime ints.
 """
 
 from __future__ import annotations
@@ -64,6 +69,13 @@ def int_scale(values: Sequence) -> tuple[list[int], int]:
     exactly ints / den."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def scaled_row(coefficients: Sequence, rhs) -> tuple:
+    """The row a.x <= b (or = b) in integer form (d.a, d.b, d): d is the
+    lcm of the denominators of a and b, d.a a tuple of ints, d.b an int."""
+    ints, d = int_scale((*coefficients, rhs))
+    return tuple(ints[:-1]), ints[-1], d
 
 
 def int_row(values: Sequence) -> list[int]:
@@ -137,53 +149,33 @@ def is_in_span(candidate: Sequence, rows: Sequence[Sequence]) -> bool:
     return rank(rows + [list(candidate)]) == base
 
 
-def integerize(vec: Sequence) -> Vector:
-    """Scale to coprime integer entries, leading nonzero positive.
-
-    The zero vector is returned unchanged.
-    """
-    vals = [rat(v) for v in vec]
-    nonzero = [v for v in vals if v != 0]
-    if not nonzero:
-        return tuple(vals)
-    scale = 1
-    for v in vals:
-        d = v.denominator
-        scale = scale * d // gcd(scale, d)
-    ints = [int(v * scale) for v in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return vector(ints)
-
-
 def orthogonal_complement_basis(vectors: Sequence[Sequence], n: int) -> list[Vector]:
     """Basis of {y : v . y = 0 for every v in `vectors`} in Q^n.
 
-    Basis vectors come from the reduced echelon form of the input (one
-    per free column, unit entry on that column) and are scaled to coprime
-    integers, so the output is deterministic and sparse when possible.
-    With no input vectors this is the standard basis of Q^n.
+    One basis vector per free column of the reduced echelon form of the
+    input: the rational solution with a unit on that column, as coprime
+    ints with the leading nonzero entry positive, so the output is
+    deterministic and sparse when possible.  The integer echelon rows
+    give it directly: each pivot entry is positive, so with L the lcm of
+    the pivot entries, y_free = L and y_pc = -row[free] * (L / row[pc])
+    is an integer multiple of the rational solution.  With no input
+    vectors this is the standard basis of Q^n.
     """
     for v in vectors:
         if len(v) != n:
             raise LinAlgError(f"vector of length {len(v)} in Q^{n}")
     rref, pivots = _echelon(vectors)
-    pivot_set = set(pivots)
+    scale = lcm(*(row[pc] for row, pc in zip(rref, pivots)))
     basis: list[Vector] = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        y = [ZERO] * n
-        y[free] = rat(1)
+    for free in sorted(set(range(n)) - set(pivots)):
+        y = [0] * n
+        y[free] = scale
         for row, pc in zip(rref, pivots):
-            y[pc] = rat(-row[free], row[pc])
-        basis.append(integerize(y))
+            y[pc] = -row[free] * (scale // row[pc])
+        y = _primitive(y)
+        if next(v for v in y if v) < 0:
+            y = [-v for v in y]
+        basis.append(tuple(y))
     return basis
 
 

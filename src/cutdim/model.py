@@ -8,12 +8,13 @@ with every coefficient an exact rational.  Instances and inequalities are
 frozen; analyses never mutate problem data.
 
 An instance also keeps one integer view of its rows, `integer_rows`,
-built on first use: each row a.x <= b scaled by the lcm d of its
-coefficients' denominators, as the ints d.a and the cap floor(d.b).  An
-integral point satisfies the row exactly when its int dot product with
-d.a is at most the cap.  `is_feasible_point` reads the view for points
-whose entries are all integral, and the lattice engine
-(`oracle.enumerate_lattice`) tests every box point against it.
+built on first use: each row a.x <= b in the form `linalg.scaled_row`
+gives, (d.a, d.b, d) with d the lcm of the denominators of a and b.  A
+point X/D, X integers and D > 0, satisfies the row exactly when
+(d.a).X <= (d.b).D.  `is_feasible_point` checks every point that way,
+the lattice engine (`oracle.enumerate_lattice`) tests every box point
+against it (D = 1), and every branch-and-bound run compiles its
+program from it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, Vector, dot, int_scale, matrix, vector
-from .rational import rat, rat_floor, rat_str
+from .linalg import Matrix, Vector, dot, int_scale, matrix, scaled_row, vector
+from .rational import rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -50,31 +51,19 @@ class MipInstance:
 
     @functools.cached_property
     def integer_rows(self) -> tuple:
-        """The rows as (ints, cap) pairs, for integral points.
-
-        Row a.x <= b becomes d.a, integers, and cap = floor(d.b), where d
-        is the lcm of the row's denominators: an integral x satisfies the
-        row exactly when (d.a).x <= cap.
-        """
-        out = []
-        for row, b in zip(self.constraint_matrix, self.rhs):
-            ints, den = int_scale(row)
-            out.append((tuple(ints), rat_floor(b * den)))
-        return tuple(out)
+        """The rows as (d.a, d.b, d) triples of ints (`scaled_row`)."""
+        return tuple(scaled_row(row, b) for row, b in zip(self.constraint_matrix, self.rhs))
 
     def is_feasible_point(self, point: Sequence) -> bool:
         """Exact feasibility check against rows, bounds and integrality.
 
-        The rows of a point whose entries are all integral are checked in
-        ints against `integer_rows`; any other point takes the rational rows.
+        The point is scaled once to X/D, and each row (d.a, d.b, d) of
+        `integer_rows` is checked as (d.a).X <= (d.b).D in ints.
         """
         if len(point) != self.num_vars:
             return False
-        if all(v.denominator == 1 for v in point):
-            x = [v.numerator for v in point]
-            if any(sum(map(operator.mul, a, x)) > cap for a, cap in self.integer_rows):
-                return False
-        elif any(dot(row, point) > b for row, b in zip(self.constraint_matrix, self.rhs)):
+        x, den = int_scale(point)
+        if any(sum(map(operator.mul, a, x)) > b * den for a, b, _ in self.integer_rows):
             return False
         for j, v in enumerate(point):
             lo, hi = self.lower_bounds[j], self.upper_bounds[j]
@@ -82,7 +71,7 @@ class MipInstance:
                 return False
             if hi is not None and v > hi:
                 return False
-        return all(rat(point[j]).denominator == 1 for j in self.integer_vars)
+        return all(point[j].denominator == 1 for j in self.integer_vars)
 
 
 def build_instance(

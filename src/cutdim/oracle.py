@@ -10,8 +10,9 @@ by explicit lattice enumeration (small instances; it doubles as the
 reference implementation in tests).  The lattice engine's arithmetic
 is on Python ints: its points are integer tuples, enumeration tests
 them against the instance's integer rows (`MipInstance.integer_rows`),
-and scans and hyperplane filters scale their direction to ints once
-and take int dot products.
+scans scale their direction to ints once, and hyperplane filters hold
+their row in the same (d.a, d.b, d) form as the instance's; both take
+int dot products.
 
 A provider owns its PointCache: every optimal point it returns is
 remembered there, and hull runs probe it, where an affinely independent
@@ -22,8 +23,8 @@ set of the provider that holds it.  `make_provider` builds the provider
 for an engine name, cache attached.
 
 With `verify` on (the default), every response is checked exactly, once
-(feasibility of its point or witness, objective value, ray directions),
-before its point reaches the cache; a failed check raises
+(its point or witness lies in the provider's set, objective value, ray
+directions), before its point reaches the cache; a failed check raises
 OracleSoundnessError rather than letting a wrong point silently corrupt
 a dimension.
 """
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .config import RunConfig
-from .linalg import Vector, dot, int_scale, vector
+from .linalg import Vector, dot, int_scale, scaled_row, vector
 from .model import MipInstance
 from .rational import rat
 from .solver import SolveOptions, SolveStatus, solve_mip
@@ -156,16 +157,21 @@ def oracle_maximize(provider, w: Sequence) -> OracleResponse:
     return response
 
 
+def _in_set(provider, point) -> bool:
+    """True when `point` lies in the provider's feasible set: feasible for
+    its instance and on every face equation it is restricted to."""
+    return provider.instance.is_feasible_point(point) and all(
+        dot(coeffs, point) == beta for coeffs, beta in provider.equations
+    )
+
+
 def _verify_response(provider, w, response) -> None:
     inst = provider.instance
     if isinstance(response, Infeasible):
         return
     if isinstance(response, Optimal):
-        if not inst.is_feasible_point(response.point):
-            raise OracleSoundnessError("optimal point violates the instance")
-        for coeffs, beta in provider.equations:
-            if dot(coeffs, response.point) != beta:
-                raise OracleSoundnessError("optimal point leaves the face hyperplane")
+        if not _in_set(provider, response.point):
+            raise OracleSoundnessError("optimal point violates the instance or its face")
         if dot(w, response.point) != response.value:
             raise OracleSoundnessError("reported value disagrees with the point")
         return
@@ -185,22 +191,17 @@ def _verify_response(provider, w, response) -> None:
     for coeffs, _ in provider.equations:
         if dot(coeffs, ray) != 0:
             raise OracleSoundnessError("ray leaves the face hyperplane")
-    if not inst.is_feasible_point(witness):
-        raise OracleSoundnessError("unbounded witness is infeasible")
-    for coeffs, beta in provider.equations:
-        if dot(coeffs, witness) != beta:
-            raise OracleSoundnessError("unbounded witness leaves the face hyperplane")
+    if not _in_set(provider, witness):
+        raise OracleSoundnessError("unbounded witness is infeasible for the instance or its face")
 
 
 def _on_hyperplane(a: Vector, beta):
     """The test a.x == beta, by which a restricted provider keeps points.
 
-    `a` is scaled to ints d.a once and compared with d.beta, so on
-    lattice points the test is an int dot product; when d.beta is not an
-    integer it keeps no lattice point.
+    The row is held as (d.a, d.b, d) (`scaled_row`) and a point p kept
+    when (d.a).p == d.beta, an int dot product on lattice points.
     """
-    ints, den = int_scale(a)
-    target = beta * den
+    ints, target, _ = scaled_row(a, beta)
     return lambda p: sum(map(operator.mul, ints, p)) == target
 
 
@@ -371,5 +372,5 @@ def enumerate_lattice(instance: MipInstance) -> list[tuple]:
     return [
         pt
         for pt in itertools.product(*ranges)
-        if all(sum(map(operator.mul, a, pt)) <= cap for a, cap in rows)
+        if all(sum(map(operator.mul, a, pt)) <= b for a, b, _ in rows)
     ]

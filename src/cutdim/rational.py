@@ -4,12 +4,14 @@ Every number that enters the toolkit is converted to an exact rational at
 the boundary and stays exact from then on; no floats are ever produced by
 internal arithmetic.  The backend is gmpy2's ``mpq`` when available, with
 ``fractions.Fraction`` as a pure-Python fallback.  Eliminations, the
-simplex and lattice scans do not run on these scalars: eliminations and
-the simplex pivot on rows of Python ints (`linalg.pivot`), and the
-lattice engine enumerates, scans and filters with int dot products
-(`MipInstance.integer_rows`), as does the row check of an integral
-point.  So the backend only sets the speed of the rational work around
-them (dot products, other point checks, reading results back).  Both
+simplex, lattice scans and row checks do not run on these scalars:
+every row is scaled to ints once (`linalg.scaled_row`, and the
+instance's cached view `MipInstance.integer_rows`), eliminations and the
+simplex pivot on rows of Python ints (`linalg.pivot`), complement
+directions come out as ints, and the lattice engine and every point's
+row check take int dot products.  So the backend only sets the speed of
+the rational work around them (other dot products, bound checks,
+reading results back).  Both
 expose ``.numerator``/``.denominator`` and hash consistently with each
 other and with ``int``, so the two backends are interchangeable.
 
@@ -48,8 +50,6 @@ ONE = _make(1)
 
 #: Anything `rat` accepts.
 RationalLike = Union[int, str, Fraction, type(ZERO)]
-
-_RAT_TYPES = (type(ZERO), Fraction, int)
 
 
 def rat(value: RationalLike, den: RationalLike | None = None):

@@ -5,7 +5,8 @@ arithmetic on a dense tableau.  Bland's smallest-index rule makes every
 run finite and deterministic; there is no scaling, no tolerance and no
 degeneracy heuristic to tune.
 
-A `LinearProgram` holds c, A, b, E and f, compiled once, and is solved
+A `LinearProgram` holds c and the rows of A, b, E and f in integer form
+(`linalg.scaled_row`), compiled once, and is solved
 under one bound vector (l, u) at a time; branch and bound solves one
 program at every node of a run, and `solve_lp` is a program solved once.
 Bounds are folded into the standard form by one substitution table that
@@ -23,15 +24,16 @@ last and are deleted once phase one has found a feasible basis.  The
 objective being optimized is the tableau's last row, so a pivot is one
 `linalg.pivot` step plus the basis update.
 
-The tableau holds Python ints.  Each row is scaled to ints once, when
-the program is built, and written into a tableau as coprime integers,
+The tableau holds Python ints.  The rows arrive scaled to ints, and
+each is written into a tableau as coprime integers,
 the form `int_row` gives; `linalg.pivot` keeps every row a positive
 multiple of the rational tableau's row.  Pricing reads signs, the ratio
 test cross-multiplies, and the basic solution and ray are read back as a
 row's rhs (or entering column) over its basic entry, an int when the
 division is exact, so the pivots, and every result, are those of the
-rational tableau.  Rationals appear only at the boundary: the input rows,
-fractional bounds and the results.
+rational tableau.  Rationals appear only at the boundary: `solve_lp`'s
+input rows, which it scales on entry, the objective, fractional bounds
+and the results.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .linalg import Vector, int_row, int_scale, pivot, vector
+from .linalg import Vector, int_row, int_scale, pivot, scaled_row, vector
 from .rational import ZERO, rat
 
 
@@ -74,8 +76,13 @@ def solve_lp(
     lower: Optional[Sequence] = None,
     upper: Optional[Sequence] = None,
 ) -> LPResult:
-    """One solve of a program that is not solved again: compile and solve."""
-    return LinearProgram(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs).solve(lower, upper)
+    """One solve of a program that is not solved again: scale the rows,
+    compile and solve."""
+    if len(ineq_rows) != len(ineq_rhs) or len(eq_rows) != len(eq_rhs):
+        raise ValueError("each row needs one right-hand side")
+    ineq = [scaled_row(vector(row), rat(b)) for row, b in zip(ineq_rows, ineq_rhs)]
+    eq = [scaled_row(vector(row), rat(b)) for row, b in zip(eq_rows, eq_rhs)]
+    return LinearProgram(objective, ineq, eq).solve(lower, upper)
 
 
 @dataclass(frozen=True)
@@ -100,39 +107,36 @@ class LinearProgram:
     """max c.x  s.t.  A.x <= b,  E.x = f, compiled once, solved under many
     bound vectors.
 
-    Each row is scaled to ints once, as (d.a, d.b, d) with d the lcm of
-    its denominators.  The substitution table and the y-space rows depend
-    only on which bounds are finite, so they are built once per pattern.
+    The rows come in the integer form `linalg.scaled_row` gives,
+    (d.a, d.b, d) with d the lcm of the row's denominators: `ineq` for
+    A.x <= b, `eq` for E.x = f.  The substitution table and the y-space
+    rows depend only on which bounds are finite, so they are built once
+    per pattern.
     `solve` then writes one node's tableau straight from them: only the
     shifts, the rhs and the cap rows change between bound vectors.  Its
     results are remembered by bound vector, so solves that share a
     program share their answers.
     """
 
-    def __init__(
-        self,
-        objective: Sequence,
-        ineq_rows: Sequence[Sequence] = (),
-        ineq_rhs: Sequence = (),
-        eq_rows: Sequence[Sequence] = (),
-        eq_rhs: Sequence = (),
-    ):
-        self.data = _program_data(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs)
-        c, a, b, e, f = self.data
-        self.num_vars = n = len(c)
-        if any(len(row) != n for row in a):
+    def __init__(self, objective: Sequence, ineq: Sequence = (), eq: Sequence = ()):
+        self.num_vars = n = len(objective)
+        self.ineq = tuple(ineq)
+        self.eq = tuple(eq)
+        if any(len(ints) != n for ints, _, _ in self.ineq):
             raise ValueError("constraint row length mismatch")
-        if any(len(row) != n for row in e):
+        if any(len(ints) != n for ints, _, _ in self.eq):
             raise ValueError("equation row length mismatch")
-        self.ineq_scaled = tuple(_scale_row(row, rhs) for row, rhs in zip(a, b))
-        self.eq_scaled = tuple(_scale_row(row, rhs) for row, rhs in zip(e, f))
-        self._objective = int_scale(c)
+        self._objective = int_scale(vector(objective))
         self._forms: dict = {}
         self._results: dict = {}
 
-    def built_for(self, objective, ineq_rows=(), ineq_rhs=(), eq_rows=(), eq_rhs=()) -> bool:
+    def built_for(self, objective: Sequence, ineq: Sequence = (), eq: Sequence = ()) -> bool:
         """True when this program has exactly these rows and objective."""
-        return self.data == _program_data(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs)
+        return (
+            self._objective == int_scale(vector(objective))
+            and self.ineq == tuple(ineq)
+            and self.eq == tuple(eq)
+        )
 
     def solve(self, lower: Optional[Sequence] = None, upper: Optional[Sequence] = None) -> LPResult:
         """The LP under bounds lower <= x <= upper (None: no bound)."""
@@ -159,11 +163,12 @@ class LinearProgram:
             lo if lo is not None else hi if hi is not None else 0
             for lo, hi in zip(lower, upper)
         ]
+        moved = [(j, v) for j, v in enumerate(shifts) if v]
         tableau, basis, art_base = _build_tableau(
             form,
-            [_shifted_rhs(row, shifts) for row in self.ineq_scaled],
+            [_shifted_rhs(row, moved) for row in self.ineq],
             [upper[j] - lower[j] for j, _ in form.caps],
-            [_shifted_rhs(row, shifts) for row in self.eq_scaled],
+            [_shifted_rhs(row, moved) for row in self.eq],
         )
         if not _phase_one(tableau, basis, art_base):
             return LPResult(LPStatus.INFEASIBLE)
@@ -227,7 +232,7 @@ class LinearProgram:
 
         def rows(scaled):
             out = []
-            for ints, _, _, scale in scaled:
+            for ints, _, scale in scaled:
                 coeffs = over_y(ints)
                 out.append((coeffs, [-v for v in coeffs], scale))
             return tuple(out)
@@ -236,40 +241,17 @@ class LinearProgram:
             terms=tuple(terms),
             ncols=ncols,
             caps=tuple(caps),
-            ineq=rows(self.ineq_scaled),
-            eq=rows(self.eq_scaled),
+            ineq=rows(self.ineq),
+            eq=rows(self.eq),
             objective=int_row(over_y(self._objective[0])),
         )
 
 
-def _program_data(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs) -> tuple:
-    """(c, A, b, E, f) as tuples of exact rationals."""
-    if len(ineq_rows) != len(ineq_rhs) or len(eq_rows) != len(eq_rhs):
-        raise ValueError("each row needs one right-hand side")
-    return (
-        vector(objective),
-        tuple(vector(row) for row in ineq_rows),
-        vector(ineq_rhs),
-        tuple(vector(row) for row in eq_rows),
-        vector(eq_rhs),
-    )
-
-
-def _scale_row(row, rhs) -> tuple:
-    """(d.a, its nonzeros as (j, v), d.b, d) with d the lcm of the
-    denominators of a and b, so both are ints."""
-    ints, d = int_scale((*row, rhs))
-    *coeffs, b = ints
-    return coeffs, tuple((j, v) for j, v in enumerate(coeffs) if v), b, d
-
-
-def _shifted_rhs(scaled, shifts):
-    """d.b - (d.a).shift: an int, or a rational when a shift is one."""
-    _, nonzeros, b, _ = scaled
-    for j, v in nonzeros:
-        if shifts[j]:
-            b -= v * shifts[j]
-    return b
+def _shifted_rhs(row, moved):
+    """d.b - (d.a).shift over the nonzero shifts (j, v): an int, or a
+    rational when a shift is one."""
+    ints, b, _ = row
+    return b - sum(ints[j] * v for j, v in moved if ints[j])
 
 
 def _bounds(values, n) -> tuple:

@@ -22,24 +22,29 @@ Every LP of a run reads the same rows and objective; only the bounds
 change from node to node.  A run therefore compiles one
 `simplex.LinearProgram` and solves it at each node, or is handed one by
 a caller that solves the same rows and objective more than once (the
-impact protocol), so that their LPs are solved once between them.
+impact protocol), so that their LPs are solved once between them.  The
+program's rows are the instance's cached integer view
+(`MipInstance.integer_rows`) plus each extra cut and equation, scaled
+once per run to the same (d.a, d.b, d) form; the incumbent check reads
+them too.
 
 Before any node, each extra equation row whose variables are all
-integer is read in its scaled ints from the program; when their gcd does
-not divide the scaled right-hand side, the row has no integer solution
-(Bezout) and the run ends INFEASIBLE with no node solved.
+integer is read in its scaled ints; when the gcd of d.a does not divide
+d.b, the row has no integer solution (Bezout) and the run ends
+INFEASIBLE with no node solved.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .linalg import Vector, dot, integerize, vector
+from .linalg import Vector, dot, int_row, int_scale, scaled_row, vector
 from .model import MipInstance
 from .rational import is_integral, rat, rat_floor
 from .simplex import LinearProgram, LPStatus, solve_lp
@@ -116,16 +121,17 @@ def solve_mip(
             f"objective has {len(obj)} entries, instance has {inst.num_vars} variables"
         )
 
-    rows, rhs, eq_rows, eq_rhs = _stack_rows(inst, options)
-    program = _program(program, obj, rows, rhs, eq_rows, eq_rhs)
+    ineq, eq = _stack_rows(inst, options)
+    program = _program(program, obj, ineq, eq)
 
     primal = -math.inf
     best: Optional[Vector] = None
     if options.incumbent is not None:
         inc = vector(options.incumbent)
+        x, den = int_scale(inc)
         if not inst.is_feasible_point(inc) or any(
-            dot(r, inc) > b for r, b in zip(rows[inst.num_constraints:], rhs[inst.num_constraints:])
-        ) or any(dot(r, inc) != b for r, b in zip(eq_rows, eq_rhs)):
+            sum(map(operator.mul, a, x)) > b * den for a, b, _ in ineq[inst.num_constraints:]
+        ) or any(sum(map(operator.mul, a, x)) != b * den for a, b, _ in eq):
             raise ValueError("incumbent is not feasible for this run")
         primal = dot(obj, inc)
         best = inc
@@ -176,10 +182,8 @@ def solve_mip(
             # the mixed-integer hull coincide, so any feasible point
             # certifies an unbounded problem.  Search for one with a zero
             # objective from a fresh root; the first point found ends it.
-            ray = integerize(lp.ray)
-            if dot(ray, lp.ray) < 0:  # integerize made a negative leading entry positive
-                ray = tuple(-v for v in ray)
-            program = LinearProgram((0,) * inst.num_vars, rows, rhs, eq_rows, eq_rhs)
+            ray = vector(int_row(lp.ray))
+            program = LinearProgram((0,) * inst.num_vars, ineq, eq)
             primal, best = -math.inf, None
             heapq.heappush(heap, node)
         elif lp.status is LPStatus.OPTIMAL:
@@ -232,18 +236,18 @@ def _gcd_excludes(inst: MipInstance, program: LinearProgram) -> bool:
     """True when an equation row on integer variables only has no integer
     solution: the gcd of its scaled coefficients d.a does not divide its
     scaled right-hand side d.b.  Zero rows are left to the LP."""
-    for ints, nonzeros, b, _ in program.eq_scaled:
+    for ints, b, _ in program.eq:
         g = math.gcd(*ints)
-        if g and b % g and all(j in inst.integer_vars for j, _ in nonzeros):
+        if g and b % g and all(j in inst.integer_vars for j, v in enumerate(ints) if v):
             return True
     return False
 
 
-def _program(program, objective, rows, rhs, eq_rows, eq_rhs) -> LinearProgram:
+def _program(program, objective, ineq, eq) -> LinearProgram:
     """`program` checked against a run's rows and objective, or a new one."""
     if program is None:
-        return LinearProgram(objective, rows, rhs, eq_rows, eq_rhs)
-    if not program.built_for(objective, rows, rhs, eq_rows, eq_rhs):
+        return LinearProgram(objective, ineq, eq)
+    if not program.built_for(objective, ineq, eq):
         raise ValueError("the program was built for other rows or another objective")
     return program
 
@@ -275,26 +279,23 @@ def _replace_bound(node: _Node, j: int, lower=None, upper=None):
 
 
 def _stack_rows(inst: MipInstance, options: SolveOptions):
-    """Instance rows plus the extra cuts, and the extra equation rows.
+    """The instance's integer rows plus the extra cuts, and the extra
+    equation rows, each as (d.a, d.b, d); every LP of a run reads these.
 
-    Returns (rows, rhs, eq_rows, eq_rhs); every LP of a run reads these.
+    Returns (ineq, eq).
     """
-    rows = list(inst.constraint_matrix)
-    rhs = list(inst.rhs)
+    ineq = list(inst.integer_rows)
     for cut in options.extra_constraints:
         if len(cut.coefficients) != inst.num_vars:
             raise ValueError("extra constraint length mismatch")
-        rows.append(cut.coefficients)
-        rhs.append(cut.rhs)
-    eq_rows = []
-    eq_rhs = []
+        ineq.append(scaled_row(cut.coefficients, cut.rhs))
+    eq = []
     for coeffs, value in options.extra_equations:
         coeffs = vector(coeffs)
         if len(coeffs) != inst.num_vars:
             raise ValueError("extra equation length mismatch")
-        eq_rows.append(coeffs)
-        eq_rhs.append(rat(value))
-    return rows, rhs, eq_rows, eq_rhs
+        eq.append(scaled_row(coeffs, rat(value)))
+    return ineq, eq
 
 
 def solve_lp_relaxation(inst: MipInstance, program: Optional[LinearProgram] = None):
@@ -303,10 +304,10 @@ def solve_lp_relaxation(inst: MipInstance, program: Optional[LinearProgram] = No
     With `program` (built for the instance rows and objective) this is
     its root LP, remembered if a run on it has solved that already.
     """
-    rows, rhs, eq_rows, eq_rhs = _stack_rows(inst, SolveOptions())
     if program is None:
         return solve_lp(
-            inst.objective, rows, rhs, eq_rows, eq_rhs, inst.lower_bounds, inst.upper_bounds
+            inst.objective, inst.constraint_matrix, inst.rhs,
+            lower=inst.lower_bounds, upper=inst.upper_bounds,
         )
-    program = _program(program, inst.objective, rows, rhs, eq_rows, eq_rhs)
+    program = _program(program, inst.objective, inst.integer_rows, ())
     return program.solve(inst.lower_bounds, inst.upper_bounds)

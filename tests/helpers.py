@@ -6,7 +6,10 @@ Fraction-based Gaussian elimination, so a simplex bug cannot hide
 behind shared code.  The lattice twin (`fraction_lattice`,
 `fraction_argmax`, `fraction_on_hyperplane`) enumerates, scans and
 filters with Fraction sums on the instance's own rows, apart from the
-integer rows the lattice engine reads.  Instance generators are reused from the package's
+integer rows the lattice engine reads; `fraction_feasible` checks a
+point the same way.  `fraction_complement` solves for complement
+directions in Fractions, apart from the integer echelon rows the
+package reads them from.  Instance generators are reused from the package's
 selftest module (they are data producers, not implementations under
 test).
 """
@@ -106,6 +109,54 @@ def fraction_argmax(points, w):
 def fraction_on_hyperplane(points, a, beta) -> list:
     """The points with a.p == beta, by Fraction sums, in order."""
     return [p for p in points if sum(Fraction(ai) * x for ai, x in zip(a, p)) == Fraction(beta)]
+
+
+def fraction_feasible(instance, point) -> bool:
+    """`MipInstance.is_feasible_point` by Fraction sums on the instance's
+    own rows and bounds, apart from its integer view."""
+    x = [Fraction(v) for v in point]
+    if len(x) != instance.num_vars:
+        return False
+    for row, b in zip(instance.constraint_matrix, instance.rhs):
+        if sum(Fraction(a) * v for a, v in zip(row, x)) > Fraction(b):
+            return False
+    for v, lo, hi in zip(x, instance.lower_bounds, instance.upper_bounds):
+        if (lo is not None and v < Fraction(lo)) or (hi is not None and v > Fraction(hi)):
+            return False
+    return all(x[j].denominator == 1 for j in instance.integer_vars)
+
+
+def fraction_complement(vectors, n) -> list:
+    """Basis of {y : v.y = 0 for every v}, one vector per free column of
+    the reduced echelon form: the Fraction solution with a unit on that
+    column, scaled to coprime ints with the leading nonzero positive."""
+    rows = [[Fraction(v) for v in row] for row in vectors]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        best = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        y = [Fraction(0)] * n
+        y[free] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            y[pc] = -row[free]
+        scale = math.lcm(*(v.denominator for v in y))
+        ints = [int(v * scale) for v in y]
+        g = math.gcd(*ints)
+        sign = 1 if next(v for v in ints if v) > 0 else -1
+        basis.append(tuple(sign * v // g for v in ints))
+    return basis
 
 
 def random_boxed_lp(rng, max_vars: int = 4, max_rows: int = 4):

@@ -346,7 +346,7 @@ def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
 
 def test_solve_mip_rejects_a_program_for_other_rows():
     inst = stein9()
-    program = LinearProgram(inst.objective, inst.constraint_matrix, inst.rhs)
+    program = LinearProgram(inst.objective, inst.integer_rows)
     cut = SolveOptions(extra_constraints=(Inequality([-1] * 9, -4),))
     with pytest.raises(ValueError):
         solve_mip(inst, options=cut, program=program)

@@ -11,7 +11,6 @@ from cutdim.linalg import (
     affine_rank,
     dot,
     int_row,
-    integerize,
     is_in_span,
     orthogonal_complement_basis,
     pivot,
@@ -19,6 +18,7 @@ from cutdim.linalg import (
     vector,
 )
 from cutdim.rational import rat
+from helpers import fraction_complement
 
 
 def test_rank_fixtures():
@@ -102,12 +102,6 @@ def test_affine_rank_combination_property():
         assert affine_rank(pts + [combo]) == r
 
 
-def test_integerize():
-    assert integerize([rat(1, 2), rat(-1, 3)]) == vector([3, -2])
-    assert integerize([rat(-1, 2)]) == vector([1])  # leading entry positive
-    assert integerize([0, 0]) == vector([0, 0])
-
-
 def test_dimension_mismatch():
     from cutdim.linalg import matrix
 
@@ -176,3 +170,32 @@ def test_integer_pivot_matches_fraction_gauss_jordan(case):
         assert work[r][c] > 0
         for i, (ints, row) in enumerate(zip(work, ref)):
             _assert_scaled(ints, row, coprime=i in written)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(_FRACTIONS, min_size=n, max_size=n), max_size=5)
+    )
+))
+def test_integer_directions_match_fraction_twin(case):
+    """orthogonal_complement_basis against the Fraction solution of each
+    free column, scaled to coprime ints with the leading entry positive:
+    the same vectors, in the same order, as tuples of ints."""
+    n, rows = case
+    basis = orthogonal_complement_basis(rows, n)
+    assert basis == fraction_complement(rows, n)
+    assert all(type(v) is int for b in basis for v in b)
+
+
+def test_integer_directions_fixtures():
+    # coprime: the Fraction solution (-3/2, 1) becomes (3, -2)
+    assert orthogonal_complement_basis([[2, 3]], 2) == [(3, -2)]
+    assert orthogonal_complement_basis([[rat(1, 2), rat(3, 4)]], 2) == [(3, -2)]
+    # leading sign: the Fraction solution (-1, 1) becomes (1, -1)
+    assert orthogonal_complement_basis([[1, 1]], 2) == [(1, -1)]
+    # zero input: no rows, or zero rows, give the standard basis
+    assert orthogonal_complement_basis([], 2) == [(1, 0), (0, 1)]
+    assert orthogonal_complement_basis([[0, 0]], 2) == [(1, 0), (0, 1)]
+    for rows, n in ((((2, 3),), 2), (((1, 1),), 2), ((), 2), (((0, 0),), 2)):
+        assert fraction_complement(rows, n) == orthogonal_complement_basis(rows, n)

@@ -1,9 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cutdim.linalg import int_scale, vector
+from cutdim.linalg import scaled_row, vector
 from cutdim.model import (
     Inequality,
     build_instance,
@@ -12,6 +15,7 @@ from cutdim.model import (
     validate_instance,
 )
 from cutdim.rational import rat
+from helpers import fraction_feasible
 
 
 def knapsack():
@@ -90,7 +94,7 @@ def test_is_feasible_point():
 
 
 def fractional_rows():
-    # x0/2 + x1/3 <= 5/6 scales to 3x0 + 2x1 <= 5; x0/2 + x1/3 <= 3/4 to 3x0 + 2x1 <= 4
+    # x0/2 + x1/3 <= 5/6 scales by 6 to 3x0 + 2x1 <= 5; x0/2 + x1/3 <= 3/4 by 12 to 6x0 + 4x1 <= 9
     return build_instance(
         name="fractional",
         constraint_matrix=[[rat(1, 2), rat(1, 3)], [rat(1, 2), rat(1, 3)]],
@@ -104,9 +108,9 @@ def fractional_rows():
 
 def test_is_feasible_point_at_a_fractional_rhs():
     inst = fractional_rows()
-    assert inst.integer_rows == (((3, 2), 5), ((3, 2), 4))
-    assert inst.is_feasible_point([0, 2])  # 3*0 + 2*2 = 4: the cap of 3/4 * 6
-    assert not inst.is_feasible_point([1, 1])  # 5: one unit past that cap
+    assert inst.integer_rows == (((3, 2), 5, 6), ((6, 4), 9, 12))
+    assert inst.is_feasible_point([0, 2])  # 6*0 + 4*2 = 8 <= 9
+    assert not inst.is_feasible_point([1, 1])  # 10 > 9
     exact = build_instance(
         name="exact",
         constraint_matrix=[[rat(1, 2), rat(1, 3)]],
@@ -116,8 +120,8 @@ def test_is_feasible_point_at_a_fractional_rhs():
     )
     assert exact.is_feasible_point([1, 1])  # exactly on the boundary
     assert not exact.is_feasible_point([1, 2])  # 7/6, one unit of x1 outside
-    # a point with a non-integral entry takes the rational rows
-    assert inst.is_feasible_point([rat(1, 2), 1])  # 7/12 <= 3/4
+    # a point with a non-integral entry is scaled once: X/D = (1, 2)/2
+    assert inst.is_feasible_point([rat(1, 2), 1])  # 6*1 + 4*2 = 14 <= 9*2
     assert inst.is_feasible_point([rat(3, 2), 0])  # 3/4, on the boundary
     assert not inst.is_feasible_point([rat(7, 4), 0])  # 7/8 > 3/4
 
@@ -134,7 +138,9 @@ def test_is_feasible_point_reads_ints_and_fractions_alike():
 
 def test_integer_view_is_built_once_per_instance(monkeypatch):
     calls = []
-    monkeypatch.setattr("cutdim.model.int_scale", lambda row: calls.append(row) or int_scale(row))
+    monkeypatch.setattr(
+        "cutdim.model.scaled_row", lambda row, b: calls.append(row) or scaled_row(row, b)
+    )
     inst = fractional_rows()
     for x in ([0, 2], [1, 1], [2, 0], [0, 0]):
         inst.is_feasible_point(x)
@@ -142,6 +148,59 @@ def test_integer_view_is_built_once_per_instance(monkeypatch):
     assert len(calls) == inst.num_constraints
     fractional_rows().is_feasible_point([0, 0])  # a new instance builds its own
     assert len(calls) == 2 * inst.num_constraints
+
+
+_VALUES = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def _instance_and_points(draw):
+    """A mixed-integer instance with fractional rows, rhs and bounds, and
+    points with integral and fractional entries.
+
+    Each rhs and bound is set off from a drawn point by a small slack,
+    often zero, so that many points are feasible or on the boundary.
+    """
+    n = draw(st.integers(1, 3))
+    integer_vars = draw(st.sets(st.integers(0, n - 1)))
+    entries = [
+        st.one_of(st.integers(-2, 2), _VALUES) if j in integer_vars else _VALUES
+        for j in range(n)
+    ]
+    points = draw(st.lists(st.tuples(*entries), min_size=1, max_size=8))
+    slack = st.sampled_from((0, 0, Fraction(1, 4), Fraction(1, 3), Fraction(-1, 2), 1))
+
+    def anchor():
+        return draw(st.sampled_from(points))
+
+    rows = draw(st.lists(st.lists(_VALUES, min_size=n, max_size=n), max_size=3))
+    rhs = [sum(a * x for a, x in zip(row, anchor())) + draw(slack) for row in rows]
+    lower, upper = [], []
+    for j in range(n):
+        lo = anchor()[j] - draw(slack)
+        hi = max(lo, anchor()[j] + draw(slack))
+        lower.append(draw(st.sampled_from((None, lo))))
+        upper.append(draw(st.sampled_from((None, hi))))
+    inst = build_instance(
+        name="drawn",
+        constraint_matrix=rows,
+        rhs=rhs,
+        objective=[0] * n,
+        integer_vars=integer_vars,
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+    return inst, points
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_instance_and_points())
+def test_is_feasible_point_matches_fraction_twin(case):
+    """One feasibility path for every point: the integer view scaled by
+    the point's lcm gives the plain Fraction answer."""
+    inst, points = case
+    for point in points:
+        assert inst.is_feasible_point(vector(point)) == fraction_feasible(inst, point)
 
 
 def test_normalize_cut_fixtures():

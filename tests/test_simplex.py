@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutdim import simplex
-from cutdim.linalg import dot, int_row, is_in_span, orthogonal_complement_basis, rank
+from cutdim.linalg import (
+    dot,
+    int_row,
+    is_in_span,
+    orthogonal_complement_basis,
+    rank,
+    scaled_row,
+)
 from cutdim.rational import rat, rat_str
 from cutdim.selftest import random_instance
 from cutdim.simplex import LinearProgram, LPStatus, solve_lp
@@ -276,7 +283,11 @@ def _checked(phase_one, price_out):
 @given(_reuse_case())
 def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
     objective, rows, rhs, eq_rows, eq_rhs, bounds = case
-    program = LinearProgram(objective, rows, rhs, eq_rows, eq_rhs)
+    program = LinearProgram(
+        objective,
+        [scaled_row(row, b) for row, b in zip(rows, rhs)],
+        [scaled_row(row, b) for row, b in zip(eq_rows, eq_rhs)],
+    )
     results = []
     with pytest.MonkeyPatch.context() as mp:
         phase_one, price_out = _checked(simplex._phase_one, simplex._price_out)
