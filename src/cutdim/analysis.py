@@ -43,7 +43,7 @@ from .hull import (
     affine_hull,
     face_hull,
 )
-from .linalg import Vector, dot, vector
+from .linalg import Vector, dot
 from .model import Inequality, MipInstance, evaluate, normalize_cut
 from .oracle import (
     Infeasible,
@@ -88,7 +88,7 @@ def compute_beta_true(provider, coefficients: Sequence):
     Returns (value, point, ray): the maximizer, or the unbounded
     answer's witness and ray; None for what the answer lacks.
     """
-    response = oracle_maximize(provider, vector(coefficients))
+    response = oracle_maximize(provider, coefficients)
     if isinstance(response, Infeasible):
         return -math.inf, None, None
     if isinstance(response, Unbounded):
@@ -175,7 +175,7 @@ def _violating_point(a, beta, witness, ray) -> Vector:
     if rate <= 0:
         raise AnalysisError("certificate ray does not violate the cut")
     start = dot(a, witness)
-    steps = max(1, rat_ceil((beta + 1 - start) / rate))
+    steps = max(1, rat_ceil(rat(beta + 1 - start, rate)))
     return tuple(w + steps * r for w, r in zip(witness, ray))
 
 
@@ -187,7 +187,7 @@ def closed_gap(z_budget, z_lp, z_star):
         raise AnalysisError(
             f"dual bound {z_budget} outside [{z_star}, {z_lp}]: solver soundness bug"
         )
-    return (z_budget - z_lp) / (z_star - z_lp)
+    return rat(z_budget - z_lp, z_star - z_lp)
 
 
 @dataclass(frozen=True)
@@ -377,13 +377,12 @@ def build_histogram(items: Sequence) -> list:
     items = list(items)
     if not items:
         return []
-    m = rat(len(items))
     weights: dict[DimensionBin, object] = {}
     for d, face_dims in items:
         face_dims = list(face_dims)
         if not face_dims:
             raise ValueError("every instance needs at least one cut to histogram")
-        share = 1 / (m * len(face_dims))
+        share = rat(1, len(items) * len(face_dims))
         for k in face_dims:
             b = relative_dimension_bin(k, d)
             weights[b] = weights.get(b, rat(0)) + share

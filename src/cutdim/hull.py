@@ -22,6 +22,9 @@ without a cache gives a cold run.
 Face dimension runs reuse the machinery unchanged: restrict the oracle
 to the face's hyperplane (its cache then holds only points on the face)
 and start from the base system plus the face equation.
+
+Directions are coprime ints, and points keep the ints their engine
+computed, so the rounds' dot products and checks are int arithmetic.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from .linalg import (
     Matrix,
     Vector,
     dot,
+    exact_vector,
     is_in_span,
     orthogonal_complement_basis,
     rank,
     vec_add_scaled,
-    vector,
 )
 from .model import Inequality
 from .oracle import (
@@ -90,7 +93,7 @@ class EquationSystem:
 
     def with_equation(self, coefficients: Sequence, value) -> "EquationSystem":
         return EquationSystem(
-            rows=self.rows + (vector(coefficients),), rhs=self.rhs + (rat(value),)
+            rows=self.rows + (exact_vector(coefficients),), rhs=self.rhs + (rat(value),)
         )
 
     def violated_row(self, point: Sequence) -> Optional[int]:
@@ -112,7 +115,7 @@ class EquationSystem:
 @dataclass(frozen=True)
 class AffineHullResult:
     dimension: int
-    points: tuple  # affinely independent feasible points, |points| = dim + 1
+    points: tuple  # dim + 1 affinely independent feasible points, ints where computed
     equations: EquationSystem
     oracle_queries: int
     cache_hits: int
@@ -208,7 +211,7 @@ def affine_hull(
                     f"initial equation {bad}: {eqs.render()[bad]}"
                 )
             raise AssertionError("feasible point violates an equation proved this run")
-        points.append(vector(point))
+        points.append(point)
 
     while len(points) + len(eqs) < n + 1:
         if deadline is not None and time.monotonic() > deadline:
@@ -217,7 +220,7 @@ def affine_hull(
 
         if d is None:
             # n equations and no point yet: the set is a point or empty
-            resp = query(vector([0] * n))
+            resp = query((0,) * n)
             if isinstance(resp, Infeasible):
                 return AffineHullResult(-1, (), eqs, queries, cache_hits)
             if isinstance(resp, Optimal):

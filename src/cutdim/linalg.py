@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of rationals and matrices are tuples of row tuples;
-both are immutable so they can be shared freely between threads.
+Vectors are tuples and matrices are tuples of row tuples; both are
+immutable so they can be shared freely between threads.  Entries are
+ints where the engines computed them (points, directions, rays) and
+rationals otherwise; `dot` and the eliminations read both exactly.
 
 Integer data has one form per kind.  A constraint row a.x <= b (or
 = b) is held as `scaled_row` gives it, (d.a, d.b, d) with d the lcm of
@@ -19,9 +21,10 @@ rows as coprime ints.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .rational import ZERO, rat
+from .rational import rat
 
 Vector = tuple
 Matrix = tuple
@@ -43,10 +46,29 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
     return out
 
 
+def exact_vector(values: Iterable) -> Vector:
+    """`values` with int entries kept and every other entry through `rat`."""
+    return tuple(v if type(v) is int else rat(v) for v in values)
+
+
+def exact_bounds(values, n) -> tuple:
+    """A bound vector (None: no bound) with its integral entries as ints."""
+    if values is None:
+        return (None,) * n
+    return tuple(v if v is None or type(v) is int else _exact(v) for v in values)
+
+
+def _exact(value):
+    """`value` as an int when it is integral, else as a rational."""
+    q = rat(value)
+    return int(q.numerator) if q.denominator == 1 else q
+
+
 def dot(u: Sequence, v: Sequence):
+    """u.v exactly, in the inputs' own types: an int on ints."""
     if len(u) != len(v):
         raise LinAlgError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> Vector:
@@ -59,16 +81,15 @@ def vec_add_scaled(u: Sequence, t, v: Sequence) -> Vector:
     """u + t*v"""
     if len(u) != len(v):
         raise LinAlgError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    t = rat(t)
     return tuple(a + t * b for a, b in zip(u, v))
 
 
 def int_scale(values: Sequence) -> tuple[list[int], int]:
     """(ints, den) for a row of ints and rationals: den is the lcm of the
     entries' denominators and ints the entries times den, so the row is
-    exactly ints / den."""
+    exactly ints / den.  Both are Python ints with either backend."""
     den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return [int(v.numerator) * (den // v.denominator) for v in values], den
 
 
 def scaled_row(coefficients: Sequence, rhs) -> tuple:
@@ -116,7 +137,7 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     The reduced form is unique, so the first nonzero row serves as pivot.
     Row k is a positive multiple of the rational form's row k.
     """
-    work = [int_row([rat(v) for v in row]) for row in rows]
+    work = [int_row(row) for row in rows]
     if not work:
         return [], []
     ncols = len(work[0])

@@ -14,7 +14,9 @@ point X/D, X integers and D > 0, satisfies the row exactly when
 (d.a).X <= (d.b).D.  `is_feasible_point` checks every point that way,
 the lattice engine (`oracle.enumerate_lattice`) tests every box point
 against it (D = 1), and every branch-and-bound run compiles its
-program from it.
+program from it.  `integer_bounds` is the same for the bounds: every
+integral bound as an int, the form branch and bound starts its nodes
+from and `is_feasible_point` compares against.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, Vector, dot, int_scale, matrix, scaled_row, vector
+from .linalg import Matrix, Vector, dot, exact_bounds, int_scale, matrix, scaled_row, vector
 from .rational import rat, rat_str
 
 
@@ -54,6 +56,12 @@ class MipInstance:
         """The rows as (d.a, d.b, d) triples of ints (`scaled_row`)."""
         return tuple(scaled_row(row, b) for row, b in zip(self.constraint_matrix, self.rhs))
 
+    @functools.cached_property
+    def integer_bounds(self) -> tuple:
+        """(lower, upper) with every integral bound as an int (`exact_bounds`)."""
+        bounds = (self.lower_bounds, self.upper_bounds)
+        return tuple(exact_bounds(b, self.num_vars) for b in bounds)
+
     def is_feasible_point(self, point: Sequence) -> bool:
         """Exact feasibility check against rows, bounds and integrality.
 
@@ -63,10 +71,9 @@ class MipInstance:
         if len(point) != self.num_vars:
             return False
         x, den = int_scale(point)
-        if any(sum(map(operator.mul, a, x)) > b * den for a, b, _ in self.integer_rows):
+        if any(dot(a, x) > b * den for a, b, _ in self.integer_rows):
             return False
-        for j, v in enumerate(point):
-            lo, hi = self.lower_bounds[j], self.upper_bounds[j]
+        for v, lo, hi in zip(point, *self.integer_bounds):
             if lo is not None and v < lo:
                 return False
             if hi is not None and v > hi:
@@ -183,8 +190,8 @@ def normalize_cut(cut: Inequality) -> Inequality:
         return cut
     return dataclasses.replace(
         cut,
-        coefficients=tuple(c / m for c in cut.coefficients),
-        rhs=cut.rhs / m,
+        coefficients=tuple(rat(c, m) for c in cut.coefficients),
+        rhs=rat(cut.rhs, m),
     )
 
 

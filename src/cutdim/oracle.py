@@ -12,7 +12,8 @@ is on Python ints: its points are integer tuples, enumeration tests
 them against the instance's integer rows (`MipInstance.integer_rows`),
 scans scale their direction to ints once, and hyperplane filters hold
 their row in the same (d.a, d.b, d) form as the instance's; both take
-int dot products.
+int dot products.  Points and rays keep the ints their engine
+computed, and a query's int entries pass through unchanged.
 
 A provider owns its PointCache: every optimal point it returns is
 remembered there, and hull runs probe it, where an affinely independent
@@ -32,15 +33,15 @@ a dimension.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .config import RunConfig
-from .linalg import Vector, dot, int_scale, scaled_row, vector
+from .linalg import Vector, dot, exact_vector, int_scale, scaled_row, vector
 from .model import MipInstance
 from .rational import rat
 from .solver import SolveOptions, SolveStatus, solve_mip
@@ -66,7 +67,7 @@ class OracleInconclusive(OracleError):
 
 @dataclass(frozen=True)
 class Optimal:
-    point: Vector
+    point: Vector  # entries are ints where the engine computed one
     value: object
 
 
@@ -101,7 +102,7 @@ class PointCache:
 
     def add(self, point: Sequence) -> bool:
         """Insert a point; returns True when it was new."""
-        pt = vector(point)
+        pt = tuple(point)
         with self._lock:
             if pt in self._seen:
                 return False
@@ -131,7 +132,6 @@ class PointCache:
 
 def cache_probe(cache: PointCache, d: Sequence, gamma):
     """The first cached point whose d-value differs from gamma, or None."""
-    d, gamma = vector(d), rat(gamma)
     for p in cache.points():
         if dot(d, p) != gamma:
             return p
@@ -145,7 +145,7 @@ def oracle_maximize(provider, w: Sequence) -> OracleResponse:
     feeds optimal points and unbounded witnesses into the provider's
     cache.  All query accounting goes through here.
     """
-    w = vector(w)
+    w = exact_vector(w)
     if len(w) != provider.n:
         raise OracleError(f"direction has {len(w)} entries, oracle expects {provider.n}")
     response = provider.solve(w)
@@ -202,7 +202,7 @@ def _on_hyperplane(a: Vector, beta):
     when (d.a).p == d.beta, an int dot product on lattice points.
     """
     ints, target, _ = scaled_row(a, beta)
-    return lambda p: sum(map(operator.mul, ints, p)) == target
+    return lambda p: dot(ints, p) == target
 
 
 class _Provider:
@@ -315,12 +315,8 @@ class BruteForceOracle(_Provider):
         if not self.points:
             return Infeasible()
         ints, den = int_scale(w)
-
-        def value(p):
-            return sum(map(operator.mul, ints, p))
-
-        p = max(self.points, key=value)  # the first maximal point
-        return Optimal(vector(p), rat(value(p), den))
+        p = max(self.points, key=functools.partial(dot, ints))  # the first maximal point
+        return Optimal(p, rat(dot(ints, p), den))
 
 
 def make_provider(
@@ -372,5 +368,5 @@ def enumerate_lattice(instance: MipInstance) -> list[tuple]:
     return [
         pt
         for pt in itertools.product(*ranges)
-        if all(sum(map(operator.mul, a, pt)) <= b for a, b, _ in rows)
+        if all(dot(a, pt) <= b for a, b, _ in rows)
     ]

@@ -1,19 +1,18 @@
 """Exact rational scalars.
 
 Every number that enters the toolkit is converted to an exact rational at
-the boundary and stays exact from then on; no floats are ever produced by
-internal arithmetic.  The backend is gmpy2's ``mpq`` when available, with
-``fractions.Fraction`` as a pure-Python fallback.  Eliminations, the
-simplex, lattice scans and row checks do not run on these scalars:
-every row is scaled to ints once (`linalg.scaled_row`, and the
-instance's cached view `MipInstance.integer_rows`), eliminations and the
-simplex pivot on rows of Python ints (`linalg.pivot`), complement
-directions come out as ints, and the lattice engine and every point's
-row check take int dot products.  So the backend only sets the speed of
-the rational work around them (other dot products, bound checks,
-reading results back).  Both
+the boundary (parsers, `build_instance`, `Inequality`, a user's
+direction) and stays exact from then on; no floats are ever produced by
+internal arithmetic, and no true division (``/``) is used anywhere.
+The backend is gmpy2's ``mpq`` when available, with
+``fractions.Fraction`` as a pure-Python fallback.  A value the engines
+compute as an int stays an int: rows are scaled to ints once
+(`linalg.scaled_row`), the simplex pivots on ints, and points,
+directions and rays keep the ints the engines compute, so their checks
+take int dot products.  The backend only sets the speed of the rational
+work around them (instance and cut data, LP values, bounds).  Both
 expose ``.numerator``/``.denominator`` and hash consistently with each
-other and with ``int``, so the two backends are interchangeable.
+other and with ``int``, so the two backends, and ints, mix freely.
 
 ``math.inf`` / ``-math.inf`` are used as sentinels for absent bounds and
 for unbounded optima; they are never operated on arithmetically, only

@@ -10,7 +10,6 @@ test suite and the benchmark corpus.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -57,8 +56,7 @@ def random_instance(
         ]
         rhs = []
         for row in rows:
-            mid = sum(row) * box_hi / 2
-            rhs.append(int(mid) + rng.randint(-2, box_hi))
+            rhs.append(int(rat(sum(row) * box_hi, 2)) + rng.randint(-2, box_hi))
         inst = build_instance(
             name=name,
             constraint_matrix=rows,
@@ -205,7 +203,7 @@ def suite_solver(seed: int, rounds: int = 40, max_vars: int = 6) -> SuiteResult:
                          f"round {i}: {res.status.value} on an empty set")
             continue
         ints, den = int_scale(inst.objective)
-        truth = rat(max(sum(map(operator.mul, ints, p)) for p in points), den)
+        truth = rat(max(dot(ints, p) for p in points), den)
         result.check(res.status is SolveStatus.OPTIMAL and res.primal_value == truth,
                      f"round {i}: {res.status.value} value {res.primal_value}, wanted {truth}")
         bounds = [b for _, b in res.trace]

@@ -31,9 +31,9 @@ multiple of the rational tableau's row.  Pricing reads signs, the ratio
 test cross-multiplies, and the basic solution and ray are read back as a
 row's rhs (or entering column) over its basic entry, an int when the
 division is exact, so the pivots, and every result, are those of the
-rational tableau.  Rationals appear only at the boundary: `solve_lp`'s
-input rows, which it scales on entry, the objective, fractional bounds
-and the results.
+rational tableau; the point is returned as read back.  Rationals appear
+only at the boundary: `solve_lp`'s input rows, which it scales on entry,
+the objective, fractional bounds, the value and the ray.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .linalg import Vector, int_row, int_scale, pivot, scaled_row, vector
+from .linalg import Vector, exact_bounds, int_row, int_scale, pivot, scaled_row, vector
 from .rational import ZERO, rat
 
 
@@ -58,7 +58,8 @@ class LPResult:
 
     For OPTIMAL, `point` attains `value`.  For UNBOUNDED, `point` is a
     feasible witness and `ray` a recession direction that strictly
-    improves the objective; `value` is None.
+    improves the objective; `value` is None.  `point` has ints where
+    the simplex computed them.
     """
 
     status: LPStatus
@@ -141,8 +142,8 @@ class LinearProgram:
     def solve(self, lower: Optional[Sequence] = None, upper: Optional[Sequence] = None) -> LPResult:
         """The LP under bounds lower <= x <= upper (None: no bound)."""
         n = self.num_vars
-        lower = _bounds(lower, n)
-        upper = _bounds(upper, n)
+        lower = exact_bounds(lower, n)
+        upper = exact_bounds(upper, n)
         if len(lower) != n or len(upper) != n:
             raise ValueError("bound vectors must match the variable count")
         key = (lower, upper)
@@ -183,21 +184,20 @@ class LinearProgram:
         for row, bcol in zip(tableau, basis):
             q, r = divmod(row[-1], row[bcol])
             y[bcol] = q if r == 0 else rat(row[-1], row[bcol])
-        x = [
+        x = tuple(
             sum((sign * y[col] for col, sign in terms), shift)
             for shift, terms in zip(shifts, form.terms)
-        ]
-        point = tuple(rat(v) for v in x)
+        )
         if pc is None:
             ints, den = self._objective
             value = rat(sum(a * v for a, v in zip(ints, x) if a), den)
-            return LPResult(LPStatus.OPTIMAL, point=point, value=value)
+            return LPResult(LPStatus.OPTIMAL, point=x, value=value)
         ray_y = [ZERO] * art_base
         ray_y[pc] = rat(1)
         for row, bcol in zip(tableau, basis):
             ray_y[bcol] = rat(-row[pc], row[bcol])
         ray = tuple(sum((sign * ray_y[col] for col, sign in terms), ZERO) for terms in form.terms)
-        return LPResult(LPStatus.UNBOUNDED, point=point, ray=ray)
+        return LPResult(LPStatus.UNBOUNDED, point=x, ray=ray)
 
     def _compile(self, pattern) -> _Form:
         """The substitution table and y-space rows of one bound pattern.
@@ -252,12 +252,6 @@ def _shifted_rhs(row, moved):
     rational when a shift is one."""
     ints, b, _ = row
     return b - sum(ints[j] * v for j, v in moved if ints[j])
-
-
-def _bounds(values, n) -> tuple:
-    if values is None:
-        return (None,) * n
-    return tuple(None if v is None else _exact(v) for v in values)
 
 
 def _build_tableau(form: _Form, ineq_rhs, caps, eq_rhs):
@@ -387,9 +381,3 @@ def _optimize(tableau, basis) -> Optional[int]:
             return pc
         pivot(tableau, pr, pc)
         basis[pr] = pc
-
-
-def _exact(value):
-    """`value` as an int when it is integral, else as a rational."""
-    q = rat(value)
-    return q.numerator if q.denominator == 1 else q

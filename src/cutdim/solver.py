@@ -38,15 +38,14 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .linalg import Vector, dot, int_row, int_scale, scaled_row, vector
+from .linalg import Vector, dot, exact_vector, int_row, int_scale, scaled_row, vector
 from .model import MipInstance
-from .rational import is_integral, rat, rat_floor
+from .rational import rat, rat_floor
 from .simplex import LinearProgram, LPStatus, solve_lp
 
 
@@ -79,12 +78,12 @@ class SolveOptions:
 @dataclass(frozen=True)
 class SolveResult:
     status: SolveStatus
-    best_point: Optional[Vector]
+    best_point: Optional[Vector]  # entries are ints where the LP computed one
     primal_value: object  # rational, or -inf with no incumbent, +inf if unbounded
     dual_bound: object  # rational or +-inf
     node_count: int
     trace: tuple  # ((node index, dual bound at that node), ...)
-    ray: Optional[Vector] = None  # recession direction when UNBOUNDED
+    ray: Optional[Vector] = None  # coprime ints, a recession direction when UNBOUNDED
 
 
 @dataclass(order=True)
@@ -127,11 +126,11 @@ def solve_mip(
     primal = -math.inf
     best: Optional[Vector] = None
     if options.incumbent is not None:
-        inc = vector(options.incumbent)
+        inc = exact_vector(options.incumbent)
         x, den = int_scale(inc)
         if not inst.is_feasible_point(inc) or any(
-            sum(map(operator.mul, a, x)) > b * den for a, b, _ in ineq[inst.num_constraints:]
-        ) or any(sum(map(operator.mul, a, x)) != b * den for a, b, _ in eq):
+            dot(a, x) > b * den for a, b, _ in ineq[inst.num_constraints:]
+        ) or any(dot(a, x) != b * den for a, b, _ in eq):
             raise ValueError("incumbent is not feasible for this run")
         primal = dot(obj, inc)
         best = inc
@@ -142,9 +141,8 @@ def solve_mip(
 
     heap: list[_Node] = []
     counter = 0
-    root = _Node(
-        _node_key(math.inf, 0, counter), math.inf, 0, inst.lower_bounds, inst.upper_bounds
-    )
+    # node bounds are ints where integral, so no LP solve converts them again
+    root = _Node(_node_key(math.inf, 0, counter), math.inf, 0, *inst.integer_bounds)
     if not _gcd_excludes(inst, program):
         heapq.heappush(heap, root)
     node_count = 0
@@ -182,7 +180,7 @@ def solve_mip(
             # the mixed-integer hull coincide, so any feasible point
             # certifies an unbounded problem.  Search for one with a zero
             # objective from a fresh root; the first point found ends it.
-            ray = vector(int_row(lp.ray))
+            ray = tuple(int_row(lp.ray))
             program = LinearProgram((0,) * inst.num_vars, ineq, eq)
             primal, best = -math.inf, None
             heapq.heappush(heap, node)
@@ -194,8 +192,7 @@ def solve_mip(
                     primal = val
                     best = point
                 else:
-                    v = point[frac_var]
-                    fl = rat(rat_floor(v))
+                    fl = rat_floor(point[frac_var])
                     child_depth = node.depth + 1
                     counter += 1
                     down = _replace_bound(node, frac_var, upper=fl)
@@ -254,18 +251,8 @@ def _program(program, objective, ineq, eq) -> LinearProgram:
 
 def _pick_branch_variable(point, int_vars) -> Optional[int]:
     """Most fractional integer variable, ties to the smallest index."""
-    best_j = None
-    best_score = None
-    for j in int_vars:
-        v = rat(point[j])
-        if is_integral(v):
-            continue
-        f = v - rat_floor(v)
-        score = min(f, 1 - f)
-        if best_score is None or score > best_score:
-            best_score = score
-            best_j = j
-    return best_j
+    scores = [(min(f, 1 - f), -j) for j in int_vars if (f := point[j] % 1)]
+    return -max(scores)[1] if scores else None
 
 
 def _replace_bound(node: _Node, j: int, lower=None, upper=None):
