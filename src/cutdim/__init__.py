@@ -71,6 +71,7 @@ from .solver import (
     SolveOptions,
     SolveResult,
     SolveStatus,
+    program_for,
     solve_lp_relaxation,
     solve_mip,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "normalize_cut",
     "oracle_maximize",
     "parse_cuts",
+    "program_for",
     "rat",
     "rat_decimal",
     "rat_str",

@@ -53,8 +53,8 @@ from .oracle import (
     oracle_maximize,
 )
 from .rational import rat, rat_ceil
-from .simplex import LinearProgram, LPStatus
-from .solver import SolveOptions, SolveStatus, solve_lp_relaxation, solve_mip
+from .simplex import LPStatus
+from .solver import SolveOptions, SolveStatus, program_for, solve_lp_relaxation, solve_mip
 
 class Verdict(Enum):
     INVALID = "invalid"
@@ -236,7 +236,7 @@ def impact_protocol(
     """
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be at least 1")
-    program = LinearProgram(inst.objective, inst.integer_rows)
+    program = program_for(inst)
     full = solve_mip(inst, options=SolveOptions(time_limit=time_limit), program=program)
     if full.status is not SolveStatus.OPTIMAL:
         raise AnalysisError(f"reference solve ended {full.status.value}, not optimal")

@@ -29,6 +29,7 @@ computed, so the rounds' dot products and checks are int arithmetic.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,6 +43,7 @@ from .linalg import (
     is_in_span,
     orthogonal_complement_basis,
     rank,
+    scaled_row,
     vec_add_scaled,
 )
 from .model import Inequality
@@ -79,7 +81,12 @@ class HullInterrupted(HullError):
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Equations D.x = e with linearly independent rows."""
+    """Equations D.x = e with linearly independent rows.
+
+    `rows` and `rhs` are the rational equations that reports render;
+    `scaled` holds each as the (d.a, d.b, d) row `scaled_row` gives, so
+    `violated_row` takes int dot products on int points.
+    """
 
     rows: Matrix
     rhs: Vector
@@ -96,9 +103,13 @@ class EquationSystem:
             rows=self.rows + (exact_vector(coefficients),), rhs=self.rhs + (rat(value),)
         )
 
+    @functools.cached_property
+    def scaled(self) -> tuple:
+        return tuple(scaled_row(row, b) for row, b in zip(self.rows, self.rhs))
+
     def violated_row(self, point: Sequence) -> Optional[int]:
-        for i, (row, b) in enumerate(zip(self.rows, self.rhs)):
-            if dot(row, point) != b:
+        for i, (ints, target, _) in enumerate(self.scaled):
+            if dot(ints, point) != target:
                 return i
         return None
 

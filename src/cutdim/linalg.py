@@ -61,7 +61,7 @@ def exact_bounds(values, n) -> tuple:
 def _exact(value):
     """`value` as an int when it is integral, else as a rational."""
     q = rat(value)
-    return int(q.numerator) if q.denominator == 1 else q
+    return q.numerator if q.denominator == 1 else q
 
 
 def dot(u: Sequence, v: Sequence):
@@ -87,9 +87,9 @@ def vec_add_scaled(u: Sequence, t, v: Sequence) -> Vector:
 def int_scale(values: Sequence) -> tuple[list[int], int]:
     """(ints, den) for a row of ints and rationals: den is the lcm of the
     entries' denominators and ints the entries times den, so the row is
-    exactly ints / den.  Both are Python ints with either backend."""
+    exactly ints / den."""
     den = lcm(*(v.denominator for v in values))
-    return [int(v.numerator) * (den // v.denominator) for v in values], den
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def scaled_row(coefficients: Sequence, rhs) -> tuple:
@@ -116,7 +116,9 @@ def pivot(rows: list[list[int]], r: int, c: int) -> None:
 
     Row r is made positive at c and every row comes out coprime and a
     positive multiple of the row the rational step (a unit at (r, c))
-    gives.  A row that is zero at c is left as it is.
+    gives.  A row that is zero at c is left as it is.  Changed rows are
+    replaced in `rows`, never written into, so a shallow copy of `rows`
+    leaves the original's rows as they were.
     """
     prow = rows[r]
     if prow[c] < 0:

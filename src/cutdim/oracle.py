@@ -10,10 +10,18 @@ by explicit lattice enumeration (small instances; it doubles as the
 reference implementation in tests).  The lattice engine's arithmetic
 is on Python ints: its points are integer tuples, enumeration tests
 them against the instance's integer rows (`MipInstance.integer_rows`),
-scans scale their direction to ints once, and hyperplane filters hold
-their row in the same (d.a, d.b, d) form as the instance's; both take
-int dot products.  Points and rays keep the ints their engine
-computed, and a query's int entries pass through unchanged.
+scans scale their direction to ints once, and a restricted provider
+holds each face equation in the same (d.a, d.b, d) form as the
+instance's rows; its filters and checks take int dot products.  Points
+and rays keep the ints their engine computed, and a query's int entries
+pass through unchanged.
+
+The solver engine's provider owns its compiled LP (`solver.program_for`):
+rows only, no objective, plus the phase-one bases its solves leave.  The
+provider's feasible set is fixed and only the direction changes from
+query to query, so each bound vector's phase one runs once across all
+its queries.  `with_cache` copies share the program, and `restrict`
+compiles one for the face.
 
 A provider owns its PointCache: every optimal point it returns is
 remembered there, and hull runs probe it, where an affinely independent
@@ -33,6 +41,7 @@ a dimension.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import itertools
 import math
@@ -44,7 +53,7 @@ from .config import RunConfig
 from .linalg import Vector, dot, exact_vector, int_scale, scaled_row, vector
 from .model import MipInstance
 from .rational import rat
-from .solver import SolveOptions, SolveStatus, solve_mip
+from .solver import SolveOptions, SolveStatus, program_for, solve_mip
 
 MAX_LATTICE_POINTS = 10**6
 
@@ -161,7 +170,7 @@ def _in_set(provider, point) -> bool:
     """True when `point` lies in the provider's feasible set: feasible for
     its instance and on every face equation it is restricted to."""
     return provider.instance.is_feasible_point(point) and all(
-        dot(coeffs, point) == beta for coeffs, beta in provider.equations
+        dot(ints, point) == target for ints, target, _ in provider.equations
     )
 
 
@@ -188,20 +197,20 @@ def _verify_response(provider, w, response) -> None:
             raise OracleSoundnessError("ray leaves a lower bound")
         if inst.upper_bounds[j] is not None and ray[j] > 0:
             raise OracleSoundnessError("ray leaves an upper bound")
-    for coeffs, _ in provider.equations:
-        if dot(coeffs, ray) != 0:
+    for ints, _, _ in provider.equations:
+        if dot(ints, ray) != 0:
             raise OracleSoundnessError("ray leaves the face hyperplane")
     if not _in_set(provider, witness):
         raise OracleSoundnessError("unbounded witness is infeasible for the instance or its face")
 
 
-def _on_hyperplane(a: Vector, beta):
+def _on_hyperplane(row):
     """The test a.x == beta, by which a restricted provider keeps points.
 
     The row is held as (d.a, d.b, d) (`scaled_row`) and a point p kept
     when (d.a).p == d.beta, an int dot product on lattice points.
     """
-    ints, target, _ = scaled_row(a, beta)
+    ints, target, _ = row
     return lambda p: dot(ints, p) == target
 
 
@@ -209,9 +218,10 @@ class _Provider:
     """What both providers share.
 
     A provider holds its instance, the face equations it is restricted
-    to, its cache (None for a cold provider), its verify switch and its
-    own query count.  `restrict` and `with_cache` return shallow copies,
-    so the instance, limits and switch carry over unchanged.
+    to (each as the (d.a, d.b, d) row `scaled_row` gives), its cache
+    (None for a cold provider), its verify switch and its own query
+    count.  `restrict` and `with_cache` return shallow copies, so the
+    instance, limits and switch carry over unchanged.
     """
 
     instance: MipInstance
@@ -237,16 +247,23 @@ class _Provider:
         Its cache starts with the parent's cached points on the
         hyperplane and keeps its own inserts; a cold provider stays cold.
         """
-        a, b = vector(coefficients), rat(beta)
+        row = scaled_row(vector(coefficients), rat(beta))
         clone = self.with_cache(
-            None if self.cache is None else self.cache.filtered(_on_hyperplane(a, b))
+            None if self.cache is None else self.cache.filtered(_on_hyperplane(row))
         )
-        clone.equations = self.equations + ((a, b),)
+        clone.equations = self.equations + (row,)
         return clone
 
 
 class MipOracle(_Provider):
-    """Oracle backed by the exact branch-and-bound solver."""
+    """Oracle backed by the exact branch-and-bound solver.
+
+    The provider owns its program (`solver.program_for`): its rows are
+    compiled once, and every query solves them under its own direction,
+    so phase one runs once per bound vector across the queries.
+    `with_cache` copies share the program; `restrict` compiles one for
+    the face.
+    """
 
     def __init__(
         self,
@@ -258,20 +275,29 @@ class MipOracle(_Provider):
     ):
         self.instance = instance
         self.cache = cache
-        self.time_limit = time_limit
-        self.node_limit = node_limit
         self.verify = verify
+        self.options = SolveOptions(time_limit=time_limit, node_limit=node_limit)
+        self.program = program_for(instance, self.options)
+
+    @property
+    def time_limit(self) -> Optional[float]:
+        return self.options.time_limit
+
+    @property
+    def node_limit(self) -> Optional[int]:
+        return self.options.node_limit
+
+    def restrict(self, coefficients: Sequence, beta) -> "MipOracle":
+        clone = super().restrict(coefficients, beta)
+        clone.options = dataclasses.replace(
+            self.options,
+            extra_equations=self.options.extra_equations + ((coefficients, beta),),
+        )
+        clone.program = program_for(self.instance, clone.options)
+        return clone
 
     def solve(self, w: Vector) -> OracleResponse:
-        result = solve_mip(
-            self.instance,
-            objective=w,
-            options=SolveOptions(
-                extra_equations=self.equations,
-                time_limit=self.time_limit,
-                node_limit=self.node_limit,
-            ),
-        )
+        result = solve_mip(self.instance, objective=w, options=self.options, program=self.program)
         if result.status is SolveStatus.OPTIMAL:
             return Optimal(result.best_point, result.primal_value)
         if result.status is SolveStatus.INFEASIBLE:
@@ -308,7 +334,7 @@ class BruteForceOracle(_Provider):
 
     def restrict(self, coefficients: Sequence, beta) -> "BruteForceOracle":
         clone = super().restrict(coefficients, beta)
-        clone.points = tuple(filter(_on_hyperplane(*clone.equations[-1]), self.points))
+        clone.points = tuple(filter(_on_hyperplane(clone.equations[-1]), self.points))
         return clone
 
     def solve(self, w: Vector) -> OracleResponse:

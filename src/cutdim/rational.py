@@ -4,15 +4,15 @@ Every number that enters the toolkit is converted to an exact rational at
 the boundary (parsers, `build_instance`, `Inequality`, a user's
 direction) and stays exact from then on; no floats are ever produced by
 internal arithmetic, and no true division (``/``) is used anywhere.
-The backend is gmpy2's ``mpq`` when available, with
-``fractions.Fraction`` as a pure-Python fallback.  A value the engines
-compute as an int stays an int: rows are scaled to ints once
-(`linalg.scaled_row`), the simplex pivots on ints, and points,
-directions and rays keep the ints the engines compute, so their checks
-take int dot products.  The backend only sets the speed of the rational
-work around them (instance and cut data, LP values, bounds).  Both
-expose ``.numerator``/``.denominator`` and hash consistently with each
-other and with ``int``, so the two backends, and ints, mix freely.
+Rationals are ``fractions.Fraction``.  A value the engines compute as
+an int stays an int: rows are scaled to ints once (`linalg.scaled_row`),
+the simplex pivots on ints, points, directions and rays keep the ints
+the engines compute, and face equations are held scaled to ints, so
+their checks take int dot products.  What is left rational is the work
+around them (instance and cut data, LP values, fractional bounds and
+points), under a tenth of the run time on every benchmark workload, so
+no faster rational type is used.  Fractions hash consistently with
+``int``, so the two mix freely.
 
 ``math.inf`` / ``-math.inf`` are used as sentinels for absent bounds and
 for unbounded optima; they are never operated on arithmetically, only
@@ -25,53 +25,34 @@ import math
 from fractions import Fraction
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _mpq  # type: ignore[import-untyped]
+BACKEND = "fractions"  # the rational type, named in benchmark records
 
-    BACKEND = "gmpy2"
-
-    def _make(num, den=None):
-        if den is None:
-            return _mpq(num)
-        return _mpq(num, den)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    BACKEND = "fractions"
-
-    def _make(num, den=None):
-        if den is None:
-            return Fraction(num)
-        return Fraction(num, den)
-
-
-ZERO = _make(0)
-ONE = _make(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 #: Anything `rat` accepts.
-RationalLike = Union[int, str, Fraction, type(ZERO)]
+RationalLike = Union[int, str, Fraction]
 
 
 def rat(value: RationalLike, den: RationalLike | None = None):
     """Coerce `value` (optionally `value/den`) to an exact rational.
 
-    Accepts ints, backend rationals, Fractions and strings.  Strings may
-    be integers ("7"), ratios ("7/21"), or decimal literals with optional
-    exponent ("0.1", "2.5e-3"); all are parsed exactly, never via float.
+    Accepts ints, Fractions and strings.  Strings may be integers ("7"),
+    ratios ("7/21"), or decimal literals with optional exponent ("0.1",
+    "2.5e-3"); all are parsed exactly, never via float.
     """
     if den is not None:
         if isinstance(value, int) and isinstance(den, int):
-            return _make(value, den)
-        return _make(rat(value), rat(den))
-    if isinstance(value, type(ZERO)):
+            return Fraction(value, den)
+        return Fraction(rat(value), rat(den))
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return _make(value)
-    if isinstance(value, Fraction):
-        return _make(value.numerator, value.denominator)
+        return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    if hasattr(value, "__index__"):  # mpz and other integer types
-        return _make(int(value))
+    if hasattr(value, "__index__"):  # other integer types
+        return Fraction(int(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -81,7 +62,7 @@ def parse_rational(text: str):
         f = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational literal: {text!r}") from exc
-    return _make(f.numerator, f.denominator)
+    return f
 
 
 def rat_str(value) -> str:
@@ -128,9 +109,9 @@ def is_integral(value) -> bool:
 
 def rat_floor(value) -> int:
     q = rat(value)
-    return int(q.numerator // q.denominator)
+    return q.numerator // q.denominator
 
 
 def rat_ceil(value) -> int:
     q = rat(value)
-    return -int((-q.numerator) // q.denominator)
+    return -((-q.numerator) // q.denominator)

@@ -5,22 +5,26 @@ arithmetic on a dense tableau.  Bland's smallest-index rule makes every
 run finite and deterministic; there is no scaling, no tolerance and no
 degeneracy heuristic to tune.
 
-A `LinearProgram` holds c and the rows of A, b, E and f in integer form
-(`linalg.scaled_row`), compiled once, and is solved
-under one bound vector (l, u) at a time; branch and bound solves one
-program at every node of a run, and `solve_lp` is a program solved once.
-Bounds are folded into the standard form by one substitution table that
-writes each variable as  x_j = shift_j + sum(sign * y_col)  over
-nonnegative columns y: a variable with a finite lower bound l is l + y,
-one bounded only from above by u is u - y, a free one is y' - y''.  A
-doubly bounded variable also gets the row  y <= u - l.  The table, and
-every row and the objective rewritten over y, depend only on which
-bounds are finite, so they are built once per such pattern; a solve
-computes the shifts, the right-hand sides and the cap rows.  The table
-maps the optimal point (with the shifts) and an unbounded ray (without
-them) back to x-space.  Artificial variables are introduced only for
-rows whose slack cannot serve as the initial basis; their columns come
-last and are deleted once phase one has found a feasible basis.  The
+A `LinearProgram` is the rows of A, b, E and f in integer form
+(`linalg.scaled_row`), compiled once, plus what its solves leave
+behind: it is solved for one objective c under one bound vector (l, u)
+at a time.  Branch and bound solves one program at every node of a
+run, an oracle provider owns one for all its queries, and `solve_lp` is
+a program solved once.  Bounds are folded into the standard form by one
+substitution table that writes each variable as
+x_j = shift_j + sum(sign * y_col)  over nonnegative columns y: a
+variable with a finite lower bound l is l + y, one bounded only from
+above by u is u - y, a free one is y' - y''.  A doubly bounded variable
+also gets the row  y <= u - l.  The table, and every row rewritten over
+y, depend only on which bounds are finite, so they are built once per
+such pattern; a solve computes the shifts, the right-hand sides and the
+cap rows.  The table maps the optimal point (with the shifts) and an
+unbounded ray (without them) back to x-space.  Artificial variables are
+introduced only for rows whose slack cannot serve as the initial basis;
+their columns come last and are deleted once phase one has found a
+feasible basis.  Phase one never reads the objective, so the basis it
+leaves is remembered per bound vector, and a solve under those bounds
+with another objective starts phase two from a copy of it.  The
 objective being optimized is the tableau's last row, so a pivot is one
 `linalg.pivot` step plus the basis update.
 
@@ -38,11 +42,11 @@ the objective, fractional bounds, the value and the ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .linalg import Vector, exact_bounds, int_row, int_scale, pivot, scaled_row, vector
+from .linalg import Vector, exact_bounds, exact_vector, int_row, int_scale, pivot, scaled_row, vector
 from .rational import ZERO, rat
 
 
@@ -83,17 +87,19 @@ def solve_lp(
         raise ValueError("each row needs one right-hand side")
     ineq = [scaled_row(vector(row), rat(b)) for row, b in zip(ineq_rows, ineq_rhs)]
     eq = [scaled_row(vector(row), rat(b)) for row, b in zip(eq_rows, eq_rhs)]
-    return LinearProgram(objective, ineq, eq).solve(lower, upper)
+    return LinearProgram(len(objective), ineq, eq).solve(objective, lower, upper)
 
 
 @dataclass(frozen=True)
 class _Form:
-    """The standard form of a program for one pattern of finite bounds.
+    """The standard form of a program's rows for one pattern of finite
+    bounds.
 
     `terms[j]` writes x_j over the y columns as ((col, sign), ...);
     `caps` lists (j, col) for each doubly bounded variable.  `ineq` and
     `eq` hold, per row, its y-space ints, their negation and the row's
-    scale.  `objective` is the phase-two row's y-space part, coprime.
+    scale.  `width` is the column count after phase one: the y columns
+    and the slacks.
     """
 
     terms: tuple
@@ -101,58 +107,108 @@ class _Form:
     caps: tuple
     ineq: tuple
     eq: tuple
-    objective: list
+
+    @property
+    def width(self) -> int:
+        return self.ncols + len(self.ineq) + len(self.caps)
+
+
+@dataclass
+class _Objective:
+    """An objective c = ints / den, its phase-two rows over y (coprime,
+    per bound pattern) and its results per bound vector."""
+
+    ints: list
+    den: int
+    rows: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)
 
 
 class LinearProgram:
-    """max c.x  s.t.  A.x <= b,  E.x = f, compiled once, solved under many
-    bound vectors.
+    """The rows  A.x <= b,  E.x = f, compiled once, solved for many
+    objectives under many bound vectors.
 
     The rows come in the integer form `linalg.scaled_row` gives,
     (d.a, d.b, d) with d the lcm of the row's denominators: `ineq` for
-    A.x <= b, `eq` for E.x = f.  The substitution table and the y-space
-    rows depend only on which bounds are finite, so they are built once
-    per pattern.
-    `solve` then writes one node's tableau straight from them: only the
-    shifts, the rhs and the cap rows change between bound vectors.  Its
-    results are remembered by bound vector, so solves that share a
-    program share their answers.
+    A.x <= b, `eq` for E.x = f.  No objective is compiled in: `solve`
+    takes it.  The program remembers three things:
+
+    - per pattern of finite bounds, the substitution table and the
+      y-space rows (`_Form`);
+    - per bound vector, the tableau and basis phase one left, or that
+      phase one proved the bounds infeasible.  Phase one never reads the
+      objective, so a later solve under the same bounds, with any
+      objective, copies that tableau and goes straight to phase two, and
+      every pivot and result is the one a fresh solve gives.  Until
+      `solve` has been asked for a second objective only the first bound
+      vector's is kept, and from then on every one: a program solved
+      for one objective (an impact run's) would never read them again;
+    - per objective, its phase-two row for each pattern and its result
+      for each bound vector (`_Objective`), so solves that share a
+      program share their answers.
+
+    A remembered tableau is never written to: `linalg.pivot` replaces
+    rows and never writes into one, so phase two works on a shallow copy.
+    Solves from several threads may share a program: every entry is a
+    function of its key, so a race can only compute one twice or leave
+    one out, never change a result.
     """
 
-    def __init__(self, objective: Sequence, ineq: Sequence = (), eq: Sequence = ()):
-        self.num_vars = n = len(objective)
+    def __init__(self, num_vars: int, ineq: Sequence = (), eq: Sequence = ()):
+        self.num_vars = num_vars
         self.ineq = tuple(ineq)
         self.eq = tuple(eq)
-        if any(len(ints) != n for ints, _, _ in self.ineq):
+        if any(len(ints) != num_vars for ints, _, _ in self.ineq):
             raise ValueError("constraint row length mismatch")
-        if any(len(ints) != n for ints, _, _ in self.eq):
+        if any(len(ints) != num_vars for ints, _, _ in self.eq):
             raise ValueError("equation row length mismatch")
-        self._objective = int_scale(vector(objective))
         self._forms: dict = {}
-        self._results: dict = {}
+        self._starts: dict = {}
+        self._objectives: dict = {}
+        self._last = (object(), None)  # (objective tuple, its entry)
 
-    def built_for(self, objective: Sequence, ineq: Sequence = (), eq: Sequence = ()) -> bool:
-        """True when this program has exactly these rows and objective."""
-        return (
-            self._objective == int_scale(vector(objective))
-            and self.ineq == tuple(ineq)
-            and self.eq == tuple(eq)
-        )
+    def built_for(self, ineq: Sequence = (), eq: Sequence = ()) -> bool:
+        """True when this program has exactly these rows."""
+        return self.ineq == tuple(ineq) and self.eq == tuple(eq)
 
-    def solve(self, lower: Optional[Sequence] = None, upper: Optional[Sequence] = None) -> LPResult:
-        """The LP under bounds lower <= x <= upper (None: no bound)."""
+    def solve(
+        self,
+        objective: Sequence,
+        lower: Optional[Sequence] = None,
+        upper: Optional[Sequence] = None,
+    ) -> LPResult:
+        """max objective.x under bounds lower <= x <= upper (None: no bound)."""
         n = self.num_vars
+        last, cost = self._last
+        if objective is not last:
+            cost = self._objective(objective)
         lower = exact_bounds(lower, n)
         upper = exact_bounds(upper, n)
         if len(lower) != n or len(upper) != n:
             raise ValueError("bound vectors must match the variable count")
-        key = (lower, upper)
-        result = self._results.get(key)
+        bounds = (lower, upper)
+        result = cost.results.get(bounds)
         if result is None:
-            result = self._results[key] = self._solve(lower, upper)
+            result = cost.results[bounds] = self._solve(cost, lower, upper)
         return result
 
-    def _solve(self, lower: tuple, upper: tuple) -> LPResult:
+    def _objective(self, objective: Sequence) -> _Objective:
+        """The entry of an objective, made on its first solve.
+
+        A run passes one tuple for all its nodes, so the last tuple is
+        recognised by identity, without normalizing and hashing it again.
+        """
+        key = exact_vector(objective)
+        if len(key) != self.num_vars:
+            raise ValueError("objective length must match the variable count")
+        cost = self._objectives.get(key)
+        if cost is None:
+            cost = self._objectives[key] = _Objective(*int_scale(key))
+        if type(objective) is tuple:
+            self._last = (objective, cost)
+        return cost
+
+    def _solve(self, cost: _Objective, lower: tuple, upper: tuple) -> LPResult:
         for lo, hi in zip(lower, upper):
             if lo is not None and hi is not None and lo > hi:
                 return LPResult(LPStatus.INFEASIBLE)
@@ -164,23 +220,28 @@ class LinearProgram:
             lo if lo is not None else hi if hi is not None else 0
             for lo, hi in zip(lower, upper)
         ]
-        moved = [(j, v) for j, v in enumerate(shifts) if v]
-        tableau, basis, art_base = _build_tableau(
-            form,
-            [_shifted_rhs(row, moved) for row in self.ineq],
-            [upper[j] - lower[j] for j, _ in form.caps],
-            [_shifted_rhs(row, moved) for row in self.eq],
-        )
-        if not _phase_one(tableau, basis, art_base):
+        bounds = (lower, upper)
+        if bounds in self._starts:
+            start = self._starts[bounds]
+        else:
+            start = self._start(form, shifts, lower, upper)
+            if not self._starts or len(self._objectives) > 1:
+                self._starts[bounds] = start
+        if start is None:
             return LPResult(LPStatus.INFEASIBLE)
 
-        # phase two: the objective's reduced costs become the last row; its
-        # rhs slot is never read, the value is taken from the point
-        tableau.append(form.objective + [0] * (art_base + 1 - form.ncols))
+        # phase two on a copy: the objective's reduced costs become the
+        # last row; its rhs slot is never read, the value is taken from
+        # the point
+        tableau, basis = list(start[0]), list(start[1])
+        z = cost.rows.get(pattern)
+        if z is None:
+            z = cost.rows[pattern] = int_row(_over_y(form.terms, form.ncols, cost.ints))
+        tableau.append(z + [0] * (form.width + 1 - form.ncols))
         _price_out(tableau, basis)
 
         pc = _optimize(tableau, basis)
-        y = [0] * art_base
+        y = [0] * form.width
         for row, bcol in zip(tableau, basis):
             q, r = divmod(row[-1], row[bcol])
             y[bcol] = q if r == 0 else rat(row[-1], row[bcol])
@@ -189,15 +250,28 @@ class LinearProgram:
             for shift, terms in zip(shifts, form.terms)
         )
         if pc is None:
-            ints, den = self._objective
-            value = rat(sum(a * v for a, v in zip(ints, x) if a), den)
+            value = rat(sum(a * v for a, v in zip(cost.ints, x) if a), cost.den)
             return LPResult(LPStatus.OPTIMAL, point=x, value=value)
-        ray_y = [ZERO] * art_base
+        ray_y = [ZERO] * form.width
         ray_y[pc] = rat(1)
         for row, bcol in zip(tableau, basis):
             ray_y[bcol] = rat(-row[pc], row[bcol])
         ray = tuple(sum((sign * ray_y[col] for col, sign in terms), ZERO) for terms in form.terms)
         return LPResult(LPStatus.UNBOUNDED, point=x, ray=ray)
+
+    def _start(self, form: _Form, shifts, lower, upper):
+        """The (tableau, basis) phase one leaves under one bound vector,
+        or None when it proves the bounds infeasible."""
+        moved = [(j, v) for j, v in enumerate(shifts) if v]
+        tableau, basis, art_base = _build_tableau(
+            form,
+            [_shifted_rhs(row, moved) for row in self.ineq],
+            [upper[j] - lower[j] for j, _ in form.caps],
+            [_shifted_rhs(row, moved) for row in self.eq],
+        )
+        if not _phase_one(tableau, basis, art_base):
+            return None
+        return tableau, basis
 
     def _compile(self, pattern) -> _Form:
         """The substitution table and y-space rows of one bound pattern.
@@ -222,18 +296,10 @@ class LinearProgram:
                 terms.append(((ncols, 1), (ncols + 1, -1)))
                 ncols += 2
 
-        def over_y(ints):
-            out = [0] * ncols
-            for col_terms, v in zip(terms, ints):
-                if v:
-                    for col, sign in col_terms:
-                        out[col] += sign * v
-            return out
-
         def rows(scaled):
             out = []
             for ints, _, scale in scaled:
-                coeffs = over_y(ints)
+                coeffs = _over_y(terms, ncols, ints)
                 out.append((coeffs, [-v for v in coeffs], scale))
             return tuple(out)
 
@@ -243,8 +309,17 @@ class LinearProgram:
             caps=tuple(caps),
             ineq=rows(self.ineq),
             eq=rows(self.eq),
-            objective=int_row(over_y(self._objective[0])),
         )
+
+
+def _over_y(terms, ncols, ints) -> list:
+    """A row of ints over x rewritten over the y columns of `terms`."""
+    out = [0] * ncols
+    for col_terms, v in zip(terms, ints):
+        if v:
+            for col, sign in col_terms:
+                out[col] += sign * v
+    return out
 
 
 def _shifted_rhs(row, moved):

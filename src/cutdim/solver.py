@@ -13,20 +13,25 @@ best open node bound) is appended to a trace, which is what the cut
 impact protocol reads at a fixed node budget.
 
 An unbounded root LP does not end the search.  The same loop then looks
-for any feasible point with a zero objective, starting again from the
-root, so the root LP is counted twice (nodes 1 and 2) and the node and
-time limits bound this search like any other.  Until it finds a point
-or proves the set empty, the trace reads +inf.
+for any feasible point with a zero objective, on the same program and
+starting again from the root, so the root LP is counted twice (nodes 1
+and 2) and the node and time limits bound this search like any other.
+Until it finds a point or proves the set empty, the trace reads +inf.
 
-Every LP of a run reads the same rows and objective; only the bounds
-change from node to node.  A run therefore compiles one
-`simplex.LinearProgram` and solves it at each node, or is handed one by
-a caller that solves the same rows and objective more than once (the
-impact protocol), so that their LPs are solved once between them.  The
-program's rows are the instance's cached integer view
-(`MipInstance.integer_rows`) plus each extra cut and equation, scaled
-once per run to the same (d.a, d.b, d) form; the incumbent check reads
-them too.
+Every LP of a run reads the same rows; only the bounds change from
+node to node, and the objective from run to run.  A run therefore
+solves one `simplex.LinearProgram` (rows only, plus remembered phase-one
+bases) at each node: its own, or one handed to it by a caller that
+solves the same rows more than once.  An oracle provider owns one for
+all its queries, so each bound vector's phase one runs once across
+them; the impact protocol shares one across its reference, root
+relaxation and baseline solves, so their LPs are solved once between
+them.  `program_for` builds a program from the one row stacker: the
+instance's cached integer view (`MipInstance.integer_rows`) plus each
+extra cut and equation, scaled once per `SolveOptions` object to the
+same (d.a, d.b, d) form; the incumbent check and the check of a given
+program read them too, so a caller that keeps its options scales no
+row again.
 
 Before any node, each extra equation row whose variables are all
 integer is read in its scaled ints; when the gcd of d.a does not divide
@@ -36,6 +41,7 @@ INFEASIBLE with no node solved.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
@@ -74,6 +80,14 @@ class SolveOptions:
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
 
+    @functools.cached_property
+    def extra_rows(self) -> tuple:
+        """(cuts, equations) as (d.a, d.b, d) rows, scaled once per options."""
+        return (
+            tuple(scaled_row(cut.coefficients, cut.rhs) for cut in self.extra_constraints),
+            tuple(scaled_row(vector(a), rat(b)) for a, b in self.extra_equations),
+        )
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -110,18 +124,22 @@ def solve_mip(
 ) -> SolveResult:
     """Maximize `objective` (default: the instance objective) over `inst`.
 
-    `program`, when given, must have been built for this run's rows and
-    objective (ValueError otherwise); its remembered LPs are reused.
+    `program`, when given, must have been built for this run's rows
+    (`program_for(inst, options)`; ValueError otherwise); its remembered
+    phase-one bases and LPs are reused.
     """
     options = options or SolveOptions()
-    obj = vector(objective) if objective is not None else inst.objective
+    obj = exact_vector(objective) if objective is not None else inst.objective
     if len(obj) != inst.num_vars:
         raise ValueError(
             f"objective has {len(obj)} entries, instance has {inst.num_vars} variables"
         )
 
     ineq, eq = _stack_rows(inst, options)
-    program = _program(program, obj, ineq, eq)
+    if program is None:
+        program = LinearProgram(inst.num_vars, ineq, eq)
+    elif not program.built_for(ineq, eq):
+        raise ValueError("the program was built for other rows")
 
     primal = -math.inf
     best: Optional[Vector] = None
@@ -172,7 +190,7 @@ def solve_mip(
 
         node = heapq.heappop(heap)
         node_count += 1
-        lp = program.solve(node.lower, node.upper)
+        lp = program.solve(obj, node.lower, node.upper)
 
         if lp.status is LPStatus.UNBOUNDED:
             # Only possible at the root: child regions are subsets.  For
@@ -181,7 +199,7 @@ def solve_mip(
             # certifies an unbounded problem.  Search for one with a zero
             # objective from a fresh root; the first point found ends it.
             ray = tuple(int_row(lp.ray))
-            program = LinearProgram((0,) * inst.num_vars, ineq, eq)
+            obj = (0,) * inst.num_vars
             primal, best = -math.inf, None
             heapq.heappush(heap, node)
         elif lp.status is LPStatus.OPTIMAL:
@@ -240,15 +258,6 @@ def _gcd_excludes(inst: MipInstance, program: LinearProgram) -> bool:
     return False
 
 
-def _program(program, objective, ineq, eq) -> LinearProgram:
-    """`program` checked against a run's rows and objective, or a new one."""
-    if program is None:
-        return LinearProgram(objective, ineq, eq)
-    if not program.built_for(objective, ineq, eq):
-        raise ValueError("the program was built for other rows or another objective")
-    return program
-
-
 def _pick_branch_variable(point, int_vars) -> Optional[int]:
     """Most fractional integer variable, ties to the smallest index."""
     scores = [(min(f, 1 - f), -j) for j in int_vars if (f := point[j] % 1)]
@@ -271,30 +280,31 @@ def _stack_rows(inst: MipInstance, options: SolveOptions):
 
     Returns (ineq, eq).
     """
-    ineq = list(inst.integer_rows)
-    for cut in options.extra_constraints:
-        if len(cut.coefficients) != inst.num_vars:
-            raise ValueError("extra constraint length mismatch")
-        ineq.append(scaled_row(cut.coefficients, cut.rhs))
-    eq = []
-    for coeffs, value in options.extra_equations:
-        coeffs = vector(coeffs)
-        if len(coeffs) != inst.num_vars:
-            raise ValueError("extra equation length mismatch")
-        eq.append(scaled_row(coeffs, rat(value)))
-    return ineq, eq
+    if any(len(cut.coefficients) != inst.num_vars for cut in options.extra_constraints):
+        raise ValueError("extra constraint length mismatch")
+    if any(len(coeffs) != inst.num_vars for coeffs, _ in options.extra_equations):
+        raise ValueError("extra equation length mismatch")
+    cuts, eqs = options.extra_rows
+    return inst.integer_rows + cuts, eqs
+
+
+def program_for(inst: MipInstance, options: Optional[SolveOptions] = None) -> LinearProgram:
+    """The program every LP of a run on `inst` under `options` solves."""
+    return LinearProgram(inst.num_vars, *_stack_rows(inst, options or SolveOptions()))
 
 
 def solve_lp_relaxation(inst: MipInstance, program: Optional[LinearProgram] = None):
     """LP relaxation of the instance, integrality dropped.
 
-    With `program` (built for the instance rows and objective) this is
-    its root LP, remembered if a run on it has solved that already.
+    With `program` (built for the instance rows) this is its root LP
+    under the instance objective, remembered if a run on it has solved
+    that already.
     """
     if program is None:
         return solve_lp(
             inst.objective, inst.constraint_matrix, inst.rhs,
             lower=inst.lower_bounds, upper=inst.upper_bounds,
         )
-    program = _program(program, inst.objective, inst.integer_rows, ())
-    return program.solve(inst.lower_bounds, inst.upper_bounds)
+    if not program.built_for(inst.integer_rows):
+        raise ValueError("the program was built for other rows")
+    return program.solve(inst.objective, inst.lower_bounds, inst.upper_bounds)

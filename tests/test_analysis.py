@@ -301,9 +301,9 @@ def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
     solved = []  # (program, lower, upper) of every LP actually solved
     solve = LinearProgram._solve
 
-    def counted_solve(program, lower, upper):
+    def counted_solve(program, objective, lower, upper):
         solved.append((program, lower, upper))
-        return solve(program, lower, upper)
+        return solve(program, objective, lower, upper)
 
     calls = []  # (solve_mip's program, LPs it solved, its result)
 
@@ -346,12 +346,12 @@ def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
 
 def test_solve_mip_rejects_a_program_for_other_rows():
     inst = stein9()
-    program = LinearProgram(inst.objective, inst.integer_rows)
+    program = LinearProgram(inst.num_vars, inst.integer_rows)
     cut = SolveOptions(extra_constraints=(Inequality([-1] * 9, -4),))
     with pytest.raises(ValueError):
         solve_mip(inst, options=cut, program=program)
-    with pytest.raises(ValueError):
-        solve_mip(inst, objective=[1] * 9, program=program)
+    # the program holds rows only: another objective is the caller's choice
+    assert solve_mip(inst, objective=[1] * 9, program=program) == solve_mip(inst, objective=[1] * 9)
     with pytest.raises(ValueError):
         solve_mip(inst, options=SolveOptions(extra_equations=(([1] * 9, 3),)), program=program)
     with pytest.raises(ValueError):

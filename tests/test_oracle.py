@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutdim.hull import affine_hull, face_hull
 from cutdim.linalg import dot
-from cutdim.model import MipInstance, build_instance
+from cutdim.model import Inequality, MipInstance, build_instance
 from cutdim.oracle import (
     BruteForceOracle,
     Infeasible,
@@ -23,7 +24,8 @@ from cutdim.oracle import (
 )
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
-from cutdim.solver import SolveStatus
+from cutdim.simplex import LinearProgram
+from cutdim.solver import SolveStatus, solve_mip
 from helpers import fraction_argmax, fraction_lattice, fraction_on_hyperplane
 
 
@@ -193,6 +195,52 @@ def test_with_cache_keeps_settings_and_counts_apart():
     assert (provider.query_count, local.query_count) == (1, 1)
     assert len(provider.cache) == 1 and len(local.cache) == 2
     assert provider.with_cache(None).cache is None
+
+
+def test_each_provider_compiles_one_program(monkeypatch):
+    """A provider's queries share its compiled program: a base hull and a
+    face run build one each, and `with_cache` copies share the base one."""
+    inst = build_instance(
+        name="knapsack4",
+        constraint_matrix=[[3, 2, 2, 1]],
+        rhs=[4],
+        objective=[1, 1, 1, 1],
+        integer_vars=range(4),
+        lower_bounds=[0] * 4,
+        upper_bounds=[1] * 4,
+    )
+    built = []
+    init = LinearProgram.__init__
+
+    def counted_init(program, *args, **kwargs):
+        built.append(program)
+        init(program, *args, **kwargs)
+
+    solves = []  # (program, objective, options, result) of every oracle solve
+
+    def recorded_solve_mip(inst, objective=None, options=None, program=None):
+        result = solve_mip(inst, objective, options, program)
+        solves.append((program, objective, options, result))
+        return result
+
+    monkeypatch.setattr(LinearProgram, "__init__", counted_init)
+    monkeypatch.setattr("cutdim.oracle.solve_mip", recorded_solve_mip)
+    provider = MipOracle(inst, cache=PointCache())
+    base = affine_hull(provider)
+    clone = provider.with_cache(provider.cache.snapshot())
+    assert clone.program is provider.program
+    oracle_maximize(clone, [1, 1, 0, 0])  # beta_true of x0 + x1 <= 1
+    face = face_hull(clone, base, Inequality([1, 1, 0, 0], 1))
+    assert (base.dimension, face.dimension) == (4, 3)
+
+    assert len(built) == 2 and built[0] is provider.program
+    queries = base.oracle_queries + 1
+    assert [program for program, *_ in solves] == (
+        [provider.program] * queries + [built[1]] * face.oracle_queries
+    )
+    monkeypatch.undo()
+    for _, objective, options, result in solves:
+        assert solve_mip(inst, objective, options) == result
 
 
 def test_restrict_stacks_equations():

@@ -1,5 +1,8 @@
+import copy
 import hashlib
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -232,12 +235,14 @@ _VALUES = tuple(Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/3", "1", "3/2"
 
 @st.composite
 def _reuse_case(draw):
-    """A program and a sequence of bound vectors for it.
+    """A program and a sequence of (objective, lower, upper) solves of it.
 
     Variables are boxed (b), lower-bounded (l), reflected (r) or free
     (f); each bound vector takes one of a few such patterns, with its own
     bound values, which may be fractional, so a pattern comes back with
     other shifts.  A boxed variable's upper bound may cross its lower.
+    Each solve takes one of 1-3 objectives, so they interleave over the
+    bound vectors, and a bound vector may come back with another one.
     """
     n = draw(st.integers(1, 3))
     value = st.sampled_from(_VALUES)
@@ -249,10 +254,10 @@ def _reuse_case(draw):
     if eq_rows and draw(st.booleans()):  # a dependent, consistent equation
         eq_rows.append([a + b for a, b in zip(eq_rows[0], eq_rows[-1])])
         eq_rhs.append(eq_rhs[0] + eq_rhs[-1])
-    objective = draw(row)
+    objectives = draw(st.lists(row, min_size=1, max_size=3))
     kinds = draw(st.lists(st.text("blrf", min_size=n, max_size=n), min_size=1, max_size=3))
     bounds = []
-    for _ in range(draw(st.integers(2, 7))):
+    for _ in range(draw(st.integers(2, 5))):
         lower, upper = [], []
         for kind in draw(st.sampled_from(kinds)):
             lo = draw(value)
@@ -260,16 +265,22 @@ def _reuse_case(draw):
             lower.append(lo if kind in "bl" else None)
             upper.append(hi if kind in "br" else None)
         bounds.append((tuple(lower), tuple(upper)))
-    return objective, rows, rhs, eq_rows, eq_rhs, bounds
+    solves = [
+        (tuple(draw(st.sampled_from(objectives))), *draw(st.sampled_from(bounds)))
+        for _ in range(draw(st.integers(2, 9)))
+    ]
+    return rows, rhs, eq_rows, eq_rhs, solves
 
 
-def _checked(phase_one, price_out):
+def _checked(phase_one, price_out, phase_ones):
     """`simplex._phase_one` and `_price_out`, first checking that every row
     of a new tableau, and each objective row as it enters, is the coprime
-    integer row `int_row` gives, with rhs >= 0 in the constraint rows."""
+    integer row `int_row` gives, with rhs >= 0 in the constraint rows;
+    each phase one run is appended to `phase_ones`."""
 
     def checked_phase_one(tableau, basis, art_base):
         assert all(row == int_row(row) and row[-1] >= 0 for row in tableau)
+        phase_ones.append(art_base)
         return phase_one(tableau, basis, art_base)
 
     def checked_price_out(tableau, basis):
@@ -282,21 +293,32 @@ def _checked(phase_one, price_out):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_reuse_case())
 def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
-    objective, rows, rhs, eq_rows, eq_rhs, bounds = case
+    rows, rhs, eq_rows, eq_rhs, solves = case
+    fresh = [solve_lp(c, rows, rhs, eq_rows, eq_rhs, lo, hi) for c, lo, hi in solves]
     program = LinearProgram(
-        objective,
+        len(solves[0][0]),
         [scaled_row(row, b) for row, b in zip(rows, rhs)],
         [scaled_row(row, b) for row, b in zip(eq_rows, eq_rhs)],
     )
     results = []
+    phase_ones = []
+    runs = {}  # bound vector -> phase ones run for it (before, after a second objective)
+    asked = set()
     with pytest.MonkeyPatch.context() as mp:
-        phase_one, price_out = _checked(simplex._phase_one, simplex._price_out)
+        phase_one, price_out = _checked(simplex._phase_one, simplex._price_out, phase_ones)
         mp.setattr(simplex, "_phase_one", phase_one)
         mp.setattr(simplex, "_price_out", price_out)
-        for lower, upper in bounds:
-            got = program.solve(lower, upper)
-            assert got == solve_lp(objective, rows, rhs, eq_rows, eq_rhs, lower, upper)
+        for (objective, lower, upper), want in zip(solves, fresh):
+            kept = copy.deepcopy(program._starts)
+            asked.add(objective)
+            before = len(phase_ones)
+            got = program.solve(objective, lower, upper)
+            assert got == want
             results.append(got)
+            # a remembered phase-one tableau is never written to
+            assert all(program._starts[b] == start for b, start in kept.items())
+            ran = runs.setdefault((lower, upper), [0, 0])
+            ran[len(asked) > 1] += len(phase_ones) - before
             if None not in lower + upper and all(lo <= hi for lo, hi in zip(lower, upper)):
                 # boxed: an independent vertex enumeration, equations as two rows
                 value, _ = reference_lp(
@@ -308,13 +330,63 @@ def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
                 )
                 assert got.value == value
                 assert (got.status is LPStatus.OPTIMAL) == (value is not None)
+    # phase one runs once for the first bound vector it runs for, and, once
+    # a second objective has been asked, at most once more for any other
+    first = next((b for b, ran in runs.items() if sum(ran)), None)
+    for bounds, (alone, shared) in runs.items():
+        assert shared <= 1 and (bounds != first or alone + shared == 1)
     # one compiled form per pattern of finite bounds, whatever the values
     patterns = {
         tuple((lo is not None, hi is not None) for lo, hi in zip(lower, upper))
-        for lower, upper in bounds
+        for _, lower, upper in solves
         if all(lo is None or hi is None or lo <= hi for lo, hi in zip(lower, upper))
     }
     assert len(program._forms) == len(patterns)
-    # a bound vector solved before is answered from memory
-    for (lower, upper), result in zip(bounds, results):
-        assert program.solve(list(lower), list(upper)) is result
+    # an (objective, bound vector) solved before is answered from memory
+    for (objective, lower, upper), result in zip(solves, results):
+        assert program.solve(list(objective), list(lower), list(upper)) is result
+
+
+def test_threads_sharing_a_program_answer_like_fresh_solves():
+    """Worker threads that solve one program for several objectives and
+    bound vectors at once get a fresh solve's answer every time."""
+    rng = random.Random(17)
+    n = 3
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+    rhs = [rng.randint(0, 6) for _ in rows]
+    objectives = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)]
+    boxes = []
+    for _ in range(8):
+        lower = tuple(rng.randint(-2, 1) for _ in range(n))
+        boxes.append((lower, tuple(lo + rng.randint(0, 3) for lo in lower)))
+    want = {
+        (c, lo, hi): solve_lp(c, rows, rhs, lower=lo, upper=hi)
+        for c in objectives
+        for lo, hi in boxes
+    }
+    scaled = [scaled_row(row, b) for row, b in zip(rows, rhs)]
+    wrong = []
+
+    def work(program, seed):
+        keys = list(want) * 2
+        random.Random(seed).shuffle(keys)
+        for c, lo, hi in keys:
+            if program.solve(c, lo, hi) != want[c, lo, hi]:
+                wrong.append((c, lo, hi))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):  # a fresh program per round, shared by four threads
+            program = LinearProgram(n, scaled)
+            threads = [
+                threading.Thread(target=work, args=(program, seed), daemon=True) for seed in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
