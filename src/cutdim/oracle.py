@@ -17,11 +17,12 @@ and rays keep the ints their engine computed, and a query's int entries
 pass through unchanged.
 
 The solver engine's provider owns its compiled LP (`solver.program_for`):
-rows only, no objective, plus the phase-one bases its solves leave.  The
+rows only, no objective, plus the phase-one basis of its root.  The
 provider's feasible set is fixed and only the direction changes from
-query to query, so each bound vector's phase one runs once across all
-its queries.  `with_cache` copies share the program, and `restrict`
-compiles one for the face.
+query to query, so the phase one of the root, which every query's
+branch and bound solves first, runs once across all its queries.
+`with_cache` copies share the program, and `restrict` compiles one for
+the face.
 
 A provider owns its PointCache: every optimal point it returns is
 remembered there, and hull runs probe it, where an affinely independent
@@ -260,9 +261,9 @@ class MipOracle(_Provider):
 
     The provider owns its program (`solver.program_for`): its rows are
     compiled once, and every query solves them under its own direction,
-    so phase one runs once per bound vector across the queries.
-    `with_cache` copies share the program; `restrict` compiles one for
-    the face.
+    so the root's phase one runs once across the queries.  `with_cache`
+    copies share the program; `restrict` compiles one for the face, whose
+    equation its solve options carry.
     """
 
     def __init__(
@@ -288,10 +289,10 @@ class MipOracle(_Provider):
         return self.options.node_limit
 
     def restrict(self, coefficients: Sequence, beta) -> "MipOracle":
-        clone = super().restrict(coefficients, beta)
+        a, b = vector(coefficients), rat(beta)
+        clone = super().restrict(a, b)
         clone.options = dataclasses.replace(
-            self.options,
-            extra_equations=self.options.extra_equations + ((coefficients, beta),),
+            self.options, extra_equations=self.options.extra_equations + ((a, b),)
         )
         clone.program = program_for(self.instance, clone.options)
         return clone

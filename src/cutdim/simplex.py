@@ -23,10 +23,11 @@ unbounded ray (without them) back to x-space.  Artificial variables are
 introduced only for rows whose slack cannot serve as the initial basis;
 their columns come last and are deleted once phase one has found a
 feasible basis.  Phase one never reads the objective, so the basis it
-leaves is remembered per bound vector, and a solve under those bounds
-with another objective starts phase two from a copy of it.  The
-objective being optimized is the tableau's last row, so a pivot is one
-`linalg.pivot` step plus the basis update.
+leaves under a program's first bound vector (a run's root, which every
+query of an oracle provider solves again) is remembered, and a later
+solve under those bounds, with any objective, starts phase two from a
+copy of it.  The objective being optimized is the tableau's last row,
+so a pivot is one `linalg.pivot` step plus the basis update.
 
 The tableau holds Python ints.  The rows arrive scaled to ints, and
 each is written into a tableau as coprime integers,
@@ -87,7 +88,8 @@ def solve_lp(
         raise ValueError("each row needs one right-hand side")
     ineq = [scaled_row(vector(row), rat(b)) for row, b in zip(ineq_rows, ineq_rhs)]
     eq = [scaled_row(vector(row), rat(b)) for row, b in zip(eq_rows, eq_rhs)]
-    return LinearProgram(len(objective), ineq, eq).solve(objective, lower, upper)
+    program = LinearProgram(len(objective), ineq, eq)
+    return program.solve(program.objective(objective), lower, upper)
 
 
 @dataclass(frozen=True)
@@ -113,11 +115,13 @@ class _Form:
         return self.ncols + len(self.ineq) + len(self.caps)
 
 
-@dataclass
-class _Objective:
-    """An objective c = ints / den, its phase-two rows over y (coprime,
-    per bound pattern) and its results per bound vector."""
+@dataclass(eq=False)
+class Objective:
+    """An objective c in the form `LinearProgram.solve` takes: c itself
+    (`key`), c = ints / den, its phase-two rows over y (coprime, per bound
+    pattern) and its results per bound vector."""
 
+    key: tuple
     ints: list
     den: int
     rows: dict = field(default_factory=dict)
@@ -131,21 +135,23 @@ class LinearProgram:
     The rows come in the integer form `linalg.scaled_row` gives,
     (d.a, d.b, d) with d the lcm of the row's denominators: `ineq` for
     A.x <= b, `eq` for E.x = f.  No objective is compiled in: `solve`
-    takes it.  The program remembers three things:
+    takes one made by `objective`.  The program remembers three things,
+    each bounded whatever the number of solves:
 
     - per pattern of finite bounds, the substitution table and the
       y-space rows (`_Form`);
-    - per bound vector, the tableau and basis phase one left, or that
-      phase one proved the bounds infeasible.  Phase one never reads the
-      objective, so a later solve under the same bounds, with any
-      objective, copies that tableau and goes straight to phase two, and
-      every pivot and result is the one a fresh solve gives.  Until
-      `solve` has been asked for a second objective only the first bound
-      vector's is kept, and from then on every one: a program solved
-      for one objective (an impact run's) would never read them again;
-    - per objective, its phase-two row for each pattern and its result
-      for each bound vector (`_Objective`), so solves that share a
-      program share their answers.
+    - for the first bound vector phase one runs for (a run's root), the
+      tableau and basis phase one left, or that it proved the bounds
+      infeasible.  Phase one never reads the objective, so a later solve
+      under the same bounds, with any objective, copies that tableau and
+      goes straight to phase two, and every pivot and result is the one
+      a fresh solve gives.  Other bound vectors run phase one on every
+      solve that is not answered from memory;
+    - the latest objective asked (`Objective`), with its phase-two row
+      for each pattern and its result for each bound vector, so runs
+      that solve the program for one objective share their answers.
+      Another objective replaces it; a run holds its own `Objective`,
+      so its results go when the run ends and the program has moved on.
 
     A remembered tableau is never written to: `linalg.pivot` replaces
     rows and never writes into one, so phase two works on a shallow copy.
@@ -163,25 +169,36 @@ class LinearProgram:
         if any(len(ints) != num_vars for ints, _, _ in self.eq):
             raise ValueError("equation row length mismatch")
         self._forms: dict = {}
-        self._starts: dict = {}
-        self._objectives: dict = {}
-        self._last = (object(), None)  # (objective tuple, its entry)
+        self._root = None  # (bounds, the start phase one left for them)
+        self._cost: Optional[Objective] = None
 
     def built_for(self, ineq: Sequence = (), eq: Sequence = ()) -> bool:
         """True when this program has exactly these rows."""
         return self.ineq == tuple(ineq) and self.eq == tuple(eq)
 
+    def objective(self, objective: Sequence) -> Objective:
+        """`objective` in the form `solve` takes; a run makes it once.
+
+        The latest one is kept, so a run for the same objective gets the
+        same entry, and with it the answers earlier runs left there.
+        """
+        key = exact_vector(objective)
+        if len(key) != self.num_vars:
+            raise ValueError("objective length must match the variable count")
+        cost = self._cost
+        if cost is None or cost.key != key:
+            cost = self._cost = Objective(key, *int_scale(key))
+        return cost
+
     def solve(
         self,
-        objective: Sequence,
+        cost: Objective,
         lower: Optional[Sequence] = None,
         upper: Optional[Sequence] = None,
     ) -> LPResult:
-        """max objective.x under bounds lower <= x <= upper (None: no bound)."""
+        """max c.x under bounds lower <= x <= upper (None: no bound), for
+        the objective c that `objective` made into `cost`."""
         n = self.num_vars
-        last, cost = self._last
-        if objective is not last:
-            cost = self._objective(objective)
         lower = exact_bounds(lower, n)
         upper = exact_bounds(upper, n)
         if len(lower) != n or len(upper) != n:
@@ -192,23 +209,7 @@ class LinearProgram:
             result = cost.results[bounds] = self._solve(cost, lower, upper)
         return result
 
-    def _objective(self, objective: Sequence) -> _Objective:
-        """The entry of an objective, made on its first solve.
-
-        A run passes one tuple for all its nodes, so the last tuple is
-        recognised by identity, without normalizing and hashing it again.
-        """
-        key = exact_vector(objective)
-        if len(key) != self.num_vars:
-            raise ValueError("objective length must match the variable count")
-        cost = self._objectives.get(key)
-        if cost is None:
-            cost = self._objectives[key] = _Objective(*int_scale(key))
-        if type(objective) is tuple:
-            self._last = (objective, cost)
-        return cost
-
-    def _solve(self, cost: _Objective, lower: tuple, upper: tuple) -> LPResult:
+    def _solve(self, cost: Objective, lower: tuple, upper: tuple) -> LPResult:
         for lo, hi in zip(lower, upper):
             if lo is not None and hi is not None and lo > hi:
                 return LPResult(LPStatus.INFEASIBLE)
@@ -221,12 +222,13 @@ class LinearProgram:
             for lo, hi in zip(lower, upper)
         ]
         bounds = (lower, upper)
-        if bounds in self._starts:
-            start = self._starts[bounds]
+        root = self._root
+        if root is not None and root[0] == bounds:
+            start = root[1]
         else:
             start = self._start(form, shifts, lower, upper)
-            if not self._starts or len(self._objectives) > 1:
-                self._starts[bounds] = start
+            if root is None:
+                self._root = (bounds, start)
         if start is None:
             return LPResult(LPStatus.INFEASIBLE)
 

@@ -20,13 +20,14 @@ Until it finds a point or proves the set empty, the trace reads +inf.
 
 Every LP of a run reads the same rows; only the bounds change from
 node to node, and the objective from run to run.  A run therefore
-solves one `simplex.LinearProgram` (rows only, plus remembered phase-one
-bases) at each node: its own, or one handed to it by a caller that
-solves the same rows more than once.  An oracle provider owns one for
-all its queries, so each bound vector's phase one runs once across
-them; the impact protocol shares one across its reference, root
-relaxation and baseline solves, so their LPs are solved once between
-them.  `program_for` builds a program from the one row stacker: the
+solves one `simplex.LinearProgram` (rows only, plus the phase-one basis
+of its root) at each node, for an objective it makes once per run: its
+own program, or one handed to it by a caller that solves the same rows
+more than once.  An oracle provider owns one for all its queries, so
+the root's phase one runs once across them; the impact protocol shares
+one across its reference, root relaxation and baseline solves, which
+share an objective, so their LPs are solved once between them.
+`program_for` builds a program from the one row stacker: the
 instance's cached integer view (`MipInstance.integer_rows`) plus each
 extra cut and equation, scaled once per `SolveOptions` object to the
 same (d.a, d.b, d) form; the incumbent check and the check of a given
@@ -126,7 +127,7 @@ def solve_mip(
 
     `program`, when given, must have been built for this run's rows
     (`program_for(inst, options)`; ValueError otherwise); its remembered
-    phase-one bases and LPs are reused.
+    root basis, and the LPs it remembers for this objective, are reused.
     """
     options = options or SolveOptions()
     obj = exact_vector(objective) if objective is not None else inst.objective
@@ -157,6 +158,7 @@ def solve_mip(
     if options.time_limit is not None:
         deadline = time.monotonic() + options.time_limit
 
+    cost = program.objective(obj)
     heap: list[_Node] = []
     counter = 0
     # node bounds are ints where integral, so no LP solve converts them again
@@ -190,7 +192,7 @@ def solve_mip(
 
         node = heapq.heappop(heap)
         node_count += 1
-        lp = program.solve(obj, node.lower, node.upper)
+        lp = program.solve(cost, node.lower, node.upper)
 
         if lp.status is LPStatus.UNBOUNDED:
             # Only possible at the root: child regions are subsets.  For
@@ -199,7 +201,7 @@ def solve_mip(
             # certifies an unbounded problem.  Search for one with a zero
             # objective from a fresh root; the first point found ends it.
             ray = tuple(int_row(lp.ray))
-            obj = (0,) * inst.num_vars
+            cost = program.objective((0,) * inst.num_vars)
             primal, best = -math.inf, None
             heapq.heappush(heap, node)
         elif lp.status is LPStatus.OPTIMAL:
@@ -307,4 +309,4 @@ def solve_lp_relaxation(inst: MipInstance, program: Optional[LinearProgram] = No
         )
     if not program.built_for(inst.integer_rows):
         raise ValueError("the program was built for other rows")
-    return program.solve(inst.objective, inst.lower_bounds, inst.upper_bounds)
+    return program.solve(program.objective(inst.objective), inst.lower_bounds, inst.upper_bounds)

@@ -250,6 +250,9 @@ def test_restrict_stacks_equations():
     assert resp.point == (rat(1), rat(1))  # only (1,1) satisfies x+y=2
     resp = oracle_maximize(oracle.restrict([1, 0], 0), [1, 0])
     assert isinstance(resp, Infeasible)  # x=0 and x+y=2 and y<=1 clash
+    # an equation given as an iterator is read once, into the same rows
+    from_iter = MipOracle(square()).restrict(iter([1, 1]), 2)
+    assert (from_iter.equations, from_iter.options) == (oracle.equations, oracle.options)
 
 
 def test_inconclusive_on_limits():

@@ -241,7 +241,8 @@ def _reuse_case(draw):
     (f); each bound vector takes one of a few such patterns, with its own
     bound values, which may be fractional, so a pattern comes back with
     other shifts.  A boxed variable's upper bound may cross its lower.
-    Each solve takes one of 1-3 objectives, so they interleave over the
+    Every bound vector is solved in turn, then a few are solved again;
+    each solve takes one of 1-3 objectives, so they interleave over the
     bound vectors, and a bound vector may come back with another one.
     """
     n = draw(st.integers(1, 3))
@@ -254,10 +255,11 @@ def _reuse_case(draw):
     if eq_rows and draw(st.booleans()):  # a dependent, consistent equation
         eq_rows.append([a + b for a, b in zip(eq_rows[0], eq_rows[-1])])
         eq_rhs.append(eq_rhs[0] + eq_rhs[-1])
-    objectives = draw(st.lists(row, min_size=1, max_size=3))
+    objectives = [tuple(c) for c in draw(st.lists(row, min_size=1, max_size=3))]
+    objective = st.sampled_from(objectives)
     kinds = draw(st.lists(st.text("blrf", min_size=n, max_size=n), min_size=1, max_size=3))
     bounds = []
-    for _ in range(draw(st.integers(2, 5))):
+    for _ in range(draw(st.integers(2, 7))):
         lower, upper = [], []
         for kind in draw(st.sampled_from(kinds)):
             lo = draw(value)
@@ -265,9 +267,9 @@ def _reuse_case(draw):
             lower.append(lo if kind in "bl" else None)
             upper.append(hi if kind in "br" else None)
         bounds.append((tuple(lower), tuple(upper)))
-    solves = [
-        (tuple(draw(st.sampled_from(objectives))), *draw(st.sampled_from(bounds)))
-        for _ in range(draw(st.integers(2, 9)))
+    solves = [(draw(objective), *b) for b in bounds]
+    solves += [
+        (draw(objective), *draw(st.sampled_from(bounds))) for _ in range(draw(st.integers(0, 5)))
     ]
     return rows, rhs, eq_rows, eq_rhs, solves
 
@@ -300,25 +302,33 @@ def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
         [scaled_row(row, b) for row, b in zip(rows, rhs)],
         [scaled_row(row, b) for row, b in zip(eq_rows, eq_rhs)],
     )
-    results = []
     phase_ones = []
-    runs = {}  # bound vector -> phase ones run for it (before, after a second objective)
-    asked = set()
+    current, remembered = None, {}  # the latest objective, its answers by bound vector
+    root = None  # the first bound vector phase one ran for
     with pytest.MonkeyPatch.context() as mp:
         phase_one, price_out = _checked(simplex._phase_one, simplex._price_out, phase_ones)
         mp.setattr(simplex, "_phase_one", phase_one)
         mp.setattr(simplex, "_price_out", price_out)
         for (objective, lower, upper), want in zip(solves, fresh):
-            kept = copy.deepcopy(program._starts)
-            asked.add(objective)
+            if objective != current:  # another objective replaces the answers
+                current, remembered = objective, {}
+            kept = copy.deepcopy(program._root)
             before = len(phase_ones)
-            got = program.solve(objective, lower, upper)
+            got = program.solve(program.objective(objective), lower, upper)
             assert got == want
-            results.append(got)
-            # a remembered phase-one tableau is never written to
-            assert all(program._starts[b] == start for b, start in kept.items())
-            ran = runs.setdefault((lower, upper), [0, 0])
-            ran[len(asked) > 1] += len(phase_ones) - before
+            # the remembered phase-one tableau is never written to
+            assert kept is None or program._root == kept
+            ran = len(phase_ones) - before
+            bounds = (lower, upper)
+            if bounds in remembered:
+                assert got is remembered[bounds] and ran == 0
+            elif root is None:
+                assert ran <= 1
+                root = bounds if ran else None
+            else:
+                # phase one runs once for the root, at most once for another
+                assert ran == 0 if bounds == root else ran <= 1
+            remembered[bounds] = got
             if None not in lower + upper and all(lo <= hi for lo, hi in zip(lower, upper)):
                 # boxed: an independent vertex enumeration, equations as two rows
                 value, _ = reference_lp(
@@ -330,11 +340,6 @@ def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
                 )
                 assert got.value == value
                 assert (got.status is LPStatus.OPTIMAL) == (value is not None)
-    # phase one runs once for the first bound vector it runs for, and, once
-    # a second objective has been asked, at most once more for any other
-    first = next((b for b, ran in runs.items() if sum(ran)), None)
-    for bounds, (alone, shared) in runs.items():
-        assert shared <= 1 and (bounds != first or alone + shared == 1)
     # one compiled form per pattern of finite bounds, whatever the values
     patterns = {
         tuple((lo is not None, hi is not None) for lo, hi in zip(lower, upper))
@@ -342,9 +347,10 @@ def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
         if all(lo is None or hi is None or lo <= hi for lo, hi in zip(lower, upper))
     }
     assert len(program._forms) == len(patterns)
-    # an (objective, bound vector) solved before is answered from memory
-    for (objective, lower, upper), result in zip(solves, results):
-        assert program.solve(list(objective), list(lower), list(upper)) is result
+    # the latest objective's answers are given from memory, however asked
+    cost = program.objective(list(current))
+    for (lower, upper), result in remembered.items():
+        assert program.solve(cost, list(lower), list(upper)) is result
 
 
 def test_threads_sharing_a_program_answer_like_fresh_solves():
@@ -371,7 +377,7 @@ def test_threads_sharing_a_program_answer_like_fresh_solves():
         keys = list(want) * 2
         random.Random(seed).shuffle(keys)
         for c, lo, hi in keys:
-            if program.solve(c, lo, hi) != want[c, lo, hi]:
+            if program.solve(program.objective(c), lo, hi) != want[c, lo, hi]:
                 wrong.append((c, lo, hi))
 
     interval = sys.getswitchinterval()
