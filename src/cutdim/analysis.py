@@ -43,7 +43,7 @@ from .hull import (
     affine_hull,
     face_hull,
 )
-from .linalg import Vector, dot
+from .linalg import Vector, dot, scaled_row
 from .model import Inequality, MipInstance, evaluate, normalize_cut
 from .oracle import (
     Infeasible,
@@ -250,11 +250,11 @@ def impact_protocol(
     options = SolveOptions(incumbent=x_star, node_limit=node_limit, time_limit=time_limit)
     results = [("", "", solve_mip(inst, options=options, program=program))]
     for cut in cuts:
-        cut_n = normalize_cut(cut)
-        if evaluate(cut_n, x_star) > 0:
+        if evaluate(cut, x_star) > 0:
             results.append((cut.label, cut.category, None))
             continue
-        run_opts = dataclasses.replace(options, extra_constraints=(cut_n,))
+        row = scaled_row(cut.coefficients, cut.rhs)
+        run_opts = dataclasses.replace(options, extra_constraints=(row,))
         results.append((cut.label, cut.category, solve_mip(inst, options=run_opts)))
 
     completed = [

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -43,6 +44,7 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
         group.add_argument(flag, dest=f.name, help=meta["help"], **takes)
 
 
+@functools.cache  # built once per process; each parse_args makes a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cutdim",

@@ -39,6 +39,7 @@ from .linalg import (
     Matrix,
     Vector,
     dot,
+    echelon_form,
     exact_vector,
     is_in_span,
     orthogonal_complement_basis,
@@ -81,31 +82,35 @@ class HullInterrupted(HullError):
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Equations D.x = e with linearly independent rows.
+    """Equations D.x = e with linearly independent rows, each held once as
+    the (d.a, d.b, d) row `scaled_row` gives: `violated_row` takes int
+    dot products, and `echelon` (their integer reduced echelon form,
+    built once) answers span and rank questions.  `rows` and `rhs` give
+    the rational equations back for output, a row with d = 1 as ints."""
 
-    `rows` and `rhs` are the rational equations that reports render;
-    `scaled` holds each as the (d.a, d.b, d) row `scaled_row` gives, so
-    `violated_row` takes int dot products on int points.
-    """
-
-    rows: Matrix
-    rhs: Vector
+    scaled: tuple = ()
 
     @classmethod
     def empty(cls) -> "EquationSystem":
-        return cls(rows=(), rhs=())
+        return cls()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.scaled)
 
     def with_equation(self, coefficients: Sequence, value) -> "EquationSystem":
-        return EquationSystem(
-            rows=self.rows + (exact_vector(coefficients),), rhs=self.rhs + (rat(value),)
-        )
+        return EquationSystem(self.scaled + (scaled_row(exact_vector(coefficients), rat(value)),))
+
+    @property
+    def rows(self) -> Matrix:
+        return tuple(a if d == 1 else tuple(rat(v, d) for v in a) for a, _, d in self.scaled)
+
+    @property
+    def rhs(self) -> Vector:
+        return tuple(rat(b, d) for _, b, d in self.scaled)
 
     @functools.cached_property
-    def scaled(self) -> tuple:
-        return tuple(scaled_row(row, b) for row, b in zip(self.rows, self.rhs))
+    def echelon(self) -> Matrix:
+        return echelon_form([ints for ints, _, _ in self.scaled])
 
     def violated_row(self, point: Sequence) -> Optional[int]:
         for i, (ints, target, _) in enumerate(self.scaled):
@@ -150,7 +155,7 @@ def select_direction(
         return (len(support), support, v)
 
     for v in sorted(orthogonal_complement_basis(diffs, n), key=key):
-        if not is_in_span(v, equations.rows):
+        if not is_in_span(v, equations.echelon):
             return v
     if pts:
         raise AssertionError("no direction left although |X|+rows(D) <= n")
@@ -183,7 +188,7 @@ def affine_hull(
     """
     n = provider.n
     eqs = initial_equations if initial_equations is not None else EquationSystem.empty()
-    if len(eqs) and rank(eqs.rows) != len(eqs):
+    if len(eqs) and rank(eqs.echelon) != len(eqs):
         raise ValueError("initial equations must be linearly independent")
     if len(eqs) > n:
         raise ValueError("more independent equations than variables")
@@ -291,7 +296,7 @@ def face_hull(
     restricted provider's cache holds only points on the face.
     """
     eqs = base.equations
-    if not is_in_span(cut.coefficients, eqs.rows):
+    if not is_in_span(cut.coefficients, eqs.echelon):
         eqs = eqs.with_equation(cut.coefficients, cut.rhs)
     face_provider = provider.restrict(cut.coefficients, cut.rhs)
     return affine_hull(face_provider, initial_equations=eqs, time_budget=time_budget)

@@ -5,17 +5,18 @@ immutable so they can be shared freely between threads.  Entries are
 ints where the engines computed them (points, directions, rays) and
 rationals otherwise; `dot` and the eliminations read both exactly.
 
-Integer data has one form per kind.  A constraint row a.x <= b (or
-= b) is held as `scaled_row` gives it, (d.a, d.b, d) with d the lcm of
-the denominators of a and b, so a point X/D satisfies it exactly when
-(d.a).X <= (d.b).D.  Eliminations run on rows of Python ints: `int_row`
-scales a rational row to coprime integers, and `pivot`, the one
-elimination step, keeps every row a positive multiple of the row exact
-rational Gauss-Jordan would give (fraction-free, after Edmonds and
-Bareiss).  Signs, zero patterns and ratios within a row therefore read
-as in the rational form, and rank and span questions are decided, never
-estimated.  Complement directions are read straight off those integer
-rows as coprime ints.
+Integer data has one form per kind.  A constraint or equation row
+a.x <= b (or = b) is held once, as `scaled_row` gives it, (d.a, d.b, d)
+with d the lcm of the denominators of a and b, so a point X/D satisfies
+it exactly when (d.a).X <= (d.b).D.  Eliminations run on rows of Python
+ints: `int_row` scales a rational row to coprime integers, and `pivot`,
+the one elimination step, keeps every row a positive multiple of the
+row exact rational Gauss-Jordan would give (fraction-free, after
+Edmonds and Bareiss).  Signs, zero patterns and ratios within a row
+therefore read as in the rational form, and rank and span questions are
+decided, never estimated.  A fixed system keeps its `echelon_form`, so
+each span question on it is one reduction.  Complement directions are
+read straight off those integer rows as coprime ints.
 """
 
 from __future__ import annotations
@@ -163,13 +164,19 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(pivots)
 
 
+def echelon_form(rows: Sequence[Sequence]) -> Matrix:
+    """The integer reduced row echelon form of `rows`, as row tuples."""
+    return tuple(map(tuple, _echelon(rows)[0]))
+
+
 def is_in_span(candidate: Sequence, rows: Sequence[Sequence]) -> bool:
-    """True when `candidate` lies in the row span of `rows`."""
-    rows = list(rows)
-    if not rows:
-        return all(v == 0 for v in candidate)
-    base = rank(rows)
-    return rank(rows + [list(candidate)]) == base
+    """True when `candidate` lies in the row span of `rows`: one echelon
+    pass over `rows` (a no-op on an `echelon_form`), one reduction."""
+    work, pivots = _echelon(rows)
+    work.append(int_row(candidate))
+    for r, c in enumerate(pivots):
+        pivot(work, r, c)
+    return not any(work[-1])
 
 
 def orthogonal_complement_basis(vectors: Sequence[Sequence], n: int) -> list[Vector]:

@@ -22,7 +22,7 @@ provider's feasible set is fixed and only the direction changes from
 query to query, so the phase one of the root, which every query's
 branch and bound solves first, runs once across all its queries.
 `with_cache` copies share the program, and `restrict` compiles one for
-the face.
+the face from the provider's own face equation rows.
 
 A provider owns its PointCache: every optimal point it returns is
 remembered there, and hull runs probe it, where an affinely independent
@@ -263,7 +263,7 @@ class MipOracle(_Provider):
     compiled once, and every query solves them under its own direction,
     so the root's phase one runs once across the queries.  `with_cache`
     copies share the program; `restrict` compiles one for the face, whose
-    equation its solve options carry.
+    solve options hold the provider's own face equation rows.
     """
 
     def __init__(
@@ -289,11 +289,8 @@ class MipOracle(_Provider):
         return self.options.node_limit
 
     def restrict(self, coefficients: Sequence, beta) -> "MipOracle":
-        a, b = vector(coefficients), rat(beta)
-        clone = super().restrict(a, b)
-        clone.options = dataclasses.replace(
-            self.options, extra_equations=self.options.extra_equations + ((a, b),)
-        )
+        clone = super().restrict(coefficients, beta)
+        clone.options = dataclasses.replace(self.options, extra_equations=clone.equations)
         clone.program = program_for(self.instance, clone.options)
         return clone
 

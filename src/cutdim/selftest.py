@@ -24,7 +24,7 @@ from .analysis import (
 )
 from .config import RunConfig
 from .hull import affine_hull
-from .linalg import affine_rank, dot, int_scale
+from .linalg import affine_rank, dot, int_scale, scaled_row
 from .model import Inequality, MipInstance, build_instance
 from .oracle import BruteForceOracle, enumerate_lattice, make_provider
 from .rational import rat
@@ -274,8 +274,9 @@ def suite_impact(seed: int, rounds: int = 5, max_vars: int = 4) -> SuiteResult:
         result.check(report.baseline.gap == gap(raw.trace[report.node_budget - 1][1]),
                      f"round {i}: baseline gap not reproduced by a raw solver run")
         for cut in cuts:
+            row = scaled_row(cut.coefficients, cut.rhs)
             run = solve_mip(
-                inst, options=SolveOptions(incumbent=report.optimum, extra_constraints=(cut,))
+                inst, options=SolveOptions(incumbent=report.optimum, extra_constraints=(row,))
             )
             gaps = [gap(z) for _, z in run.trace]
             result.check(all(a <= b for a, b in zip(gaps, gaps[1:])),

@@ -28,11 +28,10 @@ the root's phase one runs once across them; the impact protocol shares
 one across its reference, root relaxation and baseline solves, which
 share an objective, so their LPs are solved once between them.
 `program_for` builds a program from the one row stacker: the
-instance's cached integer view (`MipInstance.integer_rows`) plus each
-extra cut and equation, scaled once per `SolveOptions` object to the
-same (d.a, d.b, d) form; the incumbent check and the check of a given
-program read them too, so a caller that keeps its options scales no
-row again.
+instance's cached integer view (`MipInstance.integer_rows`) plus the
+extra cuts and equations, which callers hand over already in the same
+(d.a, d.b, d) form; the incumbent check and the check of a given
+program read those rows as they are, so no row is scaled in a run.
 
 Before any node, each extra equation row whose variables are all
 integer is read in its scaled ints; when the gcd of d.a does not divide
@@ -42,7 +41,6 @@ INFEASIBLE with no node solved.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import time
@@ -50,9 +48,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .linalg import Vector, dot, exact_vector, int_row, int_scale, scaled_row, vector
+from .linalg import Vector, dot, exact_vector, int_row, int_scale
 from .model import MipInstance
-from .rational import rat, rat_floor
+from .rational import rat_floor
 from .simplex import LinearProgram, LPStatus, solve_lp
 
 
@@ -68,11 +66,12 @@ class SolveStatus(Enum):
 class SolveOptions:
     """Knobs for one solve.
 
-    extra_constraints are Inequality objects appended to the instance
-    rows (this is how a cut enters a run); extra_equations are
-    (coefficients, value) pairs that restrict to a hyperplane, which
-    face dimension runs use.  An incumbent seeds the primal bound and
-    must be feasible.  Limits of None mean unlimited.
+    extra_constraints are rows a.x <= b appended to the instance rows
+    (this is how a cut enters a run); extra_equations are rows a.x = b
+    that restrict to a hyperplane, which face dimension runs use.  Both
+    hold each row as the (d.a, d.b, d) triple `linalg.scaled_row` gives.
+    An incumbent seeds the primal bound and must be feasible.  Limits of
+    None mean unlimited.
     """
 
     extra_constraints: tuple = ()
@@ -80,14 +79,6 @@ class SolveOptions:
     incumbent: Optional[Sequence] = None
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
-
-    @functools.cached_property
-    def extra_rows(self) -> tuple:
-        """(cuts, equations) as (d.a, d.b, d) rows, scaled once per options."""
-        return (
-            tuple(scaled_row(cut.coefficients, cut.rhs) for cut in self.extra_constraints),
-            tuple(scaled_row(vector(a), rat(b)) for a, b in self.extra_equations),
-        )
 
 
 @dataclass(frozen=True)
@@ -277,17 +268,9 @@ def _replace_bound(node: _Node, j: int, lower=None, upper=None):
 
 
 def _stack_rows(inst: MipInstance, options: SolveOptions):
-    """The instance's integer rows plus the extra cuts, and the extra
-    equation rows, each as (d.a, d.b, d); every LP of a run reads these.
-
-    Returns (ineq, eq).
-    """
-    if any(len(cut.coefficients) != inst.num_vars for cut in options.extra_constraints):
-        raise ValueError("extra constraint length mismatch")
-    if any(len(coeffs) != inst.num_vars for coeffs, _ in options.extra_equations):
-        raise ValueError("extra equation length mismatch")
-    cuts, eqs = options.extra_rows
-    return inst.integer_rows + cuts, eqs
+    """(ineq, eq): the instance's integer rows plus the extra cuts, and
+    the extra equations; every LP of a run reads these."""
+    return inst.integer_rows + tuple(options.extra_constraints), tuple(options.extra_equations)
 
 
 def program_for(inst: MipInstance, options: Optional[SolveOptions] = None) -> LinearProgram:

@@ -19,7 +19,7 @@ from cutdim.analysis import (
 )
 from cutdim.config import RunConfig
 from cutdim.hull import affine_hull, face_hull
-from cutdim.linalg import dot
+from cutdim.linalg import dot, scaled_row
 from cutdim.model import Inequality, build_instance, evaluate
 from cutdim.oracle import MipOracle, enumerate_lattice, make_provider
 from cutdim.rational import rat
@@ -347,13 +347,14 @@ def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
 def test_solve_mip_rejects_a_program_for_other_rows():
     inst = stein9()
     program = LinearProgram(inst.num_vars, inst.integer_rows)
-    cut = SolveOptions(extra_constraints=(Inequality([-1] * 9, -4),))
+    cut = SolveOptions(extra_constraints=(scaled_row([-1] * 9, -4),))
     with pytest.raises(ValueError):
         solve_mip(inst, options=cut, program=program)
     # the program holds rows only: another objective is the caller's choice
     assert solve_mip(inst, objective=[1] * 9, program=program) == solve_mip(inst, objective=[1] * 9)
+    face = SolveOptions(extra_equations=(scaled_row([1] * 9, 3),))
     with pytest.raises(ValueError):
-        solve_mip(inst, options=SolveOptions(extra_equations=(([1] * 9, 3),)), program=program)
+        solve_mip(inst, options=face, program=program)
     with pytest.raises(ValueError):
         solve_lp_relaxation(binary_knapsack(), program)
     assert solve_mip(inst, program=program) == solve_mip(inst)

@@ -183,6 +183,18 @@ def test_analyze_csv_to_stdout(square_path, trio_path, capsys):
     assert "\nsummary,square,2," in out
 
 
+def test_consecutive_calls_keep_their_own_flags(square_path, trio_path, capsys):
+    # one parser serves every call; no value of a call reaches the next
+    assert _build_parser() is _build_parser()
+    argv = ["analyze", square_path, trio_path, "--format", "csv", "--tolerance", "1/50"]
+    assert main(argv) == 0
+    assert "\nsummary,square,2," in capsys.readouterr().out
+    assert main(["classify", square_path, trio_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "square: dim(P) = 2"
+    assert {line.split()[0]: line.split()[1] for line in lines[2:]}["bad"] == "invalid"
+
+
 def test_analyze_infeasible_sets_exit_code(tmp_path, capsys):
     path = tmp_path / "void.json"
     write_instance(void(), str(path))

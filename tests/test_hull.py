@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutdim.hull import (
     EquationSystem,
@@ -10,11 +13,12 @@ from cutdim.hull import (
     face_hull,
     select_direction,
 )
-from cutdim.linalg import affine_rank, dot, rank, vec_sub
+from cutdim.linalg import affine_rank, dot, is_in_span, rank, vec_sub
 from cutdim.model import Inequality, build_instance
 from cutdim.oracle import BruteForceOracle, MipOracle, enumerate_lattice, make_provider
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
+from helpers import fraction_complement
 
 
 def cube(n=3):
@@ -257,3 +261,56 @@ def test_sandwich_property():
         assert -1 <= face.dimension <= base.dimension
         whole = all(dot(a, p) == beta for p in points)
         assert (face.dimension == base.dimension) == whole
+
+
+_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _systems(draw):
+    """n, fractional equation rows (some combinations of earlier rows),
+    their right-hand sides (some met by `point`), a point, and a
+    candidate that is a combination of the rows about half the time."""
+    n = draw(st.integers(1, 4))
+    vectors = st.lists(_FRACTIONS, min_size=n, max_size=n)
+
+    def combination(rows):
+        weights = draw(st.lists(_FRACTIONS, min_size=len(rows), max_size=len(rows)))
+        return [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
+
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append(combination(rows) if rows and draw(st.booleans()) else draw(vectors))
+    point = draw(st.lists(st.integers(-3, 3) | _FRACTIONS, min_size=n, max_size=n))
+    rhs = [
+        sum(a * x for a, x in zip(row, point)) if draw(st.booleans()) else draw(_FRACTIONS)
+        for row in rows
+    ]
+    candidate = combination(rows) if rows and draw(st.booleans()) else draw(vectors)
+    return n, rows, rhs, tuple(point), candidate
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_systems())
+def test_equation_system_matches_fraction_twin(case):
+    """An EquationSystem built row by row against its rational inputs:
+    the output views give them back, violated_row finds the first row a
+    Fraction sum breaks, and span and rank read off `echelon` match a
+    Fraction rank (n minus the Fraction complement's size)."""
+    n, rows, rhs, point, candidate = case
+    eqs = EquationSystem.empty()
+    for row, b in zip(rows, rhs):
+        eqs = eqs.with_equation(row, b)
+    assert eqs.rows == tuple(map(tuple, rows)) and eqs.rhs == tuple(rhs)
+    broken = [
+        i for i, (row, b) in enumerate(zip(rows, rhs))
+        if sum(Fraction(a) * x for a, x in zip(row, point)) != b
+    ]
+    assert eqs.violated_row(point) == (broken[0] if broken else None)
+
+    def fraction_rank(vectors):
+        return n - len(fraction_complement(vectors, n))
+
+    assert rank(eqs.echelon) == fraction_rank(rows)
+    in_span = fraction_rank(rows + [candidate]) == fraction_rank(rows)
+    assert is_in_span(candidate, eqs.echelon) == is_in_span(candidate, eqs.rows) == in_span

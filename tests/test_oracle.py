@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutdim.hull import affine_hull, face_hull
-from cutdim.linalg import dot
+from cutdim.linalg import dot, scaled_row
 from cutdim.model import Inequality, MipInstance, build_instance
 from cutdim.oracle import (
     BruteForceOracle,
@@ -253,6 +253,20 @@ def test_restrict_stacks_equations():
     # an equation given as an iterator is read once, into the same rows
     from_iter = MipOracle(square()).restrict(iter([1, 1]), 2)
     assert (from_iter.equations, from_iter.options) == (oracle.equations, oracle.options)
+
+
+def test_restrict_holds_each_face_equation_once(monkeypatch):
+    scaled = []
+    monkeypatch.setattr(
+        "cutdim.oracle.scaled_row", lambda a, b: scaled.append(a) or scaled_row(a, b)
+    )
+    once = MipOracle(square()).restrict([1, 1], 2)
+    twice = once.restrict([1, 0], rat(1, 2))
+    for face, count in ((once, 1), (twice, 2)):
+        # the solve options carry the provider's own rows, scaled once each
+        assert face.options.extra_equations is face.equations
+        assert face.program.eq == face.equations and len(face.equations) == count
+    assert len(scaled) == 2
 
 
 def test_inconclusive_on_limits():

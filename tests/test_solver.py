@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from cutdim.linalg import dot
-from cutdim.model import Inequality, build_instance
+from cutdim.linalg import dot, scaled_row
+from cutdim.model import build_instance
 from cutdim.oracle import enumerate_lattice
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
@@ -109,13 +109,13 @@ def test_unbounded_root_probe_carries_extra_rows():
     assert res.status is SolveStatus.UNBOUNDED and res.ray == (1, 0, 0)
     # y = z and y + z = 1 meet only at y = z = 1/2; each row alone has
     # integer points, so no gcd test decides them and branching must
-    res = solve(extra_equations=(((0, 1, -1), 0), ((0, 1, 1), 1)))
+    res = solve(extra_equations=(scaled_row((0, 1, -1), 0), scaled_row((0, 1, 1), 1)))
     assert res.status is SolveStatus.INFEASIBLE and res.node_count > 2
     assert_trace_contract(res)
     assert res.trace[0][1] == math.inf and res.dual_bound == -math.inf
-    pair = (Inequality([0, 1, 0], half), Inequality([0, -1, 0], -half))
+    pair = (scaled_row((0, 1, 0), half), scaled_row((0, -1, 0), -half))
     assert solve(extra_constraints=pair).status is SolveStatus.INFEASIBLE
-    res = solve(extra_constraints=(Inequality([0, 1, 0], 0),))
+    res = solve(extra_constraints=(scaled_row((0, 1, 0), 0),))
     assert res.status is SolveStatus.UNBOUNDED and res.best_point[1] == 0
 
 
@@ -192,12 +192,12 @@ def test_node_limit():
 
 def test_extra_constraints_and_equations():
     inst = knapsack()
-    cut = Inequality([1, 1], 1, label="card")
+    cut = scaled_row((1, 1), 1)
     res = solve_mip(inst, options=SolveOptions(extra_constraints=(cut,)))
     assert res.status is SolveStatus.OPTIMAL
     assert res.primal_value == 5  # (1,0) still feasible
 
-    res = solve_mip(inst, options=SolveOptions(extra_equations=(((1, 1), rat(1)),)))
+    res = solve_mip(inst, options=SolveOptions(extra_equations=(scaled_row((1, 1), 1),)))
     assert res.status is SolveStatus.OPTIMAL
     assert dot((1, 1), res.best_point) == 1
 
@@ -240,7 +240,7 @@ def test_nontermination_guard():
 def test_gcd_test_proves_an_equation_without_integer_points():
     # 2x0 + x1 - 2x2 + x3 = -1/2 scales to 4x0 + 2x1 - 4x2 + 2x3 = -1,
     # and gcd 2 does not divide -1: no integer point, whatever the bounds
-    eq = (((2, 1, -2, 1), rat(-1, 2)),)
+    eq = (scaled_row((2, 1, -2, 1), rat(-1, 2)),)
     inst = build_instance(
         name="bezout",
         constraint_matrix=[],
