@@ -254,8 +254,8 @@ def impact_protocol(
             results.append((cut.label, cut.category, None))
             continue
         row = scaled_row(cut.coefficients, cut.rhs)
-        run_opts = dataclasses.replace(options, extra_constraints=(row,))
-        results.append((cut.label, cut.category, solve_mip(inst, options=run_opts)))
+        run = solve_mip(inst, options=options, program=program_for(inst, cuts=(row,)))
+        results.append((cut.label, cut.category, run))
 
     completed = [
         r.node_count

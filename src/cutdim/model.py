@@ -179,14 +179,14 @@ class Inequality:
 
 
 def normalize_cut(cut: Inequality) -> Inequality:
-    """Scale so that max_j |a_j| = 1; zero rows are returned unchanged.
+    """Scale so that max_j |a_j| = 1; a zero or scaled cut comes back itself.
 
     Scaling by a positive factor preserves the feasible half-space, the
     induced face and validity, so every downstream comparison may assume
     this normal form.
     """
     m = max((abs(c) for c in cut.coefficients), default=rat(0))
-    if m == 0:
+    if m in (0, 1):
         return cut
     return dataclasses.replace(
         cut,

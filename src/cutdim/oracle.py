@@ -22,7 +22,7 @@ provider's feasible set is fixed and only the direction changes from
 query to query, so the phase one of the root, which every query's
 branch and bound solves first, runs once across all its queries.
 `with_cache` copies share the program, and `restrict` compiles one for
-the face from the provider's own face equation rows.
+the face whose equation rows are the provider's own `equations` tuple.
 
 A provider owns its PointCache: every optimal point it returns is
 remembered there, and hull runs probe it, where an affinely independent
@@ -42,7 +42,6 @@ a dimension.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import itertools
 import math
@@ -263,7 +262,7 @@ class MipOracle(_Provider):
     compiled once, and every query solves them under its own direction,
     so the root's phase one runs once across the queries.  `with_cache`
     copies share the program; `restrict` compiles one for the face, whose
-    solve options hold the provider's own face equation rows.
+    equation rows are the provider's own `equations` tuple.
     """
 
     def __init__(
@@ -278,7 +277,7 @@ class MipOracle(_Provider):
         self.cache = cache
         self.verify = verify
         self.options = SolveOptions(time_limit=time_limit, node_limit=node_limit)
-        self.program = program_for(instance, self.options)
+        self.program = program_for(instance)
 
     @property
     def time_limit(self) -> Optional[float]:
@@ -290,8 +289,7 @@ class MipOracle(_Provider):
 
     def restrict(self, coefficients: Sequence, beta) -> "MipOracle":
         clone = super().restrict(coefficients, beta)
-        clone.options = dataclasses.replace(self.options, extra_equations=clone.equations)
-        clone.program = program_for(self.instance, clone.options)
+        clone.program = program_for(self.instance, equations=clone.equations)
         return clone
 
     def solve(self, w: Vector) -> OracleResponse:

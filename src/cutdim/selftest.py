@@ -28,7 +28,7 @@ from .linalg import affine_rank, dot, int_scale, scaled_row
 from .model import Inequality, MipInstance, build_instance
 from .oracle import BruteForceOracle, enumerate_lattice, make_provider
 from .rational import rat
-from .solver import SolveOptions, SolveStatus, solve_mip
+from .solver import SolveOptions, SolveStatus, program_for, solve_mip
 
 
 def random_instance(
@@ -206,6 +206,8 @@ def suite_solver(seed: int, rounds: int = 40, max_vars: int = 6) -> SuiteResult:
         truth = rat(max(dot(ints, p) for p in points), den)
         result.check(res.status is SolveStatus.OPTIMAL and res.primal_value == truth,
                      f"round {i}: {res.status.value} value {res.primal_value}, wanted {truth}")
+        result.check(res.best_point is not None and inst.is_feasible_point(res.best_point),
+                     f"round {i}: optimum {res.best_point} is not a feasible point")
         bounds = [b for _, b in res.trace]
         result.check(all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])),
                      f"round {i}: dual trace not monotone")
@@ -275,9 +277,8 @@ def suite_impact(seed: int, rounds: int = 5, max_vars: int = 4) -> SuiteResult:
                      f"round {i}: baseline gap not reproduced by a raw solver run")
         for cut in cuts:
             row = scaled_row(cut.coefficients, cut.rhs)
-            run = solve_mip(
-                inst, options=SolveOptions(incumbent=report.optimum, extra_constraints=(row,))
-            )
+            run = solve_mip(inst, options=SolveOptions(incumbent=report.optimum),
+                            program=program_for(inst, cuts=(row,)))
             gaps = [gap(z) for _, z in run.trace]
             result.check(all(a <= b for a, b in zip(gaps, gaps[1:])),
                          f"round {i}: closed gap falls along {cut.label}'s run")

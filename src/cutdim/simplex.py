@@ -172,10 +172,6 @@ class LinearProgram:
         self._root = None  # (bounds, the start phase one left for them)
         self._cost: Optional[Objective] = None
 
-    def built_for(self, ineq: Sequence = (), eq: Sequence = ()) -> bool:
-        """True when this program has exactly these rows."""
-        return self.ineq == tuple(ineq) and self.eq == tuple(eq)
-
     def objective(self, objective: Sequence) -> Objective:
         """`objective` in the form `solve` takes; a run makes it once.
 

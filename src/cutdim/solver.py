@@ -27,11 +27,11 @@ more than once.  An oracle provider owns one for all its queries, so
 the root's phase one runs once across them; the impact protocol shares
 one across its reference, root relaxation and baseline solves, which
 share an objective, so their LPs are solved once between them.
-`program_for` builds a program from the one row stacker: the
-instance's cached integer view (`MipInstance.integer_rows`) plus the
-extra cuts and equations, which callers hand over already in the same
-(d.a, d.b, d) form; the incumbent check and the check of a given
-program read those rows as they are, so no row is scaled in a run.
+`program_for` is the one way to build a run's program, and the program
+is the only holder of its rows: the instance's cached integer view
+(`MipInstance.integer_rows`) plus the extra cuts and equations, handed
+over in the same (d.a, d.b, d) form.  The incumbent check reads them
+off the program, so no row is scaled or stacked again in a run.
 
 Before any node, each extra equation row whose variables are all
 integer is read in its scaled ints; when the gcd of d.a does not divide
@@ -64,18 +64,12 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for one solve.
+    """Knobs for one solve; its rows are the program's (`program_for`).
 
-    extra_constraints are rows a.x <= b appended to the instance rows
-    (this is how a cut enters a run); extra_equations are rows a.x = b
-    that restrict to a hyperplane, which face dimension runs use.  Both
-    hold each row as the (d.a, d.b, d) triple `linalg.scaled_row` gives.
-    An incumbent seeds the primal bound and must be feasible.  Limits of
-    None mean unlimited.
+    An incumbent seeds the primal bound and must be feasible for the
+    run's rows.  Limits of None mean unlimited.
     """
 
-    extra_constraints: tuple = ()
-    extra_equations: tuple = ()
     incumbent: Optional[Sequence] = None
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
@@ -116,9 +110,9 @@ def solve_mip(
 ) -> SolveResult:
     """Maximize `objective` (default: the instance objective) over `inst`.
 
-    `program`, when given, must have been built for this run's rows
-    (`program_for(inst, options)`; ValueError otherwise); its remembered
-    root basis, and the LPs it remembers for this objective, are reused.
+    `program` (default `program_for(inst)`) must start with the instance's
+    rows (ValueError otherwise); its remembered root basis, and the LPs it
+    remembers for this objective, are reused.
     """
     options = options or SolveOptions()
     obj = exact_vector(objective) if objective is not None else inst.objective
@@ -127,11 +121,11 @@ def solve_mip(
             f"objective has {len(obj)} entries, instance has {inst.num_vars} variables"
         )
 
-    ineq, eq = _stack_rows(inst, options)
+    m = inst.num_constraints
     if program is None:
-        program = LinearProgram(inst.num_vars, ineq, eq)
-    elif not program.built_for(ineq, eq):
-        raise ValueError("the program was built for other rows")
+        program = program_for(inst)
+    elif program.num_vars != inst.num_vars or program.ineq[:m] != inst.integer_rows:
+        raise ValueError("the program was built for another instance")
 
     primal = -math.inf
     best: Optional[Vector] = None
@@ -139,8 +133,8 @@ def solve_mip(
         inc = exact_vector(options.incumbent)
         x, den = int_scale(inc)
         if not inst.is_feasible_point(inc) or any(
-            dot(a, x) > b * den for a, b, _ in ineq[inst.num_constraints:]
-        ) or any(dot(a, x) != b * den for a, b, _ in eq):
+            dot(a, x) > b * den for a, b, _ in program.ineq[m:]
+        ) or any(dot(a, x) != b * den for a, b, _ in program.eq):
             raise ValueError("incumbent is not feasible for this run")
         primal = dot(obj, inc)
         best = inc
@@ -267,29 +261,25 @@ def _replace_bound(node: _Node, j: int, lower=None, upper=None):
     return tuple(lo), tuple(hi)
 
 
-def _stack_rows(inst: MipInstance, options: SolveOptions):
-    """(ineq, eq): the instance's integer rows plus the extra cuts, and
-    the extra equations; every LP of a run reads these."""
-    return inst.integer_rows + tuple(options.extra_constraints), tuple(options.extra_equations)
-
-
-def program_for(inst: MipInstance, options: Optional[SolveOptions] = None) -> LinearProgram:
-    """The program every LP of a run on `inst` under `options` solves."""
-    return LinearProgram(inst.num_vars, *_stack_rows(inst, options or SolveOptions()))
+def program_for(inst: MipInstance, cuts: Sequence = (), equations: Sequence = ()) -> LinearProgram:
+    """The program every LP of a run on `inst` solves: the instance's
+    rows plus the extra `cuts` (a.x <= b), and the extra `equations`
+    (a.x = b), each a (d.a, d.b, d) triple (`linalg.scaled_row`)."""
+    return LinearProgram(inst.num_vars, inst.integer_rows + tuple(cuts), equations)
 
 
 def solve_lp_relaxation(inst: MipInstance, program: Optional[LinearProgram] = None):
     """LP relaxation of the instance, integrality dropped.
 
-    With `program` (built for the instance rows) this is its root LP
-    under the instance objective, remembered if a run on it has solved
-    that already.
+    With `program` (`program_for(inst)`, no extra rows) this is its root
+    LP under the instance objective, remembered if a run on it has
+    solved that already.
     """
     if program is None:
         return solve_lp(
             inst.objective, inst.constraint_matrix, inst.rhs,
             lower=inst.lower_bounds, upper=inst.upper_bounds,
         )
-    if not program.built_for(inst.integer_rows):
+    if program.ineq != inst.integer_rows or program.eq:
         raise ValueError("the program was built for other rows")
     return program.solve(program.objective(inst.objective), inst.lower_bounds, inst.upper_bounds)

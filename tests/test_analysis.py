@@ -23,9 +23,9 @@ from cutdim.linalg import dot, scaled_row
 from cutdim.model import Inequality, build_instance, evaluate
 from cutdim.oracle import MipOracle, enumerate_lattice, make_provider
 from cutdim.rational import rat
-from cutdim.selftest import lattice_classification, random_instance
+from cutdim.selftest import random_instance
 from cutdim.simplex import LinearProgram
-from cutdim.solver import SolveOptions, solve_lp_relaxation, solve_mip
+from cutdim.solver import program_for, solve_lp_relaxation, solve_mip
 
 
 def square():
@@ -187,26 +187,6 @@ def test_unbounded_direction_certificate():
     assert halfline.is_feasible_point(cls.certificate)
 
 
-def test_classification_matches_brute_force():
-    rng = random.Random(67)
-    for i in range(20):
-        inst = random_instance(rng, max_vars=4, name=f"bf{i}")
-        points = enumerate_lattice(inst)
-        provider = make_provider(inst)
-        base = affine_hull(provider)
-        for _ in range(3):
-            a = [rng.randint(-5, 5) for _ in range(inst.num_vars)]
-            beta = max(dot(a, p) for p in points) + rng.choice((-1, 0, 1))
-            cut = Inequality(a, beta)
-            got = classify_cut(provider, cut, base=base)
-            want_verdict, want_dim = lattice_classification(
-                points, got.cut, rat(1, 10000)
-            )
-            assert got.verdict is want_verdict, f"case {i}"
-            if want_verdict is Verdict.SUPPORTING:
-                assert got.face_dimension == want_dim, f"case {i}"
-
-
 def test_closed_gap_fixtures():
     assert closed_gap(4, 10, 4) == 1  # z_i = z_star
     assert closed_gap(10, 10, 4) == 0  # z_i = z_lp
@@ -327,7 +307,10 @@ def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
     report = impact_protocol(inst, cuts, time_limit=None)
 
     (reference, reference_lps, full), (shared, baseline_lps, _), (cut_program, _, _) = calls
-    assert shared is reference and cut_program is None
+    assert shared is reference and cut_program is not reference
+    # the cut's run solves its own program: the instance's rows plus the cut
+    assert cut_program.ineq == inst.integer_rows + (scaled_row(cuts[0].coefficients, cuts[0].rhs),)
+    assert cut_program.eq == ()
     # the reference solve solves one LP per node; z_lp and the baseline
     # then solve none that it solved
     assert len(reference_lps) == full.node_count > 1
@@ -336,9 +319,14 @@ def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
     assert not seen & {(lower, upper) for _, lower, upper in baseline_lps}
 
     # the same report when every run compiles its own program
+    def fresh(program):
+        return LinearProgram(program.num_vars, program.ineq, program.eq)
+
     monkeypatch.setattr(
         analysis, "solve_mip",
-        lambda inst, objective=None, options=None, program=None: solve_mip(inst, objective, options),
+        lambda inst, objective=None, options=None, program=None: solve_mip(
+            inst, objective, options, fresh(program)
+        ),
     )
     monkeypatch.setattr(analysis, "solve_lp_relaxation", lambda inst, program=None: solve_lp_relaxation(inst))
     assert impact_protocol(inst, cuts, time_limit=None) == report
@@ -346,15 +334,28 @@ def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
 
 def test_solve_mip_rejects_a_program_for_other_rows():
     inst = stein9()
-    program = LinearProgram(inst.num_vars, inst.integer_rows)
-    cut = SolveOptions(extra_constraints=(scaled_row([-1] * 9, -4),))
+    program = program_for(inst)
+    other = build_instance(
+        name="stein9-shifted",
+        constraint_matrix=inst.constraint_matrix,
+        rhs=[-2] + list(inst.rhs[1:]),
+        objective=inst.objective,
+        integer_vars=inst.integer_vars,
+        lower_bounds=inst.lower_bounds,
+        upper_bounds=inst.upper_bounds,
+    )
     with pytest.raises(ValueError):
-        solve_mip(inst, options=cut, program=program)
+        solve_mip(other, program=program)
+    with pytest.raises(ValueError):
+        solve_mip(binary_knapsack(), program=program)
     # the program holds rows only: another objective is the caller's choice
     assert solve_mip(inst, objective=[1] * 9, program=program) == solve_mip(inst, objective=[1] * 9)
-    face = SolveOptions(extra_equations=(scaled_row([1] * 9, 3),))
-    with pytest.raises(ValueError):
-        solve_mip(inst, options=face, program=program)
+    # a relaxation is the instance's rows alone: no cut and no equation
+    cut = program_for(inst, cuts=(scaled_row([-1] * 9, -4),))
+    face = program_for(inst, equations=(scaled_row([1] * 9, 3),))
+    for extra in (cut, face):
+        with pytest.raises(ValueError):
+            solve_lp_relaxation(inst, extra)
     with pytest.raises(ValueError):
         solve_lp_relaxation(binary_knapsack(), program)
     assert solve_mip(inst, program=program) == solve_mip(inst)

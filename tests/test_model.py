@@ -219,6 +219,16 @@ def test_normalize_cut_fixtures():
     assert max(abs(c) for c in degenerate.coefficients) == 0
 
 
+def test_normalize_cut_returns_a_normalized_cut_itself():
+    # the CLI path normalizes a cut when it is read, then passes it on to
+    # callers that normalize again: those passes build no new Inequality
+    for a, b in (([rat(1, 2), -1], rat(3, 2)), ([1, 0], 7), ([0, 0], 5)):
+        cut = Inequality(a, b)
+        assert normalize_cut(cut) is cut
+    once = normalize_cut(Inequality([2, -4], 6))
+    assert normalize_cut(once) is once
+
+
 def test_normalize_cut_idempotent_and_halfspace_preserving():
     rng = random.Random(23)
     for _ in range(40):

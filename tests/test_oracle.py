@@ -239,8 +239,9 @@ def test_each_provider_compiles_one_program(monkeypatch):
         [provider.program] * queries + [built[1]] * face.oracle_queries
     )
     monkeypatch.undo()
-    for _, objective, options, result in solves:
-        assert solve_mip(inst, objective, options) == result
+    for program, objective, options, result in solves:
+        fresh = LinearProgram(program.num_vars, program.ineq, program.eq)
+        assert solve_mip(inst, objective, options, fresh) == result
 
 
 def test_restrict_stacks_equations():
@@ -252,7 +253,7 @@ def test_restrict_stacks_equations():
     assert isinstance(resp, Infeasible)  # x=0 and x+y=2 and y<=1 clash
     # an equation given as an iterator is read once, into the same rows
     from_iter = MipOracle(square()).restrict(iter([1, 1]), 2)
-    assert (from_iter.equations, from_iter.options) == (oracle.equations, oracle.options)
+    assert (from_iter.equations, from_iter.program.eq) == (oracle.equations, oracle.program.eq)
 
 
 def test_restrict_holds_each_face_equation_once(monkeypatch):
@@ -263,9 +264,8 @@ def test_restrict_holds_each_face_equation_once(monkeypatch):
     once = MipOracle(square()).restrict([1, 1], 2)
     twice = once.restrict([1, 0], rat(1, 2))
     for face, count in ((once, 1), (twice, 2)):
-        # the solve options carry the provider's own rows, scaled once each
-        assert face.options.extra_equations is face.equations
-        assert face.program.eq == face.equations and len(face.equations) == count
+        # the program holds the provider's own rows, scaled once each
+        assert face.program.eq is face.equations and len(face.equations) == count
     assert len(scaled) == 2
 
 

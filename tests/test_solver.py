@@ -1,8 +1,11 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutdim.linalg import dot, scaled_row
 from cutdim.model import build_instance
@@ -12,6 +15,7 @@ from cutdim.selftest import random_instance
 from cutdim.solver import (
     SolveOptions,
     SolveStatus,
+    program_for,
     solve_lp_relaxation,
     solve_mip,
 )
@@ -102,20 +106,20 @@ def test_unbounded_root_probe_carries_extra_rows():
     )
     half = rat(1, 2)
 
-    def solve(**extra):
-        return solve_mip(inst, options=SolveOptions(**extra))
+    def solve(cuts=(), equations=()):
+        return solve_mip(inst, program=program_for(inst, cuts, equations))
 
     res = solve()
     assert res.status is SolveStatus.UNBOUNDED and res.ray == (1, 0, 0)
     # y = z and y + z = 1 meet only at y = z = 1/2; each row alone has
     # integer points, so no gcd test decides them and branching must
-    res = solve(extra_equations=(scaled_row((0, 1, -1), 0), scaled_row((0, 1, 1), 1)))
+    res = solve(equations=(scaled_row((0, 1, -1), 0), scaled_row((0, 1, 1), 1)))
     assert res.status is SolveStatus.INFEASIBLE and res.node_count > 2
     assert_trace_contract(res)
     assert res.trace[0][1] == math.inf and res.dual_bound == -math.inf
     pair = (scaled_row((0, 1, 0), half), scaled_row((0, -1, 0), -half))
-    assert solve(extra_constraints=pair).status is SolveStatus.INFEASIBLE
-    res = solve(extra_constraints=(scaled_row((0, 1, 0), 0),))
+    assert solve(cuts=pair).status is SolveStatus.INFEASIBLE
+    res = solve(cuts=(scaled_row((0, 1, 0), 0),))
     assert res.status is SolveStatus.UNBOUNDED and res.best_point[1] == 0
 
 
@@ -193,11 +197,11 @@ def test_node_limit():
 def test_extra_constraints_and_equations():
     inst = knapsack()
     cut = scaled_row((1, 1), 1)
-    res = solve_mip(inst, options=SolveOptions(extra_constraints=(cut,)))
+    res = solve_mip(inst, program=program_for(inst, cuts=(cut,)))
     assert res.status is SolveStatus.OPTIMAL
     assert res.primal_value == 5  # (1,0) still feasible
 
-    res = solve_mip(inst, options=SolveOptions(extra_equations=(scaled_row((1, 1), 1),)))
+    res = solve_mip(inst, program=program_for(inst, equations=(scaled_row((1, 1), 1),)))
     assert res.status is SolveStatus.OPTIMAL
     assert dot((1, 1), res.best_point) == 1
 
@@ -206,22 +210,6 @@ def test_objective_override():
     res = solve_mip(knapsack(), objective=[0, 1])
     assert res.primal_value == 1
     assert res.best_point[1] == 1
-
-
-def test_differential_against_enumeration():
-    """Optimum must equal the exhaustive lattice maximum, 120 cases."""
-    rng = random.Random(41)
-    for i in range(120):
-        inst = random_instance(rng, name=f"diff{i}", require_nonempty=False)
-        points = enumerate_lattice(inst)
-        res = solve_mip(inst)
-        if not points:
-            assert res.status is SolveStatus.INFEASIBLE, f"case {i}"
-            continue
-        want = max(dot(inst.objective, p) for p in points)
-        assert res.status is SolveStatus.OPTIMAL, f"case {i}: {res.status}"
-        assert res.primal_value == want, f"case {i}"
-        assert inst.is_feasible_point(res.best_point), f"case {i}"
 
 
 def test_nontermination_guard():
@@ -249,7 +237,8 @@ def test_gcd_test_proves_an_equation_without_integer_points():
         integer_vars=range(4),
         lower_bounds=[0] * 4,
     )
-    res = solve_mip(inst, options=SolveOptions(extra_equations=eq, node_limit=50))
+    limit = SolveOptions(node_limit=50)
+    res = solve_mip(inst, options=limit, program=program_for(inst, equations=eq))
     assert res.status is SolveStatus.INFEASIBLE
     assert (res.node_count, res.trace, res.best_point) == (0, (), None)
     assert res.primal_value == res.dual_bound == -math.inf
@@ -262,5 +251,62 @@ def test_gcd_test_proves_an_equation_without_integer_points():
         integer_vars=range(3),
         lower_bounds=[0] * 4,
     )
-    res = solve_mip(mixed, options=SolveOptions(extra_equations=eq, node_limit=50))
+    res = solve_mip(mixed, options=limit, program=program_for(mixed, equations=eq))
     assert res.status is SolveStatus.UNBOUNDED and res.node_count > 0
+
+
+_BOXES = st.sampled_from(((0, 1), (0, 1), (0, 2), (-1, 1)))
+_COEFFS = st.integers(-3, 3)
+_SHAPES = st.sampled_from(((2, 1), (1, 1), (2, 0), (0, 1), (1, 0), (0, 0)))  # (cuts, equations)
+
+
+@st.composite
+def _rows_case(draw):
+    """A pure-integer instance on a small box, an objective, 0-2 cuts and
+    0-1 equations, each extra row as rational (a, b)."""
+    n = draw(st.integers(2, 4))
+    lower, upper = zip(*(draw(_BOXES) for _ in range(n)))
+    vectors = st.lists(_COEFFS, min_size=n, max_size=n)
+    rows = draw(st.lists(vectors, max_size=2))
+    inst = build_instance(
+        name="rows",
+        constraint_matrix=rows,
+        rhs=[draw(st.integers(-1, 3)) for _ in rows],
+        objective=draw(vectors),
+        integer_vars=range(n),
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+    point = [draw(st.integers(lo, hi)) for lo, hi in zip(lower, upper)]
+    offsets = st.sampled_from((0, 0, 1, -1, Fraction(1, 2)))
+    # each row holds at `point` or misses it by a little
+    cuts, equations = (
+        [(a, dot(a, point) + draw(offsets)) for a in (draw(vectors) for _ in range(k))]
+        for k in draw(_SHAPES)
+    )
+    return inst, cuts, equations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_rows_case())
+def test_extra_rows_match_enumeration(case):
+    """A run on `program_for(inst, cuts, equations)` ends as the maximum
+    over the enumerated points that satisfy those rows, in Fractions."""
+    inst, cuts, equations = case
+    points = [
+        p for p in enumerate_lattice(inst)
+        if all(sum(Fraction(c) * x for c, x in zip(a, p)) <= b for a, b in cuts)
+        and all(sum(Fraction(c) * x for c, x in zip(a, p)) == b for a, b in equations)
+    ]
+    program = program_for(
+        inst,
+        cuts=[scaled_row(a, b) for a, b in cuts],
+        equations=[scaled_row(a, b) for a, b in equations],
+    )
+    res = solve_mip(inst, program=program)
+    if not points:
+        assert res.status is SolveStatus.INFEASIBLE
+        return
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.primal_value == max(dot(inst.objective, p) for p in points)
+    assert res.best_point in points
