@@ -59,7 +59,6 @@ from .oracle import (
     OracleError,
     OracleInconclusive,
     OracleSoundnessError,
-    PointCache,
     Unbounded,
     enumerate_lattice,
     make_provider,
@@ -103,7 +102,6 @@ __all__ = [
     "OracleInconclusive",
     "OracleSoundnessError",
     "ParseError",
-    "PointCache",
     "RunConfig",
     "RunRecord",
     "SolveOptions",

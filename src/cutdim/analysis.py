@@ -482,10 +482,12 @@ def analyze_instance(
     sense without dim P) and propagates HullInterrupted; per-cut
     interruptions are recorded as failures instead.
 
-    Each cut gets its own provider whose cache starts as a copy of the
-    hull run's and collects that cut's own points, so its face run can
-    probe them, and results do not depend on `jobs` or on scheduling;
-    with jobs > 1 the classifications run on worker threads.
+    Each cut gets its own provider whose cache starts as the hull run's
+    tuple and collects that cut's own points, so its face run can probe
+    them.  A cut's new points rebind only its own provider's cache, and
+    the base provider is never written while cuts run, so results do not
+    depend on `jobs` or on scheduling; with jobs > 1 the classifications
+    run on worker threads.
     """
     config = RunConfig() if config is None else config
     config.validate()
@@ -503,7 +505,7 @@ def analyze_instance(
     def classify_one(cut: Inequality):
         try:
             cls = classify_cut(
-                provider.with_cache(provider.cache.snapshot()),
+                provider.with_cache(provider.cache),
                 cut,
                 base=base,
                 tolerance=config.tolerance,

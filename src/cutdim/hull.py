@@ -196,7 +196,6 @@ def affine_hull(
     if query_budget is None:
         query_budget = max(1, 2 * (n - initial_count))
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    cache = provider.cache
 
     points: list[Vector] = []
     queries = 0
@@ -244,9 +243,10 @@ def affine_hull(
                 continue
             raise AssertionError("zero objective cannot be unbounded")
 
-        if cache is not None and len(cache):
+        cache = provider.cache  # each new point rebinds it to a longer tuple
+        if cache:
             # with no point yet, the first cached point plays points[0]
-            first = points[0] if points else cache.points()[0]
+            first = points[0] if points else cache[0]
             hit = cache_probe(cache, d, gamma=dot(d, first))
             if hit is not None:
                 if not points:

@@ -1,4 +1,4 @@
-"""Optimization oracles and the shared point cache.
+"""Optimization oracles and their point caches.
 
 The dimension algorithm only ever talks to an oracle: give it a
 direction w, get back either a maximizer, an unboundedness certificate
@@ -24,13 +24,15 @@ branch and bound solves first, runs once across all its queries.
 `with_cache` copies share the program, and `restrict` compiles one for
 the face whose equation rows are the provider's own `equations` tuple.
 
-A provider owns its PointCache: every optimal point it returns is
-remembered there, and hull runs probe it, where an affinely independent
-point found by an earlier query can stand in for two oracle calls.  A
-restricted provider (a face run's) starts its own cache from the
-parent's points on the face, so every cached point lies in the feasible
-set of the provider that holds it.  `make_provider` builds the provider
-for an engine name, cache attached.
+A provider's cache is an immutable tuple of the points it has returned,
+in first-seen order (None for a cold provider).  Each new point rebinds
+`provider.cache` to a longer tuple, so a copy that shares a tuple never
+sees the other's later points.  Hull runs probe the cache, where an
+affinely independent point found by an earlier query can stand in for
+two oracle calls.  A restricted provider (a face run's) starts its
+cache with the parent's points on the face, so every cached point lies
+in the feasible set of the provider that holds it.  `make_provider`
+builds the provider for an engine name, with an empty cache.
 
 With `verify` on (the default), every response is checked exactly, once
 (its point or witness lies in the provider's set, objective value, ray
@@ -45,7 +47,6 @@ import copy
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -96,52 +97,9 @@ class Infeasible:
 OracleResponse = Union[Optimal, Unbounded, Infeasible]
 
 
-class PointCache:
-    """Feasible points seen so far, in first-seen order.
-
-    Thread safe; `points()` returns an immutable snapshot.  The cache
-    checks nothing: `oracle_maximize`, its one writer, verifies each
-    point before inserting it.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._points: list[Vector] = []
-        self._seen: set[Vector] = set()
-
-    def add(self, point: Sequence) -> bool:
-        """Insert a point; returns True when it was new."""
-        pt = tuple(point)
-        with self._lock:
-            if pt in self._seen:
-                return False
-            self._seen.add(pt)
-            self._points.append(pt)
-            return True
-
-    def points(self) -> tuple:
-        with self._lock:
-            return tuple(self._points)
-
-    def filtered(self, keep) -> "PointCache":
-        """Independent copy of the points that pass `keep`, in order."""
-        clone = PointCache()
-        clone._points = [p for p in self.points() if keep(p)]
-        clone._seen = set(clone._points)
-        return clone
-
-    def snapshot(self) -> "PointCache":
-        """Independent copy: later inserts into either one stay private."""
-        return self.filtered(lambda p: True)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._points)
-
-
-def cache_probe(cache: PointCache, d: Sequence, gamma):
+def cache_probe(cache: tuple, d: Sequence, gamma):
     """The first cached point whose d-value differs from gamma, or None."""
-    for p in cache.points():
+    for p in cache:
         if dot(d, p) != gamma:
             return p
     return None
@@ -151,8 +109,8 @@ def oracle_maximize(provider, w: Sequence) -> OracleResponse:
     """One oracle query: maximize w over the provider's feasible set.
 
     Validates the direction, verifies the response when enabled, and
-    feeds optimal points and unbounded witnesses into the provider's
-    cache.  All query accounting goes through here.
+    appends optimal points and unbounded witnesses not yet cached to the
+    provider's cache.
     """
     w = exact_vector(w)
     if len(w) != provider.n:
@@ -160,9 +118,11 @@ def oracle_maximize(provider, w: Sequence) -> OracleResponse:
     response = provider.solve(w)
     if provider.verify:
         _verify_response(provider, w, response)
-    if provider.cache is not None and not isinstance(response, Infeasible):
-        provider.cache.add(response.point if isinstance(response, Optimal) else response.witness)
-    provider.query_count += 1
+    cache = provider.cache
+    if cache is not None and not isinstance(response, Infeasible):
+        point = response.point if isinstance(response, Optimal) else response.witness
+        if point not in cache:
+            provider.cache = cache + (point,)
     return response
 
 
@@ -218,27 +178,25 @@ class _Provider:
     """What both providers share.
 
     A provider holds its instance, the face equations it is restricted
-    to (each as the (d.a, d.b, d) row `scaled_row` gives), its cache
-    (None for a cold provider), its verify switch and its own query
-    count.  `restrict` and `with_cache` return shallow copies, so the
-    instance, limits and switch carry over unchanged.
+    to (each as the (d.a, d.b, d) row `scaled_row` gives), its cache (a
+    tuple of points, None for a cold provider) and its verify switch.
+    `restrict` and `with_cache` return shallow copies, so the instance,
+    limits and switch carry over unchanged.
     """
 
     instance: MipInstance
-    cache: Optional[PointCache]
+    cache: Optional[tuple]
     verify: bool
     equations: tuple = ()
-    query_count: int = 0
 
     @property
     def n(self) -> int:
         return self.instance.num_vars
 
-    def with_cache(self, cache: Optional[PointCache]):
-        """The same provider feeding and probing `cache` instead."""
+    def with_cache(self, cache: Optional[tuple]):
+        """The same provider starting from `cache` instead."""
         clone = copy.copy(self)
         clone.cache = cache
-        clone.query_count = 0
         return clone
 
     def restrict(self, coefficients: Sequence, beta):
@@ -249,7 +207,7 @@ class _Provider:
         """
         row = scaled_row(vector(coefficients), rat(beta))
         clone = self.with_cache(
-            None if self.cache is None else self.cache.filtered(_on_hyperplane(row))
+            None if self.cache is None else tuple(filter(_on_hyperplane(row), self.cache))
         )
         clone.equations = self.equations + (row,)
         return clone
@@ -268,7 +226,7 @@ class MipOracle(_Provider):
     def __init__(
         self,
         instance: MipInstance,
-        cache: Optional[PointCache] = None,
+        cache: Optional[tuple] = None,
         time_limit: Optional[float] = RunConfig.solve_time_limit,
         node_limit: Optional[int] = RunConfig.solve_node_limit,
         verify: bool = RunConfig.verify_oracle,
@@ -320,7 +278,7 @@ class BruteForceOracle(_Provider):
     def __init__(
         self,
         instance: MipInstance,
-        cache: Optional[PointCache] = None,
+        cache: Optional[tuple] = None,
         verify: bool = RunConfig.verify_oracle,
     ):
         self.instance = instance
@@ -349,19 +307,18 @@ def make_provider(
     time_limit: Optional[float] = RunConfig.solve_time_limit,
     node_limit: Optional[int] = RunConfig.solve_node_limit,
 ):
-    """The provider for `engine` ("solver" or "lattice") with a fresh cache.
+    """The provider for `engine` ("solver" or "lattice") with an empty cache.
 
     `verify` switches the response checks.  The limits bound each solver
     query; lattice scans ignore them.  For a cold provider, call
     `.with_cache(None)` on the result.
     """
-    cache = PointCache()
     if engine == "solver":
         return MipOracle(
-            inst, cache=cache, time_limit=time_limit, node_limit=node_limit, verify=verify
+            inst, cache=(), time_limit=time_limit, node_limit=node_limit, verify=verify
         )
     if engine == "lattice":
-        return BruteForceOracle(inst, cache=cache, verify=verify)
+        return BruteForceOracle(inst, cache=(), verify=verify)
     raise ValueError(f"unknown engine {engine!r}")
 
 

@@ -16,7 +16,7 @@ from cutdim.analysis import Verdict, classify_cut
 from cutdim.fileio import read_instance
 from cutdim.hull import HullInterrupted, affine_hull
 from cutdim.model import Inequality, build_instance
-from cutdim.oracle import MipOracle, PointCache, make_provider
+from cutdim.oracle import MipOracle, make_provider
 from cutdim.selftest import (
     ALL_SUITES,
     suite_classification,
@@ -123,8 +123,7 @@ def test_desk_scale_benchmark_dimensions(name, expected):
     if path is None:
         pytest.skip(f"benchmark file {name}.mps not on disk")
     inst = read_instance(path, fmt="mps")
-    cache = PointCache()
-    provider = MipOracle(inst, cache=cache, time_limit=None)
+    provider = MipOracle(inst, cache=(), time_limit=None)
     try:
         hull = affine_hull(provider, time_budget=1800.0)
     except HullInterrupted as exc:
@@ -162,7 +161,7 @@ def test_stein27_dimension_without_mps_file():
         lower_bounds=[0] * n,
         upper_bounds=[1] * n,
     )
-    hull = affine_hull(MipOracle(inst, cache=PointCache(), time_limit=None))
+    hull = affine_hull(MipOracle(inst, cache=(), time_limit=None))
     assert (hull.dimension, hull.oracle_queries, hull.cache_hits) == (27, 48, 3)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from cutdim import analysis
 from cutdim.analysis import (
     AnalysisError,
     DimensionBin,
+    RunRecord,
     Verdict,
     analyze_instance,
     build_histogram,
@@ -25,7 +27,7 @@ from cutdim.oracle import MipOracle, enumerate_lattice, make_provider
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
 from cutdim.simplex import LinearProgram
-from cutdim.solver import program_for, solve_lp_relaxation, solve_mip
+from cutdim.solver import SolveStatus, program_for, solve_lp_relaxation, solve_mip
 
 
 def square():
@@ -124,9 +126,11 @@ def test_normalization_applied_before_comparison():
     assert cls.beta_true == 2
 
 
-def test_zero_coefficient_cuts():
+def test_zero_coefficient_cuts(monkeypatch):
     provider, base = square_setup()
-    before = provider.query_count
+    solves = []
+    solve = provider.solve
+    monkeypatch.setattr(provider, "solve", lambda w: solves.append(w) or solve(w))
 
     flat = classify_cut(provider, Inequality([0, 0], 0), base=base)
     assert flat.verdict is Verdict.SUPPORTING
@@ -140,7 +144,7 @@ def test_zero_coefficient_cuts():
     assert bad.verdict is Verdict.INVALID
 
     # the sign of the rhs decides; the oracle is never consulted
-    assert provider.query_count == before
+    assert solves == []
 
 
 def test_degenerate_cuts_are_tallied_apart():
@@ -332,6 +336,71 @@ def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
     assert impact_protocol(inst, cuts, time_limit=None) == report
 
 
+STEIN9_COVER = Inequality([-1, -1, -2, 0, -1, 0, -1, 0, 0], -3, label="cov")
+
+
+def reshape_impact_runs(monkeypatch, *shapes):
+    """Make the impact runs (those seeded with the optimum) end as `shapes`
+    says, in call order: (status, nodes) keeps the real run's first
+    `nodes` trace entries; None keeps the run.  Returns the real runs."""
+    shapes = list(shapes)
+    real = []
+
+    def reshaped(inst, objective=None, options=None, program=None):
+        result = solve_mip(inst, objective, options, program)
+        if options is None or options.incumbent is None:
+            return result  # the reference solve
+        real.append(result)
+        shape = shapes.pop(0)
+        if shape is None:
+            return result
+        status, nodes = shape
+        return dataclasses.replace(
+            result, status=status, node_count=nodes, trace=result.trace[:nodes]
+        )
+
+    monkeypatch.setattr(analysis, "solve_mip", reshaped)
+    return real
+
+
+def test_impact_reads_a_stopped_run_at_its_last_node(monkeypatch):
+    real = reshape_impact_runs(monkeypatch, None, (SolveStatus.TIME_LIMIT, 5))
+    report = impact_protocol(stein9(), [STEIN9_COVER], time_limit=None)
+    baseline, cut = real
+    # the stopped run does not count towards N, so N is the baseline's
+    assert report.node_budget == baseline.node_count > 5
+    assert report.baseline.flag == ""
+    (run,) = report.runs
+    z = cut.trace[4][1]
+    assert (run.solve_status, run.nodes, run.flag) == ("time_limit", 5, "short-trace")
+    assert run.z_at_budget == z
+    assert run.gap == closed_gap(z, report.z_lp, report.z_star)
+
+
+def test_impact_run_stopped_before_its_root_reads_nothing(monkeypatch):
+    reshape_impact_runs(monkeypatch, None, (SolveStatus.TIME_LIMIT, 0))
+    report = impact_protocol(stein9(), [STEIN9_COVER], time_limit=None)
+    (run,) = report.runs
+    assert run == RunRecord("cov", "", "time_limit", 0, None, None, "short-trace")
+    assert report.baseline.gap is not None and report.baseline.flag == ""
+
+
+def test_impact_budget_without_a_completed_run(monkeypatch):
+    chop = Inequality([-1] * 9, -6, label="sum6")  # cuts off every optimum
+    real = reshape_impact_runs(
+        monkeypatch, (SolveStatus.TIME_LIMIT, 7), (SolveStatus.TIME_LIMIT, 4)
+    )
+    report = impact_protocol(stein9(), [STEIN9_COVER, chop], time_limit=None)
+    # no run completed: N is the smallest node count of the runs made
+    assert report.node_budget == 4
+    baseline, cut = real
+    run, skipped = report.runs
+    assert (report.baseline.nodes, report.baseline.flag) == (7, "")
+    assert report.baseline.z_at_budget == baseline.trace[3][1]
+    assert (run.nodes, run.flag, run.z_at_budget) == (4, "", cut.trace[3][1])
+    assert skipped.flag == "invalid-cut"
+
+
 def test_solve_mip_rejects_a_program_for_other_rows():
     inst = stein9()
     program = program_for(inst)
@@ -493,3 +562,20 @@ def test_analyze_instance_jobs_do_not_change_results():
     assert serial.dimension == threaded.dimension
     assert serial.classifications == threaded.classifications
     assert serial.impact == threaded.impact
+
+
+def test_each_cut_classifies_as_if_alone():
+    """A cut's provider starts from the hull run's cache alone, so no cut's
+    points reach another cut's face run."""
+    rng = random.Random(19)
+    inst = random_instance(rng, max_vars=4, name="alone")
+    points = enumerate_lattice(inst)
+    cuts = []
+    for j in range(4):
+        a = [rng.randint(-4, 4) for _ in range(inst.num_vars)]
+        cuts.append(Inequality(a, max(dot(a, p) for p in points), label=f"c{j}"))
+    config = RunConfig(engine="lattice", solve_time_limit=None)
+    together = analyze_instance(inst, cuts, config, run_impact=False)
+    for cut, cls in zip(cuts, together.classifications):
+        (alone,) = analyze_instance(inst, [cut], config, run_impact=False).classifications
+        assert cls == alone

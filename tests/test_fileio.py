@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from cutdim.analysis import analyze_instance, build_histogram
+from cutdim.analysis import (
+    AnalysisError,
+    Verdict,
+    analyze_instance,
+    build_histogram,
+    classify_cut,
+)
 from cutdim.config import RunConfig
 from cutdim.fileio import (
     ParseError,
@@ -22,6 +28,7 @@ from cutdim.fileio import (
     write_report,
 )
 from cutdim.model import Inequality, build_instance
+from cutdim.oracle import OracleInconclusive
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
 
@@ -168,6 +175,57 @@ def test_json_report_shape():
     assert doc["impact"]["z_star"] == "2"
     bins = {row["bin"]: row["weight"] for row in doc["histogram"]}
     assert bins == {"empty": "1/2", "[0%,5%)": "1/2"}
+
+
+def test_json_report_carries_exact_hull_equations():
+    # x0 is continuous and fixed at 1/2 by its rows; x1 ranges over 0..3
+    flat = build_instance(
+        name="flat",
+        constraint_matrix=[[2, 0], [-2, 0]],
+        rhs=[1, -1],
+        objective=[0, 1],
+        integer_vars=(1,),
+        lower_bounds=[0, 0],
+        upper_bounds=[None, 3],
+    )
+    analysis = analyze_instance(flat, [], RunConfig(solve_time_limit=None))
+    doc = json.loads(analysis_to_json(analysis))
+    assert doc["dimension"] == 1
+    assert doc["hull"]["equations"] == [{"coefficients": ["1", "0"], "rhs": "1/2"}]
+
+
+def test_a_cut_whose_oracle_gives_up_is_reported_as_failed(monkeypatch):
+    def gives_up_on_bad(provider, cut, **kwargs):
+        if cut.label == "bad":
+            raise OracleInconclusive("solver stopped at node_limit after 9 nodes")
+        return classify_cut(provider, cut, **kwargs)
+
+    monkeypatch.setattr("cutdim.analysis.classify_cut", gives_up_on_bad)
+    analysis = square_analysis()
+    reason = "oracle gave up: solver stopped at node_limit after 9 nodes"
+    assert analysis.failures == ("", reason, "")
+    assert analysis.failed_timeout == 1 and analysis.failed_invalid == 0
+    loose, failed, tight = analysis.classifications
+    assert failed is None
+    assert (loose.verdict, tight.verdict) == (Verdict.NON_SUPPORTING, Verdict.SUPPORTING)
+    doc = json.loads(analysis_to_json(analysis))
+    assert doc["summary"]["failed"]["timeout"] == 1
+    assert doc["cuts"][1]["failure"] == reason and doc["cuts"][1]["verdict"] is None
+    assert [c["verdict"] for c in doc["cuts"][::2]] == ["non-supporting", "supporting"]
+
+
+def test_an_impact_error_is_reported(monkeypatch):
+    def fails(*args, **kwargs):
+        raise AnalysisError("reference solve ended time_limit, not optimal")
+
+    monkeypatch.setattr("cutdim.analysis.impact_protocol", fails)
+    analysis = square_analysis()
+    assert analysis.impact is None
+    assert analysis.impact_error == "reference solve ended time_limit, not optimal"
+    doc = json.loads(analysis_to_json(analysis))
+    assert doc["impact_error"] == "reference solve ended time_limit, not optimal"
+    assert "impact" not in doc and doc["summary"]["node_budget"] is None
+    assert [c["verdict"] for c in doc["cuts"]] == ["non-supporting", "invalid", "supporting"]
 
 
 def test_csv_report_shape():

@@ -107,6 +107,36 @@ def test_bound_types():
     assert set(inst.integer_vars) == {1, 2}  # BV and UI force integrality
 
 
+def test_fixed_and_integer_lower_bounds():
+    text = wrap(
+        "COLUMNS\n    x  obj  1\n    y  obj  1\n    z  obj  1\n"
+        "BOUNDS\n FX bnd  x  3/2\n LI bnd  y  -2\n UP bnd  y  -1\n LI bnd  z  3\n"
+    )
+    inst = read_instance_mps(text)
+    # LI keeps y's lower bound under a negative UP, as LO would
+    assert inst.lower_bounds == (rat(3, 2), rat(-2), rat(3))
+    assert inst.upper_bounds == (rat(3, 2), rat(-1), None)
+    assert set(inst.integer_vars) == {1, 2}  # LI forces integrality, FX does not
+
+
+def test_ranges_on_greater_and_equality_rows():
+    text = (
+        "NAME r\nROWS\n N  obj\n G  low\n E  pos\nCOLUMNS\n"
+        "    x  obj  1  low  1\n    y  obj  1  pos  1\n"
+        "RHS\n    rhs  low  1  pos  2\nRANGES\n    rng  low  -3  pos  3\nENDATA\n"
+    )
+    inst = read_instance_mps(text)
+    # a G row's range counts by its size: 1 <= x <= 4; range 3 on an E row
+    # means 2 <= y <= 5
+    assert inst.constraint_matrix == (
+        (rat(-1), rat(0)),
+        (rat(1), rat(0)),
+        (rat(0), rat(1)),
+        (rat(0), rat(-1)),
+    )
+    assert inst.rhs == (rat(-1), rat(4), rat(5), rat(-2))
+
+
 def test_equality_row_with_negative_range():
     text = (
         "NAME e\nROWS\n N  obj\n E  link\nCOLUMNS\n    x  obj  1  link  1\n"

@@ -15,7 +15,6 @@ from cutdim.oracle import (
     Optimal,
     OracleInconclusive,
     OracleSoundnessError,
-    PointCache,
     Unbounded,
     cache_probe,
     enumerate_lattice,
@@ -112,20 +111,22 @@ def test_soundness_guard_rejects_bad_witnesses():
         integer_vars=(0,),
         lower_bounds=[0],
     )
-    oracle = BadWitnessOracle(halfline, cache=PointCache())
+    oracle = BadWitnessOracle(halfline, cache=())
     with pytest.raises(OracleSoundnessError, match="witness is infeasible"):
         oracle_maximize(oracle, [1])
     assert len(oracle.cache) == 0
 
 
-def test_query_counting_and_cache_population():
-    cache = PointCache()
-    oracle = MipOracle(knapsack(), cache=cache)
+def test_query_counting_and_cache_population(monkeypatch):
+    oracle = MipOracle(knapsack(), cache=())
+    solves = []
+    solve = oracle.solve
+    monkeypatch.setattr(oracle, "solve", lambda w: solves.append(w) or solve(w))
     oracle_maximize(oracle, [5, 4])
     oracle_maximize(oracle, [-1, -1])
-    assert oracle.query_count == 2
-    assert len(cache) == 2
-    for p in cache.points():
+    assert solves == [(5, 4), (-1, -1)]  # one solve per query
+    assert len(oracle.cache) == 2
+    for p in oracle.cache:
         assert knapsack().is_feasible_point(p)
 
 
@@ -137,7 +138,7 @@ class InfeasibleOracle(MipOracle):
 
 
 def test_soundness_guard_rejects_bad_points():
-    oracle = InfeasibleOracle(knapsack(), cache=PointCache())
+    oracle = InfeasibleOracle(knapsack(), cache=())
     with pytest.raises(OracleSoundnessError, match="violates the instance"):
         oracle_maximize(oracle, [1, 1])
     assert len(oracle.cache) == 0  # the check runs before the insert
@@ -181,7 +182,6 @@ def test_make_provider_engines_and_verify_switch():
     assert (solver.time_limit, solver.node_limit) == (5.0, 9)
     lattice = make_provider(knapsack(), "lattice", verify=False)
     assert isinstance(lattice, BruteForceOracle) and not lattice.verify
-    lattice.cache.add((1, 1))  # infeasible: the cache itself checks nothing
     with pytest.raises(ValueError, match="engine"):
         make_provider(knapsack(), "simplex")
 
@@ -189,11 +189,14 @@ def test_make_provider_engines_and_verify_switch():
 def test_with_cache_keeps_settings_and_counts_apart():
     provider = make_provider(square(), "lattice")
     oracle_maximize(provider, [1, 1])
-    local = provider.with_cache(provider.cache.snapshot())
+    local = provider.with_cache(provider.cache)
     oracle_maximize(local, [-1, -1])
     assert local.points is provider.points  # no second enumeration
-    assert (provider.query_count, local.query_count) == (1, 1)
-    assert len(provider.cache) == 1 and len(local.cache) == 2
+    assert (local.instance, local.verify) == (provider.instance, provider.verify)
+    assert provider.cache == ((1, 1),) and local.cache == ((1, 1), (0, 0))
+    # and back: a later query on the parent does not reach the copy
+    oracle_maximize(provider, [1, -1])
+    assert provider.cache == ((1, 1), (1, 0)) and local.cache == ((1, 1), (0, 0))
     assert provider.with_cache(None).cache is None
 
 
@@ -225,9 +228,9 @@ def test_each_provider_compiles_one_program(monkeypatch):
 
     monkeypatch.setattr(LinearProgram, "__init__", counted_init)
     monkeypatch.setattr("cutdim.oracle.solve_mip", recorded_solve_mip)
-    provider = MipOracle(inst, cache=PointCache())
+    provider = MipOracle(inst, cache=())
     base = affine_hull(provider)
-    clone = provider.with_cache(provider.cache.snapshot())
+    clone = provider.with_cache(provider.cache)
     assert clone.program is provider.program
     oracle_maximize(clone, [1, 1, 0, 0])  # beta_true of x0 + x1 <= 1
     face = face_hull(clone, base, Inequality([1, 1, 0, 0], 1))
@@ -355,13 +358,10 @@ def test_oracle_agreement():
 
 
 def test_cache_probe_modes():
-    cache = PointCache()
-    assert cache_probe(cache, [1, 0], gamma=rat(0)) is None  # empty cache
+    assert cache_probe((), [1, 0], gamma=rat(0)) is None  # empty cache
 
-    cache.add((0, 0))
-    assert cache_probe(cache, [1, 0], gamma=rat(0)) is None  # no d-value differs
-    cache.add((1, 1))
-    cache.add((1, 0))
+    assert cache_probe(((0, 0),), [1, 0], gamma=rat(0)) is None  # no d-value differs
+    cache = ((0, 0), (1, 1), (1, 0))
     # the first point with d.p != gamma, in first-seen order
     assert cache_probe(cache, [1, 0], gamma=rat(0)) == (rat(1), rat(1))
     assert cache_probe(cache, [0, 1], gamma=rat(1)) == (rat(0), rat(0))
@@ -373,20 +373,20 @@ def test_restrict_keeps_the_parents_points_on_the_face():
     provider = make_provider(inst, "lattice")
     for _ in range(12):
         oracle_maximize(provider, [rng.randint(-3, 3) for _ in range(inst.num_vars)])
-    held = provider.cache.points()
+    held = provider.cache
     a = [rng.randint(-3, 3) for _ in range(inst.num_vars)]
     beta = max(dot(a, p) for p in held)
     face = provider.restrict(a, beta)
     on_face = tuple(p for p in held if dot(a, p) == beta)
-    assert face.cache.points() == on_face and on_face
+    assert face.cache == on_face and on_face
     assert face.points == tuple(p for p in provider.points if dot(a, p) == beta)
 
     for _ in range(12):
         oracle_maximize(face, [rng.randint(-3, 3) for _ in range(inst.num_vars)])
-    new = face.cache.points()[len(on_face):]
-    assert face.cache.points()[: len(on_face)] == on_face
+    new = face.cache[len(on_face):]
+    assert face.cache[: len(on_face)] == on_face
     assert new and all(dot(a, p) == beta and p not in held for p in new)
-    assert provider.cache.points() == held  # face points stay out of the parent
+    assert provider.cache == held  # face points stay out of the parent
     assert provider.with_cache(None).restrict(a, beta).cache is None  # cold stays cold
 
 
@@ -401,16 +401,6 @@ def test_enumerate_lattice_guards():
     )
     with pytest.raises(ValueError, match="unbounded"):
         enumerate_lattice(unbounded)
-
-
-def test_snapshot_isolation():
-    cache = PointCache()
-    cache.add((0, 0))
-    clone = cache.snapshot()
-    cache.add((1, 1))
-    assert len(clone) == 1 and len(cache) == 2
-    clone.add((0, 1))
-    assert len(cache) == 2
 
 
 _COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -471,7 +461,7 @@ def test_integer_lattice_engine_matches_fraction_twin(case):
     _check_scans(provider, points, directions)
 
     den = math.lcm(*(c.denominator for c in a))
-    held = provider.cache.points()
+    held = provider.cache
     betas = [rat(2 * k + 1, 2 * den)]  # d.beta = k + 1/2
     if points:
         betas.append(dot(a, points[k % len(points)]))
@@ -479,9 +469,9 @@ def test_integer_lattice_engine_matches_fraction_twin(case):
         face = provider.restrict(a, beta)
         on_face = fraction_on_hyperplane(points, a, beta)
         assert face.points == tuple(on_face)
-        assert face.cache.points() == tuple(fraction_on_hyperplane(held, a, beta))
+        assert face.cache == tuple(fraction_on_hyperplane(held, a, beta))
         if (beta * den).denominator != 1:
-            assert not on_face and not face.cache.points()
+            assert not on_face and not face.cache
         _check_scans(face, on_face, directions)
 
 
