@@ -233,11 +233,18 @@ def impact_protocol(
     The reference solve, z_lp (its root LP) and the baseline run solve
     the same rows and objective, so they share one compiled program, and
     an LP one of them solved is not solved again.
+
+    Only the reference solve prunes by the objective grid
+    (`SolveOptions.objective_grid`): it is read for its optimum alone.
+    The baseline and cut runs keep the rule off, because it prunes nodes
+    the plain rule solves, and so moves the dual-bound trace read at N
+    and N itself.
     """
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be at least 1")
     program = program_for(inst)
-    full = solve_mip(inst, options=SolveOptions(time_limit=time_limit), program=program)
+    reference = SolveOptions(time_limit=time_limit, objective_grid=True)
+    full = solve_mip(inst, options=reference, program=program)
     if full.status is not SolveStatus.OPTIMAL:
         raise AnalysisError(f"reference solve ended {full.status.value}, not optimal")
     z_star, x_star = full.primal_value, full.best_point

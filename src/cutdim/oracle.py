@@ -221,6 +221,11 @@ class MipOracle(_Provider):
     so the root's phase one runs once across the queries.  `with_cache`
     copies share the program; `restrict` compiles one for the face, whose
     equation rows are the provider's own `equations` tuple.
+
+    Queries prune by the objective grid (`SolveOptions.objective_grid`):
+    a query's answer is its status, point, value and ray, which the rule
+    never moves, and no query's trace is read, so only its node count
+    falls.
     """
 
     def __init__(
@@ -234,7 +239,9 @@ class MipOracle(_Provider):
         self.instance = instance
         self.cache = cache
         self.verify = verify
-        self.options = SolveOptions(time_limit=time_limit, node_limit=node_limit)
+        self.options = SolveOptions(
+            time_limit=time_limit, node_limit=node_limit, objective_grid=True
+        )
         self.program = program_for(instance)
 
     @property

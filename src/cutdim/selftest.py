@@ -191,16 +191,20 @@ def suite_classification(
 
 def suite_solver(seed: int, rounds: int = 40, max_vars: int = 6) -> SuiteResult:
     """Branch-and-bound optima agree with enumeration, with and without a
-    seeded incumbent; dual bound traces never rise."""
+    seeded incumbent and with the objective grid on; dual bound traces
+    never rise."""
     rng = random.Random(seed)
     result = SuiteResult("solver", rounds)
     for i in range(rounds):
         inst = random_instance(rng, max_vars=max_vars, name=f"sol{i}", require_nonempty=False)
         points = enumerate_lattice(inst)
         res = solve_mip(inst)
+        grid = solve_mip(inst, options=SolveOptions(objective_grid=True))
         if not points:
             result.check(res.status is SolveStatus.INFEASIBLE,
                          f"round {i}: {res.status.value} on an empty set")
+            result.check(grid.status is SolveStatus.INFEASIBLE,
+                         f"round {i}: {grid.status.value} on an empty set, grid on")
             continue
         ints, den = int_scale(inst.objective)
         truth = rat(max(dot(ints, p) for p in points), den)
@@ -208,6 +212,11 @@ def suite_solver(seed: int, rounds: int = 40, max_vars: int = 6) -> SuiteResult:
                      f"round {i}: {res.status.value} value {res.primal_value}, wanted {truth}")
         result.check(res.best_point is not None and inst.is_feasible_point(res.best_point),
                      f"round {i}: optimum {res.best_point} is not a feasible point")
+        result.check(grid.status is SolveStatus.OPTIMAL and grid.primal_value == truth,
+                     f"round {i}: grid on, {grid.status.value} value {grid.primal_value}, "
+                     f"wanted {truth}")
+        result.check(grid.best_point == res.best_point,
+                     f"round {i}: grid on, optimum {grid.best_point}, plain {res.best_point}")
         bounds = [b for _, b in res.trace]
         result.check(all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:])),
                      f"round {i}: dual trace not monotone")

@@ -12,6 +12,18 @@ After every counted node the current dual bound (max of primal value and
 best open node bound) is appended to a trace, which is what the cut
 impact protocol reads at a fixed node budget.
 
+A node is pruned when its bound (its parent's LP value) is at most the
+primal value, so it cannot improve the incumbent.  With
+`SolveOptions.objective_grid` on, it is also pruned when that bound,
+rounded down to the objective's grid, is at most the primal value.  The
+grid exists when the objective c = ints / den is zero on every
+continuous variable: then every feasible value is a multiple of g/den,
+g = gcd(ints), and such a node holds no point above the incumbent
+(Achterberg, *Constraint Integer Programming*, 2007).  The incumbent
+changes only on a strict improvement, so the rule moves no status,
+point, value or ray.  It only solves fewer nodes, which moves the node
+count and the trace, so runs whose trace is read keep it off.
+
 An unbounded root LP does not end the search.  The same loop then looks
 for any feasible point with a zero objective, on the same program and
 starting again from the root, so the root LP is counted twice (nodes 1
@@ -67,12 +79,16 @@ class SolveOptions:
     """Knobs for one solve; its rows are the program's (`program_for`).
 
     An incumbent seeds the primal bound and must be feasible for the
-    run's rows.  Limits of None mean unlimited.
+    run's rows.  Limits of None mean unlimited.  `objective_grid` prunes
+    nodes by the objective's grid (module docstring); it is inert when
+    a continuous variable has a nonzero objective entry, and it changes
+    only node counts and the trace, never the answer.
     """
 
     incumbent: Optional[Sequence] = None
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
+    objective_grid: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,6 +160,7 @@ def solve_mip(
         deadline = time.monotonic() + options.time_limit
 
     cost = program.objective(obj)
+    grid = _grid(inst, cost) if options.objective_grid else None
     heap: list[_Node] = []
     counter = 0
     # node bounds are ints where integral, so no LP solve converts them again
@@ -164,7 +181,7 @@ def solve_mip(
 
     while heap:
         # discard nodes that cannot improve the incumbent; they are not solved
-        while heap and heap[0].bound != math.inf and heap[0].bound <= primal:
+        while heap and heap[0].bound != math.inf and _dominated(heap[0].bound, primal, grid):
             heapq.heappop(heap)
         if not heap:
             break
@@ -187,6 +204,7 @@ def solve_mip(
             # objective from a fresh root; the first point found ends it.
             ray = tuple(int_row(lp.ray))
             cost = program.objective((0,) * inst.num_vars)
+            grid = _grid(inst, cost) if options.objective_grid else None
             primal, best = -math.inf, None
             heapq.heappush(heap, node)
         elif lp.status is LPStatus.OPTIMAL:
@@ -243,6 +261,29 @@ def _gcd_excludes(inst: MipInstance, program: LinearProgram) -> bool:
         if g and b % g and all(j in inst.integer_vars for j, v in enumerate(ints) if v):
             return True
     return False
+
+
+def _grid(inst: MipInstance, cost) -> Optional[tuple]:
+    """(g, den) when every value of the objective c = ints / den on the
+    run's points is a multiple of g/den, g = gcd(ints): c is zero on
+    every continuous variable and nonzero somewhere.  None otherwise."""
+    if any(v and j not in inst.integer_vars for j, v in enumerate(cost.ints)):
+        return None
+    g = math.gcd(*cost.ints)
+    return (g, cost.den) if g else None
+
+
+def _dominated(bound, primal, grid) -> bool:
+    """True when a node with LP bound `bound` holds no point above
+    `primal`: bound <= primal, or, on the grid (g, den), the bound's grid
+    floor, floor(bound.den/g).g, is at most primal.den (an int multiple
+    of g, since primal is a value of a point)."""
+    if grid is None or primal == -math.inf:
+        return bound <= primal
+    g, den = grid
+    return (bound.numerator * den) // (bound.denominator * g) * g <= (
+        primal.numerator * den // primal.denominator
+    )
 
 
 def _pick_branch_variable(point, int_vars) -> Optional[int]:

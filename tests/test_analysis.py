@@ -401,6 +401,35 @@ def test_impact_budget_without_a_completed_run(monkeypatch):
     assert skipped.flag == "invalid-cut"
 
 
+def test_only_the_reference_solve_prunes_by_the_objective_grid(monkeypatch):
+    cuts = [STEIN9_COVER, Inequality([-1] * 9, -6, label="sum6")]  # sum6 is skipped
+    report = impact_protocol(stein9(), cuts, time_limit=None)
+    grids = []  # objective_grid of each solve, in call order
+
+    def recorded(inst, objective=None, options=None, program=None):
+        grids.append(options.objective_grid)
+        return solve_mip(inst, objective, options, program)
+
+    monkeypatch.setattr(analysis, "solve_mip", recorded)
+    assert impact_protocol(stein9(), cuts, time_limit=None) == report
+    assert grids == [True, False, False]  # reference, baseline, the cov run
+
+    def forced(grid):
+        def solve(inst, objective=None, options=None, program=None):
+            options = dataclasses.replace(options, objective_grid=grid)
+            return solve_mip(inst, objective, options, program)
+        return solve
+
+    # the reference solve's answer does not depend on the rule ...
+    monkeypatch.setattr(analysis, "solve_mip", forced(False))
+    assert impact_protocol(stein9(), cuts, time_limit=None) == report
+    # ... but the impact runs' traces do: with it on, N and the gaps move
+    monkeypatch.setattr(analysis, "solve_mip", forced(True))
+    pruned = impact_protocol(stein9(), cuts, time_limit=None)
+    assert pruned.z_star == report.z_star
+    assert pruned.node_budget < report.node_budget
+
+
 def test_solve_mip_rejects_a_program_for_other_rows():
     inst = stein9()
     program = program_for(inst)

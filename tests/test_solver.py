@@ -310,3 +310,79 @@ def test_extra_rows_match_enumeration(case):
     assert res.status is SolveStatus.OPTIMAL
     assert res.primal_value == max(dot(inst.objective, p) for p in points)
     assert res.best_point in points
+
+
+def solve_with_and_without_grid(inst, objective=None):
+    """The plain solve and the objective-grid solve of one instance;
+    asserts they give the same answer and the grid solves no more nodes."""
+    plain = solve_mip(inst, objective)
+    grid = solve_mip(inst, objective, SolveOptions(objective_grid=True))
+    assert (grid.status, grid.best_point, grid.primal_value, grid.ray) == (
+        plain.status, plain.best_point, plain.primal_value, plain.ray
+    )
+    assert grid.node_count <= plain.node_count
+    return plain, grid
+
+
+_SCALES = st.sampled_from((1, 2, 3, Fraction(1, 2), Fraction(2, 3)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), _SCALES)
+def test_objective_grid_keeps_pure_integer_answers(seed, scale):
+    """Scaling the objective moves the grid step g/den off 1."""
+    inst = random_instance(random.Random(seed), name="grid", require_nonempty=False)
+    solve_with_and_without_grid(inst, [scale * c for c in inst.objective])
+
+
+@st.composite
+def _mixed_case(draw, continuous_objective=False, unbounded_root=False):
+    """A mixed-integer instance on a small box: 1-3 integer variables,
+    then 1-2 continuous ones, 1-3 rows over all of them.  The objective
+    is zero on the continuous variables unless `continuous_objective`.
+    With `unbounded_root` one more integer variable, free above and in
+    no row, has a positive objective entry, so the root LP is unbounded."""
+    k = draw(st.integers(1, 3))
+    n = k + draw(st.integers(1, 2))
+    vectors = st.lists(_COEFFS, min_size=n, max_size=n)
+    rows = draw(st.lists(vectors, min_size=1, max_size=3))
+    lower, upper = zip(*(draw(_BOXES) for _ in range(n)))
+    objective = [draw(_COEFFS) * draw(_SCALES) if j < k else 0 for j in range(n)]
+    if continuous_objective:
+        objective[draw(st.integers(k, n - 1))] = draw(st.sampled_from((1, -1, Fraction(1, 2))))
+    integer_vars = list(range(k))
+    if unbounded_root:
+        rows = [row + [0] for row in rows]
+        objective.append(1)
+        integer_vars.append(n)
+        lower, upper = lower + (0,), upper + (None,)
+    return build_instance(
+        name="mixed",
+        constraint_matrix=rows,
+        rhs=[draw(st.integers(-2, 3)) * draw(_SCALES) for _ in rows],
+        objective=objective,
+        integer_vars=integer_vars,
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_mixed_case())
+def test_objective_grid_keeps_mixed_integer_answers(inst):
+    solve_with_and_without_grid(inst)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_mixed_case(continuous_objective=True))
+def test_objective_grid_is_inert_on_a_continuous_objective(inst):
+    plain, grid = solve_with_and_without_grid(inst)
+    assert grid == plain  # node counts and traces included
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_mixed_case(unbounded_root=True))
+def test_objective_grid_keeps_unbounded_root_answers(inst):
+    plain, grid = solve_with_and_without_grid(inst)
+    assert plain.status in (SolveStatus.UNBOUNDED, SolveStatus.INFEASIBLE)
+    assert grid == plain  # the search after the root has a zero objective
