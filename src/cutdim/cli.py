@@ -229,7 +229,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"file error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"file error: {where}{exc.strerror}", file=sys.stderr)
         return 2
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)

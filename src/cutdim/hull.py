@@ -21,31 +21,34 @@ without a cache gives a cold run.
 
 Face dimension runs reuse the machinery unchanged: restrict the oracle
 to the face's hyperplane (its cache then holds only points on the face)
-and start from the base system plus the face equation.
+and start from the base system plus the face equation, sharing its form.
 
-Directions are coprime ints, and points keep the ints their engine
-computed, so the rounds' dot products and checks are int arithmetic.
+X and D each keep one integer echelon form (X's of its differences from
+its first point), grown a row at a time as a point or equation joins.
+Directions are coprime ints read off those forms, and points keep the
+ints their engine computed, so the rounds' checks are int arithmetic.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .config import RunConfig
 from .linalg import (
+    Echelon,
     Matrix,
     Vector,
     dot,
-    echelon_form,
     exact_vector,
+    extended,
     is_in_span,
     orthogonal_complement_basis,
     rank,
     scaled_row,
     vec_add_scaled,
+    vec_sub,
 )
 from .model import Inequality
 from .oracle import (
@@ -84,11 +87,12 @@ class HullInterrupted(HullError):
 class EquationSystem:
     """Equations D.x = e with linearly independent rows, each held once as
     the (d.a, d.b, d) row `scaled_row` gives: `violated_row` takes int
-    dot products, and `echelon` (their integer reduced echelon form,
-    built once) answers span and rank questions.  `rows` and `rhs` give
+    dot products, and `echelon` (their integer echelon form, grown a row
+    at a time) answers span and rank questions.  `rows` and `rhs` give
     the rational equations back for output, a row with d = 1 as ints."""
 
     scaled: tuple = ()
+    echelon: Echelon = Echelon()
 
     @classmethod
     def empty(cls) -> "EquationSystem":
@@ -98,7 +102,8 @@ class EquationSystem:
         return len(self.scaled)
 
     def with_equation(self, coefficients: Sequence, value) -> "EquationSystem":
-        return EquationSystem(self.scaled + (scaled_row(exact_vector(coefficients), rat(value)),))
+        row = scaled_row(exact_vector(coefficients), rat(value))
+        return EquationSystem(self.scaled + (row,), extended(self.echelon, row[0]))
 
     @property
     def rows(self) -> Matrix:
@@ -107,10 +112,6 @@ class EquationSystem:
     @property
     def rhs(self) -> Vector:
         return tuple(rat(b, d) for _, b, d in self.scaled)
-
-    @functools.cached_property
-    def echelon(self) -> Matrix:
-        return echelon_form([ints for ints, _, _ in self.scaled])
 
     def violated_row(self, point: Sequence) -> Optional[int]:
         for i, (ints, target, _) in enumerate(self.scaled):
@@ -137,28 +138,19 @@ class AffineHullResult:
     cache_hits: int
 
 
-def select_direction(
-    points: Sequence[Vector], equations: EquationSystem, n: int
-) -> Optional[Vector]:
-    """A direction orthogonal to aff(points) outside span(rows).
-
-    Among the complement basis the sparsest vector is preferred, ties
-    broken by lexicographically smallest support, then by entries, so
-    runs are reproducible.  Returns None when no direction exists,
-    which can only happen with no points and n independent equations.
+def select_direction(span: Echelon, equations: EquationSystem, n: int) -> Optional[Vector]:
+    """A direction orthogonal to `span`, the echelon form of X's
+    differences, and outside the row span of `equations`: the sparsest
+    such complement vector, ties broken by lexicographically smallest
+    support, then by entries, so runs are reproducible; else None.
     """
-    pts = list(points)
-    diffs = [tuple(p - q for p, q in zip(x, pts[0])) for x in pts[1:]]
-
     def key(v):
         support = tuple(j for j, c in enumerate(v) if c != 0)
         return (len(support), support, v)
 
-    for v in sorted(orthogonal_complement_basis(diffs, n), key=key):
+    for v in sorted(orthogonal_complement_basis(span, n), key=key):
         if not is_in_span(v, equations.echelon):
             return v
-    if pts:
-        raise AssertionError("no direction left although |X|+rows(D) <= n")
     return None
 
 
@@ -198,6 +190,7 @@ def affine_hull(
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
     points: list[Vector] = []
+    span = Echelon()  # of the differences x - points[0], x in X
     queries = 0
     cache_hits = 0
 
@@ -218,6 +211,7 @@ def affine_hull(
 
     def checked_append(point):
         """Every point entering X must satisfy the current equations."""
+        nonlocal span
         bad = eqs.violated_row(point)
         if bad is not None:
             if bad < initial_count:
@@ -226,14 +220,18 @@ def affine_hull(
                     f"initial equation {bad}: {eqs.render()[bad]}"
                 )
             raise AssertionError("feasible point violates an equation proved this run")
+        if points:
+            span = extended(span, vec_sub(point, points[0]))
         points.append(point)
 
     while len(points) + len(eqs) < n + 1:
         if deadline is not None and time.monotonic() > deadline:
             raise interrupted("time budget exhausted")
-        d = select_direction(points, eqs, n)
+        d = select_direction(span, eqs, n)
 
         if d is None:
+            if points:
+                raise AssertionError("no direction left although |X|+rows(D) <= n")
             # n equations and no point yet: the set is a point or empty
             resp = query((0,) * n)
             if isinstance(resp, Infeasible):

@@ -14,13 +14,14 @@ the one elimination step, keeps every row a positive multiple of the
 row exact rational Gauss-Jordan would give (fraction-free, after
 Edmonds and Bareiss).  Signs, zero patterns and ratios within a row
 therefore read as in the rational form, and rank and span questions are
-decided, never estimated.  A fixed system keeps its `echelon_form`, so
-each span question on it is one reduction.  Complement directions are
-read straight off those integer rows as coprime ints.
+decided, never estimated.  Spans grow through `extended`, one row at a
+time, into an `Echelon`, so each span question on one is one reduction.
+Complement directions are read straight off its rows as coprime ints.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -134,49 +135,49 @@ def pivot(rows: list[list[int]], r: int, c: int) -> None:
             rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
 
 
-def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form as integer rows. Returns (rows, pivot columns).
+class Echelon(tuple):
+    """A span's unique integer reduced echelon form, as `extended` grows
+    it: coprime rows sorted by their pivot columns (`pivots`), each
+    positive there and zero at every other row's, so none needs reducing."""
 
-    The reduced form is unique, so the first nonzero row serves as pivot.
-    Row k is a positive multiple of the rational form's row k.
-    """
-    work = [int_row(row) for row in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(work):
-            break
-        best = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if best is None:
-            continue
-        work[r], work[best] = work[best], work[r]
-        pivot(work, r, c)
-        pivots.append(c)
-        r += 1
-    return work, pivots
+    def __new__(cls, rows=(), pivots=()):
+        form = super().__new__(cls, rows)
+        form.pivots = pivots
+        return form
+
+
+def extended(form: Echelon, row: Sequence) -> Echelon:
+    """The echelon form of span(form) + row: `form` itself when the row
+    lies in that span, else a new form with the reduced row pivoted in."""
+    if form and len(row) != len(form[0]):
+        raise LinAlgError(f"row of length {len(row)} in Q^{len(form[0])}")
+    rows = [*form, int_row(row)]
+    for r, c in enumerate(form.pivots):
+        pivot(rows, r, c)
+    c = next((c for c, v in enumerate(rows[-1]) if v), None)
+    if c is None:
+        return form
+    pivot(rows, len(form), c)
+    pivots, rows = zip(*sorted(zip((*form.pivots, c), map(tuple, rows))))
+    return Echelon(rows, pivots)
+
+
+def echelon_form(rows: Sequence[Sequence]) -> Echelon:
+    """The integer reduced row echelon form of `rows`; an Echelon is its own."""
+    if isinstance(rows, Echelon):
+        return rows
+    return reduce(extended, rows, Echelon())
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    _, pivots = _echelon(rows)
-    return len(pivots)
-
-
-def echelon_form(rows: Sequence[Sequence]) -> Matrix:
-    """The integer reduced row echelon form of `rows`, as row tuples."""
-    return tuple(map(tuple, _echelon(rows)[0]))
+    return len(echelon_form(rows))
 
 
 def is_in_span(candidate: Sequence, rows: Sequence[Sequence]) -> bool:
-    """True when `candidate` lies in the row span of `rows`: one echelon
-    pass over `rows` (a no-op on an `echelon_form`), one reduction."""
-    work, pivots = _echelon(rows)
-    work.append(int_row(candidate))
-    for r, c in enumerate(pivots):
-        pivot(work, r, c)
-    return not any(work[-1])
+    """True when `candidate` lies in the row span of `rows`: on an
+    Echelon, one reduction of the candidate."""
+    form = echelon_form(rows)
+    return extended(form, candidate) is form
 
 
 def orthogonal_complement_basis(vectors: Sequence[Sequence], n: int) -> list[Vector]:
@@ -194,13 +195,13 @@ def orthogonal_complement_basis(vectors: Sequence[Sequence], n: int) -> list[Vec
     for v in vectors:
         if len(v) != n:
             raise LinAlgError(f"vector of length {len(v)} in Q^{n}")
-    rref, pivots = _echelon(vectors)
-    scale = lcm(*(row[pc] for row, pc in zip(rref, pivots)))
+    rref = echelon_form(vectors)
+    scale = lcm(*(row[pc] for row, pc in zip(rref, rref.pivots)))
     basis: list[Vector] = []
-    for free in sorted(set(range(n)) - set(pivots)):
+    for free in sorted(set(range(n)) - set(rref.pivots)):
         y = [0] * n
         y[free] = scale
-        for row, pc in zip(rref, pivots):
+        for row, pc in zip(rref, rref.pivots):
             y[pc] = -row[free] * (scale // row[pc])
         y = _primitive(y)
         if next(v for v in y if v) < 0:
@@ -210,10 +211,13 @@ def orthogonal_complement_basis(vectors: Sequence[Sequence], n: int) -> list[Vec
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine hull of `points`; -1 when there are none."""
+    """Dimension of the affine hull of `points`; -1 when there are none.
+    One echelon form of the differences grows until it spans Q^n."""
     pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    return rank([vec_sub(p, base) for p in pts[1:]])
+    form = Echelon()
+    for p in pts[1:]:
+        if len(form) == len(p):
+            break
+        form = extended(form, vec_sub(p, pts[0]))
+    return len(form) if pts else -1
 

@@ -7,11 +7,12 @@ behind shared code.  The lattice twin (`fraction_lattice`,
 `fraction_argmax`, `fraction_on_hyperplane`) enumerates, scans and
 filters with Fraction sums on the instance's own rows, apart from the
 integer rows the lattice engine reads; `fraction_feasible` checks a
-point the same way.  `fraction_complement` solves for complement
-directions in Fractions, apart from the integer echelon rows the
-package reads them from.  Instance generators are reused from the package's
-selftest module (they are data producers, not implementations under
-test).
+point the same way.  `fraction_echelon` sweeps columns in Fractions to
+the reduced echelon form, and `fraction_complement` solves for
+complement directions off it, apart from the integer echelon rows the
+package reads them from.  Instance generators are reused from the
+package's selftest module (they are data producers, not
+implementations under test).
 """
 
 from __future__ import annotations
@@ -126,10 +127,9 @@ def fraction_feasible(instance, point) -> bool:
     return all(x[j].denominator == 1 for j in instance.integer_vars)
 
 
-def fraction_complement(vectors, n) -> list:
-    """Basis of {y : v.y = 0 for every v}, one vector per free column of
-    the reduced echelon form: the Fraction solution with a unit on that
-    column, scaled to coprime ints with the leading nonzero positive."""
+def fraction_echelon(vectors, n) -> tuple:
+    """(rows, pivot columns) of the reduced echelon form in Fractions, by
+    a column sweep with a unit at each pivot; zero rows are dropped."""
     rows = [[Fraction(v) for v in row] for row in vectors]
     pivots = []
     for c in range(n):
@@ -143,6 +143,14 @@ def fraction_complement(vectors, n) -> list:
             if i != r and rows[i][c] != 0:
                 rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def fraction_complement(vectors, n) -> list:
+    """Basis of {y : v.y = 0 for every v}, one vector per free column of
+    the reduced echelon form: the Fraction solution with a unit on that
+    column, scaled to coprime ints with the leading nonzero positive."""
+    rows, pivots = fraction_echelon(vectors, n)
     basis = []
     for free in range(n):
         if free in pivots:

@@ -1,6 +1,9 @@
 import dataclasses
+import errno
+import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -297,6 +300,18 @@ def test_output_to_a_directory_is_usage_error(square_path, tmp_path, capsys):
 def test_histogram_of_a_directory_is_usage_error(tmp_path, capsys):
     assert main(["histogram", str(tmp_path)]) == 2
     assert f"file error: {tmp_path}: " in capsys.readouterr().err
+
+
+def test_closed_stdout_is_a_file_error_without_a_filename(
+    square_path, trio_path, capsys, monkeypatch
+):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["classify", square_path, trio_path, "--format", "csv"]) == 2
+    assert capsys.readouterr().err == "file error: Broken pipe\n"
 
 
 def test_malformed_cuts_are_parse_errors(square_path, tmp_path, capsys):

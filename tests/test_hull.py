@@ -13,7 +13,16 @@ from cutdim.hull import (
     face_hull,
     select_direction,
 )
-from cutdim.linalg import affine_rank, dot, is_in_span, rank, vec_sub
+from cutdim.linalg import (
+    Echelon,
+    affine_rank,
+    dot,
+    echelon_form,
+    extended,
+    is_in_span,
+    rank,
+    vec_sub,
+)
 from cutdim.model import Inequality, build_instance
 from cutdim.oracle import BruteForceOracle, MipOracle, enumerate_lattice, make_provider
 from cutdim.rational import rat
@@ -168,17 +177,16 @@ def test_query_budget_interrupt_carries_interval():
 
 
 def test_select_direction_fixtures():
-    d = select_direction([], EquationSystem.empty(), 2)
+    d = select_direction(Echelon(), EquationSystem.empty(), 2)
     assert d is not None and sum(1 for v in d if v != 0) == 1  # sparsest: a unit
 
-    d = select_direction(
-        [(rat(0), rat(0)), (rat(1), rat(0))], EquationSystem.empty(), 2
-    )
+    # X = {(0, 0), (1, 0)}: its span is that of the difference (1, 0)
+    d = select_direction(echelon_form([(rat(1), rat(0))]), EquationSystem.empty(), 2)
     assert d is not None
     assert d[0] == 0 and d[1] != 0  # orthogonal to aff(X) = x-axis
 
     eqs = EquationSystem.empty().with_equation([0, 1], 0)
-    d = select_direction([(rat(0), rat(0))], eqs, 2)
+    d = select_direction(Echelon(), eqs, 2)  # X = {(0, 0)}: no differences
     assert d is not None
     assert d[1] == 0 and d[0] != 0  # e2 spans D already
 
@@ -314,3 +322,34 @@ def test_equation_system_matches_fraction_twin(case):
     assert rank(eqs.echelon) == fraction_rank(rows)
     in_span = fraction_rank(rows + [candidate]) == fraction_rank(rows)
     assert is_in_span(candidate, eqs.echelon) == is_in_span(candidate, eqs.rows) == in_span
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_systems(), st.data())
+def test_select_direction_on_a_grown_span_matches_the_raw_differences(case, data):
+    """X's span grown a point at a time through `extended` gives the
+    direction the from-scratch rule picks: the sparsest vector of the
+    complement of X's raw differences outside span(D), by Fractions."""
+    n, rows, rhs, _, _ = case
+    eqs = EquationSystem.empty()
+    for row, b in zip(rows, rhs):
+        eqs = eqs.with_equation(row, b)
+    coordinates = st.lists(st.integers(-3, 3) | _FRACTIONS, min_size=n, max_size=n)
+    points = data.draw(st.lists(coordinates, min_size=1, max_size=n + 1))
+    span = Echelon()
+    for x in points[1:]:
+        span = extended(span, vec_sub(x, points[0]))
+
+    def fraction_rank(vectors):
+        return n - len(fraction_complement(vectors, n))
+
+    def key(v):
+        support = tuple(j for j, c in enumerate(v) if c != 0)
+        return (len(support), support, v)
+
+    diffs = [[Fraction(a) - b for a, b in zip(x, points[0])] for x in points[1:]]
+    outside = [
+        v for v in sorted(fraction_complement(diffs, n), key=key)
+        if fraction_rank(rows + [v]) > fraction_rank(rows)
+    ]
+    assert select_direction(span, eqs, n) == (outside[0] if outside else None)

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutdim.linalg import (
+    Echelon,
     LinAlgError,
     affine_rank,
     dot,
+    echelon_form,
+    extended,
     int_row,
     is_in_span,
     orthogonal_complement_basis,
@@ -18,7 +21,7 @@ from cutdim.linalg import (
     vector,
 )
 from cutdim.rational import rat
-from helpers import fraction_complement
+from helpers import fraction_complement, fraction_echelon
 
 
 def test_rank_fixtures():
@@ -109,6 +112,13 @@ def test_dimension_mismatch():
         dot([1, 2], [1])
     with pytest.raises(LinAlgError):
         matrix([[1, 2], [1]])
+    # rows of unequal length, where a zip would read the common prefix
+    with pytest.raises(LinAlgError):
+        is_in_span([1, 0, 5], [[1, 0]])
+    with pytest.raises(LinAlgError):
+        rank([[1, 0], [0, 1, 3]])
+    with pytest.raises(LinAlgError):
+        extended(echelon_form([[1, 0]]), [0, 1, 3])
 
 
 def _reference_pivot(rows, r, c):
@@ -199,3 +209,66 @@ def test_integer_directions_fixtures():
     assert orthogonal_complement_basis([[0, 0]], 2) == [(1, 0), (0, 1)]
     for rows, n in ((((2, 3),), 2), (((1, 1),), 2), ((), 2), (((0, 0),), 2)):
         assert fraction_complement(rows, n) == orthogonal_complement_basis(rows, n)
+
+
+@st.composite
+def _rows_in_order(draw):
+    """Rows of Q^n with fractional, zero and dependent ones among them,
+    an order to insert them in, and a candidate in or out of their span."""
+    n = draw(st.integers(1, 5))
+    drawn = st.lists(_FRACTIONS, min_size=n, max_size=n)
+
+    def combination(rows):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        return [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
+
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("drawn", "zero", "dependent")))
+        if kind == "zero":
+            rows.append([Fraction(0)] * n)
+        else:
+            rows.append(combination(rows) if rows and kind == "dependent" else draw(drawn))
+    order = draw(st.permutations(range(len(rows))))
+    candidate = combination(rows) if rows and draw(st.booleans()) else draw(drawn)
+    return n, rows, order, candidate
+
+
+def _coprime(ref):
+    """A Fraction row with a unit pivot as the coprime ints it scales to."""
+    scale = lcm(*(v.denominator for v in ref))
+    ints = [int(v * scale) for v in ref]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_rows_in_order())
+def test_grown_echelon_matches_from_scratch_and_fraction_twin(case):
+    """Rows inserted one at a time through `extended`, in any order, give
+    the form `echelon_form` folds from the rows as drawn and the Fraction
+    sweep's rows as coprime ints.  A row in the span returns the form
+    itself, and rank, span and complement read off the form agree with
+    the raw rows and the twin."""
+    n, rows, order, candidate = case
+
+    def twin_rank(vectors):
+        return len(fraction_echelon(vectors, n)[0])
+
+    form, inserted = Echelon(), []
+    for i in order:
+        grown = extended(form, rows[i])
+        assert (grown is form) == (twin_rank(inserted + [rows[i]]) == twin_rank(inserted))
+        form, inserted = grown, inserted + [rows[i]]
+    assert form == echelon_form(rows)
+    twin_rows, twin_pivots = fraction_echelon(rows, n)
+    assert form == tuple(map(_coprime, twin_rows))
+    assert form.pivots == tuple(twin_pivots)
+    assert echelon_form(form) is form
+
+    in_span = twin_rank(rows + [candidate]) == len(twin_rows)
+    assert (extended(form, candidate) is form) == in_span
+    assert rank(form) == rank(rows) == len(twin_rows)
+    assert is_in_span(candidate, form) == is_in_span(candidate, rows) == in_span
+    basis = orthogonal_complement_basis(form, n)
+    assert basis == orthogonal_complement_basis(rows, n) == fraction_complement(rows, n)
