@@ -14,9 +14,14 @@ the one elimination step, keeps every row a positive multiple of the
 row exact rational Gauss-Jordan would give (fraction-free, after
 Edmonds and Bareiss).  Signs, zero patterns and ratios within a row
 therefore read as in the rational form, and rank and span questions are
-decided, never estimated.  Spans grow through `extended`, one row at a
-time, into an `Echelon`, so each span question on one is one reduction.
-Complement directions are read straight off its rows as coprime ints.
+decided, never estimated.  A step copies (or scales) each row it
+changes once and updates only the pivot row's nonzero columns, so on a
+sparse tableau it costs about that count per row, not the full width;
+it puts fresh lists in place of the rows it changes and never writes
+into a given row, so rows may be tuples or shared with a copy.  Spans
+grow through `extended`, one row at a time, into an `Echelon`, so each
+span question on one is one reduction.  Complement directions are read
+straight off its rows as coprime ints.
 """
 
 from __future__ import annotations
@@ -119,20 +124,31 @@ def pivot(rows: list[list[int]], r: int, c: int) -> None:
     Row r is made positive at c and every row comes out coprime and a
     positive multiple of the row the rational step (a unit at (r, c))
     gives.  A row that is zero at c is left as it is.  Changed rows are
-    replaced in `rows`, never written into, so a shallow copy of `rows`
-    leaves the original's rows as they were.
+    replaced in `rows` by fresh lists, never written into, so a shallow
+    copy of `rows` leaves the original's rows as they were, and rows may
+    be tuples.
+
+    A row x with f = x[c] becomes a*x - b*y for the pivot row y, with
+    g = gcd(p, f), a = p/g and b = f/g, reduced to coprime.  It is copied,
+    or scaled when a > 1, once, and then only y's nonzero columns are
+    updated, so a row costs about y's nonzero count rather than the full
+    width, with the same ints out.
     """
     prow = rows[r]
     if prow[c] < 0:
         prow = [-v for v in prow]
     prow = rows[r] = _primitive(prow)
     p = prow[c]
+    nonzeros = [(j, v) for j, v in enumerate(prow) if v]
     for i, row in enumerate(rows):
         f = row[c]
         if f and i != r:
             g = gcd(p, f)
             a, b = p // g, f // g
-            rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+            out = list(row) if a == 1 else [a * x for x in row]
+            for j, v in nonzeros:
+                out[j] -= b * v
+            rows[i] = _primitive(out)
 
 
 class Echelon(tuple):

@@ -28,7 +28,6 @@ from typing import Union
 BACKEND = "fractions"  # the rational type, named in benchmark records
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 #: Anything `rat` accepts.
 RationalLike = Union[int, str, Fraction]
@@ -101,10 +100,6 @@ def rat_decimal(value, places: int = 6) -> str:
     if places == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{places}d}"
-
-
-def is_integral(value) -> bool:
-    return rat(value).denominator == 1
 
 
 def rat_floor(value) -> int:

@@ -10,8 +10,9 @@ integer rows the lattice engine reads; `fraction_feasible` checks a
 point the same way.  `fraction_echelon` sweeps columns in Fractions to
 the reduced echelon form, and `fraction_complement` solves for
 complement directions off it, apart from the integer echelon rows the
-package reads them from.  Instance generators are reused from the
-package's selftest module (they are data producers, not
+package reads them from.  `stein27` builds the Steiner-triple covering
+from the lines of AG(3,3), with no MPS file.  Instance generators are
+reused from the package's selftest module (they are data producers, not
 implementations under test).
 """
 
@@ -22,6 +23,8 @@ import math
 import os
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from cutdim.model import build_instance
 
 
 def gauss_solve(rows, rhs) -> Optional[list]:
@@ -177,6 +180,36 @@ def random_boxed_lp(rng, max_vars: int = 4, max_rows: int = 4):
     upper = [lo + rng.randint(0, 4) for lo in lower]
     objective = [rng.randint(-5, 5) for _ in range(n)]
     return objective, rows, rhs, lower, upper
+
+
+def ag33_lines():
+    """The 117 lines of the affine space AG(3,3), point (i, j, k) numbered
+    9i + 3j + k: every pair of the 27 points lies on exactly one line."""
+    points = list(itertools.product(range(3), repeat=3))
+    lines = set()
+    for p in points:
+        for d in points[1:]:
+            lines.add(tuple(sorted(
+                9 * ((p[0] + t * d[0]) % 3) + 3 * ((p[1] + t * d[1]) % 3) + (p[2] + t * d[2]) % 3
+                for t in range(3)
+            )))
+    return sorted(lines)
+
+
+def stein27():
+    """The Steiner-triple covering stein27: min sum x, sum x >= 1 on each
+    line of AG(3,3), x binary."""
+    lines = ag33_lines()
+    n = 27
+    return build_instance(
+        name="stein27",
+        constraint_matrix=[[-1 if j in line else 0 for j in range(n)] for line in lines],
+        rhs=[-1] * len(lines),
+        objective=[-1] * n,
+        integer_vars=range(n),
+        lower_bounds=[0] * n,
+        upper_bounds=[1] * n,
+    )
 
 
 def miplib_file(name: str) -> Optional[str]:

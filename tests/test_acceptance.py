@@ -7,7 +7,6 @@ enumeration, affine rank of enumerated points).  Wall-clock budgets are
 asserted where the guarantee includes one.
 """
 
-import itertools
 import time
 
 import pytest
@@ -27,7 +26,7 @@ from cutdim.selftest import (
     suite_solver,
 )
 
-from helpers import miplib_file
+from helpers import ag33_lines, miplib_file, stein27
 
 # Query count and classification share one corpus: 100 nonempty
 # instances with n in [2,6], coefficients in [-5,5] and box [0,3]^n.
@@ -133,34 +132,9 @@ def test_desk_scale_benchmark_dimensions(name, expected):
     assert hull.dimension == expected
 
 
-def ag33_lines():
-    """The 117 lines of the affine space AG(3,3), point (i, j, k) numbered
-    9i + 3j + k: every pair of the 27 points lies on exactly one line."""
-    points = list(itertools.product(range(3), repeat=3))
-    lines = set()
-    for p in points:
-        for d in points[1:]:
-            lines.add(tuple(sorted(
-                9 * ((p[0] + t * d[0]) % 3) + 3 * ((p[1] + t * d[1]) % 3) + (p[2] + t * d[2]) % 3
-                for t in range(3)
-            )))
-    return sorted(lines)
-
-
 def test_stein27_dimension_without_mps_file():
-    # the Steiner-triple covering stein27: min sum x, sum x >= 1 on each line
-    lines = ag33_lines()
-    assert len(lines) == 117
-    n = 27
-    inst = build_instance(
-        name="stein27",
-        constraint_matrix=[[-1 if j in line else 0 for j in range(n)] for line in lines],
-        rhs=[-1] * len(lines),
-        objective=[-1] * n,
-        integer_vars=range(n),
-        lower_bounds=[0] * n,
-        upper_bounds=[1] * n,
-    )
+    assert len(ag33_lines()) == 117
+    inst = stein27()
     hull = affine_hull(MipOracle(inst, cache=(), time_limit=None))
     assert (hull.dimension, hull.oracle_queries, hull.cache_hits) == (27, 48, 3)
 

@@ -182,6 +182,63 @@ def test_integer_pivot_matches_fraction_gauss_jordan(case):
             _assert_scaled(ints, row, coprime=i in written)
 
 
+def _dense_pivot(rows, r, c):
+    """The fraction-free step written densely, a*x - b*y over the full
+    width of every row it changes, with its own coprime reduction."""
+
+    def coprime(row):
+        g = gcd(*row)
+        return [v // g for v in row] if g > 1 else row
+
+    prow = rows[r]
+    if prow[c] < 0:
+        prow = [-v for v in prow]
+    prow = rows[r] = coprime(prow)
+    p = prow[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            rows[i] = coprime([a * x - b * y for x, y in zip(row, prow)])
+
+
+_SPARSE = st.sampled_from((0,) * 8 + (-3, -2, -1, 1, 2, 3))
+
+
+@st.composite
+def _sparse_step(draw):
+    """Sparse integer rows, mostly zeros with entries in -3..3 and a
+    nonzero last (rhs) column, some as tuples, and a pivot (r, c) whose
+    entry has magnitude 2 or 3, so that a = p/gcd(p, f) is 1 on some rows
+    and above 1 on others."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 9))
+    rhs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    rows = [draw(st.lists(_SPARSE, min_size=n - 1, max_size=n - 1)) + [draw(rhs)]
+            for _ in range(m)]
+    r, c = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 2))
+    rows[r][c] = draw(st.sampled_from((-3, -2, 2, 3)))
+    return [tuple(row) if draw(st.booleans()) else row for row in rows], r, c
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_sparse_step())
+def test_sparse_pivot_matches_dense_twin(case):
+    """pivot, which updates only the pivot row's nonzero columns, gives
+    the dense step's rows as int lists, and pivoting a shallow copy of
+    the rows leaves every input row object, list or tuple, unchanged."""
+    rows, r, c = case
+    before = [list(row) for row in rows]
+    work = list(rows)
+    pivot(work, r, c)
+    twin = [list(row) for row in rows]
+    _dense_pivot(twin, r, c)
+    assert [list(row) for row in work] == twin
+    assert all(type(v) is int for row in work for v in row)
+    assert [list(row) for row in rows] == before
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 5).flatmap(
     lambda n: st.tuples(

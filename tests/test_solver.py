@@ -20,6 +20,8 @@ from cutdim.solver import (
     solve_mip,
 )
 
+from helpers import stein27
+
 
 def knapsack():
     return build_instance(
@@ -210,6 +212,15 @@ def test_objective_override():
     res = solve_mip(knapsack(), objective=[0, 1])
     assert res.primal_value == 1
     assert res.best_point[1] == 1
+
+
+def test_deep_tree_on_a_wide_tableau():
+    """stein27's 117-row tableau to a 40-node limit, with the grid: the
+    one wide, deep tree in the fast tests, pinned to its known end."""
+    res = solve_mip(stein27(), options=SolveOptions(node_limit=40, objective_grid=True))
+    assert (res.status, res.node_count, res.dual_bound) == (
+        SolveStatus.NODE_LIMIT, 40, Fraction(-27, 2)
+    )
 
 
 def test_nontermination_guard():
