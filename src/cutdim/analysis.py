@@ -52,7 +52,7 @@ from .oracle import (
     make_provider,
     oracle_maximize,
 )
-from .rational import rat, rat_ceil
+from .rational import rat
 from .simplex import LPStatus
 from .solver import SolveOptions, SolveStatus, program_for, solve_lp_relaxation, solve_mip
 
@@ -175,7 +175,7 @@ def _violating_point(a, beta, witness, ray) -> Vector:
     if rate <= 0:
         raise AnalysisError("certificate ray does not violate the cut")
     start = dot(a, witness)
-    steps = max(1, rat_ceil(rat(beta + 1 - start, rate)))
+    steps = max(1, math.ceil(rat(beta + 1 - start, rate)))
     return tuple(w + steps * r for w, r in zip(witness, ray))
 
 
@@ -480,11 +480,11 @@ def analyze_instance(
 ) -> InstanceAnalysis:
     """Run the whole study pipeline on one instance.
 
-    `config` (default `RunConfig()`) sets the engine, the tolerance, the
-    limits of every hull, face and solve run, and `jobs`; its
-    `solve_time_limit` caps each oracle solve and each impact run alike.
-    Order: affine hull of P, then one classification per cut (face
-    dimension included), then the strength protocol over all cuts.
+    `config` (default `RunConfig()`) sets the engine, the tolerance and
+    the limits of every hull, face and solve run; its `solve_time_limit`
+    caps each oracle solve and each impact run alike.  Order: affine
+    hull of P, then one classification per cut in turn (face dimension
+    included), then the strength protocol over all cuts.
     An interrupted base hull run is fatal (nothing downstream makes
     sense without dim P) and propagates HullInterrupted; per-cut
     interruptions are recorded as failures instead.
@@ -492,9 +492,8 @@ def analyze_instance(
     Each cut gets its own provider whose cache starts as the hull run's
     tuple and collects that cut's own points, so its face run can probe
     them.  A cut's new points rebind only its own provider's cache, and
-    the base provider is never written while cuts run, so results do not
-    depend on `jobs` or on scheduling; with jobs > 1 the classifications
-    run on worker threads.
+    the base provider is never written while cuts run, so no cut's
+    answers or counts depend on the cuts before it.
     """
     config = RunConfig() if config is None else config
     config.validate()
@@ -527,13 +526,7 @@ def analyze_instance(
         except OracleInconclusive as exc:
             return None, f"oracle gave up: {exc}"
 
-    if config.jobs > 1 and len(cuts) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(classify_one, cuts))
-    else:
-        outcomes = [classify_one(c) for c in cuts]
+    outcomes = [classify_one(c) for c in cuts]
     classifications = tuple(cls for cls, _ in outcomes)
     failures = tuple(reason for _, reason in outcomes)
 

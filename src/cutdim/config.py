@@ -96,7 +96,9 @@ class RunConfig:
     solve_time_limit: Optional[float] = _setting(60.0, _SECONDS, "seconds per solve, or none")
     solve_node_limit: Optional[int] = _setting(None, _NODES, "nodes per oracle solve, or none")
     impact_node_limit: Optional[int] = _setting(None, _NODES, "cap on the node budget N, or none")
-    jobs: int = _setting(1, _COUNT, "concurrent cut analyses")
+    jobs: int = _setting(
+        1, _checked(_whole, lambda v: v == 1, "1"), "1; cuts are analyzed one at a time"
+    )
     output: Optional[str] = _setting(None, _path, "report path; unset prints to stdout")
     output_format: str = _setting(
         "json", _one_of("output format", "json", "csv"), "json or csv", flag="--format"

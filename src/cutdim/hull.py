@@ -94,10 +94,6 @@ class EquationSystem:
     scaled: tuple = ()
     echelon: Echelon = Echelon()
 
-    @classmethod
-    def empty(cls) -> "EquationSystem":
-        return cls()
-
     def __len__(self) -> int:
         return len(self.scaled)
 
@@ -179,7 +175,7 @@ def affine_hull(
     case of a cold run, 2(n - r0).
     """
     n = provider.n
-    eqs = initial_equations if initial_equations is not None else EquationSystem.empty()
+    eqs = initial_equations if initial_equations is not None else EquationSystem()
     if len(eqs) and rank(eqs.echelon) != len(eqs):
         raise ValueError("initial equations must be linearly independent")
     if len(eqs) > n:
@@ -294,7 +290,8 @@ def face_hull(
     restricted provider's cache holds only points on the face.
     """
     eqs = base.equations
-    if not is_in_span(cut.coefficients, eqs.echelon):
-        eqs = eqs.with_equation(cut.coefficients, cut.rhs)
+    with_cut = eqs.with_equation(cut.coefficients, cut.rhs)
+    if with_cut.echelon is not eqs.echelon:
+        eqs = with_cut
     face_provider = provider.restrict(cut.coefficients, cut.rhs)
     return affine_hull(face_provider, initial_equations=eqs, time_budget=time_budget)

@@ -1,7 +1,6 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples and matrices are tuples of row tuples; both are
-immutable so they can be shared freely between threads.  Entries are
+Vectors are tuples and matrices are tuples of row tuples.  Entries are
 ints where the engines computed them (points, directions, rays) and
 rationals otherwise; `dot` and the eliminations read both exactly.
 

@@ -40,12 +40,11 @@ class MpsParseError(ValueError):
 _SUPPORTED = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
 
 
-def read_instance_mps(text: str, integer_default_upper=rat(1)) -> MipInstance:
+def read_instance_mps(text: str) -> MipInstance:
     """Parse an MPS document into an instance.
 
-    `integer_default_upper` is the historic bound applied to integer
-    variables that appear in no BOUNDS entry; pass None to default them
-    to +infinity instead.
+    Integer variables that appear in no BOUNDS entry take the historic
+    bounds [0, 1].
     """
     name = ""
     section = None
@@ -179,7 +178,7 @@ def read_instance_mps(text: str, integer_default_upper=rat(1)) -> MipInstance:
     for col in col_order:
         lower.append(rat(0))
         if col in integer_cols and col not in explicit:
-            upper.append(integer_default_upper)
+            upper.append(rat(1))
         else:
             upper.append(None)
     for btype, col, value, line_no in bound_entries:

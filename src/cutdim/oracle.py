@@ -31,8 +31,10 @@ sees the other's later points.  Hull runs probe the cache, where an
 affinely independent point found by an earlier query can stand in for
 two oracle calls.  A restricted provider (a face run's) starts its
 cache with the parent's points on the face, so every cached point lies
-in the feasible set of the provider that holds it.  `make_provider`
-builds the provider for an engine name, with an empty cache.
+in the feasible set of the provider that holds it.  A constructor
+builds a cold provider and `with_cache` is the one way to give it a
+cache; `make_provider` builds the provider for an engine name, with an
+empty cache.
 
 With `verify` on (the default), every response is checked exactly, once
 (its point or witness lies in the provider's set, objective value, ray
@@ -185,7 +187,7 @@ class _Provider:
     """
 
     instance: MipInstance
-    cache: Optional[tuple]
+    cache: Optional[tuple] = None
     verify: bool
     equations: tuple = ()
 
@@ -231,26 +233,16 @@ class MipOracle(_Provider):
     def __init__(
         self,
         instance: MipInstance,
-        cache: Optional[tuple] = None,
         time_limit: Optional[float] = RunConfig.solve_time_limit,
         node_limit: Optional[int] = RunConfig.solve_node_limit,
         verify: bool = RunConfig.verify_oracle,
     ):
         self.instance = instance
-        self.cache = cache
         self.verify = verify
         self.options = SolveOptions(
             time_limit=time_limit, node_limit=node_limit, objective_grid=True
         )
         self.program = program_for(instance)
-
-    @property
-    def time_limit(self) -> Optional[float]:
-        return self.options.time_limit
-
-    @property
-    def node_limit(self) -> Optional[int]:
-        return self.options.node_limit
 
     def restrict(self, coefficients: Sequence, beta) -> "MipOracle":
         clone = super().restrict(coefficients, beta)
@@ -285,11 +277,9 @@ class BruteForceOracle(_Provider):
     def __init__(
         self,
         instance: MipInstance,
-        cache: Optional[tuple] = None,
         verify: bool = RunConfig.verify_oracle,
     ):
         self.instance = instance
-        self.cache = cache
         self.verify = verify
         self.points = tuple(enumerate_lattice(instance))
 
@@ -317,16 +307,15 @@ def make_provider(
     """The provider for `engine` ("solver" or "lattice") with an empty cache.
 
     `verify` switches the response checks.  The limits bound each solver
-    query; lattice scans ignore them.  For a cold provider, call
-    `.with_cache(None)` on the result.
+    query; lattice scans ignore them.
     """
     if engine == "solver":
-        return MipOracle(
-            inst, cache=(), time_limit=time_limit, node_limit=node_limit, verify=verify
-        )
-    if engine == "lattice":
-        return BruteForceOracle(inst, cache=(), verify=verify)
-    raise ValueError(f"unknown engine {engine!r}")
+        provider = MipOracle(inst, time_limit=time_limit, node_limit=node_limit, verify=verify)
+    elif engine == "lattice":
+        provider = BruteForceOracle(inst, verify=verify)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    return provider.with_cache(())
 
 
 def enumerate_lattice(instance: MipInstance) -> list[tuple]:

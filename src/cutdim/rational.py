@@ -100,13 +100,3 @@ def rat_decimal(value, places: int = 6) -> str:
     if places == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{places}d}"
-
-
-def rat_floor(value) -> int:
-    q = rat(value)
-    return q.numerator // q.denominator
-
-
-def rat_ceil(value) -> int:
-    q = rat(value)
-    return -((-q.numerator) // q.denominator)

@@ -155,9 +155,6 @@ class LinearProgram:
 
     A remembered tableau is never written to: `linalg.pivot` replaces
     rows and never writes into one, so phase two works on a shallow copy.
-    Solves from several threads may share a program: every entry is a
-    function of its key, so a race can only compute one twice or leave
-    one out, never change a result.
     """
 
     def __init__(self, num_vars: int, ineq: Sequence = (), eq: Sequence = ()):

@@ -62,7 +62,6 @@ from typing import Optional, Sequence
 
 from .linalg import Vector, dot, exact_vector, int_row, int_scale
 from .model import MipInstance
-from .rational import rat_floor
 from .simplex import LinearProgram, LPStatus, solve_lp
 
 
@@ -215,7 +214,7 @@ def solve_mip(
                     primal = val
                     best = point
                 else:
-                    fl = rat_floor(point[frac_var])
+                    fl = math.floor(point[frac_var])
                     child_depth = node.depth + 1
                     counter += 1
                     down = _replace_bound(node, frac_var, upper=fl)

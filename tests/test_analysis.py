@@ -576,23 +576,6 @@ def test_face_run_probes_its_own_cuts_points():
     assert face.dimension == cold.dimension
 
 
-def test_analyze_instance_jobs_do_not_change_results():
-    rng = random.Random(79)
-    inst = random_instance(rng, max_vars=4, name="par")
-    points = enumerate_lattice(inst)
-    cuts = []
-    for j in range(4):
-        a = [rng.randint(-4, 4) for _ in range(inst.num_vars)]
-        cuts.append(
-            Inequality(a, max(dot(a, p) for p in points) + rng.choice((0, 1)), label=f"c{j}")
-        )
-    serial = analyze_instance(inst, cuts, RunConfig(jobs=1, solve_time_limit=None))
-    threaded = analyze_instance(inst, cuts, RunConfig(jobs=4, solve_time_limit=None))
-    assert serial.dimension == threaded.dimension
-    assert serial.classifications == threaded.classifications
-    assert serial.impact == threaded.impact
-
-
 def test_each_cut_classifies_as_if_alone():
     """A cut's provider starts from the hull run's cache alone, so no cut's
     points reach another cut's face run."""

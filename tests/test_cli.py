@@ -336,6 +336,12 @@ def test_config_env_var_is_honored(square_path, tmp_path, capsys, monkeypatch):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_jobs_above_one_is_a_configuration_error(square_path, trio_path, capsys):
+    assert main(["classify", square_path, trio_path, "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "jobs" in err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -412,7 +418,7 @@ TEXTS = {
     "solve_time_limit": ["none", "7"],
     "solve_node_limit": ["none", "250"],
     "impact_node_limit": ["none", "9"],
-    "jobs": ["3"],
+    "jobs": ["1"],
     "output": ["r.json"],
     "output_format": ["csv"],
     "engine": ["lattice"],

@@ -1,7 +1,12 @@
+import ast
+import dataclasses
 import inspect
 import json
+from pathlib import Path
 
 import pytest
+
+import cutdim
 
 from cutdim.analysis import classify_cut, impact_protocol
 from cutdim.config import RunConfig, load_config
@@ -49,14 +54,14 @@ def test_library_defaults_are_the_run_defaults(function, parameter, setting):
 
 def test_precedence_file_env_overrides(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"jobs": 2, "seed": 7, "tolerance": "1/500"}))
+    path.write_text(json.dumps({"solve_node_limit": 2, "seed": 7, "tolerance": "1/500"}))
     env = {
-        "CUTDIM_JOBS": "3",
+        "CUTDIM_SOLVE_NODE_LIMIT": "3",
         "CUTDIM_OUTPUT_FORMAT": "csv",
         "HOME": "/ignored",  # unrelated env entries are skipped
     }
-    cfg = load_config(str(path), env=env, overrides={"jobs": 4})
-    assert cfg.jobs == 4  # flag beats env beats file
+    cfg = load_config(str(path), env=env, overrides={"solve_node_limit": 4})
+    assert cfg.solve_node_limit == 4  # flag beats env beats file
     assert cfg.output_format == "csv"  # env beats default
     assert cfg.seed == 7  # file beats default
     assert cfg.tolerance == rat(1, 500)
@@ -139,3 +144,19 @@ def test_non_whole_numbers_and_non_paths_rejected(tmp_path, field, value):
     path.write_text(json.dumps({field: value}))
     with pytest.raises(ValueError, match=field):
         load_config(str(path))
+
+
+def test_every_setting_but_jobs_is_read():
+    """A setting no module reads changes nothing.  `jobs` stays only as a
+    flag that accepts 1; once it goes, this set is empty."""
+    read = set()
+    for path in Path(cutdim.__file__).parent.glob("*.py"):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            read |= {
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            }
+    unread = {f.name for f in dataclasses.fields(RunConfig)} - read
+    assert unread == {"jobs"}

@@ -102,13 +102,13 @@ def test_dot_sums_in_its_inputs_types():
 
 
 def test_equation_rows_keep_ints_and_refuse_floats():
-    eqs = EquationSystem.empty().with_equation((1, -2), 3)
+    eqs = EquationSystem().with_equation((1, -2), 3)
     assert eqs.rows == ((1, -2),) and _all_ints(eqs.rows)
     assert type(eqs.rhs[0]) is RATIONAL
     eqs = eqs.with_equation(("1/2", 1), "3/2")
     assert eqs.rows[1] == (rat(1, 2), 1) and type(eqs.rows[1][0]) is RATIONAL
     with pytest.raises(TypeError):
-        EquationSystem.empty().with_equation((0.5, 1), 1)
+        EquationSystem().with_equation((0.5, 1), 1)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -156,14 +156,14 @@ def test_unbounded_quadrant_fixtures(bounds, points, queries):
 
 def test_initial_equations_reduce_queries():
     inst = diagonal_segment()
-    eqs = EquationSystem.empty().with_equation([1, -1], 0)
+    eqs = EquationSystem().with_equation([1, -1], 0)
     hull = affine_hull(MipOracle(inst), initial_equations=eqs)
     assert hull.dimension == 1
     assert hull.oracle_queries == 2  # one round instead of two
 
 
 def test_invalid_initial_equation_detected():
-    eqs = EquationSystem.empty().with_equation([1, 0, 0], 7)  # x1=7 is false on the cube
+    eqs = EquationSystem().with_equation([1, 0, 0], 7)  # x1=7 is false on the cube
     with pytest.raises(InvalidInitialEquationsError):
         affine_hull(MipOracle(cube()), initial_equations=eqs)
 
@@ -177,15 +177,15 @@ def test_query_budget_interrupt_carries_interval():
 
 
 def test_select_direction_fixtures():
-    d = select_direction(Echelon(), EquationSystem.empty(), 2)
+    d = select_direction(Echelon(), EquationSystem(), 2)
     assert d is not None and sum(1 for v in d if v != 0) == 1  # sparsest: a unit
 
     # X = {(0, 0), (1, 0)}: its span is that of the difference (1, 0)
-    d = select_direction(echelon_form([(rat(1), rat(0))]), EquationSystem.empty(), 2)
+    d = select_direction(echelon_form([(rat(1), rat(0))]), EquationSystem(), 2)
     assert d is not None
     assert d[0] == 0 and d[1] != 0  # orthogonal to aff(X) = x-axis
 
-    eqs = EquationSystem.empty().with_equation([0, 1], 0)
+    eqs = EquationSystem().with_equation([0, 1], 0)
     d = select_direction(Echelon(), eqs, 2)  # X = {(0, 0)}: no differences
     assert d is not None
     assert d[1] == 0 and d[0] != 0  # e2 spans D already
@@ -306,7 +306,7 @@ def test_equation_system_matches_fraction_twin(case):
     Fraction sum breaks, and span and rank read off `echelon` match a
     Fraction rank (n minus the Fraction complement's size)."""
     n, rows, rhs, point, candidate = case
-    eqs = EquationSystem.empty()
+    eqs = EquationSystem()
     for row, b in zip(rows, rhs):
         eqs = eqs.with_equation(row, b)
     assert eqs.rows == tuple(map(tuple, rows)) and eqs.rhs == tuple(rhs)
@@ -331,7 +331,7 @@ def test_select_direction_on_a_grown_span_matches_the_raw_differences(case, data
     direction the from-scratch rule picks: the sparsest vector of the
     complement of X's raw differences outside span(D), by Fractions."""
     n, rows, rhs, _, _ = case
-    eqs = EquationSystem.empty()
+    eqs = EquationSystem()
     for row, b in zip(rows, rhs):
         eqs = eqs.with_equation(row, b)
     coordinates = st.lists(st.integers(-3, 3) | _FRACTIONS, min_size=n, max_size=n)

@@ -76,11 +76,6 @@ def test_integer_default_bounds():
     assert inst.lower_bounds == (rat(2),)
     assert inst.upper_bounds == (None,)
 
-    # opting out of the historic default entirely
-    text = wrap("COLUMNS\n    m  'MARKER'  'INTORG'\n    y  obj  1\n")
-    inst = read_instance_mps(text, integer_default_upper=None)
-    assert inst.upper_bounds == (None,)
-
 
 def test_negative_upper_drops_default_lower():
     text = wrap("COLUMNS\n    x  obj  1\nBOUNDS\n UP bnd  x  -2\n")

@@ -111,14 +111,14 @@ def test_soundness_guard_rejects_bad_witnesses():
         integer_vars=(0,),
         lower_bounds=[0],
     )
-    oracle = BadWitnessOracle(halfline, cache=())
+    oracle = BadWitnessOracle(halfline).with_cache(())
     with pytest.raises(OracleSoundnessError, match="witness is infeasible"):
         oracle_maximize(oracle, [1])
     assert len(oracle.cache) == 0
 
 
 def test_query_counting_and_cache_population(monkeypatch):
-    oracle = MipOracle(knapsack(), cache=())
+    oracle = MipOracle(knapsack()).with_cache(())
     solves = []
     solve = oracle.solve
     monkeypatch.setattr(oracle, "solve", lambda w: solves.append(w) or solve(w))
@@ -138,7 +138,7 @@ class InfeasibleOracle(MipOracle):
 
 
 def test_soundness_guard_rejects_bad_points():
-    oracle = InfeasibleOracle(knapsack(), cache=())
+    oracle = InfeasibleOracle(knapsack()).with_cache(())
     with pytest.raises(OracleSoundnessError, match="violates the instance"):
         oracle_maximize(oracle, [1, 1])
     assert len(oracle.cache) == 0  # the check runs before the insert
@@ -179,7 +179,7 @@ def test_verify_switch_reaches_response_checks():
 def test_make_provider_engines_and_verify_switch():
     solver = make_provider(knapsack(), "solver", time_limit=5.0, node_limit=9)
     assert isinstance(solver, MipOracle) and solver.verify
-    assert (solver.time_limit, solver.node_limit) == (5.0, 9)
+    assert (solver.options.time_limit, solver.options.node_limit) == (5.0, 9)
     lattice = make_provider(knapsack(), "lattice", verify=False)
     assert isinstance(lattice, BruteForceOracle) and not lattice.verify
     with pytest.raises(ValueError, match="engine"):
@@ -228,7 +228,7 @@ def test_each_provider_compiles_one_program(monkeypatch):
 
     monkeypatch.setattr(LinearProgram, "__init__", counted_init)
     monkeypatch.setattr("cutdim.oracle.solve_mip", recorded_solve_mip)
-    provider = MipOracle(inst, cache=())
+    provider = MipOracle(inst).with_cache(())
     base = affine_hull(provider)
     clone = provider.with_cache(provider.cache)
     assert clone.program is provider.program

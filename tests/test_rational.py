@@ -3,14 +3,7 @@ import random
 
 import pytest
 
-from cutdim.rational import (
-    BACKEND,
-    rat,
-    rat_ceil,
-    rat_decimal,
-    rat_floor,
-    rat_str,
-)
+from cutdim.rational import BACKEND, rat, rat_decimal, rat_str
 
 
 def test_parse_decimal_exact():
@@ -54,16 +47,6 @@ def test_decimal_rendering():
     assert rat_decimal(rat(-1, 3)) == "-0.333333"
     assert rat_decimal(rat(1, 2), places=0) == "1"  # half away from zero
     assert rat_decimal(rat(-1, 2), places=0) == "-1"
-
-
-def test_floor_ceil_are_ints():
-    assert rat_floor(rat(7, 2)) == 3
-    assert rat_ceil(rat(7, 2)) == 4
-    assert rat_floor(rat(-7, 2)) == -4
-    assert rat_ceil(rat(-7, 2)) == -3
-    assert rat_floor(rat(4)) == rat_ceil(rat(4)) == 4
-    assert isinstance(rat_floor(rat(7, 2)), int)
-    assert isinstance(rat_ceil(rat(7, 2)), int)
 
 
 def test_exactness_property():

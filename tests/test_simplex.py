@@ -1,8 +1,6 @@
 import copy
 import hashlib
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -351,48 +349,3 @@ def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
     cost = program.objective(list(current))
     for (lower, upper), result in remembered.items():
         assert program.solve(cost, list(lower), list(upper)) is result
-
-
-def test_threads_sharing_a_program_answer_like_fresh_solves():
-    """Worker threads that solve one program for several objectives and
-    bound vectors at once get a fresh solve's answer every time."""
-    rng = random.Random(17)
-    n = 3
-    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
-    rhs = [rng.randint(0, 6) for _ in rows]
-    objectives = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(4)]
-    boxes = []
-    for _ in range(8):
-        lower = tuple(rng.randint(-2, 1) for _ in range(n))
-        boxes.append((lower, tuple(lo + rng.randint(0, 3) for lo in lower)))
-    want = {
-        (c, lo, hi): solve_lp(c, rows, rhs, lower=lo, upper=hi)
-        for c in objectives
-        for lo, hi in boxes
-    }
-    scaled = [scaled_row(row, b) for row, b in zip(rows, rhs)]
-    wrong = []
-
-    def work(program, seed):
-        keys = list(want) * 2
-        random.Random(seed).shuffle(keys)
-        for c, lo, hi in keys:
-            if program.solve(program.objective(c), lo, hi) != want[c, lo, hi]:
-                wrong.append((c, lo, hi))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):  # a fresh program per round, shared by four threads
-            program = LinearProgram(n, scaled)
-            threads = [
-                threading.Thread(target=work, args=(program, seed), daemon=True) for seed in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert wrong == []
