@@ -21,13 +21,19 @@ into a given row, so rows may be tuples or shared with a copy.  Spans
 grow through `extended`, one row at a time, into an `Echelon`, so each
 span question on one is one reduction.  Complement directions are read
 straight off its rows as coprime ints.
+
+Many points against one row are taken a column at a time:
+`column_dots` reads points held as coordinate columns and gives every
+point's int value in whole-column `map` passes, one per nonzero entry
+of the row, so its cost per point is C code, not bytecode.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .rational import rat
@@ -75,6 +81,23 @@ def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise LinAlgError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum(map(mul, u, v))
+
+
+def column_dots(a: Sequence[int], columns: Sequence[Sequence[int]], size: int) -> list[int]:
+    """a.p for each of `size` points held as coordinate columns (column j
+    holds every point's entry j), as a list of ints in point order.
+
+    One `map` pass over a column per nonzero a_j (a unit a_j takes the
+    column as it is), the passes summed by `map(add, ...)`, so no Python
+    code runs per point; `size` counts the points, which no column holds
+    when there are none.
+    """
+    if len(a) != len(columns):
+        raise LinAlgError(f"dimension mismatch: {len(a)} vs {len(columns)}")
+    passes = [col if aj == 1 else map(mul, repeat(aj), col) for aj, col in zip(a, columns) if aj]
+    if not passes:
+        return [0] * size
+    return list(reduce(partial(map, add), passes))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> Vector:

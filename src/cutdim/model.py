@@ -12,11 +12,12 @@ built on first use: each row a.x <= b in the form `linalg.scaled_row`
 gives, (d.a, d.b, d) with d the lcm of the denominators of a and b.  A
 point X/D, X integers and D > 0, satisfies the row exactly when
 (d.a).X <= (d.b).D.  `is_feasible_point` checks every point that way,
-the lattice engine (`oracle.enumerate_lattice`) tests every box point
-against it (D = 1), and every branch-and-bound run compiles its
-program from it.  `integer_bounds` is the same for the bounds: every
-integral bound as an int, the form branch and bound starts its nodes
-from and `is_feasible_point` compares against.
+the lattice engine (`oracle.enumerate_lattice`) keeps the box points
+that meet it (D = 1), comparing whole columns of row values, and every
+branch-and-bound run compiles its program from it.  `integer_bounds` is
+the same for the bounds: every integral bound as an int, the form
+branch and bound starts its nodes from and `is_feasible_point` compares
+against.
 """
 
 from __future__ import annotations

@@ -8,13 +8,16 @@ set.  Two providers implement
 that contract, one backed by the exact branch-and-bound solver and one
 by explicit lattice enumeration (small instances; it doubles as the
 reference implementation in tests).  The lattice engine's arithmetic
-is on Python ints: its points are integer tuples, enumeration tests
-them against the instance's integer rows (`MipInstance.integer_rows`),
-scans scale their direction to ints once, and a restricted provider
-holds each face equation in the same (d.a, d.b, d) form as the
-instance's rows; its filters and checks take int dot products.  Points
-and rays keep the ints their engine computed, and a query's int entries
-pass through unchanged.
+is on Python ints: its points are integer tuples, enumeration keeps the
+box points that meet the instance's integer rows
+(`MipInstance.integer_rows`), scans scale their direction to ints once,
+and a restricted provider holds each face equation in the same
+(d.a, d.b, d) form as the instance's rows.  Enumeration, scans and
+restrictions take their int dot products a whole coordinate column at
+a time (`linalg.column_dots`), never a point at a time; the response
+checks and the cache filter take them per point.  Points and rays keep
+the ints their engine computed, and a query's int entries pass through
+unchanged.
 
 The solver engine's provider owns its compiled LP (`solver.program_for`):
 rows only, no objective, plus the phase-one basis of its root.  The
@@ -46,14 +49,15 @@ a dimension.
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Optional, Sequence, Union
 
 from .config import RunConfig
-from .linalg import Vector, dot, exact_vector, int_scale, scaled_row, vector
+from .linalg import Vector, column_dots, dot, exact_vector, int_scale, scaled_row, vector
 from .model import MipInstance
 from .rational import rat
 from .solver import SolveOptions, SolveStatus, program_for, solve_mip
@@ -166,16 +170,6 @@ def _verify_response(provider, w, response) -> None:
         raise OracleSoundnessError("unbounded witness is infeasible for the instance or its face")
 
 
-def _on_hyperplane(row):
-    """The test a.x == beta, by which a restricted provider keeps points.
-
-    The row is held as (d.a, d.b, d) (`scaled_row`) and a point p kept
-    when (d.a).p == d.beta, an int dot product on lattice points.
-    """
-    ints, target, _ = row
-    return lambda p: dot(ints, p) == target
-
-
 class _Provider:
     """What both providers share.
 
@@ -204,12 +198,15 @@ class _Provider:
     def restrict(self, coefficients: Sequence, beta):
         """The same provider on the hyperplane a.x = beta.
 
-        Its cache starts with the parent's cached points on the
-        hyperplane and keeps its own inserts; a cold provider stays cold.
+        The row is held as (d.a, d.b, d) (`scaled_row`).  Its cache
+        starts with the parent's cached points p on the hyperplane,
+        (d.a).p == d.b, and keeps its own inserts; a cold provider stays
+        cold.
         """
         row = scaled_row(vector(coefficients), rat(beta))
+        ints, target, _ = row
         clone = self.with_cache(
-            None if self.cache is None else tuple(filter(_on_hyperplane(row), self.cache))
+            None if self.cache is None else tuple(p for p in self.cache if dot(ints, p) == target)
         )
         clone.equations = self.equations + (row,)
         return clone
@@ -268,10 +265,12 @@ class BruteForceOracle(_Provider):
 
     Only for pure-integer instances whose bounding box holds at most
     MAX_LATTICE_POINTS points; the feasible set is enumerated once, as
-    tuples of ints, and every query is an exact argmax scan in
-    lexicographic point order.  A scan scales w to ints once and takes
-    int dot products; the first maximal point wins.  Restricted copies
-    filter the enumerated points with int dot products, never redo them.
+    tuples of ints in lexicographic order (`points`), and also held as
+    coordinate columns (`columns`).  A query scales w to ints once and
+    takes every point's value in whole-column passes (`column_dots`);
+    the first maximal point wins.  Restricted copies take the equation's
+    values the same way and keep the points, and the columns, on it;
+    they never enumerate again.
     """
 
     def __init__(
@@ -282,18 +281,24 @@ class BruteForceOracle(_Provider):
         self.instance = instance
         self.verify = verify
         self.points = tuple(enumerate_lattice(instance))
+        self.columns = tuple(zip(*self.points)) or ((),) * self.n
 
     def restrict(self, coefficients: Sequence, beta) -> "BruteForceOracle":
         clone = super().restrict(coefficients, beta)
-        clone.points = tuple(filter(_on_hyperplane(clone.equations[-1]), self.points))
+        ints, target, _ = clone.equations[-1]
+        values = column_dots(ints, self.columns, len(self.points))
+        on_face = list(map(target.__eq__, values))
+        clone.points = tuple(itertools.compress(self.points, on_face))
+        clone.columns = tuple(tuple(itertools.compress(col, on_face)) for col in self.columns)
         return clone
 
     def solve(self, w: Vector) -> OracleResponse:
         if not self.points:
             return Infeasible()
         ints, den = int_scale(w)
-        p = max(self.points, key=functools.partial(dot, ints))  # the first maximal point
-        return Optimal(p, rat(dot(ints, p), den))
+        values = column_dots(ints, self.columns, len(self.points))
+        best = max(values)
+        return Optimal(self.points[values.index(best)], rat(best, den))  # the first maximal point
 
 
 def make_provider(
@@ -321,8 +326,12 @@ def make_provider(
 def enumerate_lattice(instance: MipInstance) -> list[tuple]:
     """All feasible points of a boxed pure-integer instance, lex order.
 
-    Points are tuples of ints, each box point tested against the
-    instance's integer rows with int dot products.
+    Points are tuples of ints.  The box of coordinates 2..n, the slab,
+    is built once, as points and as columns, and each of the instance's
+    integer rows a.x <= b (`MipInstance.integer_rows`) takes its values
+    on it once (`column_dots`).  For each value x of coordinate 1 a
+    slab point is kept when b - a_1.x >= its value on every row, by
+    whole-column comparisons, so only one slab is ever held.
     """
     n = instance.num_vars
     if not instance.is_pure_integer():
@@ -340,8 +349,16 @@ def enumerate_lattice(instance: MipInstance) -> list[tuple]:
             raise ValueError(f"bounding box exceeds {MAX_LATTICE_POINTS} lattice points")
         ranges.append(range(lo_i, hi_i + 1))
     rows = instance.integer_rows
-    return [
-        pt
-        for pt in itertools.product(*ranges)
-        if all(dot(a, pt) <= b for a, b, _ in rows)
-    ]
+    if not n:
+        return [()] if all(b >= 0 for _, b, _ in rows) else []
+    if not size:
+        return []
+    slab = list(itertools.product(*ranges[1:]))
+    columns = tuple(zip(*slab))
+    values = [column_dots(a[1:], columns, len(slab)) for a, _, _ in rows]
+    points = []
+    for x in ranges[0]:
+        masks = [map((b - a[0] * x).__ge__, v) for (a, b, _), v in zip(rows, values)]
+        kept = itertools.compress(slab, reduce(partial(map, operator.and_), masks)) if masks else slab
+        points.extend(map((x,).__add__, kept))
+    return points

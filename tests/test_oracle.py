@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -403,6 +404,55 @@ def test_enumerate_lattice_guards():
         enumerate_lattice(unbounded)
 
 
+def _box(name, rows, rhs, lower, upper):
+    n = len(lower)
+    return build_instance(
+        name=name,
+        constraint_matrix=rows,
+        rhs=rhs,
+        objective=[0] * n,
+        integer_vars=range(n),
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+
+
+def test_lattice_engine_edge_cases():
+    """Empty boxes, empty rows, negative bounds, ties and empty faces."""
+    # n = 0: the one point () unless some row reads 0 <= b with b < 0
+    assert enumerate_lattice(_box("point", [[]], [0], [], [])) == [()]
+    assert enumerate_lattice(_box("none", [[], []], [1, -1], [], [])) == []
+    zero = make_provider(_box("point", [], [], [], []), "lattice")
+    resp = oracle_maximize(zero, [])
+    assert isinstance(resp, Optimal) and resp.point == () and resp.value == 0
+
+    # [1/2, 1/2] holds no integer; a zero row with a negative rhs holds nothing
+    assert enumerate_lattice(_box("half", [], [], [0, rat(1, 2)], [2, rat(1, 2)])) == []
+    assert enumerate_lattice(_box("void", [[0, 0]], [rat(-1, 3)], [0, 0], [2, 2])) == []
+    assert enumerate_lattice(_box("all", [[0, 0]], [0], [0, 0], [1, 1])) == [
+        (0, 0), (0, 1), (1, 0), (1, 1)]
+
+    # negative lower bounds keep lexicographic order
+    inst = _box("neg", [[1, 1, 0], [-1, 0, 1]], [0, 1], [-2, -1, -1], [1, 1, 0])
+    points = enumerate_lattice(inst)
+    assert points == [
+        p for p in itertools.product(range(-2, 2), range(-1, 2), range(-1, 1))
+        if p[0] + p[1] <= 0 and p[2] - p[0] <= 1
+    ]
+    assert points == sorted(points) and points[0] == (-2, -1, -1)
+
+    # w = 0: every point ties, so the lex-first one, with value 0
+    provider = make_provider(inst, "lattice")
+    resp = oracle_maximize(provider, [0, 0, 0])
+    assert isinstance(resp, Optimal) and resp.point == points[0] and resp.value == 0
+
+    # 2x0 + 2x2 = 1 holds no lattice point
+    face = provider.restrict([2, 0, 2], 1)
+    assert face.points == () and face.cache == ()
+    assert isinstance(oracle_maximize(face, [1, 0, 0]), Infeasible)
+    assert provider.points == tuple(points)
+
+
 _COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _BOUNDS = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 # a few values drawn often, so that ties among maximizers are common
@@ -411,8 +461,8 @@ _DIRECTION_ENTRIES = st.sampled_from([rat(-3, 2), rat(-1), rat(-1, 3), rat(0), r
 
 @st.composite
 def _lattice_case(draw):
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4))
     lower = draw(st.lists(_BOUNDS, min_size=n, max_size=n))
     upper = [lo + draw(st.fractions(0, 3, max_denominator=2)) for lo in lower]
     inst = build_instance(
