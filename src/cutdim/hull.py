@@ -138,11 +138,13 @@ def select_direction(span: Echelon, equations: EquationSystem, n: int) -> Option
     """A direction orthogonal to `span`, the echelon form of X's
     differences, and outside the row span of `equations`: the sparsest
     such complement vector, ties broken by lexicographically smallest
-    support, then by entries, so runs are reproducible; else None.
+    support, so runs are reproducible; else None.  No two candidates
+    share a support: each one's holds its own free column of `span` and
+    no other free column.
     """
     def key(v):
         support = tuple(j for j, c in enumerate(v) if c != 0)
-        return (len(support), support, v)
+        return (len(support), support)
 
     for v in sorted(orthogonal_complement_basis(span, n), key=key):
         if not is_in_span(v, equations.echelon):

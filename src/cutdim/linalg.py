@@ -8,19 +8,26 @@ Integer data has one form per kind.  A constraint or equation row
 a.x <= b (or = b) is held once, as `scaled_row` gives it, (d.a, d.b, d)
 with d the lcm of the denominators of a and b, so a point X/D satisfies
 it exactly when (d.a).X <= (d.b).D.  Eliminations run on rows of Python
-ints: `int_row` scales a rational row to coprime integers, and `pivot`,
-the one elimination step, keeps every row a positive multiple of the
-row exact rational Gauss-Jordan would give (fraction-free, after
-Edmonds and Bareiss).  Signs, zero patterns and ratios within a row
-therefore read as in the rational form, and rank and span questions are
-decided, never estimated.  A step copies (or scales) each row it
-changes once and updates only the pivot row's nonzero columns, so on a
-sparse tableau it costs about that count per row, not the full width;
-it puts fresh lists in place of the rows it changes and never writes
-into a given row, so rows may be tuples or shared with a copy.  Spans
-grow through `extended`, one row at a time, into an `Echelon`, so each
-span question on one is one reduction.  Complement directions are read
-straight off its rows as coprime ints.
+ints (`int_row` scales a rational row to coprime integers), through two
+fraction-free kernels (after Edmonds and Bareiss), each keeping every
+row it gives a coprime positive multiple of the row exact rational
+elimination would give:
+
+- `pivot`, the one Gauss-Jordan step, clears a column from every row
+  of a set but one.  It copies (or scales) each row it changes once and
+  updates only the pivot row's nonzero columns, so on a sparse tableau
+  it costs about that count per row, not the full width.
+- `reduced` reduces one row against rows that are each unit in their
+  own column (an `Echelon`, or a tableau's basic rows), in whole-row
+  `map` passes, and gives the row one `pivot` per column would leave.
+
+Signs, zero patterns and ratios within a row therefore read as in the
+rational form, and rank and span questions are decided, never
+estimated.  Neither kernel writes into a given row (they put fresh
+lists in its place), so rows may be tuples or shared with a copy.
+Spans grow through `extended`, one row at a time, into an `Echelon`, so
+each span question on one is one reduction.  Complement directions are
+read straight off its rows as coprime ints.
 
 Many points against one row are taken a column at a time:
 `column_dots` reads points held as coordinate columns and gives every
@@ -33,10 +40,10 @@ from __future__ import annotations
 from functools import partial, reduce
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .rational import rat
+from .rational import exact, rat
 
 Vector = tuple
 Matrix = tuple
@@ -59,21 +66,23 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
 
 
 def exact_vector(values: Iterable) -> Vector:
-    """`values` with int entries kept and every other entry through `rat`."""
+    """`values` with int entries kept and every other entry through `rat`;
+    an all-int row is returned as a tuple with no step per entry."""
+    values = tuple(values)
+    if {int}.issuperset(map(type, values)):
+        return values
     return tuple(v if type(v) is int else rat(v) for v in values)
 
 
 def exact_bounds(values, n) -> tuple:
-    """A bound vector (None: no bound) with its integral entries as ints."""
+    """A bound vector (None: no bound) with its integral entries as ints;
+    one of ints and Nones is returned as a tuple with no step per entry."""
     if values is None:
         return (None,) * n
-    return tuple(v if v is None or type(v) is int else _exact(v) for v in values)
-
-
-def _exact(value):
-    """`value` as an int when it is integral, else as a rational."""
-    q = rat(value)
-    return q.numerator if q.denominator == 1 else q
+    values = tuple(values)
+    if {int, type(None)}.issuperset(map(type, values)):
+        return values
+    return tuple(v if v is None or type(v) is int else exact(v) for v in values)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -116,7 +125,9 @@ def vec_add_scaled(u: Sequence, t, v: Sequence) -> Vector:
 def int_scale(values: Sequence) -> tuple[list[int], int]:
     """(ints, den) for a row of ints and rationals: den is the lcm of the
     entries' denominators and ints the entries times den, so the row is
-    exactly ints / den."""
+    exactly ints / den.  An all-int row is copied with no step per entry."""
+    if {int}.issuperset(map(type, values)):
+        return list(values), 1
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -173,6 +184,34 @@ def pivot(rows: list[list[int]], r: int, c: int) -> None:
             rows[i] = _primitive(out)
 
 
+def reduced(row: Sequence[int], rows: Sequence[Sequence[int]], columns: Sequence[int]) -> list[int]:
+    """An integer row reduced against rows that are each unit in their own
+    column: rows[i] is nonzero at columns[i] and every other row of the
+    set is zero there, as an Echelon's rows and pivots, or a tableau's
+    basic rows and basis, are.
+
+    Returns the coprime positive multiple of the row exact rational
+    elimination leaves, zero at every column of `columns`: the row that
+    one `pivot` per (rows[i], columns[i]) leaves in its place.  Only the
+    row changes; a rows[i] negative at its column is read as its
+    negation, as `pivot` reads it.  Each step is a*x - b*y with
+    g = gcd(p, f), a = p/g and b = f/g, over whole rows in C `map`
+    passes, and the one gcd is taken at the end.
+    """
+    out = list(row)
+    for prow, c in zip(rows, columns):
+        f = out[c]
+        if f:
+            p = prow[c]
+            if p < 0:
+                p, f = -p, -f
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            scaled = map(mul, repeat(b), prow)
+            out = list(map(sub, out if a == 1 else map(mul, repeat(a), out), scaled))
+    return _primitive(out)
+
+
 class Echelon(tuple):
     """A span's unique integer reduced echelon form, as `extended` grows
     it: coprime rows sorted by their pivot columns (`pivots`), each
@@ -187,14 +226,11 @@ class Echelon(tuple):
 def extended(form: Echelon, row: Sequence) -> Echelon:
     """The echelon form of span(form) + row: `form` itself when the row
     lies in that span, else a new form with the reduced row pivoted in."""
-    if form and len(row) != len(form[0]):
-        raise LinAlgError(f"row of length {len(row)} in Q^{len(form[0])}")
-    rows = [*form, int_row(row)]
-    for r, c in enumerate(form.pivots):
-        pivot(rows, r, c)
-    c = next((c for c, v in enumerate(rows[-1]) if v), None)
+    new = _reduced_in(form, row)
+    c = next((c for c, v in enumerate(new) if v), None)
     if c is None:
         return form
+    rows = [*form, new]
     pivot(rows, len(form), c)
     pivots, rows = zip(*sorted(zip((*form.pivots, c), map(tuple, rows))))
     return Echelon(rows, pivots)
@@ -213,9 +249,15 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 def is_in_span(candidate: Sequence, rows: Sequence[Sequence]) -> bool:
     """True when `candidate` lies in the row span of `rows`: on an
-    Echelon, one reduction of the candidate."""
-    form = echelon_form(rows)
-    return extended(form, candidate) is form
+    Echelon, one reduction of the candidate and no new form."""
+    return not any(_reduced_in(echelon_form(rows), candidate))
+
+
+def _reduced_in(form: Echelon, row: Sequence) -> list[int]:
+    """`row`, of ints and rationals, reduced against `form` (`reduced`)."""
+    if form and len(row) != len(form[0]):
+        raise LinAlgError(f"row of length {len(row)} in Q^{len(form[0])}")
+    return reduced(int_scale(row)[0], form, form.pivots)
 
 
 def orthogonal_complement_basis(vectors: Sequence[Sequence], n: int) -> list[Vector]:

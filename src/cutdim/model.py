@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .linalg import Matrix, Vector, dot, exact_bounds, int_scale, matrix, scaled_row, vector
-from .rational import rat, rat_str
+from .rational import exact, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,9 @@ def validate_instance(inst: MipInstance) -> list[str]:
 class Inequality:
     """A linear inequality a.x <= rhs.
 
-    `label` is free text (cut name); `category` an optional tag such as
-    the generating cut class.
+    Integral coefficients and rhs are held as ints, the others as
+    rationals (`rational.exact`).  `label` is free text (cut name);
+    `category` an optional tag such as the generating cut class.
     """
 
     coefficients: Vector
@@ -169,8 +170,8 @@ class Inequality:
     category: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", vector(self.coefficients))
-        object.__setattr__(self, "rhs", rat(self.rhs))
+        object.__setattr__(self, "coefficients", tuple(map(exact, self.coefficients)))
+        object.__setattr__(self, "rhs", exact(self.rhs))
 
     def __str__(self):
         terms = " + ".join(

@@ -8,14 +8,15 @@ Rationals are ``fractions.Fraction``.  A value the engines compute as
 an int stays an int: rows are scaled to ints once (`linalg.scaled_row`),
 the simplex pivots on ints, points, directions and rays keep the ints
 the engines compute, and face equations are held scaled to ints, so
-their checks take int dot products.  What is left rational is the work
-around them (instance and cut data, LP values, fractional bounds and
+their checks take int dot products.  Cut data, LP values and bounds are
+ints where integral (`exact`).  What is left rational is the work
+around them (instance data, fractional cut data, LP values, bounds and
 points).  Under cProfile, one seed-1 pass of each benchmark workload's
-CLI calls spends this share of its tottime in ``fractions.py``: 9.6% on
-knapsack-classify, 10.6-11.4% on stein9-impact and 13.0% on
-random-lattice.  That share bounds what a faster rational type could
-save, so none is used.  Fractions hash consistently with ``int``, so
-the two mix freely.
+CLI calls spends this share of its tottime in ``fractions.py`` (three
+passes each, Python 3.11.7): 7.3-7.4% on knapsack-classify, 10.8-11.0%
+on stein9-impact and 10.9-11.3% on random-lattice.  That share bounds
+what a faster rational type could save, so none is used.  Fractions
+hash consistently with ``int``, so the two mix freely.
 
 ``math.inf`` / ``-math.inf`` are used as sentinels for absent bounds and
 for unbounded optima; they are never operated on arithmetically, only
@@ -56,6 +57,14 @@ def rat(value: RationalLike, den: RationalLike | None = None):
     if hasattr(value, "__index__"):  # other integer types
         return Fraction(int(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def exact(value):
+    """`value` as an int when it is integral, else as a rational (`rat`)."""
+    if type(value) is int:
+        return value
+    q = rat(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def parse_rational(text: str):

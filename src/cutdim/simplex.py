@@ -24,10 +24,12 @@ introduced only for rows whose slack cannot serve as the initial basis;
 their columns come last and are deleted once phase one has found a
 feasible basis.  Phase one never reads the objective, so the basis it
 leaves under a program's first bound vector (a run's root, which every
-query of an oracle provider solves again) is remembered, and a later
-solve under those bounds, with any objective, starts phase two from a
-copy of it.  The objective being optimized is the tableau's last row,
-so a pivot is one `linalg.pivot` step plus the basis update.
+query of an oracle provider solves again) is remembered with that
+vector's pattern, form and shifts, and a later solve under those
+bounds, with any objective, starts phase two from a copy of it.  The
+objective being optimized is the tableau's last row: it is priced out
+by one `linalg.reduced` against the basic rows, and a pivot is one
+`linalg.pivot` step plus the basis update.
 
 The tableau holds Python ints.  The rows arrive scaled to ints, and
 each is written into a tableau as coprime integers,
@@ -36,18 +38,32 @@ multiple of the rational tableau's row.  Pricing reads signs, the ratio
 test cross-multiplies, and the basic solution and ray are read back as a
 row's rhs (or entering column) over its basic entry, an int when the
 division is exact, so the pivots, and every result, are those of the
-rational tableau; the point is returned as read back.  Rationals appear
+rational tableau.  The point is read back through the form's column
+map, and it and the value are ints where integral.  Rationals appear
 only at the boundary: `solve_lp`'s input rows, which it scales on entry,
-the objective, fractional bounds, the value and the ray.
+the objective, fractional bounds, a fractional point or value, and the
+ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
-from .linalg import Vector, exact_bounds, exact_vector, int_row, int_scale, pivot, scaled_row, vector
+from .linalg import (
+    Vector,
+    exact_bounds,
+    exact_vector,
+    int_row,
+    int_scale,
+    pivot,
+    reduced,
+    scaled_row,
+    vector,
+)
 from .rational import ZERO, rat
 
 
@@ -64,7 +80,8 @@ class LPResult:
     For OPTIMAL, `point` attains `value`.  For UNBOUNDED, `point` is a
     feasible witness and `ray` a recession direction that strictly
     improves the objective; `value` is None.  `point` has ints where
-    the simplex computed them.
+    the simplex computed them, and `value` is an int exactly when it is
+    integral.
     """
 
     status: LPStatus
@@ -97,11 +114,12 @@ class _Form:
     """The standard form of a program's rows for one pattern of finite
     bounds.
 
-    `terms[j]` writes x_j over the y columns as ((col, sign), ...);
-    `caps` lists (j, col) for each doubly bounded variable.  `ineq` and
-    `eq` hold, per row, its y-space ints, their negation and the row's
-    scale.  `width` is the column count after phase one: the y columns
-    and the slacks.
+    `terms[j]` writes x_j over the y columns as ((col, sign), ...), and
+    the column map reads it back: x_j = shift_j + y[plus[j]] - y[minus[j]],
+    where -1 (a zero slot after the last column) stands for no such term.  `caps` lists
+    (j, col) for each doubly bounded variable.  `ineq` and `eq` hold, per
+    row, its y-space ints, their negation and the row's scale.  `width`
+    is the column count after phase one: the y columns and the slacks.
     """
 
     terms: tuple
@@ -109,6 +127,8 @@ class _Form:
     caps: tuple
     ineq: tuple
     eq: tuple
+    plus: tuple
+    minus: tuple
 
     @property
     def width(self) -> int:
@@ -118,8 +138,9 @@ class _Form:
 @dataclass(eq=False)
 class Objective:
     """An objective c in the form `LinearProgram.solve` takes: c itself
-    (`key`), c = ints / den, its phase-two rows over y (coprime, per bound
-    pattern) and its results per bound vector."""
+    (`key`), c = ints / den, its phase-two rows over y (coprime, as
+    wide as the pattern's tableau, per bound pattern) and its results
+    per bound vector."""
 
     key: tuple
     ints: list
@@ -140,13 +161,14 @@ class LinearProgram:
 
     - per pattern of finite bounds, the substitution table and the
       y-space rows (`_Form`);
-    - for the first bound vector phase one runs for (a run's root), the
-      tableau and basis phase one left, or that it proved the bounds
-      infeasible.  Phase one never reads the objective, so a later solve
-      under the same bounds, with any objective, copies that tableau and
-      goes straight to phase two, and every pivot and result is the one
-      a fresh solve gives.  Other bound vectors run phase one on every
-      solve that is not answered from memory;
+    - for the first bound vector phase one runs for (a run's root), its
+      bound pattern, form and shifts, and the tableau and basis phase
+      one left, or that it proved the bounds infeasible.  Phase one
+      never reads the objective, so a later solve under the same bounds,
+      with any objective, copies that tableau and goes straight to phase
+      two, and every pivot and result is the one a fresh solve gives.
+      Other bound vectors run phase one on every solve that is not
+      answered from memory;
     - the latest objective asked (`Objective`), with its phase-two row
       for each pattern and its result for each bound vector, so runs
       that solve the program for one objective share their answers.
@@ -166,7 +188,8 @@ class LinearProgram:
         if any(len(ints) != num_vars for ints, _, _ in self.eq):
             raise ValueError("equation row length mismatch")
         self._forms: dict = {}
-        self._root = None  # (bounds, the start phase one left for them)
+        # (bounds, pattern, form, shifts, the start phase one left for them)
+        self._root = None
         self._cost: Optional[Objective] = None
 
     def objective(self, objective: Sequence) -> Objective:
@@ -203,25 +226,25 @@ class LinearProgram:
         return result
 
     def _solve(self, cost: Objective, lower: tuple, upper: tuple) -> LPResult:
-        for lo, hi in zip(lower, upper):
-            if lo is not None and hi is not None and lo > hi:
-                return LPResult(LPStatus.INFEASIBLE)
-        pattern = tuple((lo is not None, hi is not None) for lo, hi in zip(lower, upper))
-        form = self._forms.get(pattern)
-        if form is None:
-            form = self._forms[pattern] = self._compile(pattern)
-        shifts = [
-            lo if lo is not None else hi if hi is not None else 0
-            for lo, hi in zip(lower, upper)
-        ]
         bounds = (lower, upper)
         root = self._root
         if root is not None and root[0] == bounds:
-            start = root[1]
+            _, pattern, form, shifts, start = root
         else:
+            for lo, hi in zip(lower, upper):
+                if lo is not None and hi is not None and lo > hi:
+                    return LPResult(LPStatus.INFEASIBLE)
+            pattern = tuple((lo is not None, hi is not None) for lo, hi in zip(lower, upper))
+            form = self._forms.get(pattern)
+            if form is None:
+                form = self._forms[pattern] = self._compile(pattern)
+            shifts = tuple(
+                lo if lo is not None else hi if hi is not None else 0
+                for lo, hi in zip(lower, upper)
+            )
             start = self._start(form, shifts, lower, upper)
             if root is None:
-                self._root = (bounds, start)
+                self._root = (bounds, pattern, form, shifts, start)
         if start is None:
             return LPResult(LPStatus.INFEASIBLE)
 
@@ -231,28 +254,27 @@ class LinearProgram:
         tableau, basis = list(start[0]), list(start[1])
         z = cost.rows.get(pattern)
         if z is None:
-            z = cost.rows[pattern] = int_row(_over_y(form.terms, form.ncols, cost.ints))
-        tableau.append(z + [0] * (form.width + 1 - form.ncols))
+            z = int_row(_over_y(form.terms, form.ncols, cost.ints))
+            z = cost.rows[pattern] = z + [0] * (form.width + 1 - form.ncols)
+        tableau.append(z)  # never written into: `_price_out` replaces it
         _price_out(tableau, basis)
 
         pc = _optimize(tableau, basis)
-        y = [0] * form.width
+        y = [0] * (form.width + 1)
         for row, bcol in zip(tableau, basis):
             q, r = divmod(row[-1], row[bcol])
             y[bcol] = q if r == 0 else rat(row[-1], row[bcol])
-        x = tuple(
-            sum((sign * y[col] for col, sign in terms), shift)
-            for shift, terms in zip(shifts, form.terms)
-        )
+        x = tuple(map(add, shifts, _read_back(form, y)))
         if pc is None:
-            value = rat(sum(a * v for a, v in zip(cost.ints, x) if a), cost.den)
+            total = sum(map(mul, compress(cost.ints, cost.ints), compress(x, cost.ints)))
+            q, r = divmod(total, cost.den)
+            value = q if r == 0 else rat(total, cost.den)
             return LPResult(LPStatus.OPTIMAL, point=x, value=value)
-        ray_y = [ZERO] * form.width
+        ray_y = [ZERO] * (form.width + 1)
         ray_y[pc] = rat(1)
         for row, bcol in zip(tableau, basis):
             ray_y[bcol] = rat(-row[pc], row[bcol])
-        ray = tuple(sum((sign * ray_y[col] for col, sign in terms), ZERO) for terms in form.terms)
-        return LPResult(LPStatus.UNBOUNDED, point=x, ray=ray)
+        return LPResult(LPStatus.UNBOUNDED, point=x, ray=tuple(_read_back(form, ray_y)))
 
     def _start(self, form: _Form, shifts, lower, upper):
         """The (tableau, basis) phase one leaves under one bound vector,
@@ -304,7 +326,15 @@ class LinearProgram:
             caps=tuple(caps),
             ineq=rows(self.ineq),
             eq=rows(self.eq),
+            plus=tuple(next((col for col, sign in t if sign > 0), -1) for t in terms),
+            minus=tuple(next((col for col, sign in t if sign < 0), -1) for t in terms),
         )
+
+
+def _read_back(form: _Form, y):
+    """y[plus_j] - y[minus_j] for each x_j (`_Form`): the point without
+    its shifts, or a ray; y has a zero in its last slot."""
+    return map(sub, map(y.__getitem__, form.plus), map(y.__getitem__, form.minus))
 
 
 def _over_y(terms, ncols, ints) -> list:
@@ -381,10 +411,9 @@ def _coprime(row, rhs):
 
 
 def _price_out(tableau, basis) -> None:
-    """Clear the basic columns from the objective in the last row."""
-    for i, bcol in enumerate(basis):
-        if tableau[-1][bcol] != 0:
-            pivot(tableau, i, bcol)
+    """Clear the basic columns from the objective in the last row: one
+    `reduced` against the basic rows, which it leaves as they are."""
+    tableau[-1] = reduced(tableau[-1], tableau, basis)
 
 
 def _phase_one(tableau, basis, art_base) -> bool:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +138,10 @@ def test_parse_cuts_grammar():
     assert [c.label for c in cuts] == ["plain", "ascii"]
     assert cuts[0].coefficients == (rat(1), rat(1)) and cuts[0].rhs == 2
     assert cuts[1].category == "mir"
+    # integral entries are parsed and normalized to ints, the others to Fractions
+    (half,) = parse_cuts("half, 2, -1, 0.5", 2)
+    assert [type(v) for v in (*cuts[0].coefficients, cuts[0].rhs)] == [int, int, int]
+    assert [type(v) for v in (*half.coefficients, half.rhs)] == [int, Fraction, Fraction]
 
     assert parse_cuts("", 2) == []
     assert parse_cuts("# only comments\n\n", 2) == []

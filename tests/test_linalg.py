@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cutdim.linalg import (
@@ -18,9 +18,12 @@ from cutdim.linalg import (
     orthogonal_complement_basis,
     pivot,
     rank,
+    reduced,
+    scaled_row,
     vector,
 )
 from cutdim.rational import rat
+from cutdim.simplex import LinearProgram
 from helpers import fraction_complement, fraction_echelon
 
 
@@ -329,3 +332,68 @@ def test_grown_echelon_matches_from_scratch_and_fraction_twin(case):
     assert is_in_span(candidate, form) == is_in_span(candidate, rows) == in_span
     basis = orthogonal_complement_basis(form, n)
     assert basis == orthogonal_complement_basis(rows, n) == fraction_complement(rows, n)
+
+
+_SMALL = st.integers(-4, 4)
+
+
+@st.composite
+def _unit_basis_and_row(draw):
+    """Rows that are each unit in their own column, with those columns:
+    an Echelon grown by `extended`, or the basic rows of the tableau phase
+    one leaves for a small LP (rows a.x <= b with b of either sign, some
+    variables capped).  The pairs come in any order, some rows negated,
+    some as tuples.  Also a coprime integer row of the rows' width, in
+    or out of their span, and a factor to scale it by."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        form = echelon_form(draw(st.lists(st.lists(_SMALL, min_size=n, max_size=n), max_size=5)))
+        rows, columns = list(form), list(form.pivots)
+    else:
+        n = draw(st.integers(1, 4))
+        lp_rows = draw(st.lists(st.lists(_SMALL, min_size=n, max_size=n), min_size=1, max_size=4))
+        program = LinearProgram(n, [scaled_row(row, draw(_SMALL)) for row in lp_rows])
+        upper = [draw(st.sampled_from((None, 1, 3))) for _ in range(n)]
+        program.solve(program.objective([0] * n), [0] * n, upper)
+        start = program._root[-1]
+        assume(start is not None)
+        rows, columns = start
+    width = len(rows[0]) if rows else draw(st.integers(1, 6))
+    order = draw(st.permutations(range(len(rows))))
+    basis = []
+    for i in order:
+        row = rows[i] if draw(st.booleans()) else [-v for v in rows[i]]
+        basis.append(tuple(row) if draw(st.booleans()) else list(row))
+    columns = [columns[i] for i in order]
+    row = draw(st.lists(_SMALL, min_size=width, max_size=width))
+    if basis and draw(st.booleans()):
+        weights = draw(st.lists(_SMALL, min_size=len(basis), max_size=len(basis)))
+        row = [sum(w * b[j] for w, b in zip(weights, basis)) for j in range(width)]
+    return basis, columns, int_row(row), draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_unit_basis_and_row())
+def test_row_reduction_matches_one_pivot_per_column(case):
+    """`reduced` against unit rows gives the last row that one `pivot`
+    per (row, column) leaves, for the row and any positive multiple of
+    it, as a coprime int list; it leaves its inputs as they were.  On
+    the rows' echelon form, `is_in_span` agrees with the Fraction twin."""
+    basis, columns, row, k = case
+    before = [list(b) for b in basis]
+    work = [*basis, row]
+    for r, c in enumerate(columns):
+        pivot(work, r, c)
+    want = list(work[-1])
+    got = reduced(tuple(k * v for v in row), basis, columns)
+    assert got == reduced(row, basis, columns) == want
+    assert type(got) is list and all(type(v) is int for v in got)
+    assert not any(got[c] for c in columns)
+    assert [list(b) for b in basis] == before
+
+    width = len(row)
+    form = echelon_form(basis)
+    twin_rank = len(fraction_echelon(basis, width)[0])
+    in_span = len(fraction_echelon([*basis, row], width)[0]) == twin_rank
+    assert is_in_span(row, form) == is_in_span(row, basis) == in_span == (not any(want))
+    assert len(form) == twin_rank

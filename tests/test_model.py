@@ -218,6 +218,16 @@ def test_normalize_cut_fixtures():
     assert degenerate.rhs == 5
     assert max(abs(c) for c in degenerate.coefficients) == 0
 
+    # integral entries are ints, the others Fractions, given and normalized
+    def types(c):
+        return [type(v) for v in (*c.coefficients, c.rhs)]
+
+    raw = Inequality([rat(4, 2), "3/2", "0", 6], "7.0")
+    assert types(raw) == [int, Fraction, int, int, int]
+    assert types(normalize_cut(raw)) == [Fraction, Fraction, int, int, Fraction]
+    assert types(cut) == [Fraction, int, Fraction]
+    assert types(same) == types(degenerate) == [int, int, int]
+
 
 def test_normalize_cut_returns_a_normalized_cut_itself():
     # the CLI path normalizes a cut when it is read, then passes it on to

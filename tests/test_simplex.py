@@ -31,6 +31,7 @@ def test_simple_maximization():
     assert res.status is LPStatus.OPTIMAL
     assert res.value == rat(23, 3)  # x=1, y=2/3
     assert res.point == (rat(1), rat(2, 3))
+    assert type(res.value) is Fraction
 
 
 def test_infeasible():
@@ -72,7 +73,7 @@ def test_reflected_and_free_variables_optimal_point():
     res = solve_lp([-2, 1], [[-1, 0], [-1, 1]], [1, -3], lower=[None, None], upper=[3, None])
     assert res.status is LPStatus.OPTIMAL
     assert res.point == (rat(-1), rat(-4))
-    assert res.value == -2
+    assert res.value == -2 and type(res.value) is int
 
 
 def test_reflected_and_free_variables_ray():
@@ -154,6 +155,8 @@ def test_optimal_point_matches_value_with_equations():
         if res.status is LPStatus.OPTIMAL:
             assert dot(eq, res.point) == target
             assert dot(objective, res.point) == res.value
+            # the value is an int exactly when it is integral
+            assert type(res.value) is (int if res.value.denominator == 1 else Fraction)
 
 
 def _pinned_corpus_lines():
