@@ -110,9 +110,10 @@ class RunConfig:
     seed: int = _setting(2024, _whole, "generator seed for the selftest suites")
 
     def validate(self) -> None:
-        """Re-run every field's parser on the current values."""
+        """Re-run every field's parser on the current values and keep what
+        it returns, so a text setting ("off", "5") holds its parsed value."""
         for f in dataclasses.fields(self):
-            _parse(f, getattr(self, f.name), f.name)
+            setattr(self, f.name, _parse(f, getattr(self, f.name), f.name))
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -89,7 +89,7 @@ class EquationSystem:
     the (d.a, d.b, d) row `scaled_row` gives: `violated_row` takes int
     dot products, and `echelon` (their integer echelon form, grown a row
     at a time) answers span and rank questions.  `rows` and `rhs` give
-    the rational equations back for output, a row with d = 1 as ints."""
+    the equations back for output, ints where integral."""
 
     scaled: tuple = ()
     echelon: Echelon = Echelon()
@@ -98,16 +98,16 @@ class EquationSystem:
         return len(self.scaled)
 
     def with_equation(self, coefficients: Sequence, value) -> "EquationSystem":
-        row = scaled_row(exact_vector(coefficients), rat(value))
+        row = scaled_row(coefficients, value)
         return EquationSystem(self.scaled + (row,), extended(self.echelon, row[0]))
 
     @property
     def rows(self) -> Matrix:
-        return tuple(a if d == 1 else tuple(rat(v, d) for v in a) for a, _, d in self.scaled)
+        return tuple(a if d == 1 else exact_vector(rat(v, d) for v in a) for a, _, d in self.scaled)
 
     @property
     def rhs(self) -> Vector:
-        return tuple(rat(b, d) for _, b, d in self.scaled)
+        return exact_vector(rat(b, d) for _, b, d in self.scaled)
 
     def violated_row(self, point: Sequence) -> Optional[int]:
         for i, (ints, target, _) in enumerate(self.scaled):

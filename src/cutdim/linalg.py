@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples and matrices are tuples of row tuples.  Entries are
-ints where the engines computed them (points, directions, rays) and
-rationals otherwise; `dot` and the eliminations read both exactly.
+Vectors are tuples and matrices are tuples of row tuples.  Every entry
+is an int when it is integral and a rational otherwise (the one rule of
+`rational`); `exact_vector` applies it to a raw row, and `dot` and the
+eliminations read both forms exactly.
 
 Integer data has one form per kind.  A constraint or equation row
 a.x <= b (or = b) is held once, as `scaled_row` gives it, (d.a, d.b, d)
@@ -43,7 +44,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .rational import exact, rat
+from .rational import exact
 
 Vector = tuple
 Matrix = tuple
@@ -53,12 +54,8 @@ class LinAlgError(ValueError):
     pass
 
 
-def vector(values: Iterable) -> Vector:
-    return tuple(rat(v) for v in values)
-
-
 def matrix(rows: Iterable[Iterable]) -> Matrix:
-    out = tuple(vector(r) for r in rows)
+    out = tuple(exact_vector(r) for r in rows)
     widths = {len(r) for r in out}
     if len(widths) > 1:
         raise LinAlgError("ragged matrix")
@@ -66,12 +63,13 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
 
 
 def exact_vector(values: Iterable) -> Vector:
-    """`values` with int entries kept and every other entry through `rat`;
-    an all-int row is returned as a tuple with no step per entry."""
+    """`values` with every entry through `rational.exact`: an int when
+    integral, else a rational; a float raises TypeError.  An all-int row
+    is returned as a tuple with no step per entry."""
     values = tuple(values)
     if {int}.issuperset(map(type, values)):
         return values
-    return tuple(v if type(v) is int else rat(v) for v in values)
+    return tuple(map(exact, values))
 
 
 def exact_bounds(values, n) -> tuple:
@@ -82,7 +80,7 @@ def exact_bounds(values, n) -> tuple:
     values = tuple(values)
     if {int, type(None)}.issuperset(map(type, values)):
         return values
-    return tuple(v if v is None or type(v) is int else exact(v) for v in values)
+    return tuple(v if v is None else exact(v) for v in values)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -132,10 +130,11 @@ def int_scale(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def scaled_row(coefficients: Sequence, rhs) -> tuple:
+def scaled_row(coefficients: Iterable, rhs) -> tuple:
     """The row a.x <= b (or = b) in integer form (d.a, d.b, d): d is the
-    lcm of the denominators of a and b, d.a a tuple of ints, d.b an int."""
-    ints, d = int_scale((*coefficients, rhs))
+    lcm of the denominators of a and b, d.a a tuple of ints, d.b an int.
+    The entries may be raw (ints, rationals, strings; `exact_vector`)."""
+    ints, d = int_scale(exact_vector((*coefficients, rhs)))
     return tuple(ints[:-1]), ints[-1], d
 
 

@@ -4,8 +4,12 @@ An instance is the maximization problem
 
     max c.x  subject to  A.x <= b,  l <= x <= u,  x_i integer for i in I,
 
-with every coefficient an exact rational.  Instances and inequalities are
-frozen; analyses never mutate problem data.
+with every coefficient exact.  Instances and inequalities are frozen;
+analyses never mutate problem data.  Their data (objective, rows, rhs,
+bounds and cut entries) hold the one form of `rational`: an int where
+integral, a rational otherwise, so branch and bound starts its nodes
+from the bounds as they are and a bound check compares ints where it
+can.
 
 An instance also keeps one integer view of its rows, `integer_rows`,
 built on first use: each row a.x <= b in the form `linalg.scaled_row`
@@ -14,10 +18,7 @@ point X/D, X integers and D > 0, satisfies the row exactly when
 (d.a).X <= (d.b).D.  `is_feasible_point` checks every point that way,
 the lattice engine (`oracle.enumerate_lattice`) keeps the box points
 that meet it (D = 1), comparing whole columns of row values, and every
-branch-and-bound run compiles its program from it.  `integer_bounds` is
-the same for the bounds: every integral bound as an int, the form
-branch and bound starts its nodes from and `is_feasible_point` compares
-against.
+branch-and-bound run compiles its program from it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, Vector, dot, exact_bounds, int_scale, matrix, scaled_row, vector
+from .linalg import Matrix, Vector, dot, exact_bounds, exact_vector, int_scale, matrix, scaled_row
 from .rational import exact, rat, rat_str
 
 
@@ -57,12 +58,6 @@ class MipInstance:
         """The rows as (d.a, d.b, d) triples of ints (`scaled_row`)."""
         return tuple(scaled_row(row, b) for row, b in zip(self.constraint_matrix, self.rhs))
 
-    @functools.cached_property
-    def integer_bounds(self) -> tuple:
-        """(lower, upper) with every integral bound as an int (`exact_bounds`)."""
-        bounds = (self.lower_bounds, self.upper_bounds)
-        return tuple(exact_bounds(b, self.num_vars) for b in bounds)
-
     def is_feasible_point(self, point: Sequence) -> bool:
         """Exact feasibility check against rows, bounds and integrality.
 
@@ -74,7 +69,7 @@ class MipInstance:
         x, den = int_scale(point)
         if any(dot(a, x) > b * den for a, b, _ in self.integer_rows):
             return False
-        for v, lo, hi in zip(point, *self.integer_bounds):
+        for v, lo, hi in zip(point, self.lower_bounds, self.upper_bounds):
             if lo is not None and v < lo:
                 return False
             if hi is not None and v > hi:
@@ -91,36 +86,31 @@ def build_instance(
     lower_bounds: Optional[Sequence] = None,
     upper_bounds: Optional[Sequence] = None,
 ) -> MipInstance:
-    """Coerce raw data (ints, strings, Fractions) into a checked instance.
+    """Coerce raw data (ints, strings, Fractions) into a checked instance,
+    every entry in the one form (`exact_vector`); a float raises TypeError.
 
     Bounds may be given as None entries, or omitted entirely; an omitted
     lower/upper bound vector means free in that direction.  math.inf and
     -math.inf are accepted as aliases for None.
     """
     mat = matrix(constraint_matrix)
-    obj = vector(objective)
+    obj = exact_vector(objective)
     n = len(obj)
 
-    def coerce_bounds(bounds, default):
-        if bounds is None:
-            return (default,) * n
-        out = []
-        for v in bounds:
-            if v is None or (isinstance(v, float) and math.isinf(v)):
-                out.append(None)
-            else:
-                out.append(rat(v))
-        return tuple(out)
+    def coerce_bounds(bounds):
+        if bounds is not None:
+            bounds = [None if isinstance(v, float) and math.isinf(v) else v for v in bounds]
+        return exact_bounds(bounds, n)
 
     inst = MipInstance(
         name=name,
         num_vars=n,
         constraint_matrix=mat,
-        rhs=vector(rhs),
+        rhs=exact_vector(rhs),
         objective=obj,
         integer_vars=frozenset(operator.index(i) for i in integer_vars),
-        lower_bounds=coerce_bounds(lower_bounds, None),
-        upper_bounds=coerce_bounds(upper_bounds, None),
+        lower_bounds=coerce_bounds(lower_bounds),
+        upper_bounds=coerce_bounds(upper_bounds),
     )
     problems = validate_instance(inst)
     if problems:
@@ -170,7 +160,7 @@ class Inequality:
     category: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(map(exact, self.coefficients)))
+        object.__setattr__(self, "coefficients", exact_vector(self.coefficients))
         object.__setattr__(self, "rhs", exact(self.rhs))
 
     def __str__(self):
@@ -187,7 +177,7 @@ def normalize_cut(cut: Inequality) -> Inequality:
     induced face and validity, so every downstream comparison may assume
     this normal form.
     """
-    m = max((abs(c) for c in cut.coefficients), default=rat(0))
+    m = max((abs(c) for c in cut.coefficients), default=0)
     if m in (0, 1):
         return cut
     return dataclasses.replace(

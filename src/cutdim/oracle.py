@@ -15,9 +15,9 @@ and a restricted provider holds each face equation in the same
 (d.a, d.b, d) form as the instance's rows.  Enumeration, scans and
 restrictions take their int dot products a whole coordinate column at
 a time (`linalg.column_dots`), never a point at a time; the response
-checks and the cache filter take them per point.  Points and rays keep
-the ints their engine computed, and a query's int entries pass through
-unchanged.
+checks and the cache filter take them per point.  Points, rays and
+values follow the one rule of `rational` in both engines (an int where
+integral), and a query's int entries pass through unchanged.
 
 The solver engine's provider owns its compiled LP (`solver.program_for`):
 rows only, no objective, plus the phase-one basis of its root.  The
@@ -57,9 +57,9 @@ from functools import partial, reduce
 from typing import Optional, Sequence, Union
 
 from .config import RunConfig
-from .linalg import Vector, column_dots, dot, exact_vector, int_scale, scaled_row, vector
+from .linalg import Vector, column_dots, dot, exact_vector, int_scale, scaled_row
 from .model import MipInstance
-from .rational import rat
+from .rational import exact, rat
 from .solver import SolveOptions, SolveStatus, program_for, solve_mip
 
 MAX_LATTICE_POINTS = 10**6
@@ -155,8 +155,8 @@ def _verify_response(provider, w, response) -> None:
         raise OracleSoundnessError("unbounded response with a zero ray")
     if dot(w, ray) <= 0:
         raise OracleSoundnessError("ray does not improve the objective")
-    for row in inst.constraint_matrix:
-        if dot(row, ray) > 0:
+    for ints, _, _ in inst.integer_rows:
+        if dot(ints, ray) > 0:
             raise OracleSoundnessError("ray leaves the constraint rows")
     for j in range(inst.num_vars):
         if inst.lower_bounds[j] is not None and ray[j] < 0:
@@ -203,7 +203,7 @@ class _Provider:
         (d.a).p == d.b, and keeps its own inserts; a cold provider stays
         cold.
         """
-        row = scaled_row(vector(coefficients), rat(beta))
+        row = scaled_row(coefficients, beta)
         ints, target, _ = row
         clone = self.with_cache(
             None if self.cache is None else tuple(p for p in self.cache if dot(ints, p) == target)
@@ -298,7 +298,7 @@ class BruteForceOracle(_Provider):
         ints, den = int_scale(w)
         values = column_dots(ints, self.columns, len(self.points))
         best = max(values)
-        return Optimal(self.points[values.index(best)], rat(best, den))  # the first maximal point
+        return Optimal(self.points[values.index(best)], exact(rat(best, den)))  # the first maximal point
 
 
 def make_provider(
@@ -342,8 +342,7 @@ def enumerate_lattice(instance: MipInstance) -> list[tuple]:
         lo, hi = instance.lower_bounds[j], instance.upper_bounds[j]
         if lo is None or hi is None:
             raise ValueError(f"variable {j} is unbounded; cannot enumerate")
-        lo_i = int(math.ceil(rat(lo)))
-        hi_i = int(math.floor(rat(hi)))
+        lo_i, hi_i = math.ceil(lo), math.floor(hi)
         size *= max(0, hi_i - lo_i + 1)
         if size > MAX_LATTICE_POINTS:
             raise ValueError(f"bounding box exceeds {MAX_LATTICE_POINTS} lattice points")

@@ -1,22 +1,26 @@
 """Exact rational scalars.
 
-Every number that enters the toolkit is converted to an exact rational at
+Every number that enters the toolkit is converted to an exact value at
 the boundary (parsers, `build_instance`, `Inequality`, a user's
 direction) and stays exact from then on; no floats are ever produced by
 internal arithmetic, and no true division (``/``) is used anywhere.
-Rationals are ``fractions.Fraction``.  A value the engines compute as
-an int stays an int: rows are scaled to ints once (`linalg.scaled_row`),
-the simplex pivots on ints, points, directions and rays keep the ints
-the engines compute, and face equations are held scaled to ints, so
-their checks take int dot products.  Cut data, LP values and bounds are
-ints where integral (`exact`).  What is left rational is the work
-around them (instance data, fractional cut data, LP values, bounds and
-points).  Under cProfile, one seed-1 pass of each benchmark workload's
-CLI calls spends this share of its tottime in ``fractions.py`` (three
-passes each, Python 3.11.7): 7.3-7.4% on knapsack-classify, 10.8-11.0%
-on stein9-impact and 10.9-11.3% on random-lattice.  That share bounds
-what a faster rational type could save, so none is used.  Fractions
-hash consistently with ``int``, so the two mix freely.
+
+One rule holds for the problem data and for what the engines compute
+from them: a value is a Python ``int`` when it is integral and a
+``fractions.Fraction`` otherwise (`exact`, which `linalg.exact_vector`
+applies to a whole row).  Instance data, bounds, cut data, LP values,
+oracle values, points, directions and rays all follow it, and rows are
+scaled to ints once (`linalg.scaled_row`), so the engines pivot, scan
+and check on ints and compute with a rational only where a value is
+fractional.  `rat` is exact division and always returns a rational, as
+the analysis's ratios (closed gaps, histogram weights) are.  Under
+cProfile, one seed-1
+pass of each benchmark workload's CLI calls spends this share of its
+tottime in ``fractions.py`` (three passes each, Python 3.11.7):
+7.2-7.3% on knapsack-classify, 10.6-10.8% on stein9-impact and
+9.8-9.9% on random-lattice.  That share bounds what a faster rational
+type could save, so none is used.  Fractions hash and compare
+consistently with ``int``, so the two mix freely.
 
 ``math.inf`` / ``-math.inf`` are used as sentinels for absent bounds and
 for unbounded optima; they are never operated on arithmetically, only
@@ -30,8 +34,6 @@ from fractions import Fraction
 from typing import Union
 
 BACKEND = "fractions"  # the rational type, named in benchmark records
-
-ZERO = Fraction(0)
 
 #: Anything `rat` accepts.
 RationalLike = Union[int, str, Fraction]

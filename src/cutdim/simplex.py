@@ -11,38 +11,35 @@ behind: it is solved for one objective c under one bound vector (l, u)
 at a time.  Branch and bound solves one program at every node of a
 run, an oracle provider owns one for all its queries, and `solve_lp` is
 a program solved once.  Bounds are folded into the standard form by one
-substitution table that writes each variable as
-x_j = shift_j + sum(sign * y_col)  over nonnegative columns y: a
-variable with a finite lower bound l is l + y, one bounded only from
-above by u is u - y, a free one is y' - y''.  A doubly bounded variable
-also gets the row  y <= u - l.  The table, and every row rewritten over
-y, depend only on which bounds are finite, so they are built once per
-such pattern; a solve computes the shifts, the right-hand sides and the
-cap rows.  The table maps the optimal point (with the shifts) and an
-unbounded ray (without them) back to x-space.  Artificial variables are
-introduced only for rows whose slack cannot serve as the initial basis;
-their columns come last and are deleted once phase one has found a
-feasible basis.  Phase one never reads the objective, so the basis it
-leaves under a program's first bound vector (a run's root, which every
-query of an oracle provider solves again) is remembered with that
-vector's pattern, form and shifts, and a later solve under those
-bounds, with any objective, starts phase two from a copy of it.  The
-objective being optimized is the tableau's last row: it is priced out
-by one `linalg.reduced` against the basic rows, and a pivot is one
-`linalg.pivot` step plus the basis update.
+column map that writes each variable as
+x_j = shift_j + y_plus - y_minus  over nonnegative columns y, either
+term possibly absent: a variable with a finite lower bound l is l + y,
+one bounded only from above by u is u - y, a free one is y' - y''.  A
+doubly bounded variable also gets the row  y <= u - l.  The map, and
+every row rewritten over y, depend only on which bounds are finite, so
+they are built once per such pattern; a solve computes the shifts, the
+right-hand sides and the cap rows.  The map reads the optimal point
+(with the shifts) and an unbounded ray (without them) back to x-space.
+Artificial variables are introduced only for rows whose slack cannot
+serve as the initial basis; their columns come last and are deleted
+once phase one has found a feasible basis.  Phase one never reads the
+objective, so the basis it leaves under a program's first bound vector
+(a run's root, which every query of an oracle provider solves again) is
+remembered with that vector's pattern, form and shifts, and a later
+solve under those bounds, with any objective, starts phase two from a
+copy of it.  The objective being optimized is the tableau's last row:
+it is priced out by one `linalg.reduced` against the basic rows, and a
+pivot is one `linalg.pivot` step plus the basis update.
 
 The tableau holds Python ints.  The rows arrive scaled to ints, and
-each is written into a tableau as coprime integers,
-the form `int_row` gives; `linalg.pivot` keeps every row a positive
-multiple of the rational tableau's row.  Pricing reads signs, the ratio
+each is written into a tableau as coprime integers, the form `int_row`
+gives; `linalg.pivot` keeps every row a positive multiple of the
+rational tableau's row.  Pricing reads signs, the ratio
 test cross-multiplies, and the basic solution and ray are read back as a
-row's rhs (or entering column) over its basic entry, an int when the
-division is exact, so the pivots, and every result, are those of the
-rational tableau.  The point is read back through the form's column
-map, and it and the value are ints where integral.  Rationals appear
-only at the boundary: `solve_lp`'s input rows, which it scales on entry,
-the objective, fractional bounds, a fractional point or value, and the
-ray.
+row's rhs (or entering column) over its basic entry, so the pivots, and
+every result, are those of the rational tableau.  Objectives, bounds,
+points, rays and values follow the one rule of `rational`: an int where
+integral, a rational only where a value is fractional.
 """
 
 from __future__ import annotations
@@ -62,9 +59,8 @@ from .linalg import (
     pivot,
     reduced,
     scaled_row,
-    vector,
 )
-from .rational import ZERO, rat
+from .rational import rat
 
 
 class LPStatus(Enum):
@@ -79,9 +75,8 @@ class LPResult:
 
     For OPTIMAL, `point` attains `value`.  For UNBOUNDED, `point` is a
     feasible witness and `ray` a recession direction that strictly
-    improves the objective; `value` is None.  `point` has ints where
-    the simplex computed them, and `value` is an int exactly when it is
-    integral.
+    improves the objective; `value` is None.  Every entry, and `value`,
+    is an int exactly when it is integral (`rational.exact`).
     """
 
     status: LPStatus
@@ -103,8 +98,8 @@ def solve_lp(
     compile and solve."""
     if len(ineq_rows) != len(ineq_rhs) or len(eq_rows) != len(eq_rhs):
         raise ValueError("each row needs one right-hand side")
-    ineq = [scaled_row(vector(row), rat(b)) for row, b in zip(ineq_rows, ineq_rhs)]
-    eq = [scaled_row(vector(row), rat(b)) for row, b in zip(eq_rows, eq_rhs)]
+    ineq = [scaled_row(row, b) for row, b in zip(ineq_rows, ineq_rhs)]
+    eq = [scaled_row(row, b) for row, b in zip(eq_rows, eq_rhs)]
     program = LinearProgram(len(objective), ineq, eq)
     return program.solve(program.objective(objective), lower, upper)
 
@@ -114,15 +109,14 @@ class _Form:
     """The standard form of a program's rows for one pattern of finite
     bounds.
 
-    `terms[j]` writes x_j over the y columns as ((col, sign), ...), and
-    the column map reads it back: x_j = shift_j + y[plus[j]] - y[minus[j]],
-    where -1 (a zero slot after the last column) stands for no such term.  `caps` lists
-    (j, col) for each doubly bounded variable.  `ineq` and `eq` hold, per
-    row, its y-space ints, their negation and the row's scale.  `width`
-    is the column count after phase one: the y columns and the slacks.
+    The column map writes x_j over the y columns,
+    x_j = shift_j + y[plus[j]] - y[minus[j]], where -1 (a zero slot after
+    the last column) stands for no such term.  `caps` lists (j, col) for
+    each doubly bounded variable.  `ineq` and `eq` hold, per row, its
+    y-space ints, their negation and the row's scale.  `width` is the
+    column count after phase one: the y columns and the slacks.
     """
 
-    terms: tuple
     ncols: int
     caps: tuple
     ineq: tuple
@@ -159,7 +153,7 @@ class LinearProgram:
     takes one made by `objective`.  The program remembers three things,
     each bounded whatever the number of solves:
 
-    - per pattern of finite bounds, the substitution table and the
+    - per pattern of finite bounds, the column map and the
       y-space rows (`_Form`);
     - for the first bound vector phase one runs for (a run's root), its
       bound pattern, form and shifts, and the tableau and basis phase
@@ -254,7 +248,7 @@ class LinearProgram:
         tableau, basis = list(start[0]), list(start[1])
         z = cost.rows.get(pattern)
         if z is None:
-            z = int_row(_over_y(form.terms, form.ncols, cost.ints))
+            z = int_row(_over_y(form.plus, form.minus, form.ncols, cost.ints))
             z = cost.rows[pattern] = z + [0] * (form.width + 1 - form.ncols)
         tableau.append(z)  # never written into: `_price_out` replaces it
         _price_out(tableau, basis)
@@ -265,16 +259,18 @@ class LinearProgram:
             q, r = divmod(row[-1], row[bcol])
             y[bcol] = q if r == 0 else rat(row[-1], row[bcol])
         x = tuple(map(add, shifts, _read_back(form, y)))
+        if not {int}.issuperset(map(type, shifts)):
+            x = exact_vector(x)  # a fractional shift plus a fractional y may be integral
         if pc is None:
             total = sum(map(mul, compress(cost.ints, cost.ints), compress(x, cost.ints)))
             q, r = divmod(total, cost.den)
             value = q if r == 0 else rat(total, cost.den)
             return LPResult(LPStatus.OPTIMAL, point=x, value=value)
-        ray_y = [ZERO] * (form.width + 1)
-        ray_y[pc] = rat(1)
+        ray_y = [0] * (form.width + 1)
+        ray_y[pc] = 1
         for row, bcol in zip(tableau, basis):
             ray_y[bcol] = rat(-row[pc], row[bcol])
-        return LPResult(LPStatus.UNBOUNDED, point=x, ray=tuple(_read_back(form, ray_y)))
+        return LPResult(LPStatus.UNBOUNDED, point=x, ray=exact_vector(_read_back(form, ray_y)))
 
     def _start(self, form: _Form, shifts, lower, upper):
         """The (tableau, basis) phase one leaves under one bound vector,
@@ -291,43 +287,44 @@ class LinearProgram:
         return tableau, basis
 
     def _compile(self, pattern) -> _Form:
-        """The substitution table and y-space rows of one bound pattern.
+        """The column map and y-space rows of one bound pattern.
 
-        x_j = shift_j + sum(sign * y_col for col, sign in terms_j), y >= 0:
-        lower bound l gives l + y, upper bound u only gives u - y, and a
-        free variable y' - y''; a doubly bounded one also gets a cap row.
+        x_j = shift_j + y[plus_j] - y[minus_j], y >= 0: lower bound l
+        gives l + y, upper bound u only gives u - y, and a free variable
+        y' - y''; a doubly bounded one also gets a cap row.
         """
-        terms = []
-        caps = []
+        plus, minus, caps = [], [], []
         ncols = 0
         for j, (has_lo, has_hi) in enumerate(pattern):
             if has_lo:
-                terms.append(((ncols, 1),))
+                plus.append(ncols)
+                minus.append(-1)
                 if has_hi:
                     caps.append((j, ncols))
                 ncols += 1
             elif has_hi:
-                terms.append(((ncols, -1),))
+                plus.append(-1)
+                minus.append(ncols)
                 ncols += 1
             else:
-                terms.append(((ncols, 1), (ncols + 1, -1)))
+                plus.append(ncols)
+                minus.append(ncols + 1)
                 ncols += 2
 
         def rows(scaled):
             out = []
             for ints, _, scale in scaled:
-                coeffs = _over_y(terms, ncols, ints)
+                coeffs = _over_y(plus, minus, ncols, ints)
                 out.append((coeffs, [-v for v in coeffs], scale))
             return tuple(out)
 
         return _Form(
-            terms=tuple(terms),
             ncols=ncols,
             caps=tuple(caps),
             ineq=rows(self.ineq),
             eq=rows(self.eq),
-            plus=tuple(next((col for col, sign in t if sign > 0), -1) for t in terms),
-            minus=tuple(next((col for col, sign in t if sign < 0), -1) for t in terms),
+            plus=tuple(plus),
+            minus=tuple(minus),
         )
 
 
@@ -337,13 +334,16 @@ def _read_back(form: _Form, y):
     return map(sub, map(y.__getitem__, form.plus), map(y.__getitem__, form.minus))
 
 
-def _over_y(terms, ncols, ints) -> list:
-    """A row of ints over x rewritten over the y columns of `terms`."""
+def _over_y(plus, minus, ncols, ints) -> list:
+    """A row of ints over x rewritten over the y columns of the column
+    map (`_Form`): x_j's entry goes to plus_j and, negated, to minus_j."""
     out = [0] * ncols
-    for col_terms, v in zip(terms, ints):
+    for p, m, v in zip(plus, minus, ints):
         if v:
-            for col, sign in col_terms:
-                out[col] += sign * v
+            if p >= 0:
+                out[p] += v
+            if m >= 0:
+                out[m] -= v
     return out
 
 

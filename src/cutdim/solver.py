@@ -162,8 +162,8 @@ def solve_mip(
     grid = _grid(inst, cost) if options.objective_grid else None
     heap: list[_Node] = []
     counter = 0
-    # node bounds are ints where integral, so no LP solve converts them again
-    root = _Node(_node_key(math.inf, 0, counter), math.inf, 0, *inst.integer_bounds)
+    # the instance's bounds are ints where integral, so no LP solve converts them
+    root = _Node(_node_key(math.inf, 0, counter), math.inf, 0, inst.lower_bounds, inst.upper_bounds)
     if not _gcd_excludes(inst, program):
         heapq.heappush(heap, root)
     node_count = 0

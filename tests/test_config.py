@@ -2,13 +2,14 @@ import ast
 import dataclasses
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import cutdim
 
-from cutdim.analysis import classify_cut, impact_protocol
+from cutdim.analysis import analyze_instance, classify_cut, impact_protocol
 from cutdim.config import RunConfig, load_config
 from cutdim.hull import affine_hull, face_hull
 from cutdim.oracle import BruteForceOracle, MipOracle, make_provider
@@ -160,3 +161,28 @@ def test_every_setting_but_jobs_is_read():
             }
     unread = {f.name for f in dataclasses.fields(RunConfig)} - read
     assert unread == {"jobs"}
+
+
+def test_validate_keeps_the_parsed_values(monkeypatch):
+    """A library run with text settings runs on what they parse to: "off"
+    turns verification off (the text is truthy) and the limits are numbers."""
+    from test_exactness import knapsack
+
+    verified = []
+    monkeypatch.setattr("cutdim.oracle._verify_response", lambda *args: verified.append(args))
+    cfg = RunConfig(
+        verify_oracle="off", solve_time_limit="5", hull_time_budget="none", solve_node_limit="7"
+    )
+    analysis = analyze_instance(knapsack(), (), cfg)
+    assert analysis.dimension == 3 and verified == []
+    parsed = (cfg.verify_oracle, cfg.solve_time_limit, cfg.hull_time_budget, cfg.solve_node_limit)
+    assert parsed == (False, 5.0, None, 7)
+
+
+def test_readme_environment_examples_load():
+    """Every `CUTDIM_NAME=value` example in README.md is a setting that loads."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"`(CUTDIM_[A-Z_]+)=([^`\s]+)`", text)
+    assert examples
+    for name, value in examples:
+        load_config(env={name: value})

@@ -1,10 +1,10 @@
-"""The exactness contract: no float decides anything, and a value the
-engines compute as an int stays an int.
+"""The exactness contract: no float decides anything, and every value is
+an int when it is integral and a rational otherwise.
 
-`rat` and `vector` coerce to rationals only at the boundary (parsers,
-instances, cuts, a user's direction).  Points, directions and rays come
-out of the engines as Python ints where the engines computed them, and
-`dot` sums in its inputs' own types.  These tests pin the types the
+`exact_vector` applies that rule at the boundary (parsers, instances,
+cuts, a user's direction).  Points, directions and rays come out of
+the engines as Python ints where the engines computed them, and `dot`
+sums in its inputs' own types.  These tests pin the types the
 engines hand back, the boundary checks, and that no true division and no
 finite float appear.
 """
@@ -15,20 +15,22 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cutdim
 from cutdim.analysis import analyze_instance, closed_gap
 from cutdim.config import RunConfig
 from cutdim.fileio import parse_cuts
 from cutdim.hull import EquationSystem, affine_hull
-from cutdim.linalg import dot, vector
+from cutdim.linalg import dot, exact_vector
 from cutdim.model import build_instance
 from cutdim.oracle import Optimal, Unbounded, make_provider, oracle_maximize
-from cutdim.rational import ZERO, rat
+from cutdim.rational import rat, rat_str
 from cutdim.solver import SolveStatus, solve_mip
 from test_report_golden import CASES
 
-RATIONAL = type(ZERO)
+RATIONAL = type(rat(0))
 ENGINES = ("solver", "lattice")
 
 
@@ -97,14 +99,18 @@ def test_dot_sums_in_its_inputs_types():
     mixed_sum = dot((rat(1, 2), 2), (3, 4))
     assert type(mixed_sum) is RATIONAL and mixed_sum == rat(19, 2)
     assert dot((), ()) == 0
-    # the boundary still coerces everything to rationals
-    assert all(type(v) is RATIONAL for v in vector([1, "1/2", rat(3)]))
+    # the boundary keeps integral entries as ints and the others as rationals
+    row = exact_vector([1, "1/2", rat(3), "4"])
+    assert row == (1, rat(1, 2), 3, 4)
+    assert [type(v) for v in row] == [int, RATIONAL, int, int]
+    with pytest.raises(TypeError):
+        exact_vector([1, 0.5])
 
 
 def test_equation_rows_keep_ints_and_refuse_floats():
     eqs = EquationSystem().with_equation((1, -2), 3)
     assert eqs.rows == ((1, -2),) and _all_ints(eqs.rows)
-    assert type(eqs.rhs[0]) is RATIONAL
+    assert eqs.rhs == (3,) and type(eqs.rhs[0]) is int
     eqs = eqs.with_equation(("1/2", 1), "3/2")
     assert eqs.rows[1] == (rat(1, 2), 1) and type(eqs.rows[1][0]) is RATIONAL
     with pytest.raises(TypeError):
@@ -154,8 +160,8 @@ def test_solver_points_and_rays_are_ints():
 
 def test_mixed_integer_points_verify_exactly():
     inst = mixed()
-    assert inst.integer_bounds == ((0, None), (3, rat(5, 2)))
-    assert type(inst.integer_bounds[0][0]) is int and type(inst.integer_bounds[1][1]) is RATIONAL
+    assert (inst.lower_bounds, inst.upper_bounds) == ((0, None), (3, rat(5, 2)))
+    assert type(inst.lower_bounds[0]) is int and type(inst.upper_bounds[1]) is RATIONAL
     provider = make_provider(inst)
     resp = oracle_maximize(provider, (1, 1))  # verified on the way out
     assert isinstance(resp, Optimal) and resp.value == rat(7, 2)
@@ -167,6 +173,68 @@ def test_mixed_integer_points_verify_exactly():
     for p in hull.points + provider.cache:
         assert inst.is_feasible_point(p)
         assert type(p[0]) is int
+
+
+def test_engines_answer_one_value_type():
+    inst = knapsack()
+    for w in (inst.objective, (2, 0, 0), ("1/2", 1, 1)):
+        values = [oracle_maximize(make_provider(inst, engine), w).value for engine in ENGINES]
+        assert values[0] == values[1] and type(values[0]) is type(values[1])
+        assert (type(values[0]) is int) == (values[0].denominator == 1)
+
+
+_ENTRY = st.builds(rat, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def _instance_data(draw):
+    """A small boxed instance as rationals: objective, rows, rhs, bounds."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 2))
+    lower = [draw(_ENTRY) for _ in range(n)]
+    upper = [lo + draw(st.integers(0, 2)) + draw(st.sampled_from([0, rat(1, 2)])) for lo in lower]
+    return {
+        "constraint_matrix": [[draw(_ENTRY) for _ in range(n)] for _ in range(m)],
+        "rhs": [draw(_ENTRY) + 2 for _ in range(m)],
+        "objective": [draw(_ENTRY) for _ in range(n)],
+        "integer_vars": draw(st.sets(st.integers(0, n - 1))),
+        "lower_bounds": lower,
+        "upper_bounds": upper,
+    }
+
+
+def _spelled(data, spell):
+    """`data` with every number written by `spell`."""
+    vectors = {key: list(map(spell, data[key])) for key in ("rhs", "objective", "lower_bounds", "upper_bounds")}
+    matrix = [list(map(spell, row)) for row in data["constraint_matrix"]]
+    return {**data, **vectors, "constraint_matrix": matrix}
+
+
+# ints where integral, Fractions throughout, strings throughout
+_SPELLINGS = (lambda v: v.numerator if v.denominator == 1 else v, lambda v: v, rat_str)
+
+
+def _entries(inst) -> list:
+    rows = (v for row in inst.constraint_matrix for v in row)
+    return [*inst.objective, *rows, *inst.rhs, *inst.lower_bounds, *inst.upper_bounds]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_instance_data())
+def test_every_spelling_builds_the_one_form(data):
+    """An instance spelled with ints, Fractions or strings builds the same
+    instance, each entry an int exactly when it is integral, and the
+    integer rows, the MIP answer and the hull dimension agree."""
+    answers = []
+    for spell in _SPELLINGS:
+        inst = build_instance("spelled", **_spelled(data, spell))
+        assert all((type(v) is int) == (v.denominator == 1) for v in _entries(inst))
+        result = solve_mip(inst)
+        answers.append((
+            inst, inst.integer_rows, result.status, result.best_point, result.primal_value,
+            affine_hull(make_provider(inst)).dimension,
+        ))
+    assert answers[0] == answers[1] == answers[2]
 
 
 def _floats(value, path: str) -> list:

@@ -20,7 +20,6 @@ from cutdim.linalg import (
     rank,
     reduced,
     scaled_row,
-    vector,
 )
 from cutdim.rational import rat
 from cutdim.simplex import LinearProgram
@@ -95,16 +94,14 @@ def test_affine_rank_combination_property():
     for _ in range(30):
         n = rng.randint(1, 4)
         pts = [
-            vector([rng.randint(-3, 3) for _ in range(n)])
+            tuple(rat(rng.randint(-3, 3)) for _ in range(n))
             for _ in range(rng.randint(1, 5))
         ]
         r = affine_rank(pts)
         # affine combination: coefficients summing to one
         weights = [rat(rng.randint(-2, 2)) for _ in pts]
         weights[0] += 1 - sum(weights)
-        combo = vector(
-            [sum(w * p[j] for w, p in zip(weights, pts)) for j in range(n)]
-        )
+        combo = tuple(sum(w * p[j] for w, p in zip(weights, pts)) for j in range(n))
         assert affine_rank(pts + [combo]) == r
 
 

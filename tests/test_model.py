@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutdim.linalg import scaled_row, vector
+from cutdim.linalg import scaled_row
 from cutdim.model import (
     Inequality,
     build_instance,
@@ -36,7 +36,7 @@ def test_build_instance_basics():
     assert inst.num_constraints == 1
     assert inst.is_pure_integer()
     assert inst.integer_vars == frozenset({0, 1})
-    assert inst.constraint_matrix == (vector([2, 3]),)
+    assert inst.constraint_matrix == ((2, 3),)
 
 
 def test_validation_messages():
@@ -131,7 +131,7 @@ def test_is_feasible_point_reads_ints_and_fractions_alike():
     for x0 in range(-1, 5):
         for x1 in range(-1, 5):
             want = inst.is_feasible_point([x0, x1])
-            assert inst.is_feasible_point(vector([x0, x1])) == want
+            assert inst.is_feasible_point((rat(x0), rat(x1))) == want
             assert inst.is_feasible_point([rat(x0), x1]) == want
             assert want == (0 <= x0 <= 3 and 0 <= x1 <= 3 and 3 * x0 + 2 * x1 <= 4)
 
@@ -200,21 +200,21 @@ def test_is_feasible_point_matches_fraction_twin(case):
     the point's lcm gives the plain Fraction answer."""
     inst, points = case
     for point in points:
-        assert inst.is_feasible_point(vector(point)) == fraction_feasible(inst, point)
+        assert inst.is_feasible_point(tuple(map(rat, point))) == fraction_feasible(inst, point)
 
 
 def test_normalize_cut_fixtures():
     cut = normalize_cut(Inequality([2, -4], 6))
-    assert cut.coefficients == vector([rat(1, 2), -1])
+    assert cut.coefficients == (rat(1, 2), -1)
     assert cut.rhs == rat(3, 2)
     assert max(abs(c) for c in cut.coefficients) == 1
 
     same = normalize_cut(Inequality([1, 0], 1))
-    assert same.coefficients == vector([1, 0]) and same.rhs == 1
+    assert same.coefficients == (1, 0) and same.rhs == 1
     assert max(abs(c) for c in same.coefficients) == 1
 
     degenerate = normalize_cut(Inequality([0, 0], 5))
-    assert degenerate.coefficients == vector([0, 0])
+    assert degenerate.coefficients == (0, 0)
     assert degenerate.rhs == 5
     assert max(abs(c) for c in degenerate.coefficients) == 0
 
