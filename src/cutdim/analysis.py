@@ -109,8 +109,10 @@ def classify_cut(
     dimensions; without it a supporting verdict is returned with
     face_dimension left as None.  One oracle query decides the verdict;
     supporting cuts spend further queries on the face run, which probes
-    the provider's cache.  Zero coefficient rows are decided by the sign
-    of beta alone, query free.
+    the points of base's cache and the cut's own maximizer that lie on
+    the face.  Zero coefficient rows are decided by the sign of beta
+    alone, query free.  The provider is left as it was, so calls that
+    share it do not see each other's points.
     """
     tolerance = rat(tolerance)
     if tolerance < 0:
@@ -156,7 +158,9 @@ def classify_cut(
     face_dimension = None
     face_result = None
     if base is not None:
-        face_result = face_hull(provider, base, tightened, time_budget=face_time_budget)
+        face_result = face_hull(
+            provider, base, tightened, time_budget=face_time_budget, seen=(point,)
+        )
         face_dimension = face_result.dimension
     return CutClassification(
         cut,
@@ -489,11 +493,9 @@ def analyze_instance(
     sense without dim P) and propagates HullInterrupted; per-cut
     interruptions are recorded as failures instead.
 
-    Each cut gets its own provider whose cache starts as the hull run's
-    tuple and collects that cut's own points, so its face run can probe
-    them.  A cut's new points rebind only its own provider's cache, and
-    the base provider is never written while cuts run, so no cut's
-    answers or counts depend on the cuts before it.
+    Every cut shares the one provider, which no query changes, and its
+    face run probes the hull run's points and that cut's own maximizer,
+    so no cut's answers or counts depend on the cuts before it.
     """
     config = RunConfig() if config is None else config
     config.validate()
@@ -511,7 +513,7 @@ def analyze_instance(
     def classify_one(cut: Inequality):
         try:
             cls = classify_cut(
-                provider.with_cache(provider.cache),
+                provider,
                 cut,
                 base=base,
                 tolerance=config.tolerance,

@@ -14,14 +14,18 @@ it reaches n + 1 the affine hull is pinned down exactly:
     dim P = |X| - 1,   aff(P) = aff(X) = {x : D.x = e}.
 
 A bounded nonempty run costs exactly 2(n - r0) oracle calls, where r0
-is the number of valid equations supplied up front.  The provider's
-point cache can substitute for the two calls of a round whenever some
-already-known feasible point escapes the current aff(X); a provider
-without a cache gives a cold run.
+is the number of valid equations supplied up front.  The run keeps a
+point cache: the feasible points it was handed plus the point or
+witness of each verified answer, once each, in first-seen order.  A
+cached point can substitute for the two calls of a round whenever it
+escapes the current aff(X); a run handed None instead is cold, keeps
+no points and probes none.  The cache is the run's, not the oracle's:
+a query never changes its provider.
 
 Face dimension runs reuse the machinery unchanged: restrict the oracle
-to the face's hyperplane (its cache then holds only points on the face)
-and start from the base system plus the face equation, sharing its form.
+to the face's hyperplane, start from the base system plus the face
+equation, sharing its form, and from the base run's cached points that
+lie on the face.
 
 X and D each keep one integer echelon form (X's of its differences from
 its first point), grown a row at a time as a point or equation joins.
@@ -56,7 +60,6 @@ from .oracle import (
     Optimal,
     OracleInconclusive,
     Unbounded,
-    cache_probe,
     oracle_maximize,
 )
 from .rational import rat, rat_str
@@ -132,6 +135,7 @@ class AffineHullResult:
     equations: EquationSystem
     oracle_queries: int
     cache_hits: int
+    cache: Optional[tuple]  # every point the run held to probe, first-seen order; None if cold
 
 
 def select_direction(span: Echelon, equations: EquationSystem, n: int) -> Optional[Vector]:
@@ -152,6 +156,14 @@ def select_direction(span: Echelon, equations: EquationSystem, n: int) -> Option
     return None
 
 
+def cache_probe(cache: tuple, d: Sequence, gamma):
+    """The first cached point whose d-value differs from gamma, or None."""
+    for p in cache:
+        if dot(d, p) != gamma:
+            return p
+    return None
+
+
 def escape_from_ray(resp: Unbounded, d: Vector, gamma) -> Vector:
     """The point witness + t*ray, t in {1, 2}, whose d-value is not gamma."""
     # d moves strictly along the ray, so at most one step size lands on gamma
@@ -167,14 +179,17 @@ def affine_hull(
     initial_equations: Optional[EquationSystem] = None,
     query_budget: Optional[int] = None,
     time_budget: Optional[float] = RunConfig.hull_time_budget,
+    cache: Optional[Sequence] = (),
 ) -> AffineHullResult:
     """Dimension and affine hull of the provider's feasible set.
 
     `initial_equations` must be valid for the set and independent; they
-    reduce the number of rounds one for one.  The provider's cache, when
-    it has one, is probed before each round and a hit replaces both
-    oracle calls of the round.  The query budget defaults to the worst
-    case of a cold run, 2(n - r0).
+    reduce the number of rounds one for one.  `cache` holds feasible
+    points of the set the run may probe; the point or witness of each
+    verified answer joins it unless held already.  It is probed before
+    each round and a hit replaces both oracle calls of the round; None
+    gives a cold run.  The result carries the cache as the run left it.
+    The query budget defaults to the worst case of a cold run, 2(n - r0).
     """
     n = provider.n
     eqs = initial_equations if initial_equations is not None else EquationSystem()
@@ -187,6 +202,7 @@ def affine_hull(
         query_budget = max(1, 2 * (n - initial_count))
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
+    cache = None if cache is None else tuple(cache)
     points: list[Vector] = []
     span = Echelon()  # of the differences x - points[0], x in X
     queries = 0
@@ -196,16 +212,21 @@ def affine_hull(
         return HullInterrupted(reason, len(points) - 1, n - len(eqs), queries)
 
     def query(w):
-        nonlocal queries
+        nonlocal queries, cache
         if queries + 1 > query_budget:
             raise interrupted(f"query budget {query_budget} exhausted")
         if deadline is not None and time.monotonic() > deadline:
             raise interrupted("time budget exhausted")
         queries += 1
         try:
-            return oracle_maximize(provider, w)
+            resp = oracle_maximize(provider, w)
         except OracleInconclusive as exc:
             raise interrupted(str(exc)) from exc
+        if cache is not None and not isinstance(resp, Infeasible):
+            point = resp.point if isinstance(resp, Optimal) else resp.witness
+            if point not in cache:
+                cache += (point,)
+        return resp
 
     def checked_append(point):
         """Every point entering X must satisfy the current equations."""
@@ -233,13 +254,12 @@ def affine_hull(
             # n equations and no point yet: the set is a point or empty
             resp = query((0,) * n)
             if isinstance(resp, Infeasible):
-                return AffineHullResult(-1, (), eqs, queries, cache_hits)
+                return AffineHullResult(-1, (), eqs, queries, cache_hits, cache)
             if isinstance(resp, Optimal):
                 checked_append(resp.point)
                 continue
             raise AssertionError("zero objective cannot be unbounded")
 
-        cache = provider.cache  # each new point rebinds it to a longer tuple
         if cache:
             # with no point yet, the first cached point plays points[0]
             first = points[0] if points else cache[0]
@@ -255,7 +275,7 @@ def affine_hull(
         if isinstance(resp_max, Infeasible):
             if points:
                 raise AssertionError("oracle reported infeasible after feasible points")
-            return AffineHullResult(-1, (), eqs, queries, cache_hits)
+            return AffineHullResult(-1, (), eqs, queries, cache_hits, cache)
         if not points:
             # the first answer seeds X: its point, or the witness of its ray
             checked_append(resp_max.point if isinstance(resp_max, Optimal) else resp_max.witness)
@@ -275,7 +295,7 @@ def affine_hull(
         else:
             checked_append(resp_min.point)
 
-    return AffineHullResult(len(points) - 1, tuple(points), eqs, queries, cache_hits)
+    return AffineHullResult(len(points) - 1, tuple(points), eqs, queries, cache_hits, cache)
 
 
 def face_hull(
@@ -283,17 +303,24 @@ def face_hull(
     base: AffineHullResult,
     cut: Inequality,
     time_budget: Optional[float] = RunConfig.face_time_budget,
+    seen: Sequence = (),
 ) -> AffineHullResult:
     """Dimension of the face {x in P : a.x = rhs} of a supporting cut.
 
     `base` is the affine hull result for P itself; its equations are
     valid on the face and seed the run.  The cut equation is added
     unless its row already lies in the span of the base system.  The
-    restricted provider's cache holds only points on the face.
+    run's cache starts with the points of base's cache and then of
+    `seen` (more points of P) that lie on the face, once each; after a
+    cold base the face run is cold too.
     """
     eqs = base.equations
     with_cut = eqs.with_equation(cut.coefficients, cut.rhs)
     if with_cut.echelon is not eqs.echelon:
         eqs = with_cut
     face_provider = provider.restrict(cut.coefficients, cut.rhs)
-    return affine_hull(face_provider, initial_equations=eqs, time_budget=time_budget)
+    cache = base.cache
+    if cache is not None:
+        ints, target, _ = face_provider.equations[-1]
+        cache = tuple(p for p in dict.fromkeys((*cache, *seen)) if dot(ints, p) == target)
+    return affine_hull(face_provider, initial_equations=eqs, time_budget=time_budget, cache=cache)

@@ -1,4 +1,4 @@
-"""Optimization oracles and their point caches.
+"""Optimization oracles.
 
 The dimension algorithm only ever talks to an oracle: give it a
 direction w, get back either a maximizer, an unboundedness certificate
@@ -15,33 +15,28 @@ and a restricted provider holds each face equation in the same
 (d.a, d.b, d) form as the instance's rows.  Enumeration, scans and
 restrictions take their int dot products a whole coordinate column at
 a time (`linalg.column_dots`), never a point at a time; the response
-checks and the cache filter take them per point.  Points, rays and
-values follow the one rule of `rational` in both engines (an int where
-integral), and a query's int entries pass through unchanged.
+checks take them per point.  Points, rays and values follow the one
+rule of `rational` in both engines (an int where integral), and a
+query's int entries pass through unchanged.
 
 The solver engine's provider owns its compiled LP (`solver.program_for`):
 rows only, no objective, plus the phase-one basis of its root.  The
 provider's feasible set is fixed and only the direction changes from
 query to query, so the phase one of the root, which every query's
 branch and bound solves first, runs once across all its queries.
-`with_cache` copies share the program, and `restrict` compiles one for
-the face whose equation rows are the provider's own `equations` tuple.
+`restrict` compiles one for the face whose equation rows are the
+provider's own `equations` tuple.  `make_provider` picks the engine by
+name and returns what that engine's constructor builds.
 
-A provider's cache is an immutable tuple of the points it has returned,
-in first-seen order (None for a cold provider).  Each new point rebinds
-`provider.cache` to a longer tuple, so a copy that shares a tuple never
-sees the other's later points.  Hull runs probe the cache, where an
-affinely independent point found by an earlier query can stand in for
-two oracle calls.  A restricted provider (a face run's) starts its
-cache with the parent's points on the face, so every cached point lies
-in the feasible set of the provider that holds it.  A constructor
-builds a cold provider and `with_cache` is the one way to give it a
-cache; `make_provider` builds the provider for an engine name, with an
-empty cache.
+A query's answer is a function of the provider and w alone, and a
+query sets no attribute of the provider; only the solver program's memo
+of its root phase one fills in, and it moves no answer.  The points
+seen so far are kept by the hull run that asks the queries
+(`hull.affine_hull`), not here.
 
 With `verify` on (the default), every response is checked exactly, once
 (its point or witness lies in the provider's set, objective value, ray
-directions), before its point reaches the cache; a failed check raises
+directions), before the caller sees it; a failed check raises
 OracleSoundnessError rather than letting a wrong point silently corrupt
 a dimension.
 """
@@ -103,20 +98,11 @@ class Infeasible:
 OracleResponse = Union[Optimal, Unbounded, Infeasible]
 
 
-def cache_probe(cache: tuple, d: Sequence, gamma):
-    """The first cached point whose d-value differs from gamma, or None."""
-    for p in cache:
-        if dot(d, p) != gamma:
-            return p
-    return None
-
-
 def oracle_maximize(provider, w: Sequence) -> OracleResponse:
     """One oracle query: maximize w over the provider's feasible set.
 
-    Validates the direction, verifies the response when enabled, and
-    appends optimal points and unbounded witnesses not yet cached to the
-    provider's cache.
+    Validates the direction and verifies the response when enabled; the
+    provider is left as it was.
     """
     w = exact_vector(w)
     if len(w) != provider.n:
@@ -124,11 +110,6 @@ def oracle_maximize(provider, w: Sequence) -> OracleResponse:
     response = provider.solve(w)
     if provider.verify:
         _verify_response(provider, w, response)
-    cache = provider.cache
-    if cache is not None and not isinstance(response, Infeasible):
-        point = response.point if isinstance(response, Optimal) else response.witness
-        if point not in cache:
-            provider.cache = cache + (point,)
     return response
 
 
@@ -174,14 +155,12 @@ class _Provider:
     """What both providers share.
 
     A provider holds its instance, the face equations it is restricted
-    to (each as the (d.a, d.b, d) row `scaled_row` gives), its cache (a
-    tuple of points, None for a cold provider) and its verify switch.
-    `restrict` and `with_cache` return shallow copies, so the instance,
-    limits and switch carry over unchanged.
+    to (each as the (d.a, d.b, d) row `scaled_row` gives) and its verify
+    switch.  `restrict` returns a shallow copy, so the instance, limits
+    and switch carry over unchanged.
     """
 
     instance: MipInstance
-    cache: Optional[tuple] = None
     verify: bool
     equations: tuple = ()
 
@@ -189,26 +168,11 @@ class _Provider:
     def n(self) -> int:
         return self.instance.num_vars
 
-    def with_cache(self, cache: Optional[tuple]):
-        """The same provider starting from `cache` instead."""
-        clone = copy.copy(self)
-        clone.cache = cache
-        return clone
-
     def restrict(self, coefficients: Sequence, beta):
-        """The same provider on the hyperplane a.x = beta.
-
-        The row is held as (d.a, d.b, d) (`scaled_row`).  Its cache
-        starts with the parent's cached points p on the hyperplane,
-        (d.a).p == d.b, and keeps its own inserts; a cold provider stays
-        cold.
-        """
-        row = scaled_row(coefficients, beta)
-        ints, target, _ = row
-        clone = self.with_cache(
-            None if self.cache is None else tuple(p for p in self.cache if dot(ints, p) == target)
-        )
-        clone.equations = self.equations + (row,)
+        """The same provider on the hyperplane a.x = beta, the row held
+        as (d.a, d.b, d) (`scaled_row`)."""
+        clone = copy.copy(self)
+        clone.equations = self.equations + (scaled_row(coefficients, beta),)
         return clone
 
 
@@ -217,9 +181,9 @@ class MipOracle(_Provider):
 
     The provider owns its program (`solver.program_for`): its rows are
     compiled once, and every query solves them under its own direction,
-    so the root's phase one runs once across the queries.  `with_cache`
-    copies share the program; `restrict` compiles one for the face, whose
-    equation rows are the provider's own `equations` tuple.
+    so the root's phase one runs once across the queries.  `restrict`
+    compiles one for the face, whose equation rows are the provider's
+    own `equations` tuple.
 
     Queries prune by the objective grid (`SolveOptions.objective_grid`):
     a query's answer is its status, point, value and ray, which the rule
@@ -309,18 +273,17 @@ def make_provider(
     time_limit: Optional[float] = RunConfig.solve_time_limit,
     node_limit: Optional[int] = RunConfig.solve_node_limit,
 ):
-    """The provider for `engine` ("solver" or "lattice") with an empty cache.
+    """The provider for `engine` ("solver" or "lattice"), as its
+    constructor builds it.
 
     `verify` switches the response checks.  The limits bound each solver
     query; lattice scans ignore them.
     """
     if engine == "solver":
-        provider = MipOracle(inst, time_limit=time_limit, node_limit=node_limit, verify=verify)
-    elif engine == "lattice":
-        provider = BruteForceOracle(inst, verify=verify)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return provider.with_cache(())
+        return MipOracle(inst, time_limit=time_limit, node_limit=node_limit, verify=verify)
+    if engine == "lattice":
+        return BruteForceOracle(inst, verify=verify)
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 def enumerate_lattice(instance: MipInstance) -> list[tuple]:

@@ -136,7 +136,7 @@ def suite_query_count(seed: int, rounds: int = 25) -> SuiteResult:
     for i in range(rounds):
         inst = random_instance(rng, name=f"qc{i}")
         n = inst.num_vars
-        hull = affine_hull(BruteForceOracle(inst))  # no cache anywhere
+        hull = affine_hull(BruteForceOracle(inst), cache=None)  # a cold run
         result.check(hull.oracle_queries == 2 * n,
                      f"round {i}: {hull.oracle_queries} queries, wanted {2 * n}")
         result.check(hull.cache_hits == 0, f"round {i}: {hull.cache_hits} cache hits on a cold run")

@@ -122,7 +122,7 @@ def test_desk_scale_benchmark_dimensions(name, expected):
     if path is None:
         pytest.skip(f"benchmark file {name}.mps not on disk")
     inst = read_instance(path, fmt="mps")
-    provider = MipOracle(inst, time_limit=None).with_cache(())
+    provider = MipOracle(inst, time_limit=None)
     try:
         hull = affine_hull(provider, time_budget=1800.0)
     except HullInterrupted as exc:
@@ -135,7 +135,7 @@ def test_desk_scale_benchmark_dimensions(name, expected):
 def test_stein27_dimension_without_mps_file():
     assert len(ag33_lines()) == 117
     inst = stein27()
-    hull = affine_hull(MipOracle(inst, time_limit=None).with_cache(()))
+    hull = affine_hull(MipOracle(inst, time_limit=None))
     assert (hull.dimension, hull.oracle_queries, hull.cache_hits) == (27, 48, 3)
 
 

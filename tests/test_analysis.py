@@ -567,18 +567,18 @@ def test_face_run_probes_its_own_cuts_points():
     analysis = analyze_instance(inst, [cut], RunConfig(engine="solver"), run_impact=False)
     (cls,) = analysis.classifications
     face = cls.face_result
-    # the cut's own beta_true maximizer lies on the face and saves a round
+    # a point the hull run saw lies on the face and saves a round
     assert face.cache_hits >= 1
     assert face.oracle_queries == 4
     cold_provider = MipOracle(inst)
-    cold = face_hull(cold_provider, affine_hull(cold_provider), cls.tightened)
-    assert cold.cache_hits == 0
+    cold = face_hull(cold_provider, affine_hull(cold_provider, cache=None), cls.tightened)
+    assert cold.cache_hits == 0 and cold.cache is None
     assert face.dimension == cold.dimension
 
 
 def test_each_cut_classifies_as_if_alone():
-    """A cut's provider starts from the hull run's cache alone, so no cut's
-    points reach another cut's face run."""
+    """A cut's face run starts from the hull run's points and its own
+    maximizer alone, so no cut's points reach another cut's face run."""
     rng = random.Random(19)
     inst = random_instance(rng, max_vars=4, name="alone")
     points = enumerate_lattice(inst)
@@ -591,3 +591,48 @@ def test_each_cut_classifies_as_if_alone():
     for cut, cls in zip(cuts, together.classifications):
         (alone,) = analyze_instance(inst, [cut], config, run_impact=False).classifications
         assert cls == alone
+
+
+@pytest.mark.parametrize("engine", ["solver", "lattice"])
+def test_classify_calls_sharing_a_provider_stay_apart(engine):
+    """Two classify_cut calls on one provider classify, query and hit the
+    cache as each call does alone: x + y <= 6 has the maximizer (3, 3),
+    which lies on the face x = 3 of the later cut x <= 3 and would save
+    that face run its only round."""
+    inst = build_instance(
+        name="staircase",
+        constraint_matrix=[[1, -1]],
+        rhs=[1],
+        objective=[0, 0],
+        integer_vars=(0, 1),
+        lower_bounds=[0, 0],
+        upper_bounds=[3, 3],
+    )
+    corner, side = Inequality([1, 1], 6), Inequality([1, 0], 3)
+    provider = make_provider(inst, engine)
+    base = affine_hull(provider)
+    shared = [classify_cut(provider, cut, base=base) for cut in (corner, side)]
+    for cut, cls in zip((corner, side), shared):
+        fresh = make_provider(inst, engine)
+        (alone,) = [classify_cut(fresh, cut, base=affine_hull(fresh))]
+        assert cls == alone
+        assert (cls.face_result.oracle_queries, cls.face_result.cache_hits) == (
+            alone.face_result.oracle_queries,
+            alone.face_result.cache_hits,
+        )
+    assert [cls.face_dimension for cls in shared] == [0, 1]
+
+
+@pytest.mark.parametrize("engine", ["solver", "lattice"])
+def test_a_cuts_own_maximizer_seeds_its_face_run(engine):
+    rng = random.Random(23)
+    inst = random_instance(rng, max_vars=3, name="own")
+    a = [rng.randint(-3, 3) for _ in range(inst.num_vars)]
+    cut = Inequality(a, max(dot(a, p) for p in enumerate_lattice(inst)))
+    provider = make_provider(inst, engine)
+    base = affine_hull(provider)
+    cls = classify_cut(provider, cut, base=base)
+    without = face_hull(provider, base, cls.tightened)
+    assert cls.face_dimension == without.dimension
+    assert cls.face_result.cache_hits > without.cache_hits
+    assert cls.face_result.oracle_queries < without.oracle_queries

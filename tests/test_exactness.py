@@ -138,7 +138,7 @@ def test_pure_integer_points_are_ints(engine):
     hull = affine_hull(provider)
     assert hull.dimension == 3
     assert _all_ints(hull.points)
-    assert _all_ints(provider.cache) and len(provider.cache) > 1
+    assert _all_ints(hull.cache) and len(hull.cache) > 1
 
 
 def test_solver_points_and_rays_are_ints():
@@ -170,7 +170,7 @@ def test_mixed_integer_points_verify_exactly():
     assert dot(inst.objective, resp.point) == resp.value
     hull = affine_hull(provider)
     assert hull.dimension == 2
-    for p in hull.points + provider.cache:
+    for p in hull.points + hull.cache:
         assert inst.is_feasible_point(p)
         assert type(p[0]) is int
 

@@ -10,6 +10,7 @@ from cutdim.hull import (
     HullInterrupted,
     InvalidInitialEquationsError,
     affine_hull,
+    cache_probe,
     face_hull,
     select_direction,
 )
@@ -23,8 +24,16 @@ from cutdim.linalg import (
     rank,
     vec_sub,
 )
-from cutdim.model import Inequality, build_instance
-from cutdim.oracle import BruteForceOracle, MipOracle, enumerate_lattice, make_provider
+from cutdim.model import Inequality, MipInstance, build_instance
+from cutdim.oracle import (
+    BruteForceOracle,
+    MipOracle,
+    Optimal,
+    OracleSoundnessError,
+    enumerate_lattice,
+    make_provider,
+    oracle_maximize,
+)
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
 from helpers import fraction_complement
@@ -216,9 +225,92 @@ def test_cache_cuts_queries_but_not_answers():
     base = affine_hull(provider)
     cut = Inequality([1, 0, 0], 1)
     warm = face_hull(provider, base, cut)
-    cold = face_hull(MipOracle(inst), base, cut)
+    cold = face_hull(provider, affine_hull(provider, cache=None), cut)
     assert warm.dimension == cold.dimension == 2
+    assert cold.cache_hits == 0 and cold.cache is None
     assert warm.oracle_queries + warm.cache_hits <= cold.oracle_queries + 1
+
+
+def test_cache_probe_modes():
+    assert cache_probe((), [1, 0], gamma=rat(0)) is None  # empty cache
+
+    assert cache_probe(((0, 0),), [1, 0], gamma=rat(0)) is None  # no d-value differs
+    cache = ((0, 0), (1, 1), (1, 0))
+    # the first point with d.p != gamma, in first-seen order
+    assert cache_probe(cache, [1, 0], gamma=rat(0)) == (rat(1), rat(1))
+    assert cache_probe(cache, [0, 1], gamma=rat(1)) == (rat(0), rat(0))
+
+
+@pytest.mark.parametrize("engine", ["solver", "lattice"])
+def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
+    """A run's cache is the points it was handed, then each answer's point
+    once, in first-seen order, each verified once; None keeps it cold."""
+    answers, checks = [], []
+    check = MipInstance.is_feasible_point
+
+    def recorded(provider, w):
+        response = oracle_maximize(provider, w)
+        answers.append(response.point)
+        return response
+
+    monkeypatch.setattr("cutdim.hull.oracle_maximize", recorded)
+    monkeypatch.setattr(
+        MipInstance, "is_feasible_point", lambda inst, p: checks.append(p) or check(inst, p)
+    )
+    provider = make_provider(cube(), engine)
+    warm = affine_hull(provider)
+    # the cube's three minimizations all answer the origin
+    assert len(answers) == 6 and warm.cache == tuple(dict.fromkeys(answers))
+    assert len(warm.cache) == 4 and checks == answers
+
+    answers.clear()
+    start = ((0, 0, 0), (1, 1, 1))
+    seeded = affine_hull(provider, cache=start)
+    assert seeded.cache == tuple(dict.fromkeys(start + tuple(answers)))
+    assert (seeded.cache_hits, seeded.oracle_queries) == (2, 2)
+
+    cold = affine_hull(provider, cache=None)
+    assert (cold.cache, cold.cache_hits, cold.oracle_queries) == (None, 0, 6)
+    assert warm.dimension == seeded.dimension == cold.dimension == 3
+
+
+class OutsidePoint(MipOracle):
+    """Answers e1 with (2, 0, 0), outside the cube, and the rest truly."""
+
+    def solve(self, w):
+        if tuple(w) == (1, 0, 0):
+            return Optimal((2, 0, 0), 2)
+        return super().solve(w)
+
+
+def test_only_verified_answers_reach_the_run_cache():
+    with pytest.raises(OracleSoundnessError):
+        affine_hull(OutsidePoint(cube()))
+    assert (2, 0, 0) in affine_hull(OutsidePoint(cube(), verify=False)).cache
+
+
+def test_face_run_starts_from_the_base_points_on_the_face():
+    rng = random.Random(57)
+    inst = random_instance(rng, name="probe")
+    n = inst.num_vars
+    provider = make_provider(inst, "lattice")
+    base = affine_hull(provider)
+    a = [rng.randint(-3, 3) for _ in range(n)]
+    directions = [a] + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(12)]
+    seen = tuple(oracle_maximize(provider, w).point for w in directions)
+    cut = Inequality(a, dot(a, seen[0]))
+    held = tuple(dict.fromkeys(base.cache + seen))
+    on_face = tuple(p for p in held if dot(a, p) == cut.rhs)
+    face = face_hull(provider, base, cut, seen=seen)
+    assert on_face and face.cache[: len(on_face)] == on_face
+    new = face.cache[len(on_face):]
+    assert new and all(dot(a, p) == cut.rhs and p not in held for p in new)
+    assert len(set(face.cache)) == len(face.cache)
+    assert face.dimension == affine_rank([p for p in provider.points if dot(a, p) == cut.rhs])
+    # a point only `seen` holds saves a round
+    assert face.cache_hits > face_hull(provider, base, cut).cache_hits
+    cold = face_hull(provider, affine_hull(provider, cache=None), cut, seen=seen)
+    assert (cold.cache, cold.cache_hits, cold.dimension) == (None, 0, face.dimension)
 
 
 def test_equations_valid_on_all_points():
@@ -229,7 +321,7 @@ def test_equations_valid_on_all_points():
         # a cold run, then a cached run and a face run whose rounds can hit the cache
         cached = make_provider(inst, "lattice")
         base = affine_hull(cached)
-        runs = [(affine_hull(BruteForceOracle(inst)), points), (base, points)]
+        runs = [(affine_hull(BruteForceOracle(inst), cache=None), points), (base, points)]
         if points:
             c = inst.objective
             top = max(dot(c, p) for p in points)

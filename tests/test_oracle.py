@@ -17,7 +17,6 @@ from cutdim.oracle import (
     OracleInconclusive,
     OracleSoundnessError,
     Unbounded,
-    cache_probe,
     enumerate_lattice,
     make_provider,
     oracle_maximize,
@@ -112,22 +111,24 @@ def test_soundness_guard_rejects_bad_witnesses():
         integer_vars=(0,),
         lower_bounds=[0],
     )
-    oracle = BadWitnessOracle(halfline).with_cache(())
     with pytest.raises(OracleSoundnessError, match="witness is infeasible"):
-        oracle_maximize(oracle, [1])
-    assert len(oracle.cache) == 0
+        oracle_maximize(BadWitnessOracle(halfline), [1])
 
 
 def test_query_counting_and_cache_population(monkeypatch):
-    oracle = MipOracle(knapsack()).with_cache(())
+    """One solve per query; the hull run, not the provider, holds the
+    answers' points."""
+    oracle = MipOracle(knapsack())
     solves = []
     solve = oracle.solve
     monkeypatch.setattr(oracle, "solve", lambda w: solves.append(w) or solve(w))
     oracle_maximize(oracle, [5, 4])
     oracle_maximize(oracle, [-1, -1])
     assert solves == [(5, 4), (-1, -1)]  # one solve per query
-    assert len(oracle.cache) == 2
-    for p in oracle.cache:
+    hull = affine_hull(oracle)
+    assert len(solves) == 2 + hull.oracle_queries
+    assert len(hull.cache) >= 2 and not hasattr(oracle, "cache")
+    for p in hull.cache:
         assert knapsack().is_feasible_point(p)
 
 
@@ -139,10 +140,8 @@ class InfeasibleOracle(MipOracle):
 
 
 def test_soundness_guard_rejects_bad_points():
-    oracle = InfeasibleOracle(knapsack()).with_cache(())
     with pytest.raises(OracleSoundnessError, match="violates the instance"):
-        oracle_maximize(oracle, [1, 1])
-    assert len(oracle.cache) == 0  # the check runs before the insert
+        oracle_maximize(InfeasibleOracle(knapsack()), [1, 1])
 
 
 def test_feasibility_checked_once_per_optimal_response(monkeypatch):
@@ -155,12 +154,43 @@ def test_feasibility_checked_once_per_optimal_response(monkeypatch):
 
     monkeypatch.setattr(MipInstance, "is_feasible_point", counting)
     provider = make_provider(knapsack(), "lattice")
-    for w in ([5, 4], [-1, -1], [5, 4]):  # two new points, then a held one
+    for w in ([5, 4], [-1, -1], [5, 4]):  # the third answer repeats the first
         oracle_maximize(provider, w)
-    assert len(calls) == 3 and len(provider.cache) == 2
-    unchecked = make_provider(knapsack(), "lattice", verify=False)
-    oracle_maximize(unchecked, [5, 4])
-    assert len(calls) == 3 and len(unchecked.cache) == 1
+    assert len(calls) == 3
+    oracle_maximize(make_provider(knapsack(), "lattice", verify=False), [5, 4])
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("engine", ["solver", "lattice"])
+def test_queries_leave_the_provider_as_it_was(engine):
+    """A query reads its provider and writes nothing to it, on a face
+    too, with every answer verified; `make_provider` builds what the
+    engine's constructor builds."""
+    inst = random_instance(random.Random(41), max_vars=4, name="still")
+    provider = make_provider(inst, engine)
+    assert provider.verify
+    top = oracle_maximize(provider, inst.objective).point
+    for p in (provider, provider.restrict(inst.objective, dot(inst.objective, top))):
+        before = dict(vars(p))
+        for w in itertools.product((-1, 0, 1), repeat=inst.num_vars):
+            oracle_maximize(p, w)
+        assert vars(p) == before
+
+    def setup(p):
+        held = dict(vars(p))
+        program = held.pop("program", None)
+        rows = None if program is None else (program.num_vars, program.ineq, program.eq)
+        return type(p), held, rows
+
+    if engine == "solver":
+        built = MipOracle(inst, time_limit=5.0, node_limit=9, verify=False)
+    else:
+        built = BruteForceOracle(inst, verify=False)
+    made = make_provider(inst, engine, time_limit=5.0, node_limit=9, verify=False)
+    assert setup(made) == setup(built)
+    assert setup(make_provider(inst, engine)) == setup(
+        MipOracle(inst) if engine == "solver" else BruteForceOracle(inst)
+    )
 
 
 class MisreportingOracle(MipOracle):
@@ -187,23 +217,9 @@ def test_make_provider_engines_and_verify_switch():
         make_provider(knapsack(), "simplex")
 
 
-def test_with_cache_keeps_settings_and_counts_apart():
-    provider = make_provider(square(), "lattice")
-    oracle_maximize(provider, [1, 1])
-    local = provider.with_cache(provider.cache)
-    oracle_maximize(local, [-1, -1])
-    assert local.points is provider.points  # no second enumeration
-    assert (local.instance, local.verify) == (provider.instance, provider.verify)
-    assert provider.cache == ((1, 1),) and local.cache == ((1, 1), (0, 0))
-    # and back: a later query on the parent does not reach the copy
-    oracle_maximize(provider, [1, -1])
-    assert provider.cache == ((1, 1), (1, 0)) and local.cache == ((1, 1), (0, 0))
-    assert provider.with_cache(None).cache is None
-
-
 def test_each_provider_compiles_one_program(monkeypatch):
     """A provider's queries share its compiled program: a base hull and a
-    face run build one each, and `with_cache` copies share the base one."""
+    face run build one each."""
     inst = build_instance(
         name="knapsack4",
         constraint_matrix=[[3, 2, 2, 1]],
@@ -229,12 +245,10 @@ def test_each_provider_compiles_one_program(monkeypatch):
 
     monkeypatch.setattr(LinearProgram, "__init__", counted_init)
     monkeypatch.setattr("cutdim.oracle.solve_mip", recorded_solve_mip)
-    provider = MipOracle(inst).with_cache(())
+    provider = MipOracle(inst)
     base = affine_hull(provider)
-    clone = provider.with_cache(provider.cache)
-    assert clone.program is provider.program
-    oracle_maximize(clone, [1, 1, 0, 0])  # beta_true of x0 + x1 <= 1
-    face = face_hull(clone, base, Inequality([1, 1, 0, 0], 1))
+    top = oracle_maximize(provider, [1, 1, 0, 0])  # beta_true of x0 + x1 <= 1
+    face = face_hull(provider, base, Inequality([1, 1, 0, 0], 1), seen=(top.point,))
     assert (base.dimension, face.dimension) == (4, 3)
 
     assert len(built) == 2 and built[0] is provider.program
@@ -358,37 +372,15 @@ def test_oracle_agreement():
             assert a.value == b.value, f"case {i}, w={w}"
 
 
-def test_cache_probe_modes():
-    assert cache_probe((), [1, 0], gamma=rat(0)) is None  # empty cache
-
-    assert cache_probe(((0, 0),), [1, 0], gamma=rat(0)) is None  # no d-value differs
-    cache = ((0, 0), (1, 1), (1, 0))
-    # the first point with d.p != gamma, in first-seen order
-    assert cache_probe(cache, [1, 0], gamma=rat(0)) == (rat(1), rat(1))
-    assert cache_probe(cache, [0, 1], gamma=rat(1)) == (rat(0), rat(0))
-
-
-def test_restrict_keeps_the_parents_points_on_the_face():
+def test_restrict_keeps_the_lattice_points_on_the_face():
     rng = random.Random(47)
     inst = random_instance(rng, name="probe")
     provider = make_provider(inst, "lattice")
-    for _ in range(12):
-        oracle_maximize(provider, [rng.randint(-3, 3) for _ in range(inst.num_vars)])
-    held = provider.cache
     a = [rng.randint(-3, 3) for _ in range(inst.num_vars)]
-    beta = max(dot(a, p) for p in held)
+    beta = max(dot(a, p) for p in provider.points)
     face = provider.restrict(a, beta)
-    on_face = tuple(p for p in held if dot(a, p) == beta)
-    assert face.cache == on_face and on_face
     assert face.points == tuple(p for p in provider.points if dot(a, p) == beta)
-
-    for _ in range(12):
-        oracle_maximize(face, [rng.randint(-3, 3) for _ in range(inst.num_vars)])
-    new = face.cache[len(on_face):]
-    assert face.cache[: len(on_face)] == on_face
-    assert new and all(dot(a, p) == beta and p not in held for p in new)
-    assert provider.cache == held  # face points stay out of the parent
-    assert provider.with_cache(None).restrict(a, beta).cache is None  # cold stays cold
+    assert face.equations == (scaled_row(a, beta),) and provider.equations == ()
 
 
 def test_enumerate_lattice_guards():
@@ -446,10 +438,12 @@ def test_lattice_engine_edge_cases():
     resp = oracle_maximize(provider, [0, 0, 0])
     assert isinstance(resp, Optimal) and resp.point == points[0] and resp.value == 0
 
-    # 2x0 + 2x2 = 1 holds no lattice point
+    # 2x0 + 2x2 = 1 holds no lattice point, so a run on it keeps no point
     face = provider.restrict([2, 0, 2], 1)
-    assert face.points == () and face.cache == ()
+    assert face.points == ()
     assert isinstance(oracle_maximize(face, [1, 0, 0]), Infeasible)
+    empty = affine_hull(face)
+    assert (empty.dimension, empty.cache) == (-1, ())
     assert provider.points == tuple(points)
 
 
@@ -500,9 +494,10 @@ def _check_scans(provider, points, directions):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_lattice_case())
 def test_integer_lattice_engine_matches_fraction_twin(case):
-    """enumerate_lattice, solve, restrict and the cache filter against the
-    Fraction twin, point for point, on fractional rows, bounds and
-    directions; a hyperplane whose scaled rhs is fractional keeps none."""
+    """enumerate_lattice, solve, restrict and a face run's starting points
+    against the Fraction twin, point for point, on fractional rows,
+    bounds and directions; a hyperplane whose scaled rhs is fractional
+    keeps none."""
     inst, directions, a, k = case
     points = fraction_lattice(inst)
     assert enumerate_lattice(inst) == points
@@ -511,7 +506,9 @@ def test_integer_lattice_engine_matches_fraction_twin(case):
     _check_scans(provider, points, directions)
 
     den = math.lcm(*(c.denominator for c in a))
-    held = provider.cache
+    base = affine_hull(provider)
+    seen = tuple(fraction_argmax(points, w)[0] for w in directions if points)
+    held = tuple(dict.fromkeys(base.cache + seen))
     betas = [rat(2 * k + 1, 2 * den)]  # d.beta = k + 1/2
     if points:
         betas.append(dot(a, points[k % len(points)]))
@@ -519,9 +516,12 @@ def test_integer_lattice_engine_matches_fraction_twin(case):
         face = provider.restrict(a, beta)
         on_face = fraction_on_hyperplane(points, a, beta)
         assert face.points == tuple(on_face)
-        assert face.cache == tuple(fraction_on_hyperplane(held, a, beta))
+        start = tuple(fraction_on_hyperplane(held, a, beta))
+        run = face_hull(provider, base, Inequality(a, beta), seen=seen)
+        assert run.cache[: len(start)] == start
+        assert all(p in on_face for p in run.cache)
         if (beta * den).denominator != 1:
-            assert not on_face and not face.cache
+            assert not on_face and not run.cache
         _check_scans(face, on_face, directions)
 
 

@@ -1,11 +1,15 @@
 """Checks on the package source as a whole."""
 
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
 import cutdim
 
 PACKAGE = Path(cutdim.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +44,27 @@ def test_no_module_imports_a_name_it_does_not_use():
         and (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_readme_library_examples_print_what_they_say(tmp_path, monkeypatch):
+    """The `## Library` Python blocks run in order in one namespace, on the
+    README's own square instance and cut file; every print whose line
+    ends in a comment prints that comment."""
+    text = README.read_text(encoding="utf-8")
+    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    instance = re.search(r"### Instances \(JSON\)\s*```json\n(.*?)```", text, re.S).group(1)
+    cuts = re.search(r"### Cut files.*?```\n(.*?)```", text, re.S).group(1)
+    (tmp_path / "square.json").write_text(instance, encoding="utf-8")
+    (tmp_path / "cuts.txt").write_text(cuts, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace, printed, wanted = {}, [], []
+    for block in re.findall(r"```python\n(.*?)```", library, re.S):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, namespace)
+        printed += out.getvalue().splitlines()
+        prints = [line for line in block.splitlines() if line.startswith("print(")]
+        wanted += [line.partition("#")[2].strip() for line in prints]
+    assert len(printed) == len(wanted)
+    assert [p for p, w in zip(printed, wanted) if w] == [w for w in wanted if w]
+    assert [w for w in wanted if w] == ["2 4", "supporting 0", "1"]
