@@ -99,20 +99,18 @@ def compute_beta_true(provider, coefficients: Sequence):
 def classify_cut(
     provider,
     cut: Inequality,
-    base: Optional[AffineHullResult] = None,
+    base: AffineHullResult,
     tolerance=RunConfig.tolerance,
     face_time_budget: Optional[float] = RunConfig.face_time_budget,
 ) -> CutClassification:
     """Classify one cut against the provider's feasible set P.
 
-    `base` (the affine hull result for P) is required to compute face
-    dimensions; without it a supporting verdict is returned with
-    face_dimension left as None.  One oracle query decides the verdict;
-    supporting cuts spend further queries on the face run, which probes
-    the points of base's cache and the cut's own maximizer that lie on
-    the face.  Zero coefficient rows are decided by the sign of beta
-    alone, query free.  The provider is left as it was, so calls that
-    share it do not see each other's points.
+    `base` is the affine hull result for P.  One oracle query decides
+    the verdict; every supporting cut spends further queries on its face
+    run, which probes the points of base's cache and the cut's own
+    maximizer that lie on the face.  Zero coefficient rows are decided
+    by the sign of beta alone, query free.  The provider is left as it
+    was, so calls that share it do not see each other's points.
     """
     tolerance = rat(tolerance)
     if tolerance < 0:
@@ -132,7 +130,7 @@ def classify_cut(
             rat(0),
             rat(0),
             tightened=cut,
-            face_dimension=None if base is None else base.dimension,
+            face_dimension=base.dimension,
         )
 
     beta_true, point, ray = compute_beta_true(provider, a)
@@ -155,20 +153,14 @@ def classify_cut(
         return CutClassification(cut, Verdict.NON_SUPPORTING, beta_true, diff)
 
     tightened = dataclasses.replace(cut, rhs=beta_true)
-    face_dimension = None
-    face_result = None
-    if base is not None:
-        face_result = face_hull(
-            provider, base, tightened, time_budget=face_time_budget, seen=(point,)
-        )
-        face_dimension = face_result.dimension
+    face_result = face_hull(provider, base, tightened, time_budget=face_time_budget, seen=(point,))
     return CutClassification(
         cut,
         Verdict.SUPPORTING,
         beta_true,
         diff,
         tightened=tightened,
-        face_dimension=face_dimension,
+        face_dimension=face_result.dimension,
         face_result=face_result,
     )
 
@@ -369,7 +361,7 @@ def binned_face_dimension(
 
     Failed (no verdict), invalid and degenerate cuts are out;
     non-supporting cuts count as the empty face (-1); a supporting cut
-    without a computed face dimension cannot be binned and is skipped.
+    with no face dimension, which only a report file can hold, is skipped.
     """
     if verdict is None or verdict is Verdict.INVALID or degenerate:
         return None

@@ -2,8 +2,9 @@
 
 The native instance format is JSON with every number an exact string
 ("p/q" or an integer literal) and null for absent bounds, so a round
-trip loses nothing.  MPS files are handled by the mps module and picked
-by file extension.
+trip loses nothing; a boolean is neither a number nor a variable index.
+Instance files are read and written by extension, `.json` or `.mps`
+(the mps module), and any other name is a ParseError.
 
 Cut files are plain text: one cut per line,
 
@@ -98,34 +99,30 @@ def instance_from_json(text: str) -> MipInstance:
         raise ParseError(f"malformed instance: {exc}") from exc
 
 
-def read_instance(path: str, fmt: Optional[str] = None) -> MipInstance:
-    """Load an instance; the format comes from `fmt` or the extension."""
-    if fmt is None:
-        lowered = path.lower()
-        if lowered.endswith(".json"):
-            fmt = "json"
-        elif lowered.endswith(".mps"):
-            fmt = "mps"
-        else:
-            raise ParseError(f"cannot infer format of {path!r}; pass fmt='json' or 'mps'")
+_INSTANCE_CODECS = {  # (reader, writer) by extension
+    ".json": (instance_from_json, instance_to_json),
+    ".mps": (read_instance_mps, write_instance_mps),
+}
+
+
+def _instance_codec(path: str):
+    for extension, codec in _INSTANCE_CODECS.items():
+        if path.lower().endswith(extension):
+            return codec
+    raise ParseError(f"cannot infer format of {path!r}; name it .json or .mps")
+
+
+def read_instance(path: str) -> MipInstance:
+    """Load an instance from a .json or .mps file."""
+    parse, _ = _instance_codec(path)
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if fmt == "json":
-        return instance_from_json(text)
-    if fmt == "mps":
-        return read_instance_mps(text)
-    raise ParseError(f"unknown instance format {fmt!r}")
+        return parse(fh.read())
 
 
-def write_instance(inst: MipInstance, path: str, fmt: Optional[str] = None) -> None:
-    if fmt is None:
-        fmt = "mps" if path.lower().endswith(".mps") else "json"
-    if fmt == "json":
-        text = instance_to_json(inst)
-    elif fmt == "mps":
-        text = write_instance_mps(inst)
-    else:
-        raise ParseError(f"unknown instance format {fmt!r}")
+def write_instance(inst: MipInstance, path: str) -> None:
+    """Save an instance to a .json or .mps file; `read_instance` reads it back."""
+    _, render = _instance_codec(path)
+    text = render(inst)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -381,6 +378,9 @@ def histogram_items_from_report(doc: dict) -> Optional[tuple]:
             dims.append(k)
     if d is None or d < 0 or not dims:
         return None
+    for k in dims:
+        if not -1 <= k <= d:
+            raise ParseError(f"face dimension {k} impossible inside dimension {d}")
     return (d, dims)
 
 

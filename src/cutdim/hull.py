@@ -13,14 +13,14 @@ it reaches n + 1 the affine hull is pinned down exactly:
 
     dim P = |X| - 1,   aff(P) = aff(X) = {x : D.x = e}.
 
-A bounded nonempty run costs exactly 2(n - r0) oracle calls, where r0
-is the number of valid equations supplied up front.  The run keeps a
-point cache: the feasible points it was handed plus the point or
-witness of each verified answer, once each, in first-seen order.  A
-cached point can substitute for the two calls of a round whenever it
-escapes the current aff(X); a run handed None instead is cold, keeps
-no points and probes none.  The cache is the run's, not the oracle's:
-a query never changes its provider.
+The run keeps a point cache: the feasible points it was handed plus
+the point or witness of each verified answer, once each, in first-seen
+order.  A cached point can substitute for the two calls of a round
+whenever it escapes the current aff(X).  So on a bounded nonempty set
+the oracle calls plus twice the cache hits come to exactly 2(n - r0),
+where r0 is the number of valid equations supplied up front (one call
+when r0 = n).  The cache is the run's, not the oracle's: a query never
+changes its provider.
 
 Face dimension runs reuse the machinery unchanged: restrict the oracle
 to the face's hyperplane, start from the base system plus the face
@@ -135,7 +135,7 @@ class AffineHullResult:
     equations: EquationSystem
     oracle_queries: int
     cache_hits: int
-    cache: Optional[tuple]  # every point the run held to probe, first-seen order; None if cold
+    cache: tuple  # every point the run held to probe, first-seen order
 
 
 def select_direction(span: Echelon, equations: EquationSystem, n: int) -> Optional[Vector]:
@@ -177,9 +177,8 @@ def escape_from_ray(resp: Unbounded, d: Vector, gamma) -> Vector:
 def affine_hull(
     provider,
     initial_equations: Optional[EquationSystem] = None,
-    query_budget: Optional[int] = None,
     time_budget: Optional[float] = RunConfig.hull_time_budget,
-    cache: Optional[Sequence] = (),
+    cache: Sequence = (),
 ) -> AffineHullResult:
     """Dimension and affine hull of the provider's feasible set.
 
@@ -187,9 +186,10 @@ def affine_hull(
     reduce the number of rounds one for one.  `cache` holds feasible
     points of the set the run may probe; the point or witness of each
     verified answer joins it unless held already.  It is probed before
-    each round and a hit replaces both oracle calls of the round; None
-    gives a cold run.  The result carries the cache as the run left it.
-    The query budget defaults to the worst case of a cold run, 2(n - r0).
+    each round and a hit replaces both oracle calls of the round.  The
+    result carries the cache as the run left it.  A run that would
+    spend more than max(1, 2(n - r0)) queries, the proven worst case,
+    stops with HullInterrupted.
     """
     n = provider.n
     eqs = initial_equations if initial_equations is not None else EquationSystem()
@@ -198,11 +198,10 @@ def affine_hull(
     if len(eqs) > n:
         raise ValueError("more independent equations than variables")
     initial_count = len(eqs)
-    if query_budget is None:
-        query_budget = max(1, 2 * (n - initial_count))
+    query_budget = max(1, 2 * (n - initial_count))
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
-    cache = None if cache is None else tuple(cache)
+    cache = tuple(cache)
     points: list[Vector] = []
     span = Echelon()  # of the differences x - points[0], x in X
     queries = 0
@@ -222,7 +221,7 @@ def affine_hull(
             resp = oracle_maximize(provider, w)
         except OracleInconclusive as exc:
             raise interrupted(str(exc)) from exc
-        if cache is not None and not isinstance(resp, Infeasible):
+        if not isinstance(resp, Infeasible):
             point = resp.point if isinstance(resp, Optimal) else resp.witness
             if point not in cache:
                 cache += (point,)
@@ -311,16 +310,13 @@ def face_hull(
     valid on the face and seed the run.  The cut equation is added
     unless its row already lies in the span of the base system.  The
     run's cache starts with the points of base's cache and then of
-    `seen` (more points of P) that lie on the face, once each; after a
-    cold base the face run is cold too.
+    `seen` (more points of P) that lie on the face, once each.
     """
     eqs = base.equations
     with_cut = eqs.with_equation(cut.coefficients, cut.rhs)
     if with_cut.echelon is not eqs.echelon:
         eqs = with_cut
     face_provider = provider.restrict(cut.coefficients, cut.rhs)
-    cache = base.cache
-    if cache is not None:
-        ints, target, _ = face_provider.equations[-1]
-        cache = tuple(p for p in dict.fromkeys((*cache, *seen)) if dot(ints, p) == target)
+    ints, target, _ = face_provider.equations[-1]
+    cache = tuple(p for p in dict.fromkeys((*base.cache, *seen)) if dot(ints, p) == target)
     return affine_hull(face_provider, initial_equations=eqs, time_budget=time_budget, cache=cache)

@@ -91,11 +91,15 @@ def build_instance(
 
     Bounds may be given as None entries, or omitted entirely; an omitted
     lower/upper bound vector means free in that direction.  math.inf and
-    -math.inf are accepted as aliases for None.
+    -math.inf are accepted as aliases for None.  A bool is neither a
+    number nor an index and raises TypeError.
     """
     mat = matrix(constraint_matrix)
     obj = exact_vector(objective)
     n = len(obj)
+    integer_vars = tuple(integer_vars)
+    if any(isinstance(i, bool) for i in integer_vars):
+        raise TypeError(f"integer variable indices {integer_vars} hold a boolean")
 
     def coerce_bounds(bounds):
         if bounds is not None:
@@ -121,6 +125,9 @@ def build_instance(
 def validate_instance(inst: MipInstance) -> list[str]:
     """Shape and consistency violations, empty when the instance is sound."""
     problems = []
+    name = inst.name
+    if not (isinstance(name, str) and name and name.isprintable() and name == name.strip()):
+        problems.append(f"name {name!r} is not nonempty printable text without outer spaces")
     n = inst.num_vars
     if len(inst.objective) != n:
         problems.append(f"objective has {len(inst.objective)} entries, expected {n}")

@@ -43,8 +43,9 @@ _SUPPORTED = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
 def read_instance_mps(text: str) -> MipInstance:
     """Parse an MPS document into an instance.
 
-    Integer variables that appear in no BOUNDS entry take the historic
-    bounds [0, 1].
+    The name is the rest of the NAME line, stripped, and "unnamed" when
+    that is empty.  Integer variables that appear in no BOUNDS entry
+    take the historic bounds [0, 1].
     """
     name = ""
     section = None
@@ -79,7 +80,7 @@ def read_instance_mps(text: str) -> MipInstance:
                 raise MpsParseError(f"unsupported section {fields[0]!r}", line_no)
             section = keyword
             if keyword == "NAME":
-                name = fields[1] if len(fields) > 1 else ""
+                name = raw[len(fields[0]):].strip()
             if keyword == "ENDATA":
                 saw_endata = True
             continue
@@ -281,7 +282,9 @@ def _mps_number(value) -> str:
 
 
 def write_instance_mps(inst: MipInstance) -> str:
-    """Serialize to the MPS subset; reading it back yields an equal instance.
+    """Serialize to the MPS subset; reading it back yields an equal instance,
+    its name included (`model.validate_instance` admits no name that the
+    NAME line would change).
 
     Rows are emitted as L rows named r0..r{m-1}, columns as x0..x{n-1},
     the objective negated into minimization form, and every variable

@@ -44,19 +44,20 @@ def rat(value: RationalLike, den: RationalLike | None = None):
 
     Accepts ints, Fractions and strings.  Strings may be integers ("7"),
     ratios ("7/21"), or decimal literals with optional exponent ("0.1",
-    "2.5e-3"); all are parsed exactly, never via float.
+    "2.5e-3"); all are parsed exactly, never via float.  A float or a
+    bool raises TypeError: neither is an exact number.
     """
     if den is not None:
-        if isinstance(value, int) and isinstance(den, int):
+        if type(value) is int and type(den) is int:
             return Fraction(value, den)
         return Fraction(rat(value), rat(den))
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    if hasattr(value, "__index__"):  # other integer types
+    if hasattr(value, "__index__") and not isinstance(value, bool):  # other integer types
         return Fraction(int(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -94,8 +95,8 @@ def rat_str(value) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rat_decimal(value, places: int = 6) -> str:
-    """Fixed-point decimal rendering, rounded half away from zero.
+def rat_decimal(value) -> str:
+    """Six-place decimal rendering, rounded half away from zero.
 
     Used only for human-facing report columns; the exact value is always
     emitted alongside.
@@ -107,10 +108,8 @@ def rat_decimal(value, places: int = 6) -> str:
     q = rat(value)
     sign = "-" if q < 0 else ""
     num, den = abs(q.numerator), q.denominator
-    scaled, rem = divmod(num * 10**places, den)
+    scaled, rem = divmod(num * 10**6, den)
     if 2 * rem >= den:
         scaled += 1
-    whole, frac = divmod(scaled, 10**places)
-    if places == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(scaled, 10**6)
+    return f"{sign}{whole}.{frac:06d}"

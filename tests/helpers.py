@@ -220,8 +220,7 @@ def miplib_file(name: str) -> Optional[str]:
         roots.append(env)
     roots.append(os.path.join(os.path.dirname(__file__), "data", "miplib"))
     for root in roots:
-        for candidate in (f"{name}.mps", name):
-            path = os.path.join(root, candidate)
-            if os.path.exists(path):
-                return path
+        path = os.path.join(root, f"{name}.mps")
+        if os.path.exists(path):
+            return path
     return None

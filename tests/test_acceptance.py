@@ -52,7 +52,7 @@ def test_every_suite_has_an_acceptance_corpus():
     assert set(ACCEPTANCE_CORPORA) == set(ALL_SUITES)
 
 
-def test_affine_hull_uses_exactly_two_n_queries_cold():
+def test_affine_hull_queries_and_twice_its_cache_hits_add_to_two_n():
     run_suite(suite_query_count, within=60.0)
 
 
@@ -121,7 +121,7 @@ def test_desk_scale_benchmark_dimensions(name, expected):
     path = miplib_file(name)
     if path is None:
         pytest.skip(f"benchmark file {name}.mps not on disk")
-    inst = read_instance(path, fmt="mps")
+    inst = read_instance(path)
     provider = MipOracle(inst, time_limit=None)
     try:
         hull = affine_hull(provider, time_budget=1800.0)

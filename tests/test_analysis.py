@@ -168,7 +168,8 @@ def test_empty_set_classification():
         objective=[1],
         integer_vars=(0,),
     )
-    cls = classify_cut(MipOracle(empty), Inequality([1], 0))
+    provider = MipOracle(empty)
+    cls = classify_cut(provider, Inequality([1], 0), base=affine_hull(provider))
     assert cls.verdict is Verdict.NON_SUPPORTING
     assert cls.beta_true == -math.inf
     assert cls.face_dimension == -1
@@ -183,7 +184,8 @@ def test_unbounded_direction_certificate():
         integer_vars=(0,),
         lower_bounds=[0],
     )
-    cls = classify_cut(MipOracle(halfline), Inequality([1], 100))
+    provider = MipOracle(halfline)
+    cls = classify_cut(provider, Inequality([1], 100), base=affine_hull(provider))
     assert cls.verdict is Verdict.INVALID
     assert cls.beta_true == math.inf
     assert cls.certificate is not None
@@ -567,13 +569,17 @@ def test_face_run_probes_its_own_cuts_points():
     analysis = analyze_instance(inst, [cut], RunConfig(engine="solver"), run_impact=False)
     (cls,) = analysis.classifications
     face = cls.face_result
-    # a point the hull run saw lies on the face and saves a round
-    assert face.cache_hits >= 1
-    assert face.oracle_queries == 4
-    cold_provider = MipOracle(inst)
-    cold = face_hull(cold_provider, affine_hull(cold_provider, cache=None), cls.tightened)
-    assert cold.cache_hits == 0 and cold.cache is None
-    assert face.dimension == cold.dimension
+    provider = MipOracle(inst)
+    _, maximizer, _ = compute_beta_true(provider, cut.coefficients)
+    # no point of the hull run lies on the face; the cut's own maximizer does
+    assert face.cache[0] == maximizer
+    assert (face.oracle_queries, face.cache_hits) == (4, 1)
+    base = dataclasses.replace(affine_hull(provider), cache=())
+    bare = face_hull(provider, base, cls.tightened)
+    assert bare.cache[0] != maximizer
+    assert face.dimension == bare.dimension == 2
+    # one round in the run finds a point it already holds, either way
+    assert (bare.oracle_queries, bare.cache_hits) == (4, 1)
 
 
 def test_each_cut_classifies_as_if_alone():

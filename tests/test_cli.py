@@ -265,6 +265,7 @@ def test_selftest_reports_a_raising_suite(capsys, monkeypatch):
         {"dimension": 2, "cuts": [{"verdict": "tight", "face_dimension": 1}]},
         {"dimension": 2, "cuts": [{"verdict": "non-supporting", "degenerate": "no"}]},
         {"dimension": -1, "cuts": [1]},
+        {"dimension": 2, "cuts": [{"verdict": "supporting", "face_dimension": 5}]},
     ],
     ids=[
         "list",
@@ -275,13 +276,14 @@ def test_selftest_reports_a_raising_suite(capsys, monkeypatch):
         "verdict",
         "text-degenerate",
         "empty-set-number-cut",
+        "face-dimension-above-dimension",
     ],
 )
 def test_histogram_of_a_malformed_report_is_a_parse_error(report, tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     assert main(["histogram", str(path)]) == 2
-    assert "parse error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"parse error: {path}: ")
 
 
 def test_missing_file_is_usage_error(capsys):

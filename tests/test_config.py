@@ -138,7 +138,7 @@ def test_verify_oracle_takes_only_on_off(tmp_path, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("jobs", 2.7), ("solve_node_limit", 2.5), ("jobs", True), ("output", 5)],
+    [("jobs", 2.7), ("solve_node_limit", 2.5), ("jobs", True), ("output", 5), ("tolerance", True)],
 )
 def test_non_whole_numbers_and_non_paths_rejected(tmp_path, field, value):
     path = tmp_path / "run.json"

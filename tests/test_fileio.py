@@ -79,6 +79,12 @@ def test_instance_json_round_trip_random():
         assert instance_from_json(instance_to_json(inst)) == inst
 
 
+def pair(**change) -> str:
+    """A two-variable instance document with `change` applied."""
+    doc = {"name": "x", "objective": [1, 1], "constraint_matrix": [[1, 1]], "rhs": [1]}
+    return json.dumps({**doc, **change})
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -98,6 +104,15 @@ def test_instance_json_round_trip_random():
             ' "integer_vars": [0.5]}',
             "malformed instance",
         ),
+        # a JSON boolean is neither a number nor a variable index
+        (pair(objective=[True, 1]), "malformed instance"),
+        (pair(constraint_matrix=[[1, False]]), "malformed instance"),
+        (pair(rhs=[True]), "malformed instance"),
+        (pair(lower_bounds=[False, 0]), "malformed instance"),
+        (pair(upper_bounds=[1, True]), "malformed instance"),
+        (pair(integer_vars=[True, 0]), "malformed instance"),
+        # nor is a name one the MPS NAME line would change
+        *((pair(name=name), "name") for name in (None, 5, "", " a", "a\nb")),
     ],
 )
 def test_instance_json_errors(text, fragment):
@@ -115,11 +130,14 @@ def test_read_write_dispatch(tmp_path):
     assert read_instance(str(tmp_path / "box.json")) == read_instance(
         str(tmp_path / "box.mps")
     )
+    # one extension rule both ways: .json or .mps, nothing else
     odd = tmp_path / "box.dat"
     odd.write_text(instance_to_json(inst))
     with pytest.raises(ParseError, match="cannot infer format"):
         read_instance(str(odd))
-    assert read_instance(str(odd), fmt="json") == inst
+    with pytest.raises(ParseError, match="cannot infer format"):
+        write_instance(inst, str(tmp_path / "new.dat"))
+    assert not (tmp_path / "new.dat").exists()
 
 
 def test_parse_cuts_grammar():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutdim.analysis import classify_cut
 from cutdim.hull import (
     EquationSystem,
     HullInterrupted,
@@ -26,9 +28,9 @@ from cutdim.linalg import (
 )
 from cutdim.model import Inequality, MipInstance, build_instance
 from cutdim.oracle import (
-    BruteForceOracle,
     MipOracle,
     Optimal,
+    OracleInconclusive,
     OracleSoundnessError,
     enumerate_lattice,
     make_provider,
@@ -81,7 +83,7 @@ def test_cube_full_dimensional():
     assert hull.dimension == 3
     assert len(hull.equations) == 0
     assert len(hull.points) == 4
-    assert hull.oracle_queries == 6  # exactly 2n on a cold run
+    assert hull.oracle_queries == 6  # exactly 2n: no cached point escapes aff(X)
 
 
 def test_square_matches_cli_fixture():
@@ -177,12 +179,26 @@ def test_invalid_initial_equation_detected():
         affine_hull(MipOracle(cube()), initial_equations=eqs)
 
 
+class GivesUpAfterTwo(MipOracle):
+    """Answers two queries truly, then gives up as a solver limit would."""
+
+    answered = 0
+
+    def solve(self, w):
+        if self.answered == 2:
+            raise OracleInconclusive("solver stopped at node_limit after 9 nodes")
+        self.answered += 1
+        return super().solve(w)
+
+
 def test_query_budget_interrupt_carries_interval():
     with pytest.raises(HullInterrupted) as info:
-        affine_hull(MipOracle(cube()), query_budget=2)
+        affine_hull(GivesUpAfterTwo(cube()))
     exc = info.value
-    assert exc.queries <= 2
-    assert -1 <= exc.dim_lower <= exc.dim_upper <= 3
+    # the first round's two answers put two points in X; the third query gave up
+    assert exc.queries == 3
+    assert (exc.dim_lower, exc.dim_upper) == (1, 3)
+    assert "solver stopped at node_limit" in exc.reason
 
 
 def test_select_direction_fixtures():
@@ -223,12 +239,12 @@ def test_cache_cuts_queries_but_not_answers():
     inst = cube()
     provider = make_provider(inst)
     base = affine_hull(provider)
-    cut = Inequality([1, 0, 0], 1)
+    cut = Inequality([-1, 0, 0], 0)  # the facet x1 = 0 holds three of base's points
     warm = face_hull(provider, base, cut)
-    cold = face_hull(provider, affine_hull(provider, cache=None), cut)
-    assert warm.dimension == cold.dimension == 2
-    assert cold.cache_hits == 0 and cold.cache is None
-    assert warm.oracle_queries + warm.cache_hits <= cold.oracle_queries + 1
+    bare = face_hull(provider, dataclasses.replace(base, cache=()), cut)
+    assert warm.dimension == bare.dimension == 2
+    assert (warm.oracle_queries, warm.cache_hits) == (0, 2)
+    assert (bare.oracle_queries, bare.cache_hits) == (4, 0)
 
 
 def test_cache_probe_modes():
@@ -244,7 +260,7 @@ def test_cache_probe_modes():
 @pytest.mark.parametrize("engine", ["solver", "lattice"])
 def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
     """A run's cache is the points it was handed, then each answer's point
-    once, in first-seen order, each verified once; None keeps it cold."""
+    once, in first-seen order, each verified once."""
     answers, checks = [], []
     check = MipInstance.is_feasible_point
 
@@ -268,10 +284,7 @@ def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
     seeded = affine_hull(provider, cache=start)
     assert seeded.cache == tuple(dict.fromkeys(start + tuple(answers)))
     assert (seeded.cache_hits, seeded.oracle_queries) == (2, 2)
-
-    cold = affine_hull(provider, cache=None)
-    assert (cold.cache, cold.cache_hits, cold.oracle_queries) == (None, 0, 6)
-    assert warm.dimension == seeded.dimension == cold.dimension == 3
+    assert warm.dimension == seeded.dimension == 3
 
 
 class OutsidePoint(MipOracle):
@@ -309,8 +322,6 @@ def test_face_run_starts_from_the_base_points_on_the_face():
     assert face.dimension == affine_rank([p for p in provider.points if dot(a, p) == cut.rhs])
     # a point only `seen` holds saves a round
     assert face.cache_hits > face_hull(provider, base, cut).cache_hits
-    cold = face_hull(provider, affine_hull(provider, cache=None), cut, seen=seen)
-    assert (cold.cache, cold.cache_hits, cold.dimension) == (None, 0, face.dimension)
 
 
 def test_equations_valid_on_all_points():
@@ -318,14 +329,14 @@ def test_equations_valid_on_all_points():
     for i in range(25):
         inst = random_instance(rng, name=f"eq{i}", require_nonempty=False)
         points = enumerate_lattice(inst)
-        # a cold run, then a cached run and a face run whose rounds can hit the cache
-        cached = make_provider(inst, "lattice")
-        base = affine_hull(cached)
-        runs = [(affine_hull(BruteForceOracle(inst), cache=None), points), (base, points)]
+        # a run and a face run whose rounds can hit the cache
+        provider = make_provider(inst, "lattice")
+        base = affine_hull(provider)
+        runs = [(base, points)]
         if points:
             c = inst.objective
             top = max(dot(c, p) for p in points)
-            face = face_hull(cached, base, Inequality(c, top))
+            face = face_hull(provider, base, Inequality(c, top))
             runs.append((face, [p for p in points if dot(c, p) == top]))
         for hull, on_set in runs:
             assert hull.dimension == affine_rank(on_set), f"case {i}"
@@ -337,6 +348,42 @@ def test_equations_valid_on_all_points():
                 assert len(hull.points) == hull.dimension + 1
                 assert affine_rank(hull.points) == hull.dimension
                 assert rank(hull.equations.rows) == len(hull.equations)
+
+
+@pytest.mark.parametrize("engine", ["solver", "lattice"])
+def test_queries_plus_twice_the_hits_is_twice_the_free_dimensions(engine):
+    """On a bounded nonempty set, every base run and every face run spends
+    queries + 2 * cache_hits == 2(n - r0), r0 the equations it starts
+    from; a run that starts from n equations takes one query."""
+    rng = random.Random(67)
+
+    def spent_as_proven(run, n, r0):
+        if r0 == n:
+            return (run.oracle_queries, run.cache_hits) == (1, 0)
+        return run.oracle_queries + 2 * run.cache_hits == 2 * (n - r0)
+
+    hits = 0
+    for i in range(40):
+        inst = random_instance(rng, max_vars=5, name=f"spent{i}")
+        n, points = inst.num_vars, enumerate_lattice(inst)
+        provider = make_provider(inst, engine, time_limit=None)
+        base = affine_hull(provider)
+        assert spent_as_proven(base, n, 0), f"case {i}: base run"
+        hits += base.cache_hits
+        for j in range(4):
+            a = [rng.randint(-3, 3) for _ in range(n)]
+            cut = Inequality(a, max(dot(a, p) for p in points) + rng.choice((0, 0, 1)))
+            face = classify_cut(provider, cut, base=base).face_result
+            if face is None:  # not supporting, or a zero row
+                continue
+            r0 = rank(base.equations.rows + (a,))
+            assert spent_as_proven(face, n, r0), f"case {i}.{j}: face run"
+            hits += face.cache_hits
+    assert hits > 0
+    # the segment's end x1 = 1: the face run starts from n = 2 equations
+    provider = make_provider(diagonal_segment(), engine)
+    face = classify_cut(provider, Inequality([1, 0], 1), base=affine_hull(provider)).face_result
+    assert spent_as_proven(face, 2, 2) and face.dimension == 0
 
 
 def test_reproducibility():

@@ -203,6 +203,12 @@ def test_round_trip_mixed_instance():
     assert again == inst
 
 
+def test_round_trip_keeps_a_name_with_a_space():
+    inst = build_instance(name="a b", constraint_matrix=[[1, 1]], rhs=[1], objective=[1, 0])
+    assert read_instance_mps(write_instance_mps(inst)) == inst
+    assert read_instance_mps("NAME    p 0033  \nROWS\n N obj\nENDATA\n").name == "p 0033"
+
+
 def test_round_trip_random_instances():
     rng = random.Random(83)
     for i in range(15):

@@ -10,6 +10,7 @@ import cutdim
 
 PACKAGE = Path(cutdim.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +45,55 @@ def test_no_module_imports_a_name_it_does_not_use():
         and (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def unread_definitions(sources: dict, defining) -> list[str]:
+    """The top-level functions and classes of the modules named in
+    `defining` that no other top-level statement of `sources` (module
+    name: text) reads, as a loaded name or as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = [
+        (top, {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        })
+        for tree in trees.values()
+        for top in tree.body
+    ]
+    return [
+        f"{module}.{top.name}"
+        for module in defining
+        for top in trees[module].body
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(top.name in names for other, names in reads if other is not top)
+    ]
+
+
+def test_unread_definitions_are_found():
+    sources = {
+        "a": "def used():\n    pass\ndef loops():\n    return loops()\n"
+             "class Kept:\n    pass\nclass Lost:\n    pass\nkept = Kept()\n",
+        "b": "import a\na.used()\nLost = 1\n",
+    }
+    assert unread_definitions(sources, ["a"]) == ["a.loops", "a.Lost"]
+
+
+def test_every_definition_is_read_outside_itself():
+    """Each top-level function and class of a `src/cutdim` module is read
+    somewhere in `src/cutdim` or `perfbench/` outside its own definition.
+    `__init__.py` only re-exports, so its reads do not count."""
+    modules = {
+        f"cutdim.{path.stem}": path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    bench = {
+        f"perfbench.{path.stem}": path.read_text(encoding="utf-8")
+        for path in sorted(BENCH.glob("*.py"))
+    }
+    assert unread_definitions({**modules, **bench}, modules) == []
 
 
 def test_readme_library_examples_print_what_they_say(tmp_path, monkeypatch):

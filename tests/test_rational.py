@@ -30,6 +30,9 @@ def test_parse_errors():
         rat("abc")
     with pytest.raises(TypeError):
         rat(0.5)  # binary floats are never accepted silently
+    for value, den in ((True, None), (False, None), (1, True), (True, 2)):
+        with pytest.raises(TypeError):
+            rat(value, den)  # nor booleans, which are ints to Python
 
 
 def test_str_rendering():
@@ -45,8 +48,8 @@ def test_decimal_rendering():
     assert rat_decimal(rat(1, 3)) == "0.333333"
     assert rat_decimal(rat(2, 3)) == "0.666667"
     assert rat_decimal(rat(-1, 3)) == "-0.333333"
-    assert rat_decimal(rat(1, 2), places=0) == "1"  # half away from zero
-    assert rat_decimal(rat(-1, 2), places=0) == "-1"
+    assert rat_decimal(rat(1, 2000000)) == "0.000001"  # half away from zero
+    assert rat_decimal(rat(-1, 2000000)) == "-0.000001"
 
 
 def test_exactness_property():
