@@ -73,8 +73,14 @@ def _on_off(raw) -> bool:
     raise ValueError(f"expected on or off, not {raw!r}")
 
 
+def _seconds(raw) -> float:
+    if isinstance(raw, bool):
+        raise ValueError(f"expected seconds, not {raw!r}")
+    return float(raw)
+
+
 _RATIONAL = _checked(rat, lambda v: v >= 0, "nonnegative")
-_SECONDS = _or_none(_checked(float, lambda v: v > 0, "positive seconds or none"))
+_SECONDS = _or_none(_checked(_seconds, lambda v: v > 0, "positive seconds or none"))
 _COUNT = _checked(_whole, lambda v: v >= 1, "at least 1")
 _NODES = _or_none(_COUNT)
 

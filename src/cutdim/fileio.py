@@ -96,7 +96,10 @@ def instance_from_json(text: str) -> MipInstance:
             upper_bounds=[_bound_in(v, "upper_bounds") for v in doc.get("upper_bounds", [None] * n)],
         )
     except (ValueError, TypeError) as exc:
-        raise ParseError(f"malformed instance: {exc}") from exc
+        message = str(exc)
+        if not message.startswith("malformed instance: "):  # build_instance's checks say it
+            message = f"malformed instance: {message}"
+        raise ParseError(message) from exc
 
 
 _INSTANCE_CODECS = {  # (reader, writer) by extension

@@ -248,15 +248,18 @@ def read_instance_mps(text: str) -> MipInstance:
             rhs_values.append(-lo)
 
     objective = [-obj_coeffs.get(c, rat(0)) for c in col_order]  # min file, max model
-    return build_instance(
-        name=name or "unnamed",
-        constraint_matrix=matrix_rows,
-        rhs=rhs_values,
-        objective=objective,
-        integer_vars=[col_index[c] for c in integer_cols],
-        lower_bounds=lower,
-        upper_bounds=upper,
-    )
+    try:
+        return build_instance(
+            name=name or "unnamed",
+            constraint_matrix=matrix_rows,
+            rhs=rhs_values,
+            objective=objective,
+            integer_vars=[col_index[c] for c in integer_cols],
+            lower_bounds=lower,
+            upper_bounds=upper,
+        )
+    except ValueError as exc:  # "malformed instance: ..."
+        raise MpsParseError(str(exc)) from exc
 
 
 def _mps_number(value) -> str:

@@ -15,26 +15,44 @@ column map that writes each variable as
 x_j = shift_j + y_plus - y_minus  over nonnegative columns y, either
 term possibly absent: a variable with a finite lower bound l is l + y,
 one bounded only from above by u is u - y, a free one is y' - y''.  A
-doubly bounded variable also gets the row  y <= u - l.  The map, and
-every row rewritten over y, depend only on which bounds are finite, so
-they are built once per such pattern; a solve computes the shifts, the
-right-hand sides and the cap rows.  The map reads the optimal point
-(with the shifts) and an unbounded ray (without them) back to x-space.
+doubly bounded variable also has a cap slack t with  y + t = u - l,
+held as an implicit pair, not a row: the upper-bounding technique
+(Dantzig, Econometrica 1955).  One of y and t is active and holds the
+pair's entries; the other, all zero, is the pair's basic in the cap row
+left out.  A move between the bounds is a flip, O(rows) and no pivot:
+the active column's entries move to the partner, negated, and each rhs
+drops by the cap times its entry.  The pivots are exactly those of the
+cap-row form, the tableau with every cap a row, in its column numbering:
+each ratio-test candidate carries the index of the column that leaves
+that form (`_optimize`), Bland's rule reads those, and phase one's
+drive-out takes the rows in that form's order.  This holds for a cap of
+0 too (a fixed variable, as every branch makes one), where both columns
+could be nonbasic at once: the cap-row form starts with t basic, and
+while only one of the two is basic its cap row reads partner + col =
+cap, so it leaves only as the other enters.  The map, and every row
+rewritten over y, depend only on which bounds are finite, so they are
+built once per such pattern; a solve computes the shifts, the
+right-hand sides and the caps.  The map reads the optimal
+point (with the shifts, and y = cap - t where t is active) and an
+unbounded ray (without them; a ray moves no pair) back to x-space.
 Artificial variables are introduced only for rows whose slack cannot
 serve as the initial basis; their columns come last and are deleted
 once phase one has found a feasible basis.  Phase one never reads the
 objective, so the basis it leaves under a program's first bound vector
 (a run's root, which every query of an oracle provider solves again) is
-remembered with that vector's pattern, form and shifts, and a later
-solve under those bounds, with any objective, starts phase two from a
-copy of it.  The objective being optimized is the tableau's last row:
+remembered, with its pairs, beside that vector's pattern, form and
+shifts, and a later solve under those bounds, with any objective,
+starts phase two from a copy of it.  The objective being optimized is the tableau's last row:
 it is priced out by one `linalg.reduced` against the basic rows, and a
 pivot is one `linalg.pivot` step plus the basis update.
 
 The tableau holds Python ints.  The rows arrive scaled to ints, and
 each is written into a tableau as coprime integers, the form `int_row`
 gives; `linalg.pivot` keeps every row a positive multiple of the
-rational tableau's row.  Pricing reads signs, the ratio
+rational tableau's row.  Those rows are the cap-row tableau's, less the
+pairs' cap rows: a flip keeps a row coprime when the cap is an int (the
+moved entry stays in the row), and a fractional cap goes through
+`int_row`.  Pricing reads signs, the ratio
 test cross-multiplies, and the basic solution and ray are read back as a
 row's rhs (or entering column) over its basic entry, so the pivots, and
 every result, are those of the rational tableau.  Objectives, bounds,
@@ -60,7 +78,7 @@ from .linalg import (
     reduced,
     scaled_row,
 )
-from .rational import rat
+from .rational import exact, rat
 
 
 class LPStatus(Enum):
@@ -112,7 +130,10 @@ class _Form:
     The column map writes x_j over the y columns,
     x_j = shift_j + y[plus[j]] - y[minus[j]], where -1 (a zero slot after
     the last column) stands for no such term.  `caps` lists (j, col) for
-    each doubly bounded variable.  `ineq` and `eq` hold, per row, its
+    each doubly bounded variable; its cap slack, the partner of col in
+    an implicit pair, comes after the inequality slacks, in that order,
+    and its cap is the bounds', so a run that fixes variables at its
+    nodes shares one form.  `ineq` and `eq` hold, per row, its
     y-space ints, their negation and the row's scale.  `width` is the
     column count after phase one: the y columns and the slacks.
     """
@@ -156,8 +177,9 @@ class LinearProgram:
     - per pattern of finite bounds, the column map and the
       y-space rows (`_Form`);
     - for the first bound vector phase one runs for (a run's root), its
-      bound pattern, form and shifts, and the tableau and basis phase
-      one left, or that it proved the bounds infeasible.  Phase one
+      bound pattern, form and shifts, and the tableau, basis and pairs
+      (which column of each is active) phase one left, or that it
+      proved the bounds infeasible.  Phase one
       never reads the objective, so a later solve under the same bounds,
       with any objective, copies that tableau and goes straight to phase
       two, and every pivot and result is the one a fresh solve gives.
@@ -169,8 +191,9 @@ class LinearProgram:
       Another objective replaces it; a run holds its own `Objective`,
       so its results go when the run ends and the program has moved on.
 
-    A remembered tableau is never written to: `linalg.pivot` replaces
-    rows and never writes into one, so phase two works on a shallow copy.
+    A remembered tableau is never written to: `linalg.pivot` and a flip
+    replace rows and never write into one, so phase two works on a
+    shallow copy, and on its own copy of which pair columns are active.
     """
 
     def __init__(self, num_vars: int, ineq: Sequence = (), eq: Sequence = ()):
@@ -243,21 +266,26 @@ class LinearProgram:
             return LPResult(LPStatus.INFEASIBLE)
 
         # phase two on a copy: the objective's reduced costs become the
-        # last row; its rhs slot is never read, the value is taken from
-        # the point
-        tableau, basis = list(start[0]), list(start[1])
+        # last row, written over the active column of each pair; its rhs
+        # slot is never read, the value is taken from the point
+        tableau, basis, pairs, at_upper = list(start[0]), list(start[1]), start[2], set(start[3])
         z = cost.rows.get(pattern)
         if z is None:
             z = int_row(_over_y(form.plus, form.minus, form.ncols, cost.ints))
             z = cost.rows[pattern] = z + [0] * (form.width + 1 - form.ncols)
+        for col in at_upper:
+            z = _complemented(z, col, *pairs[col])
         tableau.append(z)  # never written into: `_price_out` replaces it
         _price_out(tableau, basis)
 
-        pc = _optimize(tableau, basis)
+        pc = _optimize(tableau, basis, pairs, at_upper)
         y = [0] * (form.width + 1)
         for row, bcol in zip(tableau, basis):
             q, r = divmod(row[-1], row[bcol])
             y[bcol] = q if r == 0 else rat(row[-1], row[bcol])
+        for col in at_upper:  # y = cap - t
+            t, num, den = pairs[col]
+            y[col] = num - y[t] if den == 1 else exact(rat(num, den) - y[t])
         x = tuple(map(add, shifts, _read_back(form, y)))
         if not {int}.issuperset(map(type, shifts)):
             x = exact_vector(x)  # a fractional shift plus a fractional y may be integral
@@ -273,25 +301,27 @@ class LinearProgram:
         return LPResult(LPStatus.UNBOUNDED, point=x, ray=exact_vector(_read_back(form, ray_y)))
 
     def _start(self, form: _Form, shifts, lower, upper):
-        """The (tableau, basis) phase one leaves under one bound vector,
-        or None when it proves the bounds infeasible."""
+        """The (tableau, basis, pairs, at_upper) phase one leaves under one
+        bound vector (`_build_tableau`, `_optimize`), or None when it
+        proves the bounds infeasible."""
         moved = [(j, v) for j, v in enumerate(shifts) if v]
-        tableau, basis, art_base = _build_tableau(
+        tableau, basis, art_base, pairs, places = _build_tableau(
             form,
             [_shifted_rhs(row, moved) for row in self.ineq],
             [upper[j] - lower[j] for j, _ in form.caps],
             [_shifted_rhs(row, moved) for row in self.eq],
         )
-        if not _phase_one(tableau, basis, art_base):
+        at_upper = set()
+        if not _phase_one(tableau, basis, art_base, pairs, at_upper, places):
             return None
-        return tableau, basis
+        return tableau, basis, pairs, frozenset(at_upper)
 
     def _compile(self, pattern) -> _Form:
         """The column map and y-space rows of one bound pattern.
 
         x_j = shift_j + y[plus_j] - y[minus_j], y >= 0: lower bound l
         gives l + y, upper bound u only gives u - y, and a free variable
-        y' - y''; a doubly bounded one also gets a cap row.
+        y' - y''; a doubly bounded one also gets a cap slack (`_Form`).
         """
         plus, minus, caps = [], [], []
         ncols = 0
@@ -357,24 +387,32 @@ def _shifted_rhs(row, moved):
 def _build_tableau(form: _Form, ineq_rhs, caps, eq_rhs):
     """Integer standard-form tableau with slacks, rhs >= 0, artificials.
 
-    Rows come in the order inequalities, caps, equations.  A row is its
+    Rows come in the order inequalities, equations.  A doubly bounded
+    variable gets no row: its column y and cap slack t form an implicit
+    pair y + t = cap, with y active and t the implicit basic.  A row is its
     rational row times its scale d: slack entry d (-d once the row is
     negated for a negative rhs), artificial entry d.  With an integral
     rhs that row is already coprime, the row `int_row` gives: a prime p
     dividing d divides no d.a_j whose denominator holds all of d's
     factors p, and if that is b's denominator instead, p does not divide
     d.b nor, with integral shifts, the rhs d.b - (d.a).shift.  A
-    rational rhs (a fractional shift or cap) goes through `int_row`.
-    Returns (tableau, basis, first artificial col); the artificial
-    columns come last.
+    rational rhs (a fractional shift) goes through `int_row`.  Returns
+    (tableau, basis, first artificial col, pairs, places); the
+    artificial columns come last, and `pairs` maps each column of a
+    pair to (partner, num, den) with cap = num / den.  `places` holds
+    the row each basic would hold in the cap-row form: a list by row,
+    and a dict by y column for each pair's implicit basic.
     """
     ncols = form.ncols
-    nslack = len(form.ineq) + len(caps)
+    nineq = len(form.ineq)
+    nslack = nineq + len(caps)
     nart = len(form.eq) + sum(1 for rhs in ineq_rhs if rhs < 0)
     art_base = ncols + nslack
     pad = [0] * (nslack + nart)
     tableau = []
     basis = []
+    pairs = {}
+    places = ([*range(nineq), *range(nslack, nslack + len(form.eq))], {})
     slack = ncols
     art = art_base
     for (coeffs, negated, scale), rhs in zip(form.ineq, ineq_rhs):
@@ -390,24 +428,57 @@ def _build_tableau(form: _Form, ineq_rhs, caps, eq_rhs):
             basis.append(slack)
         slack += 1
         tableau.append(_coprime(row, rhs))
-    for (_, col), cap in zip(form.caps, caps):
-        row = [0] * (art_base + nart) + [cap]
-        row[col] = row[slack] = 1
-        basis.append(slack)
-        slack += 1
-        tableau.append(_coprime(row, cap))
+    for k, ((_, col), cap) in enumerate(zip(form.caps, caps)):
+        num, den = (cap, 1) if type(cap) is int else (cap.numerator, cap.denominator)
+        t = ncols + nineq + k
+        pairs[col] = (t, num, den)
+        pairs[t] = (col, num, den)
+        places[1][col] = nineq + k
     for (coeffs, negated, scale), rhs in zip(form.eq, eq_rhs):
         row = (negated + pad + [-rhs]) if rhs < 0 else (coeffs + pad + [rhs])
         row[art] = scale
         basis.append(art)
         art += 1
         tableau.append(_coprime(row, rhs))
-    return tableau, basis, art_base
+    return tableau, basis, art_base, pairs, places
 
 
 def _coprime(row, rhs):
     """A tableau row as coprime ints: as it is when its rhs is an int."""
     return row if isinstance(rhs, int) else int_row(row)
+
+
+def _complemented(row, col, partner, num, den):
+    """`row` with column `col` written over its partner, col = cap - partner
+    with cap = num / den: col's entry moves to the partner negated and
+    the rhs drops by cap times it.  A fresh list, coprime as `int_row`
+    gives it: with an integral cap the gcd stays, since the moved entry
+    is still in the row."""
+    out = list(row)
+    v = out[col]
+    out[col] = 0
+    out[partner] = -v
+    if den == 1:
+        out[-1] -= num * v
+        return out
+    out[-1] -= rat(num * v, den)
+    return int_row(out)
+
+
+def _flip(tableau, col, partner, num, den) -> None:
+    """Move a nonbasic pair column to its other bound: every row, the
+    objective too, is written over the partner (`_complemented`), which
+    becomes the active column.  The pivot of the cap-row form at the
+    pair's cap row, col entering and partner leaving, as an rhs update."""
+    for i, row in enumerate(tableau):
+        if row[col]:
+            tableau[i] = _complemented(row, col, partner, num, den)
+
+
+def _enter(tableau, basis, r, c) -> None:
+    """Pivot column c into the basis in row r's place."""
+    pivot(tableau, r, c)
+    basis[r] = c
 
 
 def _price_out(tableau, basis) -> None:
@@ -416,34 +487,34 @@ def _price_out(tableau, basis) -> None:
     tableau[-1] = reduced(tableau[-1], tableau, basis)
 
 
-def _phase_one(tableau, basis, art_base) -> bool:
+def _phase_one(tableau, basis, art_base, pairs, at_upper, places) -> bool:
     """Minimize the artificial sum; True when it reaches zero.
 
-    On success the artificials have left the basis, rows they leave
-    behind as redundant are dropped and the artificial columns deleted.
+    On success the artificials have left the basis, taken in the order
+    of their rows in the cap-row form (`places`), rows they leave behind
+    as redundant are dropped and the artificial columns deleted.
     """
     if all(bcol < art_base for bcol in basis):
         return True
     width = len(tableau[0])
     tableau.append([0] * art_base + [-1] * (width - 1 - art_base) + [0])
     _price_out(tableau, basis)
-    if _optimize(tableau, basis) is not None:
+    if _optimize(tableau, basis, pairs, at_upper, places) is not None:
         raise AssertionError("phase one cannot be unbounded")
     # the rhs slot of the objective row holds the artificial sum
     if tableau.pop()[-1] != 0:
         return False
     # drive leftover artificials out of the basis at level zero
     drop = []
-    for i, row in enumerate(tableau):
+    for i in sorted(range(len(tableau)), key=places[0].__getitem__):
         if basis[i] < art_base:
             continue
-        pivot_col = next((col for col in range(art_base) if row[col] != 0), None)
+        pivot_col = next((col for col in range(art_base) if tableau[i][col] != 0), None)
         if pivot_col is None:
             drop.append(i)  # redundant row
         else:
-            pivot(tableau, i, pivot_col)
-            basis[i] = pivot_col
-    for i in reversed(drop):
+            _enter(tableau, basis, i, pivot_col)
+    for i in sorted(drop, reverse=True):
         del tableau[i]
         del basis[i]
     for row in tableau:
@@ -451,32 +522,66 @@ def _phase_one(tableau, basis, art_base) -> bool:
     return True
 
 
-def _optimize(tableau, basis) -> Optional[int]:
+def _optimize(tableau, basis, pairs, at_upper, places=None) -> Optional[int]:
     """Bland-rule simplex loop on the objective in the last tableau row.
 
-    Only signs are read and ratios are compared by cross-multiplying, so
-    the integer rows pick the pivots the rational tableau would.  Returns
-    None at an optimum, or the entering column along which the objective
-    is unbounded.
+    The pivots are those of the cap-row form, in its column numbering
+    (`LinearProgram`).  The candidates to leave, each under the column
+    that leaves the cap-row basis, are: a row positive at the entering
+    column, under its basic; a pair's active column basic in a row
+    negative there, which reaches its cap, under the partner; and the
+    entering column's own pair, whose cap row reads partner + col = cap,
+    under the partner.  Only signs are read and ratios are compared by
+    cross-multiplying ints, so the integer rows pick the pivots the
+    rational tableau would.  A won own pair is a `_flip`; a basic column
+    that reaches its cap is complemented in its row, the partner its
+    basic, and pivoted out: the entering column takes the pair's row of
+    the cap-row form, and the pair that row, in `places` when given.
+    `at_upper` holds the y column of each pair whose cap slack is active,
+    y at its upper bound.  Returns None at an optimum, or the entering
+    column along which the objective is unbounded.
     """
     while True:
         z = tableau[-1]
         pc = next((j for j in range(len(z) - 1) if z[j] > 0), None)
         if pc is None:
             return None
+        # the leaving candidate so far: its cap-row column, ratio num/den
+        # and row (None: pc's own pair)
         pr = None
+        own = pairs.get(pc)
+        if own is None:
+            leaves = None
+        else:
+            leaves, num, den = own
         for i, bcol in enumerate(basis):
             row = tableau[i]
-            if row[pc] <= 0:
+            f = row[pc]
+            if f > 0:
+                out, n, d = bcol, row[-1], f
+            elif f < 0 and bcol in pairs:
+                out, cn, cd = pairs[bcol]
+                n, d = cn * row[bcol] - cd * row[-1], -cd * f
+            else:
                 continue
-            if pr is None:
-                pr = i
-                continue
-            best = tableau[pr]
-            lhs, rhs = row[-1] * best[pc], best[-1] * row[pc]
-            if lhs < rhs or (lhs == rhs and bcol < basis[pr]):
-                pr = i
-        if pr is None:
+            if leaves is not None:
+                lhs, rhs = n * den, num * d
+                if lhs > rhs or (lhs == rhs and out > leaves):
+                    continue
+            pr, leaves, num, den = i, out, n, d
+        if leaves is None:
             return pc
-        pivot(tableau, pr, pc)
-        basis[pr] = pc
+        if pr is None:
+            _flip(tableau, pc, *own)
+            at_upper ^= {min(pc, leaves)}
+            continue
+        bcol = basis[pr]
+        if leaves != bcol:  # the basic pair column reaches its cap
+            tableau[pr] = _complemented(tableau[pr], bcol, *pairs[bcol])
+            basis[pr] = leaves
+            key = min(bcol, leaves)
+            at_upper ^= {key}
+            if places is not None:
+                rows, held = places
+                rows[pr], held[key] = held[key], rows[pr]
+        _enter(tableau, basis, pr, pc)

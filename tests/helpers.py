@@ -10,7 +10,10 @@ integer rows the lattice engine reads; `fraction_feasible` checks a
 point the same way.  `fraction_echelon` sweeps columns in Fractions to
 the reduced echelon form, and `fraction_complement` solves for
 complement directions off it, apart from the integer echelon rows the
-package reads them from.  `stein27` builds the Steiner-triple covering
+package reads them from.  `cap_row_solve` is the simplex as it was
+with a cap row per doubly bounded variable, a twin of its pivot path
+rather than an independent oracle: it shares the column map and the
+integer kernels.  `stein27` builds the Steiner-triple covering
 from the lines of AG(3,3), with no MPS file.  Instance generators are
 reused from the package's selftest module (they are data producers, not
 implementations under test).
@@ -22,9 +25,14 @@ import itertools
 import math
 import os
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
+from cutdim import simplex
+from cutdim.linalg import exact_bounds, exact_vector, int_row, int_scale, pivot
 from cutdim.model import build_instance
+from cutdim.rational import exact
+from cutdim.simplex import LPResult, LPStatus
 
 
 def gauss_solve(rows, rhs) -> Optional[list]:
@@ -168,6 +176,151 @@ def fraction_complement(vectors, n) -> list:
         sign = 1 if next(v for v in ints if v) > 0 else -1
         basis.append(tuple(sign * v // g for v in ints))
     return basis
+
+
+def cap_row_solve(program, objective, lower, upper):
+    """`program` solved for `objective` under one bound vector by the
+    cap-row simplex: `LinearProgram`'s solve as it was before a doubly
+    bounded variable's cap became an implicit pair, with no memory.
+
+    Every doubly bounded variable, fixed or not, gets the row
+    y + t = u - l with its cap slack t basic, and every bound move is a
+    pivot.  The twin reuses the program's column map (`_compile`,
+    `_over_y`, `_read_back`) and the integer kernels; the tableau, phase
+    one, the drive-out and the Bland loop are the old ones.  Returns the
+    `LPResult`, the (phase, entering, leaving) steps, phase "one",
+    "drive" or "two", in the columns the bounded form keeps, and the
+    basis by row when phase one's loop ended (None if it did not run).
+    """
+    n = program.num_vars
+    lower = exact_bounds(lower, n)
+    upper = exact_bounds(upper, n)
+    if any(lo is not None and hi is not None and lo > hi for lo, hi in zip(lower, upper)):
+        return LPResult(LPStatus.INFEASIBLE), [], None
+    pattern = tuple((lo is not None, hi is not None) for lo, hi in zip(lower, upper))
+    form = program._compile(pattern)
+    shifts = [lo if lo is not None else hi if hi is not None else 0 for lo, hi in zip(lower, upper)]
+    moved = [(j, v) for j, v in enumerate(shifts) if v]
+    tableau, basis, art_base = _cap_row_tableau(
+        form,
+        [simplex._shifted_rhs(row, moved) for row in program.ineq],
+        [upper[j] - lower[j] for j, _ in form.caps],
+        [simplex._shifted_rhs(row, moved) for row in program.eq],
+    )
+    steps, ends = [], []
+    if not _cap_row_phase_one(tableau, basis, art_base, steps, ends):
+        return LPResult(LPStatus.INFEASIBLE), steps, ends[0]
+    ints, den = int_scale(exact_vector(objective))
+    z = int_row(simplex._over_y(form.plus, form.minus, form.ncols, ints))
+    tableau.append(z + [0] * (form.width + 1 - form.ncols))
+    simplex._price_out(tableau, basis)
+    pc = _cap_row_optimize(tableau, basis, steps, "two")
+    y = [0] * (form.width + 1)
+    for row, bcol in zip(tableau, basis):
+        y[bcol] = Fraction(row[-1], row[bcol])
+    x = exact_vector(map(add, shifts, simplex._read_back(form, y)))
+    if pc is None:
+        value = exact(sum(Fraction(c, den) * v for c, v in zip(ints, x)))
+        return LPResult(LPStatus.OPTIMAL, point=x, value=value), steps, ends[0] if ends else None
+    ray_y = [0] * (form.width + 1)
+    ray_y[pc] = 1
+    for row, bcol in zip(tableau, basis):
+        ray_y[bcol] = Fraction(-row[pc], row[bcol])
+    ray = exact_vector(simplex._read_back(form, ray_y))
+    return LPResult(LPStatus.UNBOUNDED, point=x, ray=ray), steps, ends[0] if ends else None
+
+
+def _cap_row_tableau(form, ineq_rhs, caps, eq_rhs):
+    """The cap-row tableau: inequality rows, one cap row per doubly
+    bounded variable, equation rows; (tableau, basis, first artificial)."""
+    ncols = form.ncols
+    nslack = len(form.ineq) + len(caps)
+    nart = len(form.eq) + sum(1 for rhs in ineq_rhs if rhs < 0)
+    art_base = ncols + nslack
+    pad = [0] * (nslack + nart)
+    tableau, basis = [], []
+    slack, art = ncols, art_base
+    for (coeffs, negated, scale), rhs in zip(form.ineq, ineq_rhs):
+        if rhs < 0:
+            row = negated + pad + [-rhs]
+            row[slack] = -scale
+            row[art] = scale
+            basis.append(art)
+            art += 1
+        else:
+            row = coeffs + pad + [rhs]
+            row[slack] = scale
+            basis.append(slack)
+        slack += 1
+        tableau.append(int_row(row))
+    for (_, col), cap in zip(form.caps, caps):
+        row = [0] * (art_base + nart) + [cap]
+        row[col] = row[slack] = 1
+        basis.append(slack)
+        slack += 1
+        tableau.append(int_row(row))
+    for (coeffs, negated, scale), rhs in zip(form.eq, eq_rhs):
+        row = (negated + pad + [-rhs]) if rhs < 0 else (coeffs + pad + [rhs])
+        row[art] = scale
+        basis.append(art)
+        art += 1
+        tableau.append(int_row(row))
+    return tableau, basis, art_base
+
+
+def _cap_row_phase_one(tableau, basis, art_base, steps, ends) -> bool:
+    if all(bcol < art_base for bcol in basis):
+        return True
+    width = len(tableau[0])
+    tableau.append([0] * art_base + [-1] * (width - 1 - art_base) + [0])
+    simplex._price_out(tableau, basis)
+    if _cap_row_optimize(tableau, basis, steps, "one") is not None:
+        raise AssertionError("phase one cannot be unbounded")
+    ends.append(list(basis))
+    if tableau.pop()[-1] != 0:
+        return False
+    drop = []
+    for i, row in enumerate(tableau):
+        if basis[i] < art_base:
+            continue
+        pivot_col = next((col for col in range(art_base) if row[col] != 0), None)
+        if pivot_col is None:
+            drop.append(i)
+        else:
+            steps.append(("drive", pivot_col, basis[i]))
+            pivot(tableau, i, pivot_col)
+            basis[i] = pivot_col
+    for i in reversed(drop):
+        del tableau[i]
+        del basis[i]
+    for row in tableau:
+        del row[art_base:-1]
+    return True
+
+
+def _cap_row_optimize(tableau, basis, steps, phase):
+    while True:
+        z = tableau[-1]
+        pc = next((j for j in range(len(z) - 1) if z[j] > 0), None)
+        if pc is None:
+            return None
+        pr = None
+        for i, bcol in enumerate(basis):
+            row = tableau[i]
+            if row[pc] <= 0:
+                continue
+            if pr is None:
+                pr = i
+                continue
+            best = tableau[pr]
+            lhs, rhs = row[-1] * best[pc], best[-1] * row[pc]
+            if lhs < rhs or (lhs == rhs and bcol < basis[pr]):
+                pr = i
+        if pr is None:
+            return pc
+        steps.append((phase, pc, basis[pr]))
+        pivot(tableau, pr, pc)
+        basis[pr] = pc
 
 
 def random_boxed_lp(rng, max_vars: int = 4, max_rows: int = 4):

@@ -323,6 +323,15 @@ def test_malformed_cuts_are_parse_errors(square_path, tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_malformed_mps_instance_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "tab.mps"
+    path.write_text("NAME a\tb\nROWS\n N  obj\nCOLUMNS\n    x  obj  1\nENDATA\n")
+    assert main(["dim", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: malformed instance: name ")
+    assert err.count("malformed instance") == 1
+
+
 def test_bad_config_file(square_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{broken")
@@ -367,6 +376,14 @@ def test_malformed_config_value_is_a_configuration_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"verify_oracle": 1}))
     assert main(["selftest", "--config", str(cfg)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_boolean_time_limit_in_config_is_a_configuration_error(square_path, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solve_time_limit": True}))
+    assert main(["dim", square_path, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "solve_time_limit" in err
 
 
 @pytest.mark.parametrize("command", ["dim", "classify", "analyze"])

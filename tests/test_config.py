@@ -147,6 +147,15 @@ def test_non_whole_numbers_and_non_paths_rejected(tmp_path, field, value):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("field", ["hull_time_budget", "face_time_budget", "solve_time_limit"])
+def test_a_boolean_is_no_time_limit(tmp_path, field):
+    """JSON true is not one second: `float(True)` would read it as 1.0."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({field: True}))
+    with pytest.raises(ValueError, match=field):
+        load_config(str(path))
+
+
 def test_every_setting_but_jobs_is_read():
     """A setting no module reads changes nothing.  `jobs` stays only as a
     flag that accepts 1; once it goes, this set is empty."""

@@ -120,6 +120,15 @@ def test_instance_json_errors(text, fragment):
         instance_from_json(text)
 
 
+def test_a_malformed_instance_is_named_once():
+    doc = {"name": "", "objective": [1], "constraint_matrix": [], "rhs": []}
+    with pytest.raises(ParseError) as err:
+        instance_from_json(json.dumps(doc))
+    assert str(err.value) == (
+        "malformed instance: name '' is not nonempty printable text without outer spaces"
+    )
+
+
 def test_read_write_dispatch(tmp_path):
     inst = square()
     for name in ("box.json", "box.mps"):

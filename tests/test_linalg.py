@@ -354,7 +354,7 @@ def _unit_basis_and_row(draw):
         program.solve(program.objective([0] * n), [0] * n, upper)
         start = program._root[-1]
         assume(start is not None)
-        rows, columns = start
+        rows, columns = start[:2]
     width = len(rows[0]) if rows else draw(st.integers(1, 6))
     order = draw(st.permutations(range(len(rows))))
     basis = []

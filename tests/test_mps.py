@@ -184,6 +184,15 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_a_malformed_instance_is_a_parse_error():
+    """`build_instance`'s own check comes out as an MpsParseError that says
+    "malformed instance" once."""
+    with pytest.raises(MpsParseError) as err:
+        read_instance_mps("NAME a\tb\nROWS\n N  obj\nCOLUMNS\n    x  obj  1\nENDATA\n")
+    assert str(err.value).startswith("malformed instance: name ")
+    assert str(err.value).count("malformed instance") == 1
+
+
 def test_error_messages_carry_line_numbers():
     with pytest.raises(MpsParseError, match=r"line 2:"):
         read_instance_mps("NAME x\nSOS\nENDATA\n")

@@ -21,7 +21,7 @@ from cutdim.selftest import random_instance
 from cutdim.simplex import LinearProgram, LPStatus, solve_lp
 from cutdim.solver import solve_mip
 
-from helpers import random_boxed_lp, reference_lp
+from helpers import cap_row_solve, random_boxed_lp, reference_lp
 
 PINNED_DIGEST = "e481a33bea0ae4438cf59ad812270c6d7a15718d13af0c10a68ff05bb0308a85"
 
@@ -281,10 +281,10 @@ def _checked(phase_one, price_out, phase_ones):
     integer row `int_row` gives, with rhs >= 0 in the constraint rows;
     each phase one run is appended to `phase_ones`."""
 
-    def checked_phase_one(tableau, basis, art_base):
+    def checked_phase_one(tableau, basis, art_base, *pairs):
         assert all(row == int_row(row) and row[-1] >= 0 for row in tableau)
         phase_ones.append(art_base)
-        return phase_one(tableau, basis, art_base)
+        return phase_one(tableau, basis, art_base, *pairs)
 
     def checked_price_out(tableau, basis):
         assert tableau[-1] == int_row(tableau[-1])
@@ -352,3 +352,187 @@ def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
     cost = program.objective(list(current))
     for (lower, upper), result in remembered.items():
         assert program.solve(cost, list(lower), list(upper)) is result
+
+
+@st.composite
+def _bounded_case(draw):
+    """A program, one bound vector and two objectives for it.
+
+    Variables are fixed (x), free (f), bounded below (l) or above (u)
+    only, or boxed (b) with a cap of 1/2 to 3, so bounds and caps may be
+    fractional; bounds near 0 and caps of 1 make ties in the ratio test
+    common.  Rows take small ints and halves, with rhs of either
+    sign, so phase one runs; some programs have equations, one maybe
+    dependent, so the drive-out and its redundant-row drop run too.
+    """
+    n = draw(st.integers(1, 6))
+    coeff = st.sampled_from((-2, -1, Fraction(-1, 2), 0, 0, Fraction(1, 2), 1, 2, 3))
+    row = st.lists(coeff, min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=6))
+    rhs = [draw(st.sampled_from(_VALUES + (3, 5))) for _ in rows]
+    eq_rows = draw(st.lists(row, max_size=3))
+    eq_rhs = [draw(st.sampled_from(_VALUES)) for _ in eq_rows]
+    if eq_rows and draw(st.booleans()):
+        eq_rows.append([a - b for a, b in zip(eq_rows[0], eq_rows[-1])])
+        eq_rhs.append(eq_rhs[0] - eq_rhs[-1])
+    lower, upper = [], []
+    for kind in draw(st.text("xflub", min_size=n, max_size=n)):
+        lo = draw(st.sampled_from((0, 0, 1, -1, Fraction(-1, 2), Fraction(1, 3), 2)))
+        hi = lo + draw(st.sampled_from((1, 1, Fraction(1, 2), Fraction(3, 2), 2, 3)))
+        lower.append(lo if kind in "xlb" else None)
+        upper.append(lo if kind == "x" else hi if kind in "ub" else None)
+    objectives = draw(st.lists(row, min_size=2, max_size=2, unique_by=tuple))
+    return rows, rhs, eq_rows, eq_rhs, lower, upper, objectives
+
+
+def _record_steps(mp, steps, ends):
+    """Record each step of `LinearProgram`'s solves into `steps` as
+    (phase, entering, leaving) in the cap-row columns, through wrappers
+    of `simplex._enter` (a pivot, the leaving column the row's basic)
+    and `_flip` (col entering, its partner leaving).  The phase is "one"
+    inside phase one's `_optimize`, "drive" in the rest of `_phase_one`,
+    and "two" elsewhere.  When phase one's loop ends, `ends` gets the
+    basis in the cap-row rows, by the places it keeps: each row's basic
+    at its place, and each pair's implicit basic (y when its slack t is
+    active, else t) at the pair's."""
+    phase = ["two"]
+    enter, flip = simplex._enter, simplex._flip
+    optimize, phase_one = simplex._optimize, simplex._phase_one
+
+    def recorded_enter(tableau, basis, r, c):
+        steps.append((phase[0], c, basis[r]))
+        enter(tableau, basis, r, c)
+
+    def recorded_flip(tableau, col, partner, num, den):
+        steps.append((phase[0], col, partner))
+        flip(tableau, col, partner, num, den)
+
+    def phased_optimize(tableau, basis, pairs, at_upper, places=None):
+        outer = phase[0]
+        phase[0] = "one" if outer == "drive" else outer
+        try:
+            return optimize(tableau, basis, pairs, at_upper, places)
+        finally:
+            phase[0] = outer
+            if places is not None:
+                rows, held = places
+                placed = dict(zip(rows, basis))
+                for y, place in held.items():
+                    placed[place] = y if y in at_upper else pairs[y][0]
+                ends.append([placed[i] for i in range(len(placed))])
+
+    def phased_phase_one(*args):
+        phase[0] = "drive"
+        try:
+            return phase_one(*args)
+        finally:
+            phase[0] = "two"
+
+    mp.setattr(simplex, "_enter", recorded_enter)
+    mp.setattr(simplex, "_flip", recorded_flip)
+    mp.setattr(simplex, "_optimize", phased_optimize)
+    mp.setattr(simplex, "_phase_one", phased_phase_one)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_bounded_case())
+def test_pairs_take_the_cap_row_pivot_path(case):
+    """The implicit pairs take the pivot path of the cap-row form.
+
+    `cap_row_solve` gives every doubly bounded variable a cap row and
+    moves it between its bounds by pivots.  `LinearProgram` must take
+    the same (entering, leaving) steps in phase one, the drive-out and
+    phase two, a flip standing for the pivot at the cap row, and give
+    the same point, value or ray, in the same number types.  Phase one
+    ends with every basic at its row of the cap-row form, so the
+    drive-out takes the rows in that order.  The second objective starts
+    from the remembered phase-one tableau and pairs.
+    """
+    rows, rhs, eq_rows, eq_rhs, lower, upper, objectives = case
+    program = LinearProgram(
+        len(lower),
+        [scaled_row(row, b) for row, b in zip(rows, rhs)],
+        [scaled_row(row, b) for row, b in zip(eq_rows, eq_rhs)],
+    )
+    for k, objective in enumerate(objectives):
+        want, want_steps, want_end = cap_row_solve(program, objective, lower, upper)
+        steps, ends = [], []
+        if k:
+            want_steps = [step for step in want_steps if step[0] == "two"]
+            want_end = None
+        with pytest.MonkeyPatch.context() as mp:
+            _record_steps(mp, steps, ends)
+            got = program.solve(program.objective(objective), lower, upper)
+        assert steps == want_steps
+        assert ends == ([] if want_end is None else [want_end])
+        assert got == want
+        for mine, theirs in ((got.point, want.point), (got.ray, want.ray), ((got.value,), (want.value,))):
+            assert mine is None or list(map(type, mine)) == list(map(type, theirs))
+
+
+_HALF, _THREE_HALVES = Fraction(1, 2), Fraction(3, 2)
+
+# (rows, rhs, eq_rows, eq_rhs, lower, upper, objective), the result and the
+# steps, all taken from the cap-row form; the columns are y, then the slacks
+# of the rows, one cap slack t per doubly bounded variable, artificials last
+_BOUNDED_FIXTURES = {
+    # x1 = 1/2 is fixed between free x0 = y0 - y1 and x2 = y3 - y4: its
+    # pair flips at a cap of 0, y2 entering as t = 7 leaves, and back
+    "fixed-between-free": (
+        ([[1, 1, 1], [1, 0, -1]], [2, 1], [], [], [None, _HALF, None], [None, _HALF, None],
+         [2, 1, 1]),
+        LPStatus.OPTIMAL, (Fraction(5, 4), _HALF, Fraction(1, 4)), Fraction(13, 4), None,
+        [("two", 0, 6), ("two", 2, 7), ("two", 3, 5), ("two", 7, 2)],
+    ),
+    # max x on [-1, 1/2]: y0 flips over its cap 3/2, t = 1 leaving
+    "flip-fractional-cap": (
+        ([], [], [], [], [-1], [_HALF], [1]),
+        LPStatus.OPTIMAL, (_HALF,), _HALF, None,
+        [("two", 0, 1)],
+    ),
+    # x >= 2 on [0, 2]: in phase one y0's own cap ties with the artificial
+    # row at 2, and t = 2 wins over the artificial 3, a flip
+    "own-pair-tie": (
+        ([[-1]], [-2], [], [], [0], [2], [-1]),
+        LPStatus.OPTIMAL, (2,), -2, None,
+        [("one", 0, 2), ("drive", 1, 3), ("two", 2, 1)],
+    ),
+    # x >= 1 on [0, 3/2]: y0 is basic at 1 after phase one; the slack 1
+    # enters and y0 reaches its cap, t = 2 leaving
+    "basic-reaches-cap": (
+        ([[-1]], [-1], [], [], [0], [_THREE_HALVES], [1]),
+        LPStatus.OPTIMAL, (_THREE_HALVES,), _THREE_HALVES, None,
+        [("one", 0, 3), ("two", 1, 2)],
+    ),
+    # max 2 x0 - x1, x0 in [0, 3/2], x1 free: x0 flips to its upper bound
+    # (t = 3 active) and y2 = -x1 is unbounded
+    "ray-complemented": (
+        ([], [], [], [], [0, None], [_THREE_HALVES, None], [2, -1]),
+        LPStatus.UNBOUNDED, (_THREE_HALVES, 0), None, (0, -1),
+        [("two", 0, 3)],
+    ),
+    # -x = 0 on [-1, 0]: y0 flips (t = 1 ties with the artificial 2 and
+    # wins) and the artificial row, at level 0, is first nonzero in t
+    "drive-out-complemented": (
+        ([], [], [[-1]], [0], [-1], [0], [-1]),
+        LPStatus.OPTIMAL, (0,), 0, None,
+        [("one", 0, 1), ("drive", 1, 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_BOUNDED_FIXTURES))
+def test_bounded_fixtures(name):
+    """Hand-built programs for each move of a pair, with the result the
+    cap-row form gives, in its number types, and its steps."""
+    (rows, rhs, eq_rows, eq_rhs, lower, upper, objective), status, point, value, ray, want = (
+        _BOUNDED_FIXTURES[name]
+    )
+    steps = []
+    with pytest.MonkeyPatch.context() as mp:
+        _record_steps(mp, steps, [])
+        got = solve_lp(objective, rows, rhs, eq_rows, eq_rhs, lower, upper)
+    assert got == simplex.LPResult(status, point, value, ray)
+    assert [type(v) for v in got.point] == [type(v) for v in point]
+    assert type(got.value) is type(value)
+    assert steps == want
