@@ -7,10 +7,11 @@ degeneracy heuristic to tune.
 
 A `LinearProgram` is the rows of A, b, E and f in integer form
 (`linalg.scaled_row`), compiled once, plus what its solves leave
-behind: it is solved for one objective c under one bound vector (l, u)
-at a time.  Branch and bound solves one program at every node of a
-run, an oracle provider owns one for all its queries, and `solve_lp` is
-a program solved once.  Bounds are folded into the standard form by one
+behind: `solve` takes one objective c and one bound vector (l, u) at a
+time, and the program keeps the latest c, its phase-two rows and its
+results.  Branch and bound solves one program at every node of a run,
+an oracle provider owns one for all its queries, and `solve_lp` is a
+program solved once.  Bounds are folded into the standard form by one
 column map that writes each variable as
 x_j = shift_j + y_plus - y_minus  over nonnegative columns y, either
 term possibly absent: a variable with a finite lower bound l is l + y,
@@ -62,7 +63,7 @@ integral, a rational only where a value is fractional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from operator import add, mul, sub
@@ -119,7 +120,7 @@ def solve_lp(
     ineq = [scaled_row(row, b) for row, b in zip(ineq_rows, ineq_rhs)]
     eq = [scaled_row(row, b) for row, b in zip(eq_rows, eq_rhs)]
     program = LinearProgram(len(objective), ineq, eq)
-    return program.solve(program.objective(objective), lower, upper)
+    return program.solve(objective, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -150,20 +151,6 @@ class _Form:
         return self.ncols + len(self.ineq) + len(self.caps)
 
 
-@dataclass(eq=False)
-class Objective:
-    """An objective c in the form `LinearProgram.solve` takes: c itself
-    (`key`), c = ints / den, its phase-two rows over y (coprime, as
-    wide as the pattern's tableau, per bound pattern) and its results
-    per bound vector."""
-
-    key: tuple
-    ints: list
-    den: int
-    rows: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-
-
 class LinearProgram:
     """The rows  A.x <= b,  E.x = f, compiled once, solved for many
     objectives under many bound vectors.
@@ -171,8 +158,8 @@ class LinearProgram:
     The rows come in the integer form `linalg.scaled_row` gives,
     (d.a, d.b, d) with d the lcm of the row's denominators: `ineq` for
     A.x <= b, `eq` for E.x = f.  No objective is compiled in: `solve`
-    takes one made by `objective`.  The program remembers three things,
-    each bounded whatever the number of solves:
+    takes the objective with the bounds.  The program remembers three
+    things, each bounded whatever the number of solves:
 
     - per pattern of finite bounds, the column map and the
       y-space rows (`_Form`);
@@ -185,11 +172,13 @@ class LinearProgram:
       two, and every pivot and result is the one a fresh solve gives.
       Other bound vectors run phase one on every solve that is not
       answered from memory;
-    - the latest objective asked (`Objective`), with its phase-two row
-      for each pattern and its result for each bound vector, so runs
-      that solve the program for one objective share their answers.
-      Another objective replaces it; a run holds its own `Objective`,
-      so its results go when the run ends and the program has moved on.
+    - the latest objective asked, with c = ints / den, its phase-two
+      row for each pattern and its result for each bound vector, so
+      runs that solve the program for one objective in turn share their
+      answers.  Another objective replaces them all.  Runs on one
+      program take turns (an oracle's queries, the impact protocol's
+      reference, relaxation and baseline solves), so the latest one is
+      all a run reads back.
 
     A remembered tableau is never written to: `linalg.pivot` and a flip
     replace rows and never write into one, so phase two works on a
@@ -207,42 +196,42 @@ class LinearProgram:
         self._forms: dict = {}
         # (bounds, pattern, form, shifts, the start phase one left for them)
         self._root = None
-        self._cost: Optional[Objective] = None
-
-    def objective(self, objective: Sequence) -> Objective:
-        """`objective` in the form `solve` takes; a run makes it once.
-
-        The latest one is kept, so a run for the same objective gets the
-        same entry, and with it the answers earlier runs left there.
-        """
-        key = exact_vector(objective)
-        if len(key) != self.num_vars:
-            raise ValueError("objective length must match the variable count")
-        cost = self._cost
-        if cost is None or cost.key != key:
-            cost = self._cost = Objective(key, *int_scale(key))
-        return cost
+        # the latest objective as given, c = ints / den, its phase-two
+        # row per bound pattern and its result per bound vector
+        self._key = None
+        self._ints, self._den, self._rows, self._results = [], 1, {}, {}
 
     def solve(
         self,
-        cost: Objective,
+        objective: Sequence,
         lower: Optional[Sequence] = None,
         upper: Optional[Sequence] = None,
     ) -> LPResult:
-        """max c.x under bounds lower <= x <= upper (None: no bound), for
-        the objective c that `objective` made into `cost`."""
+        """max objective.x under bounds lower <= x <= upper (None: no
+        bound); from memory when the latest objective was solved under
+        these bounds before."""
+        if objective is not self._key:  # a run passes one tuple at every node
+            key = exact_vector(objective)
+            if key != self._key:
+                if len(key) != self.num_vars:
+                    raise ValueError("objective length must match the variable count")
+                self._ints, self._den = int_scale(key)
+                self._rows, self._results = {}, {}
+            # a tuple equals its `key` and is kept as given, so the next
+            # call with it skips the conversion
+            self._key = objective if type(objective) is tuple else key
         n = self.num_vars
         lower = exact_bounds(lower, n)
         upper = exact_bounds(upper, n)
         if len(lower) != n or len(upper) != n:
             raise ValueError("bound vectors must match the variable count")
         bounds = (lower, upper)
-        result = cost.results.get(bounds)
+        result = self._results.get(bounds)
         if result is None:
-            result = cost.results[bounds] = self._solve(cost, lower, upper)
+            result = self._results[bounds] = self._solve(lower, upper)
         return result
 
-    def _solve(self, cost: Objective, lower: tuple, upper: tuple) -> LPResult:
+    def _solve(self, lower: tuple, upper: tuple) -> LPResult:
         bounds = (lower, upper)
         root = self._root
         if root is not None and root[0] == bounds:
@@ -269,10 +258,10 @@ class LinearProgram:
         # last row, written over the active column of each pair; its rhs
         # slot is never read, the value is taken from the point
         tableau, basis, pairs, at_upper = list(start[0]), list(start[1]), start[2], set(start[3])
-        z = cost.rows.get(pattern)
+        z = self._rows.get(pattern)
         if z is None:
-            z = int_row(_over_y(form.plus, form.minus, form.ncols, cost.ints))
-            z = cost.rows[pattern] = z + [0] * (form.width + 1 - form.ncols)
+            z = int_row(_over_y(form.plus, form.minus, form.ncols, self._ints))
+            z = self._rows[pattern] = z + [0] * (form.width + 1 - form.ncols)
         for col in at_upper:
             z = _complemented(z, col, *pairs[col])
         tableau.append(z)  # never written into: `_price_out` replaces it
@@ -290,9 +279,10 @@ class LinearProgram:
         if not {int}.issuperset(map(type, shifts)):
             x = exact_vector(x)  # a fractional shift plus a fractional y may be integral
         if pc is None:
-            total = sum(map(mul, compress(cost.ints, cost.ints), compress(x, cost.ints)))
-            q, r = divmod(total, cost.den)
-            value = q if r == 0 else rat(total, cost.den)
+            c = self._ints
+            total = sum(map(mul, compress(c, c), compress(x, c)))
+            q, r = divmod(total, self._den)
+            value = q if r == 0 else rat(total, self._den)
             return LPResult(LPStatus.OPTIMAL, point=x, value=value)
         ray_y = [0] * (form.width + 1)
         ray_y[pc] = 1

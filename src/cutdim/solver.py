@@ -32,13 +32,14 @@ Until it finds a point or proves the set empty, the trace reads +inf.
 
 Every LP of a run reads the same rows; only the bounds change from
 node to node, and the objective from run to run.  A run therefore
-solves one `simplex.LinearProgram` (rows only, plus the phase-one basis
-of its root) at each node, for an objective it makes once per run: its
-own program, or one handed to it by a caller that solves the same rows
-more than once.  An oracle provider owns one for all its queries, so
-the root's phase one runs once across them; the impact protocol shares
-one across its reference, root relaxation and baseline solves, which
-share an objective, so their LPs are solved once between them.
+solves one `simplex.LinearProgram` (rows, plus the phase-one basis of
+its root and the latest objective's results) at each node, passing the
+same objective tuple every time: its own program, or one handed to it
+by a caller that solves the same rows more than once.  An oracle
+provider owns one for all its queries, so the root's phase one runs
+once across them; the impact protocol shares one across its reference,
+root relaxation and baseline solves, which share an objective, so
+their LPs are solved once between them.
 `program_for` is the one way to build a run's program, and the program
 is the only holder of its rows: the instance's cached integer view
 (`MipInstance.integer_rows`) plus the extra cuts and equations, handed
@@ -158,8 +159,7 @@ def solve_mip(
     if options.time_limit is not None:
         deadline = time.monotonic() + options.time_limit
 
-    cost = program.objective(obj)
-    grid = _grid(inst, cost) if options.objective_grid else None
+    grid = _grid(inst, obj) if options.objective_grid else None
     heap: list[_Node] = []
     counter = 0
     # the instance's bounds are ints where integral, so no LP solve converts them
@@ -193,7 +193,7 @@ def solve_mip(
 
         node = heapq.heappop(heap)
         node_count += 1
-        lp = program.solve(cost, node.lower, node.upper)
+        lp = program.solve(obj, node.lower, node.upper)
 
         if lp.status is LPStatus.UNBOUNDED:
             # Only possible at the root: child regions are subsets.  For
@@ -202,8 +202,8 @@ def solve_mip(
             # certifies an unbounded problem.  Search for one with a zero
             # objective from a fresh root; the first point found ends it.
             ray = tuple(int_row(lp.ray))
-            cost = program.objective((0,) * inst.num_vars)
-            grid = _grid(inst, cost) if options.objective_grid else None
+            obj = (0,) * inst.num_vars
+            grid = _grid(inst, obj) if options.objective_grid else None
             primal, best = -math.inf, None
             heapq.heappush(heap, node)
         elif lp.status is LPStatus.OPTIMAL:
@@ -262,14 +262,15 @@ def _gcd_excludes(inst: MipInstance, program: LinearProgram) -> bool:
     return False
 
 
-def _grid(inst: MipInstance, cost) -> Optional[tuple]:
+def _grid(inst: MipInstance, objective) -> Optional[tuple]:
     """(g, den) when every value of the objective c = ints / den on the
     run's points is a multiple of g/den, g = gcd(ints): c is zero on
     every continuous variable and nonzero somewhere.  None otherwise."""
-    if any(v and j not in inst.integer_vars for j, v in enumerate(cost.ints)):
+    ints, den = int_scale(objective)
+    if any(v and j not in inst.integer_vars for j, v in enumerate(ints)):
         return None
-    g = math.gcd(*cost.ints)
-    return (g, cost.den) if g else None
+    g = math.gcd(*ints)
+    return (g, den) if g else None
 
 
 def _dominated(bound, primal, grid) -> bool:
@@ -322,4 +323,4 @@ def solve_lp_relaxation(inst: MipInstance, program: Optional[LinearProgram] = No
         )
     if program.ineq != inst.integer_rows or program.eq:
         raise ValueError("the program was built for other rows")
-    return program.solve(program.objective(inst.objective), inst.lower_bounds, inst.upper_bounds)
+    return program.solve(inst.objective, inst.lower_bounds, inst.upper_bounds)

@@ -287,9 +287,9 @@ def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
     solved = []  # (program, lower, upper) of every LP actually solved
     solve = LinearProgram._solve
 
-    def counted_solve(program, objective, lower, upper):
+    def counted_solve(program, lower, upper):
         solved.append((program, lower, upper))
-        return solve(program, objective, lower, upper)
+        return solve(program, lower, upper)
 
     calls = []  # (solve_mip's program, LPs it solved, its result)
 

@@ -351,7 +351,7 @@ def _unit_basis_and_row(draw):
         lp_rows = draw(st.lists(st.lists(_SMALL, min_size=n, max_size=n), min_size=1, max_size=4))
         program = LinearProgram(n, [scaled_row(row, draw(_SMALL)) for row in lp_rows])
         upper = [draw(st.sampled_from((None, 1, 3))) for _ in range(n)]
-        program.solve(program.objective([0] * n), [0] * n, upper)
+        program.solve([0] * n, [0] * n, upper)
         start = program._root[-1]
         assume(start is not None)
         rows, columns = start[:2]

@@ -315,7 +315,7 @@ def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
                 current, remembered = objective, {}
             kept = copy.deepcopy(program._root)
             before = len(phase_ones)
-            got = program.solve(program.objective(objective), lower, upper)
+            got = program.solve(objective, lower, upper)
             assert got == want
             # the remembered phase-one tableau is never written to
             assert kept is None or program._root == kept
@@ -349,9 +349,40 @@ def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
     }
     assert len(program._forms) == len(patterns)
     # the latest objective's answers are given from memory, however asked
-    cost = program.objective(list(current))
     for (lower, upper), result in remembered.items():
-        assert program.solve(cost, list(lower), list(upper)) is result
+        assert program.solve(list(current), list(lower), list(upper)) is result
+
+
+def test_the_program_keeps_the_latest_objective(monkeypatch):
+    rows, rhs = [[2, 3], [1, -1]], [4, Fraction(1, 2)]
+    lower, upper = [0, 0], [1, 2]
+    a, b = [5, 4], [-1, Fraction(1, 3)]
+    fresh = {tuple(c): solve_lp(c, rows, rhs, lower=lower, upper=upper) for c in (a, b)}
+    program = LinearProgram(2, [scaled_row(row, r) for row, r in zip(rows, rhs)])
+    solved = []
+    solve = LinearProgram._solve
+
+    def counted_solve(program, lower, upper):
+        solved.append((lower, upper))
+        return solve(program, lower, upper)
+
+    monkeypatch.setattr(LinearProgram, "_solve", counted_solve)
+    first = program.solve(a, lower, upper)
+    assert first == fresh[tuple(a)] and len(solved) == 1
+    # the same objective, however it is given, is answered from memory
+    for same in (list(a), tuple(a), [Fraction(5), Fraction(4)]):
+        assert program.solve(same, lower, upper) is first
+    assert len(solved) == 1
+    # another objective replaces the memo, so A asked again is solved again
+    for c in (b, a):
+        assert program.solve(c, lower, upper) == fresh[tuple(c)]
+    assert len(solved) == 3
+    assert program.solve(a, lower, upper) is not first
+    # a tuple asked again is known by identity, with no conversion
+    c = tuple(b)
+    latest = program.solve(c, lower, upper)
+    monkeypatch.setattr(simplex, "exact_vector", None)
+    assert program.solve(c, lower, upper) is latest and len(solved) == 4
 
 
 @st.composite
@@ -462,7 +493,7 @@ def test_pairs_take_the_cap_row_pivot_path(case):
             want_end = None
         with pytest.MonkeyPatch.context() as mp:
             _record_steps(mp, steps, ends)
-            got = program.solve(program.objective(objective), lower, upper)
+            got = program.solve(objective, lower, upper)
         assert steps == want_steps
         assert ends == ([] if want_end is None else [want_end])
         assert got == want

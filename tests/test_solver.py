@@ -12,6 +12,7 @@ from cutdim.model import build_instance
 from cutdim.oracle import enumerate_lattice
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
+from cutdim.simplex import LinearProgram, solve_lp
 from cutdim.solver import (
     SolveOptions,
     SolveStatus,
@@ -186,6 +187,38 @@ def test_incumbent_injection():
     assert res.primal_value == 5
     with pytest.raises(ValueError):
         solve_mip(inst, options=SolveOptions(incumbent=(1, 1)))  # infeasible
+
+
+_REJECTED = {
+    "solve_lp-missing-rhs": lambda: solve_lp([1, 1], [[1, 1]], []),
+    "short-inequality-row": lambda: LinearProgram(2, [scaled_row([1], 1)]),
+    "short-equation-row": lambda: LinearProgram(2, eq=[scaled_row([1], 1)]),
+    "program-objective-length": lambda: LinearProgram(2).solve([1, 2, 3]),
+    "solve_mip-objective-length": lambda: solve_mip(knapsack(), [1, 2, 3]),
+    "bound-vector-length": lambda: solve_lp([1, 1], lower=[0]),
+    "program-for-another-instance": lambda: solve_mip(
+        knapsack(), program=program_for(build_instance("two-rows", [[1, 0], [0, 1]], [1, 1], [1, 1]))
+    ),
+    "relaxation-with-extra-rows": lambda: solve_lp_relaxation(
+        knapsack(), program_for(knapsack(), cuts=(scaled_row([1, 1], 1),))
+    ),
+    "incumbent-violates-a-cut": lambda: solve_mip(
+        knapsack(),
+        options=SolveOptions(incumbent=(1, 0)),
+        program=program_for(knapsack(), cuts=(scaled_row([1, 0], 0),)),
+    ),
+    "incumbent-violates-an-equation": lambda: solve_mip(
+        knapsack(),
+        options=SolveOptions(incumbent=(1, 0)),
+        program=program_for(knapsack(), equations=(scaled_row([0, 1], 1),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _REJECTED.values(), ids=_REJECTED.keys())
+def test_inputs_that_do_not_fit_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_node_limit():
