@@ -1,11 +1,8 @@
 """Command-line front end.
 
-Subcommands mirror the analysis pipeline: `dim` runs the affine hull
-algorithm on one instance, `classify` adds per-cut verdicts and face
-dimensions, `impact` scores cut strength by closed gap, `analyze` does
-all of it and writes a report, `histogram` aggregates reports into the
-relative-dimension distribution, and `selftest` runs the seeded
-property suites.
+Each subcommand is one entry of `_COMMANDS`: its handler, its help line
+and its positional arguments.  The parser is built from that table, and
+`main` dispatches through it.
 
 Exit codes: 0 success, 1 analysis failure (timeouts, solver limits --
 reported, never a traceback), 2 usage or parse errors.
@@ -21,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import fileio
-from .analysis import AnalysisError, analyze_instance, impact_protocol
+from .analysis import AnalysisError, analyze_instance, build_histogram, impact_protocol
 from .config import RunConfig, load_config
 from .hull import HullInterrupted
 from .mps import MpsParseError
@@ -51,33 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact dimension and strength analysis of cutting planes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dim", help="dimension of the mixed-integer hull")
-    p.add_argument("instance")
-    _config_flags(p)
-
-    p = sub.add_parser("classify", help="verdict and face dimension per cut")
-    p.add_argument("instance")
-    p.add_argument("cuts")
-    _config_flags(p)
-
-    p = sub.add_parser("impact", help="closed-gap strength per cut")
-    p.add_argument("instance")
-    p.add_argument("cuts")
-    _config_flags(p)
-
-    p = sub.add_parser("analyze", help="full pipeline with report")
-    p.add_argument("instance")
-    p.add_argument("cuts")
-    _config_flags(p)
-
-    p = sub.add_parser("histogram", help="aggregate reports into dimension bins")
-    p.add_argument("reports", nargs="+")
-    _config_flags(p)
-
-    p = sub.add_parser("selftest", help="seeded property suites against brute force")
-    _config_flags(p)
-
+    for name, (_, text, positionals) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, nargs in positionals.items():
+            p.add_argument(dest, nargs=nargs)
+        _config_flags(p)
     return parser
 
 
@@ -98,10 +73,14 @@ def _cmd_dim(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _analyze(args, cfg: RunConfig, run_impact: bool):
+def _read_job(args):
+    """A job's instance, then its cuts, read against the instance."""
     inst = fileio.read_instance(args.instance)
-    cuts = fileio.read_cuts(args.cuts, inst.num_vars)
-    return analyze_instance(inst, cuts, cfg, run_impact=run_impact)
+    return inst, fileio.read_cuts(args.cuts, inst.num_vars)
+
+
+def _analyze(args, cfg: RunConfig, run_impact: bool):
+    return analyze_instance(*_read_job(args), cfg, run_impact=run_impact)
 
 
 def _print_cut_table(analysis) -> None:
@@ -139,8 +118,7 @@ def _cmd_classify(args, cfg: RunConfig) -> int:
 
 
 def _cmd_impact(args, cfg: RunConfig) -> int:
-    inst = fileio.read_instance(args.instance)
-    cuts = fileio.read_cuts(args.cuts, inst.num_vars)
+    inst, cuts = _read_job(args)
     try:
         report = impact_protocol(
             inst,
@@ -183,8 +161,6 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
 
 
 def _cmd_histogram(args, cfg: RunConfig) -> int:
-    from .analysis import build_histogram
-
     items = fileio.load_histogram_items(args.reports)
     rows = build_histogram(items)
     text = fileio.histogram_to_csv(rows)
@@ -202,13 +178,16 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+_JOB = {"instance": None, "cuts": None}  # positional name: nargs, None for exactly one
+
+# name: (handler, help line, positionals), in the order the help lists them
 _COMMANDS = {
-    "dim": _cmd_dim,
-    "classify": _cmd_classify,
-    "impact": _cmd_impact,
-    "analyze": _cmd_analyze,
-    "histogram": _cmd_histogram,
-    "selftest": _cmd_selftest,
+    "dim": (_cmd_dim, "dimension of the mixed-integer hull", {"instance": None}),
+    "classify": (_cmd_classify, "verdict and face dimension per cut", _JOB),
+    "impact": (_cmd_impact, "closed-gap strength per cut", _JOB),
+    "analyze": (_cmd_analyze, "full pipeline with report", _JOB),
+    "histogram": (_cmd_histogram, "aggregate reports into dimension bins", {"reports": "+"}),
+    "selftest": (_cmd_selftest, "seeded property suites against brute force", {}),
 }
 
 
@@ -221,7 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except (fileio.ParseError, MpsParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -168,9 +168,6 @@ def read_instance_mps(text: str) -> MipInstance:
 
     n = len(col_order)
     col_index = {c: j for j, c in enumerate(col_order)}
-    for col in obj_coeffs:
-        if col not in col_index:
-            raise MpsParseError(f"objective entry for unknown column {col!r}")
 
     # bounds: defaults, then explicit entries in file order
     explicit = {entry[1] for entry in bound_entries}

@@ -60,6 +60,14 @@ def square_setup():
     return provider, affine_hull(provider)
 
 
+def test_negative_tolerance_and_zero_node_limit_are_rejected():
+    provider, hull = square_setup()
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        classify_cut(provider, Inequality([1, 1], 2), base=hull, tolerance=-1)
+    with pytest.raises(ValueError, match="node_limit must be at least 1"):
+        impact_protocol(square(), (), node_limit=0)
+
+
 def test_beta_true_fixtures():
     value, maximizer, _ = compute_beta_true(MipOracle(square()), [1, 1])
     assert value == 2 and maximizer == (rat(1), rat(1))

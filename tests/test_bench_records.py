@@ -7,10 +7,16 @@ BENCHMARK.json there must be at least one pair, and every record must
 have a partner on the other side with the same workload, seed and trace
 mode.  Both partners share the rational backend, answer every job
 correctly with nothing failed, and give the same answers_sha256.
+
+`.github/bench_gate.py`, which checks one CI run against the newest of
+these records, is tested here on fixture BENCH files.
 """
 
+import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 REQUIRED = ("side", "workload", "seed", "trace", "backend", "calib_s",
@@ -83,3 +89,66 @@ def test_guard_rejects_broken_pairs():
     broken = rec("change")
     del broken["calib_s"]
     assert problems([rec("parent"), broken], ["w"])
+
+
+def _bench_gate():
+    """`.github/bench_gate.py`, the CI check of a run against the records."""
+    spec = importlib.util.spec_from_file_location("bench_gate", ROOT / ".github" / "bench_gate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_bench(path, *records):
+    path.write_text(json.dumps({"records": list(records)}), encoding="utf-8")
+
+
+def _change(trace, sha, nodes, side="change"):
+    metrics = {
+        "solver.nodes": {"value": nodes, "unit": "count"},
+        "fileio.report_bytes": {"value": 900, "unit": "bytes"},
+        "wall_s": {"value": 0.3, "unit": "s"},
+    }
+    return dict(side=side, workload="w", seed=1, trace=trace, answers_sha256=sha, metrics=metrics)
+
+
+def _run_lines(sha="new", nodes=5, correct=True, failed=0):
+    metrics = {"solver.nodes": {"value": nodes}, "fileio.report_bytes": {"value": 900},
+               "wall_s": {"value": 9.9}}
+    return ["{\"progress\": 1}", json.dumps({"record": {"answers_sha256": sha}}),
+            json.dumps({"correct": correct, "failed": failed, "metrics": metrics})]
+
+
+def test_bench_gate_reads_the_newest_change_record(tmp_path, monkeypatch):
+    gate = _bench_gate().gate
+    monkeypatch.chdir(tmp_path)
+    # BENCH_12 is newer than BENCH_3 although it sorts before it as text
+    _write_bench(tmp_path / "BENCH_3.json", _change(0, "old", 7), _change(1, "old", 7))
+    _write_bench(tmp_path / "BENCH_12.json", _change(0, "new", 5), _change(1, "new", 5),
+                 _change(0, "other", 1, side="parent"))
+    assert gate("answers", "w", 1, _run_lines()) == ""
+    # a wall-clock metric may move; a count or a byte metric may not
+    assert gate("counts", "w", 1, _run_lines()) == "w seed 1 traced: counts equal BENCH_12.json"
+    with pytest.raises(SystemExit, match="answers_sha256 old, BENCH_12.json records"):
+        gate("answers", "w", 1, _run_lines(sha="old"))
+    with pytest.raises(SystemExit, match=r"differ: \{'solver.nodes': \(7, 5\)\}"):
+        gate("counts", "w", 1, _run_lines(nodes=7))
+    for mode in ("answers", "counts"):
+        for bad in (dict(correct=False), dict(failed=1)):
+            with pytest.raises(SystemExit, match="^w seed 1"):
+                gate(mode, "w", 1, _run_lines(**bad))
+    with pytest.raises(SystemExit, match="no BENCH_.* holds a change record"):
+        gate("answers", "w", 2, _run_lines())
+
+
+def test_bench_gate_needs_a_traced_record_with_counts(tmp_path, monkeypatch):
+    gate = _bench_gate().gate
+    monkeypatch.chdir(tmp_path)
+    _write_bench(tmp_path / "BENCH_1.json", _change(0, "new", 5))
+    assert gate("answers", "w", 1, _run_lines()) == ""
+    with pytest.raises(SystemExit, match="no BENCH_.* holds a traced change record"):
+        gate("counts", "w", 1, _run_lines())
+    untimed = dict(_change(1, "new", 5), metrics={"wall_s": {"value": 0.3, "unit": "s"}})
+    _write_bench(tmp_path / "BENCH_2.json", untimed)
+    with pytest.raises(SystemExit, match="BENCH_2.json records no count or byte metric"):
+        gate("counts", "w", 1, _run_lines())

@@ -4,14 +4,16 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
 from cutdim import selftest
-from cutdim.cli import _build_parser, _configure, main
+from cutdim.cli import _COMMANDS, _build_parser, _configure, main
 from cutdim.config import RunConfig, load_config
 from cutdim.fileio import write_instance
 from cutdim.model import build_instance
+from cutdim.oracle import OracleSoundnessError
 
 
 @pytest.fixture(autouse=True)
@@ -179,6 +181,18 @@ def test_analyze_writes_json_report(square_path, trio_path, tmp_path, capsys):
     assert doc["summary"]["failed"]["invalid"] == 1
 
 
+def test_csv_report_file_holds_what_stdout_shows(square_path, trio_path, tmp_path, capsys):
+    report = tmp_path / "r.csv"
+    argv = ["classify", square_path, trio_path, "--format", "csv"]
+    assert main(argv + ["--output", str(report)]) == 0
+    *table, written = capsys.readouterr().out.splitlines(keepends=True)
+    assert written == f"report written to {report}\n"
+    assert main(argv) == 0
+    text = report.read_bytes().decode("utf-8")  # as written, \r\n line ends kept
+    assert text.startswith("row,instance,dimension,label")
+    assert capsys.readouterr().out == "".join(table) + text
+
+
 def test_analyze_csv_to_stdout(square_path, trio_path, capsys):
     assert main(["analyze", square_path, trio_path, "--format", "csv"]) == 0
     out = capsys.readouterr().out
@@ -334,9 +348,10 @@ def test_malformed_mps_instance_is_a_parse_error(tmp_path, capsys):
 
 def test_bad_config_file(square_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{broken")
-    assert main(["dim", square_path, "--config", str(cfg)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    for text, reason in [("{broken", "not valid JSON"), ("[]", "config must be a JSON object")]:
+        cfg.write_text(text)
+        assert main(["dim", square_path, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {cfg}: {reason}")
 
 
 def test_config_env_var_is_honored(square_path, tmp_path, capsys, monkeypatch):
@@ -464,3 +479,38 @@ def test_flag_env_and_file_read_the_same_text(field, tmp_path, monkeypatch):
         from_file = load_config(str(path))
         values = {getattr(c, field) for c in (from_flag, from_env, from_file)}
         assert len(values) == 1, (field, text, values)
+
+
+def test_an_unsound_oracle_answer_exits_one(square_path, capsys, monkeypatch):
+    def unsound(provider, w, response):
+        raise OracleSoundnessError("planted")
+
+    monkeypatch.setattr("cutdim.oracle._verify_response", unsound)
+    assert main(["dim", square_path]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "oracle error: planted\n")
+
+
+def test_lattice_engine_on_a_mixed_instance_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    mixed = build_instance(
+        name="mixed",
+        constraint_matrix=[],
+        rhs=[],
+        objective=[1, 1],
+        integer_vars=(0,),
+        lower_bounds=[0, 0],
+        upper_bounds=[1, 1],
+    )
+    write_instance(mixed, str(path))
+    assert main(["dim", str(path), "--engine", "lattice"]) == 2
+    assert capsys.readouterr().err == "error: lattice enumeration needs a pure-integer instance\n"
+
+
+def test_readme_documents_each_subcommand():
+    """`## Command line` has one `### <cmd>` heading per subcommand, in the
+    table's order, then `### Exit codes`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    headings = [line[4:] for line in section.splitlines() if line.startswith("### ")]
+    assert headings == [*_COMMANDS, "Exit codes"]

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,31 @@ def test_query_budget_interrupt_carries_interval():
     assert exc.queries == 3
     assert (exc.dim_lower, exc.dim_upper) == (1, 3)
     assert "solver stopped at node_limit" in exc.reason
+
+
+class SlowQueries(MipOracle):
+    """Each query moves the hull run's clock on by `step` seconds."""
+
+    def __init__(self, instance, clock, step):
+        super().__init__(instance)
+        self.clock, self.step = clock, step
+
+    def solve(self, w):
+        self.clock[0] += self.step
+        return super().solve(w)
+
+
+def test_time_budget_interrupt_inside_a_round(monkeypatch):
+    clock = [0.0]
+    monkeypatch.setattr("cutdim.hull.time", SimpleNamespace(monotonic=lambda: clock[0]))
+    with pytest.raises(HullInterrupted) as info:
+        affine_hull(SlowQueries(cube(), clock, 11.0), time_budget=10.0)
+    exc = info.value
+    # the first round's max query put one point in X and passed the
+    # deadline, so the round's min query was never asked
+    assert exc.reason == "time budget exhausted"
+    assert exc.queries == 1
+    assert (exc.dim_lower, exc.dim_upper) == (0, 3)
 
 
 def test_select_direction_fixtures():

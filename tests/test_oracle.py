@@ -115,6 +115,51 @@ def test_soundness_guard_rejects_bad_witnesses():
         oracle_maximize(BadWitnessOracle(halfline), [1])
 
 
+class RayOracle(MipOracle):
+    """Answers every query with its `ray` from the feasible point (0, 0, 0)."""
+
+    ray = None
+
+    def solve(self, w):
+        return Unbounded(self.ray, (0, 0, 0))
+
+
+# x0 >= 0, x1 <= 4 and the row x2 <= 10, on the face x0 + x2 = 0 where on_face
+# says so; each ray passes every check before its own
+BAD_RAYS = [
+    ((0, 0, 0), (0, 0, 1), False, "unbounded response with a zero ray"),
+    ((0, 0, -1), (0, 0, 1), False, "ray does not improve the objective"),
+    ((0, 0, 1), (0, 0, 1), False, "ray leaves the constraint rows"),
+    ((-1, 0, 0), (-1, 0, 0), False, "ray leaves a lower bound"),
+    ((0, 1, 0), (0, 1, 0), False, "ray leaves an upper bound"),
+    ((0, 0, -1), (0, 0, -1), True, "ray leaves the face hyperplane"),
+]
+
+
+@pytest.mark.parametrize("ray, w, on_face, message", BAD_RAYS)
+def test_soundness_guard_rejects_bad_rays(ray, w, on_face, message):
+    inst = build_instance(
+        name="rays",
+        constraint_matrix=[[0, 0, 1]],
+        rhs=[10],
+        objective=[0, 0, 0],
+        integer_vars=(0, 1, 2),
+        lower_bounds=[0, None, None],
+        upper_bounds=[None, 4, None],
+    )
+    for verify in (True, False):
+        provider = RayOracle(inst, verify=verify)
+        if on_face:
+            provider = provider.restrict([1, 0, 1], 0)
+        provider.ray = ray
+        if verify:
+            with pytest.raises(OracleSoundnessError) as info:
+                oracle_maximize(provider, w)
+            assert str(info.value) == message
+        else:
+            assert oracle_maximize(provider, w) == Unbounded(ray, (0, 0, 0))
+
+
 def test_query_counting_and_cache_population(monkeypatch):
     """One solve per query; the hull run, not the provider, holds the
     answers' points."""
