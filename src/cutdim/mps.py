@@ -14,9 +14,11 @@ Two conventions from the classic format are honored and worth knowing:
 * Integer variables (inside markers) with no BOUNDS entry at all get
   the historic default bounds [0, 1].  Any explicit bound entry for the
   variable switches the default upper bound to +infinity before the
-  entry is applied.  Continuous variables default to [0, +infinity),
-  and an UP bound with a negative value drops the default lower bound
-  of such a variable to -infinity.
+  entry is applied.  Continuous variables default to [0, +infinity).
+* An UP bound with a negative value drops the default lower bound 0 of
+  any variable, integer or continuous, to -infinity, unless some entry
+  for that variable sets its lower bound (LO, LI, FX, MI, FR or BV),
+  wherever that entry stands in the file.
 
 G and E rows are rewritten to <= form on ingest (E as a pair), RANGES
 turn a row into the usual interval and arrive as the extra <= row.
@@ -39,6 +41,22 @@ class MpsParseError(ValueError):
 
 _SUPPORTED = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
 
+# Each bound type: (what it sets the lower bound to, what it sets the upper
+# bound to, whether it makes the column integer).  "value" is the entry's
+# value, None is infinite and "keep" leaves the bound as it was; a type
+# that sets a bound to "value" takes a value field.
+_BOUND_TYPES = {
+    "UP": ("keep", "value", False),
+    "LO": ("value", "keep", False),
+    "FX": ("value", "value", False),
+    "FR": (None, None, False),
+    "MI": (None, "keep", False),
+    "PL": ("keep", None, False),
+    "BV": (0, 1, True),
+    "UI": ("keep", "value", True),
+    "LI": ("value", "keep", True),
+}
+
 
 def read_instance_mps(text: str) -> MipInstance:
     """Parse an MPS document into an instance.
@@ -50,12 +68,9 @@ def read_instance_mps(text: str) -> MipInstance:
     name = ""
     section = None
     obj_row: Optional[str] = None
-    row_types: dict[str, str] = {}
-    row_order: list[str] = []
-    columns: dict[str, dict[str, object]] = {}
-    col_order: list[str] = []
+    row_types: dict[str, str] = {}  # the L, G and E rows, in file order
+    columns: dict[str, dict[str, object]] = {}  # in file order; the N row's entries too
     integer_cols: set[str] = set()
-    obj_coeffs: dict[str, object] = {}
     rhs: dict[str, object] = {}
     ranges: dict[str, object] = {}
     bound_entries: list[tuple[str, str, Optional[object], int]] = []
@@ -67,6 +82,20 @@ def read_instance_mps(text: str) -> MipInstance:
             return parse_rational(token)
         except ValueError as exc:
             raise MpsParseError(str(exc), line_no) from exc
+
+    def row_values(fields: list[str], line_no: int):
+        """The (row, value) pairs of a COLUMNS, RHS or RANGES line.  COLUMNS
+        reads a value before it checks the row; RHS and RANGES check first."""
+        if len(fields) < 3 or len(fields) % 2 == 0:
+            head = "column" if section == "COLUMNS" else "a set name"
+            raise MpsParseError(f"{section} entries come as {head} then row/value pairs", line_no)
+        for row_name, token in zip(fields[1::2], fields[2::2]):
+            value = number(token, line_no) if section == "COLUMNS" else None
+            if section == "RHS" and row_name == obj_row:
+                raise MpsParseError("objective-row RHS (objective constant) is unsupported", line_no)
+            if row_name not in row_types and not (section == "COLUMNS" and row_name == obj_row):
+                raise MpsParseError(f"unknown row {row_name!r}", line_no)
+            yield row_name, number(token, line_no) if value is None else value
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
@@ -98,7 +127,6 @@ def read_instance_mps(text: str) -> MipInstance:
                 obj_row = rname
             elif rtype in ("L", "G", "E"):
                 row_types[rname] = rtype
-                row_order.append(rname)
             else:
                 raise MpsParseError(f"unknown row type {rtype!r}", line_no)
         elif section == "COLUMNS":
@@ -111,51 +139,25 @@ def read_instance_mps(text: str) -> MipInstance:
                 else:
                     raise MpsParseError(f"unknown marker {marker!r}", line_no)
                 continue
-            if len(fields) < 3 or len(fields) % 2 == 0:
-                raise MpsParseError("COLUMNS entries come as column then row/value pairs", line_no)
-            col = fields[0]
-            if col not in columns:
-                columns[col] = {}
-                col_order.append(col)
+            cell = columns.setdefault(fields[0], {})
+            for row_name, value in row_values(fields, line_no):
+                cell[row_name] = cell.get(row_name, rat(0)) + value
             if in_integer_block:
-                integer_cols.add(col)
-            for row_name, value in zip(fields[1::2], fields[2::2]):
-                val = number(value, line_no)
-                if row_name == obj_row:
-                    obj_coeffs[col] = obj_coeffs.get(col, rat(0)) + val
-                elif row_name in row_types:
-                    cell = columns[col]
-                    cell[row_name] = cell.get(row_name, rat(0)) + val
-                else:
-                    raise MpsParseError(f"unknown row {row_name!r}", line_no)
-        elif section == "RHS":
-            if len(fields) < 3 or len(fields) % 2 == 0:
-                raise MpsParseError("RHS entries come as a set name then row/value pairs", line_no)
-            for row_name, value in zip(fields[1::2], fields[2::2]):
-                if row_name == obj_row:
-                    raise MpsParseError("objective-row RHS (objective constant) is unsupported", line_no)
-                if row_name not in row_types:
-                    raise MpsParseError(f"unknown row {row_name!r}", line_no)
-                rhs[row_name] = number(value, line_no)
-        elif section == "RANGES":
-            if len(fields) < 3 or len(fields) % 2 == 0:
-                raise MpsParseError("RANGES entries come as a set name then row/value pairs", line_no)
-            for row_name, value in zip(fields[1::2], fields[2::2]):
-                if row_name not in row_types:
-                    raise MpsParseError(f"unknown row {row_name!r}", line_no)
-                ranges[row_name] = number(value, line_no)
+                integer_cols.add(fields[0])
+        elif section in ("RHS", "RANGES"):
+            target = rhs if section == "RHS" else ranges
+            for row_name, value in row_values(fields, line_no):
+                target[row_name] = value
         elif section == "BOUNDS":
             btype = fields[0].upper()
-            if btype in ("FR", "MI", "PL", "BV"):
-                if len(fields) != 3:
-                    raise MpsParseError(f"{btype} bound needs a set name and a column", line_no)
-                bound_entries.append((btype, fields[2], None, line_no))
-            elif btype in ("UP", "LO", "FX", "UI", "LI"):
-                if len(fields) != 4:
-                    raise MpsParseError(f"{btype} bound needs a set name, column and value", line_no)
-                bound_entries.append((btype, fields[2], number(fields[3], line_no), line_no))
-            else:
+            if btype not in _BOUND_TYPES:
                 raise MpsParseError(f"unknown bound type {btype!r}", line_no)
+            takes_value = "value" in _BOUND_TYPES[btype][:2]
+            if len(fields) != 3 + takes_value:
+                needs = "a set name, column and value" if takes_value else "a set name and a column"
+                raise MpsParseError(f"{btype} bound needs {needs}", line_no)
+            value = number(fields[3], line_no) if takes_value else None
+            bound_entries.append((btype, fields[2], value, line_no))
         elif section == "NAME":
             raise MpsParseError("data outside any section", line_no)
         elif section is None:
@@ -166,91 +168,54 @@ def read_instance_mps(text: str) -> MipInstance:
     if not saw_endata:
         raise MpsParseError("missing ENDATA")
 
-    n = len(col_order)
-    col_index = {c: j for j, c in enumerate(col_order)}
+    col_index = {c: j for j, c in enumerate(columns)}
 
     # bounds: defaults, then explicit entries in file order
-    explicit = {entry[1] for entry in bound_entries}
-    lower: list[Optional[object]] = []
-    upper: list[Optional[object]] = []
-    for col in col_order:
-        lower.append(rat(0))
-        if col in integer_cols and col not in explicit:
-            upper.append(rat(1))
-        else:
-            upper.append(None)
+    explicit = {col for _, col, _, _ in bound_entries}
+    sets_lower = {col for btype, col, _, _ in bound_entries if _BOUND_TYPES[btype][0] != "keep"}
+    lower: list[Optional[object]] = [rat(0)] * len(columns)
+    upper: list[Optional[object]] = [
+        rat(1) if col in integer_cols and col not in explicit else None for col in columns
+    ]
     for btype, col, value, line_no in bound_entries:
         if col not in col_index:
             raise MpsParseError(f"bound for unknown column {col!r}", line_no)
         j = col_index[col]
-        if btype == "UP":
-            if value < 0 and lower[j] == 0 and not any(
-                e[0] in ("LO", "MI", "FR", "BV", "LI", "FX") and e[1] == col for e in bound_entries
-            ):
-                lower[j] = None  # classic convention for negative upper bounds
-            upper[j] = value
-        elif btype == "LO":
-            lower[j] = value
-        elif btype == "FX":
-            lower[j] = value
-            upper[j] = value
-        elif btype == "FR":
-            lower[j] = None
-            upper[j] = None
-        elif btype == "MI":
-            lower[j] = None
-        elif btype == "PL":
-            upper[j] = None
-        elif btype == "BV":
-            lower[j] = rat(0)
-            upper[j] = rat(1)
-            integer_cols.add(col)
-        elif btype == "UI":
-            upper[j] = value
-            integer_cols.add(col)
-        elif btype == "LI":
-            lower[j] = value
+        new_lower, new_upper, integral = _BOUND_TYPES[btype]
+        if btype == "UP" and value < 0 and col not in sets_lower:
+            lower[j] = None  # classic convention for negative upper bounds
+        if new_lower != "keep":
+            lower[j] = value if new_lower == "value" else new_lower
+        if new_upper != "keep":
+            upper[j] = value if new_upper == "value" else new_upper
+        if integral:
             integer_cols.add(col)
 
-    # rows to <= form
+    # each row to <= form: its upper side as is, its lower side negated,
+    # the lower side first on a G row
     matrix_rows = []
     rhs_values = []
-    for rname in row_order:
-        coeffs = [columns[c].get(rname, rat(0)) for c in col_order]
-        b = rhs.get(rname, rat(0))
-        rtype = row_types[rname]
+    for rname, rtype in row_types.items():
+        coeffs = [cell.get(rname, rat(0)) for cell in columns.values()]
+        lo = hi = rhs.get(rname, rat(0))
         rng = ranges.get(rname)
         if rtype == "L":
-            matrix_rows.append(coeffs)
-            rhs_values.append(b)
-            if rng is not None:
-                matrix_rows.append([-v for v in coeffs])
-                rhs_values.append(-(b - abs(rng)))
+            lo = None if rng is None else hi - abs(rng)
         elif rtype == "G":
-            matrix_rows.append([-v for v in coeffs])
-            rhs_values.append(-b)
-            if rng is not None:
-                matrix_rows.append(coeffs)
-                rhs_values.append(b + abs(rng))
-        else:  # E
-            if rng is None:
-                lo = hi = b
-            elif rng >= 0:
-                lo, hi = b, b + rng
-            else:
-                lo, hi = b + rng, b
-            matrix_rows.append(coeffs)
-            rhs_values.append(hi)
-            matrix_rows.append([-v for v in coeffs])
-            rhs_values.append(-lo)
+            hi = None if rng is None else lo + abs(rng)
+        elif rng is not None:  # E: the range's sign says which side moves
+            lo, hi = (lo + rng, hi) if rng < 0 else (lo, hi + rng)
+        for sign, b in ((-1, lo), (1, hi)) if rtype == "G" else ((1, hi), (-1, lo)):
+            if b is not None:
+                matrix_rows.append(coeffs if sign > 0 else [-v for v in coeffs])
+                rhs_values.append(sign * b)
 
-    objective = [-obj_coeffs.get(c, rat(0)) for c in col_order]  # min file, max model
     try:
         return build_instance(
             name=name or "unnamed",
             constraint_matrix=matrix_rows,
             rhs=rhs_values,
-            objective=objective,
+            objective=[-cell.get(obj_row, rat(0)) for cell in columns.values()],  # min file, max model
             integer_vars=[col_index[c] for c in integer_cols],
             lower_bounds=lower,
             upper_bounds=upper,

@@ -71,12 +71,18 @@ def exact(value):
 
 
 def parse_rational(text: str):
-    """Parse a decimal or p/q literal exactly."""
-    try:
-        f = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact rational literal: {text!r}") from exc
-    return f
+    """Parse a decimal or p/q literal exactly.
+
+    The digits are ASCII and take no underscores: `Fraction` alone also
+    takes other scripts' digits, and underscores from Python 3.11 on.
+    """
+    literal = text.strip()
+    if "_" not in literal and literal.isascii():
+        try:
+            return Fraction(literal)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not an exact rational literal: {text!r}")
 
 
 def rat_str(value) -> str:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutdim.model import build_instance
 from cutdim.mps import MpsParseError, _mps_number, read_instance_mps, write_instance_mps
@@ -89,6 +91,13 @@ def test_negative_upper_drops_default_lower():
     assert inst.lower_bounds == (rat(-5),)
     assert inst.upper_bounds == (rat(-2),)
 
+    # the convention holds for an integer column as well
+    text = wrap("COLUMNS\n    m  'MARKER'  'INTORG'\n    y  obj  1\nBOUNDS\n UP bnd  y  -1\n")
+    inst = read_instance_mps(text)
+    assert inst.lower_bounds == (None,)
+    assert inst.upper_bounds == (rat(-1),)
+    assert set(inst.integer_vars) == {0}
+
 
 def test_bound_types():
     text = (
@@ -176,6 +185,20 @@ def test_number_formatting():
         (wrap("COLUMNS\n    x  obj\n"), "COLUMNS entries"),
         (wrap("RHS\n    rhs  obj  3\n"), "objective constant"),
         (wrap("COLUMNS\n    m  'MARKER'  'INTWAT'\n"), "unknown marker"),
+        ("NAME x\nROWS\n N\nENDATA\n", "ROWS entries need a type and a name"),
+        ("NAME x\nROWS\n N  obj\n Q  r\nENDATA\n", "unknown row type 'Q'"),
+        ("NAME x\n    x  obj  1\nENDATA\n", "data outside any section"),
+        (wrap("RHS\n    rhs  obj\n"), "RHS entries come as a set name then row/value pairs"),
+        (wrap("RANGES\n    rng  r  1  s\n"), "RANGES entries come as a set name then row/value pairs"),
+        (wrap("RANGES\n    rng  ghost  1\n"), "unknown row 'ghost'"),
+        (wrap("BOUNDS\n FR bnd\n"), "FR bound needs a set name and a column"),
+        (wrap("BOUNDS\n UP bnd  x\n"), "UP bound needs a set name, column and value"),
+        (wrap("BOUNDS\n UP bnd  ghost  1\n"), "bound for unknown column 'ghost'"),
+        (wrap("COLUMNS\n    x  obj  1.2.3\n"), "not an exact rational literal: '1.2.3'"),
+        # two faults on one line: COLUMNS parses the value before it checks
+        # the row, RHS and RANGES check the row first
+        (wrap("COLUMNS\n    x  ghost  abc\n"), "not an exact rational literal: 'abc'"),
+        (wrap("COLUMNS\n    x  obj  1\nRHS\n    rhs  ghost  abc\n"), "unknown row 'ghost'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -241,3 +264,38 @@ def test_writer_emits_explicit_bounds_and_markers():
     assert " LO bnd  x0  0" in text and " UP bnd  x0  5" in text
     assert "-1/3" in text  # objective negated on write, exact fraction kept
     assert text.endswith("ENDATA\n")
+
+
+_NUMBERS = st.builds(
+    rat, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 7, 10, 12])
+)  # terminating decimals and non-terminating p/q alike
+
+
+@st.composite
+def _mixed_instances(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 3))
+    lower, upper = [], []
+    for _ in range(n):
+        lo, hi = draw(st.one_of(st.none(), _NUMBERS)), draw(st.one_of(st.none(), _NUMBERS))
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        lower.append(lo)
+        upper.append(hi)
+    return build_instance(
+        name=draw(st.sampled_from(["mix", "p 0033", "x-1"])),
+        constraint_matrix=[[draw(_NUMBERS) for _ in range(n)] for _ in range(m)],
+        rhs=[draw(_NUMBERS) for _ in range(m)],
+        objective=[draw(_NUMBERS) for _ in range(n)],
+        integer_vars=draw(st.sets(st.integers(0, n - 1))),
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_mixed_instances())
+def test_round_trip_mixed_random_instances(inst):
+    """Continuous and integer columns, free, negative and fractional bounds,
+    non-terminating coefficients and row-free instances all come back equal."""
+    assert read_instance_mps(write_instance_mps(inst)) == inst

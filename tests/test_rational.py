@@ -28,6 +28,9 @@ def test_parse_errors():
         rat("1/0")
     with pytest.raises(ValueError):
         rat("abc")
+    for text in ("1_000", "1/1_0", "1.0_1", "١٢", "１", "1/٣"):
+        with pytest.raises(ValueError, match="not an exact rational literal"):
+            rat(text)  # the same grammar on every Python version
     with pytest.raises(TypeError):
         rat(0.5)  # binary floats are never accepted silently
     for value, den in ((True, None), (False, None), (1, True), (True, 2)):
