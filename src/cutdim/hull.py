@@ -3,23 +3,34 @@
 The algorithm maintains a set X of affinely independent feasible points
 and a system D.x = e of independent equations valid for the feasible
 set P.  Each round picks a direction d orthogonal to aff(X) and outside
-the row span of D, then maximizes d and -d over P.  While X is empty,
-the first answer seeds it (a maximizer, or an unbounded answer's
-witness), and gamma = d.x on X.  Then one chain decides the round: an
-unbounded answer supplies witness + t*ray, a point off d.x = gamma;
-equal optima prove a new valid equation; distinct optima supply the
-one of them off d.x = gamma.  Either way |X| + rows(D) grows, and when
-it reaches n + 1 the affine hull is pinned down exactly:
+the row span of D, and looks for a point of P off d.x = gamma, gamma
+the value d takes on X.  While X is empty, the round's first query
+maximizes d in full and its answer seeds X (a maximizer, or an
+unbounded answer's witness), which fixes gamma.  Once X holds a point,
+each side is asked against a bar (`oracle`): max d only for a point
+with d.x > gamma, max -d only for one with -d.x > -gamma.  The max side
+is asked first and the min side only when the max side names no point
+off d.x = gamma.  A round ends with the first such point an answer
+names (an unbounded answer supplies witness + t*ray); when neither side
+has one, max d = min d = gamma proves the new valid equation
+d.x = gamma.  Either way |X| + rows(D) grows, and when it reaches n + 1
+the affine hull is pinned down exactly:
 
     dim P = |X| - 1,   aff(P) = aff(X) = {x : D.x = e}.
 
 The run keeps a point cache: the feasible points it was handed plus
 the point or witness of each verified answer, once each, in first-seen
-order.  A cached point can substitute for the two calls of a round
-whenever it escapes the current aff(X).  So on a bounded nonempty set
-the oracle calls plus twice the cache hits come to exactly 2(n - r0),
-where r0 is the number of valid equations supplied up front (one call
-when r0 = n).  The cache is the run's, not the oracle's: a query never
+order.  A cached point can substitute for the queries of a round
+whenever it escapes the current aff(X).  A round without a hit costs
+two queries, or one when the max side decides it; the first round adds
+two to |X| + rows(D) and every later one adds one.  So on a bounded
+nonempty set, where only the rounds after the first can be decided by
+the max side,
+
+    queries + 2*cache_hits + (rounds the max side decided) = 2(n - r0),
+
+r0 the number of valid equations supplied up front (one query when
+r0 = n).  The cache is the run's, not the oracle's: a query never
 changes its provider.
 
 Face dimension runs reuse the machinery unchanged: restrict the oracle
@@ -164,6 +175,15 @@ def cache_probe(cache: tuple, d: Sequence, gamma):
     return None
 
 
+def off_gamma(resp, d: Vector, gamma) -> Optional[Vector]:
+    """The point off d.x = gamma that an answer for d or -d names, else None."""
+    if isinstance(resp, Unbounded):
+        return escape_from_ray(resp, d, gamma)
+    if isinstance(resp, Infeasible) or dot(d, resp.point) == gamma:
+        return None
+    return resp.point
+
+
 def escape_from_ray(resp: Unbounded, d: Vector, gamma) -> Vector:
     """The point witness + t*ray, t in {1, 2}, whose d-value is not gamma."""
     # d moves strictly along the ray, so at most one step size lands on gamma
@@ -186,10 +206,16 @@ def affine_hull(
     reduce the number of rounds one for one.  `cache` holds feasible
     points of the set the run may probe; the point or witness of each
     verified answer joins it unless held already.  It is probed before
-    each round and a hit replaces both oracle calls of the round.  The
-    result carries the cache as the run left it.  A run that would
-    spend more than max(1, 2(n - r0)) queries, the proven worst case,
-    stops with HullInterrupted.
+    each round and a hit replaces the round's queries.  The result
+    carries the cache as the run left it.
+
+    A round asks max d, then max -d only when the max side names no
+    point off d.x = gamma; once X holds a point, both are asked against
+    the bar (gamma and -gamma), so only a proof that no point lies above
+    it costs a full search (module docstring).  On a bounded nonempty
+    set, queries + 2*cache_hits + (rounds the max side decided) is
+    exactly 2(n - r0).  A run that would spend more than max(1, 2(n - r0))
+    queries, the proven worst case, stops with HullInterrupted.
     """
     n = provider.n
     eqs = initial_equations if initial_equations is not None else EquationSystem()
@@ -210,7 +236,7 @@ def affine_hull(
     def interrupted(reason: str):
         return HullInterrupted(reason, len(points) - 1, n - len(eqs), queries)
 
-    def query(w):
+    def query(w, bar=None):
         nonlocal queries, cache
         if queries + 1 > query_budget:
             raise interrupted(f"query budget {query_budget} exhausted")
@@ -218,11 +244,11 @@ def affine_hull(
             raise interrupted("time budget exhausted")
         queries += 1
         try:
-            resp = oracle_maximize(provider, w)
+            resp = oracle_maximize(provider, w, bar)
         except OracleInconclusive as exc:
             raise interrupted(str(exc)) from exc
         if not isinstance(resp, Infeasible):
-            point = resp.point if isinstance(resp, Optimal) else resp.witness
+            point = resp.witness if isinstance(resp, Unbounded) else resp.point
             if point not in cache:
                 cache += (point,)
         return resp
@@ -270,29 +296,24 @@ def affine_hull(
                 cache_hits += 1
                 continue
 
-        resp_max = query(d)
-        if isinstance(resp_max, Infeasible):
-            if points:
-                raise AssertionError("oracle reported infeasible after feasible points")
-            return AffineHullResult(-1, (), eqs, queries, cache_hits, cache)
-        if not points:
-            # the first answer seeds X: its point, or the witness of its ray
-            checked_append(resp_max.point if isinstance(resp_max, Optimal) else resp_max.witness)
-        gamma = dot(d, points[0])
-        if isinstance(resp_max, Unbounded):
-            checked_append(escape_from_ray(resp_max, d, gamma))
-            continue
-        resp_min = query(tuple(-c for c in d))
-        if isinstance(resp_min, Infeasible):
-            raise AssertionError("infeasible after an optimal response")
-        if isinstance(resp_min, Unbounded):
-            checked_append(escape_from_ray(resp_min, d, gamma))
-        elif resp_max.value == -resp_min.value:
-            eqs = eqs.with_equation(d, resp_max.value)
-        elif dot(d, resp_max.point) != gamma:
-            checked_append(resp_max.point)
+        if points:
+            gamma = dot(d, points[0])
+            resp = query(d, gamma)
         else:
-            checked_append(resp_min.point)
+            resp = query(d)
+            if isinstance(resp, Infeasible):
+                return AffineHullResult(-1, (), eqs, queries, cache_hits, cache)
+            # the first answer seeds X: its maximizer, on d.x = gamma, or its ray's witness
+            checked_append(resp.point if isinstance(resp, Optimal) else resp.witness)
+            gamma = dot(d, points[0])
+        point = off_gamma(resp, d, gamma)
+        if point is None:
+            point = off_gamma(query(tuple(-c for c in d), -gamma), d, gamma)
+        if point is None:
+            # no point above the bar on either side: d.x = gamma holds on P
+            eqs = eqs.with_equation(d, gamma)
+        else:
+            checked_append(point)
 
     return AffineHullResult(len(points) - 1, tuple(points), eqs, queries, cache_hits, cache)
 

@@ -21,7 +21,9 @@ Two conventions from the classic format are honored and worth knowing:
   wherever that entry stands in the file.
 
 G and E rows are rewritten to <= form on ingest (E as a pair), RANGES
-turn a row into the usual interval and arrive as the extra <= row.
+turn a row into the usual interval and arrive as the extra <= row.  An
+RHS (objective constant) or RANGES entry on the objective (N) row is a
+parse error.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ def read_instance_mps(text: str) -> MipInstance:
             raise MpsParseError(f"{section} entries come as {head} then row/value pairs", line_no)
         for row_name, token in zip(fields[1::2], fields[2::2]):
             value = number(token, line_no) if section == "COLUMNS" else None
-            if section == "RHS" and row_name == obj_row:
-                raise MpsParseError("objective-row RHS (objective constant) is unsupported", line_no)
+            if section != "COLUMNS" and row_name == obj_row:
+                what = "RHS (objective constant)" if section == "RHS" else "range"
+                raise MpsParseError(f"objective-row {what} is unsupported", line_no)
             if row_name not in row_types and not (section == "COLUMNS" and row_name == obj_row):
                 raise MpsParseError(f"unknown row {row_name!r}", line_no)
             yield row_name, number(token, line_no) if value is None else value

@@ -4,7 +4,11 @@ The dimension algorithm only ever talks to an oracle: give it a
 direction w, get back either a maximizer, an unboundedness certificate
 (an improving ray and, always, a feasible witness point), or
 infeasibility, so every answer but infeasibility names a point of the
-set.  Two providers implement
+set.  A query may also carry a bar, a value: it then asks only for a
+point x of the set with w.x > bar.  Its answers are such a point
+(`Above`, not necessarily a maximizer), an unboundedness certificate,
+or `Infeasible`: the set {x : w.x > bar} holds no point, so max w.x is
+at most the bar.  Two providers implement
 that contract, one backed by the exact branch-and-bound solver and one
 by explicit lattice enumeration (small instances; it doubles as the
 reference implementation in tests).  The lattice engine's arithmetic
@@ -28,15 +32,16 @@ branch and bound solves first, runs once across all its queries.
 provider's own `equations` tuple.  `make_provider` picks the engine by
 name and returns what that engine's constructor builds.
 
-A query's answer is a function of the provider and w alone, and a
+A query's answer is a function of the provider, w and the bar alone, and a
 query sets no attribute of the provider; only the solver program's memo
 of its root phase one fills in, and it moves no answer.  The points
 seen so far are kept by the hull run that asks the queries
 (`hull.affine_hull`), not here.
 
 With `verify` on (the default), every response is checked exactly, once
-(its point or witness lies in the provider's set, objective value, ray
-directions), before the caller sees it; a failed check raises
+(its point or witness lies in the provider's set, objective value, a
+point strictly above the bar, ray directions), before the caller sees
+it; a failed check raises
 OracleSoundnessError rather than letting a wrong point silently corrupt
 a dimension.
 """
@@ -83,6 +88,14 @@ class Optimal:
 
 
 @dataclass(frozen=True)
+class Above:
+    """A point of the set whose value w.x lies strictly above the query's bar."""
+
+    point: Vector  # entries are ints where the engine computed one
+    value: object
+
+
+@dataclass(frozen=True)
 class Unbounded:
     """Certificate that w is unbounded: a ray improving w and a feasible witness."""
 
@@ -95,11 +108,13 @@ class Infeasible:
     pass
 
 
-OracleResponse = Union[Optimal, Unbounded, Infeasible]
+OracleResponse = Union[Optimal, Above, Unbounded, Infeasible]
 
 
-def oracle_maximize(provider, w: Sequence) -> OracleResponse:
-    """One oracle query: maximize w over the provider's feasible set.
+def oracle_maximize(provider, w: Sequence, bar=None) -> OracleResponse:
+    """One oracle query: maximize w over the provider's feasible set, or,
+    with a `bar` value, find a point of it with w.x > bar (`Above`;
+    `Infeasible` when none exists).
 
     Validates the direction and verifies the response when enabled; the
     provider is left as it was.
@@ -107,9 +122,11 @@ def oracle_maximize(provider, w: Sequence) -> OracleResponse:
     w = exact_vector(w)
     if len(w) != provider.n:
         raise OracleError(f"direction has {len(w)} entries, oracle expects {provider.n}")
-    response = provider.solve(w)
+    if bar is not None:
+        bar = exact(bar)
+    response = provider.solve(w, bar)
     if provider.verify:
-        _verify_response(provider, w, response)
+        _verify_response(provider, w, response, bar)
     return response
 
 
@@ -121,15 +138,17 @@ def _in_set(provider, point) -> bool:
     )
 
 
-def _verify_response(provider, w, response) -> None:
+def _verify_response(provider, w, response, bar) -> None:
     inst = provider.instance
     if isinstance(response, Infeasible):
         return
-    if isinstance(response, Optimal):
+    if isinstance(response, (Optimal, Above)):
         if not _in_set(provider, response.point):
-            raise OracleSoundnessError("optimal point violates the instance or its face")
+            raise OracleSoundnessError("answered point violates the instance or its face")
         if dot(w, response.point) != response.value:
             raise OracleSoundnessError("reported value disagrees with the point")
+        if bar is not None and not response.value > bar:
+            raise OracleSoundnessError("answered point is not above the bar")
         return
     ray, witness = response.ray, response.witness
     if all(v == 0 for v in ray):
@@ -188,7 +207,7 @@ class MipOracle(_Provider):
     Queries prune by the objective grid (`SolveOptions.objective_grid`):
     a query's answer is its status, point, value and ray, which the rule
     never moves, and no query's trace is read, so only its node count
-    falls.
+    falls.  A query's bar is the run's cutoff (`solve_mip`).
     """
 
     def __init__(
@@ -210,10 +229,14 @@ class MipOracle(_Provider):
         clone.program = program_for(self.instance, equations=clone.equations)
         return clone
 
-    def solve(self, w: Vector) -> OracleResponse:
-        result = solve_mip(self.instance, objective=w, options=self.options, program=self.program)
+    def solve(self, w: Vector, bar=None) -> OracleResponse:
+        result = solve_mip(
+            self.instance, objective=w, options=self.options, program=self.program, cutoff=bar
+        )
         if result.status is SolveStatus.OPTIMAL:
             return Optimal(result.best_point, result.primal_value)
+        if result.status is SolveStatus.FEASIBLE:
+            return Above(result.best_point, result.primal_value)
         if result.status is SolveStatus.INFEASIBLE:
             return Infeasible()
         if result.status is SolveStatus.UNBOUNDED:
@@ -232,7 +255,8 @@ class BruteForceOracle(_Provider):
     tuples of ints in lexicographic order (`points`), and also held as
     coordinate columns (`columns`).  A query scales w to ints once and
     takes every point's value in whole-column passes (`column_dots`);
-    the first maximal point wins.  Restricted copies take the equation's
+    the first maximal point wins, and against a bar it is the answer
+    when it lies above the bar.  Restricted copies take the equation's
     values the same way and keep the points, and the columns, on it;
     they never enumerate again.
     """
@@ -256,13 +280,16 @@ class BruteForceOracle(_Provider):
         clone.columns = tuple(tuple(itertools.compress(col, on_face)) for col in self.columns)
         return clone
 
-    def solve(self, w: Vector) -> OracleResponse:
+    def solve(self, w: Vector, bar=None) -> OracleResponse:
         if not self.points:
             return Infeasible()
         ints, den = int_scale(w)
         values = column_dots(ints, self.columns, len(self.points))
         best = max(values)
-        return Optimal(self.points[values.index(best)], exact(rat(best, den)))  # the first maximal point
+        point, value = self.points[values.index(best)], exact(rat(best, den))  # the first maximal
+        if bar is None:
+            return Optimal(point, value)
+        return Above(point, value) if value > bar else Infeasible()
 
 
 def make_provider(

@@ -127,17 +127,53 @@ class SuiteResult:
 # defaults; the acceptance tests run the same suites on larger corpora.
 
 
+class QueryLog:
+    """A provider that hands each query to `inner` and logs its (w, bar)
+    in `log`; its restrictions log to the same list."""
+
+    def __init__(self, inner, log: list):
+        self.inner, self.log = inner, log
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def solve(self, w, bar=None):
+        self.log.append((w, bar))
+        return self.inner.solve(w, bar)
+
+    def restrict(self, coefficients, beta) -> "QueryLog":
+        return QueryLog(self.inner.restrict(coefficients, beta), self.log)
+
+
+def max_decided(log: Sequence) -> int:
+    """The rounds of one hull run that their max side decided, read off
+    the run's queries (w, bar) in order.  A round's min side asks -w
+    right after its max side asked w, and every other round without a
+    cache hit asks both, so the count is the queries less twice the
+    min sides."""
+    min_sides = sum(w == tuple(-c for c in u) for (u, _), (w, _) in zip(log, log[1:]))
+    return len(log) - 2 * min_sides
+
+
 def suite_query_count(seed: int, rounds: int = 25) -> SuiteResult:
     """On bounded nonempty sets, an affine hull run's queries plus twice
-    its cache hits come to exactly 2n."""
+    its cache hits plus the rounds its max side decided come to exactly
+    2n, so queries plus twice the hits come to at most 2n."""
     rng = random.Random(seed)
     result = SuiteResult("query-count", rounds)
     for i in range(rounds):
         inst = random_instance(rng, name=f"qc{i}")
         n = inst.num_vars
-        hull = affine_hull(BruteForceOracle(inst))
+        log: list = []
+        hull = affine_hull(QueryLog(BruteForceOracle(inst), log))
         spent = hull.oracle_queries + 2 * hull.cache_hits
-        result.check(spent == 2 * n, f"round {i}: queries + 2 * hits = {spent}, wanted {2 * n}")
+        decided = max_decided(log)
+        result.check(len(log) == hull.oracle_queries,
+                     f"round {i}: {len(log)} queries logged, {hull.oracle_queries} counted")
+        result.check(spent + decided == 2 * n,
+                     f"round {i}: queries + 2 * hits + max-decided = {spent} + {decided}, "
+                     f"wanted {2 * n}")
+        result.check(spent <= 2 * n, f"round {i}: queries + 2 * hits = {spent} > {2 * n}")
         result.check(len(hull.points) + len(hull.equations) == n + 1,
                      f"round {i}: |X|+|D| = {len(hull.points) + len(hull.equations)} != {n + 1}")
     return result

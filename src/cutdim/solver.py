@@ -24,6 +24,14 @@ changes only on a strict improvement, so the rule moves no status,
 point, value or ray.  It only solves fewer nodes, which moves the node
 count and the trace, so runs whose trace is read keep it off.
 
+A run with a `cutoff` asks only whether some point lies strictly above
+that value.  Its primal bound starts at the cutoff with no incumbent
+point, so nodes are pruned, and grid-pruned where the grid exists, by
+the cutoff; the first integer point found ends the run as FEASIBLE,
+and a search that finds none ends INFEASIBLE: no point of the set lies
+above the cutoff.  Oracle queries against a bar (`oracle`) are such
+runs.
+
 An unbounded root LP does not end the search.  The same loop then looks
 for any feasible point with a zero objective, on the same program and
 starting again from the root, so the root LP is counted twice (nodes 1
@@ -63,11 +71,13 @@ from typing import Optional, Sequence
 
 from .linalg import Vector, dot, exact_vector, int_row, int_scale
 from .model import MipInstance
+from .rational import exact
 from .simplex import LinearProgram, LPStatus, solve_lp
 
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
+    FEASIBLE = "feasible"  # a cutoff run's point above the cutoff, not proven optimal
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     NODE_LIMIT = "node_limit"
@@ -95,7 +105,8 @@ class SolveOptions:
 class SolveResult:
     status: SolveStatus
     best_point: Optional[Vector]  # entries are ints where the LP computed one
-    primal_value: object  # rational, or -inf with no incumbent, +inf if unbounded
+    # best_point's value, or a cutoff run's cutoff at a limit; -inf with no point, +inf if unbounded
+    primal_value: object
     dual_bound: object  # rational or +-inf
     node_count: int
     trace: tuple  # ((node index, dual bound at that node), ...)
@@ -123,14 +134,19 @@ def solve_mip(
     objective: Optional[Sequence] = None,
     options: Optional[SolveOptions] = None,
     program: Optional[LinearProgram] = None,
+    cutoff=None,
 ) -> SolveResult:
     """Maximize `objective` (default: the instance objective) over `inst`.
 
     `program` (default `program_for(inst)`) must start with the instance's
     rows (ValueError otherwise); its remembered root basis, and the LPs it
-    remembers for this objective, are reused.
+    remembers for this objective, are reused.  With a `cutoff` value, the
+    run stops at the first point above it (module docstring); it takes no
+    incumbent.
     """
     options = options or SolveOptions()
+    if cutoff is not None and options.incumbent is not None:
+        raise ValueError("a run takes an incumbent or a cutoff, not both")
     obj = exact_vector(objective) if objective is not None else inst.objective
     if len(obj) != inst.num_vars:
         raise ValueError(
@@ -154,6 +170,8 @@ def solve_mip(
             raise ValueError("incumbent is not feasible for this run")
         primal = dot(obj, inc)
         best = inc
+    if cutoff is not None:
+        primal = exact(cutoff)
 
     deadline = None
     if options.time_limit is not None:
@@ -231,12 +249,16 @@ def solve_mip(
         if ray is not None and dual != -math.inf:
             dual = math.inf  # unbounded unless the search proves P empty
         trace.append((node_count, dual))
+        if cutoff is not None and best is not None:
+            break  # a point above the cutoff, or an unbounded run's point
 
     if status is None:
         if best is None:
-            status, dual = SolveStatus.INFEASIBLE, -math.inf
+            status, primal, dual = SolveStatus.INFEASIBLE, -math.inf, -math.inf
         elif ray is not None:
             status, primal, dual = SolveStatus.UNBOUNDED, math.inf, math.inf
+        elif cutoff is not None:
+            status = SolveStatus.FEASIBLE
         else:
             status, dual = SolveStatus.OPTIMAL, primal
 
@@ -276,8 +298,10 @@ def _grid(inst: MipInstance, objective) -> Optional[tuple]:
 def _dominated(bound, primal, grid) -> bool:
     """True when a node with LP bound `bound` holds no point above
     `primal`: bound <= primal, or, on the grid (g, den), the bound's grid
-    floor, floor(bound.den/g).g, is at most primal.den (an int multiple
-    of g, since primal is a value of a point)."""
+    floor, floor(bound.den/g).g, is at most primal.den.  That int is at
+    most the rational primal.den exactly when it is at most its floor, so
+    the test is exact for a cutoff off the grid too; a point's value is
+    on it."""
     if grid is None or primal == -math.inf:
         return bound <= primal
     g, den = grid

@@ -136,7 +136,7 @@ def test_stein27_dimension_without_mps_file():
     assert len(ag33_lines()) == 117
     inst = stein27()
     hull = affine_hull(MipOracle(inst, time_limit=None))
-    assert (hull.dimension, hull.oracle_queries, hull.cache_hits) == (27, 48, 3)
+    assert (hull.dimension, hull.oracle_queries, hull.cache_hits) == (27, 46, 0)
 
 
 def test_strength_protocol_properties():

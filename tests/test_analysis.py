@@ -586,8 +586,9 @@ def test_face_run_probes_its_own_cuts_points():
     bare = face_hull(provider, base, cls.tightened)
     assert bare.cache[0] != maximizer
     assert face.dimension == bare.dimension == 2
-    # one round in the run finds a point it already holds, either way
-    assert (bare.oracle_queries, bare.cache_hits) == (4, 1)
+    # without the maximizer, no round finds a point the run holds, and
+    # the run spends one query more
+    assert (bare.oracle_queries, bare.cache_hits) == (5, 0)
 
 
 def test_each_cut_classifies_as_if_alone():

@@ -8,6 +8,13 @@ have a partner on the other side with the same workload, seed and trace
 mode.  Both partners share the rational backend, answer every job
 correctly with nothing failed, and give the same answers_sha256.
 
+One exception: a file may declare
+"report_change": {"fields": [...], "why": "..."}, saying that the change
+moves those report fields on purpose.  Its partners may then differ in
+answers_sha256.  Only the count fields in REPORT_CHANGE_FIELDS may be
+declared, so every answer of a report still has to stay put; the
+golden report tests pin that the rest of a report is unchanged.
+
 `.github/bench_gate.py`, which checks one CI run against the newest of
 these records, is tested here on fixture BENCH files.
 """
@@ -21,6 +28,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 REQUIRED = ("side", "workload", "seed", "trace", "backend", "calib_s",
             "answers_sha256", "correct", "failed", "metrics")
+REPORT_CHANGE_FIELDS = ("hull.oracle_queries", "hull.cache_hits")
 
 
 def workloads():
@@ -28,8 +36,9 @@ def workloads():
     return [w["name"] for w in spec["workloads"]]
 
 
-def problems(records, names):
-    """What is wrong with one file's records; empty when nothing is."""
+def problems(records, names, report_change=None):
+    """What is wrong with one file's records, under its report_change
+    declaration if it has one; empty when nothing is."""
     out = []
     for i, rec in enumerate(records):
         missing = [k for k in REQUIRED if k not in rec]
@@ -56,19 +65,24 @@ def problems(records, names):
         for r in partners:
             if r["backend"] != rec["backend"]:
                 out.append(f"record {i}: backend {rec['backend']} vs {r['backend']}")
-            if r["answers_sha256"] != rec["answers_sha256"]:
+            if r["answers_sha256"] != rec["answers_sha256"] and report_change is None:
                 out.append(f"record {i}: answers differ from the {other} side")
     for name in names:
         sides = {r["side"] for r in records if r["workload"] == name}
         if sides != {"parent", "change"}:
             out.append(f"{name}: sides {sorted(sides)}, wanted parent and change")
+    if report_change is not None:
+        fields = report_change.get("fields") or []
+        if not fields or not set(fields) <= set(REPORT_CHANGE_FIELDS) or not report_change.get("why"):
+            out.append(f"report_change declares {fields} with why {report_change.get('why')!r}; "
+                       f"only {list(REPORT_CHANGE_FIELDS)} may change, and why must be given")
     return out
 
 
 def test_committed_bench_records_pair_up():
     for path in sorted(ROOT.glob("BENCH_*.json")):
-        records = json.loads(path.read_text(encoding="utf-8"))["records"]
-        assert problems(records, workloads()) == [], path.name
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert problems(doc["records"], workloads(), doc.get("report_change")) == [], path.name
 
 
 def test_guard_rejects_broken_pairs():
@@ -89,6 +103,18 @@ def test_guard_rejects_broken_pairs():
     broken = rec("change")
     del broken["calib_s"]
     assert problems([rec("parent"), broken], ["w"])
+
+    # a declared change of the two count fields lets the digests differ, and nothing else
+    counts = {"fields": ["hull.oracle_queries", "hull.cache_hits"], "why": "fewer queries"}
+    moved = [rec("parent"), rec("change", answers_sha256="cd")]
+    assert problems(moved, ["w"], counts) == []
+    assert problems(moved, ["w"], {**counts, "fields": ["hull.oracle_queries", "dimension"]})
+    assert problems(moved, ["w"], {**counts, "fields": []})
+    assert problems(moved, ["w"], {"fields": counts["fields"]})  # no why
+    assert problems([rec("parent"), rec("change", answers_sha256="cd", failed=1)], ["w"], counts)
+    assert problems([rec("parent"), rec("change", answers_sha256="cd", correct=False)], ["w"],
+                    counts)
+    assert problems([rec("parent"), rec("change", answers_sha256="cd", seed=2)], ["w"], counts)
 
 
 def _bench_gate():

@@ -79,7 +79,7 @@ def trio_path(tmp_path):
 def test_dim_square(square_path, capsys):
     assert main(["dim", square_path]) == 0
     out = capsys.readouterr().out
-    assert out == "dim = 2, queries = 4, equations = 0\n"
+    assert out == "dim = 2, queries = 3, equations = 0\n"
 
 
 def test_dim_prints_equations(tmp_path, capsys):
@@ -346,6 +346,16 @@ def test_malformed_mps_instance_is_a_parse_error(tmp_path, capsys):
     assert err.count("malformed instance") == 1
 
 
+def test_a_range_on_the_objective_row_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "ranged.mps"
+    path.write_text(
+        "NAME r\nROWS\n N  obj\n L  c\nCOLUMNS\n    x  obj  1  c  1\n"
+        "RHS\n    rhs  c  1\nRANGES\n    rng  obj  2\nENDATA\n"
+    )
+    assert main(["dim", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: line 10: objective-row range is unsupported\n"
+
+
 def test_bad_config_file(square_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for text, reason in [("{broken", "not valid JSON"), ("[]", "config must be a JSON object")]:
@@ -482,7 +492,7 @@ def test_flag_env_and_file_read_the_same_text(field, tmp_path, monkeypatch):
 
 
 def test_an_unsound_oracle_answer_exits_one(square_path, capsys, monkeypatch):
-    def unsound(provider, w, response):
+    def unsound(provider, w, response, bar):
         raise OracleSoundnessError("planted")
 
     monkeypatch.setattr("cutdim.oracle._verify_response", unsound)

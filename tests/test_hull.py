@@ -38,7 +38,7 @@ from cutdim.oracle import (
     oracle_maximize,
 )
 from cutdim.rational import rat
-from cutdim.selftest import random_instance
+from cutdim.selftest import QueryLog, max_decided, random_instance
 from helpers import fraction_complement
 
 
@@ -84,14 +84,16 @@ def test_cube_full_dimensional():
     assert hull.dimension == 3
     assert len(hull.equations) == 0
     assert len(hull.points) == 4
-    assert hull.oracle_queries == 6  # exactly 2n: no cached point escapes aff(X)
+    # 2n less the two rounds after the first, which max e_j decides
+    # with a point above gamma = 0; no cached point escapes aff(X)
+    assert hull.oracle_queries == 4
 
 
 def test_square_matches_cli_fixture():
     inst = cube(2)
     hull = affine_hull(MipOracle(inst))
     assert hull.dimension == 2
-    assert hull.oracle_queries == 4
+    assert hull.oracle_queries == 3
     assert len(hull.equations) == 0
 
 
@@ -185,11 +187,11 @@ class GivesUpAfterTwo(MipOracle):
 
     answered = 0
 
-    def solve(self, w):
+    def solve(self, w, bar=None):
         if self.answered == 2:
             raise OracleInconclusive("solver stopped at node_limit after 9 nodes")
         self.answered += 1
-        return super().solve(w)
+        return super().solve(w, bar)
 
 
 def test_query_budget_interrupt_carries_interval():
@@ -209,9 +211,9 @@ class SlowQueries(MipOracle):
         super().__init__(instance)
         self.clock, self.step = clock, step
 
-    def solve(self, w):
+    def solve(self, w, bar=None):
         self.clock[0] += self.step
-        return super().solve(w)
+        return super().solve(w, bar)
 
 
 def test_time_budget_interrupt_inside_a_round(monkeypatch):
@@ -270,7 +272,8 @@ def test_cache_cuts_queries_but_not_answers():
     bare = face_hull(provider, dataclasses.replace(base, cache=()), cut)
     assert warm.dimension == bare.dimension == 2
     assert (warm.oracle_queries, warm.cache_hits) == (0, 2)
-    assert (bare.oracle_queries, bare.cache_hits) == (4, 0)
+    # the first round asks both sides, the second only max x3 above 0
+    assert (bare.oracle_queries, bare.cache_hits) == (3, 0)
 
 
 def test_cache_probe_modes():
@@ -290,8 +293,8 @@ def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
     answers, checks = [], []
     check = MipInstance.is_feasible_point
 
-    def recorded(provider, w):
-        response = oracle_maximize(provider, w)
+    def recorded(provider, w, bar=None):
+        response = oracle_maximize(provider, w, bar)
         answers.append(response.point)
         return response
 
@@ -301,31 +304,45 @@ def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
     )
     provider = make_provider(cube(), engine)
     warm = affine_hull(provider)
-    # the cube's three minimizations all answer the origin
-    assert len(answers) == 6 and warm.cache == tuple(dict.fromkeys(answers))
-    assert len(warm.cache) == 4 and checks == answers
+    # max x1, then min x1 at the origin, then max x2 and max x3 above 0
+    assert answers == [(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert warm.cache == tuple(answers) and checks == answers
 
     answers.clear()
     start = ((0, 0, 0), (1, 1, 1))
     seeded = affine_hull(provider, cache=start)
     assert seeded.cache == tuple(dict.fromkeys(start + tuple(answers)))
-    assert (seeded.cache_hits, seeded.oracle_queries) == (2, 2)
+    # (1, 1, 1) escapes the first round; max x1 - x2 and max x2 - x3 each
+    # decide a later round, and no min side leaves a point to hit
+    assert (seeded.cache_hits, seeded.oracle_queries) == (1, 2)
     assert warm.dimension == seeded.dimension == 3
 
 
 class OutsidePoint(MipOracle):
     """Answers e1 with (2, 0, 0), outside the cube, and the rest truly."""
 
-    def solve(self, w):
+    def solve(self, w, bar=None):
         if tuple(w) == (1, 0, 0):
             return Optimal((2, 0, 0), 2)
-        return super().solve(w)
+        return super().solve(w, bar)
 
 
 def test_only_verified_answers_reach_the_run_cache():
     with pytest.raises(OracleSoundnessError):
         affine_hull(OutsidePoint(cube()))
     assert (2, 0, 0) in affine_hull(OutsidePoint(cube(), verify=False)).cache
+
+
+def test_runs_with_verify_off_end_with_an_unverified_point_in_x():
+    """With verify off, X may hold a point outside the set.  Its value is
+    only the bar of later queries, never an incumbent the solver checks,
+    so the base run and a face run that queries end."""
+    provider = OutsidePoint(cube(), verify=False)
+    base = affine_hull(provider)
+    assert base.dimension == 3 and base.points[0] == (2, 0, 0)
+    face = face_hull(provider, dataclasses.replace(base, cache=()), Inequality([0, 0, 1], 0))
+    assert face.dimension == 2 and face.points[0] == (2, 0, 0)
+    assert face.oracle_queries == 3
 
 
 def test_face_run_starts_from_the_base_points_on_the_face():
@@ -379,37 +396,46 @@ def test_equations_valid_on_all_points():
 @pytest.mark.parametrize("engine", ["solver", "lattice"])
 def test_queries_plus_twice_the_hits_is_twice_the_free_dimensions(engine):
     """On a bounded nonempty set, every base run and every face run spends
-    queries + 2 * cache_hits == 2(n - r0), r0 the equations it starts
-    from; a run that starts from n equations takes one query."""
+    queries + 2 * cache_hits + (rounds its max side decided) == 2(n - r0),
+    r0 the equations it starts from, so queries + 2 * cache_hits is at
+    most 2(n - r0); a run that starts from n equations takes one query."""
     rng = random.Random(67)
 
-    def spent_as_proven(run, n, r0):
+    def spent_as_proven(run, n, r0, log):
         if r0 == n:
             return (run.oracle_queries, run.cache_hits) == (1, 0)
-        return run.oracle_queries + 2 * run.cache_hits == 2 * (n - r0)
+        spent = run.oracle_queries + 2 * run.cache_hits
+        return (
+            len(log) == run.oracle_queries
+            and spent + max_decided(log) == 2 * (n - r0)
+            and spent <= 2 * (n - r0)
+        )
 
-    hits = 0
+    hits = decided = 0
     for i in range(40):
         inst = random_instance(rng, max_vars=5, name=f"spent{i}")
         n, points = inst.num_vars, enumerate_lattice(inst)
-        provider = make_provider(inst, engine, time_limit=None)
+        log = []
+        provider = QueryLog(make_provider(inst, engine, time_limit=None), log)
         base = affine_hull(provider)
-        assert spent_as_proven(base, n, 0), f"case {i}: base run"
-        hits += base.cache_hits
+        assert spent_as_proven(base, n, 0, log), f"case {i}: base run"
+        hits, decided = hits + base.cache_hits, decided + max_decided(log)
         for j in range(4):
             a = [rng.randint(-3, 3) for _ in range(n)]
             cut = Inequality(a, max(dot(a, p) for p in points) + rng.choice((0, 0, 1)))
+            log.clear()
             face = classify_cut(provider, cut, base=base).face_result
             if face is None:  # not supporting, or a zero row
                 continue
             r0 = rank(base.equations.rows + (a,))
-            assert spent_as_proven(face, n, r0), f"case {i}.{j}: face run"
-            hits += face.cache_hits
-    assert hits > 0
+            face_log = log[1:]  # after the verdict query
+            assert spent_as_proven(face, n, r0, face_log), f"case {i}.{j}: face run"
+            hits, decided = hits + face.cache_hits, decided + max_decided(face_log)
+    assert hits > 0 and decided > 0
     # the segment's end x1 = 1: the face run starts from n = 2 equations
     provider = make_provider(diagonal_segment(), engine)
     face = classify_cut(provider, Inequality([1, 0], 1), base=affine_hull(provider)).face_result
-    assert spent_as_proven(face, 2, 2) and face.dimension == 0
+    assert spent_as_proven(face, 2, 2, ()) and face.dimension == 0
 
 
 def test_reproducibility():

@@ -191,6 +191,7 @@ def test_number_formatting():
         (wrap("RHS\n    rhs  obj\n"), "RHS entries come as a set name then row/value pairs"),
         (wrap("RANGES\n    rng  r  1  s\n"), "RANGES entries come as a set name then row/value pairs"),
         (wrap("RANGES\n    rng  ghost  1\n"), "unknown row 'ghost'"),
+        (wrap("RANGES\n    rng  obj  1\n"), "objective-row range is unsupported"),
         (wrap("BOUNDS\n FR bnd\n"), "FR bound needs a set name and a column"),
         (wrap("BOUNDS\n UP bnd  x\n"), "UP bound needs a set name, column and value"),
         (wrap("BOUNDS\n UP bnd  ghost  1\n"), "bound for unknown column 'ghost'"),

@@ -10,6 +10,7 @@ from cutdim.hull import affine_hull, face_hull
 from cutdim.linalg import dot, scaled_row
 from cutdim.model import Inequality, MipInstance, build_instance
 from cutdim.oracle import (
+    Above,
     BruteForceOracle,
     Infeasible,
     MipOracle,
@@ -98,7 +99,7 @@ def test_unbounded_answer_requires_a_witness():
 class BadWitnessOracle(MipOracle):
     """Answers every query with the ray (1,) from the infeasible point (-1,)."""
 
-    def solve(self, w):
+    def solve(self, w, bar=None):
         return Unbounded((rat(1),), (rat(-1),))
 
 
@@ -120,7 +121,7 @@ class RayOracle(MipOracle):
 
     ray = None
 
-    def solve(self, w):
+    def solve(self, w, bar=None):
         return Unbounded(self.ray, (0, 0, 0))
 
 
@@ -160,13 +161,56 @@ def test_soundness_guard_rejects_bad_rays(ray, w, on_face, message):
             assert oracle_maximize(provider, w) == Unbounded(ray, (0, 0, 0))
 
 
+class AtTheBar(MipOracle):
+    """Answers every query with the origin, whose value is 0 for any w."""
+
+    def solve(self, w, bar=None):
+        return Above((0, 0), 0)
+
+
+def test_soundness_guard_rejects_a_point_at_the_bar():
+    with pytest.raises(OracleSoundnessError, match="not above the bar"):
+        oracle_maximize(AtTheBar(knapsack()), [1, 1], bar=0)
+    assert oracle_maximize(AtTheBar(knapsack()), [1, 1], bar=-1) == Above((0, 0), 0)
+    assert oracle_maximize(AtTheBar(knapsack(), verify=False), [1, 1], bar=0) == Above((0, 0), 0)
+
+
+@pytest.mark.parametrize("engine", ["solver", "lattice"])
+def test_bar_queries_answer_a_point_above_the_bar_or_nothing(engine):
+    """Against a bar below the maximum, the answer is a point strictly
+    above it; at the maximum, nothing lies above it."""
+    provider = make_provider(knapsack(), engine)
+    for bar in (-1, 0, 4):
+        resp = oracle_maximize(provider, [5, 4], bar)
+        assert isinstance(resp, Above) and resp.value > bar
+        assert knapsack().is_feasible_point(resp.point)
+    assert oracle_maximize(provider, [5, 4], 5) == Infeasible()
+    assert oracle_maximize(provider, [5, 4], rat(9, 2)) == Above((1, 0), 5)
+
+
+def test_an_unbounded_direction_stays_unbounded_under_a_bar():
+    # x, y >= 0 integer with |x - y| <= 2: unbounded along (1, 1)
+    wedge = build_instance(
+        name="wedge",
+        constraint_matrix=[[1, -1], [-1, 1]],
+        rhs=[2, 2],
+        objective=[-1, -1],
+        integer_vars=(0, 1),
+        lower_bounds=[0, 0],
+    )
+    for bar in (None, 10, rat(7, 3)):
+        resp = oracle_maximize(MipOracle(wedge), [1, 1], bar)
+        assert isinstance(resp, Unbounded) and resp.ray == (1, 1)
+        assert wedge.is_feasible_point(resp.witness)
+
+
 def test_query_counting_and_cache_population(monkeypatch):
     """One solve per query; the hull run, not the provider, holds the
     answers' points."""
     oracle = MipOracle(knapsack())
     solves = []
     solve = oracle.solve
-    monkeypatch.setattr(oracle, "solve", lambda w: solves.append(w) or solve(w))
+    monkeypatch.setattr(oracle, "solve", lambda w, bar=None: solves.append(w) or solve(w, bar))
     oracle_maximize(oracle, [5, 4])
     oracle_maximize(oracle, [-1, -1])
     assert solves == [(5, 4), (-1, -1)]  # one solve per query
@@ -180,7 +224,7 @@ def test_query_counting_and_cache_population(monkeypatch):
 class InfeasibleOracle(MipOracle):
     """Answers every query with (1, 1), which violates the knapsack row."""
 
-    def solve(self, w):
+    def solve(self, w, bar=None):
         return Optimal((rat(1), rat(1)), dot(w, (1, 1)))
 
 
@@ -241,7 +285,7 @@ def test_queries_leave_the_provider_as_it_was(engine):
 class MisreportingOracle(MipOracle):
     """Answers every query with a feasible point and a value it does not have."""
 
-    def solve(self, w):
+    def solve(self, w, bar=None):
         return Optimal((rat(0), rat(0)), rat(7))
 
 
@@ -281,11 +325,11 @@ def test_each_provider_compiles_one_program(monkeypatch):
         built.append(program)
         init(program, *args, **kwargs)
 
-    solves = []  # (program, objective, options, result) of every oracle solve
+    solves = []  # (program, objective, options, cutoff, result) of every oracle solve
 
-    def recorded_solve_mip(inst, objective=None, options=None, program=None):
-        result = solve_mip(inst, objective, options, program)
-        solves.append((program, objective, options, result))
+    def recorded_solve_mip(inst, objective=None, options=None, program=None, cutoff=None):
+        result = solve_mip(inst, objective, options, program, cutoff)
+        solves.append((program, objective, options, cutoff, result))
         return result
 
     monkeypatch.setattr(LinearProgram, "__init__", counted_init)
@@ -302,9 +346,9 @@ def test_each_provider_compiles_one_program(monkeypatch):
         [provider.program] * queries + [built[1]] * face.oracle_queries
     )
     monkeypatch.undo()
-    for program, objective, options, result in solves:
+    for program, objective, options, cutoff, result in solves:
         fresh = LinearProgram(program.num_vars, program.ineq, program.eq)
-        assert solve_mip(inst, objective, options, fresh) == result
+        assert solve_mip(inst, objective, options, fresh, cutoff) == result
 
 
 def test_restrict_stacks_equations():
@@ -534,6 +578,9 @@ def _check_scans(provider, points, directions):
         assert resp.point == point and resp.value == value
         # the first maximizer in enumeration order is the lexicographic first
         assert point == min(p for p in points if dot(w, p) == value)
+        # against a bar: the argmax when it lies above the bar, else nothing
+        assert oracle_maximize(provider, w, value - 1) == Above(point, value)
+        assert oracle_maximize(provider, w, value) == Infeasible()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

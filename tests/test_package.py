@@ -117,4 +117,4 @@ def test_readme_library_examples_print_what_they_say(tmp_path, monkeypatch):
         wanted += [line.partition("#")[2].strip() for line in prints]
     assert len(printed) == len(wanted)
     assert [p for p, w in zip(printed, wanted) if w] == [w for w in wanted if w]
-    assert [w for w in wanted if w] == ["2 4", "supporting 0", "1"]
+    assert [w for w in wanted if w] == ["2 3", "supporting 0", "1"]

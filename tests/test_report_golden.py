@@ -7,10 +7,14 @@ strength protocol skips as invalid-cut, an unbounded cut direction
 (beta_true = inf), and strength runs that end in an impact error (an
 infeasible instance).  Each case pins the SHA-256 of the JSON and CSV
 reports and of the stdout of `cutdim classify` and `cutdim analyze`, so
-any change to a report byte shows here.
+any change to a report byte shows here.  Beside them, each case pins
+the SHA-256 of its JSON report with the base run's two counts,
+`oracle_queries` and `cache_hits`, removed: those digests hold every
+answer of the report and none of the counts.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -100,7 +104,7 @@ CASES = {
 # case: (json, csv, classify stdout, analyze stdout, classify exit, analyze exit)
 GOLDEN = {
     "knapsack": (
-        "fc0fe5f6d4afeb09f49727a175df9f40f42ef2cf874a04bad412655fce08a537",
+        "9b0be3be3584bad9104c6f717680d5cb01d98a3731ce724d508a89f27cc6b95b",
         "64fde340e40c701652c2c1926446439d564e6ddf5298c60ebb8f44ab99ba2e14",
         "9ae0a0822f498fd3f109d112810744f325fbcc0e8e94f3653e1e99f33045e93d",
         "619e653fd2e48eebafd9172eb0fc802af39265fe532b2bc688c414b42af54d30",
@@ -108,7 +112,7 @@ GOLDEN = {
         0,
     ),
     "knapsack-failed-faces": (
-        "e3869400374320e83525a33d97c96c632e07ef4a5aa8367bdc2da0720d5f8237",
+        "0cbb38747aa5da7cdd942a22e9ca9c5f3b81f0562b85899382425c283944acc1",
         "86add191616352ab3b508636e52bbb727927163cf0cc91ffc9c71ded428f2826",
         "36a6c3d4b0bda3394a3b14e1b4e8e911b73a2ac3889d77c2e2816643e6c83e72",
         "b72e9b73919657c093d92247cf0d410430a79d808059588459439624c8ad2ed1",
@@ -124,13 +128,22 @@ GOLDEN = {
         1,
     ),
     "wedge": (
-        "a2eb52862cd6c9563395f61b1c649ff471cbef7604911dbdc122559d8441c59f",
+        "c2a34faf2a66f6006dadabbc4d715103c0d4e812bfcd4ac459f075364b7363fa",
         "38b07cb49ed01198e7939dcdb70cb32ee6e4509288ca135b525feacbe5f98751",
         "4ff876dcd752b575a1f736c47abf77118e3ba1d254da50d4b2221417bad1de05",
         "4ca8742f10187be25d7545c90bf20dbf3c16b9f914af9fb01697b479b8ae9acf",
         0,
         0,
     ),
+}
+
+
+# case: SHA-256 of the JSON report without hull.oracle_queries and hull.cache_hits
+COUNT_FREE = {
+    "knapsack": "17dfaba89a9f62821c67b0ebb6162922d6f5fe9d445f0d81ab2a04bdca8ab34a",
+    "knapsack-failed-faces": "1fae966de9ccc6f55badfc9e1f750ce87d7564985257a8e7c92fd4282afe3787",
+    "void": "4267fd56ea9562f5201586addba3d5b28b911bff7e65ebad3253ed419a89a201",
+    "wedge": "c0f14268d84cbdfdf13459aa2b74561b7b18edecaa81b7471f5a8b3c235e3b5f",
 }
 
 
@@ -172,3 +185,13 @@ def test_report_bytes_are_golden(case, tmp_path, capsys):
         analyze_rc,
     )
     assert got == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_answers_are_golden(case):
+    build, cut_text, settings = CASES[case]
+    inst = build()
+    analysis = analyze_instance(inst, parse_cuts(cut_text, inst.num_vars), RunConfig(**settings))
+    doc = json.loads(analysis_to_json(analysis))
+    del doc["hull"]["oracle_queries"], doc["hull"]["cache_hits"]
+    assert _sha(json.dumps(doc, indent=2)) == COUNT_FREE[case]

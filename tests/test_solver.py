@@ -21,7 +21,7 @@ from cutdim.solver import (
     solve_mip,
 )
 
-from helpers import stein27
+from helpers import fraction_lattice, stein27
 
 
 def knapsack():
@@ -212,6 +212,9 @@ _REJECTED = {
         options=SolveOptions(incumbent=(1, 0)),
         program=program_for(knapsack(), equations=(scaled_row([0, 1], 1),)),
     ),
+    "incumbent-and-cutoff": lambda: solve_mip(
+        knapsack(), options=SolveOptions(incumbent=(1, 0)), cutoff=4
+    ),
 }
 
 
@@ -219,6 +222,22 @@ _REJECTED = {
 def test_inputs_that_do_not_fit_are_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_a_cutoff_prunes_by_its_grid_and_stops_at_the_first_point_above_it():
+    # 2x + 2y <= 3 on the unit square: the LP bound 3/2 floors to 1 on the grid
+    inst = build_instance(
+        "half", [[2, 2]], [3], [1, 1], integer_vars=(0, 1), lower_bounds=[0, 0], upper_bounds=[1, 1]
+    )
+    on = SolveOptions(objective_grid=True)
+    plain, grid = solve_mip(inst, cutoff=1), solve_mip(inst, options=on, cutoff=1)
+    assert plain.status is grid.status is SolveStatus.INFEASIBLE
+    assert plain.best_point is grid.best_point is None
+    assert grid.node_count == 1 < plain.node_count  # the root's children floor to the cutoff
+    full, found = solve_mip(inst), solve_mip(inst, cutoff=0)
+    assert (full.status, found.status) == (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
+    assert found.best_point == (1, 0) and found.primal_value == 1
+    assert found.node_count < full.node_count  # the first point above 0 ends the run
 
 
 def test_node_limit():
@@ -377,6 +396,36 @@ def test_objective_grid_keeps_pure_integer_answers(seed, scale):
     """Scaling the objective moves the grid step g/den off 1."""
     inst = random_instance(random.Random(seed), name="grid", require_nonempty=False)
     solve_with_and_without_grid(inst, [scale * c for c in inst.objective])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), _SCALES, st.data())
+def test_cutoff_runs_match_a_fraction_twin(seed, scale, data):
+    """A cutoff on a value of the set, its maximum as often as not: the
+    run answers a point strictly above it, or INFEASIBLE exactly when the
+    Fraction twin holds none.  The grid run finds the same point, since
+    it skips only nodes that hold no point above the cutoff."""
+    inst = random_instance(random.Random(seed), name="cutoff")
+    w = [scale * c for c in inst.objective]
+    points = fraction_lattice(inst)
+
+    def value(p):
+        return sum(Fraction(a) * x for a, x in zip(w, p))
+
+    values = sorted(set(map(value, points)))
+    cutoff = data.draw(st.sampled_from(values) | st.just(values[-1]))
+    above = {p for p in points if value(p) > cutoff}
+    plain = solve_mip(inst, w, cutoff=cutoff)
+    grid = solve_mip(inst, w, SolveOptions(objective_grid=True), cutoff=cutoff)
+    for res in (plain, grid):
+        if above:
+            assert res.status is SolveStatus.FEASIBLE
+            assert tuple(map(Fraction, res.best_point)) in above
+            assert res.primal_value == value(res.best_point)
+        else:
+            assert (res.status, res.best_point) == (SolveStatus.INFEASIBLE, None)
+    assert (grid.status, grid.best_point) == (plain.status, plain.best_point)
+    assert grid.node_count <= plain.node_count
 
 
 @st.composite
