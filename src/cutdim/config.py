@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .rational import rat
+from .rational import plain_literal, rat
 
 ENV_PREFIX = "CUTDIM_"
 
@@ -25,7 +26,9 @@ def _whole(raw) -> int:
     if isinstance(raw, float) and raw.is_integer():
         raw = int(raw)
     try:
-        if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+        if isinstance(raw, int) and not isinstance(raw, bool):
+            return raw
+        if isinstance(raw, str) and plain_literal(raw):
             return int(raw)
     except ValueError:
         pass
@@ -74,13 +77,15 @@ def _on_off(raw) -> bool:
 
 
 def _seconds(raw) -> float:
-    if isinstance(raw, bool):
+    if isinstance(raw, bool) or isinstance(raw, str) and not plain_literal(raw):
         raise ValueError(f"expected seconds, not {raw!r}")
     return float(raw)
 
 
 _RATIONAL = _checked(rat, lambda v: v >= 0, "nonnegative")
-_SECONDS = _or_none(_checked(_seconds, lambda v: v > 0, "positive seconds or none"))
+_SECONDS = _or_none(
+    _checked(_seconds, lambda v: 0 < v < math.inf, "finite positive seconds or none")
+)
 _COUNT = _checked(_whole, lambda v: v >= 1, "at least 1")
 _NODES = _or_none(_COUNT)
 

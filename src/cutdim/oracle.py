@@ -24,17 +24,19 @@ rule of `rational` in both engines (an int where integral), and a
 query's int entries pass through unchanged.
 
 The solver engine's provider owns its compiled LP (`solver.program_for`):
-rows only, no objective, plus the phase-one basis of its root.  The
-provider's feasible set is fixed and only the direction changes from
-query to query, so the phase one of the root, which every query's
-branch and bound solves first, runs once across all its queries.
+rows only, no objective, plus the phase-one starts of its root and of
+the latest other bound vectors.  The provider's feasible set is fixed
+and only the direction changes from query to query, so the phase one
+of the root, which every query's branch and bound solves first, runs
+once across all its queries, and so does that of a node that queries
+solve again soon.
 `restrict` compiles one for the face whose equation rows are the
 provider's own `equations` tuple.  `make_provider` picks the engine by
 name and returns what that engine's constructor builds.
 
 A query's answer is a function of the provider, w and the bar alone, and a
 query sets no attribute of the provider; only the solver program's memo
-of its root phase one fills in, and it moves no answer.  The points
+of its phase-one starts fills in, and it moves no answer.  The points
 seen so far are kept by the hull run that asks the queries
 (`hull.affine_hull`), not here.
 
@@ -200,7 +202,8 @@ class MipOracle(_Provider):
 
     The provider owns its program (`solver.program_for`): its rows are
     compiled once, and every query solves them under its own direction,
-    so the root's phase one runs once across the queries.  `restrict`
+    so the root's phase one runs once across the queries, and that of a
+    node they solve again soon runs once too.  `restrict`
     compiles one for the face, whose equation rows are the provider's
     own `equations` tuple.
 

@@ -70,14 +70,17 @@ def exact(value):
     return q.numerator if q.denominator == 1 else q
 
 
-def parse_rational(text: str):
-    """Parse a decimal or p/q literal exactly.
+def plain_literal(text: str) -> bool:
+    """True when `text` is ASCII with no underscore, as every number
+    literal the project reads is: `int`, `float` and `Fraction` alone
+    also take other scripts' digits, and underscores from Python 3.11 on."""
+    return "_" not in text and text.isascii()
 
-    The digits are ASCII and take no underscores: `Fraction` alone also
-    takes other scripts' digits, and underscores from Python 3.11 on.
-    """
+
+def parse_rational(text: str):
+    """Parse a decimal or p/q literal exactly (`plain_literal`)."""
     literal = text.strip()
-    if "_" not in literal and literal.isascii():
+    if plain_literal(literal):
         try:
             return Fraction(literal)
         except (ValueError, ZeroDivisionError):

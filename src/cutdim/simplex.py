@@ -39,11 +39,14 @@ unbounded ray (without them; a ray moves no pair) back to x-space.
 Artificial variables are introduced only for rows whose slack cannot
 serve as the initial basis; their columns come last and are deleted
 once phase one has found a feasible basis.  Phase one never reads the
-objective, so the basis it leaves under a program's first bound vector
-(a run's root, which every query of an oracle provider solves again) is
-remembered, with its pairs, beside that vector's pattern, form and
-shifts, and a later solve under those bounds, with any objective,
-starts phase two from a copy of it.  The objective being optimized is the tableau's last row:
+objective, so the basis it leaves under a bound vector is remembered,
+with its pairs, beside that vector's pattern, form and shifts, and a
+later solve under those bounds, with any objective, starts phase two
+from a copy of it.  A program keeps these starts for its first bound
+vector (a run's root, which every query of an oracle provider solves
+again) and for the latest other ones phase one ran for, `_STARTS` in
+all, so a node that the queries of one provider solve again soon runs
+phase one once.  The objective being optimized is the tableau's last row:
 it is priced out by one `linalg.reduced` against the basic rows, and a
 pivot is one `linalg.pivot` step plus the basis update.
 
@@ -65,8 +68,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from operator import add, mul, sub
+from itertools import compress, islice
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -80,6 +83,10 @@ from .linalg import (
     scaled_row,
 )
 from .rational import exact, rat
+
+
+# the bound vectors whose phase-one start a program keeps, its root's among them
+_STARTS = 8
 
 
 class LPStatus(Enum):
@@ -129,8 +136,8 @@ class _Form:
     bounds.
 
     The column map writes x_j over the y columns,
-    x_j = shift_j + y[plus[j]] - y[minus[j]], where -1 (a zero slot after
-    the last column) stands for no such term.  `caps` lists (j, col) for
+    x_j = shift_j + y[plus[j]] - y[minus[j]], where -1 stands for no
+    such term.  `caps` lists (j, col) for
     each doubly bounded variable; its cap slack, the partner of col in
     an implicit pair, comes after the inequality slacks, in that order,
     and its cap is the bounds', so a run that fixes variables at its
@@ -163,15 +170,16 @@ class LinearProgram:
 
     - per pattern of finite bounds, the column map and the
       y-space rows (`_Form`);
-    - for the first bound vector phase one runs for (a run's root), its
-      bound pattern, form and shifts, and the tableau, basis and pairs
-      (which column of each is active) phase one left, or that it
-      proved the bounds infeasible.  Phase one
-      never reads the objective, so a later solve under the same bounds,
-      with any objective, copies that tableau and goes straight to phase
-      two, and every pivot and result is the one a fresh solve gives.
-      Other bound vectors run phase one on every solve that is not
-      answered from memory;
+    - for the first bound vector phase one runs for (a run's root), and
+      for the latest `_STARTS` - 1 of the others it ran for, its bound
+      pattern, form and shifts, and the tableau, basis and pairs (which
+      column of each is active) phase one left, or that it proved the
+      bounds infeasible.  Phase one never reads the objective, so a
+      later solve under one of these bound vectors, with any objective,
+      copies that tableau and goes straight to phase two, and every
+      pivot and result is the one a fresh solve gives.  The root's stays
+      for good; another bound vector runs phase one again once
+      `_STARTS` - 1 newer ones have pushed it out;
     - the latest objective asked, with c = ints / den, its phase-two
       row for each pattern and its result for each bound vector, so
       runs that solve the program for one objective in turn share their
@@ -194,8 +202,10 @@ class LinearProgram:
         if any(len(ints) != num_vars for ints, _, _ in self.eq):
             raise ValueError("equation row length mismatch")
         self._forms: dict = {}
-        # (bounds, pattern, form, shifts, the start phase one left for them)
-        self._root = None
+        # bounds -> (pattern, form, shifts, the start phase one left for
+        # them), oldest first; the first key is the root's and stays, the
+        # others are the latest, at most _STARTS in all
+        self._starts: dict = {}
         # the latest objective as given, c = ints / den, its phase-two
         # row per bound pattern and its result per bound vector
         self._key = None
@@ -233,9 +243,9 @@ class LinearProgram:
 
     def _solve(self, lower: tuple, upper: tuple) -> LPResult:
         bounds = (lower, upper)
-        root = self._root
-        if root is not None and root[0] == bounds:
-            _, pattern, form, shifts, start = root
+        starts = self._starts
+        if bounds in starts:
+            pattern, form, shifts, start = starts[bounds]
         else:
             for lo, hi in zip(lower, upper):
                 if lo is not None and hi is not None and lo > hi:
@@ -249,8 +259,9 @@ class LinearProgram:
                 for lo, hi in zip(lower, upper)
             )
             start = self._start(form, shifts, lower, upper)
-            if root is None:
-                self._root = (bounds, pattern, form, shifts, start)
+            starts[bounds] = (pattern, form, shifts, start)
+            if len(starts) > _STARTS:
+                del starts[next(islice(starts, 1, None))]  # the oldest but the root's
         if start is None:
             return LPResult(LPStatus.INFEASIBLE)
 
@@ -268,14 +279,14 @@ class LinearProgram:
         _price_out(tableau, basis)
 
         pc = _optimize(tableau, basis, pairs, at_upper)
-        y = [0] * (form.width + 1)
+        y = [0] * form.width
         for row, bcol in zip(tableau, basis):
             q, r = divmod(row[-1], row[bcol])
             y[bcol] = q if r == 0 else rat(row[-1], row[bcol])
         for col in at_upper:  # y = cap - t
             t, num, den = pairs[col]
             y[col] = num - y[t] if den == 1 else exact(rat(num, den) - y[t])
-        x = tuple(map(add, shifts, _read_back(form, y)))
+        x = tuple([v + s if s else v for v, s in zip(_read_back(form, y), shifts)])
         if not {int}.issuperset(map(type, shifts)):
             x = exact_vector(x)  # a fractional shift plus a fractional y may be integral
         if pc is None:
@@ -284,7 +295,7 @@ class LinearProgram:
             q, r = divmod(total, self._den)
             value = q if r == 0 else rat(total, self._den)
             return LPResult(LPStatus.OPTIMAL, point=x, value=value)
-        ray_y = [0] * (form.width + 1)
+        ray_y = [0] * form.width
         ray_y[pc] = 1
         for row, bcol in zip(tableau, basis):
             ray_y[bcol] = rat(-row[pc], row[bcol])
@@ -350,8 +361,11 @@ class LinearProgram:
 
 def _read_back(form: _Form, y):
     """y[plus_j] - y[minus_j] for each x_j (`_Form`): the point without
-    its shifts, or a ray; y has a zero in its last slot."""
-    return map(sub, map(y.__getitem__, form.plus), map(y.__getitem__, form.minus))
+    its shifts, or a ray.  An absent term (-1) is skipped, so a rational
+    entry takes no step with a zero."""
+    return [
+        y[p] if m < 0 else -y[m] if p < 0 else y[p] - y[m] for p, m in zip(form.plus, form.minus)
+    ]
 
 
 def _over_y(plus, minus, ncols, ints) -> list:

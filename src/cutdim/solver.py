@@ -40,12 +40,14 @@ Until it finds a point or proves the set empty, the trace reads +inf.
 
 Every LP of a run reads the same rows; only the bounds change from
 node to node, and the objective from run to run.  A run therefore
-solves one `simplex.LinearProgram` (rows, plus the phase-one basis of
-its root and the latest objective's results) at each node, passing the
-same objective tuple every time: its own program, or one handed to it
-by a caller that solves the same rows more than once.  An oracle
-provider owns one for all its queries, so the root's phase one runs
-once across them; the impact protocol shares one across its reference,
+solves one `simplex.LinearProgram` (rows, plus the phase-one starts of
+its root and of the latest other bound vectors, and the latest
+objective's results) at each node, passing the same objective tuple
+every time: its own program, or one handed to it by a caller that
+solves the same rows more than once.  An oracle provider owns one for
+all its queries, so the root's phase one runs once across them, and a
+node that a recent query solved too starts from its phase one; the
+impact protocol shares one across its reference,
 root relaxation and baseline solves, which share an objective, so
 their LPs are solved once between them.
 `program_for` is the one way to build a run's program, and the program
@@ -54,10 +56,19 @@ is the only holder of its rows: the instance's cached integer view
 over in the same (d.a, d.b, d) form.  The incumbent check reads them
 off the program, so no row is scaled or stacked again in a run.
 
-Before any node, each extra equation row whose variables are all
-integer is read in its scaled ints; when the gcd of d.a does not divide
-d.b, the row has no integer solution (Bezout) and the run ends
-INFEASIBLE with no node solved.
+Before any node, two exact tests can end a run INFEASIBLE with no node
+solved and an empty trace.  A cutoff run first takes the maximum of
+the objective over the instance's bounds box, B = sum over j of
+max(c_j.l_j, c_j.u_j), which needs only the bound each nonzero c_j
+points at; when one is absent there is no B.  Every point of the set
+lies in the box, so when B is at most the cutoff, or its grid floor is
+where the grid exists (`_dominated`), no point lies above the cutoff.
+That settles a bar query whose bar already sits at the box's edge, as a
+hull round along a unit direction does when X's first point is at that
+variable's bound, before the run sets anything up.  Then each extra
+equation row whose variables are all integer is read in its scaled
+ints; when the gcd of d.a does not divide d.b, the row has no integer
+solution (Bezout).
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -113,22 +124,6 @@ class SolveResult:
     ray: Optional[Vector] = None  # coprime ints, a recession direction when UNBOUNDED
 
 
-@dataclass(order=True)
-class _Node:
-    sort_key: tuple
-    bound: object = field(compare=False)  # parent LP value, +inf at the root
-    depth: int = field(compare=False)
-    lower: tuple = field(compare=False)
-    upper: tuple = field(compare=False)
-
-
-def _node_key(bound, depth: int, index: int) -> tuple:
-    # +inf bounds first, then larger bounds, then shallower, then older
-    if bound == math.inf:
-        return (0, 0, depth, index)
-    return (1, -bound, depth, index)
-
-
 def solve_mip(
     inst: MipInstance,
     objective: Optional[Sequence] = None,
@@ -139,8 +134,8 @@ def solve_mip(
     """Maximize `objective` (default: the instance objective) over `inst`.
 
     `program` (default `program_for(inst)`) must start with the instance's
-    rows (ValueError otherwise); its remembered root basis, and the LPs it
-    remembers for this objective, are reused.  With a `cutoff` value, the
+    rows (ValueError otherwise); its remembered phase-one starts, and the
+    LPs it remembers for this objective, are reused.  With a `cutoff` value, the
     run stops at the first point above it (module docstring); it takes no
     incumbent.
     """
@@ -159,7 +154,15 @@ def solve_mip(
     elif program.num_vars != inst.num_vars or program.ineq[:m] != inst.integer_rows:
         raise ValueError("the program was built for another instance")
 
-    primal = -math.inf
+    grid = _grid(inst, obj) if options.objective_grid else None
+    if cutoff is not None:
+        primal = exact(cutoff)
+        top = _box_max(inst, obj)
+        if top is not None and _dominated(top, primal, grid):
+            # no point of the box, so none of the set, lies above the cutoff
+            return SolveResult(SolveStatus.INFEASIBLE, None, -math.inf, -math.inf, 0, ())
+    else:
+        primal = -math.inf
     best: Optional[Vector] = None
     if options.incumbent is not None:
         inc = exact_vector(options.incumbent)
@@ -170,35 +173,29 @@ def solve_mip(
             raise ValueError("incumbent is not feasible for this run")
         primal = dot(obj, inc)
         best = inc
-    if cutoff is not None:
-        primal = exact(cutoff)
 
     deadline = None
     if options.time_limit is not None:
         deadline = time.monotonic() + options.time_limit
 
-    grid = _grid(inst, obj) if options.objective_grid else None
-    heap: list[_Node] = []
+    # a node is (rank, -bound, depth, index, bound, lower, upper); the
+    # root alone has rank 0 and bound +inf, and the index is unique, so
+    # the heap orders by the key of the module docstring and never
+    # compares past it
+    heap: list[tuple] = []
     counter = 0
-    # the instance's bounds are ints where integral, so no LP solve converts them
-    root = _Node(_node_key(math.inf, 0, counter), math.inf, 0, inst.lower_bounds, inst.upper_bounds)
     if not _gcd_excludes(inst, program):
-        heapq.heappush(heap, root)
+        # the instance's bounds are ints where integral, so no LP solve converts them
+        heap.append((0, 0, 0, 0, math.inf, inst.lower_bounds, inst.upper_bounds))
     node_count = 0
     trace: list[tuple] = []
     dual = math.inf
     status: Optional[SolveStatus] = None
     ray: Optional[Vector] = None
-    int_vars = sorted(inst.integer_vars)
-
-    def open_bound():
-        if not heap:
-            return -math.inf
-        return heap[0].bound
 
     while heap:
         # discard nodes that cannot improve the incumbent; they are not solved
-        while heap and heap[0].bound != math.inf and _dominated(heap[0].bound, primal, grid):
+        while heap and heap[0][0] and _dominated(heap[0][4], primal, grid):
             heapq.heappop(heap)
         if not heap:
             break
@@ -210,8 +207,9 @@ def solve_mip(
             break
 
         node = heapq.heappop(heap)
+        _, _, depth, _, _, lower, upper = node
         node_count += 1
-        lp = program.solve(obj, node.lower, node.upper)
+        lp = program.solve(obj, lower, upper)
 
         if lp.status is LPStatus.UNBOUNDED:
             # Only possible at the root: child regions are subsets.  For
@@ -227,25 +225,22 @@ def solve_mip(
         elif lp.status is LPStatus.OPTIMAL:
             val, point = lp.value, lp.point
             if val > primal:
-                frac_var = _pick_branch_variable(point, int_vars)
+                frac_var = _pick_branch_variable(point, inst.integer_vars)
                 if frac_var is None:
                     primal = val
                     best = point
                 else:
                     fl = math.floor(point[frac_var])
-                    child_depth = node.depth + 1
-                    counter += 1
-                    down = _replace_bound(node, frac_var, upper=fl)
-                    heapq.heappush(
-                        heap, _Node(_node_key(val, child_depth, counter), val, child_depth, *down)
-                    )
-                    counter += 1
-                    up = _replace_bound(node, frac_var, lower=fl + 1)
-                    heapq.heappush(
-                        heap, _Node(_node_key(val, child_depth, counter), val, child_depth, *up)
-                    )
+                    hi = list(upper)
+                    hi[frac_var] = fl
+                    lo = list(lower)
+                    lo[frac_var] = fl + 1
+                    depth += 1  # the down branch, x_j <= fl, is created first
+                    heapq.heappush(heap, (1, -val, depth, counter + 1, val, lower, tuple(hi)))
+                    heapq.heappush(heap, (1, -val, depth, counter + 2, val, tuple(lo), upper))
+                    counter += 2
 
-        dual = max(primal, open_bound())
+        dual = max(primal, heap[0][4] if heap else -math.inf)
         if ray is not None and dual != -math.inf:
             dual = math.inf  # unbounded unless the search proves P empty
         trace.append((node_count, dual))
@@ -284,6 +279,21 @@ def _gcd_excludes(inst: MipInstance, program: LinearProgram) -> bool:
     return False
 
 
+def _box_max(inst: MipInstance, objective):
+    """max objective.x over the instance's bounds box: the sum over j of
+    max(c_j.l_j, c_j.u_j), each term read from the one bound it needs;
+    None when a nonzero c_j needs an absent bound.  An int or a rational,
+    never +inf, so `_dominated` can read it."""
+    top = 0
+    for c, lo, hi in zip(objective, inst.lower_bounds, inst.upper_bounds):
+        if c:
+            bound = hi if c > 0 else lo
+            if bound is None:
+                return None
+            top += c * bound
+    return top
+
+
 def _grid(inst: MipInstance, objective) -> Optional[tuple]:
     """(g, den) when every value of the objective c = ints / den on the
     run's points is a multiple of g/den, g = gcd(ints): c is zero on
@@ -311,19 +321,13 @@ def _dominated(bound, primal, grid) -> bool:
 
 
 def _pick_branch_variable(point, int_vars) -> Optional[int]:
-    """Most fractional integer variable, ties to the smallest index."""
-    scores = [(min(f, 1 - f), -j) for j in int_vars if (f := point[j] % 1)]
+    """Most fractional integer variable, ties to the smallest index, so
+    the order of `int_vars` does not matter.  An int entry is integral
+    (`rational.exact`) and is skipped untested."""
+    scores = [
+        (min(f, 1 - f), -j) for j in int_vars if type(v := point[j]) is not int and (f := v % 1)
+    ]
     return -max(scores)[1] if scores else None
-
-
-def _replace_bound(node: _Node, j: int, lower=None, upper=None):
-    lo = list(node.lower)
-    hi = list(node.upper)
-    if lower is not None:
-        lo[j] = lower
-    if upper is not None:
-        hi[j] = upper
-    return tuple(lo), tuple(hi)
 
 
 def program_for(inst: MipInstance, cuts: Sequence = (), equations: Sequence = ()) -> LinearProgram:

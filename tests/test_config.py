@@ -147,6 +147,44 @@ def test_non_whole_numbers_and_non_paths_rejected(tmp_path, field, value):
         load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("solve_node_limit", "1_000"),
+        ("solve_node_limit", "\u0661\u0662"),  # Arabic-Indic 12
+        ("seed", "2_024"),
+        ("impact_node_limit", "\uff15"),  # fullwidth 5
+        ("solve_time_limit", "1_0"),
+        ("hull_time_budget", "\u0663"),  # Arabic-Indic 3
+        ("face_time_budget", "2.5_0"),
+    ],
+)
+def test_numbers_take_the_rational_literal_grammar(field, text):
+    """A count or a time in text is ASCII with no underscores, as
+    `rational.parse_rational` reads literals: `int` and `float` alone
+    would read "1_000" as 1000 and other scripts' digits as 12."""
+    var = "CUTDIM_" + field.upper()
+    with pytest.raises(ValueError, match=var):
+        load_config(env={var: text})
+    with pytest.raises(ValueError, match=field):
+        load_config(overrides={field: text})
+    plain = text.replace("_", "").translate({0x661: "1", 0x662: "2", 0x663: "3", 0xFF15: "5"})
+    parsed = load_config(env={var: plain}, overrides={field: plain})
+    assert getattr(parsed, field) == (float(plain) if "time" in field else int(plain))
+
+
+@pytest.mark.parametrize("text", ["inf", "Infinity", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["hull_time_budget", "face_time_budget", "solve_time_limit"])
+def test_a_time_is_finite(field, text):
+    """`float` reads "inf" and "nan"; no limit is spelled `none` alone."""
+    var = "CUTDIM_" + field.upper()
+    with pytest.raises(ValueError, match=var):
+        load_config(env={var: text})
+    with pytest.raises(ValueError, match=field):
+        load_config(overrides={field: float(text)})
+    assert getattr(load_config(env={var: "none"}), field) is None
+
+
 @pytest.mark.parametrize("field", ["hull_time_budget", "face_time_budget", "solve_time_limit"])
 def test_a_boolean_is_no_time_limit(tmp_path, field):
     """JSON true is not one second: `float(True)` would read it as 1.0."""

@@ -352,7 +352,7 @@ def _unit_basis_and_row(draw):
         program = LinearProgram(n, [scaled_row(row, draw(_SMALL)) for row in lp_rows])
         upper = [draw(st.sampled_from((None, 1, 3))) for _ in range(n)]
         program.solve([0] * n, [0] * n, upper)
-        start = program._root[-1]
+        start = next(iter(program._starts.values()))[-1]
         assume(start is not None)
         rows, columns = start[:2]
     width = len(rows[0]) if rows else draw(st.integers(1, 6))

@@ -294,8 +294,13 @@ def _checked(phase_one, price_out, phase_ones):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_reuse_case())
-def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
+@given(_reuse_case(), st.sampled_from((1, 2, 3, simplex._STARTS)))
+def test_one_program_solves_each_bound_vector_like_a_fresh_one(case, cap):
+    """Every solve equals a fresh program's.  Phase one runs at most once
+    per bound vector while the program remembers its start: the root's
+    for good, the others' while they are among the latest `cap` - 1 it
+    ran for, whatever objective comes back with them.  No remembered
+    tableau is ever written to."""
     rows, rhs, eq_rows, eq_rhs, solves = case
     fresh = [solve_lp(c, rows, rhs, eq_rows, eq_rhs, lo, hi) for c, lo, hi in solves]
     program = LinearProgram(
@@ -305,30 +310,38 @@ def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
     )
     phase_ones = []
     current, remembered = None, {}  # the latest objective, its answers by bound vector
-    root = None  # the first bound vector phase one ran for
+    starts = []  # the bound vectors whose start the program should hold, oldest first
     with pytest.MonkeyPatch.context() as mp:
         phase_one, price_out = _checked(simplex._phase_one, simplex._price_out, phase_ones)
         mp.setattr(simplex, "_phase_one", phase_one)
         mp.setattr(simplex, "_price_out", price_out)
+        mp.setattr(simplex, "_STARTS", cap)
         for (objective, lower, upper), want in zip(solves, fresh):
             if objective != current:  # another objective replaces the answers
                 current, remembered = objective, {}
-            kept = copy.deepcopy(program._root)
+            kept = copy.deepcopy(program._starts)
             before = len(phase_ones)
             got = program.solve(objective, lower, upper)
             assert got == want
-            # the remembered phase-one tableau is never written to
-            assert kept is None or program._root == kept
+            # a remembered phase-one tableau is never written to
+            for bounds, start in program._starts.items():
+                assert bounds not in kept or start == kept[bounds]
             ran = len(phase_ones) - before
             bounds = (lower, upper)
+            crossed = any(lo is not None and hi is not None and lo > hi for lo, hi in zip(*bounds))
             if bounds in remembered:
                 assert got is remembered[bounds] and ran == 0
-            elif root is None:
-                assert ran <= 1
-                root = bounds if ran else None
+            elif crossed:
+                assert ran == 0  # no phase one for bounds that cross
+            elif bounds in starts:
+                assert ran == 0
             else:
-                # phase one runs once for the root, at most once for another
-                assert ran == 0 if bounds == root else ran <= 1
+                assert ran == 1
+                starts.append(bounds)
+                if len(starts) > cap:
+                    del starts[1]  # the oldest but the root's
+            assert list(program._starts) == starts
+            assert len(program._starts) <= cap
             remembered[bounds] = got
             if None not in lower + upper and all(lo <= hi for lo, hi in zip(lower, upper)):
                 # boxed: an independent vertex enumeration, equations as two rows
@@ -351,6 +364,39 @@ def test_one_program_solves_each_bound_vector_like_a_fresh_one(case):
     # the latest objective's answers are given from memory, however asked
     for (lower, upper), result in remembered.items():
         assert program.solve(list(current), list(lower), list(upper)) is result
+
+
+def test_a_program_keeps_the_starts_of_its_latest_bound_vectors(monkeypatch):
+    """Twenty boxes, each solved under two objectives in turn: phase one
+    runs once per box while the box is among the latest `_STARTS` - 1
+    it ran for besides the root, whose start stays for good, and again
+    once it has been pushed out."""
+    rows, rhs = [[2, 3, -1], [-1, 1, 1]], [7, -1]
+    program = LinearProgram(3, [scaled_row(row, r) for row, r in zip(rows, rhs)])
+    boxes = [((0, k % 3, 0), (2 + k, 3, 1 + k % 2)) for k in range(20)]
+    assert len(set(boxes)) == len(boxes) > simplex._STARTS
+    objectives = ([1, 1, 1], [Fraction(1, 2), -2, 3])
+    fresh = [solve_lp(c, rows, rhs, lower=lo, upper=hi) for c in objectives for lo, hi in boxes]
+    starts = []
+    start = LinearProgram._start
+
+    def counted_start(program, form, shifts, lower, upper):
+        starts.append((lower, upper))
+        return start(program, form, shifts, lower, upper)
+
+    monkeypatch.setattr(LinearProgram, "_start", counted_start)
+    solves = [(c, lo, hi) for c in objectives for lo, hi in boxes]
+    for (c, lower, upper), want in zip(solves, fresh):
+        assert program.solve(c, lower, upper) == want
+        assert len(program._starts) <= simplex._STARTS
+    # the second objective found only the root's start: the other 19 boxes
+    # were dropped before they came back
+    assert starts == boxes + boxes[1:]
+    assert list(program._starts) == boxes[:1] + boxes[-(simplex._STARTS - 1):]
+    # a kept box comes back under a third objective with no phase one
+    for lower, upper in (boxes[0], boxes[-1], boxes[-simplex._STARTS + 1]):
+        program.solve([0, 1, 0], lower, upper)
+    assert len(starts) == 2 * len(boxes) - 1
 
 
 def test_the_program_keeps_the_latest_objective(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutdim import oracle
+from cutdim.hull import affine_hull
 from cutdim.linalg import dot, scaled_row
 from cutdim.model import build_instance
-from cutdim.oracle import enumerate_lattice
+from cutdim.oracle import Infeasible, MipOracle, enumerate_lattice
 from cutdim.rational import rat
-from cutdim.selftest import random_instance
+from cutdim.selftest import QueryLog, max_decided, random_instance
 from cutdim.simplex import LinearProgram, solve_lp
 from cutdim.solver import (
     SolveOptions,
@@ -426,6 +429,132 @@ def test_cutoff_runs_match_a_fraction_twin(seed, scale, data):
             assert (res.status, res.best_point) == (SolveStatus.INFEASIBLE, None)
     assert (grid.status, grid.best_point) == (plain.status, plain.best_point)
     assert grid.node_count <= plain.node_count
+
+
+_BOX_ENDS = st.sampled_from((-2, -1, 0, 1, Fraction(-3, 2), Fraction(1, 3)))
+_BOX_WIDTHS = st.sampled_from((0, Fraction(1, 2), 1, Fraction(5, 2), 3))
+_BOX_COEFFS = st.sampled_from((-2, -1, 0, 0, 1, 3, Fraction(1, 2), Fraction(-2, 3)))
+
+
+@st.composite
+def _box_case(draw):
+    """A pure-integer instance on a box with fractional ends, 0-2 rows,
+    and an objective with negative, zero and fractional entries; a
+    cutoff at its box maximum B (the max over the box, not its integer
+    points), just below B or above it."""
+    n = draw(st.integers(1, 3))
+    lower = [draw(_BOX_ENDS) for _ in range(n)]
+    upper = [lo + draw(_BOX_WIDTHS) for lo in lower]
+    objective = [draw(_BOX_COEFFS) for _ in range(n)]
+    rows = draw(st.lists(st.lists(_COEFFS, min_size=n, max_size=n), max_size=2))
+    inst = build_instance(
+        name="box",
+        constraint_matrix=rows,
+        rhs=[draw(st.integers(-2, 3)) for _ in rows],
+        objective=objective,
+        integer_vars=range(n),
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+    top = sum(max(c * lo, c * hi) for c, lo, hi in zip(objective, lower, upper))
+    cutoff = top + draw(st.sampled_from((0, 0, Fraction(-1, 1000), -1, Fraction(1, 2), 2)))
+    return inst, cutoff
+
+
+def _grid_floor(objective, value):
+    """`value` rounded down to the grid of the objective's values, the
+    multiples of gcd(c.den)/den: by Fraction floor division; None when
+    the objective is zero."""
+    den = math.lcm(*(Fraction(c).denominator for c in objective))
+    step = Fraction(math.gcd(*(int(c * den) for c in objective)), den)
+    return (value // step) * step if step else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_box_case())
+def test_a_cutoff_the_box_decides_solves_no_node(case):
+    """With B = max c.x over the bounds box at or below the cutoff, or its
+    grid floor there on a grid run, no point lies above the cutoff and the
+    run ends INFEASIBLE with 0 nodes and an empty trace.  Every answer
+    matches the Fraction twin: a point above the cutoff exactly when the
+    twin holds one."""
+    inst, cutoff = case
+    c = inst.objective
+    top = sum(max(a * lo, a * hi) for a, lo, hi in zip(c, inst.lower_bounds, inst.upper_bounds))
+    above = {p for p in fraction_lattice(inst) if dot(c, p) > cutoff}
+    floor = _grid_floor(c, top)
+    for grid in (False, True):
+        res = solve_mip(inst, options=SolveOptions(objective_grid=grid), cutoff=cutoff)
+        if above:
+            assert res.status is SolveStatus.FEASIBLE
+            assert tuple(map(Fraction, res.best_point)) in above
+        else:
+            assert (res.status, res.best_point) == (SolveStatus.INFEASIBLE, None)
+        decided = top <= cutoff or (grid and floor is not None and floor <= cutoff)
+        if decided:
+            assert not above
+            assert (res.node_count, res.trace) == (0, ())
+            assert res.primal_value == res.dual_bound == -math.inf
+        elif res.status is SolveStatus.INFEASIBLE:
+            assert res.node_count >= 1  # the search proved it
+
+
+@pytest.mark.parametrize("absent", ["upper", "lower"])
+def test_a_continuous_variable_bounds_the_box_only_where_it_has_the_bound(absent):
+    """x0 integer in [0, 1], x1 continuous in [0, 3/2] with the objective
+    (1, 1): B = 5/2, a continuous value, so a cutoff just below it is met
+    by (1, 3/2) and the grid does not apply.  Without the bound of x1
+    that B needs, the box bounds nothing and the search decides."""
+    sign = 1 if absent == "upper" else -1
+    bounded = build_instance(
+        "mixed-box", [[1, sign]], [Fraction(5, 2)], [1, sign], integer_vars=(0,),
+        lower_bounds=[0, 0 if sign > 0 else Fraction(-3, 2)],
+        upper_bounds=[1, Fraction(3, 2) if sign > 0 else 0],
+    )
+    field = f"{absent}_bounds"
+    free = dataclasses.replace(bounded, **{field: (getattr(bounded, field)[0], None)})
+    for grid in (False, True):
+        options = SolveOptions(objective_grid=grid)
+        near = solve_mip(bounded, options=options, cutoff=Fraction(5, 2) - Fraction(1, 100))
+        assert (near.status, near.best_point) == (SolveStatus.FEASIBLE, (1, Fraction(3, 2) * sign))
+        at = solve_mip(bounded, options=options, cutoff=Fraction(5, 2))
+        assert (at.status, at.node_count, at.trace) == (SolveStatus.INFEASIBLE, 0, ())
+        # the row x0 + x1 <= 5/2 (x0 - x1 for the reflected case) caps the
+        # value at 5/2, but the box has no bound B can read for x1
+        solved = solve_mip(free, options=options, cutoff=2)
+        assert solved.status is SolveStatus.FEASIBLE and solved.node_count >= 1
+        assert dot(free.objective, solved.best_point) > 2
+        none_above = solve_mip(free, options=options, cutoff=Fraction(5, 2))
+        assert none_above.status is SolveStatus.INFEASIBLE and none_above.node_count >= 1
+
+
+def test_a_hull_round_the_box_decides_is_still_a_query(monkeypatch):
+    """On the unit cube cut by x1 >= 1, the first X point (1, 1, 0) sits
+    at x1's upper bound, so the max side of the round along e2 asks for a
+    point with x1 > 1, and the box answers: the run solves 0 nodes for
+    it.  The query is still logged and counted, and queries + 2 * hits +
+    (rounds the max side decided) is still 2n."""
+    inst = build_instance(
+        "floor", [[0, -1, 0]], [-1], [1, 1, 1], integer_vars=range(3),
+        lower_bounds=[0] * 3, upper_bounds=[1] * 3,
+    )
+    runs = []
+    solve = oracle.solve_mip
+
+    def recorded(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        runs.append((kwargs["objective"], kwargs["cutoff"], res.node_count))
+        return res
+
+    monkeypatch.setattr(oracle, "solve_mip", recorded)
+    log = []
+    base = affine_hull(QueryLog(MipOracle(inst), log))
+    assert base.points[0] == (1, 1, 0) and base.dimension == 2
+    assert ((0, 1, 0), 1, 0) in runs
+    assert ((0, 1, 0), 1) in log and [(w, bar) for w, bar, _ in runs] == log
+    assert base.oracle_queries == len(log)
+    assert base.oracle_queries + 2 * base.cache_hits + max_decided(log) == 2 * inst.num_vars
+    assert isinstance(oracle.oracle_maximize(MipOracle(inst), (0, 1, 0), 1), Infeasible)
 
 
 @st.composite
