@@ -47,6 +47,7 @@ ints their engine computed, so the rounds' checks are int arithmetic.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -153,15 +154,28 @@ def select_direction(span: Echelon, equations: EquationSystem, n: int) -> Option
     """A direction orthogonal to `span`, the echelon form of X's
     differences, and outside the row span of `equations`: the sparsest
     such complement vector, ties broken by lexicographically smallest
-    support, so runs are reproducible; else None.  No two candidates
-    share a support: each one's holds its own free column of `span` and
-    no other free column.
-    """
-    def key(v):
-        support = tuple(j for j, c in enumerate(v) if c != 0)
-        return (len(support), support)
+    support, so runs are reproducible; else None.
 
-    for v in sorted(orthogonal_complement_basis(span, n), key=key):
+    The candidates are the complement basis (`orthogonal_complement_basis`),
+    one per free column f of `span`, and f's support reads off the
+    echelon rows: f itself and the pivot of each row nonzero at f.  So
+    no two candidates share a support (each holds its own free column
+    and no other), and the free columns are ordered by (size, support)
+    before any vector is built.  Vectors are then built and tested
+    against `equations` one at a time, and the first one outside their
+    span is returned.
+    """
+    pivots = span.pivots
+    rows = tuple(zip(span, pivots))
+    candidates = []
+    for f in range(n):
+        if f not in pivots:
+            support = [pc for row, pc in rows if row[f]]  # in increasing order
+            insort(support, f)
+            candidates.append((len(support), support, f))
+    candidates.sort()
+    for _, _, f in candidates:
+        (v,) = orthogonal_complement_basis(span, n, columns=(f,))
         if not is_in_span(v, equations.echelon):
             return v
     return None

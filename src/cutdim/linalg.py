@@ -259,7 +259,9 @@ def _reduced_in(form: Echelon, row: Sequence) -> list[int]:
     return reduced(int_scale(row)[0], form, form.pivots)
 
 
-def orthogonal_complement_basis(vectors: Sequence[Sequence], n: int) -> list[Vector]:
+def orthogonal_complement_basis(
+    vectors: Sequence[Sequence], n: int, columns: Sequence[int] | None = None
+) -> list[Vector]:
     """Basis of {y : v . y = 0 for every v in `vectors`} in Q^n.
 
     One basis vector per free column of the reduced echelon form of the
@@ -268,16 +270,28 @@ def orthogonal_complement_basis(vectors: Sequence[Sequence], n: int) -> list[Vec
     deterministic and sparse when possible.  The integer echelon rows
     give it directly: each pivot entry is positive, so with L the lcm of
     the pivot entries, y_free = L and y_pc = -row[free] * (L / row[pc])
-    is an integer multiple of the rational solution.  With no input
-    vectors this is the standard basis of Q^n.
+    is an integer multiple of the rational solution, nonzero at pc
+    exactly when row[free] is.  With no input vectors this is the
+    standard basis of Q^n.
+
+    `columns` picks the free columns whose vectors are built, in the
+    order given; by default every free column, in increasing order.  A
+    column that is a pivot column, or not in range(n), raises
+    LinAlgError, as a vector of another width does.
     """
     for v in vectors:
         if len(v) != n:
             raise LinAlgError(f"vector of length {len(v)} in Q^{n}")
     rref = echelon_form(vectors)
+    if columns is None:
+        columns = sorted(set(range(n)).difference(rref.pivots))
+    else:
+        for c in columns:
+            if c in rref.pivots or not 0 <= c < n:
+                raise LinAlgError(f"column {c} is not a free column in Q^{n}")
     scale = lcm(*(row[pc] for row, pc in zip(rref, rref.pivots)))
     basis: list[Vector] = []
-    for free in sorted(set(range(n)) - set(rref.pivots)):
+    for free in columns:
         y = [0] * n
         y[free] = scale
         for row, pc in zip(rref, rref.pivots):

@@ -14,12 +14,11 @@ scaled to ints once (`linalg.scaled_row`), so the engines pivot, scan
 and check on ints and compute with a rational only where a value is
 fractional.  `rat` is exact division and always returns a rational, as
 the analysis's ratios (closed gaps, histogram weights) are.  Under
-cProfile, one seed-1
-pass of each benchmark workload's CLI calls spends this share of its
-tottime in ``fractions.py`` (three passes each, Python 3.11.7):
-7.2-7.3% on knapsack-classify, 10.6-10.8% on stein9-impact and
-9.8-9.9% on random-lattice.  That share bounds what a faster rational
-type could save, so none is used.  Fractions hash and compare
+cProfile, one seed-1 pass of each benchmark workload's CLI calls spends
+this share of its tottime in ``fractions.py`` (three passes each,
+Python 3.11.7, a 2-core Xeon): 6.2-6.7% on knapsack-classify, 7.3-8.0%
+on stein9-impact and 10.1-10.4% on random-lattice.  That share bounds
+what a faster rational type could save, so none is used.  Fractions hash and compare
 consistently with ``int``, so the two mix freely.
 
 ``math.inf`` / ``-math.inf`` are used as sentinels for absent bounds and

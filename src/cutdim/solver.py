@@ -299,7 +299,9 @@ def _grid(inst: MipInstance, objective) -> Optional[tuple]:
     run's points is a multiple of g/den, g = gcd(ints): c is zero on
     every continuous variable and nonzero somewhere.  None otherwise."""
     ints, den = int_scale(objective)
-    if any(v and j not in inst.integer_vars for j, v in enumerate(ints)):
+    if not inst.is_pure_integer() and any(
+        v and j not in inst.integer_vars for j, v in enumerate(ints)
+    ):
         return None
     g = math.gcd(*ints)
     return (g, den) if g else None
@@ -323,11 +325,23 @@ def _dominated(bound, primal, grid) -> bool:
 def _pick_branch_variable(point, int_vars) -> Optional[int]:
     """Most fractional integer variable, ties to the smallest index, so
     the order of `int_vars` does not matter.  An int entry is integral
-    (`rational.exact`) and is skipped untested."""
-    scores = [
-        (min(f, 1 - f), -j) for j in int_vars if type(v := point[j]) is not int and (f := v % 1)
-    ]
-    return -max(scores)[1] if scores else None
+    (`rational.exact`) and is skipped untested.  A rational p/q scores
+    min(r, q - r)/q with r = p mod q, and scores are compared by
+    cross-multiplying ints, so no rational is built; r = 0 (an integral
+    rational) is skipped."""
+    best, top, den = None, 0, 1  # the best score so far is top/den
+    for j in int_vars:
+        v = point[j]
+        if type(v) is int:
+            continue
+        q = v.denominator
+        r = v.numerator % q
+        if r:
+            s = min(r, q - r)
+            gain = s * den - top * q
+            if gain > 0 or (gain == 0 and j < best):
+                best, top, den = j, s, q
+    return best
 
 
 def program_for(inst: MipInstance, cuts: Sequence = (), equations: Sequence = ()) -> LinearProgram:

@@ -1,7 +1,9 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import reduce
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from cutdim.linalg import (
     echelon_form,
     extended,
     is_in_span,
+    orthogonal_complement_basis,
     rank,
     vec_sub,
 )
@@ -544,3 +547,58 @@ def test_select_direction_on_a_grown_span_matches_the_raw_differences(case, data
         if fraction_rank(rows + [v]) > fraction_rank(rows)
     ]
     assert select_direction(span, eqs, n) == (outside[0] if outside else None)
+
+
+@st.composite
+def _spans_and_equations(draw):
+    """n <= 7, an echelon span grown from rational rows (empty, partial or
+    all of Q^n), and an equation system of rational rows (none, some or
+    spanning Q^n, dependent rows dropped as `with_equation` needs).
+    Sparse rows and unit rows make supports of equal size, and sparse
+    candidates inside the equations' span, common."""
+    n = draw(st.integers(1, 7))
+    sparse = st.sampled_from((0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2)))
+    vectors = st.lists(_FRACTIONS | sparse, min_size=n, max_size=n)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def rows():
+        kind = draw(st.sampled_from(("none", "some", "units", "full")))
+        if kind == "none":
+            return []
+        if kind == "full":
+            return draw(st.permutations(units)) + draw(st.lists(vectors, max_size=2))
+        if kind == "units":
+            return draw(st.lists(st.sampled_from(units), min_size=1, max_size=n))
+        return draw(st.lists(vectors, min_size=1, max_size=n + 1))
+
+    span = reduce(extended, rows(), Echelon())
+    eqs = EquationSystem()
+    for row in rows():
+        if not is_in_span(row, eqs.echelon):
+            eqs = eqs.with_equation(row, draw(_FRACTIONS))
+    return n, span, eqs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_spans_and_equations())
+def test_select_direction_tests_the_candidates_the_full_sort_would(case):
+    """The direction is the first vector of the whole complement basis,
+    sorted by (support size, support), that lies outside the equations'
+    span, and `is_in_span` is called once per candidate up to it, as on
+    that sorted list: the candidates ordered off the echelon rows before
+    any vector is built are tested in the same order."""
+    n, span, eqs = case
+
+    def key(v):
+        support = tuple(j for j, c in enumerate(v) if c != 0)
+        return (len(support), support)
+
+    ranked = sorted(orthogonal_complement_basis(span, n), key=key)
+    outside = [i for i, v in enumerate(ranked) if not is_in_span(v, eqs.echelon)]
+    want = ranked[outside[0]] if outside else None
+    tests = outside[0] + 1 if outside else len(ranked)
+    with mock.patch("cutdim.hull.is_in_span", side_effect=is_in_span) as spy:
+        assert select_direction(span, eqs, n) == want
+    assert spy.call_count == tests
+    if len(span) == n:
+        assert want is None and tests == 0

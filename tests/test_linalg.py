@@ -268,6 +268,53 @@ def test_integer_directions_fixtures():
         assert fraction_complement(rows, n) == orthogonal_complement_basis(rows, n)
 
 
+
+def test_complement_of_chosen_columns_fixtures():
+    """`columns` builds the vectors of those free columns only, in the
+    order given, each the full basis's entry for its column."""
+    rows = [[1, 2, 0, 3], [0, 0, 1, -1]]  # pivots 0 and 2, free 1 and 3
+    full = orthogonal_complement_basis(rows, 4)
+    assert full == [(2, -1, 0, 0), (3, 0, -1, -1)]  # leading entry positive
+    assert orthogonal_complement_basis(rows, 4, columns=(3,)) == [full[1]]
+    assert orthogonal_complement_basis(rows, 4, columns=(3, 1)) == [full[1], full[0]]
+    assert orthogonal_complement_basis(rows, 4, columns=()) == []
+    assert orthogonal_complement_basis([], 3, columns=(2,)) == [(0, 0, 1)]
+    form = echelon_form(rows)
+    assert orthogonal_complement_basis(form, 4, columns=(1,)) == [full[0]]
+    for pivot_column in (0, 2):
+        with pytest.raises(LinAlgError):
+            orthogonal_complement_basis(rows, 4, columns=(pivot_column,))
+    for outside in (-1, 4):
+        with pytest.raises(LinAlgError):
+            orthogonal_complement_basis(rows, 4, columns=(outside,))
+    with pytest.raises(LinAlgError):  # a span of the wrong width
+        orthogonal_complement_basis(form, 5, columns=(1,))
+    with pytest.raises(LinAlgError):
+        orthogonal_complement_basis([[1, 2, 0]], 4, columns=(3,))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(_FRACTIONS, min_size=n, max_size=n), max_size=6),
+        st.randoms(use_true_random=False),
+    )
+))
+def test_complement_of_chosen_columns_matches_the_full_basis(case):
+    """Any selection of free columns, in any order, gives the matching
+    entries of the full basis; any pivot column among them raises."""
+    n, rows, rng = case
+    form = echelon_form(rows)
+    free = [c for c in range(n) if c not in form.pivots]
+    full = dict(zip(free, orthogonal_complement_basis(rows, n)))
+    chosen = rng.sample(free, rng.randint(0, len(free)))
+    assert orthogonal_complement_basis(rows, n, columns=chosen) == [full[c] for c in chosen]
+    assert orthogonal_complement_basis(form, n, columns=chosen) == [full[c] for c in chosen]
+    if form.pivots:
+        with pytest.raises(LinAlgError):
+            orthogonal_complement_basis(form, n, columns=chosen + [rng.choice(form.pivots)])
+
 @st.composite
 def _rows_in_order(draw):
     """Rows of Q^n with fractional, zero and dependent ones among them,

@@ -19,6 +19,8 @@ from cutdim.simplex import LinearProgram, solve_lp
 from cutdim.solver import (
     SolveOptions,
     SolveStatus,
+    _grid,
+    _pick_branch_variable,
     program_for,
     solve_lp_relaxation,
     solve_mip,
@@ -608,3 +610,72 @@ def test_objective_grid_keeps_unbounded_root_answers(inst):
     plain, grid = solve_with_and_without_grid(inst)
     assert plain.status in (SolveStatus.UNBOUNDED, SolveStatus.INFEASIBLE)
     assert grid == plain  # the search after the root has a zero objective
+
+
+def _fraction_pick(point, int_vars):
+    """The most fractional entry among `int_vars` by Fraction arithmetic,
+    min(v % 1, 1 - v % 1), ties to the smallest index; entries with
+    v % 1 == 0 (ints and Fraction(k, 1)) are never picked."""
+    scores = {j: min(Fraction(point[j]) % 1, 1 - Fraction(point[j]) % 1) for j in int_vars}
+    scores = {j: f for j, f in scores.items() if f}
+    if not scores:
+        return None
+    top = max(scores.values())
+    return min(j for j, f in scores.items() if f == top)
+
+
+# entries with many ties among them: halves, thirds and sixths of both
+# signs, ints, and integral Fractions
+_ENTRIES = (
+    st.integers(-5, 5)
+    | st.builds(Fraction, st.integers(-5, 5))
+    | st.builds(Fraction, st.integers(-30, 30), st.sampled_from((2, 3, 4, 6)))
+    | st.fractions(min_value=-9, max_value=9, max_denominator=50)
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ENTRIES, min_size=1, max_size=8).flatmap(
+    lambda point: st.tuples(
+        st.just(tuple(point)), st.sets(st.integers(0, len(point) - 1)).map(frozenset)
+    )
+))
+def test_branching_variable_matches_fraction_scores(case):
+    """The int-scored pick equals the Fraction reference on points of
+    ints, negative Fractions and integral Fractions, ties included."""
+    point, int_vars = case
+    assert _pick_branch_variable(point, int_vars) == _fraction_pick(point, int_vars)
+
+
+def test_branching_variable_fixtures():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert _pick_branch_variable((1, 2, 3), frozenset({0, 1, 2})) is None  # all ints
+    assert _pick_branch_variable((Fraction(4, 1), Fraction(-3, 1)), frozenset({0, 1})) is None
+    assert _pick_branch_variable((), frozenset()) is None
+    # a tie goes to the smallest index, whatever the set's order
+    assert _pick_branch_variable((third, half, -half, Fraction(7, 2)), frozenset({3, 2, 1})) == 1
+    # -1/3 lies 1/3 from -1 and 2/3 from 0, so it scores 1/3 and beats 1/4
+    assert _pick_branch_variable((Fraction(1, 4), -third), frozenset({0, 1})) == 1
+    # -5/6 scores 1/6; a continuous variable is never picked
+    assert _pick_branch_variable((half, Fraction(-5, 6)), frozenset({1})) == 1
+    assert _pick_branch_variable((half, 2), frozenset({1})) is None
+
+
+def test_grid_is_the_same_on_pure_and_mixed_instances():
+    """(g, den) of an objective zero off the integer variables is the
+    same whether the instance is pure integer or not; one nonzero on a
+    continuous variable has no grid."""
+    def inst(integer_vars):
+        return build_instance(
+            name="grid", constraint_matrix=[[1, 1, 1]], rhs=[3],
+            objective=[0, 0, 0], integer_vars=integer_vars,
+        )
+
+    pure, mixed = inst((0, 1, 2)), inst((0, 1))
+    for objective in ((Fraction(2, 3), Fraction(4, 9), 0), (6, -4, 0), (0, 0, 0)):
+        assert _grid(pure, objective) == _grid(mixed, objective)
+    assert _grid(pure, (Fraction(2, 3), Fraction(4, 9), 0)) == (2, 9)
+    assert _grid(pure, (6, -4, 0)) == (2, 1)
+    assert _grid(pure, (0, 0, 0)) is None
+    assert _grid(pure, (1, 0, Fraction(1, 2))) == (1, 2)
+    assert _grid(mixed, (1, 0, Fraction(1, 2))) is None
