@@ -48,7 +48,9 @@ again) and for the latest other ones phase one ran for, `_STARTS` in
 all, so a node that the queries of one provider solve again soon runs
 phase one once.  The objective being optimized is the tableau's last row:
 it is priced out by one `linalg.reduced` against the basic rows, and a
-pivot is one `linalg.pivot` step plus the basis update.
+pivot is one `linalg.pivot` step plus the basis update.  An optimal
+solve's final tableau also bounds the LP value of each child of a
+branch, with no pivot (`BranchPenalty`).
 
 The tableau holds Python ints.  The rows arrive scaled to ints, and
 each is written into a tableau as coprime integers, the form `int_row`
@@ -166,7 +168,9 @@ class LinearProgram:
     (d.a, d.b, d) with d the lcm of the row's denominators: `ineq` for
     A.x <= b, `eq` for E.x = f.  No objective is compiled in: `solve`
     takes the objective with the bounds.  The program remembers three
-    things, each bounded whatever the number of solves:
+    things.  The first grows with the bound patterns, the second is
+    bounded, and the third grows with the distinct bound vectors solved
+    for the latest objective:
 
     - per pattern of finite bounds, the column map and the
       y-space rows (`_Form`);
@@ -181,12 +185,14 @@ class LinearProgram:
       for good; another bound vector runs phase one again once
       `_STARTS` - 1 newer ones have pushed it out;
     - the latest objective asked, with c = ints / den, its phase-two
-      row for each pattern and its result for each bound vector, so
-      runs that solve the program for one objective in turn share their
-      answers.  Another objective replaces them all.  Runs on one
-      program take turns (an oracle's queries, the impact protocol's
-      reference, relaxation and baseline solves), so the latest one is
-      all a run reads back.
+      row for each pattern, its result for each bound vector, and the
+      `BranchPenalty` of each (bound vector, branching variable) that
+      `penalty` read, so runs that solve the program for one objective
+      in turn share their answers, and a child of a result read from
+      memory is still bounded.  Another objective replaces them all.
+      Runs on one program take turns (an oracle's queries, the impact
+      protocol's reference, relaxation and baseline solves), so the
+      latest one is all a run reads back.
 
     A remembered tableau is never written to: `linalg.pivot` and a flip
     replace rows and never write into one, so phase two works on a
@@ -210,6 +216,11 @@ class LinearProgram:
         # row per bound pattern and its result per bound vector
         self._key = None
         self._ints, self._den, self._rows, self._results = [], 1, {}, {}
+        # (bounds, j) -> BranchPenalty for the latest objective; the
+        # latest bounds asked, and, when that solve was not read from
+        # memory and ended optimal, its result and final tableau
+        self._penalties: dict = {}
+        self._latest = self._final = None
 
     def solve(
         self,
@@ -226,7 +237,7 @@ class LinearProgram:
                 if len(key) != self.num_vars:
                     raise ValueError("objective length must match the variable count")
                 self._ints, self._den = int_scale(key)
-                self._rows, self._results = {}, {}
+                self._rows, self._results, self._penalties = {}, {}, {}
             # a tuple equals its `key` and is kept as given, so the next
             # call with it skips the conversion
             self._key = objective if type(objective) is tuple else key
@@ -235,11 +246,24 @@ class LinearProgram:
         upper = exact_bounds(upper, n)
         if len(lower) != n or len(upper) != n:
             raise ValueError("bound vectors must match the variable count")
-        bounds = (lower, upper)
+        bounds = self._latest = (lower, upper)
+        self._final = None
         result = self._results.get(bounds)
         if result is None:
             result = self._results[bounds] = self._solve(lower, upper)
         return result
+
+    def penalty(self, j: int) -> Optional[BranchPenalty]:
+        """The `BranchPenalty` of a branch on x_j at the latest solve,
+        which ended optimal with x_j fractional; None when no column of
+        x_j is basic there (x_j sits at a fractional bound).  Kept per
+        (bounds, j) for the latest objective, so a solve read from
+        memory finds the one its first solve read."""
+        key = (self._latest, j)
+        if self._final is None:  # read from memory
+            return self._penalties.get(key)
+        penalty = self._penalties[key] = BranchPenalty.read(j, self._ints, self._den, *self._final)
+        return penalty
 
     def _solve(self, lower: tuple, upper: tuple) -> LPResult:
         bounds = (lower, upper)
@@ -294,7 +318,9 @@ class LinearProgram:
             total = sum(map(mul, compress(c, c), compress(x, c)))
             q, r = divmod(total, self._den)
             value = q if r == 0 else rat(total, self._den)
-            return LPResult(LPStatus.OPTIMAL, point=x, value=value)
+            result = LPResult(LPStatus.OPTIMAL, point=x, value=value)
+            self._final = (result, tableau, basis, pairs, at_upper, form, shifts)
+            return result
         ray_y = [0] * form.width
         ray_y[pc] = 1
         for row, bcol in zip(tableau, basis):
@@ -357,6 +383,120 @@ class LinearProgram:
             plus=tuple(plus),
             minus=tuple(minus),
         )
+
+
+class BranchPenalty:
+    """A bound on the LP value of each child of a branch on x_j, read off
+    the parent's final tableau with no pivot: the one-step penalty
+    (Driebeek, Manage. Sci. 1966; Tomlin, Oper. Res. 1971).
+
+    In the final tableau every active column w is nonnegative and the
+    nonbasic ones are 0.  x_j's basic column d, in row i, gives
+    x_j = x_j* - sign.sum_k (T_ik / T_id).w_k over the nonbasic k, where
+    x_j = K + sign.w_d (sign -1 for a minus column, or for a pair's cap
+    slack t when t is active and y = cap - t).  The objective row R
+    is s > 0 times the reduced costs of den.c.x, so
+    den.c.x = den.value + sum_k (R_k / s).w_k, each R_k <= 0.  The down
+    child needs x_j to fall by phi = x_j* - floor(x_j*), the up child to
+    rise by phi = ceil(x_j*) - x_j*; only the columns with sign.T_ik > 0
+    (down) or < 0 (up) move it that way, at a_k = |T_ik| / T_id per unit.
+    So the child's LP value is at most
+    value - phi.min_k(-R_k / (s.den.a_k)), and with no such column the
+    child is infeasible.  Ignoring the caps and the other rows only
+    loosens the bound.  s comes from R's rhs slot, R[-1] = -s.Z*, with
+    Z* = den.value - ints.shifts the value over y; when Z* is 0 there
+    is no bound.
+
+    `prunes` tests bound <= primal in ints, with an early exit, when a
+    child asks.  Once both children have asked, the rows are dropped; it
+    keeps, for each child, the largest primal value found to bound it.
+    """
+
+    __slots__ = ("_row", "_z", "_sign", "_given", "_terms", "_asked", "_proven")
+
+    def __init__(self, row, z, sign, given):
+        self._row = row  # x_j's row with its rhs dropped and its basic entry zeroed
+        self._z = z  # R, its rhs slot last
+        self._sign = sign  # sign times T_id
+        self._given = given  # (value, x_j*, ints, den, shifts) until `_read_terms`
+        self._terms = None
+        self._asked = 0  # bit 0 the down child, bit 1 the up child
+        self._proven = [None, None]
+
+    @classmethod
+    def read(cls, j, ints, den, result, tableau, basis, pairs, at_upper, form, shifts):
+        """The penalty of x_j from an optimal solve's final state; None
+        when no column of x_j is basic."""
+        for col, sign in ((form.plus[j], 1), (form.minus[j], -1)):
+            if col < 0:
+                continue
+            if col in at_upper:  # y = cap - t with t active
+                col, sign = pairs[col][0], -sign
+            if col in basis:
+                row = tableau[basis.index(col)][:-1]
+                tid = row[col]
+                row[col] = 0
+                given = (result.value, result.point[j], ints, den, shifts)
+                return cls(row, tableau[-1], sign * tid, given)
+        return None
+
+    def prunes(self, up: bool, primal) -> bool:
+        """True when the down (up) child's LP value is at most `primal`,
+        or the child is infeasible."""
+        proven = self._proven[up]
+        if proven is not None and primal >= proven:
+            return True
+        if self._row is None:
+            return False
+        # -inf, no primal value yet, is the one float a run passes
+        below = type(primal) is not float and self._below(up, primal)
+        if below and proven is None:
+            self._proven[up] = primal
+        self._asked |= 1 << up
+        if self._asked == 3:
+            self._row = self._z = self._given = None
+        return below
+
+    def _read_terms(self) -> tuple:
+        """(a_down, a_up, vn, vd, b), value = vn / vd, or () when Z* = 0.
+
+        With phi = f / q, Z* = zn / zd and s = |R[-1]|.zd / |zn|, a child
+        is bounded at or below primal = pn / pd when, for every column k
+        that moves x_j its way, phi.(-R_k).T_id >= den.(value - primal).s.|T_ik|;
+        times q.vd.pd.|zn|, that is (-R_k).a.pd >= |T_ik|.(vn.pd - pn.vd).b
+        with a = f.T_id.vd.|zn| and b = den.|R[-1]|.zd.q."""
+        value, x, ints, den, shifts = self._given
+        self._given = None
+        moved = sum(map(mul, compress(ints, ints), compress(shifts, ints)))  # ints.shifts
+        vn, vd = value.numerator, value.denominator
+        zd = vd * moved.denominator
+        zn = den * vn * moved.denominator - moved.numerator * vd
+        if not zn:
+            return ()
+        q = x.denominator
+        r = x.numerator % q
+        a = abs(self._sign) * vd * abs(zn)
+        return r * a, (q - r) * a, vn, vd, den * abs(self._z[-1]) * zd * q
+
+    def _below(self, up, primal) -> bool:
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = self._read_terms()
+        if not terms:
+            return False
+        a_down, a_up, vn, vd, b = terms
+        pn, pd = primal.numerator, primal.denominator
+        a = (a_up if up else a_down) * pd
+        b *= vn * pd - pn * vd
+        if up == (self._sign > 0):  # the columns that move x_j this way have t < 0
+            for t, c in zip(self._row, self._z):
+                if t < 0 and c * a > t * b:
+                    return False
+        else:
+            for t, c in zip(self._row, self._z):
+                if t > 0 and c * a + t * b > 0:
+                    return False
+        return True
 
 
 def _read_back(form: _Form, y):

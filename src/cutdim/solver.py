@@ -6,11 +6,18 @@ deterministic: best-bound node selection with ties broken by depth and
 creation order, most-fractional branching with ties broken by variable
 index, down branch created before the up branch.
 
-A node means one LP relaxation solved; the root is node 1.  Nodes that
-are pruned by bound before their LP is solved are discarded uncounted.
-After every counted node the current dual bound (max of primal value and
-best open node bound) is appended to a trace, which is what the cut
-impact protocol reads at a fixed node budget.
+A node means one node popped from the queue; the root is node 1.  Nodes
+whose parent's LP value is dominated by the primal value (below) are
+discarded uncounted.  After every counted node the current dual bound
+(max of primal value and best open node bound) is appended to a trace,
+which is what the cut impact protocol reads at a fixed node budget.
+
+A counted node's LP is solved unless its parent's final tableau already
+bounds it at or below the primal value (`simplex.BranchPenalty`, the
+one-step penalty, with the plain test and never the grid): such an LP is
+infeasible or its value is at most the primal value, so it would push
+nothing.  The node is counted and traced as if it had been solved, so
+skipping its LP moves no status, point, value, ray, node count or trace.
 
 A node is pruned when its bound (its parent's LP value) is at most the
 primal value, so it cannot improve the incumbent.  With
@@ -42,14 +49,15 @@ Every LP of a run reads the same rows; only the bounds change from
 node to node, and the objective from run to run.  A run therefore
 solves one `simplex.LinearProgram` (rows, plus the phase-one starts of
 its root and of the latest other bound vectors, and the latest
-objective's results) at each node, passing the same objective tuple
-every time: its own program, or one handed to it by a caller that
-solves the same rows more than once.  An oracle provider owns one for
-all its queries, so the root's phase one runs once across them, and a
-node that a recent query solved too starts from its phase one; the
-impact protocol shares one across its reference,
-root relaxation and baseline solves, which share an objective, so
-their LPs are solved once between them.
+objective's results and penalties) at each node it solves, passing the
+same objective tuple every time: its own program, or one handed to it
+by a caller that solves the same rows more than once.  An oracle
+provider owns one for all its queries, so the root's phase one runs
+once across them, and a node that a recent query solved too starts from
+its phase one; the impact protocol shares one across its reference,
+root relaxation and baseline solves, which share an objective, so their
+LPs are solved once between them, and a baseline node whose parent the
+reference solve solved reads that parent's penalty.
 `program_for` is the one way to build a run's program, and the program
 is the only holder of its rows: the instance's cached integer view
 (`MipInstance.integer_rows`) plus the extra cuts and equations, handed
@@ -178,15 +186,16 @@ def solve_mip(
     if options.time_limit is not None:
         deadline = time.monotonic() + options.time_limit
 
-    # a node is (rank, -bound, depth, index, bound, lower, upper); the
-    # root alone has rank 0 and bound +inf, and the index is unique, so
-    # the heap orders by the key of the module docstring and never
-    # compares past it
+    # a node is (rank, -bound, depth, index, bound, lower, upper,
+    # penalty, up): the root alone has rank 0, bound +inf and no penalty,
+    # a child holds its parent's penalty and which side it is, and the
+    # index is unique, so the heap orders by the key of the module
+    # docstring and never compares past it
     heap: list[tuple] = []
     counter = 0
     if not _gcd_excludes(inst, program):
         # the instance's bounds are ints where integral, so no LP solve converts them
-        heap.append((0, 0, 0, 0, math.inf, inst.lower_bounds, inst.upper_bounds))
+        heap.append((0, 0, 0, 0, math.inf, inst.lower_bounds, inst.upper_bounds, None, False))
     node_count = 0
     trace: list[tuple] = []
     dual = math.inf
@@ -207,11 +216,11 @@ def solve_mip(
             break
 
         node = heapq.heappop(heap)
-        _, _, depth, _, _, lower, upper = node
+        _, _, depth, _, _, lower, upper, penalty, up = node
         node_count += 1
-        lp = program.solve(obj, lower, upper)
-
-        if lp.status is LPStatus.UNBOUNDED:
+        if penalty is not None and penalty.prunes(up, primal):
+            pass  # its LP would push nothing, so it is not solved
+        elif (lp := program.solve(obj, lower, upper)).status is LPStatus.UNBOUNDED:
             # Only possible at the root: child regions are subsets.  For
             # rational data the recession cones of the relaxation and of
             # the mixed-integer hull coincide, so any feasible point
@@ -236,8 +245,13 @@ def solve_mip(
                     lo = list(lower)
                     lo[frac_var] = fl + 1
                     depth += 1  # the down branch, x_j <= fl, is created first
-                    heapq.heappush(heap, (1, -val, depth, counter + 1, val, lower, tuple(hi)))
-                    heapq.heappush(heap, (1, -val, depth, counter + 2, val, tuple(lo), upper))
+                    pen = program.penalty(frac_var)
+                    heapq.heappush(
+                        heap, (1, -val, depth, counter + 1, val, lower, tuple(hi), pen, False)
+                    )
+                    heapq.heappush(
+                        heap, (1, -val, depth, counter + 2, val, tuple(lo), upper, pen, True)
+                    )
                     counter += 2
 
         dual = max(primal, heap[0][4] if heap else -math.inf)

@@ -10,13 +10,15 @@ integer rows the lattice engine reads; `fraction_feasible` checks a
 point the same way.  `fraction_echelon` sweeps columns in Fractions to
 the reduced echelon form, and `fraction_complement` solves for
 complement directions off it, apart from the integer echelon rows the
-package reads them from.  `cap_row_solve` is the simplex as it was
-with a cap row per doubly bounded variable, a twin of its pivot path
-rather than an independent oracle: it shares the column map and the
-integer kernels.  `stein27` builds the Steiner-triple covering
-from the lines of AG(3,3), with no MPS file.  Instance generators are
-reused from the package's selftest module (they are data producers, not
-implementations under test).
+package reads them from.  `mixed_vertices` is the brute-force twin
+for bounded mixed-integer instances: the vertices of every integer
+slice, by the same Gaussian elimination.  `cap_row_solve` is the
+simplex as it was with a cap row per doubly bounded variable, a twin
+of its pivot path rather than an independent oracle: it shares the
+column map and the integer kernels.  `stein27` builds the
+Steiner-triple covering from the lines of AG(3,3), with no MPS file.
+Instance generators are reused from the package's selftest module (they
+are data producers, not implementations under test).
 """
 
 from __future__ import annotations
@@ -54,25 +56,24 @@ def gauss_solve(rows, rhs) -> Optional[list]:
 
 
 def reference_lp(objective, rows, rhs, lower, upper):
-    """Maximize over a boxed polyhedron by exhaustive vertex enumeration.
+    """Maximize over a polytope by exhaustive vertex enumeration.
 
-    All bounds must be finite, which makes the feasible set a polytope:
-    if it is nonempty some vertex is optimal, and every vertex solves n
-    of the constraints (rows plus box faces) with equality.  Returns
-    (value, point) or (None, None) for an empty set.
+    The rows and the bounds (None: no bound, no face) must make the
+    feasible set a polytope: if it is nonempty some vertex is optimal,
+    and every vertex solves n of the constraints (rows plus box faces)
+    with equality.  Returns (value, point) or (None, None) for an empty
+    set.
     """
     n = len(objective)
     all_rows = [list(map(Fraction, row)) for row in rows]
     all_rhs = [Fraction(b) for b in rhs]
     for j in range(n):
-        low = [Fraction(0)] * n
-        low[j] = Fraction(-1)
-        all_rows.append(low)
-        all_rhs.append(-Fraction(lower[j]))
-        high = [Fraction(0)] * n
-        high[j] = Fraction(1)
-        all_rows.append(high)
-        all_rhs.append(Fraction(upper[j]))
+        for sign, bound in ((-1, lower[j]), (1, upper[j])):
+            if bound is not None:
+                face = [Fraction(0)] * n
+                face[j] = Fraction(sign)
+                all_rows.append(face)
+                all_rhs.append(sign * Fraction(bound))
 
     def feasible(x) -> bool:
         return all(
@@ -91,6 +92,55 @@ def reference_lp(objective, rows, rhs, lower, upper):
             best_value = value
             best_point = point
     return best_value, best_point
+
+
+def mixed_vertices(instance) -> list:
+    """The vertices of every integer slice of a bounded mixed-integer
+    instance, as Fraction tuples.
+
+    For each integer assignment in the box, the continuous variables
+    range over a polytope; each vertex of it solves n_c of its
+    constraints (rows and box faces over the continuous variables) with
+    equality, found by `gauss_solve` and kept when it satisfies the rest.
+    A linear objective attains its maximum over each slice at one of
+    these, so the maximum over them is the instance's, and none exists
+    exactly when the instance is infeasible.  Neither the simplex nor
+    branch and bound is read.
+    """
+    n = instance.num_vars
+    ints = sorted(instance.integer_vars)
+    conts = [j for j in range(n) if j not in instance.integer_vars]
+    all_rows = [[Fraction(a) for a in row] for row in instance.constraint_matrix]
+    all_rhs = [Fraction(b) for b in instance.rhs]
+    lower = [Fraction(v) for v in instance.lower_bounds]
+    upper = [Fraction(v) for v in instance.upper_bounds]
+    for j in conts:
+        for sign, bound in ((-1, lower[j]), (1, upper[j])):
+            face = [Fraction(0)] * n
+            face[j] = Fraction(sign)
+            all_rows.append(face)
+            all_rhs.append(sign * bound)
+    # each row over the continuous variables; a slice's rhs is b less the integer part
+    slice_rows = [[row[j] for j in conts] for row in all_rows]
+    ranges = [range(math.ceil(lower[j]), math.floor(upper[j]) + 1) for j in ints]
+    out = []
+    for values in itertools.product(*ranges):
+        slice_rhs = [
+            b - sum(row[j] * v for j, v in zip(ints, values)) for row, b in zip(all_rows, all_rhs)
+        ]
+        for subset in itertools.combinations(range(len(slice_rows)), len(conts)):
+            y = gauss_solve([slice_rows[i] for i in subset], [slice_rhs[i] for i in subset])
+            if y is None or any(
+                sum(a * v for a, v in zip(row, y)) > b for row, b in zip(slice_rows, slice_rhs)
+            ):
+                continue
+            point = [Fraction(0)] * n
+            for j, v in zip(ints, values):
+                point[j] = Fraction(v)
+            for j, v in zip(conts, y):
+                point[j] = v
+            out.append(tuple(point))
+    return out
 
 
 def fraction_lattice(instance) -> list:

@@ -26,7 +26,7 @@ from cutdim.model import Inequality, build_instance, evaluate
 from cutdim.oracle import MipOracle, enumerate_lattice, make_provider
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
-from cutdim.simplex import LinearProgram
+from cutdim.simplex import BranchPenalty, LinearProgram
 from cutdim.solver import SolveStatus, program_for, solve_lp_relaxation, solve_mip
 
 
@@ -325,8 +325,10 @@ def test_impact_protocol_solves_each_shared_lp_once(monkeypatch):
     # the cut's run solves its own program: the instance's rows plus the cut
     assert cut_program.ineq == inst.integer_rows + (scaled_row(cuts[0].coefficients, cuts[0].rhs),)
     assert cut_program.eq == ()
-    # the reference solve solves one LP per node; z_lp and the baseline
-    # then solve none that it solved
+    # the reference solve finds its first point at its last node, so no
+    # parent's tableau bounds a node at or below its primal value (-inf)
+    # and it solves one LP per node; z_lp and the baseline then solve
+    # none that it solved
     assert len(reference_lps) == full.node_count > 1
     assert relaxations == [[]]
     seen = {(lower, upper) for _, lower, upper in reference_lps}
@@ -409,6 +411,42 @@ def test_impact_budget_without_a_completed_run(monkeypatch):
     assert report.baseline.z_at_budget == baseline.trace[3][1]
     assert (run.nodes, run.flag, run.z_at_budget) == (4, "", cut.trace[3][1])
     assert skipped.flag == "invalid-cut"
+
+
+def test_impact_runs_skip_the_lps_their_parents_tableaux_bound(monkeypatch):
+    """On stein9 every impact run starts at z*, so a child whose parent's
+    tableau bounds it at or below z* (`BranchPenalty`) is counted with no
+    LP: the baseline and the cut's run solve fewer LPs than they count
+    nodes.  The report is the one of runs whose bound never prunes."""
+    report = impact_protocol(stein9(), [STEIN9_COVER], time_limit=None)
+    solved = []
+    solve = LinearProgram._solve
+
+    def counted_solve(program, lower, upper):
+        solved.append(program)
+        return solve(program, lower, upper)
+
+    runs = []  # (LPs solved, the run's result) of each impact run
+
+    def counted_mip(inst, objective=None, options=None, program=None):
+        start = len(solved)
+        result = solve_mip(inst, objective, options, program)
+        if options.incumbent is not None:
+            runs.append((len(solved) - start, result))
+        return result
+
+    monkeypatch.setattr(LinearProgram, "_solve", counted_solve)
+    monkeypatch.setattr(analysis, "solve_mip", counted_mip)
+    assert impact_protocol(stein9(), [STEIN9_COVER], time_limit=None) == report
+    assert len(runs) == 2
+    for lps, result in runs:
+        assert lps < result.node_count
+
+    monkeypatch.setattr(BranchPenalty, "prunes", lambda self, up, primal: False)
+    runs.clear()
+    assert impact_protocol(stein9(), [STEIN9_COVER], time_limit=None) == report
+    # the cut's run, on its own program, then solves one LP per node
+    assert all(lps == result.node_count for lps, result in runs[1:])
 
 
 def test_only_the_reference_solve_prunes_by_the_objective_grid(monkeypatch):

@@ -15,7 +15,7 @@ from cutdim.model import build_instance
 from cutdim.oracle import Infeasible, MipOracle, enumerate_lattice
 from cutdim.rational import rat
 from cutdim.selftest import QueryLog, max_decided, random_instance
-from cutdim.simplex import LinearProgram, solve_lp
+from cutdim.simplex import BranchPenalty, LinearProgram, solve_lp
 from cutdim.solver import (
     SolveOptions,
     SolveStatus,
@@ -26,7 +26,7 @@ from cutdim.solver import (
     solve_mip,
 )
 
-from helpers import fraction_lattice, stein27
+from helpers import fraction_feasible, fraction_lattice, mixed_vertices, reference_lp, stein27
 
 
 def knapsack():
@@ -679,3 +679,158 @@ def test_grid_is_the_same_on_pure_and_mixed_instances():
     assert _grid(pure, (0, 0, 0)) is None
     assert _grid(pure, (1, 0, Fraction(1, 2))) == (1, 2)
     assert _grid(mixed, (1, 0, Fraction(1, 2))) is None
+
+
+# (lower, upper) of a variable: binary, general integer, fractional ends,
+# one-sided and free; a missing bound is made up by a row
+_PENALTY_BOUNDS = st.sampled_from((
+    (0, 1), (0, 1), (-2, 3), (Fraction(-1, 2), Fraction(5, 2)), (-1, None), (None, 2), (None, None),
+))
+
+
+@st.composite
+def _penalty_case(draw):
+    """A mixed-integer instance of 2-3 variables, the first 1-3 integer,
+    with one bound kind each from `_PENALTY_BOUNDS`, rows x_j <= 3 and
+    -x_j <= 2 where a bound is missing (so every LP is a polytope's),
+    1-3 random rows, an objective nonzero on continuous columns too, and
+    0-1 extra equations; plus a node limit."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, n))
+    lower, upper = zip(*(draw(_PENALTY_BOUNDS) for _ in range(n)))
+    vectors = st.lists(_COEFFS, min_size=n, max_size=n)
+    rows = draw(st.lists(vectors, min_size=1, max_size=3))
+    rhs = [draw(st.integers(-2, 4)) * draw(_SCALES) for _ in rows]
+    for j in range(n):
+        for sign, bound, cap in ((1, upper[j], 3), (-1, lower[j], 2)):
+            if bound is None:
+                rows.append([sign if i == j else 0 for i in range(n)])
+                rhs.append(cap)
+    inst = build_instance(
+        name="penalty",
+        constraint_matrix=rows,
+        rhs=rhs,
+        objective=[draw(_COEFFS) * draw(_SCALES) for _ in range(n)],
+        integer_vars=range(k),
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+    equations = [
+        (a, draw(st.integers(-2, 3)) * draw(_SCALES))
+        for a in draw(st.lists(vectors, max_size=1))
+    ]
+    return inst, equations, draw(st.integers(1, 6))
+
+
+def _penalty_runs(inst, equations, node_limit):
+    """The runs of `_penalty_case`, each on a fresh program: plain, grid,
+    node-limited, and an incumbent run and cutoff runs (plain and grid)
+    around the plain optimum."""
+    eq = [scaled_row(a, b) for a, b in equations]
+
+    def run(options=None, cutoff=None):
+        program = program_for(inst, equations=eq)
+        return solve_mip(inst, options=options, program=program, cutoff=cutoff)
+
+    plain = run()
+    runs = [plain, run(SolveOptions(objective_grid=True)), run(SolveOptions(node_limit=node_limit))]
+    if plain.status is SolveStatus.OPTIMAL:
+        runs.append(run(SolveOptions(incumbent=plain.best_point, node_limit=node_limit + 2)))
+        cutoffs = (plain.primal_value, plain.primal_value - Fraction(1, 2), plain.primal_value - 2)
+    else:
+        cutoffs = (0,)
+    for cutoff in cutoffs:
+        runs.append(run(cutoff=cutoff))
+        runs.append(run(SolveOptions(objective_grid=True), cutoff=cutoff))
+    return runs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_penalty_case())
+def test_the_parent_tableau_bound_skips_only_nodes_whose_lp_would_end_them(case):
+    """A run that skips a child's LP when its parent's tableau bounds it
+    at or below the primal value (`BranchPenalty`) gives the same
+    `SolveResult`, node counts and traces included, as a run whose bound
+    never prunes.  Each skipped child is checked by `reference_lp`: it is
+    infeasible or its LP value is at most the primal value.  A branching
+    variable has a penalty unless it sits at a bound, which is then
+    fractional, so no basic column of it is missed."""
+    inst, equations, node_limit = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BranchPenalty, "prunes", lambda self, up, primal: False)
+        want = _penalty_runs(inst, equations, node_limit)
+
+    rows = [list(row) for row in inst.constraint_matrix]
+    rhs = list(inst.rhs)
+    for a, b in equations:
+        rows += [list(a), [-v for v in a]]
+        rhs += [b, -b]
+    children = {}  # penalty -> (lower, upper, j, x_j) of the parent
+    solved = {}  # program -> its latest (lower, upper, result)
+    solve, penalty, prunes = LinearProgram.solve, LinearProgram.penalty, BranchPenalty.prunes
+
+    def recorded_solve(program, objective, lower, upper):
+        result = solved[program] = (lower, upper, solve(program, objective, lower, upper))
+        return result[2]
+
+    def recorded_penalty(program, j):
+        out = penalty(program, j)
+        lower, upper, result = solved[program]
+        x = result.point[j]
+        if out is None:
+            assert x in (lower[j], upper[j])
+        else:
+            children[out] = (lower, upper, j, x)
+        return out
+
+    def checked_prunes(self, up, primal):
+        out = prunes(self, up, primal)
+        if out:
+            lower, upper, j, x = children[self]
+            lower, upper = list(lower), list(upper)
+            if up:
+                lower[j] = math.floor(x) + 1
+            else:
+                upper[j] = math.floor(x)
+            if lower[j] is None or upper[j] is None or lower[j] <= upper[j]:
+                value, _ = reference_lp(inst.objective, rows, rhs, lower, upper)
+                assert value is None or value <= primal
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LinearProgram, "solve", recorded_solve)
+        mp.setattr(LinearProgram, "penalty", recorded_penalty)
+        mp.setattr(BranchPenalty, "prunes", checked_prunes)
+        got = _penalty_runs(inst, equations, node_limit)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.booleans().flatmap(lambda c: _mixed_case(continuous_objective=c)), st.data())
+def test_mixed_integer_runs_match_the_vertex_twin(inst, data):
+    """On bounded mixed-integer instances, with the objective on the
+    continuous columns or off them, `solve_mip` ends as `mixed_vertices`
+    says: OPTIMAL at the twin's maximum with a feasible point, or
+    INFEASIBLE when the twin has no vertex.  A cutoff run, with the grid
+    and without, finds a feasible point above the cutoff exactly when a
+    vertex lies above it."""
+    c = inst.objective
+    values = sorted({dot(c, v) for v in mixed_vertices(inst)})
+    cutoff = data.draw(
+        st.sampled_from(values + [values[-1] - Fraction(1, 3)]) if values else st.just(0)
+    )
+    for grid in (False, True):
+        options = SolveOptions(objective_grid=grid)
+        res = solve_mip(inst, options=options)
+        if values:
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.primal_value == values[-1] == dot(c, res.best_point)
+            assert fraction_feasible(inst, res.best_point)
+        else:
+            assert (res.status, res.best_point) == (SolveStatus.INFEASIBLE, None)
+        res = solve_mip(inst, options=options, cutoff=cutoff)
+        if values and values[-1] > cutoff:
+            assert res.status is SolveStatus.FEASIBLE
+            assert dot(c, res.best_point) > cutoff and fraction_feasible(inst, res.best_point)
+        else:
+            assert (res.status, res.best_point) == (SolveStatus.INFEASIBLE, None)
