@@ -50,7 +50,8 @@ phase one once.  The objective being optimized is the tableau's last row:
 it is priced out by one `linalg.reduced` against the basic rows, and a
 pivot is one `linalg.pivot` step plus the basis update.  An optimal
 solve's final tableau also bounds the LP value of each child of a
-branch, with no pivot (`BranchPenalty`).
+branch, with no pivot: `branch_bounds` reads the two bounds once, at
+the branching, as two numbers.
 
 The tableau holds Python ints.  The rows arrive scaled to ints, and
 each is written into a tableau as coprime integers, the form `int_row`
@@ -68,6 +69,7 @@ integral, a rational only where a value is fractional.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice
@@ -186,10 +188,11 @@ class LinearProgram:
       `_STARTS` - 1 newer ones have pushed it out;
     - the latest objective asked, with c = ints / den, its phase-two
       row for each pattern, its result for each bound vector, and the
-      `BranchPenalty` of each (bound vector, branching variable) that
-      `penalty` read, so runs that solve the program for one objective
-      in turn share their answers, and a child of a result read from
-      memory is still bounded.  Another objective replaces them all.
+      two child bounds (`branch_bounds`, a pair of numbers) of each
+      (bound vector, branching variable) that `child_bounds` read, so
+      runs that solve the program for one objective in turn share their
+      answers, and a child of a result read from memory is still
+      bounded.  Another objective replaces them all.
       Runs on one program take turns (an oracle's queries, the impact
       protocol's reference, relaxation and baseline solves), so the
       latest one is all a run reads back.
@@ -216,10 +219,10 @@ class LinearProgram:
         # row per bound pattern and its result per bound vector
         self._key = None
         self._ints, self._den, self._rows, self._results = [], 1, {}, {}
-        # (bounds, j) -> BranchPenalty for the latest objective; the
+        # (bounds, j) -> `branch_bounds` for the latest objective; the
         # latest bounds asked, and, when that solve was not read from
         # memory and ended optimal, its result and final tableau
-        self._penalties: dict = {}
+        self._children: dict = {}
         self._latest = self._final = None
 
     def solve(
@@ -237,7 +240,7 @@ class LinearProgram:
                 if len(key) != self.num_vars:
                     raise ValueError("objective length must match the variable count")
                 self._ints, self._den = int_scale(key)
-                self._rows, self._results, self._penalties = {}, {}, {}
+                self._rows, self._results, self._children = {}, {}, {}
             # a tuple equals its `key` and is kept as given, so the next
             # call with it skips the conversion
             self._key = objective if type(objective) is tuple else key
@@ -253,17 +256,16 @@ class LinearProgram:
             result = self._results[bounds] = self._solve(lower, upper)
         return result
 
-    def penalty(self, j: int) -> Optional[BranchPenalty]:
-        """The `BranchPenalty` of a branch on x_j at the latest solve,
-        which ended optimal with x_j fractional; None when no column of
-        x_j is basic there (x_j sits at a fractional bound).  Kept per
+    def child_bounds(self, j: int) -> Optional[tuple]:
+        """The `branch_bounds` (down, up) of a branch on x_j at the latest
+        solve, which ended optimal with x_j fractional.  Kept per
         (bounds, j) for the latest objective, so a solve read from
-        memory finds the one its first solve read."""
+        memory finds the pair its first solve read."""
         key = (self._latest, j)
         if self._final is None:  # read from memory
-            return self._penalties.get(key)
-        penalty = self._penalties[key] = BranchPenalty.read(j, self._ints, self._den, *self._final)
-        return penalty
+            return self._children.get(key)
+        bounds = self._children[key] = branch_bounds(j, self._ints, self._den, *self._final)
+        return bounds
 
     def _solve(self, lower: tuple, upper: tuple) -> LPResult:
         bounds = (lower, upper)
@@ -385,118 +387,77 @@ class LinearProgram:
         )
 
 
-class BranchPenalty:
-    """A bound on the LP value of each child of a branch on x_j, read off
-    the parent's final tableau with no pivot: the one-step penalty
-    (Driebeek, Manage. Sci. 1966; Tomlin, Oper. Res. 1971).
+def branch_bounds(j, ints, den, result, tableau, basis, pairs, at_upper, form, shifts):
+    """The LP bounds (down, up) of the two children of a branch on x_j,
+    read off an optimal solve's final state with no pivot: the one-step
+    penalty (Driebeek, Manage. Sci. 1966; Tomlin, Oper. Res. 1971).  A
+    child no column can move x_j toward is infeasible, bound -inf.  None
+    when no column of x_j is basic (x_j sits at a bound), or Z* = 0.
 
     In the final tableau every active column w is nonnegative and the
     nonbasic ones are 0.  x_j's basic column d, in row i, gives
-    x_j = x_j* - sign.sum_k (T_ik / T_id).w_k over the nonbasic k, where
+    x_j = x_j* - (sign / T_id).sum_k T_ik.w_k over the nonbasic k, where
     x_j = K + sign.w_d (sign -1 for a minus column, or for a pair's cap
     slack t when t is active and y = cap - t).  The objective row R
     is s > 0 times the reduced costs of den.c.x, so
     den.c.x = den.value + sum_k (R_k / s).w_k, each R_k <= 0.  The down
     child needs x_j to fall by phi = x_j* - floor(x_j*), the up child to
-    rise by phi = ceil(x_j*) - x_j*; only the columns with sign.T_ik > 0
-    (down) or < 0 (up) move it that way, at a_k = |T_ik| / T_id per unit.
-    So the child's LP value is at most
-    value - phi.min_k(-R_k / (s.den.a_k)), and with no such column the
-    child is infeasible.  Ignoring the caps and the other rows only
-    loosens the bound.  s comes from R's rhs slot, R[-1] = -s.Z*, with
-    Z* = den.value - ints.shifts the value over y; when Z* is 0 there
-    is no bound.
+    rise by phi = ceil(x_j*) - x_j*; only the columns with
+    sign.T_id.T_ik > 0 (down) or < 0 (up) move it that way, at
+    |T_ik / T_id| per unit.  So the child's LP value is at most
+    value - phi.|T_id|.m / (s.den), m the least -R_k / |T_ik| over those
+    columns.  Ignoring the caps and the other rows only loosens the
+    bound.  s comes from R's rhs slot, R[-1] = -s.Z*, with
+    Z* = den.value - ints.shifts = zn / zd the value over y.
 
-    `prunes` tests bound <= primal in ints, with an early exit, when a
-    child asks.  Once both children have asked, the rows are dropped; it
-    keeps, for each child, the largest primal value found to bound it.
+    The scan is one pass in ints, each side's least ratio an int pair
+    (n, d) compared by cross-multiplying, (1, 0) while no column moves
+    x_j that way.  With phi = f / q, a bound is
+    value - f.n.a / (d.b), a = |T_id.zn| and b = q.zd.|R[-1]|.den.
     """
-
-    __slots__ = ("_row", "_z", "_sign", "_given", "_terms", "_asked", "_proven")
-
-    def __init__(self, row, z, sign, given):
-        self._row = row  # x_j's row with its rhs dropped and its basic entry zeroed
-        self._z = z  # R, its rhs slot last
-        self._sign = sign  # sign times T_id
-        self._given = given  # (value, x_j*, ints, den, shifts) until `_read_terms`
-        self._terms = None
-        self._asked = 0  # bit 0 the down child, bit 1 the up child
-        self._proven = [None, None]
-
-    @classmethod
-    def read(cls, j, ints, den, result, tableau, basis, pairs, at_upper, form, shifts):
-        """The penalty of x_j from an optimal solve's final state; None
-        when no column of x_j is basic."""
-        for col, sign in ((form.plus[j], 1), (form.minus[j], -1)):
-            if col < 0:
-                continue
+    for col, sign in ((form.plus[j], 1), (form.minus[j], -1)):
+        if col >= 0:
             if col in at_upper:  # y = cap - t with t active
                 col, sign = pairs[col][0], -sign
             if col in basis:
-                row = tableau[basis.index(col)][:-1]
-                tid = row[col]
-                row[col] = 0
-                given = (result.value, result.point[j], ints, den, shifts)
-                return cls(row, tableau[-1], sign * tid, given)
+                break
+    else:
         return None
-
-    def prunes(self, up: bool, primal) -> bool:
-        """True when the down (up) child's LP value is at most `primal`,
-        or the child is infeasible."""
-        proven = self._proven[up]
-        if proven is not None and primal >= proven:
-            return True
-        if self._row is None:
-            return False
-        # -inf, no primal value yet, is the one float a run passes
-        below = type(primal) is not float and self._below(up, primal)
-        if below and proven is None:
-            self._proven[up] = primal
-        self._asked |= 1 << up
-        if self._asked == 3:
-            self._row = self._z = self._given = None
-        return below
-
-    def _read_terms(self) -> tuple:
-        """(a_down, a_up, vn, vd, b), value = vn / vd, or () when Z* = 0.
-
-        With phi = f / q, Z* = zn / zd and s = |R[-1]|.zd / |zn|, a child
-        is bounded at or below primal = pn / pd when, for every column k
-        that moves x_j its way, phi.(-R_k).T_id >= den.(value - primal).s.|T_ik|;
-        times q.vd.pd.|zn|, that is (-R_k).a.pd >= |T_ik|.(vn.pd - pn.vd).b
-        with a = f.T_id.vd.|zn| and b = den.|R[-1]|.zd.q."""
-        value, x, ints, den, shifts = self._given
-        self._given = None
-        moved = sum(map(mul, compress(ints, ints), compress(shifts, ints)))  # ints.shifts
-        vn, vd = value.numerator, value.denominator
-        zd = vd * moved.denominator
-        zn = den * vn * moved.denominator - moved.numerator * vd
-        if not zn:
-            return ()
-        q = x.denominator
-        r = x.numerator % q
-        a = abs(self._sign) * vd * abs(zn)
-        return r * a, (q - r) * a, vn, vd, den * abs(self._z[-1]) * zd * q
-
-    def _below(self, up, primal) -> bool:
-        terms = self._terms
-        if terms is None:
-            terms = self._terms = self._read_terms()
-        if not terms:
-            return False
-        a_down, a_up, vn, vd, b = terms
-        pn, pd = primal.numerator, primal.denominator
-        a = (a_up if up else a_down) * pd
-        b *= vn * pd - pn * vd
-        if up == (self._sign > 0):  # the columns that move x_j this way have t < 0
-            for t, c in zip(self._row, self._z):
-                if t < 0 and c * a > t * b:
-                    return False
+    value = result.value
+    moved = sum(map(mul, compress(ints, ints), compress(shifts, ints)))  # ints.shifts
+    vn, vd = value.numerator, value.denominator
+    zd = vd * moved.denominator
+    zn = den * vn * moved.denominator - moved.numerator * vd
+    if not zn:
+        return None
+    row = tableau[basis.index(col)][:-1]
+    sign *= row[col]
+    row[col] = 0
+    z = tableau[-1]
+    pn, pd = nn, nd = 1, 0  # the least -R_k / |T_ik| over T_ik > 0, and < 0
+    for t, c in compress(zip(row, z), row):
+        if t > 0:
+            if c * pd + pn * t > 0:
+                pn, pd = -c, t
+        elif c * nd > nn * t:
+            nn, nd = -c, -t
+    x = result.point[j]
+    q = x.denominator
+    r = x.numerator % q
+    a = abs(sign * zn)
+    b = q * zd * abs(z[-1]) * den
+    sides = ((r, pn, pd), (q - r, nn, nd)) if sign > 0 else ((r, nn, nd), (q - r, pn, pd))
+    bounds = []
+    for f, n, d in sides:
+        if not d:
+            bounds.append(-math.inf)  # no column moves x_j this way
+        elif not n:
+            bounds.append(value)  # a column with no cost does
         else:
-            for t, c in zip(self._row, self._z):
-                if t > 0 and c * a + t * b > 0:
-                    return False
-        return True
+            top, bottom = vn * d * b - vd * f * n * a, vd * d * b
+            whole, rest = divmod(top, bottom)
+            bounds.append(whole if rest == 0 else rat(top, bottom))
+    return tuple(bounds)
 
 
 def _read_back(form: _Form, y):

@@ -12,12 +12,14 @@ discarded uncounted.  After every counted node the current dual bound
 (max of primal value and best open node bound) is appended to a trace,
 which is what the cut impact protocol reads at a fixed node budget.
 
-A counted node's LP is solved unless its parent's final tableau already
-bounds it at or below the primal value (`simplex.BranchPenalty`, the
-one-step penalty, with the plain test and never the grid): such an LP is
-infeasible or its value is at most the primal value, so it would push
-nothing.  The node is counted and traced as if it had been solved, so
-skipping its LP moves no status, point, value, ray, node count or trace.
+A counted node's LP is solved unless its own bound is at or below the
+primal value, by the plain test and never the grid.  That bound is a
+number read at the branching from the parent's final tableau
+(`simplex.branch_bounds`, the one-step penalty), -inf for a child that
+is infeasible: such an LP is infeasible or its value is at most the
+primal value, so it would push nothing.  The node is counted and traced
+as if it had been solved, so skipping its LP moves no status, point,
+value, ray, node count or trace.
 
 A node is pruned when its bound (its parent's LP value) is at most the
 primal value, so it cannot improve the incumbent.  With
@@ -49,7 +51,7 @@ Every LP of a run reads the same rows; only the bounds change from
 node to node, and the objective from run to run.  A run therefore
 solves one `simplex.LinearProgram` (rows, plus the phase-one starts of
 its root and of the latest other bound vectors, and the latest
-objective's results and penalties) at each node it solves, passing the
+objective's results and child bounds) at each node it solves, passing the
 same objective tuple every time: its own program, or one handed to it
 by a caller that solves the same rows more than once.  An oracle
 provider owns one for all its queries, so the root's phase one runs
@@ -57,7 +59,7 @@ once across them, and a node that a recent query solved too starts from
 its phase one; the impact protocol shares one across its reference,
 root relaxation and baseline solves, which share an objective, so their
 LPs are solved once between them, and a baseline node whose parent the
-reference solve solved reads that parent's penalty.
+reference solve solved reads the bound that parent's tableau gave it.
 `program_for` is the one way to build a run's program, and the program
 is the only holder of its rows: the instance's cached integer view
 (`MipInstance.integer_rows`) plus the extra cuts and equations, handed
@@ -186,16 +188,17 @@ def solve_mip(
     if options.time_limit is not None:
         deadline = time.monotonic() + options.time_limit
 
-    # a node is (rank, -bound, depth, index, bound, lower, upper,
-    # penalty, up): the root alone has rank 0, bound +inf and no penalty,
-    # a child holds its parent's penalty and which side it is, and the
-    # index is unique, so the heap orders by the key of the module
-    # docstring and never compares past it
+    # a node is (rank, -bound, depth, index, bound, lower, upper, own):
+    # the root alone has rank 0, bound +inf and no own bound, a child
+    # holds its parent's LP value as `bound` and the one its parent's
+    # tableau gave it as `own` (None: no bound), and the index is
+    # unique, so the heap orders by the key of the module docstring and
+    # never compares past it
     heap: list[tuple] = []
     counter = 0
     if not _gcd_excludes(inst, program):
         # the instance's bounds are ints where integral, so no LP solve converts them
-        heap.append((0, 0, 0, 0, math.inf, inst.lower_bounds, inst.upper_bounds, None, False))
+        heap.append((0, 0, 0, 0, math.inf, inst.lower_bounds, inst.upper_bounds, None))
     node_count = 0
     trace: list[tuple] = []
     dual = math.inf
@@ -216,9 +219,9 @@ def solve_mip(
             break
 
         node = heapq.heappop(heap)
-        _, _, depth, _, _, lower, upper, penalty, up = node
+        _, _, depth, _, _, lower, upper, own = node
         node_count += 1
-        if penalty is not None and penalty.prunes(up, primal):
+        if own is not None and own <= primal:
             pass  # its LP would push nothing, so it is not solved
         elif (lp := program.solve(obj, lower, upper)).status is LPStatus.UNBOUNDED:
             # Only possible at the root: child regions are subsets.  For
@@ -245,13 +248,9 @@ def solve_mip(
                     lo = list(lower)
                     lo[frac_var] = fl + 1
                     depth += 1  # the down branch, x_j <= fl, is created first
-                    pen = program.penalty(frac_var)
-                    heapq.heappush(
-                        heap, (1, -val, depth, counter + 1, val, lower, tuple(hi), pen, False)
-                    )
-                    heapq.heappush(
-                        heap, (1, -val, depth, counter + 2, val, tuple(lo), upper, pen, True)
-                    )
+                    down, up = program.child_bounds(frac_var) or (None, None)
+                    heapq.heappush(heap, (1, -val, depth, counter + 1, val, lower, tuple(hi), down))
+                    heapq.heappush(heap, (1, -val, depth, counter + 2, val, tuple(lo), upper, up))
                     counter += 2
 
         dual = max(primal, heap[0][4] if heap else -math.inf)

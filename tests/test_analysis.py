@@ -26,7 +26,7 @@ from cutdim.model import Inequality, build_instance, evaluate
 from cutdim.oracle import MipOracle, enumerate_lattice, make_provider
 from cutdim.rational import rat
 from cutdim.selftest import random_instance
-from cutdim.simplex import BranchPenalty, LinearProgram
+from cutdim.simplex import LinearProgram
 from cutdim.solver import SolveStatus, program_for, solve_lp_relaxation, solve_mip
 
 
@@ -415,9 +415,10 @@ def test_impact_budget_without_a_completed_run(monkeypatch):
 
 def test_impact_runs_skip_the_lps_their_parents_tableaux_bound(monkeypatch):
     """On stein9 every impact run starts at z*, so a child whose parent's
-    tableau bounds it at or below z* (`BranchPenalty`) is counted with no
-    LP: the baseline and the cut's run solve fewer LPs than they count
-    nodes.  The report is the one of runs whose bound never prunes."""
+    tableau bounds it at or below z* (`LinearProgram.child_bounds`) is
+    counted with no LP: the baseline and the cut's run solve fewer LPs
+    than they count nodes.  The report is the one of runs that read no
+    bound."""
     report = impact_protocol(stein9(), [STEIN9_COVER], time_limit=None)
     solved = []
     solve = LinearProgram._solve
@@ -442,7 +443,7 @@ def test_impact_runs_skip_the_lps_their_parents_tableaux_bound(monkeypatch):
     for lps, result in runs:
         assert lps < result.node_count
 
-    monkeypatch.setattr(BranchPenalty, "prunes", lambda self, up, primal: False)
+    monkeypatch.setattr(LinearProgram, "child_bounds", lambda self, j: None)
     runs.clear()
     assert impact_protocol(stein9(), [STEIN9_COVER], time_limit=None) == report
     # the cut's run, on its own program, then solves one LP per node

@@ -15,7 +15,7 @@ from cutdim.model import build_instance
 from cutdim.oracle import Infeasible, MipOracle, enumerate_lattice
 from cutdim.rational import rat
 from cutdim.selftest import QueryLog, max_decided, random_instance
-from cutdim.simplex import BranchPenalty, LinearProgram, solve_lp
+from cutdim.simplex import LinearProgram, solve_lp
 from cutdim.solver import (
     SolveOptions,
     SolveStatus,
@@ -748,16 +748,18 @@ def _penalty_runs(inst, equations, node_limit):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_penalty_case())
 def test_the_parent_tableau_bound_skips_only_nodes_whose_lp_would_end_them(case):
-    """A run that skips a child's LP when its parent's tableau bounds it
-    at or below the primal value (`BranchPenalty`) gives the same
-    `SolveResult`, node counts and traces included, as a run whose bound
-    never prunes.  Each skipped child is checked by `reference_lp`: it is
-    infeasible or its LP value is at most the primal value.  A branching
-    variable has a penalty unless it sits at a bound, which is then
-    fractional, so no basic column of it is missed."""
+    """A run that skips a child's LP when the bound its parent's tableau
+    gave it (`LinearProgram.child_bounds`) is at or below the primal
+    value gives the same `SolveResult`, node counts and traces included,
+    as a run that reads no bound.  Every pair handed out is checked by
+    `reference_lp`, whether it prunes or not: each child's LP value is at
+    most its bound, and a child bounded by -inf is infeasible.  A
+    branching has no bounds only when x_j sits at a bound, which is then
+    fractional, or Z* = 0: the LP value is the objective at the shifts,
+    each variable at its lower bound, else its upper bound, else 0."""
     inst, equations, node_limit = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BranchPenalty, "prunes", lambda self, up, primal: False)
+        mp.setattr(LinearProgram, "child_bounds", lambda self, j: None)
         want = _penalty_runs(inst, equations, node_limit)
 
     rows = [list(row) for row in inst.constraint_matrix]
@@ -765,44 +767,78 @@ def test_the_parent_tableau_bound_skips_only_nodes_whose_lp_would_end_them(case)
     for a, b in equations:
         rows += [list(a), [-v for v in a]]
         rhs += [b, -b]
-    children = {}  # penalty -> (lower, upper, j, x_j) of the parent
-    solved = {}  # program -> its latest (lower, upper, result)
-    solve, penalty, prunes = LinearProgram.solve, LinearProgram.penalty, BranchPenalty.prunes
+    solved = {}  # program -> its latest (objective, lower, upper, result)
+    child_lps = {}  # (objective, lower, upper) -> the child's LP value, None if infeasible
+    solve, child_bounds = LinearProgram.solve, LinearProgram.child_bounds
 
     def recorded_solve(program, objective, lower, upper):
-        result = solved[program] = (lower, upper, solve(program, objective, lower, upper))
-        return result[2]
+        result = solve(program, objective, lower, upper)
+        solved[program] = (objective, lower, upper, result)
+        return result
 
-    def recorded_penalty(program, j):
-        out = penalty(program, j)
-        lower, upper, result = solved[program]
+    def child_lp(objective, lower, upper):
+        key = (tuple(objective), tuple(lower), tuple(upper))
+        if key not in child_lps:
+            empty = any(lo is not None and hi is not None and lo > hi for lo, hi in zip(lower, upper))
+            child_lps[key] = None if empty else reference_lp(objective, rows, rhs, lower, upper)[0]
+        return child_lps[key]
+
+    def checked_bounds(program, j):
+        out = child_bounds(program, j)
+        objective, lower, upper, result = solved[program]
         x = result.point[j]
         if out is None:
-            assert x in (lower[j], upper[j])
-        else:
-            children[out] = (lower, upper, j, x)
-        return out
-
-    def checked_prunes(self, up, primal):
-        out = prunes(self, up, primal)
-        if out:
-            lower, upper, j, x = children[self]
-            lower, upper = list(lower), list(upper)
+            shifts = [lo if lo is not None else hi if hi is not None else 0
+                      for lo, hi in zip(lower, upper)]
+            assert x in (lower[j], upper[j]) or dot(objective, shifts) == result.value
+            return out
+        for up, bound in enumerate(out):
+            lo, hi = list(lower), list(upper)
             if up:
-                lower[j] = math.floor(x) + 1
+                lo[j] = math.floor(x) + 1
             else:
-                upper[j] = math.floor(x)
-            if lower[j] is None or upper[j] is None or lower[j] <= upper[j]:
-                value, _ = reference_lp(inst.objective, rows, rhs, lower, upper)
-                assert value is None or value <= primal
+                hi[j] = math.floor(x)
+            value = child_lp(objective, lo, hi)
+            if bound == -math.inf:
+                assert value is None
+            else:
+                assert value is None or value <= bound
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LinearProgram, "solve", recorded_solve)
-        mp.setattr(LinearProgram, "penalty", recorded_penalty)
-        mp.setattr(BranchPenalty, "prunes", checked_prunes)
+        mp.setattr(LinearProgram, "child_bounds", checked_bounds)
         got = _penalty_runs(inst, equations, node_limit)
     assert got == want
+
+
+def test_child_bound_fixtures():
+    """Hand-computed `child_bounds`.  max x s.t. 2x <= 1, x >= 0 ends at
+    x = 1/2: the slack is the one column that moves x, and only down,
+    so the down child's bound is 1/2 - (1/2).(1/2)/(1/2) = 0, its LP
+    value exactly, and the up child, x >= 1, is infeasible.  On rows
+    -3x - 2y <= 4 and 2x + 2y <= 0 with c = (-2, 0), x in [-1, 3] and
+    y in [-1, 2], the optimum (-1, -1/2) has value 2 = c.shifts, so
+    Z* = 0 and a branch on y reads no bounds.  max x + 3z s.t.
+    x + z <= 3/2, x, z in [0, 1] ends at (1/2, 1) with x's cap slack t
+    basic, x = 1 - t = 1/2 + u - s (u z's cap slack, s the row's) and
+    value 7/2 - 2u - s: the down child pays 1/2 through s, bound 3 at
+    (0, 1), and the up child 2 times 1/2 through u, bound 5/2 at
+    (1, 1/2)."""
+    program = LinearProgram(1, [scaled_row([2], 1)])
+    assert program.solve((1,), [0], [None]).point == (Fraction(1, 2),)
+    assert program.child_bounds(0) == (0, -math.inf)
+    assert reference_lp([1], [[2]], [1], [0], [0])[0] == 0
+    assert reference_lp([1], [[2]], [1], [1], [None])[0] is None
+
+    program = LinearProgram(2, [scaled_row([-3, -2], 4), scaled_row([2, 2], 0)])
+    result = program.solve((-2, 0), [-1, -1], [3, 2])
+    assert (result.point, result.value) == ((-1, Fraction(-1, 2)), 2)
+    assert program.child_bounds(1) is None
+
+    program = LinearProgram(2, [scaled_row([1, 1], Fraction(3, 2))])
+    assert program.solve((1, 3), [0, 0], [1, 1]).point == (Fraction(1, 2), 1)
+    assert program.child_bounds(0) == (3, Fraction(5, 2))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
