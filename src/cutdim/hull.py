@@ -21,11 +21,16 @@ the affine hull is pinned down exactly:
 The run keeps a point cache: the feasible points it was handed plus
 the point or witness of each verified answer, once each, in first-seen
 order.  A cached point can substitute for the queries of a round
-whenever it escapes the current aff(X).  A round without a hit costs
-two queries, or one when the max side decides it; the first round adds
-two to |X| + rows(D) and every later one adds one.  So on a bounded
-nonempty set, where only the rounds after the first can be decided by
-the max side,
+whenever it escapes the current aff(X).  When none does and the run was
+handed points, the move probe (`MoveProbe`) tries the one- and
+two-coordinate moves x0 + s*e_i (+ t*e_j), s, t = +-1 on integer
+columns, of x0, the first point handed, that leave d.x = gamma.  A move
+point joins only once it passes an exact membership check, whatever the
+verify switch; it then joins the cache and counts as a cache hit.  A
+round without a hit costs two queries, or one when the max side
+decides it; the first round adds two to |X| + rows(D) and every later
+one adds one.  So on a bounded nonempty set, where only the rounds
+after the first can be decided by the max side,
 
     queries + 2*cache_hits + (rounds the max side decided) = 2(n - r0),
 
@@ -36,7 +41,8 @@ changes its provider.
 Face dimension runs reuse the machinery unchanged: restrict the oracle
 to the face's hyperplane, start from the base system plus the face
 equation, sharing its form, and from the base run's cached points that
-lie on the face.
+lie on the face.  A base run is handed no points, so only face runs
+probe moves.
 
 X and D each keep one integer echelon form (X's of its differences from
 its first point), grown a row at a time as a point or equation joins.
@@ -46,8 +52,10 @@ ints their engine computed, so the rounds' checks are int arithmetic.
 
 from __future__ import annotations
 
+import operator
 import time
 from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -59,6 +67,7 @@ from .linalg import (
     dot,
     exact_vector,
     extended,
+    int_scale,
     is_in_span,
     orthogonal_complement_basis,
     rank,
@@ -72,6 +81,7 @@ from .oracle import (
     Optimal,
     OracleInconclusive,
     Unbounded,
+    _in_set,
     oracle_maximize,
 )
 from .rational import rat, rat_str
@@ -189,6 +199,98 @@ def cache_probe(cache: tuple, d: Sequence, gamma):
     return None
 
 
+class MoveProbe:
+    """Points x0 + s*e_i and x0 + s*e_i + t*e_j of a run's first cached
+    point x0: s, t = +-1, i and j != i integer columns.  A hand proof
+    that a knapsack or cover inequality is facet-defining finds its
+    points the same way, as one- and two-item exchanges of a known point
+    (Balas, Math. Prog. 1975).
+
+    x0's room under each instance row (the floor of its slack in the
+    row's int form) and what each provider equation lacks at x0 are
+    taken once, so a move passes the prefilter when it keeps the bounds,
+    its entries on each row stay within the room and on each equation
+    make up the lack: a few int operations per move.  Each column's
+    passing moves are kept for the run.  A move's point is handed out
+    only once `oracle._in_set` accepts it, whatever the provider's
+    verify switch, so a point outside the set never gets through even
+    when x0 lies outside it; a move that fails is not tried again.
+    """
+
+    def __init__(self, provider, x0: Vector):
+        inst = provider.instance
+        rows, eqs = inst.integer_rows, provider.equations
+        x, den = int_scale(x0)
+        self.provider, self.x0 = provider, x0
+        self.room = tuple((b * den - dot(a, x)) // den for a, b, _ in rows)
+        self.lack = tuple(target - dot(e, x0) for e, target, _ in eqs)
+        self.integer = sorted(inst.integer_vars)
+        # each step (c, s) that keeps x0[c] + s in the bounds -> s times
+        # column c's entries on the rows and on the equations
+        row_columns = tuple(zip(*(a for a, _, _ in rows))) or ((),) * len(x0)
+        eq_columns = tuple(zip(*(e for e, _, _ in eqs))) or ((),) * len(x0)
+        self.steps = {}
+        for c in self.integer:
+            lo, hi = inst.lower_bounds[c], inst.upper_bounds[c]
+            on_rows, on_eqs = row_columns[c], eq_columns[c]
+            if hi is None or x0[c] + 1 <= hi:
+                self.steps[c, 1] = (on_rows, on_eqs)
+            if lo is None or x0[c] - 1 >= lo:
+                self.steps[c, -1] = (
+                    tuple(map(operator.neg, on_rows)),
+                    tuple(map(operator.neg, on_eqs)),
+                )
+        # the steps by their entries on the equations, each list in step order
+        self.by_eqs = defaultdict(list)
+        for step, (_, on_eqs) in self.steps.items():
+            self.by_eqs[on_eqs].append(step)
+        self.passing = {}  # (i, pairs) -> _moves(i, pairs)
+        self.failed = set()
+
+    def _moves(self, i: int, pairs: bool) -> list:
+        """Column i's single moves, or its pairs, that pass the prefilter."""
+        key = (i, pairs)
+        if key not in self.passing:
+            kept = []
+            for s in (1, -1):
+                if (i, s) not in self.steps:
+                    continue
+                on_rows, on_eqs = self.steps[i, s]
+                if not pairs:
+                    if on_eqs == self.lack and all(map(operator.le, on_rows, self.room)):
+                        kept.append(((i, s),))
+                    continue
+                # a second step must make up exactly what the first leaves lacking
+                need = tuple(map(operator.sub, self.lack, on_eqs))
+                for j, t in self.by_eqs.get(need, ()):
+                    if j != i and all(
+                        p + q <= r for p, q, r in zip(on_rows, self.steps[j, t][0], self.room)
+                    ):
+                        kept.append(((i, s), (j, t)))
+            self.passing[key] = kept
+        return self.passing[key]
+
+    def find(self, d: Vector) -> Optional[Vector]:
+        """The first move point in the set off d.x = d.x0, or None.  The
+        moves of each column i of d's integer support are tried in
+        column order, all single moves before any pair; a move leaves
+        d.x = d.x0 exactly when s*d_i + t*d_j != 0."""
+        support = [c for c in self.integer if d[c]]
+        for pairs in (False, True):
+            for i in support:
+                for move in self._moves(i, pairs):
+                    if move in self.failed or not sum(s * d[c] for c, s in move):
+                        continue
+                    point = list(self.x0)
+                    for c, s in move:
+                        point[c] += s
+                    point = tuple(point)
+                    if _in_set(self.provider, point):
+                        return point
+                    self.failed.add(move)
+        return None
+
+
 def off_gamma(resp, d: Vector, gamma) -> Optional[Vector]:
     """The point off d.x = gamma that an answer for d or -d names, else None."""
     if isinstance(resp, Unbounded):
@@ -220,16 +322,19 @@ def affine_hull(
     reduce the number of rounds one for one.  `cache` holds feasible
     points of the set the run may probe; the point or witness of each
     verified answer joins it unless held already.  It is probed before
-    each round and a hit replaces the round's queries.  The result
-    carries the cache as the run left it.
+    each round and a hit replaces the round's queries.  When it misses
+    and `cache` was not empty, the moves of its first point are probed
+    (`MoveProbe`); a move point in the set joins the cache and is a hit
+    like any other.  The result carries the cache as the run left it.
 
     A round asks max d, then max -d only when the max side names no
     point off d.x = gamma; once X holds a point, both are asked against
     the bar (gamma and -gamma), so only a proof that no point lies above
     it costs a full search (module docstring).  On a bounded nonempty
     set, queries + 2*cache_hits + (rounds the max side decided) is
-    exactly 2(n - r0).  A run that would spend more than max(1, 2(n - r0))
-    queries, the proven worst case, stops with HullInterrupted.
+    exactly 2(n - r0), move hits counted among the cache hits.  A run
+    that would spend more than max(1, 2(n - r0)) queries, the proven
+    worst case, stops with HullInterrupted.
     """
     n = provider.n
     eqs = initial_equations if initial_equations is not None else EquationSystem()
@@ -242,6 +347,8 @@ def affine_hull(
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
     cache = tuple(cache)
+    handed = bool(cache)  # only a run handed points probes moves of the first
+    moves = None
     points: list[Vector] = []
     span = Echelon()  # of the differences x - points[0], x in X
     queries = 0
@@ -303,6 +410,12 @@ def affine_hull(
             # with no point yet, the first cached point plays points[0]
             first = points[0] if points else cache[0]
             hit = cache_probe(cache, d, gamma=dot(d, first))
+            if hit is None and handed:
+                # every cached point lies on d.x = gamma, the run's first one too
+                moves = moves or MoveProbe(provider, cache[0])
+                hit = moves.find(d)
+                if hit is not None:
+                    cache += (hit,)
             if hit is not None:
                 if not points:
                     checked_append(first)
@@ -345,7 +458,8 @@ def face_hull(
     valid on the face and seed the run.  The cut equation is added
     unless its row already lies in the span of the base system.  The
     run's cache starts with the points of base's cache and then of
-    `seen` (more points of P) that lie on the face, once each.
+    `seen` (more points of P) that lie on the face, once each, and the
+    run probes the moves of the first of them (`affine_hull`).
     """
     eqs = base.equations
     with_cut = eqs.with_equation(cut.coefficients, cut.rhs)

@@ -20,7 +20,7 @@ from cutdim.analysis import (
     relative_dimension_bin,
 )
 from cutdim.config import RunConfig
-from cutdim.hull import affine_hull, face_hull
+from cutdim.hull import MoveProbe, affine_hull, face_hull
 from cutdim.linalg import dot, scaled_row
 from cutdim.model import Inequality, build_instance, evaluate
 from cutdim.oracle import MipOracle, enumerate_lattice, make_provider
@@ -599,7 +599,7 @@ def test_face_time_budget_none_means_no_limit(monkeypatch):
     assert budgets == [None]
 
 
-def test_face_run_probes_its_own_cuts_points():
+def test_face_run_probes_its_own_cuts_points(monkeypatch):
     rng = random.Random(0)
     weights = [rng.randint(2, 9) for _ in range(4)]
     inst = build_instance(
@@ -613,20 +613,30 @@ def test_face_run_probes_its_own_cuts_points():
     )
     beta = max(sum(p) for p in enumerate_lattice(inst))
     cut = Inequality([1] * 4, beta)
-    analysis = analyze_instance(inst, [cut], RunConfig(engine="solver"), run_impact=False)
-    (cls,) = analysis.classifications
+
+    def runs():
+        analysis = analyze_instance(inst, [cut], RunConfig(engine="solver"), run_impact=False)
+        (cls,) = analysis.classifications
+        provider = MipOracle(inst)
+        base = dataclasses.replace(affine_hull(provider), cache=())
+        return cls, face_hull(provider, base, cls.tightened)
+
+    cls, bare = runs()
     face = cls.face_result
-    provider = MipOracle(inst)
-    _, maximizer, _ = compute_beta_true(provider, cut.coefficients)
-    # no point of the hull run lies on the face; the cut's own maximizer does
+    _, maximizer, _ = compute_beta_true(MipOracle(inst), cut.coefficients)
+    # no point of the hull run lies on the face; the cut's own maximizer
+    # does, and one of its moves answers a second round
     assert face.cache[0] == maximizer
-    assert (face.oracle_queries, face.cache_hits) == (4, 1)
-    base = dataclasses.replace(affine_hull(provider), cache=())
-    bare = face_hull(provider, base, cls.tightened)
+    assert (face.oracle_queries, face.cache_hits) == (2, 2)
     assert bare.cache[0] != maximizer
     assert face.dimension == bare.dimension == 2
-    # without the maximizer, no round finds a point the run holds, and
-    # the run spends one query more
+    # a run handed no points probes no moves: no round finds a point the
+    # run holds, and the run spends three queries more
+    assert (bare.oracle_queries, bare.cache_hits) == (5, 0)
+    # without the move probe the maximizer alone saves the run one query
+    monkeypatch.setattr(MoveProbe, "find", lambda probe, d: None)
+    cls, bare = runs()
+    assert (cls.face_result.oracle_queries, cls.face_result.cache_hits) == (4, 1)
     assert (bare.oracle_queries, bare.cache_hits) == (5, 0)
 
 
@@ -678,15 +688,29 @@ def test_classify_calls_sharing_a_provider_stay_apart(engine):
 
 
 @pytest.mark.parametrize("engine", ["solver", "lattice"])
-def test_a_cuts_own_maximizer_seeds_its_face_run(engine):
+def test_a_cuts_own_maximizer_seeds_its_face_run(monkeypatch, engine):
+    """The cut's maximizer (2, 2, 0) joins the base points on the face,
+    (3, 3, 0) alone.  It answers the face run's first round; so does the
+    move (-1, -1, 0) of (3, 3, 0), so with the move probe a face run
+    handed the base points alone spends the same."""
     rng = random.Random(23)
     inst = random_instance(rng, max_vars=3, name="own")
     a = [rng.randint(-3, 3) for _ in range(inst.num_vars)]
     cut = Inequality(a, max(dot(a, p) for p in enumerate_lattice(inst)))
-    provider = make_provider(inst, engine)
-    base = affine_hull(provider)
-    cls = classify_cut(provider, cut, base=base)
-    without = face_hull(provider, base, cls.tightened)
+
+    def runs():
+        provider = make_provider(inst, engine)
+        base = affine_hull(provider)
+        cls = classify_cut(provider, cut, base=base)
+        return cls, face_hull(provider, base, cls.tightened)
+
+    cls, without = runs()
+    assert cls.face_dimension == without.dimension == 1
+    assert cls.face_result.cache == without.cache == ((3, 3, 0), (2, 2, 0))
+    for run in (cls.face_result, without):
+        assert (run.oracle_queries, run.cache_hits) == (2, 1)
+    monkeypatch.setattr(MoveProbe, "find", lambda probe, d: None)
+    cls, without = runs()
     assert cls.face_dimension == without.dimension
     assert cls.face_result.cache_hits > without.cache_hits
     assert cls.face_result.oracle_queries < without.oracle_queries

@@ -14,6 +14,7 @@ from cutdim.hull import (
     EquationSystem,
     HullInterrupted,
     InvalidInitialEquationsError,
+    MoveProbe,
     affine_hull,
     cache_probe,
     face_hull,
@@ -36,13 +37,14 @@ from cutdim.oracle import (
     Optimal,
     OracleInconclusive,
     OracleSoundnessError,
+    _in_set,
     enumerate_lattice,
     make_provider,
     oracle_maximize,
 )
 from cutdim.rational import rat
 from cutdim.selftest import QueryLog, max_decided, random_instance
-from helpers import fraction_complement
+from helpers import fraction_complement, fraction_echelon, mixed_vertices
 
 
 def cube(n=3):
@@ -292,32 +294,45 @@ def test_cache_probe_modes():
 @pytest.mark.parametrize("engine", ["solver", "lattice"])
 def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
     """A run's cache is the points it was handed, then each answer's point
-    once, in first-seen order, each verified once."""
-    answers, checks = [], []
+    and each accepted move point once, in first-seen order, each checked
+    once and each in the set."""
+    joined, checks = [], []
     check = MipInstance.is_feasible_point
+    find = MoveProbe.find
 
     def recorded(provider, w, bar=None):
         response = oracle_maximize(provider, w, bar)
-        answers.append(response.point)
+        joined.append(response.point)
         return response
 
+    def moved(probe, d):
+        point = find(probe, d)
+        if point is not None:
+            joined.append(point)
+        return point
+
     monkeypatch.setattr("cutdim.hull.oracle_maximize", recorded)
+    monkeypatch.setattr(MoveProbe, "find", moved)
     monkeypatch.setattr(
         MipInstance, "is_feasible_point", lambda inst, p: checks.append(p) or check(inst, p)
     )
     provider = make_provider(cube(), engine)
     warm = affine_hull(provider)
-    # max x1, then min x1 at the origin, then max x2 and max x3 above 0
-    assert answers == [(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert warm.cache == tuple(answers) and checks == answers
+    # max x1, then min x1 at the origin, then max x2 and max x3 above 0;
+    # a run handed no points probes no moves
+    assert joined == [(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert warm.cache == tuple(joined) and checks == joined
 
-    answers.clear()
+    joined.clear()
+    checks.clear()
     start = ((0, 0, 0), (1, 1, 1))
     seeded = affine_hull(provider, cache=start)
-    assert seeded.cache == tuple(dict.fromkeys(start + tuple(answers)))
-    # (1, 1, 1) escapes the first round; max x1 - x2 and max x2 - x3 each
-    # decide a later round, and no min side leaves a point to hit
-    assert (seeded.cache_hits, seeded.oracle_queries) == (1, 2)
+    # (1, 1, 1) escapes the first round; the origin's moves e1 and e2
+    # answer the other two, so no query is asked
+    assert joined == [(1, 0, 0), (0, 1, 0)]
+    assert seeded.cache == start + tuple(joined) and checks == joined
+    assert (seeded.cache_hits, seeded.oracle_queries) == (3, 0)
+    assert all(check(provider.instance, p) for p in seeded.cache)
     assert warm.dimension == seeded.dimension == 3
 
 
@@ -348,7 +363,25 @@ def test_runs_with_verify_off_end_with_an_unverified_point_in_x():
     assert face.oracle_queries == 3
 
 
-def test_face_run_starts_from_the_base_points_on_the_face():
+def test_moves_of_a_first_point_outside_the_set_join_only_when_in_the_set(monkeypatch):
+    """With verify off, a run's first cached point may lie outside the set,
+    here OutsidePoint's (2, 0, 0).  Its moves are checked with verify off
+    too: the two that keep x1 = 2 are skipped, and only moves into the
+    cube join X and the cache."""
+    checked = []
+    monkeypatch.setattr(
+        "cutdim.hull._in_set", lambda provider, p: checked.append(p) or _in_set(provider, p)
+    )
+    provider = OutsidePoint(cube(), verify=False)
+    run = affine_hull(provider, cache=((2, 0, 0),))
+    moves = ((1, 0, 0), (1, 1, 0), (1, 0, 1))
+    assert run.cache == run.points == ((2, 0, 0),) + moves
+    assert all(provider.instance.is_feasible_point(p) for p in moves)
+    assert checked == [(1, 0, 0), (2, 1, 0), (1, 1, 0), (2, 0, 1), (1, 0, 1)]
+    assert (run.dimension, run.oracle_queries, run.cache_hits) == (3, 0, 3)
+
+
+def test_face_run_starts_from_the_base_points_on_the_face(monkeypatch):
     rng = random.Random(57)
     inst = random_instance(rng, name="probe")
     n = inst.num_vars
@@ -366,8 +399,17 @@ def test_face_run_starts_from_the_base_points_on_the_face():
     assert new and all(dot(a, p) == cut.rhs and p not in held for p in new)
     assert len(set(face.cache)) == len(face.cache)
     assert face.dimension == affine_rank([p for p in provider.points if dot(a, p) == cut.rhs])
-    # a point only `seen` holds saves a round
-    assert face.cache_hits > face_hull(provider, base, cut).cache_hits
+    # A point only `seen` holds no longer saves a round: a move of the
+    # run's first cached point, which both runs share, answers it too.
+    # So a run handed both spends what one handed the base points spends.
+    assert (face.oracle_queries, face.cache_hits) == (4, 2)
+    other = face_hull(provider, base, cut)
+    assert (other.oracle_queries, other.cache_hits) == (4, 2)
+    # without the move probe, the `seen` point saves the round alone
+    monkeypatch.setattr(MoveProbe, "find", lambda probe, d: None)
+    face, other = face_hull(provider, base, cut, seen=seen), face_hull(provider, base, cut)
+    assert (face.oracle_queries, face.cache_hits) == (5, 1)
+    assert (other.oracle_queries, other.cache_hits) == (6, 0)
 
 
 def test_equations_valid_on_all_points():
@@ -394,6 +436,99 @@ def test_equations_valid_on_all_points():
                 assert len(hull.points) == hull.dimension + 1
                 assert affine_rank(hull.points) == hull.dimension
                 assert rank(hull.equations.rows) == len(hull.equations)
+
+
+def _mixed_instance(rng, name):
+    """1-3 integer columns, then 1-2 continuous ones with half-integral
+    upper bounds, and 1-2 rows; the box holds 0 and every rhs is
+    nonnegative, so the origin is feasible."""
+    k = rng.randint(1, 3)
+    n = k + rng.randint(1, 2)
+    lower = [rng.randint(-1, 0) for _ in range(n)]
+    upper = [lo + rng.randint(1, 2) if j < k else Fraction(rng.randint(1, 4), 2)
+             for j, lo in enumerate(lower)]
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+    return build_instance(
+        name=name,
+        constraint_matrix=rows,
+        rhs=[rng.randint(0, 4) for _ in rows],
+        objective=[0] * n,
+        integer_vars=range(k),
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+
+
+def _twin_rank(points, n) -> int:
+    """The affine rank of `points` in Fractions (`fraction_echelon`), -1
+    for none."""
+    if not points:
+        return -1
+    return len(fraction_echelon([vec_sub(p, points[0]) for p in points[1:]], n)[1])
+
+
+@pytest.mark.parametrize("engine", ["solver", "lattice", "mixed"])
+def test_the_move_probe_moves_no_verdict_or_face_dimension(monkeypatch, engine):
+    """Each cut's verdict, beta_true and face dimension are the same with
+    the move probe patched out, and the face dimension is the twin's: the
+    rank of the lattice points (pure-integer instances, both engines) or
+    of `mixed_vertices` (mixed-integer instances, solver engine) on the
+    face.  Every accepted move changes x0 on integer columns only, and
+    with x0 in the set the prefilter is exact: no candidate fails the
+    membership check."""
+    rng = random.Random(73)
+    find = MoveProbe.find
+    moved, rejected = [], []
+    monkeypatch.setattr(
+        "cutdim.hull._in_set",
+        lambda provider, p: _in_set(provider, p) or rejected.append(p),
+    )
+
+    def recorded(probe, d):
+        point = find(probe, d)
+        if point is not None:
+            moved.append(point)
+            changed = {j for j, (u, v) in enumerate(zip(probe.x0, point)) if u != v}
+            assert changed <= probe.provider.instance.integer_vars
+        return point
+
+    def classify(inst, cuts):
+        provider = make_provider(inst, "solver" if engine == "mixed" else engine, time_limit=None)
+        base = affine_hull(provider)
+        return base, [classify_cut(provider, cut, base=base) for cut in cuts]
+
+    queries = {True: 0, False: 0}
+    for i in range(25):
+        if engine == "mixed":
+            inst = _mixed_instance(rng, f"mixed{i}")
+            points = mixed_vertices(inst)
+        else:
+            inst = random_instance(rng, max_vars=5, name=f"moves{i}")
+            points = enumerate_lattice(inst)
+        n = inst.num_vars
+        cuts = []
+        for slack in (0, 0, 0, 1, -1):
+            a = [rng.randint(-3, 3) for _ in range(n)]
+            cuts.append(Inequality(a, max(dot(a, p) for p in points) + slack))
+        runs = {}
+        for probe in (True, False):
+            with monkeypatch.context() as mp:
+                mp.setattr(MoveProbe, "find", recorded if probe else lambda probe, d: None)
+                runs[probe] = classify(inst, cuts)
+            queries[probe] += sum(
+                c.face_result.oracle_queries for c in runs[probe][1] if c.face_result
+            )
+        (base, got), (_, want) = runs[True], runs[False]
+        assert base.dimension == _twin_rank(points, n), f"case {i}"
+        for cut, g, w in zip(cuts, got, want):
+            assert (g.verdict, g.beta_true, g.face_dimension) == (
+                w.verdict, w.beta_true, w.face_dimension
+            ), f"case {i}: {cut}"
+            if g.face_result is not None:
+                face = g.tightened
+                on_face = [p for p in points if dot(face.coefficients, p) == face.rhs]
+                assert g.face_dimension == _twin_rank(on_face, n), f"case {i}: {cut}"
+    assert moved and not rejected and queries[True] < queries[False]
 
 
 @pytest.mark.parametrize("engine", ["solver", "lattice"])
