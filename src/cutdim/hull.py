@@ -20,29 +20,35 @@ the affine hull is pinned down exactly:
 
 The run keeps a point cache: the feasible points it was handed plus
 the point or witness of each verified answer, once each, in first-seen
-order.  A cached point can substitute for the queries of a round
-whenever it escapes the current aff(X).  When none does and the run was
-handed points, the move probe (`MoveProbe`) tries the one- and
-two-coordinate moves x0 + s*e_i (+ t*e_j), s, t = +-1 on integer
-columns, of x0, the first point handed, that leave d.x = gamma.  A move
-point joins only once it passes an exact membership check, whatever the
-verify switch; it then joins the cache and counts as a cache hit.  A
-round without a hit costs two queries, or one when the max side
-decides it; the first round adds two to |X| + rows(D) and every later
-one adds one.  So on a bounded nonempty set, where only the rounds
-after the first can be decided by the max side,
+order.  A run handed points takes its free points before its first
+direction: x0, the first point handed, joins X with no query, then each
+other handed point and each one- and two-coordinate move x0 + s*e_i
+(+ t*e_j), s, t = +-1 on integer columns (`move_points`), that escapes
+aff(X).  A move point joins only once it passes an exact membership
+check, whatever the verify switch; it then joins the cache.  Every
+point this pass takes after x0 counts as a cache hit.  It leaves every
+cached point in aff(X), so later rounds probe the cache only for the
+points their answers add: a cached point substitutes for a round's
+queries whenever it escapes the current aff(X).
+
+A round without a hit costs two queries, or one when the max side
+decides it.  A run handed no points seeds X in its first round, which
+adds two to |X| + rows(D); every later round, and every point the pass
+takes after x0, adds one.  So on a bounded nonempty set, where only a
+round that starts with a point in X can be decided by the max side,
 
     queries + 2*cache_hits + (rounds the max side decided) = 2(n - r0),
 
-r0 the number of valid equations supplied up front (one query when
-r0 = n).  The cache is the run's, not the oracle's: a query never
-changes its provider.
+r0 the number of valid equations supplied up front.  When r0 = n, a run
+handed no points takes one query and a run handed points none.  The
+cache is the run's, not the oracle's: a query never changes its
+provider.
 
 Face dimension runs reuse the machinery unchanged: restrict the oracle
 to the face's hyperplane, start from the base system plus the face
 equation, sharing its form, and from the base run's cached points that
 lie on the face.  A base run is handed no points, so only face runs
-probe moves.
+take free points.
 
 X and D each keep one integer echelon form (X's of its differences from
 its first point), grown a row at a time as a point or equation joins.
@@ -57,6 +63,7 @@ import time
 from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .config import RunConfig
@@ -199,96 +206,63 @@ def cache_probe(cache: tuple, d: Sequence, gamma):
     return None
 
 
-class MoveProbe:
+def move_points(provider, x0: Vector):
     """Points x0 + s*e_i and x0 + s*e_i + t*e_j of a run's first cached
-    point x0: s, t = +-1, i and j != i integer columns.  A hand proof
-    that a knapsack or cover inequality is facet-defining finds its
+    point x0, s, t = +-1 and i < j integer columns, in groups: all single
+    moves, then for each step (i, s) in column order its pairs.  A hand
+    proof that a knapsack or cover inequality is facet-defining lists its
     points the same way, as one- and two-item exchanges of a known point
     (Balas, Math. Prog. 1975).
 
     x0's room under each instance row (the floor of its slack in the
     row's int form) and what each provider equation lacks at x0 are
-    taken once, so a move passes the prefilter when it keeps the bounds,
-    its entries on each row stay within the room and on each equation
-    make up the lack: a few int operations per move.  Each column's
-    passing moves are kept for the run.  A move's point is handed out
-    only once `oracle._in_set` accepts it, whatever the provider's
-    verify switch, so a point outside the set never gets through even
-    when x0 lies outside it; a move that fails is not tried again.
+    taken once, so a move is yielded when it keeps the bounds, its
+    entries on each row stay within the room and on each equation make
+    up the lack: a few int operations per move.  This prefilter is exact
+    when x0 lies in the set; the caller still checks each point with
+    `oracle._in_set`, because with verify off x0 may lie outside it.
     """
+    inst = provider.instance
+    rows, eqs = inst.integer_rows, provider.equations
+    x, den = int_scale(x0)
+    room = tuple((b * den - dot(a, x)) // den for a, b, _ in rows)
+    lack = tuple(target - dot(e, x0) for e, target, _ in eqs)
+    # each step (c, s) that keeps x0[c] + s in the bounds -> s times
+    # column c's entries on the rows and on the equations
+    row_columns = tuple(zip(*(a for a, _, _ in rows))) or ((),) * len(x0)
+    eq_columns = tuple(zip(*(e for e, _, _ in eqs))) or ((),) * len(x0)
+    steps = {}
+    for c in sorted(inst.integer_vars):
+        lo, hi = inst.lower_bounds[c], inst.upper_bounds[c]
+        on_rows, on_eqs = row_columns[c], eq_columns[c]
+        if hi is None or x0[c] + 1 <= hi:
+            steps[c, 1] = (on_rows, on_eqs)
+        if lo is None or x0[c] - 1 >= lo:
+            steps[c, -1] = (tuple(map(operator.neg, on_rows)), tuple(map(operator.neg, on_eqs)))
+    # the steps by their entries on the equations, each list in step order
+    by_eqs = defaultdict(list)
+    for step, (_, on_eqs) in steps.items():
+        by_eqs[on_eqs].append(step)
 
-    def __init__(self, provider, x0: Vector):
-        inst = provider.instance
-        rows, eqs = inst.integer_rows, provider.equations
-        x, den = int_scale(x0)
-        self.provider, self.x0 = provider, x0
-        self.room = tuple((b * den - dot(a, x)) // den for a, b, _ in rows)
-        self.lack = tuple(target - dot(e, x0) for e, target, _ in eqs)
-        self.integer = sorted(inst.integer_vars)
-        # each step (c, s) that keeps x0[c] + s in the bounds -> s times
-        # column c's entries on the rows and on the equations
-        row_columns = tuple(zip(*(a for a, _, _ in rows))) or ((),) * len(x0)
-        eq_columns = tuple(zip(*(e for e, _, _ in eqs))) or ((),) * len(x0)
-        self.steps = {}
-        for c in self.integer:
-            lo, hi = inst.lower_bounds[c], inst.upper_bounds[c]
-            on_rows, on_eqs = row_columns[c], eq_columns[c]
-            if hi is None or x0[c] + 1 <= hi:
-                self.steps[c, 1] = (on_rows, on_eqs)
-            if lo is None or x0[c] - 1 >= lo:
-                self.steps[c, -1] = (
-                    tuple(map(operator.neg, on_rows)),
-                    tuple(map(operator.neg, on_eqs)),
-                )
-        # the steps by their entries on the equations, each list in step order
-        self.by_eqs = defaultdict(list)
-        for step, (_, on_eqs) in self.steps.items():
-            self.by_eqs[on_eqs].append(step)
-        self.passing = {}  # (i, pairs) -> _moves(i, pairs)
-        self.failed = set()
+    def moved(*move):
+        point = list(x0)
+        for c, s in move:
+            point[c] += s
+        return tuple(point)
 
-    def _moves(self, i: int, pairs: bool) -> list:
-        """Column i's single moves, or its pairs, that pass the prefilter."""
-        key = (i, pairs)
-        if key not in self.passing:
-            kept = []
-            for s in (1, -1):
-                if (i, s) not in self.steps:
-                    continue
-                on_rows, on_eqs = self.steps[i, s]
-                if not pairs:
-                    if on_eqs == self.lack and all(map(operator.le, on_rows, self.room)):
-                        kept.append(((i, s),))
-                    continue
-                # a second step must make up exactly what the first leaves lacking
-                need = tuple(map(operator.sub, self.lack, on_eqs))
-                for j, t in self.by_eqs.get(need, ()):
-                    if j != i and all(
-                        p + q <= r for p, q, r in zip(on_rows, self.steps[j, t][0], self.room)
-                    ):
-                        kept.append(((i, s), (j, t)))
-            self.passing[key] = kept
-        return self.passing[key]
-
-    def find(self, d: Vector) -> Optional[Vector]:
-        """The first move point in the set off d.x = d.x0, or None.  The
-        moves of each column i of d's integer support are tried in
-        column order, all single moves before any pair; a move leaves
-        d.x = d.x0 exactly when s*d_i + t*d_j != 0."""
-        support = [c for c in self.integer if d[c]]
-        for pairs in (False, True):
-            for i in support:
-                for move in self._moves(i, pairs):
-                    if move in self.failed or not sum(s * d[c] for c, s in move):
-                        continue
-                    point = list(self.x0)
-                    for c, s in move:
-                        point[c] += s
-                    point = tuple(point)
-                    if _in_set(self.provider, point):
-                        return point
-                    self.failed.add(move)
-        return None
+    yield [
+        moved(step)
+        for step, (on_rows, on_eqs) in steps.items()
+        if on_eqs == lack and all(map(operator.le, on_rows, room))
+    ]
+    for (i, s), (on_rows, on_eqs) in steps.items():
+        # a second step must make up exactly what the first leaves lacking
+        need = tuple(map(operator.sub, lack, on_eqs))
+        yield [
+            moved((i, s), (j, t))
+            for j, t in by_eqs.get(need, ())
+            if j > i and all(p + q <= r for p, q, r in zip(on_rows, steps[j, t][0], room))
+        ]
 
 
 def off_gamma(resp, d: Vector, gamma) -> Optional[Vector]:
@@ -320,21 +294,24 @@ def affine_hull(
 
     `initial_equations` must be valid for the set and independent; they
     reduce the number of rounds one for one.  `cache` holds feasible
-    points of the set the run may probe; the point or witness of each
-    verified answer joins it unless held already.  It is probed before
-    each round and a hit replaces the round's queries.  When it misses
-    and `cache` was not empty, the moves of its first point are probed
-    (`MoveProbe`); a move point in the set joins the cache and is a hit
-    like any other.  The result carries the cache as the run left it.
+    points of the set; the point or witness of each verified answer
+    joins it unless held already.  A run handed points first takes them
+    and the moves of the first one (`move_points`) that escape aff(X),
+    with no query; a move point joins X only once it lies in the set,
+    and then joins the cache.  Each point taken after the first counts
+    as a cache hit.  The cache is probed before each round and a hit
+    replaces the round's queries.  The result carries the cache as the
+    run left it.
 
     A round asks max d, then max -d only when the max side names no
     point off d.x = gamma; once X holds a point, both are asked against
     the bar (gamma and -gamma), so only a proof that no point lies above
     it costs a full search (module docstring).  On a bounded nonempty
     set, queries + 2*cache_hits + (rounds the max side decided) is
-    exactly 2(n - r0), move hits counted among the cache hits.  A run
-    that would spend more than max(1, 2(n - r0)) queries, the proven
-    worst case, stops with HullInterrupted.
+    exactly 2(n - r0) when r0 < n.  A run that would spend more than
+    max(1, 2(n - r0)) queries, the proven worst case, stops with
+    HullInterrupted; so does one whose time budget runs out, at the
+    latest before its next round or move group.
     """
     n = provider.n
     eqs = initial_equations if initial_equations is not None else EquationSystem()
@@ -347,8 +324,6 @@ def affine_hull(
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
     cache = tuple(cache)
-    handed = bool(cache)  # only a run handed points probes moves of the first
-    moves = None
     points: list[Vector] = []
     span = Echelon()  # of the differences x - points[0], x in X
     queries = 0
@@ -357,12 +332,15 @@ def affine_hull(
     def interrupted(reason: str):
         return HullInterrupted(reason, len(points) - 1, n - len(eqs), queries)
 
+    def check_deadline():
+        if deadline is not None and time.monotonic() > deadline:
+            raise interrupted("time budget exhausted")
+
     def query(w, bar=None):
         nonlocal queries, cache
         if queries + 1 > query_budget:
             raise interrupted(f"query budget {query_budget} exhausted")
-        if deadline is not None and time.monotonic() > deadline:
-            raise interrupted("time budget exhausted")
+        check_deadline()
         queries += 1
         try:
             resp = oracle_maximize(provider, w, bar)
@@ -374,8 +352,9 @@ def affine_hull(
                 cache += (point,)
         return resp
 
-    def checked_append(point):
-        """Every point entering X must satisfy the current equations."""
+    def checked_append(point, grown=None):
+        """Every point entering X must satisfy the current equations;
+        `grown`, when given, is span extended by point - points[0]."""
         nonlocal span
         bad = eqs.violated_row(point)
         if bad is not None:
@@ -386,12 +365,38 @@ def affine_hull(
                 )
             raise AssertionError("feasible point violates an equation proved this run")
         if points:
-            span = extended(span, vec_sub(point, points[0]))
+            span = grown or extended(span, vec_sub(point, points[0]))
         points.append(point)
 
+    def take_free_points():
+        """x0 = cache[0], then each other handed point and each move of x0
+        in the set (`move_points`) that escapes aff(X)."""
+        nonlocal cache, cache_hits
+        x0, handed = cache[0], cache[1:]
+        check_deadline()  # an expired budget ends before x0 is taken
+        checked_append(x0)
+        if len(points) + len(eqs) > n:
+            return
+        for group in chain((handed,), move_points(provider, x0)):
+            for point in group:
+                grown = extended(span, vec_sub(point, x0))
+                if grown is span:
+                    continue
+                if group is not handed:
+                    if not _in_set(provider, point):
+                        continue
+                    cache += (point,)
+                checked_append(point, grown)
+                cache_hits += 1
+                if len(points) + len(eqs) > n:
+                    return
+            check_deadline()
+
+    if cache:
+        take_free_points()
+
     while len(points) + len(eqs) < n + 1:
-        if deadline is not None and time.monotonic() > deadline:
-            raise interrupted("time budget exhausted")
+        check_deadline()
         d = select_direction(span, eqs, n)
 
         if d is None:
@@ -407,18 +412,9 @@ def affine_hull(
             raise AssertionError("zero objective cannot be unbounded")
 
         if cache:
-            # with no point yet, the first cached point plays points[0]
-            first = points[0] if points else cache[0]
-            hit = cache_probe(cache, d, gamma=dot(d, first))
-            if hit is None and handed:
-                # every cached point lies on d.x = gamma, the run's first one too
-                moves = moves or MoveProbe(provider, cache[0])
-                hit = moves.find(d)
-                if hit is not None:
-                    cache += (hit,)
+            # a cached point exists only once X holds one
+            hit = cache_probe(cache, d, gamma=dot(d, points[0]))
             if hit is not None:
-                if not points:
-                    checked_append(first)
                 checked_append(hit)
                 cache_hits += 1
                 continue
@@ -458,8 +454,9 @@ def face_hull(
     valid on the face and seed the run.  The cut equation is added
     unless its row already lies in the span of the base system.  The
     run's cache starts with the points of base's cache and then of
-    `seen` (more points of P) that lie on the face, once each, and the
-    run probes the moves of the first of them (`affine_hull`).
+    `seen` (more points of P) that lie on the face, once each; the run
+    takes those and the moves of the first of them that escape aff(X)
+    before its first direction (`affine_hull`).
     """
     eqs = base.equations
     with_cut = eqs.with_equation(cut.coefficients, cut.rhs)

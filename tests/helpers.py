@@ -105,17 +105,21 @@ def mixed_vertices(instance) -> list:
     A linear objective attains its maximum over each slice at one of
     these, so the maximum over them is the instance's, and none exists
     exactly when the instance is infeasible.  Neither the simplex nor
-    branch and bound is read.
+    branch and bound is read.  A continuous variable may lack a bound
+    when the rows keep every slice bounded; it then has no box face on
+    that side.
     """
     n = instance.num_vars
     ints = sorted(instance.integer_vars)
     conts = [j for j in range(n) if j not in instance.integer_vars]
     all_rows = [[Fraction(a) for a in row] for row in instance.constraint_matrix]
     all_rhs = [Fraction(b) for b in instance.rhs]
-    lower = [Fraction(v) for v in instance.lower_bounds]
-    upper = [Fraction(v) for v in instance.upper_bounds]
+    lower = [None if v is None else Fraction(v) for v in instance.lower_bounds]
+    upper = [None if v is None else Fraction(v) for v in instance.upper_bounds]
     for j in conts:
         for sign, bound in ((-1, lower[j]), (1, upper[j])):
+            if bound is None:
+                continue
             face = [Fraction(0)] * n
             face[j] = Fraction(sign)
             all_rows.append(face)
@@ -205,6 +209,13 @@ def fraction_echelon(vectors, n) -> tuple:
                 rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows[: len(pivots)], pivots
+
+
+def fraction_affine_rank(points, n) -> int:
+    """The affine rank of `points` by `fraction_echelon`, -1 for none."""
+    if not points:
+        return -1
+    return len(fraction_echelon([[u - v for u, v in zip(p, points[0])] for p in points[1:]], n)[1])
 
 
 def fraction_complement(vectors, n) -> list:

@@ -2,8 +2,11 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutdim import analysis
 from cutdim.analysis import (
@@ -20,7 +23,7 @@ from cutdim.analysis import (
     relative_dimension_bin,
 )
 from cutdim.config import RunConfig
-from cutdim.hull import MoveProbe, affine_hull, face_hull
+from cutdim.hull import affine_hull, face_hull
 from cutdim.linalg import dot, scaled_row
 from cutdim.model import Inequality, build_instance, evaluate
 from cutdim.oracle import MipOracle, enumerate_lattice, make_provider
@@ -28,6 +31,7 @@ from cutdim.rational import rat
 from cutdim.selftest import random_instance
 from cutdim.simplex import LinearProgram
 from cutdim.solver import SolveStatus, program_for, solve_lp_relaxation, solve_mip
+from helpers import fraction_affine_rank, fraction_feasible, mixed_vertices
 
 
 def square():
@@ -625,18 +629,22 @@ def test_face_run_probes_its_own_cuts_points(monkeypatch):
     face = cls.face_result
     _, maximizer, _ = compute_beta_true(MipOracle(inst), cut.coefficients)
     # no point of the hull run lies on the face; the cut's own maximizer
-    # does, and one of its moves answers a second round
+    # does, and its moves (1, 0, 1, 0) and (0, 1, 1, 0) join X before
+    # the first direction
     assert face.cache[0] == maximizer
+    assert face.points == face.cache == (maximizer, (1, 0, 1, 0), (0, 1, 1, 0))
     assert (face.oracle_queries, face.cache_hits) == (2, 2)
     assert bare.cache[0] != maximizer
     assert face.dimension == bare.dimension == 2
-    # a run handed no points probes no moves: no round finds a point the
+    # a run handed no points takes no moves: no round finds a point the
     # run holds, and the run spends three queries more
     assert (bare.oracle_queries, bare.cache_hits) == (5, 0)
-    # without the move probe the maximizer alone saves the run one query
-    monkeypatch.setattr(MoveProbe, "find", lambda probe, d: None)
+    # without moves the maximizer alone, taken into X with no query,
+    # saves the run one query
+    monkeypatch.setattr("cutdim.hull.move_points", lambda provider, x0: iter(()))
     cls, bare = runs()
-    assert (cls.face_result.oracle_queries, cls.face_result.cache_hits) == (4, 1)
+    assert (cls.face_result.oracle_queries, cls.face_result.cache_hits) == (4, 0)
+    assert cls.face_result.points[0] == maximizer
     assert (bare.oracle_queries, bare.cache_hits) == (5, 0)
 
 
@@ -690,9 +698,9 @@ def test_classify_calls_sharing_a_provider_stay_apart(engine):
 @pytest.mark.parametrize("engine", ["solver", "lattice"])
 def test_a_cuts_own_maximizer_seeds_its_face_run(monkeypatch, engine):
     """The cut's maximizer (2, 2, 0) joins the base points on the face,
-    (3, 3, 0) alone.  It answers the face run's first round; so does the
-    move (-1, -1, 0) of (3, 3, 0), so with the move probe a face run
-    handed the base points alone spends the same."""
+    (3, 3, 0) alone, and the face run takes it with no query; it is also
+    the move (-1, -1, 0) of (3, 3, 0), so with moves a face run handed
+    the base points alone spends the same."""
     rng = random.Random(23)
     inst = random_instance(rng, max_vars=3, name="own")
     a = [rng.randint(-3, 3) for _ in range(inst.num_vars)]
@@ -709,8 +717,93 @@ def test_a_cuts_own_maximizer_seeds_its_face_run(monkeypatch, engine):
     assert cls.face_result.cache == without.cache == ((3, 3, 0), (2, 2, 0))
     for run in (cls.face_result, without):
         assert (run.oracle_queries, run.cache_hits) == (2, 1)
-    monkeypatch.setattr(MoveProbe, "find", lambda probe, d: None)
+    monkeypatch.setattr("cutdim.hull.move_points", lambda provider, x0: iter(()))
     cls, without = runs()
-    assert cls.face_dimension == without.dimension
-    assert cls.face_result.cache_hits > without.cache_hits
-    assert cls.face_result.oracle_queries < without.oracle_queries
+    assert cls.face_dimension == without.dimension == 1
+    assert (cls.face_result.oracle_queries, cls.face_result.cache_hits) == (2, 1)
+    assert (without.oracle_queries, without.cache_hits) == (4, 0)
+
+
+_ENTRIES = st.sampled_from((-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)))
+
+
+@st.composite
+def _bounded_mixed_case(draw):
+    """A bounded mixed-integer instance and three cuts with entries on
+    every column.  1-3 integer columns on small boxes, then 1-2
+    continuous ones; a continuous column may lack either bound, and a
+    row over it and the integer columns then caps it from that side, so
+    every integer slice stays a polytope."""
+    k = draw(st.integers(1, 3))
+    n = k + draw(st.integers(1, 2))
+    vectors = st.lists(_ENTRIES, min_size=n, max_size=n)
+    rows = draw(st.lists(vectors, min_size=1, max_size=2))
+    rhs = [draw(st.integers(-1, 3)) for _ in rows]
+    lower, upper = [], []
+    for j in range(n):
+        lo, hi = draw(st.sampled_from(((0, 1), (0, 2), (-1, 1))))
+        if j >= k:
+            lo = draw(st.sampled_from((lo, None)))
+            hi = draw(st.sampled_from((hi, Fraction(1, 2), Fraction(3, 2), None)))
+            for sign, bound in ((-1, lo), (1, hi)):
+                if bound is None:
+                    rows.append([draw(_ENTRIES) if i < k else sign * (i == j) for i in range(n)])
+                    rhs.append(draw(st.integers(0, 3)))
+        lower.append(lo)
+        upper.append(hi)
+    inst = build_instance(
+        name="bounded-mixed",
+        constraint_matrix=rows,
+        rhs=rhs,
+        objective=draw(vectors),
+        integer_vars=range(k),
+        lower_bounds=lower,
+        upper_bounds=upper,
+    )
+    cuts = [
+        (draw(vectors.filter(any)), draw(st.sampled_from((0, 0, Fraction(1, 2), Fraction(-1, 3)))))
+        for _ in range(3)
+    ]
+    return inst, cuts
+
+
+def _fraction_dot(a, p):
+    return sum(Fraction(c) * v for c, v in zip(a, p))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_bounded_mixed_case())
+def test_mixed_integer_analysis_matches_the_vertex_twin(case):
+    """On bounded mixed-integer instances, `analyze_instance` and
+    `compute_beta_true` answer as `mixed_vertices` says: dim(P) is the
+    rank of the vertices, each cut's beta_true their maximum, its verdict
+    follows from it exactly, and a supporting cut's face dimension is the
+    rank of the vertices on the face.  The cuts lie at the twin's maximum
+    plus a slack, along continuous directions too."""
+    inst, draws = case
+    vertices = mixed_vertices(inst)
+    n = inst.num_vars
+    cuts = []
+    for a, slack in draws:
+        top = max((_fraction_dot(a, v) for v in vertices), default=0)
+        cuts.append(Inequality(a, top + slack))
+    config = RunConfig(engine="solver", tolerance=0, solve_time_limit=None)
+    result = analyze_instance(inst, cuts, config, run_impact=False)
+    assert result.dimension == fraction_affine_rank(vertices, n)
+    assert not any(result.failures)
+    provider = make_provider(inst, "solver", time_limit=None)
+    for cls in result.classifications:
+        a, beta = cls.cut.coefficients, cls.cut.rhs
+        top = max((_fraction_dot(a, v) for v in vertices), default=-math.inf)
+        value, point, ray = compute_beta_true(provider, a)
+        assert value == cls.beta_true == top and ray is None
+        if vertices:
+            assert _fraction_dot(a, point) == top and fraction_feasible(inst, point)
+        if top > beta:
+            assert cls.verdict is Verdict.INVALID
+        elif top < beta:
+            assert cls.verdict is Verdict.NON_SUPPORTING
+        else:
+            on_face = [v for v in vertices if _fraction_dot(a, v) == top]
+            assert cls.verdict is Verdict.SUPPORTING
+            assert cls.face_dimension == fraction_affine_rank(on_face, n)

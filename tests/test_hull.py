@@ -14,10 +14,10 @@ from cutdim.hull import (
     EquationSystem,
     HullInterrupted,
     InvalidInitialEquationsError,
-    MoveProbe,
     affine_hull,
     cache_probe,
     face_hull,
+    move_points,
     select_direction,
 )
 from cutdim.linalg import (
@@ -44,7 +44,7 @@ from cutdim.oracle import (
 )
 from cutdim.rational import rat
 from cutdim.selftest import QueryLog, max_decided, random_instance
-from helpers import fraction_complement, fraction_echelon, mixed_vertices
+from helpers import fraction_affine_rank, fraction_complement, mixed_vertices
 
 
 def cube(n=3):
@@ -234,6 +234,36 @@ def test_time_budget_interrupt_inside_a_round(monkeypatch):
     assert (exc.dim_lower, exc.dim_upper) == (0, 3)
 
 
+def test_time_budget_interrupt_inside_the_free_point_pass(monkeypatch):
+    """The face x1 + x2 + x3 + x4 = 2 of the 4-cube, handed (1, 1, 0, 0)
+    alone, has no single move and fills X from pairs.  The clock passes
+    the deadline once two moves are taken, so the run stops at the end
+    of that move group, before any direction, with X = x0 and the two
+    moves: the bracket holds the face's dimension 3."""
+    provider = make_provider(cube(4))
+    base = affine_hull(provider)
+    cut = Inequality([1, 1, 1, 1], 2)
+    on_face = [p for p in enumerate_lattice(cube(4)) if sum(p) == 2]
+    taken = []
+
+    def checked(face_provider, p):
+        accepted = _in_set(face_provider, p)
+        taken.extend([p] * accepted)
+        return accepted
+
+    monkeypatch.setattr("cutdim.hull._in_set", checked)
+    monkeypatch.setattr(
+        "cutdim.hull.time", SimpleNamespace(monotonic=lambda: 0.0 if len(taken) < 2 else 2.0)
+    )
+    with pytest.raises(HullInterrupted) as info:
+        face_hull(provider, base, cut, time_budget=1.0, seen=((1, 1, 0, 0),))
+    exc = info.value
+    assert taken == [(0, 1, 1, 0), (0, 1, 0, 1)]
+    assert exc.reason == "time budget exhausted"
+    assert (exc.queries, exc.dim_lower, exc.dim_upper) == (0, 2, 3)
+    assert exc.dim_lower <= affine_rank(on_face) <= exc.dim_upper
+
+
 def test_select_direction_fixtures():
     d = select_direction(Echelon(), EquationSystem(), 2)
     assert d is not None and sum(1 for v in d if v != 0) == 1  # sparsest: a unit
@@ -298,28 +328,28 @@ def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
     once and each in the set."""
     joined, checks = [], []
     check = MipInstance.is_feasible_point
-    find = MoveProbe.find
 
     def recorded(provider, w, bar=None):
         response = oracle_maximize(provider, w, bar)
         joined.append(response.point)
         return response
 
-    def moved(probe, d):
-        point = find(probe, d)
-        if point is not None:
+    def moved(provider, point):
+        # the run checks a move only once it escapes aff(X), and keeps it if it passes
+        accepted = _in_set(provider, point)
+        if accepted:
             joined.append(point)
-        return point
+        return accepted
 
     monkeypatch.setattr("cutdim.hull.oracle_maximize", recorded)
-    monkeypatch.setattr(MoveProbe, "find", moved)
+    monkeypatch.setattr("cutdim.hull._in_set", moved)
     monkeypatch.setattr(
         MipInstance, "is_feasible_point", lambda inst, p: checks.append(p) or check(inst, p)
     )
     provider = make_provider(cube(), engine)
     warm = affine_hull(provider)
     # max x1, then min x1 at the origin, then max x2 and max x3 above 0;
-    # a run handed no points probes no moves
+    # a run handed no points takes no moves
     assert joined == [(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert warm.cache == tuple(joined) and checks == joined
 
@@ -327,10 +357,10 @@ def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
     checks.clear()
     start = ((0, 0, 0), (1, 1, 1))
     seeded = affine_hull(provider, cache=start)
-    # (1, 1, 1) escapes the first round; the origin's moves e1 and e2
-    # answer the other two, so no query is asked
+    # the origin and (1, 1, 1) join X first, then the origin's moves e1
+    # and e2 fill it, so no query is asked
     assert joined == [(1, 0, 0), (0, 1, 0)]
-    assert seeded.cache == start + tuple(joined) and checks == joined
+    assert seeded.points == seeded.cache == start + tuple(joined) and checks == joined
     assert (seeded.cache_hits, seeded.oracle_queries) == (3, 0)
     assert all(check(provider.instance, p) for p in seeded.cache)
     assert warm.dimension == seeded.dimension == 3
@@ -366,8 +396,8 @@ def test_runs_with_verify_off_end_with_an_unverified_point_in_x():
 def test_moves_of_a_first_point_outside_the_set_join_only_when_in_the_set(monkeypatch):
     """With verify off, a run's first cached point may lie outside the set,
     here OutsidePoint's (2, 0, 0).  Its moves are checked with verify off
-    too: the two that keep x1 = 2 are skipped, and only moves into the
-    cube join X and the cache."""
+    too: the two single moves that keep x1 = 2 are skipped, and only
+    moves into the cube join X and the cache, singles before pairs."""
     checked = []
     monkeypatch.setattr(
         "cutdim.hull._in_set", lambda provider, p: checked.append(p) or _in_set(provider, p)
@@ -377,7 +407,7 @@ def test_moves_of_a_first_point_outside_the_set_join_only_when_in_the_set(monkey
     moves = ((1, 0, 0), (1, 1, 0), (1, 0, 1))
     assert run.cache == run.points == ((2, 0, 0),) + moves
     assert all(provider.instance.is_feasible_point(p) for p in moves)
-    assert checked == [(1, 0, 0), (2, 1, 0), (1, 1, 0), (2, 0, 1), (1, 0, 1)]
+    assert checked == [(1, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 0), (1, 0, 1)]
     assert (run.dimension, run.oracle_queries, run.cache_hits) == (3, 0, 3)
 
 
@@ -400,13 +430,14 @@ def test_face_run_starts_from_the_base_points_on_the_face(monkeypatch):
     assert len(set(face.cache)) == len(face.cache)
     assert face.dimension == affine_rank([p for p in provider.points if dot(a, p) == cut.rhs])
     # A point only `seen` holds no longer saves a round: a move of the
-    # run's first cached point, which both runs share, answers it too.
-    # So a run handed both spends what one handed the base points spends.
+    # run's first cached point, which both runs share, is taken in its
+    # place.  So a run handed both spends what one handed the base
+    # points spends.
     assert (face.oracle_queries, face.cache_hits) == (4, 2)
     other = face_hull(provider, base, cut)
     assert (other.oracle_queries, other.cache_hits) == (4, 2)
-    # without the move probe, the `seen` point saves the round alone
-    monkeypatch.setattr(MoveProbe, "find", lambda probe, d: None)
+    # without moves, the `seen` point saves the round alone
+    monkeypatch.setattr("cutdim.hull.move_points", lambda provider, x0: iter(()))
     face, other = face_hull(provider, base, cut, seen=seen), face_hull(provider, base, cut)
     assert (face.oracle_queries, face.cache_hits) == (5, 1)
     assert (other.oracle_queries, other.cache_hits) == (6, 0)
@@ -459,38 +490,31 @@ def _mixed_instance(rng, name):
     )
 
 
-def _twin_rank(points, n) -> int:
-    """The affine rank of `points` in Fractions (`fraction_echelon`), -1
-    for none."""
-    if not points:
-        return -1
-    return len(fraction_echelon([vec_sub(p, points[0]) for p in points[1:]], n)[1])
-
-
 @pytest.mark.parametrize("engine", ["solver", "lattice", "mixed"])
 def test_the_move_probe_moves_no_verdict_or_face_dimension(monkeypatch, engine):
     """Each cut's verdict, beta_true and face dimension are the same with
-    the move probe patched out, and the face dimension is the twin's: the
-    rank of the lattice points (pure-integer instances, both engines) or
-    of `mixed_vertices` (mixed-integer instances, solver engine) on the
-    face.  Every accepted move changes x0 on integer columns only, and
-    with x0 in the set the prefilter is exact: no candidate fails the
-    membership check."""
+    the moves patched out of the free-point pass, and the face dimension
+    is the twin's: the rank of the lattice points (pure-integer
+    instances, both engines) or of `mixed_vertices` (mixed-integer
+    instances, solver engine) on the face.  Every move offered changes
+    x0 on integer columns only, and with x0 in the set the prefilter is
+    exact: no candidate fails the membership check."""
     rng = random.Random(73)
-    find = MoveProbe.find
     moved, rejected = [], []
-    monkeypatch.setattr(
-        "cutdim.hull._in_set",
-        lambda provider, p: _in_set(provider, p) or rejected.append(p),
-    )
 
-    def recorded(probe, d):
-        point = find(probe, d)
-        if point is not None:
-            moved.append(point)
-            changed = {j for j, (u, v) in enumerate(zip(probe.x0, point)) if u != v}
-            assert changed <= probe.provider.instance.integer_vars
-        return point
+    def checked(provider, p):
+        accepted = _in_set(provider, p)
+        (moved if accepted else rejected).append(p)
+        return accepted
+
+    def offered(provider, x0):
+        for group in move_points(provider, x0):
+            for point in group:
+                changed = {j for j, (u, v) in enumerate(zip(x0, point)) if u != v}
+                assert changed <= provider.instance.integer_vars
+            yield group
+
+    monkeypatch.setattr("cutdim.hull._in_set", checked)
 
     def classify(inst, cuts):
         provider = make_provider(inst, "solver" if engine == "mixed" else engine, time_limit=None)
@@ -513,13 +537,15 @@ def test_the_move_probe_moves_no_verdict_or_face_dimension(monkeypatch, engine):
         runs = {}
         for probe in (True, False):
             with monkeypatch.context() as mp:
-                mp.setattr(MoveProbe, "find", recorded if probe else lambda probe, d: None)
+                mp.setattr(
+                    "cutdim.hull.move_points", offered if probe else lambda provider, x0: iter(())
+                )
                 runs[probe] = classify(inst, cuts)
             queries[probe] += sum(
                 c.face_result.oracle_queries for c in runs[probe][1] if c.face_result
             )
         (base, got), (_, want) = runs[True], runs[False]
-        assert base.dimension == _twin_rank(points, n), f"case {i}"
+        assert base.dimension == fraction_affine_rank(points, n), f"case {i}"
         for cut, g, w in zip(cuts, got, want):
             assert (g.verdict, g.beta_true, g.face_dimension) == (
                 w.verdict, w.beta_true, w.face_dimension
@@ -527,7 +553,7 @@ def test_the_move_probe_moves_no_verdict_or_face_dimension(monkeypatch, engine):
             if g.face_result is not None:
                 face = g.tightened
                 on_face = [p for p in points if dot(face.coefficients, p) == face.rhs]
-                assert g.face_dimension == _twin_rank(on_face, n), f"case {i}: {cut}"
+                assert g.face_dimension == fraction_affine_rank(on_face, n), f"case {i}: {cut}"
     assert moved and not rejected and queries[True] < queries[False]
 
 
@@ -536,12 +562,11 @@ def test_queries_plus_twice_the_hits_is_twice_the_free_dimensions(engine):
     """On a bounded nonempty set, every base run and every face run spends
     queries + 2 * cache_hits + (rounds its max side decided) == 2(n - r0),
     r0 the equations it starts from, so queries + 2 * cache_hits is at
-    most 2(n - r0); a run that starts from n equations takes one query."""
+    most 2(n - r0).  A face run is handed points, so one that starts from
+    n equations takes none, as the identity says."""
     rng = random.Random(67)
 
     def spent_as_proven(run, n, r0, log):
-        if r0 == n:
-            return (run.oracle_queries, run.cache_hits) == (1, 0)
         spent = run.oracle_queries + 2 * run.cache_hits
         return (
             len(log) == run.oracle_queries
@@ -574,6 +599,7 @@ def test_queries_plus_twice_the_hits_is_twice_the_free_dimensions(engine):
     provider = make_provider(diagonal_segment(), engine)
     face = classify_cut(provider, Inequality([1, 0], 1), base=affine_hull(provider)).face_result
     assert spent_as_proven(face, 2, 2, ()) and face.dimension == 0
+    assert (face.oracle_queries, face.cache_hits, face.points) == (0, 0, ((1, 1),))
 
 
 def test_reproducibility():
