@@ -107,7 +107,7 @@ def classify_cut(
 
     `base` is the affine hull result for P.  One oracle query decides
     the verdict; every supporting cut spends further queries on its face
-    run, which probes the points of base's cache and the cut's own
+    run, which starts from the points of `base.points` and the cut's own
     maximizer that lie on the face.  Zero coefficient rows are decided
     by the sign of beta alone, query free.  The provider is left as it
     was, so calls that share it do not see each other's points.
@@ -486,7 +486,7 @@ def analyze_instance(
     interruptions are recorded as failures instead.
 
     Every cut shares the one provider, which no query changes, and its
-    face run probes the hull run's points and that cut's own maximizer,
+    face run starts from the hull run's points and that cut's own maximizer,
     so no cut's answers or counts depend on the cuts before it.
     """
     config = RunConfig() if config is None else config

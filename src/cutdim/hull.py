@@ -18,18 +18,18 @@ the affine hull is pinned down exactly:
 
     dim P = |X| - 1,   aff(P) = aff(X) = {x : D.x = e}.
 
-The run keeps a point cache: the feasible points it was handed plus
-the point or witness of each verified answer, once each, in first-seen
-order.  A run handed points takes its free points before its first
+A run handed feasible points takes its free points before its first
 direction: x0, the first point handed, joins X with no query, then each
 other handed point and each one- and two-coordinate move x0 + s*e_i
 (+ t*e_j), s, t = +-1 on integer columns (`move_points`), that escapes
 aff(X).  A move point joins only once it passes an exact membership
-check, whatever the verify switch; it then joins the cache.  Every
-point this pass takes after x0 counts as a cache hit.  It leaves every
-cached point in aff(X), so later rounds probe the cache only for the
-points their answers add: a cached point substitutes for a round's
-queries whenever it escapes the current aff(X).
+check, whatever the verify switch.  Every point this pass takes after
+x0 counts as a cache hit.  The pass leaves every handed point in
+aff(X), and every answer's point joins X, all but the witness of an
+unbounded answer off d.x = gamma, which supplies witness + t*ray in its
+place.  So each round first probes those witnesses (`cache_probe`): one
+that escapes the current aff(X) joins X as a cache hit and saves the
+round's queries.  Only an unbounded set yields witnesses.
 
 A round without a hit costs two queries, or one when the max side
 decides it.  A run handed no points seeds X in its first round, which
@@ -41,14 +41,14 @@ round that starts with a point in X can be decided by the max side,
 
 r0 the number of valid equations supplied up front.  When r0 = n, a run
 handed no points takes one query and a run handed points none.  The
-cache is the run's, not the oracle's: a query never changes its
-provider.
+points a run holds are the run's, not the oracle's: a query never
+changes its provider.
 
 Face dimension runs reuse the machinery unchanged: restrict the oracle
 to the face's hyperplane, start from the base system plus the face
-equation, sharing its form, and from the base run's cached points that
-lie on the face.  A base run is handed no points, so only face runs
-take free points.
+equation, sharing its form, and from the base run's points that lie on
+the face.  A base run is handed no points, so only face runs take free
+points.
 
 X and D each keep one integer echelon form (X's of its differences from
 its first point), grown a row at a time as a point or equation joins.
@@ -164,7 +164,6 @@ class AffineHullResult:
     equations: EquationSystem
     oracle_queries: int
     cache_hits: int
-    cache: tuple  # every point the run held to probe, first-seen order
 
 
 def select_direction(span: Echelon, equations: EquationSystem, n: int) -> Optional[Vector]:
@@ -198,18 +197,20 @@ def select_direction(span: Echelon, equations: EquationSystem, n: int) -> Option
     return None
 
 
-def cache_probe(cache: tuple, d: Sequence, gamma):
-    """The first cached point whose d-value differs from gamma, or None."""
-    for p in cache:
+def cache_probe(points: Sequence, d: Sequence, gamma):
+    """The first of `points`, a run's unbounded witnesses, whose d-value
+    differs from gamma, or None."""
+    for p in points:
         if dot(d, p) != gamma:
             return p
     return None
 
 
 def move_points(provider, x0: Vector):
-    """Points x0 + s*e_i and x0 + s*e_i + t*e_j of a run's first cached
+    """Points x0 + s*e_i and x0 + s*e_i + t*e_j of a run's first handed
     point x0, s, t = +-1 and i < j integer columns, in groups: all single
-    moves, then for each step (i, s) in column order its pairs.  A hand
+    moves, then for each step (i, s) in column order its pairs, when a
+    second step can make up what (i, s) leaves lacking.  A hand
     proof that a knapsack or cover inequality is facet-defining lists its
     points the same way, as one- and two-item exchanges of a known point
     (Balas, Math. Prog. 1975).
@@ -258,11 +259,12 @@ def move_points(provider, x0: Vector):
     for (i, s), (on_rows, on_eqs) in steps.items():
         # a second step must make up exactly what the first leaves lacking
         need = tuple(map(operator.sub, lack, on_eqs))
-        yield [
-            moved((i, s), (j, t))
-            for j, t in by_eqs.get(need, ())
-            if j > i and all(p + q <= r for p, q, r in zip(on_rows, steps[j, t][0], room))
-        ]
+        if need in by_eqs:
+            yield [
+                moved((i, s), (j, t))
+                for j, t in by_eqs[need]
+                if j > i and all(p + q <= r for p, q, r in zip(on_rows, steps[j, t][0], room))
+            ]
 
 
 def off_gamma(resp, d: Vector, gamma) -> Optional[Vector]:
@@ -294,14 +296,12 @@ def affine_hull(
 
     `initial_equations` must be valid for the set and independent; they
     reduce the number of rounds one for one.  `cache` holds feasible
-    points of the set; the point or witness of each verified answer
-    joins it unless held already.  A run handed points first takes them
-    and the moves of the first one (`move_points`) that escape aff(X),
-    with no query; a move point joins X only once it lies in the set,
-    and then joins the cache.  Each point taken after the first counts
-    as a cache hit.  The cache is probed before each round and a hit
-    replaces the round's queries.  The result carries the cache as the
-    run left it.
+    points of the set.  A run handed points first takes them and the
+    moves of the first one (`move_points`) that escape aff(X), with no
+    query; a move point joins X only once it lies in the set.  Each
+    point taken after the first counts as a cache hit.  Once an answer
+    is unbounded, each round first probes the witnesses of such answers
+    (`cache_probe`), and a hit replaces the round's queries.
 
     A round asks max d, then max -d only when the max side names no
     point off d.x = gamma; once X holds a point, both are asked against
@@ -326,6 +326,7 @@ def affine_hull(
     cache = tuple(cache)
     points: list[Vector] = []
     span = Echelon()  # of the differences x - points[0], x in X
+    witnesses: list[Vector] = []  # of the unbounded answers, in answer order
     queries = 0
     cache_hits = 0
 
@@ -337,7 +338,7 @@ def affine_hull(
             raise interrupted("time budget exhausted")
 
     def query(w, bar=None):
-        nonlocal queries, cache
+        nonlocal queries
         if queries + 1 > query_budget:
             raise interrupted(f"query budget {query_budget} exhausted")
         check_deadline()
@@ -346,10 +347,8 @@ def affine_hull(
             resp = oracle_maximize(provider, w, bar)
         except OracleInconclusive as exc:
             raise interrupted(str(exc)) from exc
-        if not isinstance(resp, Infeasible):
-            point = resp.witness if isinstance(resp, Unbounded) else resp.point
-            if point not in cache:
-                cache += (point,)
+        if isinstance(resp, Unbounded):
+            witnesses.append(resp.witness)
         return resp
 
     def checked_append(point, grown=None):
@@ -371,7 +370,7 @@ def affine_hull(
     def take_free_points():
         """x0 = cache[0], then each other handed point and each move of x0
         in the set (`move_points`) that escapes aff(X)."""
-        nonlocal cache, cache_hits
+        nonlocal cache_hits
         x0, handed = cache[0], cache[1:]
         check_deadline()  # an expired budget ends before x0 is taken
         checked_append(x0)
@@ -382,10 +381,8 @@ def affine_hull(
                 grown = extended(span, vec_sub(point, x0))
                 if grown is span:
                     continue
-                if group is not handed:
-                    if not _in_set(provider, point):
-                        continue
-                    cache += (point,)
+                if group is not handed and not _in_set(provider, point):
+                    continue
                 checked_append(point, grown)
                 cache_hits += 1
                 if len(points) + len(eqs) > n:
@@ -405,15 +402,16 @@ def affine_hull(
             # n equations and no point yet: the set is a point or empty
             resp = query((0,) * n)
             if isinstance(resp, Infeasible):
-                return AffineHullResult(-1, (), eqs, queries, cache_hits, cache)
+                return AffineHullResult(-1, (), eqs, queries, cache_hits)
             if isinstance(resp, Optimal):
                 checked_append(resp.point)
                 continue
             raise AssertionError("zero objective cannot be unbounded")
 
-        if cache:
-            # a cached point exists only once X holds one
-            hit = cache_probe(cache, d, gamma=dot(d, points[0]))
+        if witnesses:
+            # X holds a point once a witness is recorded; every other point
+            # the run has seen lies in aff(X), on d.x = gamma
+            hit = cache_probe(witnesses, d, gamma=dot(d, points[0]))
             if hit is not None:
                 checked_append(hit)
                 cache_hits += 1
@@ -425,7 +423,7 @@ def affine_hull(
         else:
             resp = query(d)
             if isinstance(resp, Infeasible):
-                return AffineHullResult(-1, (), eqs, queries, cache_hits, cache)
+                return AffineHullResult(-1, (), eqs, queries, cache_hits)
             # the first answer seeds X: its maximizer, on d.x = gamma, or its ray's witness
             checked_append(resp.point if isinstance(resp, Optimal) else resp.witness)
             gamma = dot(d, points[0])
@@ -438,7 +436,7 @@ def affine_hull(
         else:
             checked_append(point)
 
-    return AffineHullResult(len(points) - 1, tuple(points), eqs, queries, cache_hits, cache)
+    return AffineHullResult(len(points) - 1, tuple(points), eqs, queries, cache_hits)
 
 
 def face_hull(
@@ -453,10 +451,10 @@ def face_hull(
     `base` is the affine hull result for P itself; its equations are
     valid on the face and seed the run.  The cut equation is added
     unless its row already lies in the span of the base system.  The
-    run's cache starts with the points of base's cache and then of
-    `seen` (more points of P) that lie on the face, once each; the run
-    takes those and the moves of the first of them that escape aff(X)
-    before its first direction (`affine_hull`).
+    run is handed the points of `base.points` and then of `seen` (more
+    points of P) that lie on the face, once each; it takes those and the
+    moves of the first of them that escape aff(X) before its first
+    direction (`affine_hull`).
     """
     eqs = base.equations
     with_cut = eqs.with_equation(cut.coefficients, cut.rhs)
@@ -464,5 +462,5 @@ def face_hull(
         eqs = with_cut
     face_provider = provider.restrict(cut.coefficients, cut.rhs)
     ints, target, _ = face_provider.equations[-1]
-    cache = tuple(p for p in dict.fromkeys((*base.cache, *seen)) if dot(ints, p) == target)
+    cache = tuple(p for p in dict.fromkeys((*base.points, *seen)) if dot(ints, p) == target)
     return affine_hull(face_provider, initial_equations=eqs, time_budget=time_budget, cache=cache)

@@ -12,7 +12,8 @@ the reduced echelon form, and `fraction_complement` solves for
 complement directions off it, apart from the integer echelon rows the
 package reads them from.  `mixed_vertices` is the brute-force twin
 for bounded mixed-integer instances: the vertices of every integer
-slice, by the same Gaussian elimination.  `cap_row_solve` is the
+slice, by the same Gaussian elimination.  `handed_points` records the
+points each face run is handed.  `cap_row_solve` is the
 simplex as it was with a cap row per doubly bounded variable, a twin
 of its pivot path rather than an independent oracle: it shares the
 column map and the integer kernels.  `stein27` builds the
@@ -23,18 +24,35 @@ are data producers, not implementations under test).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
 from fractions import Fraction
 from operator import add
 from typing import Optional, Sequence
+from unittest import mock
 
-from cutdim import simplex
+from cutdim import hull, simplex
 from cutdim.linalg import exact_bounds, exact_vector, int_row, int_scale, pivot
 from cutdim.model import build_instance
 from cutdim.rational import exact
 from cutdim.simplex import LPResult, LPStatus
+
+
+@contextlib.contextmanager
+def handed_points():
+    """While active, the list of the points each `face_hull` call hands
+    its run (`affine_hull`'s `cache` argument), one tuple per run."""
+    handed = []
+    run = hull.affine_hull
+
+    def recording(provider, **kwargs):
+        handed.append(kwargs["cache"])
+        return run(provider, **kwargs)
+
+    with mock.patch("cutdim.hull.affine_hull", recording):
+        yield handed
 
 
 def gauss_solve(rows, rhs) -> Optional[list]:

@@ -622,7 +622,7 @@ def test_face_run_probes_its_own_cuts_points(monkeypatch):
         analysis = analyze_instance(inst, [cut], RunConfig(engine="solver"), run_impact=False)
         (cls,) = analysis.classifications
         provider = MipOracle(inst)
-        base = dataclasses.replace(affine_hull(provider), cache=())
+        base = dataclasses.replace(affine_hull(provider), points=())
         return cls, face_hull(provider, base, cls.tightened)
 
     cls, bare = runs()
@@ -631,10 +631,9 @@ def test_face_run_probes_its_own_cuts_points(monkeypatch):
     # no point of the hull run lies on the face; the cut's own maximizer
     # does, and its moves (1, 0, 1, 0) and (0, 1, 1, 0) join X before
     # the first direction
-    assert face.cache[0] == maximizer
-    assert face.points == face.cache == (maximizer, (1, 0, 1, 0), (0, 1, 1, 0))
+    assert face.points == (maximizer, (1, 0, 1, 0), (0, 1, 1, 0))
     assert (face.oracle_queries, face.cache_hits) == (2, 2)
-    assert bare.cache[0] != maximizer
+    assert bare.points[0] != maximizer
     assert face.dimension == bare.dimension == 2
     # a run handed no points takes no moves: no round finds a point the
     # run holds, and the run spends three queries more
@@ -667,8 +666,8 @@ def test_each_cut_classifies_as_if_alone():
 
 @pytest.mark.parametrize("engine", ["solver", "lattice"])
 def test_classify_calls_sharing_a_provider_stay_apart(engine):
-    """Two classify_cut calls on one provider classify, query and hit the
-    cache as each call does alone: x + y <= 6 has the maximizer (3, 3),
+    """Two classify_cut calls on one provider classify, query and hit as
+    each call does alone: x + y <= 6 has the maximizer (3, 3),
     which lies on the face x = 3 of the later cut x <= 3 and would save
     that face run its only round."""
     inst = build_instance(
@@ -714,7 +713,7 @@ def test_a_cuts_own_maximizer_seeds_its_face_run(monkeypatch, engine):
 
     cls, without = runs()
     assert cls.face_dimension == without.dimension == 1
-    assert cls.face_result.cache == without.cache == ((3, 3, 0), (2, 2, 0))
+    assert cls.face_result.points == without.points == ((3, 3, 0), (2, 2, 0))
     for run in (cls.face_result, without):
         assert (run.oracle_queries, run.cache_hits) == (2, 1)
     monkeypatch.setattr("cutdim.hull.move_points", lambda provider, x0: iter(()))

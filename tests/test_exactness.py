@@ -137,8 +137,7 @@ def test_pure_integer_points_are_ints(engine):
     assert _all_ints([resp.point])
     hull = affine_hull(provider)
     assert hull.dimension == 3
-    assert _all_ints(hull.points)
-    assert _all_ints(hull.cache) and len(hull.cache) > 1
+    assert _all_ints(hull.points) and len(hull.points) > 1
 
 
 def test_solver_points_and_rays_are_ints():
@@ -170,7 +169,7 @@ def test_mixed_integer_points_verify_exactly():
     assert dot(inst.objective, resp.point) == resp.value
     hull = affine_hull(provider)
     assert hull.dimension == 2
-    for p in hull.points + hull.cache:
+    for p in hull.points:
         assert inst.is_feasible_point(p)
         assert type(p[0]) is int
 

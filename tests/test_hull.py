@@ -44,7 +44,7 @@ from cutdim.oracle import (
 )
 from cutdim.rational import rat
 from cutdim.selftest import QueryLog, max_decided, random_instance
-from helpers import fraction_affine_rank, fraction_complement, mixed_vertices
+from helpers import fraction_affine_rank, fraction_complement, handed_points, mixed_vertices
 
 
 def cube(n=3):
@@ -90,7 +90,7 @@ def test_cube_full_dimensional():
     assert len(hull.equations) == 0
     assert len(hull.points) == 4
     # 2n less the two rounds after the first, which max e_j decides
-    # with a point above gamma = 0; no cached point escapes aff(X)
+    # with a point above gamma = 0; no answer is unbounded
     assert hull.oracle_queries == 4
 
 
@@ -171,6 +171,26 @@ def test_unbounded_quadrant_fixtures(bounds, points, queries):
     assert hull.points == tuple(tuple(map(rat, p)) for p in points)
     assert len(hull.equations) == 0
     assert (hull.dimension, hull.oracle_queries, hull.cache_hits) == (2, queries, 0)
+
+
+def test_a_round_takes_an_unbounded_answers_witness():
+    """Integer x0 <= 2 and 0 <= x1 <= 1 with 2*x0 - x1 <= 1.  Max x0 is 1
+    at (1, 1); min x0 below -1 is unbounded along (-1, 0) with witness
+    (0, 0), and its escape point (-1, 0) joins X in the witness's place.
+    The witness lies off aff(X), the line x0 = 2*x1 - 1, so the next
+    round takes it with no query."""
+    inst = build_instance(
+        name="witness",
+        constraint_matrix=[[2, -1]],
+        rhs=[1],
+        objective=[0, 0],
+        integer_vars=(0, 1),
+        lower_bounds=[None, 0],
+        upper_bounds=[2, 1],
+    )
+    hull = affine_hull(MipOracle(inst))
+    assert hull.points == ((1, 1), (-1, 0), (0, 0))
+    assert (hull.dimension, hull.oracle_queries, hull.cache_hits) == (2, 2, 1)
 
 
 def test_initial_equations_reduce_queries():
@@ -304,7 +324,7 @@ def test_cache_cuts_queries_but_not_answers():
     base = affine_hull(provider)
     cut = Inequality([-1, 0, 0], 0)  # the facet x1 = 0 holds three of base's points
     warm = face_hull(provider, base, cut)
-    bare = face_hull(provider, dataclasses.replace(base, cache=()), cut)
+    bare = face_hull(provider, dataclasses.replace(base, points=()), cut)
     assert warm.dimension == bare.dimension == 2
     assert (warm.oracle_queries, warm.cache_hits) == (0, 2)
     # the first round asks both sides, the second only max x3 above 0
@@ -312,20 +332,20 @@ def test_cache_cuts_queries_but_not_answers():
 
 
 def test_cache_probe_modes():
-    assert cache_probe((), [1, 0], gamma=rat(0)) is None  # empty cache
+    assert cache_probe((), [1, 0], gamma=rat(0)) is None  # no witness
 
     assert cache_probe(((0, 0),), [1, 0], gamma=rat(0)) is None  # no d-value differs
-    cache = ((0, 0), (1, 1), (1, 0))
-    # the first point with d.p != gamma, in first-seen order
-    assert cache_probe(cache, [1, 0], gamma=rat(0)) == (rat(1), rat(1))
-    assert cache_probe(cache, [0, 1], gamma=rat(1)) == (rat(0), rat(0))
+    witnesses = ((0, 0), (1, 1), (1, 0))
+    # the first point with d.p != gamma, in answer order
+    assert cache_probe(witnesses, [1, 0], gamma=rat(0)) == (rat(1), rat(1))
+    assert cache_probe(witnesses, [0, 1], gamma=rat(1)) == (rat(0), rat(0))
 
 
 @pytest.mark.parametrize("engine", ["solver", "lattice"])
 def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
-    """A run's cache is the points it was handed, then each answer's point
-    and each accepted move point once, in first-seen order, each checked
-    once and each in the set."""
+    """On a bounded set a run's points are the points it was handed, then
+    each answer's point and each accepted move point once, in first-seen
+    order, each checked once and each in the set."""
     joined, checks = [], []
     check = MipInstance.is_feasible_point
 
@@ -351,7 +371,7 @@ def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
     # max x1, then min x1 at the origin, then max x2 and max x3 above 0;
     # a run handed no points takes no moves
     assert joined == [(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert warm.cache == tuple(joined) and checks == joined
+    assert warm.points == tuple(joined) and checks == joined
 
     joined.clear()
     checks.clear()
@@ -360,9 +380,9 @@ def test_run_cache_holds_each_verified_answer_once(monkeypatch, engine):
     # the origin and (1, 1, 1) join X first, then the origin's moves e1
     # and e2 fill it, so no query is asked
     assert joined == [(1, 0, 0), (0, 1, 0)]
-    assert seeded.points == seeded.cache == start + tuple(joined) and checks == joined
+    assert seeded.points == start + tuple(joined) and checks == joined
     assert (seeded.cache_hits, seeded.oracle_queries) == (3, 0)
-    assert all(check(provider.instance, p) for p in seeded.cache)
+    assert all(check(provider.instance, p) for p in seeded.points)
     assert warm.dimension == seeded.dimension == 3
 
 
@@ -378,7 +398,7 @@ class OutsidePoint(MipOracle):
 def test_only_verified_answers_reach_the_run_cache():
     with pytest.raises(OracleSoundnessError):
         affine_hull(OutsidePoint(cube()))
-    assert (2, 0, 0) in affine_hull(OutsidePoint(cube(), verify=False)).cache
+    assert (2, 0, 0) in affine_hull(OutsidePoint(cube(), verify=False)).points
 
 
 def test_runs_with_verify_off_end_with_an_unverified_point_in_x():
@@ -388,16 +408,16 @@ def test_runs_with_verify_off_end_with_an_unverified_point_in_x():
     provider = OutsidePoint(cube(), verify=False)
     base = affine_hull(provider)
     assert base.dimension == 3 and base.points[0] == (2, 0, 0)
-    face = face_hull(provider, dataclasses.replace(base, cache=()), Inequality([0, 0, 1], 0))
+    face = face_hull(provider, dataclasses.replace(base, points=()), Inequality([0, 0, 1], 0))
     assert face.dimension == 2 and face.points[0] == (2, 0, 0)
     assert face.oracle_queries == 3
 
 
 def test_moves_of_a_first_point_outside_the_set_join_only_when_in_the_set(monkeypatch):
-    """With verify off, a run's first cached point may lie outside the set,
+    """With verify off, a run's first handed point may lie outside the set,
     here OutsidePoint's (2, 0, 0).  Its moves are checked with verify off
     too: the two single moves that keep x1 = 2 are skipped, and only
-    moves into the cube join X and the cache, singles before pairs."""
+    moves into the cube join X, singles before pairs."""
     checked = []
     monkeypatch.setattr(
         "cutdim.hull._in_set", lambda provider, p: checked.append(p) or _in_set(provider, p)
@@ -405,7 +425,7 @@ def test_moves_of_a_first_point_outside_the_set_join_only_when_in_the_set(monkey
     provider = OutsidePoint(cube(), verify=False)
     run = affine_hull(provider, cache=((2, 0, 0),))
     moves = ((1, 0, 0), (1, 1, 0), (1, 0, 1))
-    assert run.cache == run.points == ((2, 0, 0),) + moves
+    assert run.points == ((2, 0, 0),) + moves
     assert all(provider.instance.is_feasible_point(p) for p in moves)
     assert checked == [(1, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 0), (1, 0, 1)]
     assert (run.dimension, run.oracle_queries, run.cache_hits) == (3, 0, 3)
@@ -421,21 +441,40 @@ def test_face_run_starts_from_the_base_points_on_the_face(monkeypatch):
     directions = [a] + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(12)]
     seen = tuple(oracle_maximize(provider, w).point for w in directions)
     cut = Inequality(a, dot(a, seen[0]))
-    held = tuple(dict.fromkeys(base.cache + seen))
+    held = tuple(dict.fromkeys(base.points + seen))
     on_face = tuple(p for p in held if dot(a, p) == cut.rhs)
-    face = face_hull(provider, base, cut, seen=seen)
-    assert on_face and face.cache[: len(on_face)] == on_face
-    new = face.cache[len(on_face):]
-    assert new and all(dot(a, p) == cut.rhs and p not in held for p in new)
-    assert len(set(face.cache)) == len(face.cache)
+    with handed_points() as handed:
+        face = face_hull(provider, base, cut, seen=seen)
+    assert on_face and handed == [on_face]
+    new = tuple(p for p in face.points if p not in held)
+    assert new and all(dot(a, p) == cut.rhs for p in new)
     assert face.dimension == affine_rank([p for p in provider.points if dot(a, p) == cut.rhs])
     # A point only `seen` holds no longer saves a round: a move of the
-    # run's first cached point, which both runs share, is taken in its
+    # run's first handed point, which both runs share, is taken in its
     # place.  So a run handed both spends what one handed the base
     # points spends.
     assert (face.oracle_queries, face.cache_hits) == (4, 2)
     other = face_hull(provider, base, cut)
     assert (other.oracle_queries, other.cache_hits) == (4, 2)
+    # On an unbounded set, integer x0 <= 3 and x1 >= -1, min x0 and
+    # max x1 are unbounded, and the base run takes the escape point
+    # (3, 0) of the latter in its witness's place.  It lies on the face
+    # x0 = 3, a ray, so the face run takes it with no query.
+    strip = build_instance(
+        name="strip",
+        constraint_matrix=[],
+        rhs=[],
+        objective=[0, 0],
+        integer_vars=(0,),
+        lower_bounds=[None, -1],
+        upper_bounds=[3, None],
+    )
+    strip_provider = make_provider(strip)
+    strip_base = affine_hull(strip_provider)
+    assert strip_base.points == ((3, -1), (2, -1), (3, 0))
+    ray = face_hull(strip_provider, strip_base, Inequality([1, 0], 3))
+    assert ray.points == ((3, -1), (3, 0))
+    assert (ray.dimension, ray.oracle_queries, ray.cache_hits) == (1, 0, 1)
     # without moves, the `seen` point saves the round alone
     monkeypatch.setattr("cutdim.hull.move_points", lambda provider, x0: iter(()))
     face, other = face_hull(provider, base, cut, seen=seen), face_hull(provider, base, cut)
@@ -448,7 +487,7 @@ def test_equations_valid_on_all_points():
     for i in range(25):
         inst = random_instance(rng, name=f"eq{i}", require_nonempty=False)
         points = enumerate_lattice(inst)
-        # a run and a face run whose rounds can hit the cache
+        # a run and a face run that starts from the base run's points
         provider = make_provider(inst, "lattice")
         base = affine_hull(provider)
         runs = [(base, points)]

@@ -26,7 +26,7 @@ from cutdim.rational import rat
 from cutdim.selftest import random_instance
 from cutdim.simplex import LinearProgram
 from cutdim.solver import SolveStatus, solve_mip
-from helpers import fraction_argmax, fraction_lattice, fraction_on_hyperplane
+from helpers import fraction_argmax, fraction_lattice, fraction_on_hyperplane, handed_points
 
 
 def knapsack():
@@ -216,8 +216,8 @@ def test_query_counting_and_cache_population(monkeypatch):
     assert solves == [(5, 4), (-1, -1)]  # one solve per query
     hull = affine_hull(oracle)
     assert len(solves) == 2 + hull.oracle_queries
-    assert len(hull.cache) >= 2 and not hasattr(oracle, "cache")
-    for p in hull.cache:
+    assert len(hull.points) >= 2 and not hasattr(oracle, "cache")
+    for p in hull.points:
         assert knapsack().is_feasible_point(p)
 
 
@@ -532,7 +532,7 @@ def test_lattice_engine_edge_cases():
     assert face.points == ()
     assert isinstance(oracle_maximize(face, [1, 0, 0]), Infeasible)
     empty = affine_hull(face)
-    assert (empty.dimension, empty.cache) == (-1, ())
+    assert (empty.dimension, empty.points) == (-1, ())
     assert provider.points == tuple(points)
 
 
@@ -600,7 +600,7 @@ def test_integer_lattice_engine_matches_fraction_twin(case):
     den = math.lcm(*(c.denominator for c in a))
     base = affine_hull(provider)
     seen = tuple(fraction_argmax(points, w)[0] for w in directions if points)
-    held = tuple(dict.fromkeys(base.cache + seen))
+    held = tuple(dict.fromkeys(base.points + seen))
     betas = [rat(2 * k + 1, 2 * den)]  # d.beta = k + 1/2
     if points:
         betas.append(dot(a, points[k % len(points)]))
@@ -609,11 +609,12 @@ def test_integer_lattice_engine_matches_fraction_twin(case):
         on_face = fraction_on_hyperplane(points, a, beta)
         assert face.points == tuple(on_face)
         start = tuple(fraction_on_hyperplane(held, a, beta))
-        run = face_hull(provider, base, Inequality(a, beta), seen=seen)
-        assert run.cache[: len(start)] == start
-        assert all(p in on_face for p in run.cache)
+        with handed_points() as handed:
+            run = face_hull(provider, base, Inequality(a, beta), seen=seen)
+        assert handed == [start]
+        assert all(p in on_face for p in run.points)
         if (beta * den).denominator != 1:
-            assert not on_face and not run.cache
+            assert not on_face and not run.points
         _check_scans(face, on_face, directions)
 
 
